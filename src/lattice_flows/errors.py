@@ -34,7 +34,7 @@ class DivisionByZero(LatticeError):
 
 
 class StepFailure(LatticeError):
-    """Adaptive integration step size underflowed."""
+    """Adaptive step size underflowed, or a step overflowed to a non-finite state."""
 
 
 class DomainExit(LatticeError):

@@ -4,7 +4,8 @@ Two step policies: classic fixed-step fourth-order Runge-Kutta, and the
 embedded Fehlberg 4(5) pair with absolute/relative error control.  States
 may be complex.  Charts whose coordinates must stay positive are watched at
 every accepted step; a crossing halts integration with DomainExit carrying
-the partial trajectory.
+the partial trajectory.  A step that overflows to a non-finite state raises
+StepFailure.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def integrate(system, s0: State, t_end: float, policy) -> Trajectory:
 
     positive = bool(getattr(system, "positive", False))
 
-    def check_domain(y, t):
+    def check_step(y, t):
+        if not np.all(np.isfinite(y)):
+            raise StepFailure(f"state overflowed to a non-finite value at t = {t:.6g}")
         if positive and np.min(y.real) <= 0.0:
             partial = Trajectory(getattr(system, "key", "system"), np.array(times), states, policy)
             raise DomainExit(
@@ -112,7 +115,7 @@ def integrate(system, s0: State, t_end: float, policy) -> Trajectory:
             dt = min(policy.dt, t_end - t)
             y = _rk4_step(f, y, dt)
             t += dt
-            check_domain(y, t)
+            check_step(y, t)
             times.append(t)
             states.append(s0.replace_coords(y))
         return Trajectory(getattr(system, "key", "system"), np.array(times), states, policy)
@@ -128,7 +131,7 @@ def integrate(system, s0: State, t_end: float, policy) -> Trajectory:
         if ratio <= 1.0:
             t += dt
             y = y_new
-            check_domain(y, t)
+            check_step(y, t)
             times.append(t)
             states.append(s0.replace_coords(y))
             grow = 0.9 * ratio ** -0.2 if ratio > 0 else 5.0

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartMismatch, DimensionError, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, central_difference
 
 #: Central-difference step for scalar gradients.
 GRAD_FD_STEP = 1e-6
@@ -286,15 +286,7 @@ def poisson_matrix(structure, state: State) -> np.ndarray:
 
 def gradient(f, state: State, fd_step: float = GRAD_FD_STEP) -> np.ndarray:
     """Central-difference gradient of a scalar function of a State."""
-    base = state.array
-    grad = np.zeros(state.dim, dtype=complex)
-    for k in range(state.dim):
-        bump = np.zeros(state.dim, dtype=complex)
-        bump[k] = fd_step
-        grad[k] = (
-            f(state.replace_coords(base + bump)) - f(state.replace_coords(base - bump))
-        ) / (2 * fd_step)
-    return grad
+    return central_difference(f, state, fd_step)
 
 
 def bracket_eval(structure, f, g, state: State, fd_step: float = GRAD_FD_STEP,
@@ -310,20 +302,11 @@ def _structure_derivatives(struct, state: State, fd_step) -> tuple[np.ndarray, n
     if fd_step is None and hasattr(struct, "derivatives"):
         return struct(state), struct.derivatives(state)
     step = fd_step if fd_step is not None else JACOBI_FD_STEP
-    n = state.dim
-    base = state.array
-    dpi = np.zeros((n, n, n), dtype=complex)
-    for l in range(n):
-        bump = np.zeros(n, dtype=complex)
-        bump[l] = step
-        dpi[l] = (
-            struct(state.replace_coords(base + bump)) - struct(state.replace_coords(base - bump))
-        ) / (2 * step)
-    return struct(state), dpi
+    return struct(state), central_difference(struct, state, step)
 
 
 def jacobi_residual(structure, state: State, fd_step: float | None = None) -> float:
-    """Max over index triples of the cyclic Jacobi sum.
+    """Max over index triples of the cyclic Jacobi sum; NaN if any sum is NaN.
 
     Tensor derivatives are analytic (exact monomial differentiation) by
     default; pass ``fd_step`` to use central differences instead.
@@ -331,7 +314,7 @@ def jacobi_residual(structure, state: State, fd_step: float | None = None) -> fl
     struct = get_structure(structure)
     pi, dpi = _structure_derivatives(struct, state, fd_step)
     n = state.dim
-    worst = 0.0
+    sums = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -342,8 +325,8 @@ def jacobi_residual(structure, state: State, fd_step: float | None = None) -> fl
                         + pi[j, l] * dpi[l, k, i]
                         + pi[k, l] * dpi[l, i, j]
                     )
-                worst = max(worst, abs(total))
-    return worst
+                sums.append(abs(total))
+    return float(np.max(sums, initial=0.0))
 
 
 class Pencil:

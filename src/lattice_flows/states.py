@@ -126,3 +126,19 @@ def require_positive_real(values, what: str):
     if arr.size and np.min(arr.real) <= 0.0:
         raise DomainError(f"{what} requires coordinates with positive real part")
     return arr
+
+
+def central_difference(f, state: State, step: float) -> np.ndarray:
+    """Derivatives of f along each coordinate, stacked on a leading axis.
+
+    Entry k is (f(x + h e_k) - f(x - h e_k)) / (2h) with h = ``step``; f maps
+    a State to a scalar or an array, and may be complex.
+    """
+    base = state.array
+    out = []
+    for k in range(state.dim):
+        bump = np.zeros(state.dim, dtype=complex)
+        bump[k] = step
+        plus, minus = f(state.replace_coords(base + bump)), f(state.replace_coords(base - bump))
+        out.append((plus - minus) / (2 * step))
+    return np.array(out, dtype=complex)

@@ -19,6 +19,7 @@ from .states import (
     C_VARS,
     State,
     ab_state,
+    central_difference,
     v_state,
 )
 from .rootdata import Spectrum
@@ -185,16 +186,9 @@ def c_to_v_jacobian(state: State) -> np.ndarray:
 
 def map_jacobian(map_fn, state: State, fd_step: float = FD_STEP) -> np.ndarray:
     """Jacobian of a State -> State map by central differences, complex-aware."""
-    base = state.array
-    dim_out = map_fn(state).dim
-    jac = np.zeros((dim_out, state.dim), dtype=complex)
-    for k in range(state.dim):
-        bump = np.zeros(state.dim, dtype=complex)
-        bump[k] = fd_step
-        plus = map_fn(state.replace_coords(base + bump)).array
-        minus = map_fn(state.replace_coords(base - bump)).array
-        jac[:, k] = (plus - minus) / (2 * fd_step)
-    return jac
+    jac = central_difference(lambda s: map_fn(s).array, state, fd_step).T
+    # C order: matmul sums a transposed view in another order, changing residual bits
+    return np.ascontiguousarray(jac)
 
 
 def pushforward_residual(map_fn, source_field, target_field, state: State,

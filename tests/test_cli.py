@@ -196,10 +196,43 @@ def test_verify_spectrum_requires_exactly_one_source(capsys):
     assert "usage error" in err
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("LATTICE_FLOWS_THREADS", "2")
-    code, _, _ = run(capsys, "verify", "casimir", "--structure", "pi1-v", "--n", "5", "--states", "5")
+def test_verify_non_finite_residual_fails(capsys):
+    code, out, _ = run(capsys, "verify", "compat", "--chart", "v", "--lambdas", "nan", "--states", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    [record] = report["records"]
+    assert record["pass"] is False and np.isnan(record["max_residual"])
+
+
+@pytest.mark.parametrize("suite", [("jacobi", "--structure", "pi1-v"), ("lax", "--system", "km")])
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_state(capsys, suite, states):
+    code, out, err = run(capsys, "verify", *suite, "--states", states)
+    assert code == 2 and out == ""
+    assert "--states" in err
+
+
+@pytest.mark.parametrize("pairs", ["Q2:Z4", "H0:H2", "H2:H8", "C:H2", "H2", "H2:H4:H6", "H2:H4,H02:H4"])
+def test_verify_involution_rejects_unoffered_pairs(capsys, pairs):
+    code, out, err = run(capsys, "verify", "involution", "--m", "3", "--pairs", pairs, "--states", "2")
+    assert code == 2 and out == ""
+    assert "--pairs" in err
+
+
+def test_verify_involution_accepts_top_order_at_larger_m(capsys):
+    code, out, _ = run(capsys, "verify", "involution", "--m", "4", "--pairs", "H2:H8", "--states", "2")
     assert code == 0
-    monkeypatch.setenv("LATTICE_FLOWS_THREADS", "0")
-    code, _, err = run(capsys, "verify", "casimir", "--structure", "pi1-v", "--n", "5", "--states", "5")
-    assert code == 2
+    assert json.loads(out)["records"][0]["check"] == "involution-H2-H8"
+
+
+def test_simulate_fixed_step_overflow_exits_one(tmp_path, capsys):
+    out_file = tmp_path / "traj.csv"
+    state = '{"q":[-300,0],"p":[0,0]}'  # exp(600) overflows in the first step
+    argv = ("simulate", "--system", "sklyanin", "--state", state, "--t", "0.1", "--dt", "0.01")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "non-finite" in err and "t = 0.01" in err
+        code, _, _ = run(capsys, *argv, "--out", str(out_file))
+    assert code == 1 and not out_file.exists()

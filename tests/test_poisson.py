@@ -121,6 +121,12 @@ def test_jacobi_analytic_matches_fd(rng):
         assert abs(analytic - fd) < 1e-8
 
 
+def test_jacobi_residual_propagates_nan():
+    # a NaN cyclic sum must not be dropped by the max over index triples
+    state = v_state([np.nan, 1.0, 1.5, 0.5, 1.2])
+    assert np.isnan(jacobi_residual("pi3-v", state))
+
+
 def test_compatibility(rng):
     for lam in (1.0, 2.5):
         for n in (5, 7, 9):
