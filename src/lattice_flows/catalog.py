@@ -1,14 +1,15 @@
-"""Identified systems: chart dispatch, named invariants, Lax builders.
+"""Identified systems: one registry of fields per chart and named invariants.
 
-The catalog maps the public system identifiers (km, bv-a..bv-d, c-a..c-d,
-vd, ab, spectrum, toda, sklyanin, sklyanin-full) to vector fields, the
-charts they accept, positivity constraints, and the invariants the CLI can
-track along trajectories.
+``SYSTEMS`` maps each public system identifier (km, bv-a..bv-d, c-a..c-d,
+vd, ab, spectrum, toda, sklyanin, sklyanin-full) to its vector field on
+each chart it accepts and to the invariants the CLI can track along
+trajectories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,158 +24,115 @@ _POSITIVE_CHARTS = (VOLTERRA_U, VOLTERRA_V, C_VARS)
 
 @dataclass(frozen=True)
 class LatticeSystem:
-    """An identified vector field with its charts, invariants, and Lax builder.
+    """A vector field on each chart it accepts, plus its named invariants.
 
-    Dimension is carried by the states themselves; every entry accepts any
-    admissible size of its charts.
+    ``fields`` maps a chart to a callable (state, spectrum) -> ndarray and
+    ``named_invariants`` maps (state, spectrum) to {name: State -> complex};
+    ``spectrum`` parametrises the 'spectrum' system.  Dimension is carried
+    by the states themselves; every entry accepts any admissible size of its
+    charts.
     """
 
     key: str
-    charts: tuple[str, ...]
     fields: dict
-    lax_system: str | None = None
+    named_invariants: Callable = lambda state, spectrum: {}
     spectrum: Spectrum | None = None
-    poisson_structures: tuple[str, ...] = ()
 
-    def field(self, state: State) -> np.ndarray:
-        fn = self.fields.get(state.chart)
-        if fn is None:
-            raise ChartMismatch(f"system {self.key!r} has no field on chart {state.chart!r}")
-        return fn(state)
+    @property
+    def charts(self) -> tuple[str, ...]:
+        return tuple(self.fields)
 
     @property
     def positive(self) -> bool:
-        return all(ch in _POSITIVE_CHARTS for ch in self.charts)
+        return all(ch in _POSITIVE_CHARTS for ch in self.fields)
+
+    def field(self, state: State) -> np.ndarray:
+        return self._on_chart(state)(state, self.spectrum)
 
     def invariants(self, state: State) -> dict[str, Callable[[State], complex]]:
         """Named invariants available for this system on the state's chart."""
-        return _invariants_for(self, state)
+        self._on_chart(state)
+        return self.named_invariants(state, self.spectrum)
 
-    def build_lax(self, state: State) -> lax.LaxPair:
-        if self.lax_system is None:
-            raise ValueError(f"system {self.key!r} has no Lax builder")
-        return lax.build_lax(self.lax_system, state)
-
-
-def _trace_inv(lax_system: str, order: int):
-    def fn(state: State) -> complex:
-        pair = lax.build_lax(lax_system, state)
-        return lax.trace_invariants(pair, [order])[0]
-
-    return fn
+    def _on_chart(self, state: State) -> Callable:
+        fn = self.fields.get(state.chart)
+        if fn is None:
+            raise ChartMismatch(f"system {self.key!r} does not accept chart {state.chart!r}")
+        return fn
 
 
-def _invariants_for(system: LatticeSystem, state: State):
-    out: dict[str, Callable[[State], complex]] = {}
-    key = system.key
-    if key == "km":
-        size = state.dim + 1
-        for k in range(2, size + 1, 2):
-            out[f"H{k}"] = _trace_inv("km", k)
-    elif key == "toda" and state.chart == FLASCHKA_AB:
-        size = state.dim // 2 + 1
-        for k in range(1, size + 1):
-            out[f"H{k}"] = _trace_inv("toda", k)
-    elif key == "ab" and state.chart == FLASCHKA_AB:
-        m = state.dim // 2
-        for k in range(1, m + 1):
-            out[f"H{2*k}"] = _trace_inv("ab", 2 * k)
-        out["C"] = lax.casimir_C
-    elif key == "vd":
-        # v-degree grading: H_k = tr(L^{2k}) / k, odd-power traces vanish
-        n = state.dim
-        for k in range(2, n, 2):
+def _traces(lax_key: str, orders) -> dict[str, Callable[[State], complex]]:
+    """H_k = tr(L^k) / k for each order k."""
+    return {f"H{k}": lambda s, k=k: lax.trace_invariants(lax.build_lax(lax_key, s), [k])[0] for k in orders}
 
-            def fn(s, kk=k):
-                pair = lax.build_lax("vd", s)
-                return complex(np.trace(np.linalg.matrix_power(pair.L, 2 * kk))) / kk
 
-            out[f"H{k}"] = fn
-        out["F"] = lax.casimir_F
-    elif key in ("toda", "sklyanin", "sklyanin-full") and state.chart == QP:
-        name = {"sklyanin-full": "sklyanin_full"}.get(key, key)
-        out["H"] = lambda s: systems.hamiltonian_eval(name, s)
-    elif key == "spectrum" and system.spectrum is not None:
-        basis = null_combination(system.spectrum)
-        if basis:
-            lam = basis[0]
-            out["F1"] = lambda s: systems.integrals_F1_F2(s, lam)[0]
-            out["F2"] = lambda s: systems.integrals_F1_F2(s, lam)[1]
-    return out
+def _vd_traces(orders) -> dict[str, Callable[[State], complex]]:
+    """v-degree grading: H_k = tr(L^{2k}) / k, odd-power traces vanish."""
+    return {
+        f"H{k}": lambda s, k=k: complex(np.trace(np.linalg.matrix_power(lax.build_lax("vd", s).L, 2 * k))) / k
+        for k in orders
+    }
+
+
+def _hamiltonian(name: str):
+    """Named invariants of a (q, p) system: its Hamiltonian ``H``."""
+    return lambda state, spectrum: {"H": lambda s: systems.hamiltonian_eval(name, s)}
+
+
+def _null_integrals(state: State, spectrum: Spectrum | None):
+    """F1 and F2 of the spectrum's first null combination, if it has one."""
+    basis = null_combination(spectrum) if spectrum is not None else []
+    if not basis:
+        return {}
+    lam = basis[0]
+    return {"F1": lambda s: systems.integrals_F1_F2(s, lam)[0],
+            "F2": lambda s: systems.integrals_F1_F2(s, lam)[1]}
+
+
+def _toda_invariants(state: State, spectrum):
+    if state.chart == QP:
+        return _hamiltonian("toda")(state, spectrum)
+    return _traces("toda", range(1, state.dim // 2 + 2))
+
+
+# Fields look ``systems.*_field`` up at call time, so a wrapper installed on
+# the systems module (e.g. by a profiler) sees every evaluation.
+SYSTEMS = {system.key: system for system in (
+    LatticeSystem("km", {VOLTERRA_U: lambda s, _: systems.km_field(s)},
+                  lambda s, _: _traces("km", range(2, s.dim + 2, 2))),
+    *(LatticeSystem(f"bv-{fam}", {VOLTERRA_U: lambda s, _, f=fam.upper(): systems.bv_field(f, s)})
+      for fam in "abcd"),
+    *(LatticeSystem(f"c-{fam}", {C_VARS: lambda s, _, f=fam.upper(): systems.c_field(f, s)})
+      for fam in "abcd"),
+    LatticeSystem("vd", {VOLTERRA_V: lambda s, _: systems.vd_field(s)},
+                  lambda s, _: {**_vd_traces(range(2, s.dim, 2)), "F": lax.casimir_F}),
+    LatticeSystem("ab", {FLASCHKA_AB: lambda s, _: systems.ab_field(s)},
+                  lambda s, _: {**_traces("ab", range(2, s.dim + 1, 2)), "C": lax.casimir_C}),
+    LatticeSystem("spectrum", {FLASCHKA_AB: lambda s, spectrum: systems.spectrum_field(spectrum, s)},
+                  _null_integrals),
+    LatticeSystem("toda", {QP: lambda s, _: systems.qp_field("toda", s),
+                           FLASCHKA_AB: lambda s, _: systems.toda_ab_field(s)}, _toda_invariants),
+    LatticeSystem("sklyanin", {QP: lambda s, _: systems.qp_field("sklyanin", s)}, _hamiltonian("sklyanin")),
+    LatticeSystem("sklyanin-full", {QP: lambda s, _: systems.qp_field("sklyanin_full", s)},
+                  _hamiltonian("sklyanin_full")),
+)}
+
+SYSTEM_KEYS = tuple(SYSTEMS)
 
 
 def get_system(key: str, spectrum: Spectrum | None = None) -> LatticeSystem:
-    """Look up a system by its public identifier."""
-    if key == "km":
-        return LatticeSystem("km", (VOLTERRA_U,), {VOLTERRA_U: systems.km_field}, lax_system="km")
-    if key.startswith("bv-") and key[3:] in ("a", "b", "c", "d"):
-        fam = key[3:].upper()
-        return LatticeSystem(key, (VOLTERRA_U,), {VOLTERRA_U: lambda s, f=fam: systems.bv_field(f, s)})
-    if key.startswith("c-") and key[2:] in ("a", "b", "c", "d"):
-        fam = key[2:].upper()
-        structures = ("c-bracket",) if fam == "D" else ()
-        return LatticeSystem(
-            key, (C_VARS,), {C_VARS: lambda s, f=fam: systems.c_field(f, s)},
-            poisson_structures=structures,
-        )
-    if key == "vd":
-        return LatticeSystem(
-            "vd",
-            (VOLTERRA_V,),
-            {VOLTERRA_V: systems.vd_field},
-            lax_system="vd",
-            poisson_structures=("pi1-v", "pi3-v"),
-        )
-    if key == "ab":
-        return LatticeSystem(
-            "ab",
-            (FLASCHKA_AB,),
-            {FLASCHKA_AB: systems.ab_field},
-            lax_system="ab",
-            poisson_structures=("pi1-ab", "pi3-ab"),
-        )
-    if key == "spectrum":
-        if spectrum is None:
-            raise ValueError("system 'spectrum' requires a spectrum")
-        return LatticeSystem(
-            "spectrum",
-            (FLASCHKA_AB,),
-            {FLASCHKA_AB: lambda s, sp=spectrum: systems.spectrum_field(sp, s)},
-            spectrum=spectrum,
-        )
-    if key == "toda":
-        return LatticeSystem(
-            "toda",
-            (QP, FLASCHKA_AB),
-            {QP: lambda s: systems.qp_field("toda", s), FLASCHKA_AB: systems.toda_ab_field},
-            lax_system="toda",
-        )
-    if key == "sklyanin":
-        return LatticeSystem("sklyanin", (QP,), {QP: lambda s: systems.qp_field("sklyanin", s)})
-    if key == "sklyanin-full":
-        return LatticeSystem(
-            "sklyanin-full", (QP,), {QP: lambda s: systems.qp_field("sklyanin_full", s)}
-        )
-    raise ValueError(f"unknown system {key!r}")
+    """Look up a system by its public identifier; 'spectrum' needs a spectrum."""
+    if key not in SYSTEMS:
+        raise ValueError(f"unknown system {key!r}")
+    if key != "spectrum":
+        return SYSTEMS[key]
+    if spectrum is None:
+        raise ValueError("system 'spectrum' requires a spectrum")
+    return replace(SYSTEMS[key], spectrum=spectrum)
 
 
-SYSTEM_KEYS = (
-    "km",
-    "bv-a",
-    "bv-b",
-    "bv-c",
-    "bv-d",
-    "c-a",
-    "c-b",
-    "c-c",
-    "c-d",
-    "vd",
-    "ab",
-    "spectrum",
-    "toda",
-    "sklyanin",
-    "sklyanin-full",
-)
+def _is_number(x, kind=numbers.Number) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def state_from_dict(obj: dict) -> State:
@@ -182,24 +140,34 @@ def state_from_dict(obj: dict) -> State:
 
     Accepted forms: {"q": [...], "p": [...]}, {"a": [...], "b": [...]},
     {"u": [...]}, {"v": [...]}, {"c": [...]}.  Entries may be numbers or
-    [re, im] pairs.
+    [re, im] pairs of real numbers; booleans are not numbers here.  Anything
+    else raises ValueError.
     """
 
-    def scal(x):
-        if isinstance(x, (list, tuple)):
-            re, im = x
-            return complex(re, im)
-        return complex(x)
+    def group(name):
+        values = obj[name]
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"state group {name!r} must be a list, got {values!r}")
+        return [scal(x) for x in values]
 
+    def scal(x):
+        if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v, numbers.Real) for v in x):
+            return complex(*x)
+        if _is_number(x):
+            return complex(x)
+        raise ValueError(f"state entry {x!r} is not a number or an [re, im] pair")
+
+    if not isinstance(obj, dict):
+        raise ValueError(f"a state document must be a JSON object, got {obj!r}")
     keys = set(obj)
     if keys == {"q", "p"}:
-        return qp_state([scal(x) for x in obj["q"]], [scal(x) for x in obj["p"]])
+        return qp_state(group("q"), group("p"))
     if keys == {"a", "b"}:
-        return ab_state([scal(x) for x in obj["a"]], [scal(x) for x in obj["b"]])
+        return ab_state(group("a"), group("b"))
     if keys == {"u"}:
-        return u_state([scal(x) for x in obj["u"]])
+        return u_state(group("u"))
     if keys == {"v"}:
-        return v_state([scal(x) for x in obj["v"]])
+        return v_state(group("v"))
     if keys == {"c"}:
-        return c_state([scal(x) for x in obj["c"]])
+        return c_state(group("c"))
     raise DimensionError(f"unrecognized state document keys {sorted(keys)}")

@@ -98,12 +98,10 @@ def _run_simulate(args) -> int:
         with open(args.spectrum) as fh:
             spectrum = spectrum_from_json(fh.read())
     system = get_system(args.system, spectrum=spectrum)
-    if state.chart not in system.charts:
-        raise ValueError(f"system {args.system!r} does not accept chart {state.chart!r}")
     if args.m is not None and state.chart == FLASCHKA_AB and state.dim - state.split != args.m:
         raise ValueError(f"--m {args.m} does not match the supplied state")
-    if args.n is not None and state.chart != FLASCHKA_AB and state.dim != args.n and not (
-        state.chart == QP and state.split == args.n
+    if args.n is not None and state.chart != FLASCHKA_AB and args.n != (
+        state.split if state.chart == QP else state.dim
     ):
         raise ValueError(f"--n {args.n} does not match the supplied state")
 

@@ -10,11 +10,12 @@ StepFailure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from .catalog import LatticeSystem
 from .errors import DomainExit, StepFailure
 from .states import State
 
@@ -34,18 +35,6 @@ class AdaptiveStep:
     atol: float = 1e-12
     dt_initial: float = 1e-2
     dt_min: float = 1e-12
-
-
-@dataclass(frozen=True)
-class FieldSystem:
-    """Minimal system wrapper: a vector field on states plus a positivity flag."""
-
-    key: str
-    field_fn: Callable[[State], np.ndarray]
-    positive: bool = False
-
-    def field(self, state: State) -> np.ndarray:
-        return self.field_fn(state)
 
 
 @dataclass
@@ -83,25 +72,24 @@ _FEHLBERG_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
 _FEHLBERG_ERR = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def integrate(system, s0: State, t_end: float, policy) -> Trajectory:
+def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Trajectory:
     """Integrate the system's field from s0 to t_end, sampling every accepted step."""
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError("t_end must be finite and nonnegative")
+    _check_policy(policy)
     times = [0.0]
     states = [s0]
     if t_end == 0.0:
-        return Trajectory(getattr(system, "key", "system"), np.array([0.0]), states, policy)
+        return Trajectory(system.key, np.array([0.0]), states, policy)
 
     def f(y):
         return np.asarray(system.field(s0.replace_coords(y)), dtype=complex)
 
-    positive = bool(getattr(system, "positive", False))
-
     def check_step(y, t):
         if not np.all(np.isfinite(y)):
             raise StepFailure(f"state overflowed to a non-finite value at t = {t:.6g}")
-        if positive and np.min(y.real) <= 0.0:
-            partial = Trajectory(getattr(system, "key", "system"), np.array(times), states, policy)
+        if system.positive and np.min(y.real) <= 0.0:
+            partial = Trajectory(system.key, np.array(times), states, policy)
             raise DomainExit(
                 f"positivity-constrained coordinate crossed zero at t = {t:.6g}", partial
             )
@@ -109,8 +97,6 @@ def integrate(system, s0: State, t_end: float, policy) -> Trajectory:
     y = s0.array
     t = 0.0
     if isinstance(policy, FixedStep):
-        if policy.dt <= 0:
-            raise ValueError("dt must be positive")
         while t < t_end - 1e-15 * max(1.0, t_end):
             dt = min(policy.dt, t_end - t)
             y = _rk4_step(f, y, dt)
@@ -118,10 +104,8 @@ def integrate(system, s0: State, t_end: float, policy) -> Trajectory:
             check_step(y, t)
             times.append(t)
             states.append(s0.replace_coords(y))
-        return Trajectory(getattr(system, "key", "system"), np.array(times), states, policy)
+        return Trajectory(system.key, np.array(times), states, policy)
 
-    if not isinstance(policy, AdaptiveStep):
-        raise ValueError(f"unknown step policy {policy!r}")
     dt = min(policy.dt_initial, t_end)
     while t < t_end - 1e-15 * max(1.0, t_end):
         dt = min(dt, t_end - t)
@@ -140,7 +124,20 @@ def integrate(system, s0: State, t_end: float, policy) -> Trajectory:
             dt *= max(0.2, 0.9 * ratio**-0.2)
         if dt < policy.dt_min:
             raise StepFailure(f"adaptive step underflow (dt = {dt:.3g}) at t = {t:.6g}")
-    return Trajectory(getattr(system, "key", "system"), np.array(times), states, policy)
+    return Trajectory(system.key, np.array(times), states, policy)
+
+
+def _check_policy(policy) -> None:
+    """Reject step parameters that are non-finite or that disable error control."""
+    if isinstance(policy, FixedStep):
+        if not (math.isfinite(policy.dt) and policy.dt > 0):
+            raise ValueError("dt must be finite and positive")
+    elif isinstance(policy, AdaptiveStep):
+        tols = (policy.rtol, policy.atol)
+        if not all(math.isfinite(x) and x >= 0 for x in tols) or not any(tols):
+            raise ValueError("rtol and atol must be finite and nonnegative, and not both zero")
+    else:
+        raise ValueError(f"unknown step policy {policy!r}")
 
 
 def _rk4_step(f, y, dt):

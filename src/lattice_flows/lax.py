@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
-from .states import FLASCHKA_AB, VOLTERRA_U, VOLTERRA_V, State, require_positive_real
+from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, require_positive_real
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,19 @@ def grad_trace_invariant(system: str, state: State, order: int) -> np.ndarray:
 
 def h2_ab(state: State) -> complex:
     """Quadratic invariant sum(b^2) + a_1^2 + 2 sum(a_2..a_m)^2 + a_{m+1}^2."""
-    a, b = _ab_coords(state)
+    a, b = ab_split(state, +1, "h2_ab")
     return complex(np.sum(b**2) + a[0] ** 2 + 2 * np.sum(a[1:-1] ** 2) + a[-1] ** 2)
 
 
 def casimir_C(state: State) -> complex:
     """Casimir a_1 a_2^2 ... a_m^2 a_{m+1} of the linear (a, b) bracket."""
-    a, _ = _ab_coords(state)
+    a, _ = ab_split(state, +1, "casimir_C")
     return complex(a[0] * np.prod(a[1:-1] ** 2) * a[-1])
 
 
 def grad_casimir_C(state: State) -> np.ndarray:
     """Analytic gradient of casimir_C with respect to (a_1..a_{m+1}, b_1..b_m)."""
-    a, b = _ab_coords(state)
+    a, b = ab_split(state, +1, "grad_casimir_C")
     m = len(b)
     grad = np.zeros(2 * m + 1, dtype=complex)
     for i in range(m + 1):
@@ -148,15 +148,6 @@ def grad_casimir_F(state: State) -> np.ndarray:
     grad[n - 2] = -head
     grad[n - 1] = head
     return grad
-
-
-def _ab_coords(state: State):
-    state.require_chart(FLASCHKA_AB, "ab invariant")
-    a = state.first()
-    b = state.second()
-    if len(a) != len(b) + 1:
-        raise DimensionError("expected m+1 a's and m b's")
-    return a, b
 
 
 def _v_coords(state: State):
@@ -194,11 +185,9 @@ def _km_builder(state: State, ds):
 
 
 def _toda_builder(state: State, ds):
-    state.require_chart(FLASCHKA_AB, "toda Lax")
-    a = state.first()
-    b = state.second()
-    if len(b) != len(a) + 1 or len(b) < 2:
-        raise DimensionError("toda Lax expects n-1 a's and n b's")
+    a, b = ab_split(state, -1, "toda Lax")
+    if len(b) < 2:
+        raise DimensionError("toda Lax needs n >= 2")
 
     def assemble(av, bv):
         n = len(bv)
@@ -220,12 +209,8 @@ def _toda_builder(state: State, ds):
 
 
 def _ab_builder(state: State, ds):
-    state.require_chart(FLASCHKA_AB, "ab Lax")
-    a = state.first()
-    b = state.second()
+    a, b = ab_split(state, +1, "ab Lax")
     m = len(b)
-    if len(a) != m + 1:
-        raise DimensionError("ab Lax expects m+1 a's and m b's")
     if m < 2:
         raise UnsupportedDimension("the 2m x 2m ab Lax needs m >= 2; both end couplings collide at m = 1")
 

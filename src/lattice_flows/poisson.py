@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ChartMismatch, DimensionError, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, central_difference
+from . import lax
+from .errors import ChartMismatch, ParityError, UnsupportedDimension
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, central_difference
 
 #: Central-difference step for scalar gradients.
 GRAD_FD_STEP = 1e-6
@@ -238,14 +239,6 @@ def _pi3_ab_table(m: int) -> EntryTable:
     return table
 
 
-def _ab_split(state: State) -> int:
-    a = state.first()
-    b = state.second()
-    if len(a) != len(b) + 1:
-        raise DimensionError("expected m+1 a's and m b's")
-    return len(b)
-
-
 STRUCTURES = {
     "c-bracket": PoissonStructure(
         "c-bracket", C_VARS, lambda s: _c_bracket_table(s.dim), degree=0
@@ -257,10 +250,11 @@ STRUCTURES = {
         "pi3-v", VOLTERRA_V, lambda s: _pi3_v_table(s.dim), degree=3
     ),
     "pi1-ab": PoissonStructure(
-        "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(_ab_split(s)), degree=1, casimirs=("C",)
+        "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(len(ab_split(s, +1, "pi1-ab")[1])),
+        degree=1, casimirs=("C",),
     ),
     "pi3-ab": PoissonStructure(
-        "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(_ab_split(s)), degree=3
+        "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(len(ab_split(s, +1, "pi3-ab")[1])), degree=3
     ),
 }
 
@@ -372,8 +366,8 @@ def hamiltonian_flow_check(structure, hamiltonian, field, state: State,
 # the Lenard ladder
 # ---------------------------------------------------------------------------
 
-def lenard_hamiltonians(chart: str):
-    """The (H2, H4) pair entering pi3 grad H2 = pi1 grad H4, per chart.
+class LenardPair(NamedTuple):
+    """pi3 grad H2 = pi1 grad H4 on one chart, with H = scale * tr(L^order) / order.
 
     The ladder itself pins each normalization.  In the (a, b) chart
     H2 = tr(L^2)/2 (the flow Hamiltonian of pi1) and H4 = tr(L^4)/2: with
@@ -382,45 +376,38 @@ def lenard_hamiltonians(chart: str):
     vanishes identically, and the invariants are graded by v-degree:
     H_k = tr(L^{2k}) / k, under which the ladder is exact as written.
     """
-    from .lax import build_lax, trace_invariants
 
-    if chart in ("ab", FLASCHKA_AB):
+    name: str  # short chart name accepted next to ``chart``
+    chart: str
+    pi1: str
+    pi3: str
+    lax_key: str
+    h2: tuple[int, int]  # (order, scale)
+    h4: tuple[int, int]
+    odd_n: bool  # the relation needs an odd number of coordinates
 
-        def h2(state):
-            return trace_invariants(build_lax("ab", state), [2])[0]
 
-        def h4(state):
-            return 2 * trace_invariants(build_lax("ab", state), [4])[0]
+LENARD = (
+    LenardPair("ab", FLASCHKA_AB, "pi1-ab", "pi3-ab", "ab", (2, 1), (4, 2), odd_n=False),
+    LenardPair("v", VOLTERRA_V, "pi1-v", "pi3-v", "vd", (4, 2), (8, 2), odd_n=True),
+)
 
-        return h2, h4
-    if chart in ("v", VOLTERRA_V):
 
-        def h2(state):
-            return complex(np.trace(np.linalg.matrix_power(build_lax("vd", state).L, 4))) / 2
-
-        def h4(state):
-            return complex(np.trace(np.linalg.matrix_power(build_lax("vd", state).L, 8))) / 4
-
-        return h2, h4
+def _lenard_pair(chart: str) -> LenardPair:
+    for pair in LENARD:
+        if chart in (pair.name, pair.chart):
+            return pair
     raise ChartMismatch(f"no Lenard pair on chart {chart!r}")
 
 
-def _lenard_gradients(chart: str, state: State, fd_step):
-    from .lax import grad_trace_invariant
+def lenard_hamiltonians(chart: str):
+    """The (H2, H4) callables of the chart's Lenard pair."""
+    pair = _lenard_pair(chart)
 
-    if fd_step is not None:
-        h2, h4 = lenard_hamiltonians(chart)
-        return gradient(h2, state, fd_step), gradient(h4, state, fd_step)
-    if chart in ("ab", FLASCHKA_AB):
-        return (
-            grad_trace_invariant("ab", state, 2),
-            2 * grad_trace_invariant("ab", state, 4),
-        )
-    # v chart: H2 = tr(L^4)/2 = 2 * (tr L^4 / 4), H4 = tr(L^8)/4 = 2 * (tr L^8 / 8)
-    return (
-        2 * grad_trace_invariant("vd", state, 4),
-        2 * grad_trace_invariant("vd", state, 8),
-    )
+    def hamiltonian(order, scale):
+        return lambda state: scale * lax.trace_invariants(lax.build_lax(pair.lax_key, state), [order])[0]
+
+    return hamiltonian(*pair.h2), hamiltonian(*pair.h4)
 
 
 def lenard_residual(chart: str, state: State, fd_step: float | None = None) -> float:
@@ -429,19 +416,16 @@ def lenard_residual(chart: str, state: State, fd_step: float | None = None) -> f
     Gradients of the trace invariants are analytic by default; passing
     ``fd_step`` switches to central differences of the traces.
     """
-    if chart in ("v", VOLTERRA_V):
-        state.require_chart(VOLTERRA_V, "lenard_residual")
-        if state.dim % 2 == 0:
-            raise ParityError("the v-chart Lenard relation requires odd n")
-        pi1, pi3 = STRUCTURES["pi1-v"], STRUCTURES["pi3-v"]
-        g2, g4 = _lenard_gradients(VOLTERRA_V, state, fd_step)
-    elif chart in ("ab", FLASCHKA_AB):
-        state.require_chart(FLASCHKA_AB, "lenard_residual")
-        pi1, pi3 = STRUCTURES["pi1-ab"], STRUCTURES["pi3-ab"]
-        g2, g4 = _lenard_gradients(FLASCHKA_AB, state, fd_step)
+    pair = _lenard_pair(chart)
+    state.require_chart(pair.chart, "lenard_residual")
+    if pair.odd_n and state.dim % 2 == 0:
+        raise ParityError(f"the {pair.name}-chart Lenard relation requires odd n")
+    if fd_step is None:
+        g2, g4 = (scale * lax.grad_trace_invariant(pair.lax_key, state, order)
+                  for order, scale in (pair.h2, pair.h4))
     else:
-        raise ChartMismatch(f"unknown Lenard chart {chart!r}")
-    return float(np.linalg.norm(pi3(state) @ g2 - pi1(state) @ g4))
+        g2, g4 = (gradient(h, state, fd_step) for h in lenard_hamiltonians(chart))
+    return float(np.linalg.norm(STRUCTURES[pair.pi3](state) @ g2 - STRUCTURES[pair.pi1](state) @ g4))
 
 
 def vd_quarter_h2(state: State) -> complex:

@@ -104,6 +104,22 @@ def ab_state(a, b) -> State:
     return State(FLASCHKA_AB, a + b, split=len(a))
 
 
+_AB_PATTERNS = {+1: "m+1 a's and m b's", -1: "n-1 a's and n b's"}
+
+
+def ab_split(state: State, extra: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) groups of a Flaschka-type state with len(a) == len(b) + extra.
+
+    ``extra`` is +1 for the boundary-perturbed chain (m+1 a's, m b's) and -1
+    for the open Toda chain (n-1 a's, n b's).
+    """
+    state.require_chart(FLASCHKA_AB, what)
+    a, b = state.first(), state.second()
+    if len(a) != len(b) + extra:
+        raise DimensionError(f"{what} expects {_AB_PATTERNS[extra]}, got {len(a)} and {len(b)}")
+    return a, b
+
+
 def u_state(u) -> State:
     return State(VOLTERRA_U, tuple(u))
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, UnsupportedDimension
 from .rootdata import Spectrum, gram_matrix
-from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State
+from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_split
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,10 @@ def ab_field(state: State) -> np.ndarray:
     da_1 = 2 a_1 b_1; da_i = a_i (b_i - b_{i-1}) for 2 <= i <= m;
     da_{m+1} = -2 a_{m+1} b_m; db_i = 2 (a_{i+1}^2 - a_i^2).
     """
-    a, b, m = _split_ab(state)
+    a, b = ab_split(state, +1, "ab_field")
+    m = len(b)
+    if m < 1:
+        raise DimensionError("ab_field needs m >= 1")
     da = np.zeros(m + 1, dtype=complex)
     da[0] = 2 * a[0] * b[0]
     for i in range(1, m):
@@ -173,25 +176,14 @@ def ab_field(state: State) -> np.ndarray:
     return np.concatenate([da, db])
 
 
-def _split_ab(state: State):
-    state.require_chart(FLASCHKA_AB, "ab system")
-    a = state.first()
-    b = state.second()
-    if len(a) != len(b) + 1 or len(b) < 1:
-        raise DimensionError(f"expected m+1 a's and m b's, got {len(a)} and {len(b)}")
-    return a, b, len(b)
-
-
 def toda_ab_field(state: State) -> np.ndarray:
     """Open Toda chain in Flaschka variables: n b's and n-1 a's.
 
     da_i = a_i (b_{i+1} - b_i); db_i = 2 (a_i^2 - a_{i-1}^2) with a_0 = a_n = 0.
     """
-    state.require_chart(FLASCHKA_AB, "toda_ab_field")
-    a = state.first()
-    b = state.second()
-    if len(b) != len(a) + 1 or len(b) < 2:
-        raise DimensionError(f"expected n-1 a's and n b's, got {len(a)} and {len(b)}")
+    a, b = ab_split(state, -1, "toda_ab_field")
+    if len(b) < 2:
+        raise DimensionError("toda_ab_field needs n >= 2")
     da = a * (b[1:] - b[:-1])
     asq = np.concatenate([[0.0], a**2, [0.0]])
     db = 2 * (asq[1:] - asq[:-1])

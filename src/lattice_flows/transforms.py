@@ -12,12 +12,12 @@ import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, ParityError
 from .states import (
-    FLASCHKA_AB,
     QP,
     VOLTERRA_U,
     VOLTERRA_V,
     C_VARS,
     State,
+    ab_split,
     ab_state,
     central_difference,
     v_state,
@@ -52,11 +52,7 @@ def toda_jacobi(state: State) -> np.ndarray:
     The sign flip on the off-diagonal matches the positive entries produced
     by squaring the KM Lax matrix, since the Hénon A_i carry a minus sign.
     """
-    state.require_chart(FLASCHKA_AB, "toda_jacobi")
-    a = state.first()
-    b = state.second()
-    if len(b) != len(a) + 1:
-        raise DimensionError("expected n-1 a's and n b's")
+    a, b = ab_split(state, -1, "toda_jacobi")
     j = np.diag(b.astype(complex))
     for i in range(len(a)):
         j[i, i + 1] = j[i + 1, i] = -a[i]

@@ -236,3 +236,36 @@ def test_simulate_fixed_step_overflow_exits_one(tmp_path, capsys):
         assert "non-finite" in err and "t = 0.01" in err
         code, _, _ = run(capsys, *argv, "--out", str(out_file))
     assert code == 1 and not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "state",
+    ["5", "[1, 2]", '"u"', '{"u": 5}', '{"u": "12"}', '{"u": [null]}', '{"u": [true]}',
+     '{"u": ["1"]}', '{"u": [[1, true]]}', '{"u": [[1, 2, 3]]}', '{"u": [{"re": 1}]}',
+     '{"q": [0], "p": 1}'],
+)
+def test_simulate_malformed_state_is_usage_error(capsys, state):
+    code, out, err = run(capsys, "simulate", "--system", "km", "--state", state, "--t", "0.1", "--dt", "0.01")
+    assert code == 2 and out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "step",
+    [("--t", "nan", "--dt", "0.01"), ("--t", "inf", "--dt", "0.01"), ("--t", "-1", "--dt", "0.01"),
+     ("--t", "1", "--dt", "nan"), ("--t", "1", "--dt", "inf"), ("--t", "1", "--dt", "0"),
+     ("--t", "1", "--adaptive", "--rtol", "-1"), ("--t", "1", "--adaptive", "--atol=-1e-12"),
+     ("--t", "1", "--adaptive", "--rtol", "nan"), ("--t", "1", "--adaptive", "--atol", "inf"),
+     ("--t", "1", "--adaptive", "--rtol", "0", "--atol", "0")],
+)
+def test_simulate_rejects_bad_step_parameters(capsys, step):
+    code, out, err = run(capsys, "simulate", "--system", "km", "--state", '{"u":[1,0.5,0.8]}', *step)
+    assert code == 2 and out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("n, expected", [(2, 0), (4, 2), (1, 2)])
+def test_simulate_n_counts_particles_of_a_qp_state(capsys, n, expected):
+    state = '{"q":[0,0.5],"p":[0.1,0]}'
+    code, _, _ = run(capsys, "simulate", "--system", "toda", "--n", str(n), "--state", state, "--t", "0")
+    assert code == expected

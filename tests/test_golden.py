@@ -1,4 +1,4 @@
-"""Byte-exact pins of the verify command: reports, exit codes and options.
+"""Byte-exact pins of the CLI: verify reports, simulate CSVs, exit codes and options.
 
 ``golden/verify_reports.json`` holds, for every (suite, selector) pair at a
 fixed seed and a small ``--states``, the exact stdout and exit code of
@@ -7,6 +7,13 @@ usage-error runs.  It also holds each verify subcommand's flags, defaults,
 choices and required markers.  These pin the README's promise that a seed
 gives a byte-identical report; regenerate them only for an intended change
 of report format or sampling.
+
+``golden/simulate_csvs.json`` holds the exact stdout and exit code of short
+``lattice-flows simulate`` runs (every chart, both step policies, complex
+states, invariant columns and three usage errors), the ``simulate --help``
+text at 80 columns, and the invariant names each system offers on a sample
+state of each of its charts.  The spectrum run reads ``sklyanin_spectrum(2)``
+from a file whose path replaces the ``{spectrum}`` argument.
 """
 
 import argparse
@@ -15,9 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from lattice_flows.catalog import get_system, state_from_dict
 from lattice_flows.cli import _build_parser, main
+from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_reports.json").read_text())
+SIMULATE = json.loads((Path(__file__).parent / "golden" / "simulate_csvs.json").read_text())
 
 
 def _subparsers(parser):
@@ -46,3 +56,32 @@ def test_verify_options_unchanged():
     assert list(_subparsers(verify)) == [
         "lax", "jacobi", "compat", "casimir", "lenard", "transform", "involution", "spectrum"
     ]
+
+
+def _simulate_id(case):
+    policy = "adaptive" if "--adaptive" in case["argv"] else "rk4"
+    return f"{case['argv'][2]}-{policy}-exit{case['exit']}"
+
+
+@pytest.mark.parametrize("case", SIMULATE["simulate"], ids=_simulate_id)
+def test_simulate_csv_is_byte_identical(tmp_path, capsys, case):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spectrum_to_json(sklyanin_spectrum(2)))
+    code = main([str(spec) if arg == "{spectrum}" else arg for arg in case["argv"]])
+    assert capsys.readouterr().out == case["stdout"]
+    assert code == case["exit"]
+
+
+def test_simulate_help_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["simulate", "--help"]) == 0
+    assert capsys.readouterr().out == SIMULATE["simulate_help"]
+
+
+@pytest.mark.parametrize(
+    "case", SIMULATE["invariant_names"], ids=lambda c: f"{c['system']}-{''.join(c['state'])}"
+)
+def test_invariant_names_unchanged(case):
+    spectrum = sklyanin_spectrum(2) if case["system"] == "spectrum" else None
+    system = get_system(case["system"], spectrum)
+    assert list(system.invariants(state_from_dict(case["state"]))) == case["names"]

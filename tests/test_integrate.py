@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from lattice_flows import DomainExit, StepFailure, ab_state, c_state, u_state, v_state
-from lattice_flows.catalog import get_system
+from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.integrate import (
     AdaptiveStep,
-    FieldSystem,
     FixedStep,
     coordinate_names,
     drift_report,
     integrate,
     trajectory_csv,
 )
+from lattice_flows.states import FLASCHKA_AB, VOLTERRA_U
 from lattice_flows.systems import ab_field
 
 
@@ -45,7 +45,7 @@ def test_time_symmetry():
     system = get_system("ab")
     s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
     fwd = integrate(system, s0, 1.0, FixedStep(1e-3))
-    reverse = FieldSystem("ab-reversed", lambda s: -ab_field(s))
+    reverse = LatticeSystem("ab-reversed", {FLASCHKA_AB: lambda s, _: -ab_field(s)})
     back = integrate(reverse, fwd.final, 1.0, FixedStep(1e-3))
     assert np.linalg.norm(back.final.array - s0.array) < 1e-7
 
@@ -59,7 +59,7 @@ def test_adaptive_matches_fixed():
 
 
 def test_domain_exit_reports_partial_trajectory():
-    sinking = FieldSystem("sink", lambda s: -np.ones(s.dim), positive=True)
+    sinking = LatticeSystem("sink", {VOLTERRA_U: lambda s, _: -np.ones(s.dim)})
     with pytest.raises(DomainExit) as err:
         integrate(sinking, u_state([0.5, 1.0]), 3.0, FixedStep(1e-3))
     partial = err.value.trajectory
@@ -111,7 +111,40 @@ def test_csv_shape_and_precision():
 
 def test_csv_complex_cell():
     traj = integrate(
-        FieldSystem("still", lambda s: np.zeros(s.dim)), ab_state([1j, 1, 1], [0, 0]), 0.0, FixedStep(1.0)
+        LatticeSystem("still", {FLASCHKA_AB: lambda s, _: np.zeros(s.dim)}),
+        ab_state([1j, 1, 1], [0, 0]),
+        0.0,
+        FixedStep(1.0),
     )
     cell = trajectory_csv(traj).strip().split("\n")[1].split(",")[1]
     assert cell == "0+1j"
+
+
+@pytest.mark.parametrize(
+    "t_end, policy",
+    [
+        (float("nan"), FixedStep(1e-3)),
+        (float("inf"), FixedStep(1e-3)),
+        (float("inf"), AdaptiveStep()),
+        (1.0, FixedStep(float("nan"))),
+        (1.0, FixedStep(float("inf"))),
+        (1.0, FixedStep(-1e-3)),
+        (1.0, AdaptiveStep(rtol=-1.0)),
+        (1.0, AdaptiveStep(atol=-1e-12)),
+        (1.0, AdaptiveStep(rtol=float("nan"))),
+        (1.0, AdaptiveStep(atol=float("inf"))),
+        (1.0, AdaptiveStep(rtol=0.0, atol=0.0)),
+        (0.0, FixedStep(float("nan"))),
+    ],
+    ids=repr,
+)
+def test_integrate_rejects_bad_step_parameters(t_end, policy):
+    with pytest.raises(ValueError):
+        integrate(get_system("km"), u_state([1.0, 0.5, 0.8]), t_end, policy)
+
+
+def test_integrate_accepts_one_zero_tolerance():
+    system = get_system("km")
+    s0 = u_state([1.0, 0.5, 0.8])
+    for policy in (AdaptiveStep(rtol=0.0, atol=1e-10), AdaptiveStep(rtol=1e-9, atol=0.0)):
+        assert integrate(system, s0, 0.1, policy).times[-1] == pytest.approx(0.1)
