@@ -50,21 +50,26 @@ class LaxPair:
         return self.L.shape[0]
 
 
-def build_lax(system: str, state: State) -> LaxPair:
-    """Assemble the Lax pair of km | toda | vd | ab at the given state."""
+def _builder(system: str):
     builder = _BUILDERS.get(system)
     if builder is None:
         raise ValueError(f"no Lax builder for system {system!r}")
-    L, B, sign, _ = builder(state, None)
+    return builder
+
+
+def build_lax(system: str, state: State) -> LaxPair:
+    """Assemble the Lax pair of km | toda | vd | ab at the given state."""
+    L, B, sign, _ = _builder(system)(state, None)
     return LaxPair(system, L, B, sign)
 
 
 def lax_dL(system: str, state: State, ds) -> np.ndarray:
-    """Entrywise directional derivative of L along the state velocity ds."""
-    builder = _BUILDERS.get(system)
-    if builder is None:
-        raise ValueError(f"no Lax builder for system {system!r}")
-    _, _, _, dL = builder(state, np.asarray(ds, dtype=complex))
+    """Entrywise directional derivative of L along the state velocity ds.
+
+    ``ds`` has the coordinates on its first axis; any further axes are a
+    batch of directions and come out trailing: (T, T) + ds.shape[1:].
+    """
+    _, _, _, dL = _builder(system)(state, np.asarray(ds, dtype=complex))
     return dL
 
 
@@ -91,15 +96,16 @@ def trace_invariants(pair: LaxPair, orders) -> list[complex]:
 
 
 def grad_trace_invariant(system: str, state: State, order: int) -> np.ndarray:
-    """Analytic gradient of tr(L^order)/order: component j is tr(L^{order-1} dL/dx_j)."""
-    pair = build_lax(system, state)
-    power = np.linalg.matrix_power(pair.L, order - 1)
-    grad = np.zeros(state.dim, dtype=complex)
-    for j in range(state.dim):
-        unit = np.zeros(state.dim)
-        unit[j] = 1.0
-        grad[j] = np.trace(power @ lax_dL(system, state, unit))
-    return grad
+    """Analytic gradient of tr(L^order)/order: component j is tr(L^{order-1} dL/dx_j).
+
+    One builder call yields every dL/dx_j (the unit directions as a batch);
+    each product and trace is then taken slice by slice on C-ordered
+    (T, T) matrices, as a loop over single directions would.
+    """
+    L, _, _, dL = _builder(system)(state, np.eye(state.dim, dtype=complex))
+    power = np.linalg.matrix_power(L, order - 1)
+    dL = np.ascontiguousarray(np.moveaxis(dL, -1, 0))  # (d, T, T)
+    return np.array([np.trace(p) for p in power @ dL], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +165,10 @@ def _v_coords(state: State):
 
 
 # ---------------------------------------------------------------------------
-# builders; each returns (L, B, sign, dL) with dL = None when ds is None
+# builders; each returns (L, B, sign, dL) with dL = None when ds is None.
+# ds may carry trailing batch axes (coordinates first), so ds[i] is one
+# coordinate's velocity across the batch and dL is (T, T) + ds.shape[1:];
+# (ds.T / x).T scales coordinate i by x[i] with or without batch axes.
 # ---------------------------------------------------------------------------
 
 def _km_builder(state: State, ds):
@@ -177,8 +186,8 @@ def _km_builder(state: State, ds):
         B[i + 2, i] = -B[i, i + 2]
     dL = None
     if ds is not None:
-        da = ds / (4 * a)
-        dL = np.zeros((T, T), dtype=complex)
+        da = (ds.T / (4 * a)).T
+        dL = np.zeros((T, T) + ds.shape[1:], dtype=complex)
         for i in range(n):
             dL[i, i + 1] = dL[i + 1, i] = da[i]
     return L, B, +1, dL
@@ -191,7 +200,8 @@ def _toda_builder(state: State, ds):
 
     def assemble(av, bv):
         n = len(bv)
-        L = np.diag(bv.astype(complex))
+        L = np.zeros((n, n) + bv.shape[1:], dtype=complex)
+        L.reshape((n * n,) + bv.shape[1:])[:: n + 1] = bv  # the diagonal, batch axes kept
         for i in range(n - 1):
             L[i, i + 1] = L[i + 1, i] = av[i]
         return L
@@ -216,7 +226,7 @@ def _ab_builder(state: State, ds):
 
     def assemble_L(av, bv):
         T = 2 * m
-        L = np.zeros((T, T), dtype=complex)
+        L = np.zeros((T, T) + bv.shape[1:], dtype=complex)
         for j in range(m):
             L[2 * j, 2 * j] = bv[j]
             L[2 * j + 1, 2 * j + 1] = -bv[j]
@@ -252,10 +262,10 @@ def _vd_builder(state: State, ds):
         raise UnsupportedDimension("vd Lax requires n >= 4")
     sq = np.sqrt(v)
     dv = np.asarray(ds, dtype=complex) if ds is not None else None
-    dsq = dv / (2 * sq) if dv is not None else None
+    dsq = (dv.T / (2 * sq)).T if dv is not None else None
     T = 2 * n - 1
     L = np.zeros((T, T), dtype=complex)
-    dL = np.zeros((T, T), dtype=complex) if dv is not None else None
+    dL = np.zeros((T, T) + dv.shape[1:], dtype=complex) if dv is not None else None
 
     def put(i, j, val, dval):
         L[i, j] = L[j, i] = val

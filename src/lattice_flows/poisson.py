@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -299,28 +300,41 @@ def _structure_derivatives(struct, state: State, fd_step) -> tuple[np.ndarray, n
     return struct(state), central_difference(struct, state, step)
 
 
+@lru_cache(maxsize=None)
+def _jacobi_indices(n: int) -> tuple[np.ndarray, ...]:
+    """For every triple i < j < k < n, in lexicographic order: i, j, k and the
+    flat positions j*n+k, k*n+i, i*n+j in an n x n matrix."""
+    i, j, k = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    indices = np.stack([i, j, k, j * n + k, k * n + i, i * n + j])
+    indices.setflags(write=False)
+    return tuple(indices)
+
+
 def jacobi_residual(structure, state: State, fd_step: float | None = None) -> float:
     """Max over index triples of the cyclic Jacobi sum; NaN if any sum is NaN.
 
     Tensor derivatives are analytic (exact monomial differentiation) by
     default; pass ``fd_step`` to use central differences instead.
+
+    Summation order is part of the contract, because reports print the
+    residual's exact bits: for every triple i < j < k the sum runs over
+    l = 0, 1, ..., n-1, adding ``pi[i,l]*dpi[l,j,k] + pi[j,l]*dpi[l,k,i] +
+    pi[k,l]*dpi[l,i,j]`` (grouped left to right) to a running total that
+    starts at zero.  All triples advance together, one vector operation per
+    l; a contraction over l (``einsum``, ``np.sum``, matmul) would reorder
+    these additions and change the low bits.
     """
     struct = get_structure(structure)
     pi, dpi = _structure_derivatives(struct, state, fd_step)
     n = state.dim
-    sums = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = 0.0
-                for l in range(n):
-                    total += (
-                        pi[i, l] * dpi[l, j, k]
-                        + pi[j, l] * dpi[l, k, i]
-                        + pi[k, l] * dpi[l, i, j]
-                    )
-                sums.append(abs(total))
-    return float(np.max(sums, initial=0.0))
+    i, j, k, jk, ki, ij = _jacobi_indices(n)
+    columns = pi.T.copy()  # columns[l] = pi[:, l], contiguous for take
+    planes = dpi.reshape(n, n * n)  # planes[l] = dpi[l] flattened
+    total = np.zeros(len(i), dtype=complex)
+    for l in range(n):
+        p, d = columns[l], planes[l]
+        total += p.take(i) * d.take(jk) + p.take(j) * d.take(ki) + p.take(k) * d.take(ij)
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 class Pencil:

@@ -3,8 +3,11 @@
 ``golden/verify_reports.json`` holds, for every (suite, selector) pair at a
 fixed seed and a small ``--states``, the exact stdout and exit code of
 ``lattice-flows verify``, plus multi-lambda, multi-pair, spectrum and
-usage-error runs.  It also holds each verify subcommand's flags, defaults,
-choices and required markers.  These pin the README's promise that a seed
+usage-error runs.  It also holds the 13 ``verify-mix`` benchmark suites
+(n = 15 and 25, m = 7), ``jacobi pi1-v --n 25`` and ``compat --chart v
+--n 15``: at these sizes a change in summation order shows in the last
+digits of ``max_residual``.  Each verify subcommand's flags, defaults,
+choices and required markers are pinned too.  These pin the README's promise that a seed
 gives a byte-identical report; regenerate them only for an intended change
 of report format or sampling.
 

@@ -1,8 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lattice_flows import DomainExit, StepFailure, ab_state, c_state, u_state, v_state
 from lattice_flows.catalog import LatticeSystem, get_system
+from lattice_flows.cli import main
 from lattice_flows.integrate import (
     AdaptiveStep,
     FixedStep,
@@ -148,3 +152,30 @@ def test_integrate_accepts_one_zero_tolerance():
     s0 = u_state([1.0, 0.5, 0.8])
     for policy in (AdaptiveStep(rtol=0.0, atol=1e-10), AdaptiveStep(rtol=1e-9, atol=0.0)):
         assert integrate(system, s0, 0.1, policy).times[-1] == pytest.approx(0.1)
+
+
+STILL = LatticeSystem("still", {FLASCHKA_AB: lambda s, _: np.zeros(s.dim)})
+
+
+@pytest.mark.parametrize("t_end, dt", [(10.0, 0.01), (7.0, 0.01), (3.0, 0.001), (100.0, 0.1), (50.0, 0.01)])
+def test_fixed_step_takes_no_sliver_step(t_end, dt):
+    # the running sum of N dt's falls short of t_end = N dt by ~1e-11 dt;
+    # that remainder is rounding and must not become a step of its own
+    traj = integrate(STILL, ab_state([1, 1, 1], [0, 0]), t_end, FixedStep(dt))
+    assert len(traj.times) == math.ceil(Fraction(repr(t_end)) / Fraction(repr(dt))) + 1
+    assert abs(traj.times[-1] - t_end) <= 1e-12 * max(1.0, t_end)
+    assert np.min(np.diff(traj.times)) > 0.5 * dt
+
+
+def test_fixed_step_shorter_than_dt_still_steps():
+    for t_end in (1e-12, 0.0105):
+        traj = integrate(STILL, ab_state([1, 1, 1], [0, 0]), t_end, FixedStep(1e-3))
+        assert traj.times[-1] == pytest.approx(t_end, rel=1e-12, abs=0.0)
+
+
+def test_simulate_t10_dt001_writes_1001_rows(capsys):
+    argv = ["simulate", "--system", "km", "--state", '{"u": [1, 0.5]}', "--t", "10", "--dt", "0.01"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 1001
+    assert abs(float(rows[-1].split(",")[0]) - 10.0) <= 1e-11

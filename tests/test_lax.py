@@ -12,6 +12,7 @@ from lattice_flows.lax import (
     casimir_F,
     grad_trace_invariant,
     h2_ab,
+    lax_dL,
     lax_residual,
     matrix_from_json,
     matrix_to_json,
@@ -128,20 +129,60 @@ def test_casimir_F_examples():
     assert casimir_F(v_state([1, 1, 1, 2])) == 1
 
 
+LAX_SAMPLES = (
+    ("km", lambda rng: random_u(rng, 6)),
+    ("toda", lambda rng: random_toda_ab(rng, 5)),
+    ("ab", lambda rng: random_ab(rng, 3)),
+    ("vd", lambda rng: random_v(rng, 7)),
+)
+_LAX_IDS = [system for system, _ in LAX_SAMPLES]
+
+
 def test_grad_trace_invariant_matches_fd(rng):
     h = 1e-6
-    for system, state in (("ab", random_ab(rng, 3)), ("vd", random_v(rng, 7))):
-        grad = grad_trace_invariant(system, state, 4)
+    for system, sample in LAX_SAMPLES:
+        state = sample(rng)
         base = state.array.real
+        for order in (3, 4):
+            grad = grad_trace_invariant(system, state, order)
 
-        def f(x):
-            return trace_invariants(build_lax(system, state.replace_coords(x)), [4])[0]
+            def f(x):
+                return trace_invariants(build_lax(system, state.replace_coords(x)), [order])[0]
 
-        for j in range(state.dim):
-            bump = np.zeros(state.dim)
-            bump[j] = h
-            fd = (f(base + bump) - f(base - bump)) / (2 * h)
-            assert abs(grad[j] - fd) < 1e-6
+            for j in range(state.dim):
+                bump = np.zeros(state.dim)
+                bump[j] = h
+                fd = (f(base + bump) - f(base - bump)) / (2 * h)
+                assert abs(grad[j] - fd) < 1e-6, (system, order, j)
+
+
+@pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
+def test_grad_trace_invariant_is_exactly_the_per_coordinate_trace(rng, system, sample):
+    # the batched gradient must keep every bit of the one-direction-at-a-time form
+    state = sample(rng)
+    L = build_lax(system, state).L
+    units = np.eye(state.dim)
+    for order in (1, 2, 3, 4, 6):
+        power = np.linalg.matrix_power(L, order - 1)
+        expected = np.array([np.trace(power @ lax_dL(system, state, e)) for e in units])
+        assert np.array_equal(grad_trace_invariant(system, state, order), expected)
+
+
+@pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
+def test_lax_dL_batch_is_the_stack_of_single_directions(rng, system, sample):
+    state = sample(rng)
+    d = state.dim
+    T = build_lax(system, state).dimension
+    singles = [lax_dL(system, state, e) for e in np.eye(d)]
+    batch = lax_dL(system, state, np.eye(d))
+    assert batch.shape == (T, T, d)
+    assert np.array_equal(np.moveaxis(batch, -1, 0), np.stack(singles))
+    # a 1-D velocity still gives one (T, T) matrix: the batch's single column
+    ds = rng.uniform(-1.0, 1.0, d)
+    one = lax_dL(system, state, ds)
+    assert one.shape == (T, T)
+    assert np.array_equal(one, lax_dL(system, state, ds[:, None])[..., 0])
+    assert not np.shares_memory(one, build_lax(system, state).L)
 
 
 def test_drift_along_ab_flow(rng):

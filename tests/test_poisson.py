@@ -7,6 +7,9 @@ from lattice_flows import ParityError, ab_state, c_state, v_state
 from lattice_flows.lax import grad_casimir_C, grad_casimir_F, grad_trace_invariant
 from lattice_flows.poisson import (
     Pencil,
+    PoissonStructure,
+    _pi3_v_table,
+    _structure_derivatives,
     bracket_eval,
     casimir_residual,
     compatibility_residual,
@@ -16,8 +19,10 @@ from lattice_flows.poisson import (
     lenard_residual,
     poisson_matrix,
     vd_quarter_h2,
+    get_structure,
     STRUCTURES,
 )
+from lattice_flows.states import VOLTERRA_V
 from lattice_flows.systems import ab_field, vd_field
 from lattice_flows.transforms import c_to_v, d_transform, map_jacobian
 
@@ -125,6 +130,64 @@ def test_jacobi_residual_propagates_nan():
     # a NaN cyclic sum must not be dropped by the max over index triples
     state = v_state([np.nan, 1.0, 1.5, 0.5, 1.2])
     assert np.isnan(jacobi_residual("pi3-v", state))
+
+
+def _jacobi_loop(structure, state, fd_step=None):
+    """The scalar quadruple loop jacobi_residual replaced: the bit-exact reference."""
+    pi, dpi = _structure_derivatives(get_structure(structure), state, fd_step)
+    n = state.dim
+    sums = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = 0.0
+                for l in range(n):
+                    total += (
+                        pi[i, l] * dpi[l, j, k]
+                        + pi[j, l] * dpi[l, k, i]
+                        + pi[k, l] * dpi[l, i, j]
+                    )
+                sums.append(abs(total))
+    return float(np.max(sums, initial=0.0))
+
+
+_V_STRUCTURES = ("pi1-v", "pi3-v", ("pi1-v", "pi3-v", 1.0), ("pi1-v", "pi3-v", 2.5))
+_AB_STRUCTURES = ("pi1-ab", "pi3-ab", ("pi1-ab", "pi3-ab", 1.0), ("pi1-ab", "pi3-ab", 2.5))
+_JACOBI_CASES = (
+    [("c-bracket", random_c, n, None) for n in (7, 15, 25)]
+    + [(s, random_v, n, None) for s in _V_STRUCTURES for n in (7, 15, 25)]
+    + [(s, random_ab, m, None) for s in _AB_STRUCTURES for m in (3, 7)]
+    + [("pi1-v", random_v, 7, 1e-5), (("pi1-v", "pi3-v", 2.5), random_v, 15, 1e-5),
+       ("pi3-ab", random_ab, 3, 1e-5), (("pi1-ab", "pi3-ab", 1.0), random_ab, 7, 1e-5)]
+)
+
+
+@pytest.mark.parametrize(
+    "structure, sample, size, fd_step", _JACOBI_CASES,
+    ids=lambda x: "+".join(map(str, x)) if isinstance(x, tuple) else getattr(x, "__name__", str(x)),
+)
+def test_jacobi_residual_matches_scalar_loop_bitwise(rng, structure, sample, size, fd_step):
+    # reports print the residual's exact bits, so the vectorised kernel must
+    # keep the loop's summation order; == rather than approx is the point
+    struct = Pencil(*structure) if isinstance(structure, tuple) else structure
+    for _ in range(2):
+        state = sample(rng, size)
+        assert jacobi_residual(struct, state, fd_step) == _jacobi_loop(struct, state, fd_step)
+
+
+def test_jacobi_residual_detects_a_corrupted_coefficient(rng):
+    # negative control: scaling one monomial of an interior pi3-v entry breaks
+    # the Jacobi identity, and both kernels must see it
+    table = dict(_pi3_v_table(9))
+    (coef, powers), *rest = table[(2, 3)]
+    table[(2, 3)] = [(1.5 * coef, powers), *rest]
+    corrupted = PoissonStructure("pi3-v-corrupted", VOLTERRA_V, lambda s: table, degree=3)
+    for _ in range(5):
+        state = random_v(rng, 9)
+        residual = jacobi_residual(corrupted, state)
+        assert residual > 1e-3
+        assert residual == _jacobi_loop(corrupted, state)
+        assert jacobi_residual("pi3-v", state) < JACOBI_TOL
 
 
 def test_compatibility(rng):
