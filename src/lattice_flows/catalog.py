@@ -3,14 +3,15 @@
 ``SYSTEMS`` maps each public system identifier (km, bv-a..bv-d, c-a..c-d,
 vd, ab, spectrum, toda, sklyanin, sklyanin-full) to its vector field on
 each chart it accepts and to the invariants the CLI can track along
-trajectories.
+trajectories.  An invariant is evaluated as a column, down an (N, d) block
+of coordinate rows at a time.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,13 +22,35 @@ from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_s
 
 _POSITIVE_CHARTS = (VOLTERRA_U, VOLTERRA_V, C_VARS)
 
+#: Rows per block when invariant columns are evaluated, so the (N, T, T) Lax
+#: stacks keep one size however many rows a trajectory has.
+COLUMN_BLOCK_ROWS = 128
+
+
+class Column(NamedTuple):
+    """How to evaluate one named invariant over a block of rows.
+
+    ``evaluate(state, rows, keys)`` returns one list of values per key for an
+    (N, d) block ``rows`` in the chart of ``state``.  Invariants that share
+    an ``evaluate`` (the trace powers of one Lax matrix) are evaluated in one
+    call; ``key`` tells them apart.
+    """
+
+    evaluate: Callable
+    key: object = None
+
+
+def _closed_form(fn, *args) -> Column:
+    """A Column for a single column function fn(*args, state, rows)."""
+    return Column(lambda state, rows, keys: [fn(*args, state, rows)])
+
 
 @dataclass(frozen=True)
 class LatticeSystem:
     """A vector field on each chart it accepts, plus its named invariants.
 
     ``fields`` maps a chart to a callable (state, spectrum) -> ndarray and
-    ``named_invariants`` maps (state, spectrum) to {name: State -> complex};
+    ``named_invariants`` maps (state, spectrum) to {name: Column};
     ``spectrum`` parametrises the 'spectrum' system.  Dimension is carried
     by the states themselves; every entry accepts any admissible size of its
     charts.
@@ -50,9 +73,33 @@ class LatticeSystem:
         return self._on_chart(state)(state, self.spectrum)
 
     def invariants(self, state: State) -> dict[str, Callable[[State], complex]]:
-        """Named invariants available for this system on the state's chart."""
+        """Named invariants available for this system on the state's chart.
+
+        Each is a State -> complex callable: its column at a one-row block.
+        """
         self._on_chart(state)
-        return self.named_invariants(state, self.spectrum)
+        return {name: lambda s, name=name: self.invariant_columns(s, [name], s.array[None])[name][0]
+                for name in self.named_invariants(state, self.spectrum)}
+
+    def invariant_columns(self, state: State, names, rows) -> dict[str, list[complex]]:
+        """The named invariants at every row of ``rows``, (N, d) in the chart of ``state``.
+
+        Rows go in blocks of COLUMN_BLOCK_ROWS, and the invariants sharing an
+        evaluator (the trace powers of one Lax matrix) are evaluated together,
+        one stack of L and one power chain per block.
+        """
+        self._on_chart(state)
+        table = self.named_invariants(state, self.spectrum)
+        groups = {}
+        for name in names:
+            groups.setdefault(table[name].evaluate, []).append(name)
+        out = {name: [] for name in names}
+        for lo in range(0, len(rows), COLUMN_BLOCK_ROWS):
+            block = rows[lo : lo + COLUMN_BLOCK_ROWS]
+            for evaluate, group in groups.items():
+                for name, column in zip(group, evaluate(state, block, [table[n].key for n in group])):
+                    out[name] += column
+        return out
 
     def _on_chart(self, state: State) -> Callable:
         fn = self.fields.get(state.chart)
@@ -61,22 +108,20 @@ class LatticeSystem:
         return fn
 
 
-def _traces(lax_key: str, orders) -> dict[str, Callable[[State], complex]]:
-    """H_k = tr(L^k) / k for each order k."""
-    return {f"H{k}": lambda s, k=k: lax.trace_invariants(lax.build_lax(lax_key, s), [k])[0] for k in orders}
+def _traces(lax_key: str, orders, grading: int = 1) -> dict[str, Column]:
+    """H_k = tr(L^{grading k}) / k for each order k.
 
+    vd takes grading 2 (its v-degree grading): its odd-power traces vanish.
+    """
+    def evaluate(state, rows, ks):
+        return lax.trace_columns(lax.lax_stack(lax_key, state, rows), ks, grading)
 
-def _vd_traces(orders) -> dict[str, Callable[[State], complex]]:
-    """v-degree grading: H_k = tr(L^{2k}) / k, odd-power traces vanish."""
-    return {
-        f"H{k}": lambda s, k=k: complex(np.trace(np.linalg.matrix_power(lax.build_lax("vd", s).L, 2 * k))) / k
-        for k in orders
-    }
+    return {f"H{k}": Column(evaluate, k) for k in orders}
 
 
 def _hamiltonian(name: str):
     """Named invariants of a (q, p) system: its Hamiltonian ``H``."""
-    return lambda state, spectrum: {"H": lambda s: systems.hamiltonian_eval(name, s)}
+    return lambda state, spectrum: {"H": _closed_form(systems.hamiltonian_column, name)}
 
 
 def _null_integrals(state: State, spectrum: Spectrum | None):
@@ -84,9 +129,12 @@ def _null_integrals(state: State, spectrum: Spectrum | None):
     basis = null_combination(spectrum) if spectrum is not None else []
     if not basis:
         return {}
-    lam = basis[0]
-    return {"F1": lambda s: systems.integrals_F1_F2(s, lam)[0],
-            "F2": lambda s: systems.integrals_F1_F2(s, lam)[1]}
+
+    def evaluate(state, rows, keys):
+        columns = systems.integrals_F1_F2_columns(state, basis[0], rows)
+        return [columns[k] for k in keys]
+
+    return {"F1": Column(evaluate, 0), "F2": Column(evaluate, 1)}
 
 
 def _toda_invariants(state: State, spectrum):
@@ -105,9 +153,9 @@ SYSTEMS = {system.key: system for system in (
     *(LatticeSystem(f"c-{fam}", {C_VARS: lambda s, _, f=fam.upper(): systems.c_field(f, s)})
       for fam in "abcd"),
     LatticeSystem("vd", {VOLTERRA_V: lambda s, _: systems.vd_field(s)},
-                  lambda s, _: {**_vd_traces(range(2, s.dim, 2)), "F": lax.casimir_F}),
+                  lambda s, _: {**_traces("vd", range(2, s.dim, 2), 2), "F": _closed_form(lax.casimir_F_column)}),
     LatticeSystem("ab", {FLASCHKA_AB: lambda s, _: systems.ab_field(s)},
-                  lambda s, _: {**_traces("ab", range(2, s.dim + 1, 2)), "C": lax.casimir_C}),
+                  lambda s, _: {**_traces("ab", range(2, s.dim + 1, 2)), "C": _closed_form(lax.casimir_C_column)}),
     LatticeSystem("spectrum", {FLASCHKA_AB: lambda s, spectrum: systems.spectrum_field(spectrum, s)},
                   _null_integrals),
     LatticeSystem("toda", {QP: lambda s, _: systems.qp_field("toda", s),

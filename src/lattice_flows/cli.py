@@ -110,7 +110,6 @@ def _run_simulate(args) -> int:
     unknown = [s for s in names if s not in available]
     if unknown:
         raise ValueError(f"unknown invariants {unknown}; available: {sorted(available)}")
-    chosen = {name: available[name] for name in names}
 
     if args.adaptive:
         policy = AdaptiveStep(rtol=args.rtol, atol=args.atol)
@@ -120,7 +119,7 @@ def _run_simulate(args) -> int:
         policy = FixedStep(args.dt if args.dt is not None else 1e-3)
 
     traj = integrate(system, state, args.t, policy)
-    csv_text = trajectory_csv(traj, chosen)
+    csv_text = trajectory_csv(traj, system.invariant_columns(state, names, traj.coords))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
@@ -184,8 +183,7 @@ def _open_chain(n: int) -> Spectrum:
 
 def _involution(state, k1: int, k2: int) -> float:
     """|{H_k1, H_k2}| under pi1-ab, from analytic trace gradients."""
-    g1 = lax.grad_trace_invariant("ab", state, k1)
-    g2 = lax.grad_trace_invariant("ab", state, k2)
+    g1, g2 = lax.grad_trace_invariant("ab", state, [k1, k2])
     return abs(complex(g1 @ poisson.poisson_matrix("pi1-ab", state) @ g2))
 
 

@@ -49,24 +49,35 @@ class AdaptiveStep:
 
 @dataclass
 class Trajectory:
+    """Accepted samples: ``coords`` row k, a (T, d) array, is the state at ``times[k]``.
+
+    Every row is in the chart of ``initial``, the state at times[0].
+    """
+
     system: str
     times: np.ndarray
-    states: list[State]
+    coords: np.ndarray
+    initial: State
     policy: FixedStep | AdaptiveStep
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if len(t) != len(self.states):
-            raise ValueError("one state per sample time required")
+        y = np.asarray(self.coords, dtype=complex)
+        if y.ndim != 2 or len(t) != len(y):
+            raise ValueError("one row of coordinates per sample time required")
+        if y.shape[1] != self.initial.dim:
+            raise ValueError("state dimension must stay constant along a trajectory")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if len({s.dim for s in self.states}) > 1:
-            raise ValueError("state dimension must stay constant along a trajectory")
-        self.times = t
+        self.times, self.coords = t, y
+
+    @property
+    def states(self) -> list[State]:
+        return [self.initial.replace_coords(y) for y in self.coords]
 
     @property
     def final(self) -> State:
-        return self.states[-1]
+        return self.initial.replace_coords(self.coords[-1])
 
 
 # Fehlberg 4(5) tableau: 4th-order propagation, 5th-order error estimate.
@@ -88,9 +99,13 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
         raise ValueError("t_end must be finite and nonnegative")
     _check_policy(policy)
     times = [0.0]
-    states = [s0]
+    rows = [s0.array]
+
+    def trajectory():
+        return Trajectory(system.key, np.array(times), np.array(rows), s0, policy)
+
     if t_end == 0.0:
-        return Trajectory(system.key, np.array([0.0]), states, policy)
+        return trajectory()
 
     def f(y):
         return np.asarray(system.field(s0.replace_coords(y)), dtype=complex)
@@ -99,9 +114,8 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
         if not np.all(np.isfinite(y)):
             raise StepFailure(f"state overflowed to a non-finite value at t = {t:.6g}")
         if system.positive and np.min(y.real) <= 0.0:
-            partial = Trajectory(system.key, np.array(times), states, policy)
             raise DomainExit(
-                f"positivity-constrained coordinate crossed zero at t = {t:.6g}", partial
+                f"positivity-constrained coordinate crossed zero at t = {t:.6g}", trajectory()
             )
 
     y = s0.array
@@ -113,8 +127,8 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             t += dt
             check_step(y, t)
             times.append(t)
-            states.append(s0.replace_coords(y))
-        return Trajectory(system.key, np.array(times), states, policy)
+            rows.append(y)
+        return trajectory()
 
     dt = min(policy.dt_initial, t_end)
     while t < t_end - 1e-15 * max(1.0, t_end):
@@ -127,14 +141,14 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             y = y_new
             check_step(y, t)
             times.append(t)
-            states.append(s0.replace_coords(y))
+            rows.append(y)
             grow = 0.9 * ratio ** -0.2 if ratio > 0 else 5.0
             dt *= min(5.0, max(0.2, grow))
         else:
             dt *= max(0.2, 0.9 * ratio**-0.2)
         if dt < policy.dt_min:
             raise StepFailure(f"adaptive step underflow (dt = {dt:.3g}) at t = {t:.6g}")
-    return Trajectory(system.key, np.array(times), states, policy)
+    return trajectory()
 
 
 def _check_policy(policy) -> None:
@@ -218,13 +232,19 @@ def _fmt(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def trajectory_csv(traj: Trajectory, invariants=None) -> str:
-    """Render a trajectory as CSV: t, coordinates, then invariant columns."""
-    invariants = invariants or {}
-    header = ["t"] + coordinate_names(traj.states[0]) + list(invariants)
+def trajectory_csv(traj: Trajectory, columns=None) -> str:
+    """Render a trajectory as CSV: t, coordinates, then invariant columns.
+
+    ``columns`` maps each invariant name to its values, one complex number
+    per sample (as ``LatticeSystem.invariant_columns`` returns them).
+    """
+    columns = columns or {}
+    if any(len(values) != len(traj.times) for values in columns.values()):
+        raise ValueError("every invariant column needs one value per sample")
+    header = ["t"] + coordinate_names(traj.initial) + list(columns)
     lines = [",".join(header)]
-    for t, s in zip(traj.times, traj.states):
-        cells = [f"{t:.17g}"] + [_fmt(z) for z in s.coords]
-        cells += [_fmt(complex(fn(s))) for fn in invariants.values()]
+    invariant_rows = zip(*columns.values()) if columns else [()] * len(traj.times)
+    for t, row, values in zip(traj.times.tolist(), traj.coords.tolist(), invariant_rows):
+        cells = [f"{t:.17g}"] + [_fmt(z) for z in row] + [_fmt(complex(v)) for v in values]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

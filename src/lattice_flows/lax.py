@@ -59,8 +59,15 @@ def _builder(system: str):
 
 def build_lax(system: str, state: State) -> LaxPair:
     """Assemble the Lax pair of km | toda | vd | ab at the given state."""
-    L, B, sign, _ = _builder(system)(state, None)
+    L, B, sign, _ = _builder(system)(state, state.array, None)
     return LaxPair(system, L, B, sign)
+
+
+def lax_stack(system: str, state: State, rows) -> np.ndarray:
+    """L at every row of ``rows``, an (N, d) block of coordinates in the chart
+    of ``state``, as a C-ordered (N, T, T) stack.  B is not built."""
+    L = _builder(system)(state, np.asarray(rows, dtype=complex).T, None)[0]
+    return np.ascontiguousarray(np.moveaxis(L, -1, 0))
 
 
 def lax_dL(system: str, state: State, ds) -> np.ndarray:
@@ -69,7 +76,7 @@ def lax_dL(system: str, state: State, ds) -> np.ndarray:
     ``ds`` has the coordinates on its first axis; any further axes are a
     batch of directions and come out trailing: (T, T) + ds.shape[1:].
     """
-    _, _, _, dL = _builder(system)(state, np.asarray(ds, dtype=complex))
+    _, _, _, dL = _builder(system)(state, state.array, np.asarray(ds, dtype=complex))
     return dL
 
 
@@ -82,30 +89,51 @@ def lax_residual(pair: LaxPair, field_value, state: State) -> float:
 
 def trace_invariants(pair: LaxPair, orders) -> list[complex]:
     """H_k = tr(L^k) / k via repeated matrix multiplication."""
+    return [column[0] for column in trace_columns(pair.L[None], orders)]
+
+
+def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
+    """H_k = tr(L^{grading k}) / k at each matrix of an (N, T, T) stack, one list per order.
+
+    Grading 1 takes every order from one chain of stacked products
+    (I @ L @ L ...); grading 2 (the v-degree grading of vd) takes each power
+    with np.linalg.matrix_power.  Each value is complex(P.trace()) / k on
+    one C-ordered (T, T) slice in Python arithmetic, so it keeps the bits of
+    a single-matrix evaluation: a stacked trace sums the diagonal in another
+    order, and numpy's complex array division multiplies by 1/k.
+    """
     orders = list(orders)
     if any(k < 1 for k in orders):
         raise ValueError("orders must be positive integers")
-    top = max(orders)
+
+    def column(power, k):
+        return [complex(p.trace()) / k for p in power]
+
+    if grading != 1:
+        return [column(np.linalg.matrix_power(L, grading * k), k) for k in orders]
     out = {}
-    power = np.eye(pair.dimension, dtype=complex)
-    for k in range(1, top + 1):
-        power = power @ pair.L
+    power = np.eye(L.shape[-1], dtype=complex)
+    for k in range(1, max(orders) + 1):
+        power = power @ L
         if k in orders:
-            out[k] = complex(np.trace(power)) / k
+            out[k] = column(power, k)
     return [out[k] for k in orders]
 
 
-def grad_trace_invariant(system: str, state: State, order: int) -> np.ndarray:
-    """Analytic gradient of tr(L^order)/order: component j is tr(L^{order-1} dL/dx_j).
+def grad_trace_invariant(system: str, state: State, orders) -> np.ndarray:
+    """Analytic gradient of tr(L^k)/k: component j is tr(L^{k-1} dL/dx_j).
 
-    One builder call yields every dL/dx_j (the unit directions as a batch);
-    each product and trace is then taken slice by slice on C-ordered
-    (T, T) matrices, as a loop over single directions would.
+    ``orders`` is one k, giving a (d,) gradient, or a sequence, giving one
+    gradient per row.  One builder call yields every dL/dx_j (the unit
+    directions as a batch) for all orders; each product and trace is then
+    taken slice by slice on C-ordered (T, T) matrices, as a loop over
+    single directions would.
     """
-    L, _, _, dL = _builder(system)(state, np.eye(state.dim, dtype=complex))
-    power = np.linalg.matrix_power(L, order - 1)
+    L, _, _, dL = _builder(system)(state, state.array, np.eye(state.dim, dtype=complex))
     dL = np.ascontiguousarray(np.moveaxis(dL, -1, 0))  # (d, T, T)
-    return np.array([np.trace(p) for p in power @ dL], dtype=complex)
+    grads = np.array([[np.trace(p) for p in np.linalg.matrix_power(L, k - 1) @ dL]
+                      for k in np.atleast_1d(orders)], dtype=complex)
+    return grads[0] if np.ndim(orders) == 0 else grads
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +148,19 @@ def h2_ab(state: State) -> complex:
 
 def casimir_C(state: State) -> complex:
     """Casimir a_1 a_2^2 ... a_m^2 a_{m+1} of the linear (a, b) bracket."""
+    return casimir_C_column(state, state.array[None])[0]
+
+
+def casimir_C_column(state: State, rows) -> list[complex]:
+    """casimir_C at each row of an (N, d) block of coordinates in the chart of ``state``.
+
+    The two outer products are Python complex products, which round as
+    numpy's scalar product does; numpy's complex array product may not.
+    """
     a, _ = ab_split(state, +1, "casimir_C")
-    return complex(a[0] * np.prod(a[1:-1] ** 2) * a[-1])
+    a = np.asarray(rows)[:, : len(a)]
+    inner = np.prod(a[:, 1:-1] ** 2, axis=1)
+    return [x * y * z for x, y, z in zip(a[:, 0].tolist(), inner.tolist(), a[:, -1].tolist())]
 
 
 def grad_casimir_C(state: State) -> np.ndarray:
@@ -139,8 +178,15 @@ def grad_casimir_C(state: State) -> np.ndarray:
 
 def casimir_F(state: State) -> complex:
     """Casimir (v_n - v_{n-1}) * prod(v_1..v_{n-2}) of the v-chart tau bracket."""
-    v = _v_coords(state)
-    return complex((v[-1] - v[-2]) * np.prod(v[:-2]))
+    return casimir_F_column(state, state.array[None])[0]
+
+
+def casimir_F_column(state: State, rows) -> list[complex]:
+    """casimir_F at each row of an (N, n) block of v coordinates; the outer
+    product is a Python complex product, as in casimir_C_column."""
+    _v_coords(state)
+    v = np.asarray(rows)
+    return [x * y for x, y in zip((v[:, -1] - v[:, -2]).tolist(), np.prod(v[:, :-2], axis=1).tolist())]
 
 
 def grad_casimir_F(state: State) -> np.ndarray:
@@ -165,38 +211,42 @@ def _v_coords(state: State):
 
 
 # ---------------------------------------------------------------------------
-# builders; each returns (L, B, sign, dL) with dL = None when ds is None.
-# ds may carry trailing batch axes (coordinates first), so ds[i] is one
+# builders (state, x, ds) -> (L, B, sign, dL).  ``state`` fixes the chart and
+# sizes; x holds the coordinates, coordinates first: state.array, or an
+# (d, N) batch whose L is (T, T, N) and whose B is None.  dL = None when ds
+# is None.  ds may carry trailing batch axes too, so ds[i] is one
 # coordinate's velocity across the batch and dL is (T, T) + ds.shape[1:];
 # (ds.T / x).T scales coordinate i by x[i] with or without batch axes.
 # ---------------------------------------------------------------------------
 
-def _km_builder(state: State, ds):
+def _km_builder(state: State, x, ds):
     state.require_chart(VOLTERRA_U, "km Lax")
-    u = require_positive_real(state.array, "km Lax builder")
+    u = require_positive_real(x, "km Lax builder")
     n = len(u)
     a = np.sqrt(u / 2)
     T = n + 1
-    L = np.zeros((T, T), dtype=complex)
-    B = np.zeros((T, T), dtype=complex)
-    for i in range(n):
-        L[i, i + 1] = L[i + 1, i] = a[i]
-    for i in range(n - 1):
-        B[i, i + 2] = a[i] * a[i + 1]
-        B[i + 2, i] = -B[i, i + 2]
-    dL = None
-    if ds is not None:
-        da = (ds.T / (4 * a)).T
-        dL = np.zeros((T, T) + ds.shape[1:], dtype=complex)
+
+    def assemble(av):
+        L = np.zeros((T, T) + av.shape[1:], dtype=complex)
         for i in range(n):
-            dL[i, i + 1] = dL[i + 1, i] = da[i]
-    return L, B, +1, dL
+            L[i, i + 1] = L[i + 1, i] = av[i]
+        return L
+
+    B = None
+    if u.ndim == 1:
+        B = np.zeros((T, T), dtype=complex)
+        for i in range(n - 1):
+            B[i, i + 2] = a[i] * a[i + 1]
+            B[i + 2, i] = -B[i, i + 2]
+    dL = assemble((ds.T / (4 * a)).T) if ds is not None else None
+    return assemble(a), B, +1, dL
 
 
-def _toda_builder(state: State, ds):
+def _toda_builder(state: State, x, ds):
     a, b = ab_split(state, -1, "toda Lax")
     if len(b) < 2:
         raise DimensionError("toda Lax needs n >= 2")
+    a, b = x[: len(a)], x[len(a) :]
 
     def assemble(av, bv):
         n = len(bv)
@@ -208,21 +258,24 @@ def _toda_builder(state: State, ds):
 
     n = len(b)
     L = assemble(a, b)
-    B = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        B[i, i + 1] = a[i]
-        B[i + 1, i] = -a[i]
+    B = None
+    if x.ndim == 1:
+        B = np.zeros((n, n), dtype=complex)
+        for i in range(n - 1):
+            B[i, i + 1] = a[i]
+            B[i + 1, i] = -a[i]
     dL = None
     if ds is not None:
         dL = assemble(ds[: n - 1], ds[n - 1 :])
     return L, B, +1, dL
 
 
-def _ab_builder(state: State, ds):
+def _ab_builder(state: State, x, ds):
     a, b = ab_split(state, +1, "ab Lax")
     m = len(b)
     if m < 2:
         raise UnsupportedDimension("the 2m x 2m ab Lax needs m >= 2; both end couplings collide at m = 1")
+    a, b = x[: m + 1], x[m + 1 :]
 
     def assemble_L(av, bv):
         T = 2 * m
@@ -241,72 +294,76 @@ def _ab_builder(state: State, ds):
 
     L = assemble_L(a, b)
     T = 2 * m
-    B = np.zeros((T, T), dtype=complex)
-    B[0, 1] = -a[0]
-    for j in range(2, m + 1):
-        B[2 * j - 4, 2 * j - 2] = a[j - 1]
-        B[2 * j - 3, 2 * j - 1] = a[j - 1]
-    B[T - 2, T - 1] = a[m]
-    B -= B.T.copy()
+    B = None
+    if x.ndim == 1:
+        B = np.zeros((T, T), dtype=complex)
+        B[0, 1] = -a[0]
+        for j in range(2, m + 1):
+            B[2 * j - 4, 2 * j - 2] = a[j - 1]
+            B[2 * j - 3, 2 * j - 1] = a[j - 1]
+        B[T - 2, T - 1] = a[m]
+        B -= B.T.copy()
     dL = None
     if ds is not None:
         dL = assemble_L(ds[: m + 1], ds[m + 1 :])
     return L, B, +1, dL
 
 
-def _vd_builder(state: State, ds):
+def _vd_builder(state: State, x, ds):
     state.require_chart(VOLTERRA_V, "vd Lax")
-    v = require_positive_real(state.array, "vd Lax builder")
+    v = require_positive_real(x, "vd Lax builder")
     n = len(v)
     if n < 4:
         raise UnsupportedDimension("vd Lax requires n >= 4")
     sq = np.sqrt(v)
-    dv = np.asarray(ds, dtype=complex) if ds is not None else None
-    dsq = (dv.T / (2 * sq)).T if dv is not None else None
     T = 2 * n - 1
-    L = np.zeros((T, T), dtype=complex)
-    dL = np.zeros((T, T) + dv.shape[1:], dtype=complex) if dv is not None else None
 
-    def put(i, j, val, dval):
-        L[i, j] = L[j, i] = val
-        if dL is not None:
-            dL[i, j] = dL[j, i] = dval
+    def assemble(s):
+        """The L pattern, linear in s = sqrt(v) (or in its derivative)."""
+        L = np.zeros((T, T) + s.shape[1:], dtype=complex)
 
-    # block (1,2) is the non-diagonal coupling mixing v_n and v_{n-1}
-    put(1, 3, sq[n - 1], dsq[n - 1] if dv is not None else 0)
-    put(1, 4, 1j * sq[n - 1], 1j * dsq[n - 1] if dv is not None else 0)
-    put(2, 3, -sq[n - 2], -dsq[n - 2] if dv is not None else 0)
-    put(2, 4, 1j * sq[n - 2], 1j * dsq[n - 2] if dv is not None else 0)
-    # diagonal couplings sqrt(v_k), i*sqrt(v_k) for k = n-2 ... 2
-    for j in range(2, n - 1):
-        k = n - j - 1  # 0-based index of v_{n-j}
-        put(2 * j - 1, 2 * j + 1, sq[k], dsq[k] if dv is not None else 0)
-        put(2 * j, 2 * j + 2, 1j * sq[k], 1j * dsq[k] if dv is not None else 0)
-    # scalar border ties v_1 to the last block
-    put(0, T - 2, sq[0], dsq[0] if dv is not None else 0)
-    put(0, T - 1, 1j * sq[0], 1j * dsq[0] if dv is not None else 0)
+        def put(i, j, val):
+            L[i, j] = L[j, i] = val
+
+        # block (1,2) is the non-diagonal coupling mixing v_n and v_{n-1}
+        put(1, 3, s[n - 1])
+        put(1, 4, 1j * s[n - 1])
+        put(2, 3, -s[n - 2])
+        put(2, 4, 1j * s[n - 2])
+        # diagonal couplings sqrt(v_k), i*sqrt(v_k) for k = n-2 ... 2
+        for j in range(2, n - 1):
+            k = n - j - 1  # 0-based index of v_{n-j}
+            put(2 * j - 1, 2 * j + 1, s[k])
+            put(2 * j, 2 * j + 2, 1j * s[k])
+        # scalar border ties v_1 to the last block
+        put(0, T - 2, s[0])
+        put(0, T - 1, 1j * s[0])
+        return L
 
     def halfroot(i, j):
         return 0.5 * sq[i] * sq[j]
 
-    B = np.zeros((T, T), dtype=complex)
-    B[0, 2 * n - 5] = -halfroot(0, 1)
-    B[0, 2 * n - 4] = -halfroot(0, 1)
-    # block (1,3): mixes v_{n-2} with v_n and v_{n-1}
-    B[1, 5] = halfroot(n - 3, n - 1)
-    B[1, 6] = halfroot(n - 3, n - 1)
-    B[2, 5] = -halfroot(n - 3, n - 2)
-    B[2, 6] = halfroot(n - 3, n - 2)
-    # blocks (j, j+2): half-root ladder down the chain
-    for j in range(2, n - 2):
-        k = n - j - 2  # 0-based index of v_{n-1-j}
-        B[2 * j - 1, 2 * j + 3] = halfroot(k, k + 1)
-        B[2 * j, 2 * j + 4] = halfroot(k, k + 1)
-    # diagonal blocks
-    B[3, 4] = 0.5j * (v[n - 2] - v[n - 1])
-    B[T - 2, T - 1] = 0.5j * v[0]
-    B -= B.T.copy()
-    return L, B, -1, dL
+    B = None
+    if v.ndim == 1:
+        B = np.zeros((T, T), dtype=complex)
+        B[0, 2 * n - 5] = -halfroot(0, 1)
+        B[0, 2 * n - 4] = -halfroot(0, 1)
+        # block (1,3): mixes v_{n-2} with v_n and v_{n-1}
+        B[1, 5] = halfroot(n - 3, n - 1)
+        B[1, 6] = halfroot(n - 3, n - 1)
+        B[2, 5] = -halfroot(n - 3, n - 2)
+        B[2, 6] = halfroot(n - 3, n - 2)
+        # blocks (j, j+2): half-root ladder down the chain
+        for j in range(2, n - 2):
+            k = n - j - 2  # 0-based index of v_{n-1-j}
+            B[2 * j - 1, 2 * j + 3] = halfroot(k, k + 1)
+            B[2 * j, 2 * j + 4] = halfroot(k, k + 1)
+        # diagonal blocks
+        B[3, 4] = 0.5j * (v[n - 2] - v[n - 1])
+        B[T - 2, T - 1] = 0.5j * v[0]
+        B -= B.T.copy()
+    dL = assemble((np.asarray(ds, dtype=complex).T / (2 * sq)).T) if ds is not None else None
+    return assemble(sq), B, -1, dL
 
 
 _BUILDERS = {

@@ -435,8 +435,9 @@ def lenard_residual(chart: str, state: State, fd_step: float | None = None) -> f
     if pair.odd_n and state.dim % 2 == 0:
         raise ParityError(f"the {pair.name}-chart Lenard relation requires odd n")
     if fd_step is None:
-        g2, g4 = (scale * lax.grad_trace_invariant(pair.lax_key, state, order)
-                  for order, scale in (pair.h2, pair.h4))
+        (o2, s2), (o4, s4) = pair.h2, pair.h4
+        g2, g4 = lax.grad_trace_invariant(pair.lax_key, state, [o2, o4])
+        g2, g4 = s2 * g2, s4 * g4
     else:
         g2, g4 = (gradient(h, state, fd_step) for h in lenard_hamiltonians(chart))
     return float(np.linalg.norm(STRUCTURES[pair.pi3](state) @ g2 - STRUCTURES[pair.pi1](state) @ g4))

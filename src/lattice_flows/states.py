@@ -8,14 +8,15 @@ Five chart families cover every coordinate system used by the lattices:
 * ``volterra_v``   -- rescaled Volterra D variables v_i
 * ``c_vars``       -- Cartan-type variables c_j
 
-Coordinates are stored as complex scalars throughout; real systems simply
-stay on the real slice.  Indexing in docstrings follows the 1-based
-convention of the underlying formulas; code uses 0-based numpy arrays.
+Coordinates are stored as one read-only complex ndarray per state; real
+systems simply stay on the real slice.  Indexing in docstrings follows the
+1-based convention of the underlying formulas; code uses 0-based numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,31 +33,56 @@ CHARTS = (QP, FLASCHKA_AB, VOLTERRA_U, VOLTERRA_V, C_VARS)
 _SPLIT_CHARTS = (QP, FLASCHKA_AB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """A labeled coordinate vector in one of the five charts.
+
+    ``coords`` is a read-only 1-D complex ndarray, copied from the given
+    sequence of numbers; ``array`` returns it without copying.
+    Equality and hashing compare the coordinates as Python complex numbers,
+    so 0.0 equals -0.0 and a state with a NaN coordinate equals only itself.
 
     ``split`` separates the two coordinate groups for the split charts:
     number of q's for ``qp``, number of a's for ``flaschka_ab``.
     """
 
     chart: str
-    coords: tuple[complex, ...]
+    coords: np.ndarray
     split: int | None = None
 
     def __post_init__(self):
         if self.chart not in CHARTS:
             raise ChartMismatch(f"unknown chart {self.chart!r}")
-        object.__setattr__(self, "coords", tuple(complex(z) for z in self.coords))
+        coords = np.array(self.coords, dtype=complex)
+        if coords.ndim != 1:
+            raise DimensionError(f"coordinates must form a flat sequence, got shape {coords.shape}")
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
         if self.chart in _SPLIT_CHARTS:
             if self.split is None:
                 raise DimensionError(f"chart {self.chart!r} requires a split index")
-            if not 0 <= self.split <= len(self.coords):
+            if not 0 <= self.split <= len(coords):
                 raise DimensionError(
-                    f"split {self.split} out of range for {len(self.coords)} coordinates"
+                    f"split {self.split} out of range for {len(coords)} coordinates"
                 )
         elif self.split is not None:
             raise DimensionError(f"chart {self.chart!r} takes no split index")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (
+            (self.chart, self.split) == (other.chart, other.split)
+            and self.coords.tolist() == other.coords.tolist()
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # computed once: the hash of a NaN depends on the float object
+        return hash((self.chart, tuple(self.coords.tolist()), self.split))
 
     @property
     def dim(self) -> int:
@@ -64,20 +90,20 @@ class State:
 
     @property
     def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=complex)
+        return self.coords
 
     def first(self) -> np.ndarray:
         """First coordinate group (q's or a's) of a split chart."""
         self._require_split()
-        return self.array[: self.split]
+        return self.coords[: self.split]
 
     def second(self) -> np.ndarray:
         """Second coordinate group (p's or b's) of a split chart."""
         self._require_split()
-        return self.array[self.split :]
+        return self.coords[self.split :]
 
     def replace_coords(self, coords) -> "State":
-        return State(self.chart, tuple(coords), self.split)
+        return State(self.chart, coords, self.split)
 
     def _require_split(self):
         if self.chart not in _SPLIT_CHARTS:
@@ -121,15 +147,15 @@ def ab_split(state: State, extra: int, what: str) -> tuple[np.ndarray, np.ndarra
 
 
 def u_state(u) -> State:
-    return State(VOLTERRA_U, tuple(u))
+    return State(VOLTERRA_U, u)
 
 
 def v_state(v) -> State:
-    return State(VOLTERRA_V, tuple(v))
+    return State(VOLTERRA_V, v)
 
 
 def c_state(c) -> State:
-    return State(C_VARS, tuple(c))
+    return State(C_VARS, c)
 
 
 def require_positive_real(values, what: str):

@@ -209,16 +209,23 @@ def integrals_F1_F2(state: State, lam) -> tuple[complex, complex]:
     F1 = sum_i lambda_i b_i and F2 = prod_i a_i^{lambda_i}; complex powers use
     the principal branch when a_i is not a positive real.
     """
+    f1, f2 = integrals_F1_F2_columns(state, lam, state.array[None])
+    return f1[0], f2[0]
+
+
+def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], list[complex]]:
+    """F1 and F2 at each row of an (N, d) block of coordinates in the chart of ``state``."""
     state.require_chart(FLASCHKA_AB, "integrals_F1_F2")
-    a = state.first()
-    b = state.second()
+    rows = np.asarray(rows)
+    a, b = rows[:, : state.split], rows[:, state.split :]
     lam = np.asarray(lam, dtype=float)
-    if len(lam) != len(a) or len(a) != len(b):
+    if len(lam) != a.shape[1] or a.shape[1] != b.shape[1]:
         raise DimensionError(f"lambda length {len(lam)} incompatible with state")
     if np.any((lam < 0) & (a == 0)):
         raise DomainError("zero coordinate raised to a negative power")
-    f1 = complex(np.dot(lam, b))
-    f2 = complex(np.prod([z**e for z, e in zip(a, lam)]))
+    # one BLAS dot per row: a batched matrix-vector product sums in another order
+    f1 = [complex(np.dot(lam, row)) for row in b]
+    f2 = np.prod(a**lam, axis=1).tolist()
     return f1, f2
 
 
@@ -228,25 +235,30 @@ def integrals_F1_F2(state: State, lam) -> tuple[complex, complex]:
 
 def hamiltonian_eval(system: str, state: State, params=None) -> complex:
     """Evaluate one of the three (q, p) Hamiltonians: toda | sklyanin | sklyanin_full."""
+    return hamiltonian_column(system, state, state.array[None], params)[0]
+
+
+def hamiltonian_column(system: str, state: State, rows, params=None) -> list[complex]:
+    """hamiltonian_eval at each row of an (N, 2n) block of (q, p) coordinates."""
     state.require_chart(QP, "hamiltonian_eval")
-    q = state.first()
-    p = state.second()
-    n = len(q)
-    kin = 0.5 * np.sum(p**2)
-    chain = np.sum(np.exp(q[:-1] - q[1:])) if n > 1 else 0.0
+    rows = np.asarray(rows)
+    q, p = rows[:, : state.split], rows[:, state.split :]
+    n = q.shape[1]
+    kin = 0.5 * np.sum(p**2, axis=1)
+    chain = np.sum(np.exp(q[:, :-1] - q[:, 1:]), axis=1) if n > 1 else 0.0
     if system == "toda":
-        return complex(kin + chain)
+        return (kin + chain).tolist()
     if system == "sklyanin":
-        return complex(kin + chain + np.exp(-2 * q[0]) + np.exp(2 * q[-1]))
+        return (kin + chain + np.exp(-2 * q[:, 0]) + np.exp(2 * q[:, -1])).tolist()
     if system == "sklyanin_full":
         a1, b1, an, bn = _sklyanin_full_params(params)
         ends = (
-            a1 * np.exp(q[0])
-            + b1 * np.exp(2 * q[0])
-            + an * np.exp(-q[-1])
-            + bn * np.exp(-2 * q[-1])
+            a1 * np.exp(q[:, 0])
+            + b1 * np.exp(2 * q[:, 0])
+            + an * np.exp(-q[:, -1])
+            + bn * np.exp(-2 * q[:, -1])
         )
-        return complex(kin + chain + ends)
+        return (kin + chain + ends).tolist()
     raise ValueError(f"unknown Hamiltonian system {system!r}")
 
 

@@ -100,7 +100,7 @@ def test_csv_shape_and_precision():
     system = get_system("ab")
     s0 = ab_state([1, 1, 1], [0, 0])
     traj = integrate(system, s0, 0.002, FixedStep(1e-3))
-    text = trajectory_csv(traj, {"H2": system.invariants(s0)["H2"]})
+    text = trajectory_csv(traj, system.invariant_columns(s0, ["H2"], traj.coords))
     lines = text.strip().split("\n")
     assert lines[0] == "t,a1,a2,a3,b1,b2,H2"
     assert len(lines) == 4
