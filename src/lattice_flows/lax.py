@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
-from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, require_positive_real
+from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, coordinate_columns, require_positive_real
 
 
 @dataclass(frozen=True)
@@ -163,17 +163,18 @@ def casimir_C_column(state: State, rows) -> list[complex]:
     return [x * y * z for x, y, z in zip(a[:, 0].tolist(), inner.tolist(), a[:, -1].tolist())]
 
 
-def grad_casimir_C(state: State) -> np.ndarray:
-    """Analytic gradient of casimir_C with respect to (a_1..a_{m+1}, b_1..b_m)."""
-    a, b = ab_split(state, +1, "grad_casimir_C")
-    m = len(b)
-    grad = np.zeros(2 * m + 1, dtype=complex)
-    for i in range(m + 1):
-        rest = np.delete(np.arange(m + 1), i)
-        expo = np.array([1 if j in (0, m) else 2 for j in rest])
-        own = 1 if i in (0, m) else 2
-        grad[i] = own * a[i] ** (own - 1) * np.prod(a[rest] ** expo)
-    return grad
+def grad_casimir_C(state: State, rows=None) -> np.ndarray:
+    """Analytic gradient of casimir_C with respect to (a_1..a_{m+1}, b_1..b_m);
+    at each row of an (N, d) block ``rows`` in the chart of ``state``, if given,
+    as an (N, d) array."""
+    m = len(ab_split(state, +1, "grad_casimir_C")[1])
+    x = coordinate_columns(state, rows)
+    a = x[: m + 1]
+    own = np.array([1] + [2] * (m - 1) + [1])[:, None]  # exponent of each a_i in C
+    rest = _others(m + 1)
+    grad = np.zeros_like(x)
+    grad[: m + 1] = own * a ** (own - 1) * np.prod(a.take(rest, axis=0) ** own.take(rest, axis=0), axis=1)
+    return _rows(grad, rows)
 
 
 def casimir_F(state: State) -> complex:
@@ -189,17 +190,26 @@ def casimir_F_column(state: State, rows) -> list[complex]:
     return [x * y for x, y in zip((v[:, -1] - v[:, -2]).tolist(), np.prod(v[:, :-2], axis=1).tolist())]
 
 
-def grad_casimir_F(state: State) -> np.ndarray:
-    """Analytic gradient of casimir_F."""
-    v = _v_coords(state)
+def grad_casimir_F(state: State, rows=None) -> np.ndarray:
+    """Analytic gradient of casimir_F; per row of ``rows`` as in grad_casimir_C."""
+    _v_coords(state)
+    v = coordinate_columns(state, rows)
     n = len(v)
-    head = np.prod(v[: n - 2])
-    grad = np.zeros(n, dtype=complex)
-    for i in range(n - 2):
-        grad[i] = (v[-1] - v[-2]) * np.prod(np.delete(v[: n - 2], i))
-    grad[n - 2] = -head
-    grad[n - 1] = head
-    return grad
+    head = np.prod(v[: n - 2], axis=0)
+    rest = (v[-1] - v[-2]) * np.prod(v.take(_others(n - 2), axis=0), axis=1)
+    return _rows(np.concatenate([rest, [-head, head]]), rows)
+
+
+def _rows(columns: np.ndarray, rows) -> np.ndarray:
+    """A (d, N) result as C-ordered (N, d) rows, or as (d,) for one state."""
+    return columns[:, 0] if rows is None else np.ascontiguousarray(columns.T)
+
+
+def _others(k: int) -> np.ndarray:
+    """(k, k-1) indices: row i lists 0..k-1 without i, in order.  A product
+    over a row multiplies left to right, as np.prod(np.delete(x, i)) does."""
+    j = np.arange(1, k)
+    return j - (j <= np.arange(k)[:, None])
 
 
 def _v_coords(state: State):

@@ -14,6 +14,18 @@ the tensor and its coordinate derivatives evaluate in closed form; the
 lower triangle is mirrored, making antisymmetry exact by construction.
 The Jacobi and compatibility residuals default to these analytic
 derivatives; a finite-difference step may be passed to cross-check them.
+
+A table is compiled once per table object, on first use, into index arrays
+(``_Sums``) that evaluate pi and d pi at a block of states, the columns of a
+(d, N) array.  Reports print residuals to the last bit, so the plan keeps
+the scalar operation order: a term is coef * x[v1]**e1 * x[v2]**e2 * ...
+multiplied left to right (the x[v]-derivative starts from (coef*e) *
+x[v]**(e-1), then the other factors in order); entry (i, j) starts at zero
+and adds its terms in table order, and entry (j, i) subtracts them.  Each
+step is elementwise over the states, so a real state gets the same bits in
+any block.  The residuals take a block as ``rows``, an (N, d) array in the
+chart of their ``state`` argument, and return one value per row;
+matrix-vector products and norms stay per state.
 """
 
 from __future__ import annotations
@@ -27,13 +39,12 @@ import numpy as np
 
 from . import lax
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, central_difference
+from .states import (
+    C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, central_difference, coordinate_columns,
+)
 
 #: Central-difference step for scalar gradients.
 GRAD_FD_STEP = 1e-6
-#: Central-difference step when the Jacobi identity is checked without
-#: analytic derivatives.
-JACOBI_FD_STEP = 1e-5
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -55,41 +66,97 @@ class PoissonStructure:
         state.require_chart(self.chart, f"structure {self.name}")
         return self.table_builder(state)
 
-    def __call__(self, state: State) -> np.ndarray:
-        return _eval_table(self.table(state), state.array)
+    def __call__(self, state: State, x=None) -> np.ndarray:
+        """pi at ``state``, (n, n); or at each column of ``x``, a (d, N) block
+        of coordinates in the chart of ``state``, as (n, n, N)."""
+        return _at(_plan(self.table(state)).pi, state, x)
 
-    def derivatives(self, state: State) -> np.ndarray:
-        """d pi / d x_l stacked as an (n, n, n) array indexed [l, i, j]."""
-        return _eval_table_derivatives(self.table(state), state.array)
-
-
-def _eval_table(table: EntryTable, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    upper = np.zeros((n, n), dtype=complex)
-    for (i, j), monos in table.items():
-        total = 0.0 + 0.0j
-        for coef, powers in monos:
-            term = coef
-            for var, expo in powers:
-                term = term * x[var] ** expo
-            total += term
-        upper[i, j] = total
-    return upper - upper.T
+    def derivatives(self, state: State, x=None) -> np.ndarray:
+        """d pi / d x_l stacked as an (n, n, n) array indexed [l, i, j]; with
+        ``x``, (n, n, n, N)."""
+        return _at(_plan(self.table(state)).dpi, state, x)
 
 
-def _eval_table_derivatives(table: EntryTable, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    out = np.zeros((n, n, n), dtype=complex)
-    for (i, j), monos in table.items():
-        for coef, powers in monos:
-            for var, expo in powers:
-                term = coef * expo * x[var] ** (expo - 1)
-                for var2, expo2 in powers:
-                    if var2 != var:
-                        term = term * x[var2] ** expo2
-                out[var, i, j] += term
-                out[var, j, i] -= term
-    return out
+def _at(tensor, state: State, x):
+    return tensor(coordinate_columns(state))[..., 0] if x is None else tensor(x)
+
+
+class _Sums:
+    """pi or d pi of one table, compiled to index arrays (see the module notes).
+
+    ``terms`` lists (slot, coef, factors) in the scalar loop's order; a slot
+    indexes an upper-triangle entry (..., i, j).  Terms are sorted longest
+    first, so that multiplying in every term's s-th factor is one operation
+    on a prefix of the rows, and rank r adds the r-th term of each slot to
+    (..., i, j) and subtracts it from (..., j, i).
+    """
+
+    def __init__(self, terms, axes: int):
+        seen: dict[tuple, int] = {}
+        ranked = []
+        for slot, coef, factors in terms:
+            seen[slot] = seen.get(slot, -1) + 1
+            ranked.append((seen[slot], slot, coef, factors))
+        ranked.sort(key=lambda term: -len(term[3]))
+        powers: dict[tuple[int, int], int] = {}
+        steps: list[list[int]] = []
+        for _, _, _, factors in ranked:
+            for step, factor in enumerate(factors):
+                if step == len(steps):
+                    steps.append([])
+                steps[step].append(powers.setdefault(factor, len(powers)))
+        self.axes = axes
+        self.var, expo = np.array(list(powers), dtype=np.intp).reshape(-1, 2).T
+        self.expo = expo[:, None]
+        self.coef = np.array([term[2] for term in ranked], dtype=complex)[:, None]
+        self.steps = [np.array(step, dtype=np.intp) for step in steps]
+        self.ranks = []
+        for rank in range(max(seen.values(), default=-1) + 1):
+            rows = [k for k, term in enumerate(ranked) if term[0] == rank]
+            slots = np.array([ranked[k][1] for k in rows], dtype=np.intp).reshape(-1, axes).T
+            self.ranks.append((slots, np.array(rows, dtype=np.intp)))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The tensor at each column of x, a (d, N) complex array: shape (d, ..., d, N)."""
+        d, count = x.shape
+        power = x.take(self.var, axis=0) ** self.expo
+        value = np.empty((len(self.coef), count), dtype=complex)
+        value[...] = self.coef
+        for step in self.steps:
+            value[: len(step)] *= power.take(step, axis=0)
+        shape = (d,) * self.axes
+        out = np.zeros((d**self.axes, count), dtype=complex)
+        for slots, rows in self.ranks:
+            terms = value.take(rows, axis=0)
+            out[np.ravel_multi_index(slots, shape)] += terms
+            out[np.ravel_multi_index((*slots[:-2], slots[-1], slots[-2]), shape)] -= terms
+        return out.reshape(shape + (count,))
+
+
+class _Plan(NamedTuple):
+    pi: _Sums
+    dpi: _Sums
+
+
+def _compile(table: EntryTable) -> _Plan:
+    monomials = [((i, j), coef, powers) for (i, j), monos in table.items() for coef, powers in monos]
+    return _Plan(_Sums(monomials, 2), _Sums([
+        ((var, i, j), coef * expo, ((var, expo - 1),) + tuple(f for f in powers if f[0] != var))
+        for (i, j), coef, powers in monomials for var, expo in powers
+    ], 3))
+
+
+# Plans by table identity.  An entry keeps its table alive, so no other
+# object can take that id while it is cached; tables are never mutated.
+_PLANS: dict[int, tuple[EntryTable, _Plan]] = {}
+
+
+def _plan(table: EntryTable) -> _Plan:
+    if id(table) not in _PLANS:
+        if len(_PLANS) >= 64:
+            del _PLANS[next(iter(_PLANS))]  # the oldest
+        _PLANS[id(table)] = (table, _compile(table))
+    return _PLANS[id(table)][1]
 
 
 def _mono(coef, *factors) -> Monomial:
@@ -293,11 +360,22 @@ def bracket_eval(structure, f, g, state: State, fd_step: float = GRAD_FD_STEP,
     return complex(gf @ pi @ gg)
 
 
-def _structure_derivatives(struct, state: State, fd_step) -> tuple[np.ndarray, np.ndarray]:
-    if fd_step is None and hasattr(struct, "derivatives"):
-        return struct(state), struct.derivatives(state)
-    step = fd_step if fd_step is not None else JACOBI_FD_STEP
-    return struct(state), central_difference(struct, state, step)
+def _per_row(values, rows):
+    """A residual's values as returned: the (N,) array for a block, a float for one state."""
+    values = np.asarray(values, dtype=float)
+    return values if rows is not None else float(values[0])
+
+
+def _stack(tensor: np.ndarray) -> np.ndarray:
+    """(n, n, N) -> C-ordered (N, n, n), each slice laid out (so multiplied) as one state's."""
+    return np.ascontiguousarray(np.moveaxis(tensor, -1, 0))
+
+
+def _structure_derivatives(struct, state: State, x, fd_step) -> tuple[np.ndarray, np.ndarray]:
+    if fd_step is None:
+        return struct(state, x), struct.derivatives(state, x)
+    dpi = [central_difference(struct, state.replace_coords(column), fd_step) for column in x.T]
+    return struct(state, x), np.stack(dpi, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -310,31 +388,34 @@ def _jacobi_indices(n: int) -> tuple[np.ndarray, ...]:
     return tuple(indices)
 
 
-def jacobi_residual(structure, state: State, fd_step: float | None = None) -> float:
+def jacobi_residual(structure, state: State, fd_step: float | None = None, rows=None):
     """Max over index triples of the cyclic Jacobi sum; NaN if any sum is NaN.
 
     Tensor derivatives are analytic (exact monomial differentiation) by
-    default; pass ``fd_step`` to use central differences instead.
+    default; pass ``fd_step`` to use central differences instead.  With
+    ``rows`` the residual of each row is returned (see the module notes).
 
     Summation order is part of the contract, because reports print the
     residual's exact bits: for every triple i < j < k the sum runs over
     l = 0, 1, ..., n-1, adding ``pi[i,l]*dpi[l,j,k] + pi[j,l]*dpi[l,k,i] +
     pi[k,l]*dpi[l,i,j]`` (grouped left to right) to a running total that
-    starts at zero.  All triples advance together, one vector operation per
-    l; a contraction over l (``einsum``, ``np.sum``, matmul) would reorder
-    these additions and change the low bits.
+    starts at zero.  All triples of all states advance together, one vector
+    operation per l; a contraction over l (``einsum``, ``np.sum``, matmul)
+    would reorder these additions and change the low bits.
     """
     struct = get_structure(structure)
-    pi, dpi = _structure_derivatives(struct, state, fd_step)
+    x = coordinate_columns(state, rows)
+    pi, dpi = _structure_derivatives(struct, state, x, fd_step)
     n = state.dim
     i, j, k, jk, ki, ij = _jacobi_indices(n)
-    columns = pi.T.copy()  # columns[l] = pi[:, l], contiguous for take
-    planes = dpi.reshape(n, n * n)  # planes[l] = dpi[l] flattened
-    total = np.zeros(len(i), dtype=complex)
+    columns = pi.transpose(1, 0, 2).copy()  # columns[l] = pi[:, l], contiguous for take
+    planes = dpi.reshape(n, n * n, -1)  # planes[l] = dpi[l] flattened
+    total = np.zeros((len(i), x.shape[1]), dtype=complex)
     for l in range(n):
         p, d = columns[l], planes[l]
-        total += p.take(i) * d.take(jk) + p.take(j) * d.take(ki) + p.take(k) * d.take(ij)
-    return float(np.max(np.abs(total), initial=0.0))
+        total += (p.take(i, axis=0) * d.take(jk, axis=0) + p.take(j, axis=0) * d.take(ki, axis=0)
+                  + p.take(k, axis=0) * d.take(ij, axis=0))
+    return _per_row(np.max(np.abs(total), axis=0, initial=0.0), rows)
 
 
 class Pencil:
@@ -348,24 +429,32 @@ class Pencil:
         self.lam = lam
         self.chart = self.first.chart
 
-    def __call__(self, state: State) -> np.ndarray:
-        return self.first(state) + self.lam * self.second(state)
+    def __call__(self, state: State, x=None) -> np.ndarray:
+        return self.first(state, x) + self.lam * self.second(state, x)
 
-    def derivatives(self, state: State) -> np.ndarray:
-        return self.first.derivatives(state) + self.lam * self.second.derivatives(state)
+    def derivatives(self, state: State, x=None) -> np.ndarray:
+        # first + lam * second, computed in place: two d pi tensors live, not four
+        out = self.second.derivatives(state, x)
+        np.multiply(self.lam, out, out=out)
+        return np.add(self.first.derivatives(state, x), out, out=out)
 
 
 def compatibility_residual(structure1, structure2, lam: float, state: State,
-                           fd_step: float | None = None) -> float:
+                           fd_step: float | None = None, rows=None):
     """Jacobi residual of the pencil pi1 + lam * pi3."""
-    return jacobi_residual(Pencil(structure1, structure2, lam), state, fd_step)
+    return jacobi_residual(Pencil(structure1, structure2, lam), state, fd_step, rows)
 
 
-def casimir_residual(structure, casimir_grad, state: State) -> float:
-    """Norm of pi(s) . grad C(s); the gradient must be supplied in closed form."""
-    pi = poisson_matrix(structure, state)
-    grad = np.asarray(casimir_grad(state), dtype=complex)
-    return float(np.linalg.norm(pi @ grad))
+def casimir_residual(structure, casimir_grad, state: State, rows=None):
+    """Norm of pi(s) . grad C(s); the gradient must be supplied in closed form.
+
+    ``casimir_grad(state)`` gives one gradient; with ``rows`` it is called as
+    ``casimir_grad(state, rows)`` and gives one gradient per row.
+    """
+    pis = _stack(get_structure(structure)(state, coordinate_columns(state, rows)))
+    grads = casimir_grad(state) if rows is None else casimir_grad(state, rows)
+    grads = np.asarray(grads, dtype=complex).reshape(len(pis), -1)
+    return _per_row([np.linalg.norm(pi @ grad) for pi, grad in zip(pis, grads)], rows)
 
 
 def hamiltonian_flow_check(structure, hamiltonian, field, state: State,
@@ -424,23 +513,31 @@ def lenard_hamiltonians(chart: str):
     return hamiltonian(*pair.h2), hamiltonian(*pair.h4)
 
 
-def lenard_residual(chart: str, state: State, fd_step: float | None = None) -> float:
+def lenard_residual(chart: str, state: State, fd_step: float | None = None, rows=None):
     """Norm of pi3 grad H2 - pi1 grad H4 in the given chart ('v' or 'ab').
 
     Gradients of the trace invariants are analytic by default; passing
-    ``fd_step`` switches to central differences of the traces.
+    ``fd_step`` switches to central differences of the traces.  The tensors
+    of a block of ``rows`` are evaluated together, the gradients row by row.
     """
     pair = _lenard_pair(chart)
     state.require_chart(pair.chart, "lenard_residual")
     if pair.odd_n and state.dim % 2 == 0:
         raise ParityError(f"the {pair.name}-chart Lenard relation requires odd n")
-    if fd_step is None:
-        (o2, s2), (o4, s4) = pair.h2, pair.h4
-        g2, g4 = lax.grad_trace_invariant(pair.lax_key, state, [o2, o4])
-        g2, g4 = s2 * g2, s4 * g4
-    else:
-        g2, g4 = (gradient(h, state, fd_step) for h in lenard_hamiltonians(chart))
-    return float(np.linalg.norm(STRUCTURES[pair.pi3](state) @ g2 - STRUCTURES[pair.pi1](state) @ g4))
+    x = coordinate_columns(state, rows)
+    pi3 = _stack(STRUCTURES[pair.pi3](state, x))
+    pi1 = _stack(STRUCTURES[pair.pi1](state, x))
+    (o2, s2), (o4, s4) = pair.h2, pair.h4
+    norms = []
+    for p3, p1, coords in zip(pi3, pi1, x.T):
+        at = state.replace_coords(coords)
+        if fd_step is None:
+            g2, g4 = lax.grad_trace_invariant(pair.lax_key, at, [o2, o4])
+            g2, g4 = s2 * g2, s4 * g4
+        else:
+            g2, g4 = (gradient(h, at, fd_step) for h in lenard_hamiltonians(chart))
+        norms.append(np.linalg.norm(p3 @ g2 - p1 @ g4))
+    return _per_row(norms, rows)
 
 
 def vd_quarter_h2(state: State) -> complex:

@@ -170,6 +170,18 @@ def require_positive_real(values, what: str):
     return arr
 
 
+def coordinate_columns(state: State, rows=None) -> np.ndarray:
+    """The points a batched function evaluates, as the columns of a (d, N)
+    complex array: the rows of ``rows``, an (N, d) block of coordinates in the
+    chart of ``state``, or ``state`` itself as the only column."""
+    if rows is None:
+        return state.array[:, None]
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != state.dim:
+        raise DimensionError(f"expected an (N, {state.dim}) block of coordinates, got shape {rows.shape}")
+    return rows.T
+
+
 def central_difference(f, state: State, step: float) -> np.ndarray:
     """Derivatives of f along each coordinate, stacked on a leading axis.
 

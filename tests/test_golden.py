@@ -6,7 +6,10 @@ fixed seed and a small ``--states``, the exact stdout and exit code of
 usage-error runs.  It also holds the 13 ``verify-mix`` benchmark suites
 (n = 15 and 25, m = 7), ``jacobi pi1-v --n 25`` and ``compat --chart v
 --n 15``: at these sizes a change in summation order shows in the last
-digits of ``max_residual``.  Each verify subcommand's flags, defaults,
+digits of ``max_residual``.  Three runs (``jacobi pi1-v --n 25 --states
+130``, ``casimir pi1-v --n 15 --states 300``, ``lenard v --n 9 --states
+129``) span several of the CLI's blocks of states, so a block boundary that
+dropped, repeated or reordered a sample would show.  Each verify subcommand's flags, defaults,
 choices and required markers are pinned too.  These pin the README's promise that a seed
 gives a byte-identical report; regenerate them only for an intended change
 of report format or sampling.
@@ -30,7 +33,8 @@ from pathlib import Path
 import pytest
 
 from lattice_flows.catalog import get_system, state_from_dict
-from lattice_flows.cli import _build_parser, main
+from lattice_flows import poisson
+from lattice_flows.cli import BLOCK, _build_parser, main
 from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_reports.json").read_text())
@@ -47,6 +51,18 @@ def test_verify_report_is_byte_identical(capsys, case):
     code = main(list(case["argv"]))
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+def test_verify_report_same_with_cold_or_warm_plans(capsys):
+    # tables compile to plans on first use; a report must not depend on
+    # whether this process has compiled them already
+    argv = ["verify", "compat", "--chart", "v", "--n", "9", "--states", str(BLOCK + 2), "--seed", "3"]
+    poisson._PLANS.clear()
+    main(argv)
+    cold = capsys.readouterr().out
+    assert poisson._PLANS
+    main(argv)
+    assert capsys.readouterr().out == cold
 
 
 def test_verify_options_unchanged():

@@ -3,13 +3,13 @@ import pytest
 
 from conftest import random_ab, random_c, random_qp, random_v
 
-from lattice_flows import ParityError, ab_state, c_state, v_state
+from lattice_flows import DimensionError, ParityError, ab_state, c_state, v_state
+from lattice_flows.cli import BLOCK
 from lattice_flows.lax import grad_casimir_C, grad_casimir_F, grad_trace_invariant
 from lattice_flows.poisson import (
     Pencil,
     PoissonStructure,
     _pi3_v_table,
-    _structure_derivatives,
     bracket_eval,
     casimir_residual,
     compatibility_residual,
@@ -22,7 +22,7 @@ from lattice_flows.poisson import (
     get_structure,
     STRUCTURES,
 )
-from lattice_flows.states import VOLTERRA_V
+from lattice_flows.states import VOLTERRA_V, central_difference, coordinate_columns
 from lattice_flows.systems import ab_field, vd_field
 from lattice_flows.transforms import c_to_v, d_transform, map_jacobian
 
@@ -132,9 +132,55 @@ def test_jacobi_residual_propagates_nan():
     assert np.isnan(jacobi_residual("pi3-v", state))
 
 
+def _eval_table(table, x):
+    """pi by the scalar per-monomial definition: the bitwise reference for the compiled plans."""
+    n = len(x)
+    upper = np.zeros((n, n), dtype=complex)
+    for (i, j), monos in table.items():
+        total = 0.0 + 0.0j
+        for coef, powers in monos:
+            term = coef
+            for var, expo in powers:
+                term = term * x[var] ** expo
+            total += term
+        upper[i, j] = total
+    return upper - upper.T
+
+
+def _eval_table_derivatives(table, x):
+    """d pi by the scalar per-monomial definition: the bitwise reference for the compiled plans."""
+    n = len(x)
+    out = np.zeros((n, n, n), dtype=complex)
+    for (i, j), monos in table.items():
+        for coef, powers in monos:
+            for var, expo in powers:
+                term = coef * expo * x[var] ** (expo - 1)
+                for var2, expo2 in powers:
+                    if var2 != var:
+                        term = term * x[var2] ** expo2
+                out[var, i, j] += term
+                out[var, j, i] -= term
+    return out
+
+
+def _reference_pi(struct, state):
+    if isinstance(struct, Pencil):
+        return _reference_pi(struct.first, state) + struct.lam * _reference_pi(struct.second, state)
+    return _eval_table(struct.table(state), state.array)
+
+
+def _reference_dpi(struct, state, fd_step=None):
+    if fd_step is not None:
+        return central_difference(lambda s: _reference_pi(struct, s), state, fd_step)
+    if isinstance(struct, Pencil):
+        return _reference_dpi(struct.first, state) + struct.lam * _reference_dpi(struct.second, state)
+    return _eval_table_derivatives(struct.table(state), state.array)
+
+
 def _jacobi_loop(structure, state, fd_step=None):
-    """The scalar quadruple loop jacobi_residual replaced: the bit-exact reference."""
-    pi, dpi = _structure_derivatives(get_structure(structure), state, fd_step)
+    """The scalar quadruple loop over the reference tensors: the bit-exact reference."""
+    struct = get_structure(structure)
+    pi, dpi = _reference_pi(struct, state), _reference_dpi(struct, state, fd_step)
     n = state.dim
     sums = []
     for i in range(n):
@@ -173,6 +219,10 @@ def test_jacobi_residual_matches_scalar_loop_bitwise(rng, structure, sample, siz
     for _ in range(2):
         state = sample(rng, size)
         assert jacobi_residual(struct, state, fd_step) == _jacobi_loop(struct, state, fd_step)
+    states = [sample(rng, size) for _ in range(3)]
+    rows = np.array([s.array for s in states])
+    got = jacobi_residual(struct, states[0], fd_step, rows=rows)
+    assert got.tolist() == [_jacobi_loop(struct, s, fd_step) for s in states]
 
 
 def test_jacobi_residual_detects_a_corrupted_coefficient(rng):
@@ -338,3 +388,172 @@ def test_structures_registry_contents():
 def test_lenard_zero_at_origin():
     state = ab_state([0, 0, 0], [0, 0])
     assert lenard_residual("ab", state) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# compiled plans against the per-monomial loops
+# ---------------------------------------------------------------------------
+
+def _v_rows(rng, n, count, imag=0.0):
+    return rng.uniform(0.1, 2.0, (count, n)) + 1j * imag * rng.uniform(-1.0, 1.0, (count, n))
+
+
+def _ab_rows(rng, m, count, imag=0.0):
+    return rng.uniform(-1.0, 1.0, (count, 2 * m + 1)) + 1j * imag * rng.uniform(-1.0, 1.0, (count, 2 * m + 1))
+
+
+_FAMILIES = {  # chart family -> (structures and pencils, (rng, size, count, imag) -> rows, template)
+    "c": (("c-bracket",), _v_rows, lambda size: c_state(np.ones(size))),
+    "v": (("pi1-v", "pi3-v", ("pi1-v", "pi3-v", 2.5)), _v_rows, lambda size: v_state(np.ones(size))),
+    "ab": (("pi1-ab", "pi3-ab", ("pi1-ab", "pi3-ab", 2.5)), _ab_rows,
+           lambda size: ab_state(np.ones(size + 1), np.ones(size))),
+}
+_TENSOR_CASES = [("c", n) for n in (4, 8, 20)] + [("v", n) for n in (5, 7, 15, 25)] + [("ab", m) for m in (2, 3, 7)]
+
+
+@pytest.mark.parametrize("family, size", _TENSOR_CASES, ids=lambda x: str(x))
+def test_compiled_tensors_match_reference_loops(rng, family, size):
+    # reports print residuals to the last bit, so on real states the plan must
+    # reproduce the scalar loops exactly, in a block of any size; numpy's
+    # complex array product rounds differently from its scalar product, so
+    # complex states get a relative tolerance
+    structures, draw, template = _FAMILIES[family]
+    template = template(size)
+    for count, imag in ((1, 0.0), (3, 0.0), (BLOCK + 1, 0.0), (3, 0.5)):
+        rows = draw(rng, size, count, imag)
+        states = [template.replace_coords(row) for row in rows]
+        x = coordinate_columns(template, rows)
+        for structure in structures:
+            struct = Pencil(*structure) if isinstance(structure, tuple) else get_structure(structure)
+            got_pi, got_dpi = struct(template, x), struct.derivatives(template, x)
+            ref_pi = np.stack([_reference_pi(struct, s) for s in states], axis=-1)
+            ref_dpi = np.stack([_reference_dpi(struct, s) for s in states], axis=-1)
+            if imag:
+                for got, ref in ((got_pi, ref_pi), (got_dpi, ref_dpi)):
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), structure
+            else:
+                assert np.array_equal(got_pi, ref_pi), structure
+                assert np.array_equal(got_dpi, ref_dpi), structure
+                assert np.array_equal(struct(states[0]), ref_pi[..., 0]), structure
+                assert np.array_equal(struct.derivatives(states[0]), ref_dpi[..., 0]), structure
+
+
+def _grad_casimir_F_loop(v):
+    n = len(v)
+    head = np.prod(v[: n - 2])
+    grad = np.zeros(n, dtype=complex)
+    for i in range(n - 2):
+        grad[i] = (v[-1] - v[-2]) * np.prod(np.delete(v[: n - 2], i))
+    grad[n - 2] = -head
+    grad[n - 1] = head
+    return grad
+
+
+def _grad_casimir_C_loop(x, m):
+    a = x[: m + 1]
+    grad = np.zeros(2 * m + 1, dtype=complex)
+    for i in range(m + 1):
+        rest = np.delete(np.arange(m + 1), i)
+        expo = np.array([1 if j in (0, m) else 2 for j in rest])
+        own = 1 if i in (0, m) else 2
+        grad[i] = own * a[i] ** (own - 1) * np.prod(a[rest] ** expo)
+    return grad
+
+
+@pytest.mark.parametrize("size", [5, 7, 15, 25])
+def test_batched_grad_casimir_F_matches_per_state_formula(rng, size):
+    template = v_state(np.ones(size))
+    for count in (1, 3, BLOCK + 1):
+        rows = _v_rows(rng, size, count)
+        got = grad_casimir_F(template, rows)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, [_grad_casimir_F_loop(row) for row in rows])
+        assert np.array_equal(grad_casimir_F(template.replace_coords(rows[0])), got[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_batched_grad_casimir_C_matches_per_state_formula(rng, m):
+    template = ab_state(np.ones(m + 1), np.ones(m))
+    for count in (1, 3, BLOCK + 1):
+        rows = _ab_rows(rng, m, count)
+        got = grad_casimir_C(template, rows)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, [_grad_casimir_C_loop(row, m) for row in rows])
+        assert np.array_equal(grad_casimir_C(template.replace_coords(rows[0])), got[0])
+
+
+def test_block_residuals_equal_one_state_residuals(rng):
+    v, ab = v_state(np.ones(9)), ab_state(np.ones(4), np.ones(3))
+    v_rows, ab_rows = _v_rows(rng, 9, 5), _ab_rows(rng, 3, 5)
+    cases = (
+        (lambda s, rows=None: casimir_residual("pi1-v", grad_casimir_F, s, rows), v, v_rows),
+        (lambda s, rows=None: casimir_residual("pi1-ab", grad_casimir_C, s, rows), ab, ab_rows),
+        (lambda s, rows=None: lenard_residual("v", s, rows=rows), v, v_rows),
+        (lambda s, rows=None: lenard_residual("ab", s, rows=rows), ab, ab_rows),
+        (lambda s, rows=None: lenard_residual("ab", s, 1e-6, rows), ab, ab_rows),
+        (lambda s, rows=None: compatibility_residual("pi1-v", "pi3-v", 2.5, s, rows=rows), v, v_rows),
+    )
+    for residual, template, rows in cases:
+        one = [residual(template.replace_coords(row)) for row in rows]
+        assert all(isinstance(r, float) for r in one)
+        assert residual(template, rows).tolist() == one
+
+
+def test_block_of_the_wrong_width_is_rejected(rng):
+    with pytest.raises(DimensionError):
+        jacobi_residual("pi3-v", v_state(np.ones(7)), rows=_v_rows(rng, 8, 2))
+
+
+# ---------------------------------------------------------------------------
+# mutation coverage: every single-monomial defect trips some gate
+# ---------------------------------------------------------------------------
+
+_GATES = {"jacobi": JACOBI_TOL, "compat": JACOBI_TOL, "lenard": LENARD_TOL, "casimir": CASIMIR_TOL}
+_CASIMIR_GRADS = {"pi1-v": grad_casimir_F, "pi1-ab": grad_casimir_C}
+
+
+def _mutants():
+    """(structure name, entry, monomial index, mutant structure): one monomial scaled by 1.5."""
+    for name, size in (("pi1-v", 7), ("pi3-v", 7), ("pi1-ab", 3), ("pi3-ab", 3)):
+        struct = STRUCTURES[name]
+        template = v_state(np.ones(size)) if struct.chart == VOLTERRA_V else ab_state(np.ones(size + 1), np.ones(size))
+        for entry, monos in struct.table(template).items():
+            for k, (coef, powers) in enumerate(monos):
+                table = dict(struct.table(template))
+                table[entry] = monos[:k] + [(1.5 * coef, powers)] + monos[k + 1:]
+                yield name, entry, k, PoissonStructure(name, struct.chart, lambda s, t=table: t, struct.degree)
+
+
+def _excesses(monkeypatch, name, mutant, rng):
+    """The checks whose worst residual over 3 states exceeds the gate, with the mutant in place."""
+    monkeypatch.setitem(STRUCTURES, name, mutant)
+    chart = "v" if mutant.chart == VOLTERRA_V else "ab"
+    rows = _v_rows(rng, 7, 3) if chart == "v" else _ab_rows(rng, 3, 3)
+    template = v_state(rows[0]) if chart == "v" else ab_state(rows[0][:4], rows[0][4:])
+    worst = {
+        "jacobi": jacobi_residual(name, template, rows=rows),
+        "compat": np.concatenate([compatibility_residual(f"pi1-{chart}", f"pi3-{chart}", lam, template, rows=rows)
+                                  for lam in (1.0, 2.5)]),
+        "lenard": lenard_residual(chart, template, rows=rows),
+    }
+    if name in _CASIMIR_GRADS:
+        worst["casimir"] = casimir_residual(name, _CASIMIR_GRADS[name], template, rows)
+    return {check for check, values in worst.items() if np.max(values) > _GATES[check]}
+
+
+def test_every_single_monomial_mutant_fails_a_gate(monkeypatch, rng):
+    mutants = list(_mutants())
+    assert len(mutants) == 72
+    for name, entry, k, mutant in mutants:
+        with monkeypatch.context() as patch:
+            assert _excesses(patch, name, mutant, rng), (name, entry, k)
+    # with every mutant gone, the registry structures pass again
+    rows = _v_rows(rng, 7, 3)
+    assert np.max(jacobi_residual("pi3-v", v_state(rows[0]), rows=rows)) < JACOBI_TOL
+
+
+def test_pi3_v_leading_mutant_is_caught_only_by_lenard(monkeypatch, rng):
+    # 2 v1^2 v2 -> 3 v1^2 v2 in {v1, v2} keeps the Jacobi identity and both
+    # pencils; only the Lenard ladder sees it
+    (name, entry, k, mutant), = [m for m in _mutants() if m[0] == "pi3-v" and m[1:3] == ((0, 1), 0)]
+    assert _excesses(monkeypatch, name, mutant, rng) == {"lenard"}
