@@ -84,12 +84,14 @@ class LatticeSystem:
     def invariant_columns(self, state: State, names, rows) -> dict[str, list[complex]]:
         """The named invariants at every row of ``rows``, (N, d) in the chart of ``state``.
 
-        Rows go in blocks of COLUMN_BLOCK_ROWS, and the invariants sharing an
-        evaluator (the trace powers of one Lax matrix) are evaluated together,
-        one stack of L and one power chain per block.
+        Each name is taken once, in first-seen order.  Rows go in blocks of
+        COLUMN_BLOCK_ROWS, and the invariants sharing an evaluator (the trace
+        powers of one Lax matrix) are evaluated together, one stack of L and
+        one power chain per block.
         """
         self._on_chart(state)
         table = self.named_invariants(state, self.spectrum)
+        names = list(dict.fromkeys(names))
         groups = {}
         for name in names:
             groups.setdefault(table[name].evaluate, []).append(name)

@@ -161,6 +161,7 @@ _AB = lambda rng, n, m: ab_state(rng.uniform(-1.0, 1.0, m + 1), rng.uniform(-1.0
 _TODA_AB = lambda rng, n, m: ab_state(rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n))
 _QP_M = lambda rng, n, m: qp_state(rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m))
 _QP_N = lambda rng, n, m: qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+_ON_CHART = {C_VARS: _C, VOLTERRA_V: _V, FLASCHKA_AB: _AB}  # a Poisson structure's sampler
 
 
 def _each_row(residual: Callable) -> Callable:
@@ -216,7 +217,7 @@ SUITES = {
     }),
     "jacobi": Suite("--structure", 50, _SIZES, {
         name: Check(
-            {C_VARS: _C, VOLTERRA_V: _V, FLASCHKA_AB: _AB}[struct.chart],
+            _ON_CHART[struct.chart],
             lambda s, rows, name=name: poisson.jacobi_residual(name, s, rows=rows),
             1e-6, name, "jacobi",
         )
@@ -232,10 +233,12 @@ SUITES = {
         for chart, sample in (("v", _V), ("ab", _AB))
     }, sweep=lambda args: [(float(x),) for x in args.lambdas.split(",")]),
     "casimir": Suite("--structure", 50, _SIZES, {
-        "pi1-v": Check(_V, lambda s, rows: poisson.casimir_residual("pi1-v", lax.grad_casimir_F, s, rows),
-                       1e-10, "pi1-v", "casimir-F"),
-        "pi1-ab": Check(_AB, lambda s, rows: poisson.casimir_residual("pi1-ab", lax.grad_casimir_C, s, rows),
-                        1e-10, "pi1-ab", "casimir-C"),
+        name: Check(
+            _ON_CHART[struct.chart],
+            lambda s, rows, name=name, grad=struct.casimir[1]: poisson.casimir_residual(name, grad, s, rows),
+            1e-10, name, f"casimir-{struct.casimir[0]}",
+        )
+        for name, struct in poisson.STRUCTURES.items() if struct.casimir
     }),
     "lenard": Suite("--chart", 50, _SIZES, {
         chart: Check(sample, lambda s, rows, c=chart: poisson.lenard_residual(c, s, rows=rows),

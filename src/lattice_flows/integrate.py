@@ -72,10 +72,6 @@ class Trajectory:
         self.times, self.coords = t, y
 
     @property
-    def states(self) -> list[State]:
-        return [self.initial.replace_coords(y) for y in self.coords]
-
-    @property
     def final(self) -> State:
         return self.initial.replace_coords(self.coords[-1])
 
@@ -194,15 +190,15 @@ class DriftRecord:
     max_rel_drift: float
 
 
-def drift_report(traj: Trajectory, invariants) -> list[DriftRecord]:
+def drift_report(columns) -> list[DriftRecord]:
     """Drift of each named invariant against its value at t = 0.
 
-    ``invariants`` maps names to callables State -> complex.  Relative drift
-    divides by max(|initial|, 1e-12).
+    ``columns`` maps names to values, one per sample (``invariant_columns``).
+    Relative drift divides by max(|initial|, 1e-12).
     """
     out = []
-    for name, fn in invariants.items():
-        values = np.array([fn(s) for s in traj.states], dtype=complex)
+    for name, values in columns.items():
+        values = np.asarray(values, dtype=complex)
         drift = np.max(np.abs(values - values[0]))
         rel = drift / max(abs(values[0]), 1e-12)
         out.append(DriftRecord(name, complex(values[0]), float(drift), float(rel)))

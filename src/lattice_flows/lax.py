@@ -21,7 +21,6 @@ Matrix layout notes (0-based):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,25 +145,21 @@ def h2_ab(state: State) -> complex:
     return complex(np.sum(b**2) + a[0] ** 2 + 2 * np.sum(a[1:-1] ** 2) + a[-1] ** 2)
 
 
-def casimir_C(state: State) -> complex:
-    """Casimir a_1 a_2^2 ... a_m^2 a_{m+1} of the linear (a, b) bracket."""
-    return casimir_C_column(state, state.array[None])[0]
-
-
 def casimir_C_column(state: State, rows) -> list[complex]:
-    """casimir_C at each row of an (N, d) block of coordinates in the chart of ``state``.
+    """Casimir C = a_1 a_2^2 ... a_m^2 a_{m+1} of the linear (a, b) bracket at
+    each row of an (N, d) block of coordinates in the chart of ``state``.
 
     The two outer products are Python complex products, which round as
     numpy's scalar product does; numpy's complex array product may not.
     """
-    a, _ = ab_split(state, +1, "casimir_C")
+    a, _ = ab_split(state, +1, "casimir_C_column")
     a = np.asarray(rows)[:, : len(a)]
     inner = np.prod(a[:, 1:-1] ** 2, axis=1)
     return [x * y * z for x, y, z in zip(a[:, 0].tolist(), inner.tolist(), a[:, -1].tolist())]
 
 
 def grad_casimir_C(state: State, rows=None) -> np.ndarray:
-    """Analytic gradient of casimir_C with respect to (a_1..a_{m+1}, b_1..b_m);
+    """Analytic gradient of C with respect to (a_1..a_{m+1}, b_1..b_m);
     at each row of an (N, d) block ``rows`` in the chart of ``state``, if given,
     as an (N, d) array."""
     m = len(ab_split(state, +1, "grad_casimir_C")[1])
@@ -177,13 +172,9 @@ def grad_casimir_C(state: State, rows=None) -> np.ndarray:
     return _rows(grad, rows)
 
 
-def casimir_F(state: State) -> complex:
-    """Casimir (v_n - v_{n-1}) * prod(v_1..v_{n-2}) of the v-chart tau bracket."""
-    return casimir_F_column(state, state.array[None])[0]
-
-
 def casimir_F_column(state: State, rows) -> list[complex]:
-    """casimir_F at each row of an (N, n) block of v coordinates; the outer
+    """Casimir F = (v_n - v_{n-1}) * prod(v_1..v_{n-2}) of the v-chart tau
+    bracket at each row of an (N, n) block of v coordinates; the outer
     product is a Python complex product, as in casimir_C_column."""
     _v_coords(state)
     v = np.asarray(rows)
@@ -191,7 +182,7 @@ def casimir_F_column(state: State, rows) -> list[complex]:
 
 
 def grad_casimir_F(state: State, rows=None) -> np.ndarray:
-    """Analytic gradient of casimir_F; per row of ``rows`` as in grad_casimir_C."""
+    """Analytic gradient of F; per row of ``rows`` as in grad_casimir_C."""
     _v_coords(state)
     v = coordinate_columns(state, rows)
     n = len(v)
@@ -382,17 +373,3 @@ _BUILDERS = {
     "ab": _ab_builder,
     "vd": _vd_builder,
 }
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization of complex matrices as nested [re, im] pairs
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(m) -> str:
-    arr = np.asarray(m, dtype=complex)
-    return json.dumps([[[z.real, z.imag] for z in row] for row in arr])
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array([[complex(re, im) for re, im in row] for row in data])

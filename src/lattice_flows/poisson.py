@@ -12,8 +12,7 @@ Each structure stores its upper-triangle entries as signed monomials
 (coefficient times a product of integer powers of the coordinates), so both
 the tensor and its coordinate derivatives evaluate in closed form; the
 lower triangle is mirrored, making antisymmetry exact by construction.
-The Jacobi and compatibility residuals default to these analytic
-derivatives; a finite-difference step may be passed to cross-check them.
+The Jacobi and compatibility residuals use these analytic derivatives.
 
 A table is compiled once per table object, on first use, into index arrays
 (``_Sums``) that evaluate pi and d pi at a block of states, the columns of a
@@ -39,12 +38,7 @@ import numpy as np
 
 from . import lax
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import (
-    C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, central_difference, coordinate_columns,
-)
-
-#: Central-difference step for scalar gradients.
-GRAD_FD_STEP = 1e-6
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, coordinate_columns
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -59,8 +53,7 @@ class PoissonStructure:
     name: str
     chart: str
     table_builder: Callable[[State], EntryTable]
-    degree: int
-    casimirs: tuple[str, ...] = ()
+    casimir: tuple[str, Callable] | None = None  # (name, closed-form gradient) of a Casimir
 
     def table(self, state: State) -> EntryTable:
         state.require_chart(self.chart, f"structure {self.name}")
@@ -307,23 +300,18 @@ def _pi3_ab_table(m: int) -> EntryTable:
     return table
 
 
+# Casimir gradients look ``lax.grad_casimir_*`` up at call time, so a wrapper
+# installed on the lax module (e.g. by a profiler) sees every evaluation.
 STRUCTURES = {
-    "c-bracket": PoissonStructure(
-        "c-bracket", C_VARS, lambda s: _c_bracket_table(s.dim), degree=0
-    ),
-    "pi1-v": PoissonStructure(
-        "pi1-v", VOLTERRA_V, lambda s: _pi1_v_table(s.dim), degree=1, casimirs=("F",)
-    ),
-    "pi3-v": PoissonStructure(
-        "pi3-v", VOLTERRA_V, lambda s: _pi3_v_table(s.dim), degree=3
-    ),
+    "c-bracket": PoissonStructure("c-bracket", C_VARS, lambda s: _c_bracket_table(s.dim)),
+    "pi1-v": PoissonStructure("pi1-v", VOLTERRA_V, lambda s: _pi1_v_table(s.dim),
+                              ("F", lambda s, rows=None: lax.grad_casimir_F(s, rows))),
+    "pi3-v": PoissonStructure("pi3-v", VOLTERRA_V, lambda s: _pi3_v_table(s.dim)),
     "pi1-ab": PoissonStructure(
         "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(len(ab_split(s, +1, "pi1-ab")[1])),
-        degree=1, casimirs=("C",),
-    ),
+        ("C", lambda s, rows=None: lax.grad_casimir_C(s, rows))),
     "pi3-ab": PoissonStructure(
-        "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(len(ab_split(s, +1, "pi3-ab")[1])), degree=3
-    ),
+        "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(len(ab_split(s, +1, "pi3-ab")[1]))),
 }
 
 
@@ -346,20 +334,6 @@ def poisson_matrix(structure, state: State) -> np.ndarray:
 # residual checks
 # ---------------------------------------------------------------------------
 
-def gradient(f, state: State, fd_step: float = GRAD_FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a State."""
-    return central_difference(f, state, fd_step)
-
-
-def bracket_eval(structure, f, g, state: State, fd_step: float = GRAD_FD_STEP,
-                 grad_f=None, grad_g=None) -> complex:
-    """{f, g}(s) = grad f . pi(s) . grad g; analytic gradients used when given."""
-    pi = poisson_matrix(structure, state)
-    gf = np.asarray(grad_f(state), dtype=complex) if grad_f else gradient(f, state, fd_step)
-    gg = np.asarray(grad_g(state), dtype=complex) if grad_g else gradient(g, state, fd_step)
-    return complex(gf @ pi @ gg)
-
-
 def _per_row(values, rows):
     """A residual's values as returned: the (N,) array for a block, a float for one state."""
     values = np.asarray(values, dtype=float)
@@ -369,13 +343,6 @@ def _per_row(values, rows):
 def _stack(tensor: np.ndarray) -> np.ndarray:
     """(n, n, N) -> C-ordered (N, n, n), each slice laid out (so multiplied) as one state's."""
     return np.ascontiguousarray(np.moveaxis(tensor, -1, 0))
-
-
-def _structure_derivatives(struct, state: State, x, fd_step) -> tuple[np.ndarray, np.ndarray]:
-    if fd_step is None:
-        return struct(state, x), struct.derivatives(state, x)
-    dpi = [central_difference(struct, state.replace_coords(column), fd_step) for column in x.T]
-    return struct(state, x), np.stack(dpi, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -388,11 +355,10 @@ def _jacobi_indices(n: int) -> tuple[np.ndarray, ...]:
     return tuple(indices)
 
 
-def jacobi_residual(structure, state: State, fd_step: float | None = None, rows=None):
+def jacobi_residual(structure, state: State, rows=None):
     """Max over index triples of the cyclic Jacobi sum; NaN if any sum is NaN.
 
-    Tensor derivatives are analytic (exact monomial differentiation) by
-    default; pass ``fd_step`` to use central differences instead.  With
+    Tensor derivatives are analytic (exact monomial differentiation).  With
     ``rows`` the residual of each row is returned (see the module notes).
 
     Summation order is part of the contract, because reports print the
@@ -405,7 +371,7 @@ def jacobi_residual(structure, state: State, fd_step: float | None = None, rows=
     """
     struct = get_structure(structure)
     x = coordinate_columns(state, rows)
-    pi, dpi = _structure_derivatives(struct, state, x, fd_step)
+    pi, dpi = struct(state, x), struct.derivatives(state, x)
     n = state.dim
     i, j, k, jk, ki, ij = _jacobi_indices(n)
     columns = pi.transpose(1, 0, 2).copy()  # columns[l] = pi[:, l], contiguous for take
@@ -439,10 +405,9 @@ class Pencil:
         return np.add(self.first.derivatives(state, x), out, out=out)
 
 
-def compatibility_residual(structure1, structure2, lam: float, state: State,
-                           fd_step: float | None = None, rows=None):
+def compatibility_residual(structure1, structure2, lam: float, state: State, rows=None):
     """Jacobi residual of the pencil pi1 + lam * pi3."""
-    return jacobi_residual(Pencil(structure1, structure2, lam), state, fd_step, rows)
+    return jacobi_residual(Pencil(structure1, structure2, lam), state, rows)
 
 
 def casimir_residual(structure, casimir_grad, state: State, rows=None):
@@ -457,12 +422,10 @@ def casimir_residual(structure, casimir_grad, state: State, rows=None):
     return _per_row([np.linalg.norm(pi @ grad) for pi, grad in zip(pis, grads)], rows)
 
 
-def hamiltonian_flow_check(structure, hamiltonian, field, state: State,
-                           grad_h=None, fd_step: float = GRAD_FD_STEP) -> float:
-    """Norm of pi(s) grad H(s) - field(s)."""
-    pi = poisson_matrix(structure, state)
-    gh = np.asarray(grad_h(state), dtype=complex) if grad_h else gradient(hamiltonian, state, fd_step)
-    return float(np.linalg.norm(pi @ gh - np.asarray(field(state), dtype=complex)))
+def hamiltonian_flow_check(structure, grad_h, field, state: State) -> float:
+    """Norm of pi(s) grad H(s) - field(s), with grad H in closed form."""
+    gh = np.asarray(grad_h(state), dtype=complex)
+    return float(np.linalg.norm(poisson_matrix(structure, state) @ gh - np.asarray(field(state), dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +466,11 @@ def _lenard_pair(chart: str) -> LenardPair:
     raise ChartMismatch(f"no Lenard pair on chart {chart!r}")
 
 
-def lenard_hamiltonians(chart: str):
-    """The (H2, H4) callables of the chart's Lenard pair."""
-    pair = _lenard_pair(chart)
-
-    def hamiltonian(order, scale):
-        return lambda state: scale * lax.trace_invariants(lax.build_lax(pair.lax_key, state), [order])[0]
-
-    return hamiltonian(*pair.h2), hamiltonian(*pair.h4)
-
-
-def lenard_residual(chart: str, state: State, fd_step: float | None = None, rows=None):
+def lenard_residual(chart: str, state: State, rows=None):
     """Norm of pi3 grad H2 - pi1 grad H4 in the given chart ('v' or 'ab').
 
-    Gradients of the trace invariants are analytic by default; passing
-    ``fd_step`` switches to central differences of the traces.  The tensors
-    of a block of ``rows`` are evaluated together, the gradients row by row.
+    Gradients of the trace invariants are analytic.  The tensors of a block
+    of ``rows`` are evaluated together, the gradients row by row.
     """
     pair = _lenard_pair(chart)
     state.require_chart(pair.chart, "lenard_residual")
@@ -530,13 +482,8 @@ def lenard_residual(chart: str, state: State, fd_step: float | None = None, rows
     (o2, s2), (o4, s4) = pair.h2, pair.h4
     norms = []
     for p3, p1, coords in zip(pi3, pi1, x.T):
-        at = state.replace_coords(coords)
-        if fd_step is None:
-            g2, g4 = lax.grad_trace_invariant(pair.lax_key, at, [o2, o4])
-            g2, g4 = s2 * g2, s4 * g4
-        else:
-            g2, g4 = (gradient(h, at, fd_step) for h in lenard_hamiltonians(chart))
-        norms.append(np.linalg.norm(p3 @ g2 - p1 @ g4))
+        g2, g4 = lax.grad_trace_invariant(pair.lax_key, state.replace_coords(coords), [o2, o4])
+        norms.append(np.linalg.norm(p3 @ (s2 * g2) - p1 @ (s4 * g4)))
     return _per_row(norms, rows)
 
 

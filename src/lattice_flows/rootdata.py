@@ -9,6 +9,7 @@ ratios, and null combinations of the vectors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,13 +94,21 @@ def gram_matrix(spectrum: Spectrum) -> np.ndarray:
     return m
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that passes every ratio (NaN, inf) or flags integers (< 0)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def build_diagram(spectrum: Spectrum, tol: float = INTEGER_TOL) -> DynkinTypeDiagram:
     """Dynkin-type diagram: 4 (v_i, v_j)^2 / ((v_i, v_i)(v_j, v_j)) edges per pair.
 
     Vertex weights are the squared lengths rescaled so the minimum is 1.
     Raises NonIntegerMultiplicity when an edge count strays from an integer
-    by more than ``tol``, which signals a spectrum outside this family.
+    by more than ``tol``, which signals a spectrum outside this family, and
+    ValueError when ``tol`` is not finite and nonnegative.
     """
+    _check_tol(tol)
     m = gram_matrix(spectrum)
     norms = np.diag(m)
     n = spectrum.count
@@ -136,8 +145,9 @@ def kozlov_treshchev_check(spectrum: Spectrum, tol: float = INTEGER_TOL) -> Cond
 
     For every maximal vector v_i (greatest length within its direction) and
     every v_j linearly independent of v_i, the ratio 2 (v_i, v_j) / (v_i, v_i)
-    must lie within ``tol`` of a nonpositive integer.
+    must lie within ``tol``, finite and nonnegative, of a nonpositive integer.
     """
+    _check_tol(tol)
     vecs = spectrum.matrix
     norms = np.linalg.norm(vecs, axis=1)
     units = vecs / norms[:, None]

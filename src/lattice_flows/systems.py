@@ -203,19 +203,14 @@ def spectrum_field(spectrum: Spectrum, state: State) -> np.ndarray:
     return np.concatenate([a * b, m @ a])
 
 
-def integrals_F1_F2(state: State, lam) -> tuple[complex, complex]:
-    """The two integrals attached to a null combination lambda of the spectrum.
+def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], list[complex]]:
+    """The two integrals attached to a null combination lambda of the spectrum,
+    at each row of an (N, d) block of coordinates in the chart of ``state``.
 
     F1 = sum_i lambda_i b_i and F2 = prod_i a_i^{lambda_i}; complex powers use
     the principal branch when a_i is not a positive real.
     """
-    f1, f2 = integrals_F1_F2_columns(state, lam, state.array[None])
-    return f1[0], f2[0]
-
-
-def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], list[complex]]:
-    """F1 and F2 at each row of an (N, d) block of coordinates in the chart of ``state``."""
-    state.require_chart(FLASCHKA_AB, "integrals_F1_F2")
+    state.require_chart(FLASCHKA_AB, "integrals_F1_F2_columns")
     rows = np.asarray(rows)
     a, b = rows[:, : state.split], rows[:, state.split :]
     lam = np.asarray(lam, dtype=float)

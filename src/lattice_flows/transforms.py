@@ -3,7 +3,8 @@
 Every map is a pure function State -> State.  ``pushforward_residual``
 verifies that a map intertwines two flows by comparing the Jacobian-pushed
 source field with the target field at the image point; Jacobians are
-computed by complex-aware central finite differences.
+complex-aware central differences at step ``FD_STEP``, unless a closed form
+is supplied.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .states import (
 )
 from .rootdata import Spectrum
 
-#: Default central-difference step for Jacobians of O(1) states.
+#: Central-difference step for Jacobians of O(1) states.
 FD_STEP = 1e-6
 
 
@@ -180,21 +181,20 @@ def c_to_v_jacobian(state: State) -> np.ndarray:
 # pushforward conjugacy
 # ---------------------------------------------------------------------------
 
-def map_jacobian(map_fn, state: State, fd_step: float = FD_STEP) -> np.ndarray:
+def map_jacobian(map_fn, state: State) -> np.ndarray:
     """Jacobian of a State -> State map by central differences, complex-aware."""
-    jac = central_difference(lambda s: map_fn(s).array, state, fd_step).T
+    jac = central_difference(lambda s: map_fn(s).array, state, FD_STEP).T
     # C order: matmul sums a transposed view in another order, changing residual bits
     return np.ascontiguousarray(jac)
 
 
-def pushforward_residual(map_fn, source_field, target_field, state: State,
-                         fd_step: float = FD_STEP, jacobian=None) -> float:
+def pushforward_residual(map_fn, source_field, target_field, state: State, jacobian=None) -> float:
     """Norm of J_map(s) . source_field(s) - target_field(map(s)).
 
-    The Jacobian comes from central differences with step ``fd_step`` unless
-    a closed-form ``jacobian`` callable is supplied.
+    The Jacobian is ``map_jacobian``'s central differences unless a
+    closed-form ``jacobian`` callable is supplied.
     """
-    jac = jacobian(state) if jacobian else map_jacobian(map_fn, state, fd_step)
+    jac = jacobian(state) if jacobian else map_jacobian(map_fn, state)
     pushed = jac @ np.asarray(source_field(state), dtype=complex)
     direct = np.asarray(target_field(map_fn(state)), dtype=complex)
     return float(np.linalg.norm(pushed - direct))

@@ -269,3 +269,27 @@ def test_simulate_n_counts_particles_of_a_qp_state(capsys, n, expected):
     state = '{"q":[0,0.5],"p":[0.1,0]}'
     code, _, _ = run(capsys, "simulate", "--system", "toda", "--n", str(n), "--state", state, "--t", "0")
     assert code == expected
+
+
+def test_simulate_repeated_invariant_is_one_column(capsys):
+    argv = ("simulate", "--system", "ab", "--state", '{"a":[1,0.8,1.2],"b":[0.3,-0.1]}',
+            "--t", "0.05", "--dt", "0.01", "--invariants")
+    code, once, _ = run(capsys, *argv, "H2,H4")
+    assert code == 0
+    code, repeated, _ = run(capsys, *argv, "H2,H4,H2")
+    assert code == 0
+    assert repeated == once
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_spectrum_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    # the ratio -0.8 must fail and the integer ratio -1 pass: a NaN or
+    # infinite tolerance would pass both, a negative one would flag both
+    doc = tmp_path / "spectrum.json"
+    doc.write_text(json.dumps({"dimension": 2, "vectors": [[1, 0], [-0.5, 1]]}))
+    code, out, _ = run(capsys, "verify", "spectrum", "--file", str(doc))
+    assert code == 1
+    assert [[i, j] for i, j, _ in json.loads(out)["violations"]] == [[1, 0]]
+    code, out, err = run(capsys, "verify", "spectrum", "--file", str(doc), "--tol", tol)
+    assert code == 2 and out == ""
+    assert "usage error" in err

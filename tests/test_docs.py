@@ -26,3 +26,10 @@ def test_readme_lists_every_system():
     for (key, charts, _, lax_pair), system in zip(rows, SYSTEMS.values()):
         assert re.findall(r"`([^`]+)`", charts) == list(system.charts), key
         assert re.findall(r"`([^`]+)`", lax_pair) == [k for k in _BUILDERS if k == system.key], key
+
+
+def test_readme_quick_tour_runs():
+    # every name the tour imports and calls must still exist and run
+    start = README.index("## Library quick tour")
+    block = README[README.index("```python\n", start) + len("```python\n"):]
+    exec(compile(block[: block.index("```")], "README quick tour", "exec"), {})

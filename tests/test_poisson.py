@@ -5,12 +5,11 @@ from conftest import random_ab, random_c, random_qp, random_v
 
 from lattice_flows import DimensionError, ParityError, ab_state, c_state, v_state
 from lattice_flows.cli import BLOCK
-from lattice_flows.lax import grad_casimir_C, grad_casimir_F, grad_trace_invariant
+from lattice_flows.lax import build_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, trace_invariants
 from lattice_flows.poisson import (
     Pencil,
     PoissonStructure,
     _pi3_v_table,
-    bracket_eval,
     casimir_residual,
     compatibility_residual,
     grad_vd_quarter_h2,
@@ -120,10 +119,12 @@ def test_jacobi_residuals(rng):
 
 
 def test_jacobi_analytic_matches_fd(rng):
+    # the analytic d pi against the test's own central differences of pi
     for name, state in (("pi1-v", random_v(rng, 7)), ("pi3-ab", random_ab(rng, 3))):
-        analytic = jacobi_residual(name, state)
-        fd = jacobi_residual(name, state, fd_step=1e-5)
-        assert abs(analytic - fd) < 1e-8
+        struct = get_structure(name)
+        fd = _reference_dpi(struct, state, 1e-5)
+        assert np.max(np.abs(struct.derivatives(state) - fd)) <= 1e-7 * np.max(np.abs(fd))
+        assert _matches_loop(jacobi_residual(name, state), struct, state, 1e-5)
 
 
 def test_jacobi_residual_propagates_nan():
@@ -197,6 +198,17 @@ def _jacobi_loop(structure, state, fd_step=None):
     return float(np.max(sums, initial=0.0))
 
 
+def _matches_loop(got, struct, state, fd_step=None):
+    """got is the scalar loop's residual bit for bit; with an fd_step the loop
+    runs on central differences of pi, and got must be within 1e-8 of the
+    scale of its terms, max |pi| * max |d pi|."""
+    ref = _jacobi_loop(struct, state, fd_step)
+    if fd_step is None:
+        return got == ref
+    scale = np.max(np.abs(_reference_pi(struct, state))) * np.max(np.abs(_reference_dpi(struct, state, fd_step)))
+    return abs(got - ref) <= 1e-8 * scale
+
+
 _V_STRUCTURES = ("pi1-v", "pi3-v", ("pi1-v", "pi3-v", 1.0), ("pi1-v", "pi3-v", 2.5))
 _AB_STRUCTURES = ("pi1-ab", "pi3-ab", ("pi1-ab", "pi3-ab", 1.0), ("pi1-ab", "pi3-ab", 2.5))
 _JACOBI_CASES = (
@@ -214,15 +226,17 @@ _JACOBI_CASES = (
 )
 def test_jacobi_residual_matches_scalar_loop_bitwise(rng, structure, sample, size, fd_step):
     # reports print the residual's exact bits, so the vectorised kernel must
-    # keep the loop's summation order; == rather than approx is the point
-    struct = Pencil(*structure) if isinstance(structure, tuple) else structure
+    # keep the loop's summation order; == rather than approx is the point.
+    # With an fd_step the loop runs on the test's central differences of pi
+    # instead: a cross-check of the analytic derivatives (see _matches_loop)
+    struct = get_structure(Pencil(*structure) if isinstance(structure, tuple) else structure)
     for _ in range(2):
         state = sample(rng, size)
-        assert jacobi_residual(struct, state, fd_step) == _jacobi_loop(struct, state, fd_step)
+        assert _matches_loop(jacobi_residual(struct, state), struct, state, fd_step)
     states = [sample(rng, size) for _ in range(3)]
     rows = np.array([s.array for s in states])
-    got = jacobi_residual(struct, states[0], fd_step, rows=rows)
-    assert got.tolist() == [_jacobi_loop(struct, s, fd_step) for s in states]
+    got = jacobi_residual(struct, states[0], rows=rows)
+    assert all(_matches_loop(r, struct, s, fd_step) for r, s in zip(got.tolist(), states))
 
 
 def test_jacobi_residual_detects_a_corrupted_coefficient(rng):
@@ -231,7 +245,7 @@ def test_jacobi_residual_detects_a_corrupted_coefficient(rng):
     table = dict(_pi3_v_table(9))
     (coef, powers), *rest = table[(2, 3)]
     table[(2, 3)] = [(1.5 * coef, powers), *rest]
-    corrupted = PoissonStructure("pi3-v-corrupted", VOLTERRA_V, lambda s: table, degree=3)
+    corrupted = PoissonStructure("pi3-v-corrupted", VOLTERRA_V, lambda s: table)
     for _ in range(5):
         state = random_v(rng, 9)
         residual = jacobi_residual(corrupted, state)
@@ -272,29 +286,29 @@ def test_hamiltonian_flow_vd(rng):
     for n in (5, 7):
         for _ in range(50):
             state = random_v(rng, n)
-            r = hamiltonian_flow_check("pi1-v", vd_quarter_h2, vd_field, state, grad_h=grad_vd_quarter_h2)
+            r = hamiltonian_flow_check("pi1-v", grad_vd_quarter_h2, vd_field, state)
             assert r < 1e-8
+
+
+def test_grad_vd_quarter_h2_matches_fd(rng):
+    for n in (5, 7, 9, 15):
+        for _ in range(10):
+            state = random_v(rng, n)
+            fd = central_difference(vd_quarter_h2, state, 1e-6)
+            assert np.max(np.abs(grad_vd_quarter_h2(state) - fd)) < 1e-8
 
 
 def test_hamiltonian_flow_ab(rng):
     for m in (2, 3):
         for _ in range(50):
             state = random_ab(rng, m)
-            r = hamiltonian_flow_check(
-                "pi1-ab",
-                None,
-                ab_field,
-                state,
-                grad_h=lambda s: grad_trace_invariant("ab", s, 2),
-            )
+            r = hamiltonian_flow_check("pi1-ab", lambda s: grad_trace_invariant("ab", s, 2), ab_field, state)
             assert r < 1e-8
 
 
 def test_hamiltonian_flow_zero_state():
     state = ab_state([0, 0, 0], [0, 0])
-    r = hamiltonian_flow_check(
-        "pi1-ab", None, ab_field, state, grad_h=lambda s: grad_trace_invariant("ab", s, 2)
-    )
+    r = hamiltonian_flow_check("pi1-ab", lambda s: grad_trace_invariant("ab", s, 2), ab_field, state)
     assert r == 0.0
 
 
@@ -307,16 +321,34 @@ def test_lenard_both_charts(rng):
             assert lenard_residual("ab", random_ab(rng, m)) < LENARD_TOL
 
 
+def _fd_lenard_residual(chart, lax_key, h2, h4, state, fd_step=1e-6):
+    """pi3 grad H2 - pi1 grad H4 with central differences of H = scale * tr(L^order) / order."""
+    def grad(order, scale):
+        return central_difference(
+            lambda s: scale * trace_invariants(build_lax(lax_key, s), [order])[0], state, fd_step)
+
+    return np.linalg.norm(poisson_matrix(f"pi3-{chart}", state) @ grad(*h2)
+                          - poisson_matrix(f"pi1-{chart}", state) @ grad(*h4))
+
+
 def test_lenard_fd_cross_check(rng):
+    # the ladder with the test's own central-difference gradients, at the
+    # orders and scales of poisson.LENARD: ab (2, 1), (4, 2); v (4, 2), (8, 2)
     state = v_state(rng.uniform(0.8, 1.2, 7))
-    assert lenard_residual("v", state, fd_step=1e-6) < 1e-6
+    assert _fd_lenard_residual("v", "vd", (4, 2), (8, 2), state) < 1e-6
     state = random_ab(rng, 3)
-    assert lenard_residual("ab", state, fd_step=1e-6) < 1e-7
+    assert _fd_lenard_residual("ab", "ab", (2, 1), (4, 2), state) < 1e-7
 
 
 def test_lenard_parity_error(rng):
     with pytest.raises(ParityError):
         lenard_residual("v", random_v(rng, 6))
+
+
+def _bracket(structure, f, g, state, fd_step=1e-6):
+    """{f, g}(s) = grad f . pi(s) . grad g, with central-difference gradients."""
+    pi = poisson_matrix(structure, state)
+    return complex(central_difference(f, state, fd_step) @ pi @ central_difference(g, state, fd_step))
 
 
 def test_bracket_eval_antisymmetry(rng):
@@ -325,12 +357,12 @@ def test_bracket_eval_antisymmetry(rng):
     def f(s):
         return complex(np.sum(s.array**2))
 
-    assert abs(bracket_eval("pi3-v", f, f, state)) < 1e-9
+    assert abs(_bracket("pi3-v", f, f, state)) < 1e-9
 
 
 def test_bracket_eval_constant_bracket(rng):
     state = random_c(rng, 6)
-    val = bracket_eval("c-bracket", lambda s: s.array[0], lambda s: s.array[1], state)
+    val = _bracket("c-bracket", lambda s: s.array[0], lambda s: s.array[1], state)
     assert abs(val - 1.0) < 1e-9
 
 
@@ -381,8 +413,10 @@ def test_d_map_pushes_pi3_onto_pi3_ab(rng):
 
 def test_structures_registry_contents():
     assert set(STRUCTURES) == {"c-bracket", "pi1-v", "pi3-v", "pi1-ab", "pi3-ab"}
-    assert STRUCTURES["pi1-v"].casimirs == ("F",)
-    assert STRUCTURES["pi1-ab"].casimirs == ("C",)
+    assert {name: struct.casimir[0] for name, struct in STRUCTURES.items() if struct.casimir} == {
+        "pi1-v": "F", "pi1-ab": "C"}
+    state = random_v(np.random.default_rng(0), 7)
+    assert np.array_equal(STRUCTURES["pi1-v"].casimir[1](state), grad_casimir_F(state))
 
 
 def test_lenard_zero_at_origin():
@@ -490,7 +524,6 @@ def test_block_residuals_equal_one_state_residuals(rng):
         (lambda s, rows=None: casimir_residual("pi1-ab", grad_casimir_C, s, rows), ab, ab_rows),
         (lambda s, rows=None: lenard_residual("v", s, rows=rows), v, v_rows),
         (lambda s, rows=None: lenard_residual("ab", s, rows=rows), ab, ab_rows),
-        (lambda s, rows=None: lenard_residual("ab", s, 1e-6, rows), ab, ab_rows),
         (lambda s, rows=None: compatibility_residual("pi1-v", "pi3-v", 2.5, s, rows=rows), v, v_rows),
     )
     for residual, template, rows in cases:
@@ -521,7 +554,7 @@ def _mutants():
             for k, (coef, powers) in enumerate(monos):
                 table = dict(struct.table(template))
                 table[entry] = monos[:k] + [(1.5 * coef, powers)] + monos[k + 1:]
-                yield name, entry, k, PoissonStructure(name, struct.chart, lambda s, t=table: t, struct.degree)
+                yield name, entry, k, PoissonStructure(name, struct.chart, lambda s, t=table: t, struct.casimir)
 
 
 def _excesses(monkeypatch, name, mutant, rng):

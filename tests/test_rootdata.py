@@ -84,6 +84,14 @@ def test_diagram_non_integer_multiplicity():
         build_diagram(Spectrum(2, ((1, 0), (2, 1))))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError):
+        kozlov_treshchev_check(A2, tol=tol)
+    with pytest.raises(ValueError):
+        build_diagram(A2, tol=tol)
+
+
 def test_condition_sklyanin_example():
     report = kozlov_treshchev_check(sklyanin_spectrum(3))
     assert report.passed
