@@ -9,18 +9,15 @@ of coordinate rows at a time.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lax, systems
-from .errors import ChartMismatch, DimensionError
+from .errors import ChartMismatch
 from .rootdata import Spectrum, null_combination
-from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, c_state, qp_state, u_state, v_state
-
-_POSITIVE_CHARTS = (VOLTERRA_U, VOLTERRA_V, C_VARS)
+from .states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State
 
 #: Rows per block when invariant columns are evaluated, so the (N, T, T) Lax
 #: stacks keep one size however many rows a trajectory has.
@@ -67,7 +64,7 @@ class LatticeSystem:
 
     @property
     def positive(self) -> bool:
-        return all(ch in _POSITIVE_CHARTS for ch in self.fields)
+        return all(ch in POSITIVE_CHARTS for ch in self.fields)
 
     def field(self, state: State) -> np.ndarray:
         return self._on_chart(state)(state, self.spectrum)
@@ -179,45 +176,3 @@ def get_system(key: str, spectrum: Spectrum | None = None) -> LatticeSystem:
     if spectrum is None:
         raise ValueError("system 'spectrum' requires a spectrum")
     return replace(SYSTEMS[key], spectrum=spectrum)
-
-
-def _is_number(x, kind=numbers.Number) -> bool:
-    return isinstance(x, kind) and not isinstance(x, bool)
-
-
-def state_from_dict(obj: dict) -> State:
-    """Build a State from a JSON-style dict keyed by coordinate-group names.
-
-    Accepted forms: {"q": [...], "p": [...]}, {"a": [...], "b": [...]},
-    {"u": [...]}, {"v": [...]}, {"c": [...]}.  Entries may be numbers or
-    [re, im] pairs of real numbers; booleans are not numbers here.  Anything
-    else raises ValueError.
-    """
-
-    def group(name):
-        values = obj[name]
-        if not isinstance(values, (list, tuple)):
-            raise ValueError(f"state group {name!r} must be a list, got {values!r}")
-        return [scal(x) for x in values]
-
-    def scal(x):
-        if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v, numbers.Real) for v in x):
-            return complex(*x)
-        if _is_number(x):
-            return complex(x)
-        raise ValueError(f"state entry {x!r} is not a number or an [re, im] pair")
-
-    if not isinstance(obj, dict):
-        raise ValueError(f"a state document must be a JSON object, got {obj!r}")
-    keys = set(obj)
-    if keys == {"q", "p"}:
-        return qp_state(group("q"), group("p"))
-    if keys == {"a", "b"}:
-        return ab_state(group("a"), group("b"))
-    if keys == {"u"}:
-        return u_state(group("u"))
-    if keys == {"v"}:
-        return v_state(group("v"))
-    if keys == {"c"}:
-        return c_state(group("c"))
-    raise DimensionError(f"unrecognized state document keys {sorted(keys)}")

@@ -17,13 +17,18 @@ import numpy as np
 
 from .catalog import LatticeSystem
 from .errors import DomainExit, StepFailure
-from .states import State
+from .states import State, coordinate_names
 
 
 #: A fixed-step run stops once less than this fraction of dt is left before
 #: t_end: such a remainder is rounding that accumulated in t (about 1e-7 dt
 #: after 1e5 steps), not a step worth taking.
 FIXED_STEP_SLACK = 1e-6
+
+#: The adaptive policy's first step (clipped to t_end), and the step below
+#: which it gives up with StepFailure.
+DT_INITIAL = 1e-2
+DT_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,6 @@ class AdaptiveStep:
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    dt_initial: float = 1e-2
-    dt_min: float = 1e-12
 
 
 @dataclass
@@ -54,11 +57,9 @@ class Trajectory:
     Every row is in the chart of ``initial``, the state at times[0].
     """
 
-    system: str
     times: np.ndarray
     coords: np.ndarray
     initial: State
-    policy: FixedStep | AdaptiveStep
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -98,7 +99,7 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
     rows = [s0.array]
 
     def trajectory():
-        return Trajectory(system.key, np.array(times), np.array(rows), s0, policy)
+        return Trajectory(np.array(times), np.array(rows), s0)
 
     if t_end == 0.0:
         return trajectory()
@@ -126,7 +127,7 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             rows.append(y)
         return trajectory()
 
-    dt = min(policy.dt_initial, t_end)
+    dt = min(DT_INITIAL, t_end)
     while t < t_end - 1e-15 * max(1.0, t_end):
         dt = min(dt, t_end - t)
         y_new, err = _fehlberg_step(f, y, dt)
@@ -142,7 +143,7 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             dt *= min(5.0, max(0.2, grow))
         else:
             dt *= max(0.2, 0.9 * ratio**-0.2)
-        if dt < policy.dt_min:
+        if dt < DT_MIN:
             raise StepFailure(f"adaptive step underflow (dt = {dt:.3g}) at t = {t:.6g}")
     return trajectory()
 
@@ -203,23 +204,6 @@ def drift_report(columns) -> list[DriftRecord]:
         rel = drift / max(abs(values[0]), 1e-12)
         out.append(DriftRecord(name, complex(values[0]), float(drift), float(rel)))
     return out
-
-
-_COORD_PREFIXES = {
-    "qp": ("q", "p"),
-    "flaschka_ab": ("a", "b"),
-    "volterra_u": ("u", None),
-    "volterra_v": ("v", None),
-    "c_vars": ("c", None),
-}
-
-
-def coordinate_names(state: State) -> list[str]:
-    first, second = _COORD_PREFIXES[state.chart]
-    if second is None:
-        return [f"{first}{i+1}" for i in range(state.dim)]
-    nf = state.split
-    return [f"{first}{i+1}" for i in range(nf)] + [f"{second}{i+1}" for i in range(state.dim - nf)]
 
 
 def _fmt(z: complex) -> str:

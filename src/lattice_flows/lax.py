@@ -3,7 +3,8 @@
 Each builder stores its numerically certified commutator convention in
 ``sign``: +1 means dL/dt = [B, L], -1 means dL/dt = [L, B].  The derivative
 dL/dt used by the residual is assembled analytically from the closed-form
-entries (chain rule through square roots), never by finite differences.
+entries (chain rule through square roots), never by finite differences, in
+the same builder call that yields L, B and the sign.
 
 Matrix layout notes (0-based):
 
@@ -33,7 +34,6 @@ from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, coordinate_columns,
 class LaxPair:
     """Two square matrices bound to a state, with a commutator sign convention."""
 
-    system: str
     L: np.ndarray
     B: np.ndarray
     sign: int
@@ -59,7 +59,7 @@ def _builder(system: str):
 def build_lax(system: str, state: State) -> LaxPair:
     """Assemble the Lax pair of km | toda | vd | ab at the given state."""
     L, B, sign, _ = _builder(system)(state, state.array, None)
-    return LaxPair(system, L, B, sign)
+    return LaxPair(L, B, sign)
 
 
 def lax_stack(system: str, state: State, rows) -> np.ndarray:
@@ -79,11 +79,11 @@ def lax_dL(system: str, state: State, ds) -> np.ndarray:
     return dL
 
 
-def lax_residual(pair: LaxPair, field_value, state: State) -> float:
-    """Frobenius norm of dL/dt - sign * [B, L] along the given field value."""
-    dL = lax_dL(pair.system, state, field_value)
-    comm = pair.B @ pair.L - pair.L @ pair.B
-    return float(np.linalg.norm(dL - pair.sign * comm))
+def lax_residual(system: str, state: State, field_value) -> float:
+    """Frobenius norm of dL/dt - sign * [B, L] at the state, with dL/dt taken
+    along the given field value; one builder call yields L, B, sign and dL."""
+    L, B, sign, dL = _builder(system)(state, state.array, np.asarray(field_value, dtype=complex))
+    return float(np.linalg.norm(dL - sign * (B @ L - L @ B)))
 
 
 def trace_invariants(pair: LaxPair, orders) -> list[complex]:

@@ -14,17 +14,17 @@ the tensor and its coordinate derivatives evaluate in closed form; the
 lower triangle is mirrored, making antisymmetry exact by construction.
 The Jacobi and compatibility residuals use these analytic derivatives.
 
-A table is compiled once per table object, on first use, into index arrays
-(``_Sums``) that evaluate pi and d pi at a block of states, the columns of a
-(d, N) array.  Reports print residuals to the last bit, so the plan keeps
-the scalar operation order: a term is coef * x[v1]**e1 * x[v2]**e2 * ...
-multiplied left to right (the x[v]-derivative starts from (coef*e) *
-x[v]**(e-1), then the other factors in order); entry (i, j) starts at zero
-and adds its terms in table order, and entry (j, i) subtracts them.  Each
-step is elementwise over the states, so a real state gets the same bits in
-any block.  The residuals take a block as ``rows``, an (N, d) array in the
-chart of their ``state`` argument, and return one value per row;
-matrix-vector products and norms stay per state.
+A table is compiled once per structure and state size, on first use, into
+index arrays (``_Sums``) that evaluate pi and d pi at a block of states,
+the columns of a (d, N) array.  Reports print residuals to the last bit, so
+the plan keeps the scalar operation order: a term is coef * x[v1]**e1 *
+x[v2]**e2 * ... multiplied left to right (the x[v]-derivative starts from
+(coef*e) * x[v]**(e-1), then the other factors in order); entry (i, j)
+starts at zero and adds its terms in table order, and entry (j, i)
+subtracts them.  Each step is elementwise over the states, so a real state
+gets the same bits in any block.  The residuals take a block as ``rows``,
+an (N, d) array in the chart of their ``state`` argument, and return one
+value per row; matrix-vector products and norms stay per state.
 """
 
 from __future__ import annotations
@@ -62,12 +62,22 @@ class PoissonStructure:
     def __call__(self, state: State, x=None) -> np.ndarray:
         """pi at ``state``, (n, n); or at each column of ``x``, a (d, N) block
         of coordinates in the chart of ``state``, as (n, n, N)."""
-        return _at(_plan(self.table(state)).pi, state, x)
+        return _at(self._plan(state).pi, state, x)
 
     def derivatives(self, state: State, x=None) -> np.ndarray:
         """d pi / d x_l stacked as an (n, n, n) array indexed [l, i, j]; with
         ``x``, (n, n, n, N)."""
-        return _at(_plan(self.table(state)).dpi, state, x)
+        return _at(self._plan(state).dpi, state, x)
+
+    def _plan(self, state: State) -> _Plan:
+        """The compiled table at the state's size.  A table and its size and
+        parity checks depend only on (dim, split), so the table is built and
+        checked once per size."""
+        state.require_chart(self.chart, f"structure {self.name}")
+        key = (self, state.dim, state.split)
+        if key not in _PLANS:
+            _PLANS[key] = _compile(self.table_builder(state))
+        return _PLANS[key]
 
 
 def _at(tensor, state: State, x):
@@ -139,17 +149,7 @@ def _compile(table: EntryTable) -> _Plan:
     ], 3))
 
 
-# Plans by table identity.  An entry keeps its table alive, so no other
-# object can take that id while it is cached; tables are never mutated.
-_PLANS: dict[int, tuple[EntryTable, _Plan]] = {}
-
-
-def _plan(table: EntryTable) -> _Plan:
-    if id(table) not in _PLANS:
-        if len(_PLANS) >= 64:
-            del _PLANS[next(iter(_PLANS))]  # the oldest
-        _PLANS[id(table)] = (table, _compile(table))
-    return _PLANS[id(table)][1]
+_PLANS: dict[tuple[PoissonStructure, int, int | None], _Plan] = {}
 
 
 def _mono(coef, *factors) -> Monomial:
@@ -164,7 +164,6 @@ def _mono(coef, *factors) -> Monomial:
 # entry tables
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _c_bracket_table(nc: int) -> EntryTable:
     if nc < 4:
         raise UnsupportedDimension("the c bracket lives on at least 4 variables")
@@ -184,7 +183,6 @@ def _tau_mono(coef: complex, i: int, j: int) -> Monomial:
     return _mono(coef, *factors)
 
 
-@lru_cache(maxsize=None)
 def _pi1_v_table(n: int) -> EntryTable:
     if n % 2 == 0:
         raise ParityError("pi1-v requires odd n = 2m+1")
@@ -202,7 +200,6 @@ def _pi1_v_table(n: int) -> EntryTable:
     return table
 
 
-@lru_cache(maxsize=None)
 def _pi3_v_table(n: int) -> EntryTable:
     if n < 4:
         raise UnsupportedDimension("pi3-v requires n >= 4")
@@ -232,7 +229,6 @@ def _pi3_v_table(n: int) -> EntryTable:
     return table
 
 
-@lru_cache(maxsize=None)
 def _pi1_ab_table(m: int) -> EntryTable:
     """{a_1,b_1} = a_1; {a_i,b_i} = a_i/2; {a_{i+1},b_i} = -a_{i+1}/2;
     {a_{m+1},b_m} = -a_{m+1}.
@@ -254,7 +250,6 @@ def _pi1_ab_table(m: int) -> EntryTable:
     return table
 
 
-@lru_cache(maxsize=None)
 def _pi3_ab_table(m: int) -> EntryTable:
     if m < 2:
         raise UnsupportedDimension("pi3-ab requires m >= 2")
@@ -443,7 +438,6 @@ class LenardPair(NamedTuple):
     H_k = tr(L^{2k}) / k, under which the ladder is exact as written.
     """
 
-    name: str  # short chart name accepted next to ``chart``
     chart: str
     pi1: str
     pi3: str
@@ -453,17 +447,10 @@ class LenardPair(NamedTuple):
     odd_n: bool  # the relation needs an odd number of coordinates
 
 
-LENARD = (
-    LenardPair("ab", FLASCHKA_AB, "pi1-ab", "pi3-ab", "ab", (2, 1), (4, 2), odd_n=False),
-    LenardPair("v", VOLTERRA_V, "pi1-v", "pi3-v", "vd", (4, 2), (8, 2), odd_n=True),
-)
-
-
-def _lenard_pair(chart: str) -> LenardPair:
-    for pair in LENARD:
-        if chart in (pair.name, pair.chart):
-            return pair
-    raise ChartMismatch(f"no Lenard pair on chart {chart!r}")
+LENARD = {
+    "ab": LenardPair(FLASCHKA_AB, "pi1-ab", "pi3-ab", "ab", (2, 1), (4, 2), odd_n=False),
+    "v": LenardPair(VOLTERRA_V, "pi1-v", "pi3-v", "vd", (4, 2), (8, 2), odd_n=True),
+}
 
 
 def lenard_residual(chart: str, state: State, rows=None):
@@ -472,10 +459,12 @@ def lenard_residual(chart: str, state: State, rows=None):
     Gradients of the trace invariants are analytic.  The tensors of a block
     of ``rows`` are evaluated together, the gradients row by row.
     """
-    pair = _lenard_pair(chart)
+    pair = LENARD.get(chart)
+    if pair is None:
+        raise ChartMismatch(f"no Lenard pair on chart {chart!r}")
     state.require_chart(pair.chart, "lenard_residual")
     if pair.odd_n and state.dim % 2 == 0:
-        raise ParityError(f"the {pair.name}-chart Lenard relation requires odd n")
+        raise ParityError(f"the {chart}-chart Lenard relation requires odd n")
     x = coordinate_columns(state, rows)
     pi3 = _stack(STRUCTURES[pair.pi3](state, x))
     pi1 = _stack(STRUCTURES[pair.pi1](state, x))

@@ -1,20 +1,24 @@
-"""Coordinate charts and immutable state vectors.
+"""Coordinate charts, immutable state vectors and the state documents.
 
-Five chart families cover every coordinate system used by the lattices:
+Five chart families cover every coordinate system used by the lattices.
+``CHARTS`` maps each to its coordinate groups, which name the keys of its
+state documents and the columns of its trajectories:
 
-* ``qp``           -- canonical positions/momenta, split index = number of q's
-* ``flaschka_ab``  -- Flaschka-type (a, b) variables, split index = number of a's
+* ``qp``           -- canonical positions/momenta q, p; split index = number of q's
+* ``flaschka_ab``  -- Flaschka-type (a, b) variables; split index = number of a's
 * ``volterra_u``   -- Volterra chain variables u_i
 * ``volterra_v``   -- rescaled Volterra D variables v_i
 * ``c_vars``       -- Cartan-type variables c_j
 
-Coordinates are stored as one read-only complex ndarray per state; real
-systems simply stay on the real slice.  Indexing in docstrings follows the
-1-based convention of the underlying formulas; code uses 0-based numpy arrays.
+A chart with two groups needs a split index.  Coordinates are stored as one
+read-only complex ndarray per state; real systems simply stay on the real
+slice.  Indexing in docstrings follows the 1-based convention of the
+underlying formulas; code uses 0-based numpy arrays.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,9 +32,10 @@ VOLTERRA_U = "volterra_u"
 VOLTERRA_V = "volterra_v"
 C_VARS = "c_vars"
 
-CHARTS = (QP, FLASCHKA_AB, VOLTERRA_U, VOLTERRA_V, C_VARS)
+CHARTS = {QP: ("q", "p"), FLASCHKA_AB: ("a", "b"), VOLTERRA_U: ("u",), VOLTERRA_V: ("v",), C_VARS: ("c",)}
 
-_SPLIT_CHARTS = (QP, FLASCHKA_AB)
+#: Charts whose coordinates must keep a positive real part.
+POSITIVE_CHARTS = (VOLTERRA_U, VOLTERRA_V, C_VARS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +63,7 @@ class State:
             raise DimensionError(f"coordinates must form a flat sequence, got shape {coords.shape}")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
-        if self.chart in _SPLIT_CHARTS:
+        if len(CHARTS[self.chart]) == 2:
             if self.split is None:
                 raise DimensionError(f"chart {self.chart!r} requires a split index")
             if not 0 <= self.split <= len(coords):
@@ -106,7 +111,7 @@ class State:
         return State(self.chart, coords, self.split)
 
     def _require_split(self):
-        if self.chart not in _SPLIT_CHARTS:
+        if len(CHARTS[self.chart]) != 2:
             raise ChartMismatch(f"chart {self.chart!r} has no coordinate groups")
 
     def require_chart(self, chart: str, what: str = "operation"):
@@ -156,6 +161,50 @@ def v_state(v) -> State:
 
 def c_state(c) -> State:
     return State(C_VARS, c)
+
+
+_CONSTRUCTORS = {QP: qp_state, FLASCHKA_AB: ab_state, VOLTERRA_U: u_state, VOLTERRA_V: v_state, C_VARS: c_state}
+
+
+def _is_number(x, kind=numbers.Number) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def state_from_dict(obj: dict) -> State:
+    """Build a State from a JSON-style dict keyed by one chart's coordinate groups.
+
+    Accepted forms: {"q": [...], "p": [...]}, {"a": [...], "b": [...]},
+    {"u": [...]}, {"v": [...]}, {"c": [...]}.  Entries may be numbers or
+    [re, im] pairs of real numbers; booleans are not numbers here.  Anything
+    else raises ValueError.
+    """
+
+    def group(name):
+        values = obj[name]
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"state group {name!r} must be a list, got {values!r}")
+        return [scal(x) for x in values]
+
+    def scal(x):
+        if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v, numbers.Real) for v in x):
+            return complex(*x)
+        if _is_number(x):
+            return complex(x)
+        raise ValueError(f"state entry {x!r} is not a number or an [re, im] pair")
+
+    if not isinstance(obj, dict):
+        raise ValueError(f"a state document must be a JSON object, got {obj!r}")
+    for chart, groups in CHARTS.items():
+        if set(obj) == set(groups):
+            return _CONSTRUCTORS[chart](*map(group, groups))
+    raise DimensionError(f"unrecognized state document keys {sorted(obj)}")
+
+
+def coordinate_names(state: State) -> list[str]:
+    """Column names of the coordinates: group letter and 1-based index (q1, ..., p1, ...)."""
+    groups = CHARTS[state.chart]
+    sizes = (state.split, state.dim - state.split) if len(groups) == 2 else (state.dim,)
+    return [f"{name}{i + 1}" for name, size in zip(groups, sizes) for i in range(size)]
 
 
 def require_positive_real(values, what: str):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lattice_flows import lax
 from lattice_flows.cli import main
 from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
 
@@ -160,6 +161,20 @@ def test_verify_suites_pass(capsys, argv):
     assert report["rng"] == "numpy-pcg64"
     for record in report["records"]:
         assert set(record) == {"structure", "check", "n_states", "max_residual", "tolerance", "pass"}
+
+
+def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
+    calls = []
+    builder = lax._BUILDERS["vd"]
+
+    def counting(state, x, ds):
+        calls.append(ds is not None)
+        return builder(state, x, ds)
+
+    monkeypatch.setitem(lax._BUILDERS, "vd", counting)
+    code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", "3")
+    assert code == 0 and json.loads(out)["pass"]
+    assert calls == [True] * 3
 
 
 def test_verify_deterministic_reports(capsys):

@@ -1,10 +1,16 @@
-"""The README's system table must describe the systems the catalog registers."""
+"""The README must describe the systems, charts and commands the package has."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 from lattice_flows.catalog import SYSTEM_KEYS, SYSTEMS
+from lattice_flows.cli import main
 from lattice_flows.lax import _BUILDERS
+from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
+from lattice_flows.states import CHARTS
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -33,3 +39,25 @@ def test_readme_quick_tour_runs():
     start = README.index("## Library quick tour")
     block = README[README.index("```python\n", start) + len("```python\n"):]
     exec(compile(block[: block.index("```")], "README quick tour", "exec"), {})
+
+
+def test_readme_state_documents_match_the_chart_table():
+    start = README.index("The charts take these state documents:")
+    sentence = README[start : README.index(".", start)]
+    documents = re.findall(r"`(\w+)` is `\{([^`]*)\}`", sentence)
+    assert [(chart, tuple(re.findall(r'"(\w+)"', keys))) for chart, keys in documents] == list(CHARTS.items())
+
+
+def _cli_commands() -> list[str]:
+    """The ``lattice-flows`` commands of the README's CLI block, continuation lines joined."""
+    start = README.index("```sh", README.index("## CLI"))
+    block = re.sub(r"\\\n\s*", "", README[start + len("```sh") : README.index("```", start + 1)])
+    return [line.strip() for line in block.split("\n") if line.strip().startswith("lattice-flows ")]
+
+
+@pytest.mark.parametrize("command", _cli_commands())
+def test_readme_cli_command_runs(tmp_path, capsys, command):
+    spectrum = tmp_path / "my_spectrum.json"
+    spectrum.write_text(spectrum_to_json(sklyanin_spectrum(4)))
+    argv = [str(spectrum) if arg == "my_spectrum.json" else arg for arg in shlex.split(command)[1:]]
+    assert main(argv) == 0, capsys.readouterr().err

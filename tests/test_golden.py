@@ -32,10 +32,11 @@ from pathlib import Path
 
 import pytest
 
-from lattice_flows.catalog import get_system, state_from_dict
+from lattice_flows.catalog import get_system
 from lattice_flows import poisson
 from lattice_flows.cli import BLOCK, _build_parser, main
 from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
+from lattice_flows.states import state_from_dict
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_reports.json").read_text())
 SIMULATE = json.loads((Path(__file__).parent / "golden" / "simulate_csvs.json").read_text())

@@ -10,12 +10,11 @@ from lattice_flows.cli import main
 from lattice_flows.integrate import (
     AdaptiveStep,
     FixedStep,
-    coordinate_names,
     drift_report,
     integrate,
     trajectory_csv,
 )
-from lattice_flows.states import FLASCHKA_AB, VOLTERRA_U
+from lattice_flows.states import FLASCHKA_AB, VOLTERRA_U, coordinate_names
 from lattice_flows.systems import ab_field
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_ab, random_c, random_qp, random_v
 
-from lattice_flows import DimensionError, ParityError, ab_state, c_state, v_state
+from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, v_state
+from lattice_flows import poisson
 from lattice_flows.cli import BLOCK
 from lattice_flows.lax import build_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, trace_invariants
 from lattice_flows.poisson import (
@@ -341,8 +342,14 @@ def test_lenard_fd_cross_check(rng):
 
 
 def test_lenard_parity_error(rng):
-    with pytest.raises(ParityError):
+    with pytest.raises(ParityError, match="the v-chart Lenard relation requires odd n"):
         lenard_residual("v", random_v(rng, 6))
+
+
+@pytest.mark.parametrize("chart", ["u", "volterra_v"])
+def test_lenard_takes_only_the_short_chart_names(rng, chart):
+    with pytest.raises(ChartMismatch, match=f"no Lenard pair on chart '{chart}'"):
+        lenard_residual(chart, random_v(rng, 7))
 
 
 def _bracket(structure, f, g, state, fd_step=1e-6):
@@ -409,6 +416,33 @@ def test_d_map_pushes_pi3_onto_pi3_ab(rng):
             pushed = push_tensor("pi3-v", d_transform, state)
             target = poisson_matrix("pi3-ab", d_transform(state))
             assert np.max(np.abs(D_MAP_PI3_SCALE * pushed - target)) < 1e-8
+
+
+def test_plans_are_compiled_once_per_structure_and_size(monkeypatch, rng):
+    builds = []
+
+    def counted(state):
+        builds.append(state.dim)
+        return _pi3_v_table(state.dim)
+
+    monkeypatch.setattr(poisson, "_PLANS", {})
+    counting = PoissonStructure("pi3-v-counted", VOLTERRA_V, counted)
+    first, second = random_v(rng, 9), random_v(rng, 9)
+    assert np.array_equal(counting(first), STRUCTURES["pi3-v"](first))
+    counting.derivatives(second)
+    assert builds == [9] and list(poisson._PLANS) == [(counting, 9, None), (STRUCTURES["pi3-v"], 9, None)]
+    counting(random_v(rng, 11))
+    assert builds == [9, 11]
+    # the chart is checked on every call, hit or miss
+    with pytest.raises(ChartMismatch):
+        counting(random_ab(rng, 4))
+    # a mutant of the same name and chart is another structure, with its own plan
+    table = dict(_pi3_v_table(9))
+    (coef, powers), *rest = table[(2, 3)]
+    table[(2, 3)] = [(1.5 * coef, powers), *rest]
+    mutant = PoissonStructure("pi3-v", VOLTERRA_V, lambda s: table)
+    assert not np.array_equal(mutant(first), STRUCTURES["pi3-v"](first))
+    assert (mutant, 9, None) in poisson._PLANS and len(poisson._PLANS) == 4
 
 
 def test_structures_registry_contents():

@@ -10,7 +10,8 @@ import pytest
 from lattice_flows import integrate
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.errors import DimensionError
-from lattice_flows.states import FLASCHKA_AB, VOLTERRA_U, State, ab_state, u_state
+from lattice_flows.states import (CHARTS, FLASCHKA_AB, VOLTERRA_U, State, ab_state, coordinate_names, state_from_dict,
+                                  u_state)
 
 
 def test_array_is_the_stored_read_only_array():
@@ -53,6 +54,15 @@ def test_equality_and_hash_follow_the_coordinate_tuple():
     assert nan == nan and nan != u_state([math.nan, 1.0])
     assert hash(nan) == hash(nan)
     assert len({a, b, u_state([0.0, 1.0])}) == 1
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+def test_chart_table_names_documents_and_columns(chart):
+    groups = CHARTS[chart]
+    state = state_from_dict({name: [k + 1.0, k + 2.0] for k, name in enumerate(groups)})
+    assert state.chart == chart
+    assert state.array.tolist() == [k + j for k in range(len(groups)) for j in (1.0, 2.0)]
+    assert coordinate_names(state) == [f"{name}{i}" for name in groups for i in (1, 2)]
 
 
 def test_bench_spans_find_the_wrapped_names():
