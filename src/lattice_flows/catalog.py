@@ -113,7 +113,7 @@ def _traces(lax_key: str, orders, grading: int = 1) -> dict[str, Column]:
     vd takes grading 2 (its v-degree grading): its odd-power traces vanish.
     """
     def evaluate(state, rows, ks):
-        return lax.trace_columns(lax.lax_stack(lax_key, state, rows), ks, grading)
+        return lax.trace_columns(lax.lax_pair(lax_key, state, rows)[0], ks, grading)
 
     return {f"H{k}": Column(evaluate, k) for k in orders}
 

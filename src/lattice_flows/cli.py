@@ -20,7 +20,8 @@ from .catalog import SYSTEM_KEYS, get_system
 from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import Spectrum, kozlov_treshchev_check, sklyanin_spectrum, spectrum_from_json
-from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_V, ab_state, c_state, qp_state, state_from_dict, u_state, v_state
+from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_V, ab_state, c_state, coordinate_columns, qp_state, stacked,
+                     state_from_dict, u_state, v_state)
 
 RNG_NAME = "numpy-pcg64"
 SPECTRUM_TOL = 1e-9
@@ -34,7 +35,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (LatticeError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (LatticeError, ValueError, KeyError, OSError) as exc:
         if isinstance(exc, (DomainExit, StepFailure)):
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -165,7 +166,7 @@ _ON_CHART = {C_VARS: _C, VOLTERRA_V: _V, FLASCHKA_AB: _AB}  # a Poisson structur
 
 
 def _each_row(residual: Callable) -> Callable:
-    """A residual of one State as a block residual: one State per row."""
+    """A residual of one State (a transform map's) as a block residual: one State per row."""
     return lambda state, rows, *params: [residual(state.replace_coords(row), *params) for row in rows]
 
 
@@ -187,10 +188,16 @@ def _open_chain(n: int) -> Spectrum:
     return Spectrum(n, tuple(rows))
 
 
-def _involution(state, k1: int, k2: int) -> float:
-    """|{H_k1, H_k2}| under pi1-ab, from analytic trace gradients."""
-    g1, g2 = lax.grad_trace_invariant("ab", state, [k1, k2])
-    return abs(complex(g1 @ poisson.poisson_matrix("pi1-ab", state) @ g2))
+def _lax(key: str) -> Callable:
+    """The Lax residual of a block of a catalog system's states along its field."""
+    return lambda s, rows: lax.lax_residual(key, s, rows, [get_system(key).field(s.replace_coords(r)) for r in rows])
+
+
+def _involution(state, rows, k1: int, k2: int) -> list[float]:
+    """|{H_k1, H_k2}| under pi1-ab at each row, from analytic trace gradients."""
+    g1, g2 = lax.grad_trace_invariant("ab", state, rows, [k1, k2])
+    pis = stacked(poisson.STRUCTURES["pi1-ab"](state, coordinate_columns(state, rows)))
+    return [abs(complex(a @ pi @ b)) for a, pi, b in zip(g1, pis, g2)]
 
 
 def _invariant_pairs(args) -> list[tuple[int, int]]:
@@ -208,11 +215,7 @@ _SIZES = (("--n", 7), ("--m", 3))
 
 SUITES = {
     "lax": Suite("--system", 100, _SIZES, {
-        key: Check(
-            sample,
-            _each_row(lambda s, key=key: lax.lax_residual(key, s, get_system(key).field(s))),
-            1e-10, key, "lax-residual",
-        )
+        key: Check(sample, _lax(key), 1e-10, key, "lax-residual")
         for key, sample in (("km", _U), ("toda", _TODA_AB), ("vd", _V), ("ab", _AB))
     }),
     "jacobi": Suite("--structure", 50, _SIZES, {
@@ -262,13 +265,14 @@ SUITES = {
         )
     }),
     "involution": Suite(None, 50, (("--m", 3), ("--pairs", "H2:H4,H2:H6")), {
-        None: Check(_AB, _each_row(_involution), 1e-9, "pi1-ab", "involution-H{0}-H{1}"),
+        None: Check(_AB, _involution, 1e-9, "pi1-ab", "involution-H{0}-H{1}"),
     }, sweep=_invariant_pairs),
 }
 
 #: States per residual call.  The batched Poisson kernels hold dense tensors
 #: for every state of a block (d pi of pi1-v at n = 25 takes 250 kB a state),
-#: so a fixed block bounds their memory whatever --states is.  Blocks of 64
+#: as does a trace gradient (every dL/dx_j of vd at n = 25 takes 1 MB a
+#: state), so a fixed block bounds their memory whatever --states is.  Blocks of 64
 #: were under 2% faster on the benchmark's verify suites and doubled the
 #: peak working set.
 BLOCK = 8

@@ -6,6 +6,13 @@ dL/dt used by the residual is assembled analytically from the closed-form
 entries (chain rule through square roots), never by finite differences, in
 the same builder call that yields L, B and the sign.
 
+There is one call shape: a builder takes a block of states and returns
+their matrices with the state axis trailing, and ``lax_pair`` hands them
+out as C-ordered (N, T, T) stacks.  Every residual and gradient takes its
+block through it; matrix products are stacked (each slice is multiplied as
+one state's matrix would be), and norms and the traces of the invariant
+columns are taken slice by slice, so a state gets the same bits in any block.
+
 Matrix layout notes (0-based):
 
 * km    -- n chain variables u_i > 0, L is (n+1) x (n+1) tridiagonal with
@@ -22,73 +29,34 @@ Matrix layout notes (0-based):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
-from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, coordinate_columns, require_positive_real
+from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, coordinate_columns, require_positive_real, stacked
 
 
-@dataclass(frozen=True)
-class LaxPair:
-    """Two square matrices bound to a state, with a commutator sign convention."""
+def lax_pair(system: str, state: State, rows, ds=None):
+    """(L, B, sign, dL) of km | toda | vd | ab at every row of ``rows``, an
+    (N, d) block of coordinates in the chart of ``state``, from one builder call.
 
-    L: np.ndarray
-    B: np.ndarray
-    sign: int
-
-    def __post_init__(self):
-        if self.L.shape != self.B.shape or self.L.shape[0] != self.L.shape[1]:
-            raise DimensionError("L and B must be square matrices of equal size")
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 ([B,L]) or -1 ([L,B])")
-
-    @property
-    def dimension(self) -> int:
-        return self.L.shape[0]
-
-
-def _builder(system: str):
+    L and B are C-ordered (N, T, T) stacks.  ``ds`` is a (d, K, N) array of
+    K velocities per row (ds[:, k, r] is the k-th at row r); dL along each
+    is then a C-ordered (N, K, T, T) stack, and None without ``ds``.
+    """
     builder = _BUILDERS.get(system)
     if builder is None:
         raise ValueError(f"no Lax builder for system {system!r}")
-    return builder
+    x, ds = coordinate_columns(state, rows), None if ds is None else np.asarray(ds, dtype=complex)
+    L, B, sign, dL = builder(state, x, ds)
+    return stacked(L), stacked(B), sign, None if dL is None else stacked(dL)
 
 
-def build_lax(system: str, state: State) -> LaxPair:
-    """Assemble the Lax pair of km | toda | vd | ab at the given state."""
-    L, B, sign, _ = _builder(system)(state, state.array, None)
-    return LaxPair(L, B, sign)
-
-
-def lax_stack(system: str, state: State, rows) -> np.ndarray:
-    """L at every row of ``rows``, an (N, d) block of coordinates in the chart
-    of ``state``, as a C-ordered (N, T, T) stack.  B is not built."""
-    L = _builder(system)(state, np.asarray(rows, dtype=complex).T, None)[0]
-    return np.ascontiguousarray(np.moveaxis(L, -1, 0))
-
-
-def lax_dL(system: str, state: State, ds) -> np.ndarray:
-    """Entrywise directional derivative of L along the state velocity ds.
-
-    ``ds`` has the coordinates on its first axis; any further axes are a
-    batch of directions and come out trailing: (T, T) + ds.shape[1:].
-    """
-    _, _, _, dL = _builder(system)(state, state.array, np.asarray(ds, dtype=complex))
-    return dL
-
-
-def lax_residual(system: str, state: State, field_value) -> float:
-    """Frobenius norm of dL/dt - sign * [B, L] at the state, with dL/dt taken
-    along the given field value; one builder call yields L, B, sign and dL."""
-    L, B, sign, dL = _builder(system)(state, state.array, np.asarray(field_value, dtype=complex))
-    return float(np.linalg.norm(dL - sign * (B @ L - L @ B)))
-
-
-def trace_invariants(pair: LaxPair, orders) -> list[complex]:
-    """H_k = tr(L^k) / k via repeated matrix multiplication."""
-    return [column[0] for column in trace_columns(pair.L[None], orders)]
+def lax_residual(system: str, state: State, rows, velocities) -> np.ndarray:
+    """Frobenius norm of dL/dt - sign * [B, L] at every row of ``rows``, with
+    dL/dt taken along the same row of ``velocities``, (N, d); one per row."""
+    ds = np.asarray(velocities, dtype=complex).T[:, None]
+    L, B, sign, dL = lax_pair(system, state, rows, ds)
+    return np.array([np.linalg.norm(r) for r in dL[:, 0] - sign * (B @ L - L @ B)])
 
 
 def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
@@ -119,20 +87,21 @@ def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
     return [out[k] for k in orders]
 
 
-def grad_trace_invariant(system: str, state: State, orders) -> np.ndarray:
-    """Analytic gradient of tr(L^k)/k: component j is tr(L^{k-1} dL/dx_j).
+def grad_trace_invariant(system: str, state: State, rows, orders) -> np.ndarray:
+    """Analytic gradients of tr(L^k)/k at every row of ``rows``, (N, d) in the
+    chart of ``state``: component j is tr(L^{k-1} dL/dx_j).
 
-    ``orders`` is one k, giving a (d,) gradient, or a sequence, giving one
-    gradient per row.  One builder call yields every dL/dx_j (the unit
-    directions as a batch) for all orders; each product and trace is then
-    taken slice by slice on C-ordered (T, T) matrices, as a loop over
-    single directions would.
+    Returns a (len(orders), N, d) array.  One builder call yields L and every
+    dL/dx_j (the d unit directions as the velocities of each row).  A row's
+    d products L^{k-1} dL/dx_j are one stacked product, and their stacked
+    trace sums each diagonal as np.trace of one matrix does, so the bits are
+    a single state's; one row's products are held at a time.
     """
-    L, _, _, dL = _builder(system)(state, state.array, np.eye(state.dim, dtype=complex))
-    dL = np.ascontiguousarray(np.moveaxis(dL, -1, 0))  # (d, T, T)
-    grads = np.array([[np.trace(p) for p in np.linalg.matrix_power(L, k - 1) @ dL]
-                      for k in np.atleast_1d(orders)], dtype=complex)
-    return grads[0] if np.ndim(orders) == 0 else grads
+    d, count = coordinate_columns(state, rows).shape
+    units = np.broadcast_to(np.eye(d)[:, :, None], (d, d, count))
+    L, _, _, dL = lax_pair(system, state, rows, units)
+    powers = [np.linalg.matrix_power(L, k - 1) for k in orders]
+    return np.array([[np.trace(P[r] @ dL[r], axis1=-2, axis2=-1) for r in range(count)] for P in powers])
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +182,18 @@ def _v_coords(state: State):
 
 # ---------------------------------------------------------------------------
 # builders (state, x, ds) -> (L, B, sign, dL).  ``state`` fixes the chart and
-# sizes; x holds the coordinates, coordinates first: state.array, or an
-# (d, N) batch whose L is (T, T, N) and whose B is None.  dL = None when ds
-# is None.  ds may carry trailing batch axes too, so ds[i] is one
-# coordinate's velocity across the batch and dL is (T, T) + ds.shape[1:];
-# (ds.T / x).T scales coordinate i by x[i] with or without batch axes.
+# sizes; x is a (d, N) block of coordinates, coordinates first, and L and B
+# are (T, T, N).  ds is None or a (d, K, N) block of K velocities per state,
+# so ds[i] is coordinate i's velocities and dL is (T, T, K, N); dL is None
+# when ds is.  x[:, None] lines each state's coordinates up with its K
+# velocities.  The matrices are stored state by state (see _zeros), so
+# lax_pair stacks them without a copy.
 # ---------------------------------------------------------------------------
+
+def _zeros(T: int, batch: tuple) -> np.ndarray:
+    """Zero (T, T) + batch matrices, a view of the C-ordered stack that stacked() returns."""
+    return np.zeros(batch[::-1] + (T, T), dtype=complex).T.swapaxes(0, 1)
+
 
 def _km_builder(state: State, x, ds):
     state.require_chart(VOLTERRA_U, "km Lax")
@@ -228,19 +203,18 @@ def _km_builder(state: State, x, ds):
     T = n + 1
 
     def assemble(av):
-        L = np.zeros((T, T) + av.shape[1:], dtype=complex)
+        L = _zeros(T, av.shape[1:])
         for i in range(n):
             L[i, i + 1] = L[i + 1, i] = av[i]
         return L
 
-    B = None
-    if u.ndim == 1:
-        B = np.zeros((T, T), dtype=complex)
-        for i in range(n - 1):
-            B[i, i + 2] = a[i] * a[i + 1]
-            B[i + 2, i] = -B[i, i + 2]
-    dL = assemble((ds.T / (4 * a)).T) if ds is not None else None
-    return assemble(a), B, +1, dL
+    L = assemble(a)
+    B = np.zeros_like(L)
+    for i in range(n - 1):
+        B[i, i + 2] = a[i] * a[i + 1]
+        B[i + 2, i] = -B[i, i + 2]
+    dL = assemble(ds / (4 * a[:, None])) if ds is not None else None
+    return L, B, +1, dL
 
 
 def _toda_builder(state: State, x, ds):
@@ -248,26 +222,21 @@ def _toda_builder(state: State, x, ds):
     if len(b) < 2:
         raise DimensionError("toda Lax needs n >= 2")
     a, b = x[: len(a)], x[len(a) :]
+    n = len(b)
 
     def assemble(av, bv):
-        n = len(bv)
-        L = np.zeros((n, n) + bv.shape[1:], dtype=complex)
-        L.reshape((n * n,) + bv.shape[1:])[:: n + 1] = bv  # the diagonal, batch axes kept
+        L = _zeros(n, bv.shape[1:])
         for i in range(n - 1):
             L[i, i + 1] = L[i + 1, i] = av[i]
+        L[range(n), range(n)] = bv
         return L
 
-    n = len(b)
     L = assemble(a, b)
-    B = None
-    if x.ndim == 1:
-        B = np.zeros((n, n), dtype=complex)
-        for i in range(n - 1):
-            B[i, i + 1] = a[i]
-            B[i + 1, i] = -a[i]
-    dL = None
-    if ds is not None:
-        dL = assemble(ds[: n - 1], ds[n - 1 :])
+    B = np.zeros_like(L)
+    for i in range(n - 1):
+        B[i, i + 1] = a[i]
+        B[i + 1, i] = -a[i]
+    dL = assemble(ds[: n - 1], ds[n - 1 :]) if ds is not None else None
     return L, B, +1, dL
 
 
@@ -277,10 +246,10 @@ def _ab_builder(state: State, x, ds):
     if m < 2:
         raise UnsupportedDimension("the 2m x 2m ab Lax needs m >= 2; both end couplings collide at m = 1")
     a, b = x[: m + 1], x[m + 1 :]
+    T = 2 * m
 
     def assemble_L(av, bv):
-        T = 2 * m
-        L = np.zeros((T, T) + bv.shape[1:], dtype=complex)
+        L = _zeros(T, bv.shape[1:])
         for j in range(m):
             L[2 * j, 2 * j] = bv[j]
             L[2 * j + 1, 2 * j + 1] = -bv[j]
@@ -294,19 +263,14 @@ def _ab_builder(state: State, x, ds):
         return L
 
     L = assemble_L(a, b)
-    T = 2 * m
-    B = None
-    if x.ndim == 1:
-        B = np.zeros((T, T), dtype=complex)
-        B[0, 1] = -a[0]
-        for j in range(2, m + 1):
-            B[2 * j - 4, 2 * j - 2] = a[j - 1]
-            B[2 * j - 3, 2 * j - 1] = a[j - 1]
-        B[T - 2, T - 1] = a[m]
-        B -= B.T.copy()
-    dL = None
-    if ds is not None:
-        dL = assemble_L(ds[: m + 1], ds[m + 1 :])
+    B = np.zeros_like(L)
+    B[0, 1] = -a[0]
+    for j in range(2, m + 1):
+        B[2 * j - 4, 2 * j - 2] = a[j - 1]
+        B[2 * j - 3, 2 * j - 1] = a[j - 1]
+    B[T - 2, T - 1] = a[m]
+    B -= B.swapaxes(0, 1).copy()
+    dL = assemble_L(ds[: m + 1], ds[m + 1 :]) if ds is not None else None
     return L, B, +1, dL
 
 
@@ -321,7 +285,7 @@ def _vd_builder(state: State, x, ds):
 
     def assemble(s):
         """The L pattern, linear in s = sqrt(v) (or in its derivative)."""
-        L = np.zeros((T, T) + s.shape[1:], dtype=complex)
+        L = _zeros(T, s.shape[1:])
 
         def put(i, j, val):
             L[i, j] = L[j, i] = val
@@ -344,27 +308,26 @@ def _vd_builder(state: State, x, ds):
     def halfroot(i, j):
         return 0.5 * sq[i] * sq[j]
 
-    B = None
-    if v.ndim == 1:
-        B = np.zeros((T, T), dtype=complex)
-        B[0, 2 * n - 5] = -halfroot(0, 1)
-        B[0, 2 * n - 4] = -halfroot(0, 1)
-        # block (1,3): mixes v_{n-2} with v_n and v_{n-1}
-        B[1, 5] = halfroot(n - 3, n - 1)
-        B[1, 6] = halfroot(n - 3, n - 1)
-        B[2, 5] = -halfroot(n - 3, n - 2)
-        B[2, 6] = halfroot(n - 3, n - 2)
-        # blocks (j, j+2): half-root ladder down the chain
-        for j in range(2, n - 2):
-            k = n - j - 2  # 0-based index of v_{n-1-j}
-            B[2 * j - 1, 2 * j + 3] = halfroot(k, k + 1)
-            B[2 * j, 2 * j + 4] = halfroot(k, k + 1)
-        # diagonal blocks
-        B[3, 4] = 0.5j * (v[n - 2] - v[n - 1])
-        B[T - 2, T - 1] = 0.5j * v[0]
-        B -= B.T.copy()
-    dL = assemble((np.asarray(ds, dtype=complex).T / (2 * sq)).T) if ds is not None else None
-    return assemble(sq), B, -1, dL
+    L = assemble(sq)
+    B = np.zeros_like(L)
+    B[0, 2 * n - 5] = -halfroot(0, 1)
+    B[0, 2 * n - 4] = -halfroot(0, 1)
+    # block (1,3): mixes v_{n-2} with v_n and v_{n-1}
+    B[1, 5] = halfroot(n - 3, n - 1)
+    B[1, 6] = halfroot(n - 3, n - 1)
+    B[2, 5] = -halfroot(n - 3, n - 2)
+    B[2, 6] = halfroot(n - 3, n - 2)
+    # blocks (j, j+2): half-root ladder down the chain
+    for j in range(2, n - 2):
+        k = n - j - 2  # 0-based index of v_{n-1-j}
+        B[2 * j - 1, 2 * j + 3] = halfroot(k, k + 1)
+        B[2 * j, 2 * j + 4] = halfroot(k, k + 1)
+    # diagonal blocks
+    B[3, 4] = 0.5j * (v[n - 2] - v[n - 1])
+    B[T - 2, T - 1] = 0.5j * v[0]
+    B -= B.swapaxes(0, 1).copy()
+    dL = assemble(ds / (2 * sq[:, None])) if ds is not None else None
+    return L, B, -1, dL
 
 
 _BUILDERS = {

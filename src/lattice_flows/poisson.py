@@ -38,7 +38,7 @@ import numpy as np
 
 from . import lax
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, coordinate_columns
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, coordinate_columns, stacked
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -54,10 +54,6 @@ class PoissonStructure:
     chart: str
     table_builder: Callable[[State], EntryTable]
     casimir: tuple[str, Callable] | None = None  # (name, closed-form gradient) of a Casimir
-
-    def table(self, state: State) -> EntryTable:
-        state.require_chart(self.chart, f"structure {self.name}")
-        return self.table_builder(state)
 
     def __call__(self, state: State, x=None) -> np.ndarray:
         """pi at ``state``, (n, n); or at each column of ``x``, a (d, N) block
@@ -335,11 +331,6 @@ def _per_row(values, rows):
     return values if rows is not None else float(values[0])
 
 
-def _stack(tensor: np.ndarray) -> np.ndarray:
-    """(n, n, N) -> C-ordered (N, n, n), each slice laid out (so multiplied) as one state's."""
-    return np.ascontiguousarray(np.moveaxis(tensor, -1, 0))
-
-
 @lru_cache(maxsize=None)
 def _jacobi_indices(n: int) -> tuple[np.ndarray, ...]:
     """For every triple i < j < k < n, in lexicographic order: i, j, k and the
@@ -411,7 +402,7 @@ def casimir_residual(structure, casimir_grad, state: State, rows=None):
     ``casimir_grad(state)`` gives one gradient; with ``rows`` it is called as
     ``casimir_grad(state, rows)`` and gives one gradient per row.
     """
-    pis = _stack(get_structure(structure)(state, coordinate_columns(state, rows)))
+    pis = stacked(get_structure(structure)(state, coordinate_columns(state, rows)))
     grads = casimir_grad(state) if rows is None else casimir_grad(state, rows)
     grads = np.asarray(grads, dtype=complex).reshape(len(pis), -1)
     return _per_row([np.linalg.norm(pi @ grad) for pi, grad in zip(pis, grads)], rows)
@@ -456,8 +447,8 @@ LENARD = {
 def lenard_residual(chart: str, state: State, rows=None):
     """Norm of pi3 grad H2 - pi1 grad H4 in the given chart ('v' or 'ab').
 
-    Gradients of the trace invariants are analytic.  The tensors of a block
-    of ``rows`` are evaluated together, the gradients row by row.
+    Gradients of the trace invariants are analytic.  The tensors and the
+    gradients of a block of ``rows`` each come from one call.
     """
     pair = LENARD.get(chart)
     if pair is None:
@@ -466,13 +457,11 @@ def lenard_residual(chart: str, state: State, rows=None):
     if pair.odd_n and state.dim % 2 == 0:
         raise ParityError(f"the {chart}-chart Lenard relation requires odd n")
     x = coordinate_columns(state, rows)
-    pi3 = _stack(STRUCTURES[pair.pi3](state, x))
-    pi1 = _stack(STRUCTURES[pair.pi1](state, x))
+    pi3 = stacked(STRUCTURES[pair.pi3](state, x))
+    pi1 = stacked(STRUCTURES[pair.pi1](state, x))
     (o2, s2), (o4, s4) = pair.h2, pair.h4
-    norms = []
-    for p3, p1, coords in zip(pi3, pi1, x.T):
-        g2, g4 = lax.grad_trace_invariant(pair.lax_key, state.replace_coords(coords), [o2, o4])
-        norms.append(np.linalg.norm(p3 @ (s2 * g2) - p1 @ (s4 * g4)))
+    g2, g4 = lax.grad_trace_invariant(pair.lax_key, state, x.T, [o2, o4])
+    norms = [np.linalg.norm(p3 @ (s2 * a) - p1 @ (s4 * b)) for p3, p1, a, b in zip(pi3, pi1, g2, g4)]
     return _per_row(norms, rows)
 
 

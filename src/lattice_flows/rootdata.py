@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,14 +231,23 @@ def sklyanin_spectrum(n: int) -> Spectrum:
 
 
 def spectrum_from_json(text: str) -> Spectrum:
-    """Parse a spectrum document: {"dimension": n, "vectors": [[...], ...]}."""
+    """Parse a spectrum document: {"dimension": n, "vectors": [[...], ...]}.
+
+    The dimension and every vector entry must be numbers that a float holds
+    finitely (booleans are not numbers here); anything else raises ValueError.
+    """
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a spectrum document must be a JSON object, got {obj!r}")
+    vectors = obj["vectors"]
+    if not (isinstance(vectors, list) and all(isinstance(v, list) for v in vectors)):
+        raise ValueError(f"spectrum vectors must be a list of lists, got {vectors!r}")
+    for x in (obj["dimension"], *(x for v in vectors for x in v)):
+        # NaN compares false, and an int beyond the float range does not fit
+        if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
+            raise ValueError(f"spectrum entry {x!r} is not a finite number")
     labels = tuple(obj["labels"]) if "labels" in obj else None
-    return Spectrum(
-        dimension=int(obj["dimension"]),
-        vectors=tuple(tuple(row) for row in obj["vectors"]),
-        labels=labels,
-    )
+    return Spectrum(dimension=int(obj["dimension"]), vectors=tuple(map(tuple, vectors)), labels=labels)
 
 
 def spectrum_to_json(spectrum: Spectrum) -> str:

@@ -231,6 +231,14 @@ def coordinate_columns(state: State, rows=None) -> np.ndarray:
     return rows.T
 
 
+def stacked(tensor: np.ndarray) -> np.ndarray:
+    """Per-state (T, T) matrices with trailing batch axes as one C-ordered
+    stack, batch axes first and reversed: (T, T, N) -> (N, T, T) and
+    (T, T, K, N) -> (N, K, T, T).  Each slice is laid out, so multiplied,
+    as one state's own matrix."""
+    return np.ascontiguousarray(tensor.swapaxes(0, 1).T)
+
+
 def central_difference(f, state: State, step: float) -> np.ndarray:
     """Derivatives of f along each coordinate, stacked on a leading axis.
 

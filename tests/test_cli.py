@@ -164,17 +164,18 @@ def test_verify_suites_pass(capsys, argv):
 
 
 def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
+    # one builder call per block of states: 10 states are a block of 8 and one of 2
     calls = []
     builder = lax._BUILDERS["vd"]
 
     def counting(state, x, ds):
-        calls.append(ds is not None)
+        calls.append((x.shape[1], None if ds is None else ds.shape[1:]))
         return builder(state, x, ds)
 
     monkeypatch.setitem(lax._BUILDERS, "vd", counting)
-    code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", "3")
+    code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", "10")
     assert code == 0 and json.loads(out)["pass"]
-    assert calls == [True] * 3
+    assert calls == [(8, (1, 8)), (2, (1, 2))]
 
 
 def test_verify_deterministic_reports(capsys):
@@ -308,3 +309,45 @@ def test_verify_spectrum_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
     code, out, err = run(capsys, "verify", "spectrum", "--file", str(doc), "--tol", tol)
     assert code == 2 and out == ""
     assert "usage error" in err
+
+
+_SIMULATE_KM = ("simulate", "--system", "km", "--state", '{"u":[1,0.5,0.8]}', "--t", "0.02", "--dt", "0.01")
+_SPECTRUM_STATE = ("--state", '{"a":[-1,-1,-1],"b":[0,0,0]}', "--t", "0.02", "--dt", "0.01")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--system", "km", "--state", "@MISSING", "--t", "0.02", "--dt", "0.01"),
+     ("simulate", "--system", "spectrum", "--spectrum", "MISSING", *_SPECTRUM_STATE),
+     ("verify", "spectrum", "--file", "MISSING"),
+     _SIMULATE_KM + ("--out", "MISSING/traj.csv")],
+    ids=["state-file", "spectrum-file", "verify-spectrum-file", "out"],
+)
+def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *(arg.replace("MISSING", str(missing)) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [('{"dimension": 2, "vectors": [[1, 0], [Infinity, 0]]}', "finite"),
+     ('{"dimension": 2, "vectors": [[1, 0], [NaN, 0]]}', "finite"),
+     ('{"dimension": 2, "vectors": [[1, -Infinity]]}', "finite"),
+     ('{"dimension": Infinity, "vectors": [[1, 0]]}', "finite"),
+     ('{"dimension": 2, "vectors": [1, 2]}', "list of lists"),
+     ('{"dimension": 2, "vectors": {"a": [1, 0]}}', "list of lists"),
+     ('{"dimension": 2, "vectors": [[1, "0"]]}', "number"),
+     ('{"dimension": 2, "vectors": [[1, true]]}', "number"),
+     ('{"dimension": "2", "vectors": [[1, 0]]}', "number"),
+     ('[1]', "JSON object"), ('"spectrum"', "JSON object"), ('{"dimension": 2}', "vectors")],
+)
+def test_malformed_spectrum_document_is_usage_error(tmp_path, capsys, document, message):
+    doc = tmp_path / "spectrum.json"
+    doc.write_text(document)
+    for argv in (("verify", "spectrum", "--file", str(doc)),
+                 ("simulate", "--system", "spectrum", "--spectrum", str(doc), *_SPECTRUM_STATE)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", (argv, err)
+        assert err.startswith("usage error:") and message in err

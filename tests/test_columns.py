@@ -40,13 +40,18 @@ def _hamiltonian_ref(name, s):
     return complex(kin + chain + ends)
 
 
+def _lax_matrix(key, s):
+    """L at one state: the one slice of a one-row block."""
+    return lax.lax_pair(key, s, [s.array])[0][0]
+
+
 def _reference(key, name, s, spectrum):
     """The value the catalog's per-state callable gave for this invariant."""
     if key == "vd" and name.startswith("H"):
         k = int(name[1:])
-        return complex(np.trace(np.linalg.matrix_power(lax.build_lax("vd", s).L, 2 * k))) / k
+        return complex(np.trace(np.linalg.matrix_power(_lax_matrix("vd", s), 2 * k))) / k
     if name.startswith("H") and name != "H":
-        return _trace_ref(lax.build_lax(key, s).L, int(name[1:]))
+        return _trace_ref(_lax_matrix(key, s), int(name[1:]))
     if name == "H":
         return _hamiltonian_ref(key.replace("-", "_"), s)
     if name == "C":
@@ -146,8 +151,8 @@ def test_array_division_mutant_is_caught(rng, monkeypatch):
 def test_trace_invariants_match_the_single_matrix_chain(rng):
     for key, state in (("ab", State(FLASCHKA_AB, rng.uniform(-1, 1, 15), 8)),
                        ("km", State(VOLTERRA_U, rng.uniform(0.1, 2, 8)))):
-        L = lax.build_lax(key, state).L
-        got = lax.trace_invariants(lax.build_lax(key, state), range(1, 10))
+        L = _lax_matrix(key, state)
+        got = [column[0] for column in lax.trace_columns(L[None], range(1, 10))]
         assert got == [_trace_ref(L, k) for k in range(1, 10)]
 
 
@@ -156,18 +161,20 @@ def test_lax_stack_is_the_stack_of_single_matrices(rng):
                                  ("ab", FLASCHKA_AB, 15, 8), ("toda", FLASCHKA_AB, 17, 8)):
         rows = _rows(rng, chart, d, True)[:20]
         template = State(chart, rows[0], split)
-        stack = lax.lax_stack(key, template, rows)
-        assert stack.flags.c_contiguous
-        expected = np.array([lax.build_lax(key, template.replace_coords(r)).L for r in rows])
-        assert np.array_equal(stack, expected)
+        L, B, _, _ = lax.lax_pair(key, template, rows)
+        assert L.flags.c_contiguous and B.flags.c_contiguous
+        singles = [lax.lax_pair(key, template, [r]) for r in rows]
+        assert np.array_equal(L, np.concatenate([one[0] for one in singles]))
+        assert np.array_equal(B, np.concatenate([one[1] for one in singles]))
 
 
 def test_grad_trace_invariant_takes_several_orders(rng):
-    state = State(FLASCHKA_AB, rng.uniform(-1, 1, 15), 8)
-    both = lax.grad_trace_invariant("ab", state, [2, 4])
-    assert both.shape == (2, 15)
-    for row, k in zip(both, (2, 4)):
-        assert np.array_equal(row, lax.grad_trace_invariant("ab", state, k))
+    rows = rng.uniform(-1, 1, (3, 15))
+    state = State(FLASCHKA_AB, rows[0], 8)
+    both = lax.grad_trace_invariant("ab", state, rows, [2, 4])
+    assert both.shape == (2, 3, 15)
+    for grads, k in zip(both, (2, 4)):
+        assert np.array_equal(grads, lax.grad_trace_invariant("ab", state, rows, [k])[0])
 
 
 def test_closed_forms_keep_their_state_signatures():

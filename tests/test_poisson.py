@@ -3,10 +3,10 @@ import pytest
 
 from conftest import random_ab, random_c, random_qp, random_v
 
-from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, v_state
+from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
-from lattice_flows.cli import BLOCK
-from lattice_flows.lax import build_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, trace_invariants
+from lattice_flows.cli import BLOCK, _involution
+from lattice_flows.lax import grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_pair, lax_residual, trace_columns
 from lattice_flows.poisson import (
     Pencil,
     PoissonStructure,
@@ -23,7 +23,7 @@ from lattice_flows.poisson import (
     STRUCTURES,
 )
 from lattice_flows.states import VOLTERRA_V, central_difference, coordinate_columns
-from lattice_flows.systems import ab_field, vd_field
+from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
 from lattice_flows.transforms import c_to_v, d_transform, map_jacobian
 
 JACOBI_TOL = 1e-6
@@ -168,7 +168,7 @@ def _eval_table_derivatives(table, x):
 def _reference_pi(struct, state):
     if isinstance(struct, Pencil):
         return _reference_pi(struct.first, state) + struct.lam * _reference_pi(struct.second, state)
-    return _eval_table(struct.table(state), state.array)
+    return _eval_table(struct.table_builder(state), state.array)
 
 
 def _reference_dpi(struct, state, fd_step=None):
@@ -176,7 +176,7 @@ def _reference_dpi(struct, state, fd_step=None):
         return central_difference(lambda s: _reference_pi(struct, s), state, fd_step)
     if isinstance(struct, Pencil):
         return _reference_dpi(struct.first, state) + struct.lam * _reference_dpi(struct.second, state)
-    return _eval_table_derivatives(struct.table(state), state.array)
+    return _eval_table_derivatives(struct.table_builder(state), state.array)
 
 
 def _jacobi_loop(structure, state, fd_step=None):
@@ -299,17 +299,21 @@ def test_grad_vd_quarter_h2_matches_fd(rng):
             assert np.max(np.abs(grad_vd_quarter_h2(state) - fd)) < 1e-8
 
 
+def _grad_h2_ab(state):
+    return grad_trace_invariant("ab", state, [state.array], [2])[0, 0]
+
+
 def test_hamiltonian_flow_ab(rng):
     for m in (2, 3):
         for _ in range(50):
             state = random_ab(rng, m)
-            r = hamiltonian_flow_check("pi1-ab", lambda s: grad_trace_invariant("ab", s, 2), ab_field, state)
+            r = hamiltonian_flow_check("pi1-ab", _grad_h2_ab, ab_field, state)
             assert r < 1e-8
 
 
 def test_hamiltonian_flow_zero_state():
     state = ab_state([0, 0, 0], [0, 0])
-    r = hamiltonian_flow_check("pi1-ab", lambda s: grad_trace_invariant("ab", s, 2), ab_field, state)
+    r = hamiltonian_flow_check("pi1-ab", _grad_h2_ab, ab_field, state)
     assert r == 0.0
 
 
@@ -325,8 +329,10 @@ def test_lenard_both_charts(rng):
 def _fd_lenard_residual(chart, lax_key, h2, h4, state, fd_step=1e-6):
     """pi3 grad H2 - pi1 grad H4 with central differences of H = scale * tr(L^order) / order."""
     def grad(order, scale):
-        return central_difference(
-            lambda s: scale * trace_invariants(build_lax(lax_key, s), [order])[0], state, fd_step)
+        def h(s):
+            return scale * trace_columns(lax_pair(lax_key, s, [s.array])[0], [order])[0][0]
+
+        return central_difference(h, state, fd_step)
 
     return np.linalg.norm(poisson_matrix(f"pi3-{chart}", state) @ grad(*h2)
                           - poisson_matrix(f"pi1-{chart}", state) @ grad(*h4))
@@ -378,9 +384,8 @@ def test_involution_of_invariants(rng):
         for _ in range(50):
             state = random_ab(rng, m)
             pi = poisson_matrix("pi1-ab", state)
-            g2 = grad_trace_invariant("ab", state, 2)
-            for order in (4, 6):
-                gk = grad_trace_invariant("ab", state, order)
+            [g2], [g4], [g6] = grad_trace_invariant("ab", state, [state.array], [2, 4, 6])
+            for gk in (g4, g6):
                 assert abs(complex(g2 @ pi @ gk)) < 1e-9
 
 
@@ -550,15 +555,31 @@ def test_batched_grad_casimir_C_matches_per_state_formula(rng, m):
         assert np.array_equal(grad_casimir_C(template.replace_coords(rows[0])), got[0])
 
 
+def _one_or_block(residual):
+    """A residual(state, rows) as the residual convention: a float without rows."""
+    return lambda s, rows=None: float(residual(s, [s.array])[0]) if rows is None else np.array(residual(s, rows))
+
+
+def _lax_along(key, field):
+    return _one_or_block(lambda s, rows: lax_residual(key, s, rows, [field(s.replace_coords(r)) for r in rows]))
+
+
 def test_block_residuals_equal_one_state_residuals(rng):
     v, ab = v_state(np.ones(9)), ab_state(np.ones(4), np.ones(3))
     v_rows, ab_rows = _v_rows(rng, 9, 5), _ab_rows(rng, 3, 5)
+    u, toda = u_state(np.ones(7)), ab_state(np.ones(6), np.ones(7))
+    u_rows, toda_rows = _v_rows(rng, 7, 5), rng.uniform(-1.0, 1.0, (5, 13))
     cases = (
         (lambda s, rows=None: casimir_residual("pi1-v", grad_casimir_F, s, rows), v, v_rows),
         (lambda s, rows=None: casimir_residual("pi1-ab", grad_casimir_C, s, rows), ab, ab_rows),
         (lambda s, rows=None: lenard_residual("v", s, rows=rows), v, v_rows),
         (lambda s, rows=None: lenard_residual("ab", s, rows=rows), ab, ab_rows),
         (lambda s, rows=None: compatibility_residual("pi1-v", "pi3-v", 2.5, s, rows=rows), v, v_rows),
+        (_lax_along("km", km_field), u, u_rows),
+        (_lax_along("toda", toda_ab_field), toda, toda_rows),
+        (_lax_along("vd", vd_field), v, v_rows),
+        (_lax_along("ab", ab_field), ab, ab_rows),
+        (_one_or_block(lambda s, rows: _involution(s, rows, 2, 6)), ab, ab_rows),
     )
     for residual, template, rows in cases:
         one = [residual(template.replace_coords(row)) for row in rows]
@@ -584,9 +605,9 @@ def _mutants():
     for name, size in (("pi1-v", 7), ("pi3-v", 7), ("pi1-ab", 3), ("pi3-ab", 3)):
         struct = STRUCTURES[name]
         template = v_state(np.ones(size)) if struct.chart == VOLTERRA_V else ab_state(np.ones(size + 1), np.ones(size))
-        for entry, monos in struct.table(template).items():
+        for entry, monos in struct.table_builder(template).items():
             for k, (coef, powers) in enumerate(monos):
-                table = dict(struct.table(template))
+                table = dict(struct.table_builder(template))
                 table[entry] = monos[:k] + [(1.5 * coef, powers)] + monos[k + 1:]
                 yield name, entry, k, PoissonStructure(name, struct.chart, lambda s, t=table: t, struct.casimir)
 
