@@ -9,6 +9,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -165,20 +166,13 @@ _QP_N = lambda rng, n, m: qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 
 _ON_CHART = {C_VARS: _C, VOLTERRA_V: _V, FLASCHKA_AB: _AB}  # a Poisson structure's sampler
 
 
-def _each_row(residual: Callable) -> Callable:
-    """A residual of one State (a transform map's) as a block residual: one State per row."""
-    return lambda state, rows, *params: [residual(state.replace_coords(row), *params) for row in rows]
-
-
-def _conjugacy(state, map_fn, source: str, target: str, spectrum=None, jacobian=None) -> float:
-    """Pushforward residual of a map between two catalog systems' fields.
-
-    A ``spectrum`` is passed to the map as its second argument and selects
-    the target system's field when that system is 'spectrum'.
-    """
-    mapping = map_fn if spectrum is None else (lambda st: map_fn(st, spectrum))
+def _conjugacy(kernel, source: str, target: str, state, rows, spectrum=None, jacobian=None) -> list[float]:
+    """Pushforward residuals of a block under a map kernel between two catalog
+    systems' fields.  A ``spectrum`` goes to the kernel as its first argument
+    and selects the target system's field when that system is 'spectrum'."""
+    mapping = kernel if spectrum is None else functools.partial(kernel, spectrum)
     return transforms.pushforward_residual(
-        mapping, get_system(source).field, get_system(target, spectrum).field, state, jacobian=jacobian
+        mapping, get_system(source).field, get_system(target, spectrum).field, state, rows, jacobian=jacobian
     )
 
 
@@ -249,19 +243,21 @@ SUITES = {
         for chart, sample in (("v", _V), ("ab", _AB))
     }),
     "transform": Suite("--map", 100, _SIZES, {
-        name: Check(sample, _each_row(residual), 1e-8, name, "pushforward")
+        name: Check(sample, residual, 1e-8, name, "pushforward")
         for name, sample, residual in (
-            ("henon", _U, lambda s: _conjugacy(s, transforms.henon_map, "km", "toda")),
-            ("d-map", _V, lambda s: _conjugacy(s, transforms.d_transform, "vd", "ab")),
+            ("henon", _U, lambda s, rows: _conjugacy(transforms.henon_block, "km", "toda", s, rows)),
+            ("d-map", _V, lambda s, rows: _conjugacy(transforms.d_transform_block, "vd", "ab", s, rows)),
             ("flaschka-sklyanin", _QP_M,
-             lambda s: _conjugacy(s, transforms.sklyanin_flaschka, "sklyanin", "ab")),
+             lambda s, rows: _conjugacy(transforms.sklyanin_flaschka_block, "sklyanin", "ab", s, rows)),
             ("flaschka-toda", _QP_N,
-             lambda s: _conjugacy(s, transforms.toda_flaschka, "toda", "toda", _open_chain(s.split))),
+             lambda s, rows: _conjugacy(transforms.toda_flaschka_block, "toda", "toda", s, rows,
+                                        _open_chain(s.split))),
             ("flaschka-general", _QP_N,
-             lambda s: _conjugacy(s, transforms.generalized_flaschka, "sklyanin", "spectrum",
-                                  sklyanin_spectrum(s.split))),
+             lambda s, rows: _conjugacy(transforms.generalized_flaschka_block, "sklyanin", "spectrum", s, rows,
+                                        sklyanin_spectrum(s.split))),
             ("c-to-v", _C,
-             lambda s: _conjugacy(s, transforms.c_to_v, "c-d", "vd", jacobian=transforms.c_to_v_jacobian)),
+             lambda s, rows: _conjugacy(transforms.c_to_v_block, "c-d", "vd", s, rows,
+                                        jacobian=transforms.c_to_v_jacobian)),
         )
     }),
     "involution": Suite(None, 50, (("--m", 3), ("--pairs", "H2:H4,H2:H6")), {
@@ -272,9 +268,10 @@ SUITES = {
 #: States per residual call.  The batched Poisson kernels hold dense tensors
 #: for every state of a block (d pi of pi1-v at n = 25 takes 250 kB a state),
 #: as does a trace gradient (every dL/dx_j of vd at n = 25 takes 1 MB a
-#: state), so a fixed block bounds their memory whatever --states is.  Blocks of 64
-#: were under 2% faster on the benchmark's verify suites and doubled the
-#: peak working set.
+#: state) and a map's block of bumps ((d, 2d * 8) complex, 58 kB for d-map
+#: at n = 15), so a fixed block bounds their memory whatever --states is.
+#: Blocks of 64 were under 2% faster on the benchmark's verify suites and
+#: doubled the peak working set.
 BLOCK = 8
 
 

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,13 @@ class Spectrum:
     def matrix(self) -> np.ndarray:
         """Vectors as rows of an (N, n) array."""
         return np.asarray(self.vectors, dtype=float)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``gram_matrix`` of this spectrum, computed once and read-only."""
+        m = gram_matrix(self)
+        m.flags.writeable = False
+        return m
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ def build_diagram(spectrum: Spectrum, tol: float = INTEGER_TOL) -> DynkinTypeDia
     ValueError when ``tol`` is not finite and nonnegative.
     """
     _check_tol(tol)
-    m = gram_matrix(spectrum)
+    m = spectrum.gram
     norms = np.diag(m)
     n = spectrum.count
     mult = [[0] * n for _ in range(n)]

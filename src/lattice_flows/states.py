@@ -238,18 +238,3 @@ def stacked(tensor: np.ndarray) -> np.ndarray:
     as one state's own matrix."""
     return np.ascontiguousarray(tensor.swapaxes(0, 1).T)
 
-
-def central_difference(f, state: State, step: float) -> np.ndarray:
-    """Derivatives of f along each coordinate, stacked on a leading axis.
-
-    Entry k is (f(x + h e_k) - f(x - h e_k)) / (2h) with h = ``step``; f maps
-    a State to a scalar or an array, and may be complex.
-    """
-    base = state.array
-    out = []
-    for k in range(state.dim):
-        bump = np.zeros(state.dim, dtype=complex)
-        bump[k] = step
-        plus, minus = f(state.replace_coords(base + bump)), f(state.replace_coords(base - bump))
-        out.append((plus - minus) / (2 * step))
-    return np.array(out, dtype=complex)

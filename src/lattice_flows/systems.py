@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, UnsupportedDimension
-from .rootdata import Spectrum, gram_matrix
+from .rootdata import Spectrum
 from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_split
 
 
@@ -199,8 +199,7 @@ def spectrum_field(spectrum: Spectrum, state: State) -> np.ndarray:
         raise DimensionError(
             f"spectrum with {spectrum.count} vectors needs {spectrum.count} a's and b's"
         )
-    m = gram_matrix(spectrum)
-    return np.concatenate([a * b, m @ a])
+    return np.concatenate([a * b, spectrum.gram @ a])
 
 
 def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], list[complex]]:
@@ -277,6 +276,8 @@ def qp_field(system: str, state: State, params=None) -> np.ndarray:
     dh_dq[1:] -= expo
     if system == "toda":
         pass
+    elif n == 0 and system in ("sklyanin", "sklyanin_full"):
+        raise DimensionError(f"the {system} field needs at least one q")  # its boundary terms act on q_1, q_n
     elif system == "sklyanin":
         dh_dq[0] += -2 * np.exp(-2 * q[0])
         dh_dq[-1] += 2 * np.exp(2 * q[-1])

@@ -33,3 +33,20 @@ def random_toda_ab(rng, n):
 
 def random_qp(rng, n):
     return qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+
+
+def central_difference(f, state, step):
+    """Derivatives of f along each coordinate, stacked on a leading axis: the
+    per-state reference that the batched derivatives must match.
+
+    Entry k is (f(x + h e_k) - f(x - h e_k)) / (2h) with h = ``step``; f maps
+    a State to a scalar or an array, and may be complex.
+    """
+    base = state.array
+    out = []
+    for k in range(state.dim):
+        bump = np.zeros(state.dim, dtype=complex)
+        bump[k] = step
+        plus, minus = f(state.replace_coords(base + bump)), f(state.replace_coords(base - bump))
+        out.append((plus - minus) / (2 * step))
+    return np.array(out, dtype=complex)

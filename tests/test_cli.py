@@ -351,3 +351,18 @@ def test_malformed_spectrum_document_is_usage_error(tmp_path, capsys, document, 
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", (argv, err)
         assert err.startswith("usage error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("verify", "transform", "--map", "flaschka-sklyanin", "--m", "0"), "sklyanin_flaschka needs at least one q"),
+     (("simulate", "--system", "sklyanin", "--state", '{"q":[],"p":[]}', "--t", "0.1", "--dt", "0.05"),
+      "the sklyanin field needs at least one q"),
+     (("simulate", "--system", "sklyanin-full", "--state", '{"q":[],"p":[]}', "--t", "0.1", "--dt", "0.05"),
+      "the sklyanin_full field needs at least one q")],
+    ids=["verify-flaschka-sklyanin", "simulate-sklyanin", "simulate-sklyanin-full"],
+)
+def test_empty_qp_state_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"

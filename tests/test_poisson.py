@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_ab, random_c, random_qp, random_v
+from conftest import central_difference, random_ab, random_c, random_qp, random_v
 
 from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
@@ -22,9 +22,9 @@ from lattice_flows.poisson import (
     get_structure,
     STRUCTURES,
 )
-from lattice_flows.states import VOLTERRA_V, central_difference, coordinate_columns
+from lattice_flows.states import VOLTERRA_V, coordinate_columns
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
-from lattice_flows.transforms import c_to_v, d_transform, map_jacobian
+from lattice_flows.transforms import c_to_v, c_to_v_block, c_to_v_jacobian, d_transform, d_transform_block, map_jacobian
 
 JACOBI_TOL = 1e-6
 CASIMIR_TOL = 1e-10
@@ -389,18 +389,17 @@ def test_involution_of_invariants(rng):
                 assert abs(complex(g2 @ pi @ gk)) < 1e-9
 
 
-def push_tensor(structure, map_fn, state, jacobian=None):
-    jac = jacobian(state) if jacobian else map_jacobian(map_fn, state)
+def push_tensor(structure, kernel, state, jacobian=None):
+    rows = [state.array]
+    jac = (jacobian(state, rows, kernel(state, rows)[1]) if jacobian else map_jacobian(kernel, state, rows))[0]
     return jac @ poisson_matrix(structure, state) @ jac.T
 
 
 def test_c_bracket_pushes_to_half_pi3_v(rng):
-    from lattice_flows.transforms import c_to_v_jacobian
-
     for n in (5, 7):
         for _ in range(20):
             state = random_c(rng, n + 1)
-            pushed = push_tensor("c-bracket", c_to_v, state, jacobian=c_to_v_jacobian)
+            pushed = push_tensor("c-bracket", c_to_v_block, state, jacobian=c_to_v_jacobian)
             target = poisson_matrix("pi3-v", c_to_v(state))
             assert np.max(np.abs(C_TO_V_PI3_SCALE * pushed - target)) < 1e-8
 
@@ -409,7 +408,7 @@ def test_d_map_pushes_pi1_to_half_pi1_ab(rng):
     for n in (5, 7):
         for _ in range(20):
             state = random_v(rng, n)
-            pushed = push_tensor("pi1-v", d_transform, state)
+            pushed = push_tensor("pi1-v", d_transform_block, state)
             target = poisson_matrix("pi1-ab", d_transform(state))
             assert np.max(np.abs(D_MAP_PI1_SCALE * pushed - target)) < 1e-8
 
@@ -418,7 +417,7 @@ def test_d_map_pushes_pi3_onto_pi3_ab(rng):
     for n in (5, 7):
         for _ in range(20):
             state = random_v(rng, n)
-            pushed = push_tensor("pi3-v", d_transform, state)
+            pushed = push_tensor("pi3-v", d_transform_block, state)
             target = poisson_matrix("pi3-ab", d_transform(state))
             assert np.max(np.abs(D_MAP_PI3_SCALE * pushed - target)) < 1e-8
 

@@ -16,6 +16,9 @@ from lattice_flows import (
     u_state,
     v_state,
 )
+from lattice_flows import rootdata
+from lattice_flows.catalog import get_system
+from lattice_flows.rootdata import gram_matrix
 from lattice_flows.systems import (
     ab_field,
     bv_field,
@@ -129,6 +132,18 @@ def test_spectrum_field_examples():
     out = spectrum_field(A2, ab_state([1, 1], [0, 0]))
     assert np.allclose(out, [0, 0, 1, 1])
     assert np.all(spectrum_field(A2, ab_state([0, 0], [0, 0])) == 0)
+
+
+def test_gram_matrix_computed_once_per_spectrum(monkeypatch):
+    # every field evaluation of the 'spectrum' system used to recompute it
+    calls = []
+    monkeypatch.setattr(rootdata, "gram_matrix", lambda spec: calls.append(spec) or gram_matrix(spec))
+    spec = sklyanin_spectrum(3)
+    system = get_system("spectrum", spec)
+    for b in ([0.1, 0.0, 0.2, -0.3], [0.4, 0.1, -0.2, 0.0]):
+        system.field(ab_state([-1.0, -0.5, -1.0, -0.8], b))
+    assert len(calls) == 1 and np.array_equal(spec.gram, gram_matrix(spec))
+    assert not spec.gram.flags.writeable
 
 
 def test_integrals_examples():

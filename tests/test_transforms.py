@@ -1,18 +1,24 @@
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 
-from conftest import random_c, random_qp, random_u, random_v
+from conftest import central_difference, random_c, random_qp, random_u, random_v
 
 from lattice_flows import (
     DomainError,
     ParityError,
     Spectrum,
+    c_state,
     qp_state,
     sklyanin_spectrum,
     u_state,
     v_state,
 )
+from lattice_flows import transforms
 from lattice_flows.catalog import get_system
+from lattice_flows.cli import main
 from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import casimir_C_column, h2_ab, lax_pair
 from lattice_flows.systems import (
@@ -25,17 +31,25 @@ from lattice_flows.systems import (
     toda_ab_field,
     vd_field,
 )
+from lattice_flows.states import coordinate_columns
 from lattice_flows.transforms import (
+    FD_STEP,
     c_to_v,
+    c_to_v_block,
     c_to_v_jacobian,
     d_transform,
+    d_transform_block,
     generalized_flaschka,
+    generalized_flaschka_block,
+    henon_block,
     henon_map,
     map_jacobian,
     moser_reduce,
     pushforward_residual,
     sklyanin_flaschka,
+    sklyanin_flaschka_block,
     toda_flaschka,
+    toda_flaschka_block,
     toda_jacobi,
 )
 
@@ -153,87 +167,164 @@ def test_generalized_flaschka_example():
 
 
 def test_c_to_v_examples():
-    from lattice_flows import c_state
-
     assert np.allclose(c_to_v(c_state([1, 1, 1, 1, 1])).array, [1, 2, 1, 1])
     assert np.allclose(c_to_v(c_state([2, 2, 2, 2, 2])).array, [0.25, 0.5, 0.25, 0.25])
 
 
+def _block(sample, count):
+    """A template state and an (N, d) block of ``count`` sampled states."""
+    states = [sample() for _ in range(count)]
+    return states[0], np.array([s.array for s in states])
+
+
 def test_pushforward_identity_is_zero(rng):
-    state = random_u(rng, 5)
-    assert pushforward_residual(lambda s: s, km_field, km_field, state) < 1e-9
+    state, rows = _block(lambda: random_u(rng, 5), 3)
+    identity = lambda s, rows: (s, coordinate_columns(s, rows).T)
+    assert max(pushforward_residual(identity, km_field, km_field, state, rows)) < 1e-9
 
 
 def test_pushforward_henon(rng):
     state = u_state([2.0, 2.0, 2.0, 2.0])
-    assert pushforward_residual(henon_map, km_field, toda_ab_field, state) < 1e-9
+    assert pushforward_residual(henon_block, km_field, toda_ab_field, state, [state.array])[0] < 1e-9
     for n in (4, 5, 6, 7):
-        for _ in range(25):
-            r = pushforward_residual(henon_map, km_field, toda_ab_field, random_u(rng, n))
-            assert r < PUSH_TOL
+        r = pushforward_residual(henon_block, km_field, toda_ab_field, *_block(lambda: random_u(rng, n), 25))
+        assert len(r) == 25 and max(r) < PUSH_TOL
 
 
 def test_pushforward_d_transform(rng):
     for n in (5, 7, 9):
-        for _ in range(25):
-            r = pushforward_residual(d_transform, vd_field, ab_field, random_v(rng, n))
-            assert r < PUSH_TOL
+        r = pushforward_residual(d_transform_block, vd_field, ab_field, *_block(lambda: random_v(rng, n), 25))
+        assert max(r) < PUSH_TOL
 
 
 def test_pushforward_sklyanin_flaschka(rng):
     for m in (2, 3, 4):
-        for _ in range(25):
-            r = pushforward_residual(
-                sklyanin_flaschka,
-                lambda s: qp_field("sklyanin", s),
-                ab_field,
-                random_qp(rng, m),
-            )
-            assert r < PUSH_TOL
+        r = pushforward_residual(sklyanin_flaschka_block, lambda s: qp_field("sklyanin", s), ab_field,
+                                 *_block(lambda: random_qp(rng, m), 25))
+        assert max(r) < PUSH_TOL
 
 
 def test_pushforward_toda_flaschka(rng):
     for n in (3, 5):
-        spec = a_chain_spectrum(n)
-        for _ in range(25):
-            r = pushforward_residual(
-                lambda s: toda_flaschka(s, spec),
-                lambda s: qp_field("toda", s),
-                toda_ab_field,
-                random_qp(rng, n),
-            )
-            assert r < PUSH_TOL
+        r = pushforward_residual(partial(toda_flaschka_block, a_chain_spectrum(n)), lambda s: qp_field("toda", s),
+                                 toda_ab_field, *_block(lambda: random_qp(rng, n), 25))
+        assert max(r) < PUSH_TOL
 
 
 def test_pushforward_generalized_flaschka(rng):
     for n in (3, 4):
         spec = sklyanin_spectrum(n)
-        for _ in range(25):
-            r = pushforward_residual(
-                lambda s: generalized_flaschka(s, spec),
-                lambda s: qp_field("sklyanin", s),
-                lambda s: spectrum_field(spec, s),
-                random_qp(rng, n),
-            )
-            assert r < PUSH_TOL
+        r = pushforward_residual(partial(generalized_flaschka_block, spec), lambda s: qp_field("sklyanin", s),
+                                 lambda s: spectrum_field(spec, s), *_block(lambda: random_qp(rng, n), 25))
+        assert max(r) < PUSH_TOL
 
 
 def test_pushforward_c_to_v(rng):
     for n in (4, 5, 7):
-        for _ in range(25):
-            r = pushforward_residual(
-                c_to_v,
-                lambda s: c_field("D", s),
-                vd_field,
-                random_c(rng, n + 1),
-                jacobian=c_to_v_jacobian,
-            )
-            assert r < PUSH_TOL
+        r = pushforward_residual(c_to_v_block, lambda s: c_field("D", s), vd_field,
+                                 *_block(lambda: random_c(rng, n + 1), 25), jacobian=c_to_v_jacobian)
+        assert max(r) < PUSH_TOL
 
 
 def test_c_to_v_jacobian_matches_fd(rng):
     state = random_c(rng, 8).replace_coords(np.full(8, 1.3))
-    assert np.max(np.abs(c_to_v_jacobian(state) - map_jacobian(c_to_v, state))) < 1e-8
+    rows = [state.array]
+    closed = c_to_v_jacobian(state, rows, c_to_v_block(state, rows)[1])
+    assert np.max(np.abs(closed - map_jacobian(c_to_v_block, state, rows))) < 1e-8
+
+
+def _complex(rng, lo, hi, k, imag):
+    return rng.uniform(lo, hi, k) + 1j * rng.uniform(-imag, imag, k)
+
+
+# (kernel, State map, sampler(rng, imaginary half-width)) of each map, at the
+# sizes of its verify-mix or golden run; every domain admits complex states
+MAPS = {
+    "henon": (henon_block, henon_map, lambda rng, im: u_state(_complex(rng, 0.1, 2.0, 7, im))),
+    "d-map": (d_transform_block, d_transform, lambda rng, im: v_state(_complex(rng, 0.5, 2.0, 15, im / 3))),
+    "flaschka-sklyanin": (sklyanin_flaschka_block, sklyanin_flaschka,
+                          lambda rng, im: qp_state(_complex(rng, -1, 1, 3, im), _complex(rng, -1, 1, 3, im))),
+    "flaschka-toda": (partial(toda_flaschka_block, a_chain_spectrum(7)), lambda s: toda_flaschka(s, a_chain_spectrum(7)),
+                      lambda rng, im: qp_state(_complex(rng, -1, 1, 7, im), _complex(rng, -1, 1, 7, im))),
+    "flaschka-general": (partial(generalized_flaschka_block, sklyanin_spectrum(7)),
+                         lambda s: generalized_flaschka(s, sklyanin_spectrum(7)),
+                         lambda rng, im: qp_state(_complex(rng, -1, 1, 7, im), _complex(rng, -1, 1, 7, im))),
+    "c-to-v": (c_to_v_block, c_to_v, lambda rng, im: c_state(_complex(rng, 0.1, 2.0, 16, im))),
+}
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
+@pytest.mark.parametrize("count", [1, 3, 8, 11])
+@pytest.mark.parametrize("name", MAPS)
+def test_map_jacobian_is_bitwise_the_per_state_central_difference(rng, name, count, imag):
+    # one kernel call on the block of bumps must keep every bit of the
+    # state-by-state differences, laid out as one state's own C-ordered matrix
+    kernel, one, sample = MAPS[name]
+    states = [sample(rng, imag) for _ in range(count)]
+    rows = np.array([s.array for s in states])
+    jac = map_jacobian(kernel, states[0], rows)
+    zero, image = kernel(states[0], rows)
+    assert jac.shape == (count, zero.dim, states[0].dim) and jac.flags.c_contiguous
+    for k, state in enumerate(states):
+        reference = central_difference(lambda s: one(s).array, state, FD_STEP).T
+        assert jac[k].tobytes() == np.ascontiguousarray(reference).tobytes(), k
+        assert one(state).array.tobytes() == image[k].tobytes() and one(state).split == zero.split
+
+
+def _per_state_c_to_v_jacobian(state):
+    """The closed form one state at a time, the reference of the block form."""
+    c = state.array
+    v = c_to_v(state).array
+    n = len(c) - 1
+    pairs = [(0, 1)] + [(k - 1, k) for k in range(2, n - 1)] + [(n - 2, n - 1), (n - 2, n)]
+    jac = np.zeros((n, n + 1), dtype=complex)
+    for k, (i, j) in enumerate(pairs):
+        jac[k, i] = -v[k] / c[i]
+        jac[k, j] = -v[k] / c[j]
+    return jac
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
+@pytest.mark.parametrize("count", [1, 3, 8, 11])
+def test_c_to_v_jacobian_is_bitwise_the_per_state_closed_form(rng, count, imag):
+    for nc in (4, 16):
+        states = [c_state(_complex(rng, 0.1, 2.0, nc, imag)) for _ in range(count)]
+        rows = np.array([s.array for s in states])
+        jac = c_to_v_jacobian(states[0], rows, c_to_v_block(states[0], rows)[1])
+        assert jac.shape == (count, nc - 1, nc) and jac.flags.c_contiguous
+        for k, state in enumerate(states):
+            assert jac[k].tobytes() == _per_state_c_to_v_jacobian(state).tobytes()
+
+
+# (map, size flags, kernel name): the verify-mix sizes of d-map, c-to-v and
+# flaschka-general, and the golden sizes of the other three
+MUTATED = [("henon", ("--n", "7"), "henon_block"), ("d-map", ("--n", "15"), "d_transform_block"),
+           ("flaschka-sklyanin", ("--m", "3"), "sklyanin_flaschka_block"),
+           ("flaschka-toda", ("--n", "7"), "toda_flaschka_block"),
+           ("flaschka-general", ("--n", "7"), "generalized_flaschka_block"), ("c-to-v", ("--n", "15"), "c_to_v_block")]
+
+
+@pytest.mark.parametrize("name, size, kernel", MUTATED, ids=[m[0] for m in MUTATED])
+def test_scaled_image_coordinate_fails_pushforward(monkeypatch, capsys, rng, name, size, kernel):
+    # each image coordinate times 1.5 gives a map that is no conjugacy; its
+    # Jacobian (finite differences, or c-to-v's closed form from the image)
+    # follows the mutant, so only the fields can tell.  No mutant survives.
+    argv = ["verify", "transform", "--map", name, *size, "--states", "8", "--seed", "11"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    original = getattr(transforms, kernel)
+    _, one, sample = MAPS[name]
+    for j in range(one(sample(rng, 0.0)).dim):
+        def mutant(*args, j=j):
+            zero, image = original(*args)
+            image = image.copy()
+            image[:, j] *= 1.5
+            return zero, image
+
+        monkeypatch.setattr(transforms, kernel, mutant)
+        code = main(argv)
+        [record] = json.loads(capsys.readouterr().out)["records"]
+        assert code == 1 and not record["pass"] and record["max_residual"] > record["tolerance"], j
 
 
 def test_pulled_back_h2_constant_along_vd_flow():
