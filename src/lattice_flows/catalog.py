@@ -47,15 +47,17 @@ class LatticeSystem:
     """A vector field on each chart it accepts, plus its named invariants.
 
     ``fields`` maps a chart to a callable (state, spectrum) -> ndarray and
-    ``named_invariants`` maps (state, spectrum) to {name: Column};
-    ``spectrum`` parametrises the 'spectrum' system.  Dimension is carried
-    by the states themselves; every entry accepts any admissible size of its
-    charts.
+    ``named_invariants`` maps (system, state) to {name: Column}.  ``lax`` is
+    the system's Lax builder (``lax.km_lax`` and the rest) or None: the one
+    place that says which Lax pair belongs to a system.  ``spectrum``
+    parametrises the 'spectrum' system.  Dimension is carried by the states
+    themselves; every entry accepts any admissible size of its charts.
     """
 
     key: str
     fields: dict
-    named_invariants: Callable = lambda state, spectrum: {}
+    named_invariants: Callable = lambda system, state: {}
+    lax: Callable | None = None
     spectrum: Spectrum | None = None
 
     @property
@@ -76,7 +78,7 @@ class LatticeSystem:
         """
         self._on_chart(state)
         return {name: lambda s, name=name: self.invariant_columns(s, [name], s.array[None])[name][0]
-                for name in self.named_invariants(state, self.spectrum)}
+                for name in self.named_invariants(self, state)}
 
     def invariant_columns(self, state: State, names, rows) -> dict[str, list[complex]]:
         """The named invariants at every row of ``rows``, (N, d) in the chart of ``state``.
@@ -87,7 +89,7 @@ class LatticeSystem:
         one power chain per block.
         """
         self._on_chart(state)
-        table = self.named_invariants(state, self.spectrum)
+        table = self.named_invariants(self, state)
         names = list(dict.fromkeys(names))
         groups = {}
         for name in names:
@@ -107,25 +109,25 @@ class LatticeSystem:
         return fn
 
 
-def _traces(lax_key: str, orders, grading: int = 1) -> dict[str, Column]:
-    """H_k = tr(L^{grading k}) / k for each order k.
+def _traces(builder, orders, grading: int = 1) -> dict[str, Column]:
+    """H_k = tr(L^{grading k}) / k for each order k, L from a Lax builder.
 
     vd takes grading 2 (its v-degree grading): its odd-power traces vanish.
     """
     def evaluate(state, rows, ks):
-        return lax.trace_columns(lax.lax_pair(lax_key, state, rows)[0], ks, grading)
+        return lax.trace_columns(lax.lax_pair(builder, state, rows)[0], ks, grading)
 
     return {f"H{k}": Column(evaluate, k) for k in orders}
 
 
 def _hamiltonian(name: str):
     """Named invariants of a (q, p) system: its Hamiltonian ``H``."""
-    return lambda state, spectrum: {"H": _closed_form(systems.hamiltonian_column, name)}
+    return lambda system, state: {"H": _closed_form(systems.hamiltonian_column, name)}
 
 
-def _null_integrals(state: State, spectrum: Spectrum | None):
+def _null_integrals(system: LatticeSystem, state: State):
     """F1 and F2 of the spectrum's first null combination, if it has one."""
-    basis = null_combination(spectrum) if spectrum is not None else []
+    basis = null_combination(system.spectrum) if system.spectrum is not None else []
     if not basis:
         return {}
 
@@ -136,29 +138,31 @@ def _null_integrals(state: State, spectrum: Spectrum | None):
     return {"F1": Column(evaluate, 0), "F2": Column(evaluate, 1)}
 
 
-def _toda_invariants(state: State, spectrum):
+def _toda_invariants(system: LatticeSystem, state: State):
     if state.chart == QP:
-        return _hamiltonian("toda")(state, spectrum)
-    return _traces("toda", range(1, state.dim // 2 + 2))
+        return _hamiltonian("toda")(system, state)
+    return _traces(system.lax, range(1, state.dim // 2 + 2))
 
 
 # Fields look ``systems.*_field`` up at call time, so a wrapper installed on
 # the systems module (e.g. by a profiler) sees every evaluation.
 SYSTEMS = {system.key: system for system in (
     LatticeSystem("km", {VOLTERRA_U: lambda s, _: systems.km_field(s)},
-                  lambda s, _: _traces("km", range(2, s.dim + 2, 2))),
+                  lambda km, s: _traces(km.lax, range(2, s.dim + 2, 2)), lax=lax.km_lax),
     *(LatticeSystem(f"bv-{fam}", {VOLTERRA_U: lambda s, _, f=fam.upper(): systems.bv_field(f, s)})
       for fam in "abcd"),
     *(LatticeSystem(f"c-{fam}", {C_VARS: lambda s, _, f=fam.upper(): systems.c_field(f, s)})
       for fam in "abcd"),
     LatticeSystem("vd", {VOLTERRA_V: lambda s, _: systems.vd_field(s)},
-                  lambda s, _: {**_traces("vd", range(2, s.dim, 2), 2), "F": _closed_form(lax.casimir_F_column)}),
+                  lambda vd, s: {**_traces(vd.lax, range(2, s.dim, 2), 2), "F": _closed_form(lax.casimir_F_column)},
+                  lax=lax.vd_lax),
     LatticeSystem("ab", {FLASCHKA_AB: lambda s, _: systems.ab_field(s)},
-                  lambda s, _: {**_traces("ab", range(2, s.dim + 1, 2)), "C": _closed_form(lax.casimir_C_column)}),
+                  lambda ab, s: {**_traces(ab.lax, range(2, s.dim + 1, 2)), "C": _closed_form(lax.casimir_C_column)},
+                  lax=lax.ab_lax),
     LatticeSystem("spectrum", {FLASCHKA_AB: lambda s, spectrum: systems.spectrum_field(spectrum, s)},
                   _null_integrals),
     LatticeSystem("toda", {QP: lambda s, _: systems.qp_field("toda", s),
-                           FLASCHKA_AB: lambda s, _: systems.toda_ab_field(s)}, _toda_invariants),
+                           FLASCHKA_AB: lambda s, _: systems.toda_ab_field(s)}, _toda_invariants, lax=lax.toda_lax),
     LatticeSystem("sklyanin", {QP: lambda s, _: systems.qp_field("sklyanin", s)}, _hamiltonian("sklyanin")),
     LatticeSystem("sklyanin-full", {QP: lambda s, _: systems.qp_field("sklyanin_full", s)},
                   _hamiltonian("sklyanin_full")),

@@ -17,19 +17,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lax, poisson, transforms
-from .catalog import SYSTEM_KEYS, get_system
+from .catalog import SYSTEM_KEYS, SYSTEMS, get_system
 from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import Spectrum, kozlov_treshchev_check, sklyanin_spectrum, spectrum_from_json
-from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_V, ab_state, c_state, coordinate_columns, qp_state, stacked,
-                     state_from_dict, u_state, v_state)
+from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_V, ab_state, c_state, qp_state, stacked, state_from_dict,
+                     u_state, v_state)
 
 RNG_NAME = "numpy-pcg64"
 SPECTRUM_TOL = 1e-9
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser()  # built once per process
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -44,6 +44,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lattice-flows", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -182,15 +183,15 @@ def _open_chain(n: int) -> Spectrum:
     return Spectrum(n, tuple(rows))
 
 
-def _lax(key: str) -> Callable:
-    """The Lax residual of a block of a catalog system's states along its field."""
-    return lambda s, rows: lax.lax_residual(key, s, rows, [get_system(key).field(s.replace_coords(r)) for r in rows])
+def _lax(system) -> Callable:
+    """The Lax residual of a block of a catalog row's states along its field."""
+    return lambda s, rows: lax.lax_residual(system.lax, s, rows, [system.field(s.replace_coords(r)) for r in rows])
 
 
 def _involution(state, rows, k1: int, k2: int) -> list[float]:
     """|{H_k1, H_k2}| under pi1-ab at each row, from analytic trace gradients."""
-    g1, g2 = lax.grad_trace_invariant("ab", state, rows, [k1, k2])
-    pis = stacked(poisson.STRUCTURES["pi1-ab"](state, coordinate_columns(state, rows)))
+    g1, g2 = lax.grad_trace_invariant(SYSTEMS["ab"].lax, state, rows, [k1, k2])
+    pis = stacked(poisson.STRUCTURES["pi1-ab"](state, rows))
     return [abs(complex(a @ pi @ b)) for a, pi, b in zip(g1, pis, g2)]
 
 
@@ -209,38 +210,37 @@ _SIZES = (("--n", 7), ("--m", 3))
 
 SUITES = {
     "lax": Suite("--system", 100, _SIZES, {
-        key: Check(sample, _lax(key), 1e-10, key, "lax-residual")
+        key: Check(sample, _lax(SYSTEMS[key]), 1e-10, key, "lax-residual")
         for key, sample in (("km", _U), ("toda", _TODA_AB), ("vd", _V), ("ab", _AB))
     }),
     "jacobi": Suite("--structure", 50, _SIZES, {
         name: Check(
             _ON_CHART[struct.chart],
-            lambda s, rows, name=name: poisson.jacobi_residual(name, s, rows=rows),
+            lambda s, rows, struct=struct: poisson.jacobi_residual(struct, s, rows),
             1e-6, name, "jacobi",
         )
         for name, struct in poisson.STRUCTURES.items()
     }),
     "compat": Suite("--chart", 50, (("--lambdas", "1,2.5"),) + _SIZES, {
         chart: Check(
-            sample,
-            lambda s, rows, lam, c=chart: poisson.compatibility_residual(
-                f"pi1-{c}", f"pi3-{c}", lam, s, rows=rows),
-            1e-6, f"pi1-{chart}+{{0}}*pi3-{chart}", "compatibility",
+            _ON_CHART[pair.pi1.chart],
+            lambda s, rows, lam, pair=pair: poisson.compatibility_residual(pair.pi1, pair.pi3, lam, s, rows),
+            1e-6, f"{pair.pi1.name}+{{0}}*{pair.pi3.name}", "compatibility",
         )
-        for chart, sample in (("v", _V), ("ab", _AB))
+        for chart, pair in poisson.LENARD.items()
     }, sweep=lambda args: [(float(x),) for x in args.lambdas.split(",")]),
     "casimir": Suite("--structure", 50, _SIZES, {
         name: Check(
             _ON_CHART[struct.chart],
-            lambda s, rows, name=name, grad=struct.casimir[1]: poisson.casimir_residual(name, grad, s, rows),
+            lambda s, rows, struct=struct: poisson.casimir_residual(struct, struct.casimir[1], s, rows),
             1e-10, name, f"casimir-{struct.casimir[0]}",
         )
         for name, struct in poisson.STRUCTURES.items() if struct.casimir
     }),
     "lenard": Suite("--chart", 50, _SIZES, {
-        chart: Check(sample, lambda s, rows, c=chart: poisson.lenard_residual(c, s, rows=rows),
+        chart: Check(_ON_CHART[pair.pi1.chart], lambda s, rows, pair=pair: poisson.lenard_residual(pair, s, rows),
                      1e-7, f"lenard-{chart}", "lenard")
-        for chart, sample in (("v", _V), ("ab", _AB))
+        for chart, pair in poisson.LENARD.items()
     }),
     "transform": Suite("--map", 100, _SIZES, {
         name: Check(sample, residual, 1e-8, name, "pushforward")

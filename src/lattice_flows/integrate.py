@@ -170,12 +170,13 @@ def _rk4_step(f, y, dt):
 
 
 def _fehlberg_step(f, y, dt):
+    # zero tableau entries are skipped; the other terms add left to right
     ks = []
     for row in _FEHLBERG_A:
-        yi = y if not row else y + dt * sum(c * k for c, k in zip(row, ks))
+        yi = y if not row else y + dt * sum(c * k for c, k in zip(row, ks) if c)
         ks.append(f(yi))
-    y_new = y + dt * sum(b * k for b, k in zip(_FEHLBERG_B4, ks))
-    err = dt * sum(c * k for c, k in zip(_FEHLBERG_ERR, ks))
+    y_new = y + dt * sum(b * k for b, k in zip(_FEHLBERG_B4, ks) if b)
+    err = dt * sum(c * k for c, k in zip(_FEHLBERG_ERR, ks) if c)
     return y_new, np.asarray(err)
 
 

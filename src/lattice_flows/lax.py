@@ -6,12 +6,15 @@ dL/dt used by the residual is assembled analytically from the closed-form
 entries (chain rule through square roots), never by finite differences, in
 the same builder call that yields L, B and the sign.
 
-There is one call shape: a builder takes a block of states and returns
-their matrices with the state axis trailing, and ``lax_pair`` hands them
-out as C-ordered (N, T, T) stacks.  Every residual and gradient takes its
-block through it; matrix products are stacked (each slice is multiplied as
-one state's matrix would be), and norms and the traces of the invariant
-columns are taken slice by slice, so a state gets the same bits in any block.
+The builders are ``km_lax``, ``toda_lax``, ``ab_lax`` and ``vd_lax``; each
+catalog row with a Lax pair carries its builder as ``lax``, and every
+function here takes the builder itself.  There is one call shape: a builder
+takes a block of states and returns their matrices with the state axis
+trailing, and ``lax_pair`` hands them out as C-ordered (N, T, T) stacks.
+Every residual and gradient takes its block through it; matrix products
+are stacked (each slice is multiplied as one state's matrix would be), and
+norms and the traces of the invariant columns are taken slice by slice, so
+a state gets the same bits in any block.
 
 Matrix layout notes (0-based):
 
@@ -35,27 +38,25 @@ from .errors import DimensionError, UnsupportedDimension
 from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, coordinate_columns, require_positive_real, stacked
 
 
-def lax_pair(system: str, state: State, rows, ds=None):
-    """(L, B, sign, dL) of km | toda | vd | ab at every row of ``rows``, an
-    (N, d) block of coordinates in the chart of ``state``, from one builder call.
+def lax_pair(builder, state: State, rows, ds=None):
+    """(L, B, sign, dL) from one call of ``builder`` (``km_lax`` and the rest,
+    a catalog row's ``lax``) at every row of ``rows``, an (N, d) block of
+    coordinates in the chart of ``state``.
 
     L and B are C-ordered (N, T, T) stacks.  ``ds`` is a (d, K, N) array of
     K velocities per row (ds[:, k, r] is the k-th at row r); dL along each
     is then a C-ordered (N, K, T, T) stack, and None without ``ds``.
     """
-    builder = _BUILDERS.get(system)
-    if builder is None:
-        raise ValueError(f"no Lax builder for system {system!r}")
     x, ds = coordinate_columns(state, rows), None if ds is None else np.asarray(ds, dtype=complex)
     L, B, sign, dL = builder(state, x, ds)
     return stacked(L), stacked(B), sign, None if dL is None else stacked(dL)
 
 
-def lax_residual(system: str, state: State, rows, velocities) -> np.ndarray:
+def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
     """Frobenius norm of dL/dt - sign * [B, L] at every row of ``rows``, with
     dL/dt taken along the same row of ``velocities``, (N, d); one per row."""
     ds = np.asarray(velocities, dtype=complex).T[:, None]
-    L, B, sign, dL = lax_pair(system, state, rows, ds)
+    L, B, sign, dL = lax_pair(builder, state, rows, ds)
     return np.array([np.linalg.norm(r) for r in dL[:, 0] - sign * (B @ L - L @ B)])
 
 
@@ -87,7 +88,7 @@ def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
     return [out[k] for k in orders]
 
 
-def grad_trace_invariant(system: str, state: State, rows, orders) -> np.ndarray:
+def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     """Analytic gradients of tr(L^k)/k at every row of ``rows``, (N, d) in the
     chart of ``state``: component j is tr(L^{k-1} dL/dx_j).
 
@@ -99,7 +100,7 @@ def grad_trace_invariant(system: str, state: State, rows, orders) -> np.ndarray:
     """
     d, count = coordinate_columns(state, rows).shape
     units = np.broadcast_to(np.eye(d)[:, :, None], (d, d, count))
-    L, _, _, dL = lax_pair(system, state, rows, units)
+    L, _, _, dL = lax_pair(builder, state, rows, units)
     powers = [np.linalg.matrix_power(L, k - 1) for k in orders]
     return np.array([[np.trace(P[r] @ dL[r], axis1=-2, axis2=-1) for r in range(count)] for P in powers])
 
@@ -127,10 +128,10 @@ def casimir_C_column(state: State, rows) -> list[complex]:
     return [x * y * z for x, y, z in zip(a[:, 0].tolist(), inner.tolist(), a[:, -1].tolist())]
 
 
-def grad_casimir_C(state: State, rows=None) -> np.ndarray:
-    """Analytic gradient of C with respect to (a_1..a_{m+1}, b_1..b_m);
-    at each row of an (N, d) block ``rows`` in the chart of ``state``, if given,
-    as an (N, d) array."""
+def grad_casimir_C(state: State, rows) -> np.ndarray:
+    """Analytic gradient of C with respect to (a_1..a_{m+1}, b_1..b_m) at
+    each row of an (N, d) block ``rows`` in the chart of ``state``, as a
+    C-ordered (N, d) array."""
     m = len(ab_split(state, +1, "grad_casimir_C")[1])
     x = coordinate_columns(state, rows)
     a = x[: m + 1]
@@ -138,7 +139,7 @@ def grad_casimir_C(state: State, rows=None) -> np.ndarray:
     rest = _others(m + 1)
     grad = np.zeros_like(x)
     grad[: m + 1] = own * a ** (own - 1) * np.prod(a.take(rest, axis=0) ** own.take(rest, axis=0), axis=1)
-    return _rows(grad, rows)
+    return np.ascontiguousarray(grad.T)
 
 
 def casimir_F_column(state: State, rows) -> list[complex]:
@@ -150,19 +151,14 @@ def casimir_F_column(state: State, rows) -> list[complex]:
     return [x * y for x, y in zip((v[:, -1] - v[:, -2]).tolist(), np.prod(v[:, :-2], axis=1).tolist())]
 
 
-def grad_casimir_F(state: State, rows=None) -> np.ndarray:
-    """Analytic gradient of F; per row of ``rows`` as in grad_casimir_C."""
+def grad_casimir_F(state: State, rows) -> np.ndarray:
+    """Analytic gradient of F at each row of ``rows``, as in grad_casimir_C."""
     _v_coords(state)
     v = coordinate_columns(state, rows)
     n = len(v)
     head = np.prod(v[: n - 2], axis=0)
     rest = (v[-1] - v[-2]) * np.prod(v.take(_others(n - 2), axis=0), axis=1)
-    return _rows(np.concatenate([rest, [-head, head]]), rows)
-
-
-def _rows(columns: np.ndarray, rows) -> np.ndarray:
-    """A (d, N) result as C-ordered (N, d) rows, or as (d,) for one state."""
-    return columns[:, 0] if rows is None else np.ascontiguousarray(columns.T)
+    return np.ascontiguousarray(np.concatenate([rest, [-head, head]]).T)
 
 
 def _others(k: int) -> np.ndarray:
@@ -174,10 +170,8 @@ def _others(k: int) -> np.ndarray:
 
 def _v_coords(state: State):
     state.require_chart(VOLTERRA_V, "v invariant")
-    v = state.array
-    if len(v) < 4:
+    if state.dim < 4:
         raise UnsupportedDimension("v-chart invariants need n >= 4")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +189,12 @@ def _zeros(T: int, batch: tuple) -> np.ndarray:
     return np.zeros(batch[::-1] + (T, T), dtype=complex).T.swapaxes(0, 1)
 
 
-def _km_builder(state: State, x, ds):
+def km_lax(state: State, x, ds):
     state.require_chart(VOLTERRA_U, "km Lax")
     u = require_positive_real(x, "km Lax builder")
     n = len(u)
+    if n < 1:
+        raise DimensionError("km Lax needs n >= 1")
     a = np.sqrt(u / 2)
     T = n + 1
 
@@ -217,7 +213,7 @@ def _km_builder(state: State, x, ds):
     return L, B, +1, dL
 
 
-def _toda_builder(state: State, x, ds):
+def toda_lax(state: State, x, ds):
     a, b = ab_split(state, -1, "toda Lax")
     if len(b) < 2:
         raise DimensionError("toda Lax needs n >= 2")
@@ -240,7 +236,7 @@ def _toda_builder(state: State, x, ds):
     return L, B, +1, dL
 
 
-def _ab_builder(state: State, x, ds):
+def ab_lax(state: State, x, ds):
     a, b = ab_split(state, +1, "ab Lax")
     m = len(b)
     if m < 2:
@@ -274,7 +270,7 @@ def _ab_builder(state: State, x, ds):
     return L, B, +1, dL
 
 
-def _vd_builder(state: State, x, ds):
+def vd_lax(state: State, x, ds):
     state.require_chart(VOLTERRA_V, "vd Lax")
     v = require_positive_real(x, "vd Lax builder")
     n = len(v)
@@ -329,10 +325,3 @@ def _vd_builder(state: State, x, ds):
     dL = assemble(ds / (2 * sq[:, None])) if ds is not None else None
     return L, B, -1, dL
 
-
-_BUILDERS = {
-    "km": _km_builder,
-    "toda": _toda_builder,
-    "ab": _ab_builder,
-    "vd": _vd_builder,
-}

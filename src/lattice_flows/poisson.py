@@ -22,9 +22,15 @@ x[v2]**e2 * ... multiplied left to right (the x[v]-derivative starts from
 (coef*e) * x[v]**(e-1), then the other factors in order); entry (i, j)
 starts at zero and adds its terms in table order, and entry (j, i)
 subtracts them.  Each step is elementwise over the states, so a real state
-gets the same bits in any block.  The residuals take a block as ``rows``,
-an (N, d) array in the chart of their ``state`` argument, and return one
-value per row; matrix-vector products and norms stay per state.
+gets the same bits in any block.
+
+Every tensor, gradient and residual here has one call shape: a template
+``state``, which fixes the chart and size, and ``rows``, an (N, d) block of
+coordinates in its chart; one state is a block of one row.  Tensors keep
+the state axis last, (n, n, N); gradients are (N, d) and residuals give
+one value per row, with matrix-vector products and norms taken per state.
+Functions take structure objects (``STRUCTURES`` values, ``Pencil``s) and
+Lenard pairs, never their names.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lax
+from .catalog import SYSTEMS
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
 from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, coordinate_columns, stacked
 
@@ -55,15 +62,14 @@ class PoissonStructure:
     table_builder: Callable[[State], EntryTable]
     casimir: tuple[str, Callable] | None = None  # (name, closed-form gradient) of a Casimir
 
-    def __call__(self, state: State, x=None) -> np.ndarray:
-        """pi at ``state``, (n, n); or at each column of ``x``, a (d, N) block
-        of coordinates in the chart of ``state``, as (n, n, N)."""
-        return _at(self._plan(state).pi, state, x)
+    def __call__(self, state: State, rows) -> np.ndarray:
+        """pi at each row of ``rows``, an (N, n) block of coordinates in the
+        chart of ``state``, as (n, n, N); antisymmetric by construction."""
+        return self._plan(state).pi(coordinate_columns(state, rows))
 
-    def derivatives(self, state: State, x=None) -> np.ndarray:
-        """d pi / d x_l stacked as an (n, n, n) array indexed [l, i, j]; with
-        ``x``, (n, n, n, N)."""
-        return _at(self._plan(state).dpi, state, x)
+    def derivatives(self, state: State, rows) -> np.ndarray:
+        """d pi / d x_l at each row, as an (n, n, n, N) array indexed [l, i, j, row]."""
+        return self._plan(state).dpi(coordinate_columns(state, rows))
 
     def _plan(self, state: State) -> _Plan:
         """The compiled table at the state's size.  A table and its size and
@@ -74,10 +80,6 @@ class PoissonStructure:
         if key not in _PLANS:
             _PLANS[key] = _compile(self.table_builder(state))
         return _PLANS[key]
-
-
-def _at(tensor, state: State, x):
-    return tensor(coordinate_columns(state))[..., 0] if x is None else tensor(x)
 
 
 class _Sums:
@@ -296,40 +298,19 @@ def _pi3_ab_table(m: int) -> EntryTable:
 STRUCTURES = {
     "c-bracket": PoissonStructure("c-bracket", C_VARS, lambda s: _c_bracket_table(s.dim)),
     "pi1-v": PoissonStructure("pi1-v", VOLTERRA_V, lambda s: _pi1_v_table(s.dim),
-                              ("F", lambda s, rows=None: lax.grad_casimir_F(s, rows))),
+                              ("F", lambda s, rows: lax.grad_casimir_F(s, rows))),
     "pi3-v": PoissonStructure("pi3-v", VOLTERRA_V, lambda s: _pi3_v_table(s.dim)),
     "pi1-ab": PoissonStructure(
         "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(len(ab_split(s, +1, "pi1-ab")[1])),
-        ("C", lambda s, rows=None: lax.grad_casimir_C(s, rows))),
+        ("C", lambda s, rows: lax.grad_casimir_C(s, rows))),
     "pi3-ab": PoissonStructure(
         "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(len(ab_split(s, +1, "pi3-ab")[1]))),
 }
 
 
-def get_structure(name):
-    """Resolve a structure name; structure-like objects pass through."""
-    if isinstance(name, (PoissonStructure, Pencil)):
-        return name
-    try:
-        return STRUCTURES[name]
-    except KeyError:
-        raise ValueError(f"unknown Poisson structure {name!r}") from None
-
-
-def poisson_matrix(structure, state: State) -> np.ndarray:
-    """Evaluate a named structure; output is antisymmetric by construction."""
-    return get_structure(structure)(state)
-
-
 # ---------------------------------------------------------------------------
 # residual checks
 # ---------------------------------------------------------------------------
-
-def _per_row(values, rows):
-    """A residual's values as returned: the (N,) array for a block, a float for one state."""
-    values = np.asarray(values, dtype=float)
-    return values if rows is not None else float(values[0])
-
 
 @lru_cache(maxsize=None)
 def _jacobi_indices(n: int) -> tuple[np.ndarray, ...]:
@@ -341,11 +322,10 @@ def _jacobi_indices(n: int) -> tuple[np.ndarray, ...]:
     return tuple(indices)
 
 
-def jacobi_residual(structure, state: State, rows=None):
-    """Max over index triples of the cyclic Jacobi sum; NaN if any sum is NaN.
+def jacobi_residual(structure, state: State, rows) -> np.ndarray:
+    """Max over index triples of the cyclic Jacobi sum at each row; NaN if any sum is NaN.
 
-    Tensor derivatives are analytic (exact monomial differentiation).  With
-    ``rows`` the residual of each row is returned (see the module notes).
+    Tensor derivatives are analytic (exact monomial differentiation).
 
     Summation order is part of the contract, because reports print the
     residual's exact bits: for every triple i < j < k the sum runs over
@@ -355,63 +335,58 @@ def jacobi_residual(structure, state: State, rows=None):
     operation per l; a contraction over l (``einsum``, ``np.sum``, matmul)
     would reorder these additions and change the low bits.
     """
-    struct = get_structure(structure)
-    x = coordinate_columns(state, rows)
-    pi, dpi = struct(state, x), struct.derivatives(state, x)
+    pi, dpi = structure(state, rows), structure.derivatives(state, rows)
     n = state.dim
     i, j, k, jk, ki, ij = _jacobi_indices(n)
     columns = pi.transpose(1, 0, 2).copy()  # columns[l] = pi[:, l], contiguous for take
     planes = dpi.reshape(n, n * n, -1)  # planes[l] = dpi[l] flattened
-    total = np.zeros((len(i), x.shape[1]), dtype=complex)
+    total = np.zeros((len(i), pi.shape[-1]), dtype=complex)
     for l in range(n):
         p, d = columns[l], planes[l]
         total += (p.take(i, axis=0) * d.take(jk, axis=0) + p.take(j, axis=0) * d.take(ki, axis=0)
                   + p.take(k, axis=0) * d.take(ij, axis=0))
-    return _per_row(np.max(np.abs(total), axis=0, initial=0.0), rows)
+    return np.max(np.abs(total), axis=0, initial=0.0)
 
 
 class Pencil:
     """The linear pencil pi_a + lam * pi_b of two structures on one chart."""
 
-    def __init__(self, structure1, structure2, lam: float):
-        self.first = get_structure(structure1)
-        self.second = get_structure(structure2)
+    def __init__(self, first: PoissonStructure, second: PoissonStructure, lam: float):
+        self.first = first
+        self.second = second
         if self.first.chart != self.second.chart:
             raise ChartMismatch("pencil requires structures on the same chart")
         self.lam = lam
-        self.chart = self.first.chart
 
-    def __call__(self, state: State, x=None) -> np.ndarray:
-        return self.first(state, x) + self.lam * self.second(state, x)
+    def __call__(self, state: State, rows) -> np.ndarray:
+        return self.first(state, rows) + self.lam * self.second(state, rows)
 
-    def derivatives(self, state: State, x=None) -> np.ndarray:
+    def derivatives(self, state: State, rows) -> np.ndarray:
         # first + lam * second, computed in place: two d pi tensors live, not four
-        out = self.second.derivatives(state, x)
+        out = self.second.derivatives(state, rows)
         np.multiply(self.lam, out, out=out)
-        return np.add(self.first.derivatives(state, x), out, out=out)
+        return np.add(self.first.derivatives(state, rows), out, out=out)
 
 
-def compatibility_residual(structure1, structure2, lam: float, state: State, rows=None):
-    """Jacobi residual of the pencil pi1 + lam * pi3."""
+def compatibility_residual(structure1, structure2, lam: float, state: State, rows) -> np.ndarray:
+    """Jacobi residual of the pencil pi1 + lam * pi3 at each row."""
     return jacobi_residual(Pencil(structure1, structure2, lam), state, rows)
 
 
-def casimir_residual(structure, casimir_grad, state: State, rows=None):
-    """Norm of pi(s) . grad C(s); the gradient must be supplied in closed form.
-
-    ``casimir_grad(state)`` gives one gradient; with ``rows`` it is called as
-    ``casimir_grad(state, rows)`` and gives one gradient per row.
-    """
-    pis = stacked(get_structure(structure)(state, coordinate_columns(state, rows)))
-    grads = casimir_grad(state) if rows is None else casimir_grad(state, rows)
-    grads = np.asarray(grads, dtype=complex).reshape(len(pis), -1)
-    return _per_row([np.linalg.norm(pi @ grad) for pi, grad in zip(pis, grads)], rows)
+def casimir_residual(structure, casimir_grad, state: State, rows) -> np.ndarray:
+    """Norm of pi(s) . grad C(s) at each row; the gradient must be supplied in
+    closed form, as ``casimir_grad(state, rows)``, one gradient per row."""
+    pis = stacked(structure(state, rows))
+    grads = np.asarray(casimir_grad(state, rows), dtype=complex)
+    return np.array([np.linalg.norm(pi @ grad) for pi, grad in zip(pis, grads)])
 
 
-def hamiltonian_flow_check(structure, grad_h, field, state: State) -> float:
-    """Norm of pi(s) grad H(s) - field(s), with grad H in closed form."""
-    gh = np.asarray(grad_h(state), dtype=complex)
-    return float(np.linalg.norm(poisson_matrix(structure, state) @ gh - np.asarray(field(state), dtype=complex)))
+def hamiltonian_flow_check(structure, grad_h, field, state: State, rows) -> np.ndarray:
+    """Norm of pi(s) grad H(s) - field(s) at each row s of ``rows``, with
+    ``grad_h(state, rows)`` in closed form and the field taking one State."""
+    pis, grads = stacked(structure(state, rows)), np.asarray(grad_h(state, rows), dtype=complex)
+    return np.array([np.linalg.norm(pi @ gh - np.asarray(field(state.replace_coords(row)), dtype=complex))
+                     for pi, gh, row in zip(pis, grads, coordinate_columns(state, rows).T)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,50 +394,43 @@ def hamiltonian_flow_check(structure, grad_h, field, state: State) -> float:
 # ---------------------------------------------------------------------------
 
 class LenardPair(NamedTuple):
-    """pi3 grad H2 = pi1 grad H4 on one chart, with H = scale * tr(L^order) / order.
+    """pi3 grad H2 = pi1 grad H4 on one chart, with H = scale * tr(L^order) / order
+    and L from a catalog row's Lax builder.
 
     The ladder itself pins each normalization.  In the (a, b) chart
     H2 = tr(L^2)/2 (the flow Hamiltonian of pi1) and H4 = tr(L^4)/2: with
     tr(L^4)/4 the two sides of the ladder differ by exactly 2 at every
     state.  In the v chart the Lax entries are square roots, tr(L^2)
     vanishes identically, and the invariants are graded by v-degree:
-    H_k = tr(L^{2k}) / k, under which the ladder is exact as written.
+    H_k = tr(L^{2k}) / k, under which the ladder is exact as written.  The
+    chart and its admissible sizes are those of the structures: pi1-v, and
+    so the v-chart ladder, needs odd n.
     """
 
-    chart: str
-    pi1: str
-    pi3: str
-    lax_key: str
+    pi1: PoissonStructure
+    pi3: PoissonStructure
+    lax: Callable  # Lax builder (state, x, ds) -> (L, B, sign, dL)
     h2: tuple[int, int]  # (order, scale)
     h4: tuple[int, int]
-    odd_n: bool  # the relation needs an odd number of coordinates
 
 
+#: The Lenard ladders of the vd and ab systems, keyed by the short chart name.
 LENARD = {
-    "ab": LenardPair(FLASCHKA_AB, "pi1-ab", "pi3-ab", "ab", (2, 1), (4, 2), odd_n=False),
-    "v": LenardPair(VOLTERRA_V, "pi1-v", "pi3-v", "vd", (4, 2), (8, 2), odd_n=True),
+    "v": LenardPair(STRUCTURES["pi1-v"], STRUCTURES["pi3-v"], SYSTEMS["vd"].lax, (4, 2), (8, 2)),
+    "ab": LenardPair(STRUCTURES["pi1-ab"], STRUCTURES["pi3-ab"], SYSTEMS["ab"].lax, (2, 1), (4, 2)),
 }
 
 
-def lenard_residual(chart: str, state: State, rows=None):
-    """Norm of pi3 grad H2 - pi1 grad H4 in the given chart ('v' or 'ab').
+def lenard_residual(pair: LenardPair, state: State, rows) -> np.ndarray:
+    """Norm of pi3 grad H2 - pi1 grad H4 of a Lenard pair at each row.
 
     Gradients of the trace invariants are analytic.  The tensors and the
     gradients of a block of ``rows`` each come from one call.
     """
-    pair = LENARD.get(chart)
-    if pair is None:
-        raise ChartMismatch(f"no Lenard pair on chart {chart!r}")
-    state.require_chart(pair.chart, "lenard_residual")
-    if pair.odd_n and state.dim % 2 == 0:
-        raise ParityError(f"the {chart}-chart Lenard relation requires odd n")
-    x = coordinate_columns(state, rows)
-    pi3 = stacked(STRUCTURES[pair.pi3](state, x))
-    pi1 = stacked(STRUCTURES[pair.pi1](state, x))
+    pi3, pi1 = stacked(pair.pi3(state, rows)), stacked(pair.pi1(state, rows))
     (o2, s2), (o4, s4) = pair.h2, pair.h4
-    g2, g4 = lax.grad_trace_invariant(pair.lax_key, state, x.T, [o2, o4])
-    norms = [np.linalg.norm(p3 @ (s2 * a) - p1 @ (s4 * b)) for p3, p1, a, b in zip(pi3, pi1, g2, g4)]
-    return _per_row(norms, rows)
+    g2, g4 = lax.grad_trace_invariant(pair.lax, state, rows, [o2, o4])
+    return np.array([np.linalg.norm(p3 @ (s2 * a) - p1 @ (s4 * b)) for p3, p1, a, b in zip(pi3, pi1, g2, g4)])
 
 
 def vd_quarter_h2(state: State) -> complex:
@@ -481,11 +449,12 @@ def vd_quarter_h2(state: State) -> complex:
     )
 
 
-def grad_vd_quarter_h2(state: State) -> np.ndarray:
-    """Analytic gradient of vd_quarter_h2."""
-    v = state.array
+def grad_vd_quarter_h2(state: State, rows) -> np.ndarray:
+    """Analytic gradient of vd_quarter_h2 at each row of ``rows``, as a C-ordered (N, n) array."""
+    state.require_chart(VOLTERRA_V, "grad_vd_quarter_h2")
+    v = coordinate_columns(state, rows)
     n = len(v)
-    g = np.zeros(n, dtype=complex)
+    g = np.zeros_like(v)
     for i in range(n - 2):              # chain products v_i v_{i+1}
         g[i] += v[i + 1]
         g[i + 1] += v[i]
@@ -494,4 +463,4 @@ def grad_vd_quarter_h2(state: State) -> np.ndarray:
     g[n - 2] += 2 * v[n - 1]
     g[n - 1] += 2 * v[n - 2]
     g[1 : n - 2] += v[1 : n - 2]
-    return g
+    return np.ascontiguousarray(g.T)

@@ -235,6 +235,7 @@ def hamiltonian_eval(system: str, state: State, params=None) -> complex:
 def hamiltonian_column(system: str, state: State, rows, params=None) -> list[complex]:
     """hamiltonian_eval at each row of an (N, 2n) block of (q, p) coordinates."""
     state.require_chart(QP, "hamiltonian_eval")
+    _require_boundary_q(system, state.split, "Hamiltonian")
     rows = np.asarray(rows)
     q, p = rows[:, : state.split], rows[:, state.split :]
     n = q.shape[1]
@@ -256,6 +257,12 @@ def hamiltonian_column(system: str, state: State, rows, params=None) -> list[com
     raise ValueError(f"unknown Hamiltonian system {system!r}")
 
 
+def _require_boundary_q(system: str, n: int, what: str):
+    """The Sklyanin-type boundary terms act on q_1 and q_n, so those chains need a q."""
+    if n == 0 and system in ("sklyanin", "sklyanin_full"):
+        raise DimensionError(f"the {system} {what} needs at least one q")
+
+
 def _sklyanin_full_params(params):
     defaults = {"alpha1": 1.0, "beta1": 1.0, "alphan": 1.0, "betan": 1.0}
     if params:
@@ -266,6 +273,7 @@ def _sklyanin_full_params(params):
 def qp_field(system: str, state: State, params=None) -> np.ndarray:
     """Hamilton's equations (dq, dp) = (dH/dp, -dH/dq) with analytic partials."""
     state.require_chart(QP, "qp_field")
+    _require_boundary_q(system, state.split, "field")
     q = state.first()
     p = state.second()
     n = len(q)
@@ -276,8 +284,6 @@ def qp_field(system: str, state: State, params=None) -> np.ndarray:
     dh_dq[1:] -= expo
     if system == "toda":
         pass
-    elif n == 0 and system in ("sklyanin", "sklyanin_full"):
-        raise DimensionError(f"the {system} field needs at least one q")  # its boundary terms act on q_1, q_n
     elif system == "sklyanin":
         dh_dq[0] += -2 * np.exp(-2 * q[0])
         dh_dq[-1] += 2 * np.exp(2 * q[-1])

@@ -4,12 +4,12 @@ Every map is one kernel over a block of states, ``henon_block(state, rows)``
 and the rest: it maps each row of ``rows``, an (N, d) block of coordinates
 in the chart of ``state`` (``states.coordinate_columns``), checks chart,
 size and domain once per block, and returns a zero State of the image chart
-and split with the (N, d') image rows; ``henon_map(state)`` and the other
-State maps run it on one state.  ``pushforward_residual`` verifies that a
-map intertwines two flows by comparing the Jacobian-pushed source field with
-the target field at the image point; Jacobians are complex-aware central
-differences at step ``FD_STEP`` from one kernel call on a block of bumps,
-unless a closed form is supplied.
+and split with the (N, d') image rows.  One state is a block of one row.
+``pushforward_residual`` verifies that a map intertwines two flows by
+comparing the Jacobian-pushed source field with the target field at the
+image point; Jacobians are complex-aware central differences at step
+``FD_STEP`` from one kernel call on a block of bumps, unless a closed form
+is supplied.
 """
 
 from __future__ import annotations
@@ -39,16 +39,7 @@ def _ab_image(a, b) -> tuple[State, np.ndarray]:
     return ab_state(np.zeros(len(a)), np.zeros(len(b))), np.concatenate([a, b]).T
 
 
-def _state_map(kernel):
-    """The map of one State: the kernel on that state alone."""
-    def state_map(state: State, *spectrum) -> State:
-        zero, image = kernel(*spectrum, state)
-        return zero.replace_coords(image[0])
-
-    return state_map
-
-
-def henon_block(state: State, rows=None) -> tuple[State, np.ndarray]:
+def henon_block(state: State, rows) -> tuple[State, np.ndarray]:
     """Quadratic map from the KM chain to open-Toda variables (A, B).
 
     A_i = -1/2 sqrt(u_{2i} u_{2i-1}), B_i = 1/2 (u_{2i-1} + u_{2i-2}) with
@@ -86,7 +77,7 @@ def moser_reduce(L) -> np.ndarray:
     return L2[::2, ::2]
 
 
-def d_transform_block(state: State, rows=None) -> tuple[State, np.ndarray]:
+def d_transform_block(state: State, rows) -> tuple[State, np.ndarray]:
     """Analogue of the Hénon map for the Volterra D chain, odd n = 2m+1.
 
     a_1 = (i/2)(u_n - u_{n-1}); a_j = (1/2) sqrt(u_{n-2j+2} u_{n-2j+1});
@@ -110,7 +101,7 @@ def d_transform_block(state: State, rows=None) -> tuple[State, np.ndarray]:
     return _ab_image(a, b)
 
 
-def sklyanin_flaschka_block(state: State, rows=None) -> tuple[State, np.ndarray]:
+def sklyanin_flaschka_block(state: State, rows) -> tuple[State, np.ndarray]:
     """Flaschka-type map for the doubly boundary-perturbed chain, m degrees.
 
     a_1 = e^{-q_1}/sqrt(2); a_{m+1} = e^{q_m}/sqrt(2);
@@ -135,13 +126,13 @@ def _qp_with_spectrum(spectrum: Spectrum, state: State, rows, what: str) -> tupl
     return x[: state.split], x[state.split :]
 
 
-def toda_flaschka_block(spectrum: Spectrum, state: State, rows=None) -> tuple[State, np.ndarray]:
+def toda_flaschka_block(spectrum: Spectrum, state: State, rows) -> tuple[State, np.ndarray]:
     """Traditional Flaschka map: a_i = (1/2) e^{(v_i, q)/2}, b_i = -p_i/2."""
     q, p = _qp_with_spectrum(spectrum, state, rows, "toda_flaschka")
     return _ab_image(0.5 * np.exp(0.5 * (spectrum.matrix @ q)), -0.5 * p)
 
 
-def generalized_flaschka_block(spectrum: Spectrum, state: State, rows=None) -> tuple[State, np.ndarray]:
+def generalized_flaschka_block(spectrum: Spectrum, state: State, rows) -> tuple[State, np.ndarray]:
     """Exponential map a_i = -e^{(v_i, q)}, b_i = (v_i, p)."""
     q, p = _qp_with_spectrum(spectrum, state, rows, "generalized_flaschka")
     vecs = spectrum.matrix
@@ -153,7 +144,7 @@ def _c_to_v_factors(n: int) -> np.ndarray:
     return np.array([(k, k + 1) for k in range(n - 1)] + [(n - 2, n)]).T
 
 
-def c_to_v_block(state: State, rows=None) -> tuple[State, np.ndarray]:
+def c_to_v_block(state: State, rows) -> tuple[State, np.ndarray]:
     """Reciprocal-product map from n+1 Cartan variables to n chain variables.
 
     v_1 = 1/(c_1 c_2); v_k = 2/(c_k c_{k+1}) for 2 <= k <= n-2;
@@ -169,15 +160,6 @@ def c_to_v_block(state: State, rows=None) -> tuple[State, np.ndarray]:
     i, j = _c_to_v_factors(n)
     v = np.array([1.0] + [2.0] * (n - 3) + [1.0, 1.0])[:, None] / _product(c[i], c[j])
     return v_state(np.zeros(n)), v.T
-
-
-# The maps of one State (and a spectrum, for the Flaschka maps).
-henon_map = _state_map(henon_block)
-d_transform = _state_map(d_transform_block)
-sklyanin_flaschka = _state_map(sklyanin_flaschka_block)
-toda_flaschka = _state_map(toda_flaschka_block)
-generalized_flaschka = _state_map(generalized_flaschka_block)
-c_to_v = _state_map(c_to_v_block)
 
 
 def c_to_v_jacobian(state: State, rows, image) -> np.ndarray:

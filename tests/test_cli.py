@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lattice_flows
 from lattice_flows import lax
 from lattice_flows.cli import main
 from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
@@ -166,16 +171,26 @@ def test_verify_suites_pass(capsys, argv):
 def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
     # one builder call per block of states: 10 states are a block of 8 and one of 2
     calls = []
-    builder = lax._BUILDERS["vd"]
+    pair = lax.lax_pair
 
-    def counting(state, x, ds):
-        calls.append((x.shape[1], None if ds is None else ds.shape[1:]))
-        return builder(state, x, ds)
+    def counting_pair(builder, *args):
+        def counting(state, x, ds):
+            calls.append((builder, x.shape[1], None if ds is None else ds.shape[1:]))
+            return builder(state, x, ds)
 
-    monkeypatch.setitem(lax._BUILDERS, "vd", counting)
+        return pair(counting, *args)
+
+    monkeypatch.setattr(lax, "lax_pair", counting_pair)
     code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", "10")
     assert code == 0 and json.loads(out)["pass"]
-    assert calls == [(8, (1, 8)), (2, (1, 2))]
+    assert calls == [(lax.vd_lax, 8, (1, 8)), (lax.vd_lax, 2, (1, 2))]
+
+
+def test_verify_lax_rejects_the_empty_km_chain(capsys):
+    # an empty chain's residual is 0.0 and would certify nothing
+    code, out, err = run(capsys, "verify", "lax", "--system", "km", "--n", "0", "--states", "3")
+    assert code == 2 and out == ""
+    assert err == "usage error: km Lax needs n >= 1\n"
 
 
 def test_verify_deterministic_reports(capsys):
@@ -183,6 +198,29 @@ def test_verify_deterministic_reports(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+_COMPLEX_QP = json.dumps({"q": [[0.3, 0.05], [-0.2, -0.1], [0.1, 0.0]], "p": [[0.5, 0.02], [0.0, 0.1], [-0.4, 0.0]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "lenard", "--chart", "v", "--n", "9", "--states", "10", "--seed", "5"),
+    ("simulate", "--system", "sklyanin", "--state", _COMPLEX_QP, "--t", "0.2", "--adaptive", "--invariants", "H"),
+], ids=["verify", "simulate-complex"])
+def test_output_is_the_same_bytes_in_other_processes(capsys, argv):
+    # the determinism promise across interpreters: string hashing (and so set
+    # and dict-of-str iteration order) differs with PYTHONHASHSEED
+    package_root = str(Path(lattice_flows.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", *argv], env=env, capture_output=True,
+                              timeout=120, check=False)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and outputs[0] == outputs[1] == out.encode()
 
 
 def test_verify_spectrum_builtin(capsys):
@@ -359,8 +397,14 @@ def test_malformed_spectrum_document_is_usage_error(tmp_path, capsys, document, 
      (("simulate", "--system", "sklyanin", "--state", '{"q":[],"p":[]}', "--t", "0.1", "--dt", "0.05"),
       "the sklyanin field needs at least one q"),
      (("simulate", "--system", "sklyanin-full", "--state", '{"q":[],"p":[]}', "--t", "0.1", "--dt", "0.05"),
-      "the sklyanin_full field needs at least one q")],
-    ids=["verify-flaschka-sklyanin", "simulate-sklyanin", "simulate-sklyanin-full"],
+      "the sklyanin_full field needs at least one q"),
+     # at t = 0 no field is evaluated, so the H column meets the empty state first
+     (("simulate", "--system", "sklyanin", "--state", '{"q":[],"p":[]}', "--t", "0", "--invariants", "H"),
+      "the sklyanin Hamiltonian needs at least one q"),
+     (("simulate", "--system", "sklyanin-full", "--state", '{"q":[],"p":[]}', "--t", "0", "--invariants", "H"),
+      "the sklyanin_full Hamiltonian needs at least one q")],
+    ids=["verify-flaschka-sklyanin", "simulate-sklyanin", "simulate-sklyanin-full", "simulate-sklyanin-H-t0",
+         "simulate-sklyanin-full-H-t0"],
 )
 def test_empty_qp_state_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

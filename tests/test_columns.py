@@ -42,7 +42,7 @@ def _hamiltonian_ref(name, s):
 
 def _lax_matrix(key, s):
     """L at one state: the one slice of a one-row block."""
-    return lax.lax_pair(key, s, [s.array])[0][0]
+    return lax.lax_pair(SYSTEMS[key].lax, s, [s.array])[0][0]
 
 
 def _reference(key, name, s, spectrum):
@@ -161,9 +161,10 @@ def test_lax_stack_is_the_stack_of_single_matrices(rng):
                                  ("ab", FLASCHKA_AB, 15, 8), ("toda", FLASCHKA_AB, 17, 8)):
         rows = _rows(rng, chart, d, True)[:20]
         template = State(chart, rows[0], split)
-        L, B, _, _ = lax.lax_pair(key, template, rows)
+        builder = SYSTEMS[key].lax
+        L, B, _, _ = lax.lax_pair(builder, template, rows)
         assert L.flags.c_contiguous and B.flags.c_contiguous
-        singles = [lax.lax_pair(key, template, [r]) for r in rows]
+        singles = [lax.lax_pair(builder, template, [r]) for r in rows]
         assert np.array_equal(L, np.concatenate([one[0] for one in singles]))
         assert np.array_equal(B, np.concatenate([one[1] for one in singles]))
 
@@ -171,10 +172,10 @@ def test_lax_stack_is_the_stack_of_single_matrices(rng):
 def test_grad_trace_invariant_takes_several_orders(rng):
     rows = rng.uniform(-1, 1, (3, 15))
     state = State(FLASCHKA_AB, rows[0], 8)
-    both = lax.grad_trace_invariant("ab", state, rows, [2, 4])
+    both = lax.grad_trace_invariant(lax.ab_lax, state, rows, [2, 4])
     assert both.shape == (2, 3, 15)
     for grads, k in zip(both, (2, 4)):
-        assert np.array_equal(grads, lax.grad_trace_invariant("ab", state, rows, [k])[0])
+        assert np.array_equal(grads, lax.grad_trace_invariant(lax.ab_lax, state, rows, [k])[0])
 
 
 def test_closed_forms_keep_their_state_signatures():

@@ -8,7 +8,6 @@ import pytest
 
 from lattice_flows.catalog import SYSTEM_KEYS, SYSTEMS
 from lattice_flows.cli import main
-from lattice_flows.lax import _BUILDERS
 from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
 from lattice_flows.states import CHARTS
 
@@ -31,7 +30,7 @@ def test_readme_lists_every_system():
     assert [re.findall(r"`([^`]+)`", row[0]) for row in rows] == [[key] for key in SYSTEM_KEYS]
     for (key, charts, _, lax_pair), system in zip(rows, SYSTEMS.values()):
         assert re.findall(r"`([^`]+)`", charts) == list(system.charts), key
-        assert re.findall(r"`([^`]+)`", lax_pair) == [k for k in _BUILDERS if k == system.key], key
+        assert re.findall(r"`([^`]+)`", lax_pair) == ([f"lax.{system.lax.__name__}"] if system.lax else []), key
 
 
 def test_readme_quick_tour_runs():

@@ -3,11 +3,11 @@ import pytest
 
 from conftest import random_ab, random_toda_ab, random_u, random_v
 
-from lattice_flows import DomainError, UnsupportedDimension, ab_state, u_state, v_state
-from lattice_flows import lax
-from lattice_flows.catalog import get_system
+from lattice_flows import DimensionError, DomainError, UnsupportedDimension, ab_state, u_state, v_state
+from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
+    ab_lax,
     casimir_C_column,
     casimir_F_column,
     grad_trace_invariant,
@@ -22,8 +22,8 @@ RESIDUAL_TOL = 1e-10
 
 
 def _pair(system, state):
-    """L, B and the sign at one state: the one row of a one-row block."""
-    L, B, sign, _ = lax_pair(system, state, [state.array])
+    """L, B and the sign at one state of a catalog system: the one row of a one-row block."""
+    L, B, sign, _ = lax_pair(SYSTEMS[system].lax, state, [state.array])
     return L[0], B[0], sign
 
 
@@ -54,6 +54,12 @@ def test_km_rejects_nonpositive():
         _pair("km", u_state([1.0, -0.5]))
 
 
+def test_km_rejects_the_empty_chain():
+    # an empty chain has a 1 x 1 zero L, whose residual 0 would certify nothing
+    with pytest.raises(DimensionError, match="n >= 1"):
+        _pair("km", u_state([]))
+
+
 def test_residual_suite(rng):
     # one block of 100 states per system and size
     cases = []
@@ -67,7 +73,7 @@ def test_residual_suite(rng):
         cases.append(("ab", [random_ab(rng, m) for _ in range(100)], ab_field))
     worst = 0.0
     for system, states, field in cases:
-        residuals = lax_residual(system, states[0], [s.array for s in states], [field(s) for s in states])
+        residuals = lax_residual(SYSTEMS[system].lax, states[0], [s.array for s in states], [field(s) for s in states])
         assert residuals.shape == (100,)
         worst = max(worst, np.max(residuals))
     assert worst < RESIDUAL_TOL
@@ -75,7 +81,7 @@ def test_residual_suite(rng):
 
 def test_residual_on_complex_ab_state():
     state = ab_state([0.3j, 0.5, 0.4, 0.2j], [-1.0, -0.8, -0.9])
-    assert lax_residual("ab", state, [state.array], [ab_field(state)])[0] < 1e-13
+    assert lax_residual(ab_lax, state, [state.array], [ab_field(state)])[0] < 1e-13
 
 
 def test_vd_lax_dimension_and_entries(rng):
@@ -154,7 +160,7 @@ def test_grad_trace_invariant_matches_fd(rng):
         state = sample(rng)
         base = state.array.real
         for order in (3, 4):
-            [[grad]] = grad_trace_invariant(system, state, [state.array], [order])
+            [[grad]] = grad_trace_invariant(SYSTEMS[system].lax, state, [state.array], [order])
 
             def f(x):
                 return _traces(system, state.replace_coords(x), [order])[0]
@@ -172,7 +178,7 @@ def _single_direction_grads(system, state, rows, orders):
     grads = np.zeros((len(orders), len(rows), d), dtype=complex)
     for r, row in enumerate(rows):
         for j, e in enumerate(np.eye(d)):
-            L, _, _, dL = lax_pair(system, state, [row], e[:, None, None])
+            L, _, _, dL = lax_pair(SYSTEMS[system].lax, state, [row], e[:, None, None])
             for i, k in enumerate(orders):
                 grads[i, r, j] = np.trace(np.linalg.matrix_power(L[0], k - 1) @ dL[0, 0])
     return grads
@@ -186,7 +192,7 @@ def test_grad_trace_invariant_is_exactly_the_per_coordinate_trace(rng, system, s
     for draw in (sample, _LARGER_SAMPLES[system]):
         states = [draw(rng) for _ in range(5)]
         rows = np.array([s.array for s in states])
-        grads = grad_trace_invariant(system, states[0], rows, orders)
+        grads = grad_trace_invariant(SYSTEMS[system].lax, states[0], rows, orders)
         assert grads.shape == (len(orders), 5, states[0].dim)
         assert np.array_equal(grads, _single_direction_grads(system, states[0], rows, orders))
 
@@ -197,15 +203,16 @@ def test_lax_dL_batch_is_the_stack_of_single_directions(rng, system, sample):
     rows = np.array([s.array for s in states])
     d, T = rows.shape[1], _pair(system, states[0])[0].shape[0]
     ds = rng.uniform(-1.0, 1.0, (d, 4, 3))
-    L, B, sign, dL = lax_pair(system, states[0], rows, ds)
+    builder = SYSTEMS[system].lax
+    L, B, sign, dL = lax_pair(builder, states[0], rows, ds)
     assert L.shape == B.shape == (3, T, T) and dL.shape == (3, 4, T, T)
     assert all(a.flags.c_contiguous for a in (L, B, dL))
     for r, state in enumerate(states):
         one_L, one_B, one_sign = _pair(system, state)
         assert np.array_equal(L[r], one_L) and np.array_equal(B[r], one_B) and sign == one_sign
         for k in range(4):
-            assert np.array_equal(dL[r, k], lax_pair(system, state, [state.array], ds[:, k, r, None, None])[3][0, 0])
-    assert lax_pair(system, states[0], rows)[3] is None
+            assert np.array_equal(dL[r, k], lax_pair(builder, state, [state.array], ds[:, k, r, None, None])[3][0, 0])
+    assert lax_pair(builder, states[0], rows)[3] is None
 
 
 def _drift(system, traj, names):
@@ -242,7 +249,7 @@ def test_drift_along_km_flow():
 def test_residual_vanishing_field_zero_a():
     # with every a zero both dL/dt and the commutator vanish identically
     state = ab_state([0, 0, 0], [0.3, -0.7])
-    assert lax_residual("ab", state, [state.array], [ab_field(state)])[0] == 0.0
+    assert lax_residual(ab_lax, state, [state.array], [ab_field(state)])[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +290,19 @@ def _lax_mutants(system, state):
     yield "sign", lambda L, B, sign, dL: (L, B, -sign, dL)
 
 
-def test_every_lax_entry_mutant_fails_the_gate(monkeypatch, rng):
+def test_every_lax_entry_mutant_fails_the_gate(rng):
     counts = {}
     for system, sample, size, field in _MUTATION_CASES:
         states = [sample(rng, size) for _ in range(3)]
         rows, velocities = [s.array for s in states], [field(s) for s in states]
-        builder = lax._BUILDERS[system]
+        builder = SYSTEMS[system].lax
         mutants = list(_lax_mutants(system, states[0]))
         counts[system] = len(mutants)
         for label, mutate in mutants:
             def mutant(state, x, ds, mutate=mutate):
                 return mutate(*builder(state, x, ds))  # fresh arrays each call
 
-            with monkeypatch.context() as patch:
-                patch.setitem(lax._BUILDERS, system, mutant)
-                assert np.max(lax_residual(system, states[0], rows, velocities)) > RESIDUAL_TOL, (system, label)
-        assert np.max(lax_residual(system, states[0], rows, velocities)) < RESIDUAL_TOL
+            assert np.max(lax_residual(mutant, states[0], rows, velocities)) > RESIDUAL_TOL, (system, label)
+        assert np.max(lax_residual(builder, states[0], rows, velocities)) < RESIDUAL_TOL
     # 111 entry mutants and one sign flip per builder
     assert counts == {"km": 14 + 6 + 1, "toda": 19 + 6 + 1, "vd": 28 + 14 + 1, "ab": 18 + 6 + 1}

@@ -5,9 +5,12 @@ from conftest import central_difference, random_ab, random_c, random_qp, random_
 
 from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
+from lattice_flows.catalog import SYSTEMS
 from lattice_flows.cli import BLOCK, _involution
-from lattice_flows.lax import grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_pair, lax_residual, trace_columns
+from lattice_flows.lax import (ab_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_pair, lax_residual,
+                               trace_columns)
 from lattice_flows.poisson import (
+    LENARD,
     Pencil,
     PoissonStructure,
     _pi3_v_table,
@@ -17,14 +20,12 @@ from lattice_flows.poisson import (
     hamiltonian_flow_check,
     jacobi_residual,
     lenard_residual,
-    poisson_matrix,
     vd_quarter_h2,
-    get_structure,
     STRUCTURES,
 )
-from lattice_flows.states import VOLTERRA_V, coordinate_columns
+from lattice_flows.states import VOLTERRA_V
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
-from lattice_flows.transforms import c_to_v, c_to_v_block, c_to_v_jacobian, d_transform, d_transform_block, map_jacobian
+from lattice_flows.transforms import c_to_v_block, c_to_v_jacobian, d_transform_block, map_jacobian
 
 JACOBI_TOL = 1e-6
 CASIMIR_TOL = 1e-10
@@ -35,6 +36,26 @@ LENARD_TOL = 1e-7
 C_TO_V_PI3_SCALE = 2.0
 D_MAP_PI1_SCALE = 2.0
 D_MAP_PI3_SCALE = 1.0
+S = STRUCTURES
+
+
+def _pi(structure, state):
+    """pi at one state: the one matrix of a one-row block."""
+    return structure(state, [state.array])[..., 0]
+
+
+def _at(residual, *args):
+    """A block residual's value at one state, its last argument: the state as a one-row block."""
+    *head, state = args
+    return residual(*head, state, [state.array])[0]
+
+
+def _structure(spec):
+    """A registry structure by name, or the pencil of a (name, name, lambda) triple."""
+    if isinstance(spec, tuple):
+        first, second, lam = spec
+        return Pencil(S[first], S[second], lam)
+    return S[spec]
 
 
 def golden_pi1_matrix(v):
@@ -61,17 +82,17 @@ def golden_pi1_matrix(v):
 def test_pi1_v_golden_n7(rng):
     for _ in range(20):
         v = rng.uniform(0.1, 2.0, 7)
-        got = poisson_matrix("pi1-v", v_state(v))
+        got = _pi(S["pi1-v"], v_state(v))
         assert np.max(np.abs(got - golden_pi1_matrix(v))) < 1e-12
 
 
 def test_pi1_v_needs_odd_dimension(rng):
     with pytest.raises(ParityError):
-        poisson_matrix("pi1-v", random_v(rng, 6))
+        _pi(S["pi1-v"], random_v(rng, 6))
 
 
 def test_c_bracket_constant_matrix():
-    got = poisson_matrix("c-bracket", c_state([1, 2, 3, 4, 5]))
+    got = _pi(S["c-bracket"], c_state([1, 2, 3, 4, 5]))
     expected = np.zeros((5, 5))
     for j in range(3):
         expected[j, j + 1] = 1
@@ -81,7 +102,7 @@ def test_c_bracket_constant_matrix():
 
 
 def test_pi1_ab_entries_m2():
-    got = poisson_matrix("pi1-ab", ab_state([1, 1, 1], [5, 7]))
+    got = _pi(S["pi1-ab"], ab_state([1, 1, 1], [5, 7]))
     # nonzero pattern: {a1,b1}=1, {a2,b2}=1/2, {a2,b1}=-1/2, {a3,b2}=-1
     expected = np.zeros((5, 5))
     expected[0, 3] = 1.0
@@ -101,37 +122,37 @@ def test_antisymmetry_everywhere(rng):
         "pi3-ab": random_ab(rng, 4),
     }
     for name, state in states.items():
-        pi = poisson_matrix(name, state)
+        pi = _pi(S[name], state)
         assert np.array_equal(pi, -pi.T), name
 
 
 def test_jacobi_residuals(rng):
-    assert jacobi_residual("c-bracket", random_c(rng, 8)) == 0.0
+    assert _at(jacobi_residual, S["c-bracket"], random_c(rng, 8)) == 0.0
     for n in (5, 7, 9):
         for _ in range(50):
             state = random_v(rng, n)
-            assert jacobi_residual("pi1-v", state) < JACOBI_TOL
-            assert jacobi_residual("pi3-v", state) < JACOBI_TOL
+            assert _at(jacobi_residual, S["pi1-v"], state) < JACOBI_TOL
+            assert _at(jacobi_residual, S["pi3-v"], state) < JACOBI_TOL
     for m in (2, 3):
         for _ in range(25):
             state = random_ab(rng, m)
-            assert jacobi_residual("pi1-ab", state) < JACOBI_TOL
-            assert jacobi_residual("pi3-ab", state) < JACOBI_TOL
+            assert _at(jacobi_residual, S["pi1-ab"], state) < JACOBI_TOL
+            assert _at(jacobi_residual, S["pi3-ab"], state) < JACOBI_TOL
 
 
 def test_jacobi_analytic_matches_fd(rng):
     # the analytic d pi against the test's own central differences of pi
     for name, state in (("pi1-v", random_v(rng, 7)), ("pi3-ab", random_ab(rng, 3))):
-        struct = get_structure(name)
+        struct = S[name]
         fd = _reference_dpi(struct, state, 1e-5)
-        assert np.max(np.abs(struct.derivatives(state) - fd)) <= 1e-7 * np.max(np.abs(fd))
-        assert _matches_loop(jacobi_residual(name, state), struct, state, 1e-5)
+        assert np.max(np.abs(struct.derivatives(state, [state.array])[..., 0] - fd)) <= 1e-7 * np.max(np.abs(fd))
+        assert _matches_loop(_at(jacobi_residual, struct, state), struct, state, 1e-5)
 
 
 def test_jacobi_residual_propagates_nan():
     # a NaN cyclic sum must not be dropped by the max over index triples
     state = v_state([np.nan, 1.0, 1.5, 0.5, 1.2])
-    assert np.isnan(jacobi_residual("pi3-v", state))
+    assert np.isnan(_at(jacobi_residual, S["pi3-v"], state))
 
 
 def _eval_table(table, x):
@@ -179,9 +200,8 @@ def _reference_dpi(struct, state, fd_step=None):
     return _eval_table_derivatives(struct.table_builder(state), state.array)
 
 
-def _jacobi_loop(structure, state, fd_step=None):
+def _jacobi_loop(struct, state, fd_step=None):
     """The scalar quadruple loop over the reference tensors: the bit-exact reference."""
-    struct = get_structure(structure)
     pi, dpi = _reference_pi(struct, state), _reference_dpi(struct, state, fd_step)
     n = state.dim
     sums = []
@@ -230,13 +250,13 @@ def test_jacobi_residual_matches_scalar_loop_bitwise(rng, structure, sample, siz
     # keep the loop's summation order; == rather than approx is the point.
     # With an fd_step the loop runs on the test's central differences of pi
     # instead: a cross-check of the analytic derivatives (see _matches_loop)
-    struct = get_structure(Pencil(*structure) if isinstance(structure, tuple) else structure)
+    struct = _structure(structure)
     for _ in range(2):
         state = sample(rng, size)
-        assert _matches_loop(jacobi_residual(struct, state), struct, state, fd_step)
+        assert _matches_loop(_at(jacobi_residual, struct, state), struct, state, fd_step)
     states = [sample(rng, size) for _ in range(3)]
     rows = np.array([s.array for s in states])
-    got = jacobi_residual(struct, states[0], rows=rows)
+    got = jacobi_residual(struct, states[0], rows)
     assert all(_matches_loop(r, struct, s, fd_step) for r, s in zip(got.tolist(), states))
 
 
@@ -249,45 +269,45 @@ def test_jacobi_residual_detects_a_corrupted_coefficient(rng):
     corrupted = PoissonStructure("pi3-v-corrupted", VOLTERRA_V, lambda s: table)
     for _ in range(5):
         state = random_v(rng, 9)
-        residual = jacobi_residual(corrupted, state)
+        residual = _at(jacobi_residual, corrupted, state)
         assert residual > 1e-3
         assert residual == _jacobi_loop(corrupted, state)
-        assert jacobi_residual("pi3-v", state) < JACOBI_TOL
+        assert _at(jacobi_residual, S["pi3-v"], state) < JACOBI_TOL
 
 
 def test_compatibility(rng):
     for lam in (1.0, 2.5):
         for n in (5, 7, 9):
             for _ in range(25):
-                assert compatibility_residual("pi1-v", "pi3-v", lam, random_v(rng, n)) < JACOBI_TOL
+                assert _at(compatibility_residual, S["pi1-v"], S["pi3-v"], lam, random_v(rng, n)) < JACOBI_TOL
         for _ in range(25):
-            assert compatibility_residual("pi1-ab", "pi3-ab", lam, random_ab(rng, 3)) < JACOBI_TOL
+            assert _at(compatibility_residual, S["pi1-ab"], S["pi3-ab"], lam, random_ab(rng, 3)) < JACOBI_TOL
 
 
 def test_pencil_at_lambda_zero_is_first_structure(rng):
     state = random_v(rng, 7)
-    assert compatibility_residual("pi1-v", "pi3-v", 0.0, state) == jacobi_residual("pi1-v", state)
+    assert _at(compatibility_residual, S["pi1-v"], S["pi3-v"], 0.0, state) == _at(jacobi_residual, S["pi1-v"], state)
 
 
 def test_casimir_residuals(rng):
     for n in (5, 7, 9):
         for _ in range(50):
-            assert casimir_residual("pi1-v", grad_casimir_F, random_v(rng, n)) < CASIMIR_TOL
+            assert _at(casimir_residual, S["pi1-v"], grad_casimir_F, random_v(rng, n)) < CASIMIR_TOL
     for m in (2, 3):
         for _ in range(50):
-            assert casimir_residual("pi1-ab", grad_casimir_C, random_ab(rng, m)) < CASIMIR_TOL
+            assert _at(casimir_residual, S["pi1-ab"], grad_casimir_C, random_ab(rng, m)) < CASIMIR_TOL
 
 
 def test_casimir_residual_constant_function(rng):
     state = random_v(rng, 7)
-    assert casimir_residual("pi3-v", lambda s: np.zeros(s.dim), state) == 0.0
+    assert _at(casimir_residual, S["pi3-v"], lambda s, rows: np.zeros((len(rows), s.dim)), state) == 0.0
 
 
 def test_hamiltonian_flow_vd(rng):
     for n in (5, 7):
         for _ in range(50):
             state = random_v(rng, n)
-            r = hamiltonian_flow_check("pi1-v", grad_vd_quarter_h2, vd_field, state)
+            r = _at(hamiltonian_flow_check, S["pi1-v"], grad_vd_quarter_h2, vd_field, state)
             assert r < 1e-8
 
 
@@ -296,46 +316,45 @@ def test_grad_vd_quarter_h2_matches_fd(rng):
         for _ in range(10):
             state = random_v(rng, n)
             fd = central_difference(vd_quarter_h2, state, 1e-6)
-            assert np.max(np.abs(grad_vd_quarter_h2(state) - fd)) < 1e-8
+            assert np.max(np.abs(grad_vd_quarter_h2(state, [state.array])[0] - fd)) < 1e-8
 
 
-def _grad_h2_ab(state):
-    return grad_trace_invariant("ab", state, [state.array], [2])[0, 0]
+def _grad_h2_ab(state, rows):
+    return grad_trace_invariant(ab_lax, state, rows, [2])[0]
 
 
 def test_hamiltonian_flow_ab(rng):
     for m in (2, 3):
         for _ in range(50):
             state = random_ab(rng, m)
-            r = hamiltonian_flow_check("pi1-ab", _grad_h2_ab, ab_field, state)
+            r = _at(hamiltonian_flow_check, S["pi1-ab"], _grad_h2_ab, ab_field, state)
             assert r < 1e-8
 
 
 def test_hamiltonian_flow_zero_state():
     state = ab_state([0, 0, 0], [0, 0])
-    r = hamiltonian_flow_check("pi1-ab", _grad_h2_ab, ab_field, state)
+    r = _at(hamiltonian_flow_check, S["pi1-ab"], _grad_h2_ab, ab_field, state)
     assert r == 0.0
 
 
 def test_lenard_both_charts(rng):
     for n in (5, 7, 9):
         for _ in range(50):
-            assert lenard_residual("v", random_v(rng, n)) < LENARD_TOL
+            assert _at(lenard_residual, LENARD["v"], random_v(rng, n)) < LENARD_TOL
     for m in (2, 3):
         for _ in range(50):
-            assert lenard_residual("ab", random_ab(rng, m)) < LENARD_TOL
+            assert _at(lenard_residual, LENARD["ab"], random_ab(rng, m)) < LENARD_TOL
 
 
-def _fd_lenard_residual(chart, lax_key, h2, h4, state, fd_step=1e-6):
+def _fd_lenard_residual(chart, system, h2, h4, state, fd_step=1e-6):
     """pi3 grad H2 - pi1 grad H4 with central differences of H = scale * tr(L^order) / order."""
     def grad(order, scale):
         def h(s):
-            return scale * trace_columns(lax_pair(lax_key, s, [s.array])[0], [order])[0][0]
+            return scale * trace_columns(lax_pair(SYSTEMS[system].lax, s, [s.array])[0], [order])[0][0]
 
         return central_difference(h, state, fd_step)
 
-    return np.linalg.norm(poisson_matrix(f"pi3-{chart}", state) @ grad(*h2)
-                          - poisson_matrix(f"pi1-{chart}", state) @ grad(*h4))
+    return np.linalg.norm(_pi(S[f"pi3-{chart}"], state) @ grad(*h2) - _pi(S[f"pi1-{chart}"], state) @ grad(*h4))
 
 
 def test_lenard_fd_cross_check(rng):
@@ -348,19 +367,18 @@ def test_lenard_fd_cross_check(rng):
 
 
 def test_lenard_parity_error(rng):
-    with pytest.raises(ParityError, match="the v-chart Lenard relation requires odd n"):
-        lenard_residual("v", random_v(rng, 6))
+    with pytest.raises(ParityError, match="pi1-v requires odd n"):
+        _at(lenard_residual, LENARD["v"], random_v(rng, 6))
 
 
-@pytest.mark.parametrize("chart", ["u", "volterra_v"])
-def test_lenard_takes_only_the_short_chart_names(rng, chart):
-    with pytest.raises(ChartMismatch, match=f"no Lenard pair on chart '{chart}'"):
-        lenard_residual(chart, random_v(rng, 7))
+def test_lenard_rejects_a_state_off_its_chart(rng):
+    with pytest.raises(ChartMismatch):
+        _at(lenard_residual, LENARD["v"], random_ab(rng, 3))
 
 
 def _bracket(structure, f, g, state, fd_step=1e-6):
     """{f, g}(s) = grad f . pi(s) . grad g, with central-difference gradients."""
-    pi = poisson_matrix(structure, state)
+    pi = _pi(S[structure], state)
     return complex(central_difference(f, state, fd_step) @ pi @ central_difference(g, state, fd_step))
 
 
@@ -383,8 +401,8 @@ def test_involution_of_invariants(rng):
     for m in (3, 4):
         for _ in range(50):
             state = random_ab(rng, m)
-            pi = poisson_matrix("pi1-ab", state)
-            [g2], [g4], [g6] = grad_trace_invariant("ab", state, [state.array], [2, 4, 6])
+            pi = _pi(S["pi1-ab"], state)
+            [g2], [g4], [g6] = grad_trace_invariant(ab_lax, state, [state.array], [2, 4, 6])
             for gk in (g4, g6):
                 assert abs(complex(g2 @ pi @ gk)) < 1e-9
 
@@ -392,7 +410,13 @@ def test_involution_of_invariants(rng):
 def push_tensor(structure, kernel, state, jacobian=None):
     rows = [state.array]
     jac = (jacobian(state, rows, kernel(state, rows)[1]) if jacobian else map_jacobian(kernel, state, rows))[0]
-    return jac @ poisson_matrix(structure, state) @ jac.T
+    return jac @ _pi(S[structure], state) @ jac.T
+
+
+def _image(kernel, state):
+    """The image State of one state under a map kernel."""
+    zero, image = kernel(state, [state.array])
+    return zero.replace_coords(image[0])
 
 
 def test_c_bracket_pushes_to_half_pi3_v(rng):
@@ -400,7 +424,7 @@ def test_c_bracket_pushes_to_half_pi3_v(rng):
         for _ in range(20):
             state = random_c(rng, n + 1)
             pushed = push_tensor("c-bracket", c_to_v_block, state, jacobian=c_to_v_jacobian)
-            target = poisson_matrix("pi3-v", c_to_v(state))
+            target = _pi(S["pi3-v"], _image(c_to_v_block, state))
             assert np.max(np.abs(C_TO_V_PI3_SCALE * pushed - target)) < 1e-8
 
 
@@ -409,7 +433,7 @@ def test_d_map_pushes_pi1_to_half_pi1_ab(rng):
         for _ in range(20):
             state = random_v(rng, n)
             pushed = push_tensor("pi1-v", d_transform_block, state)
-            target = poisson_matrix("pi1-ab", d_transform(state))
+            target = _pi(S["pi1-ab"], _image(d_transform_block, state))
             assert np.max(np.abs(D_MAP_PI1_SCALE * pushed - target)) < 1e-8
 
 
@@ -418,7 +442,7 @@ def test_d_map_pushes_pi3_onto_pi3_ab(rng):
         for _ in range(20):
             state = random_v(rng, n)
             pushed = push_tensor("pi3-v", d_transform_block, state)
-            target = poisson_matrix("pi3-ab", d_transform(state))
+            target = _pi(S["pi3-ab"], _image(d_transform_block, state))
             assert np.max(np.abs(D_MAP_PI3_SCALE * pushed - target)) < 1e-8
 
 
@@ -432,20 +456,20 @@ def test_plans_are_compiled_once_per_structure_and_size(monkeypatch, rng):
     monkeypatch.setattr(poisson, "_PLANS", {})
     counting = PoissonStructure("pi3-v-counted", VOLTERRA_V, counted)
     first, second = random_v(rng, 9), random_v(rng, 9)
-    assert np.array_equal(counting(first), STRUCTURES["pi3-v"](first))
-    counting.derivatives(second)
+    assert np.array_equal(_pi(counting, first), _pi(STRUCTURES["pi3-v"], first))
+    counting.derivatives(second, [second.array])
     assert builds == [9] and list(poisson._PLANS) == [(counting, 9, None), (STRUCTURES["pi3-v"], 9, None)]
-    counting(random_v(rng, 11))
+    _pi(counting, random_v(rng, 11))
     assert builds == [9, 11]
     # the chart is checked on every call, hit or miss
     with pytest.raises(ChartMismatch):
-        counting(random_ab(rng, 4))
+        _pi(counting, random_ab(rng, 4))
     # a mutant of the same name and chart is another structure, with its own plan
     table = dict(_pi3_v_table(9))
     (coef, powers), *rest = table[(2, 3)]
     table[(2, 3)] = [(1.5 * coef, powers), *rest]
     mutant = PoissonStructure("pi3-v", VOLTERRA_V, lambda s: table)
-    assert not np.array_equal(mutant(first), STRUCTURES["pi3-v"](first))
+    assert not np.array_equal(_pi(mutant, first), _pi(STRUCTURES["pi3-v"], first))
     assert (mutant, 9, None) in poisson._PLANS and len(poisson._PLANS) == 4
 
 
@@ -454,12 +478,13 @@ def test_structures_registry_contents():
     assert {name: struct.casimir[0] for name, struct in STRUCTURES.items() if struct.casimir} == {
         "pi1-v": "F", "pi1-ab": "C"}
     state = random_v(np.random.default_rng(0), 7)
-    assert np.array_equal(STRUCTURES["pi1-v"].casimir[1](state), grad_casimir_F(state))
+    rows = [state.array]
+    assert np.array_equal(STRUCTURES["pi1-v"].casimir[1](state, rows), grad_casimir_F(state, rows))
 
 
 def test_lenard_zero_at_origin():
     state = ab_state([0, 0, 0], [0, 0])
-    assert lenard_residual("ab", state) == 0.0
+    assert _at(lenard_residual, LENARD["ab"], state) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +519,9 @@ def test_compiled_tensors_match_reference_loops(rng, family, size):
     for count, imag in ((1, 0.0), (3, 0.0), (BLOCK + 1, 0.0), (3, 0.5)):
         rows = draw(rng, size, count, imag)
         states = [template.replace_coords(row) for row in rows]
-        x = coordinate_columns(template, rows)
         for structure in structures:
-            struct = Pencil(*structure) if isinstance(structure, tuple) else get_structure(structure)
-            got_pi, got_dpi = struct(template, x), struct.derivatives(template, x)
+            struct = _structure(structure)
+            got_pi, got_dpi = struct(template, rows), struct.derivatives(template, rows)
             ref_pi = np.stack([_reference_pi(struct, s) for s in states], axis=-1)
             ref_dpi = np.stack([_reference_dpi(struct, s) for s in states], axis=-1)
             if imag:
@@ -506,8 +530,8 @@ def test_compiled_tensors_match_reference_loops(rng, family, size):
             else:
                 assert np.array_equal(got_pi, ref_pi), structure
                 assert np.array_equal(got_dpi, ref_dpi), structure
-                assert np.array_equal(struct(states[0]), ref_pi[..., 0]), structure
-                assert np.array_equal(struct.derivatives(states[0]), ref_dpi[..., 0]), structure
+                assert np.array_equal(_pi(struct, states[0]), ref_pi[..., 0]), structure
+                assert np.array_equal(struct.derivatives(states[0], rows[:1]), ref_dpi[..., :1]), structure
 
 
 def _grad_casimir_F_loop(v):
@@ -540,7 +564,7 @@ def test_batched_grad_casimir_F_matches_per_state_formula(rng, size):
         got = grad_casimir_F(template, rows)
         assert got.flags.c_contiguous
         assert np.array_equal(got, [_grad_casimir_F_loop(row) for row in rows])
-        assert np.array_equal(grad_casimir_F(template.replace_coords(rows[0])), got[0])
+        assert np.array_equal(grad_casimir_F(template.replace_coords(rows[0]), rows[:1]), got[:1])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
@@ -551,16 +575,11 @@ def test_batched_grad_casimir_C_matches_per_state_formula(rng, m):
         got = grad_casimir_C(template, rows)
         assert got.flags.c_contiguous
         assert np.array_equal(got, [_grad_casimir_C_loop(row, m) for row in rows])
-        assert np.array_equal(grad_casimir_C(template.replace_coords(rows[0])), got[0])
-
-
-def _one_or_block(residual):
-    """A residual(state, rows) as the residual convention: a float without rows."""
-    return lambda s, rows=None: float(residual(s, [s.array])[0]) if rows is None else np.array(residual(s, rows))
+        assert np.array_equal(grad_casimir_C(template.replace_coords(rows[0]), rows[:1]), got[:1])
 
 
 def _lax_along(key, field):
-    return _one_or_block(lambda s, rows: lax_residual(key, s, rows, [field(s.replace_coords(r)) for r in rows]))
+    return lambda s, rows: lax_residual(SYSTEMS[key].lax, s, rows, [field(s.replace_coords(r)) for r in rows])
 
 
 def test_block_residuals_equal_one_state_residuals(rng):
@@ -569,26 +588,25 @@ def test_block_residuals_equal_one_state_residuals(rng):
     u, toda = u_state(np.ones(7)), ab_state(np.ones(6), np.ones(7))
     u_rows, toda_rows = _v_rows(rng, 7, 5), rng.uniform(-1.0, 1.0, (5, 13))
     cases = (
-        (lambda s, rows=None: casimir_residual("pi1-v", grad_casimir_F, s, rows), v, v_rows),
-        (lambda s, rows=None: casimir_residual("pi1-ab", grad_casimir_C, s, rows), ab, ab_rows),
-        (lambda s, rows=None: lenard_residual("v", s, rows=rows), v, v_rows),
-        (lambda s, rows=None: lenard_residual("ab", s, rows=rows), ab, ab_rows),
-        (lambda s, rows=None: compatibility_residual("pi1-v", "pi3-v", 2.5, s, rows=rows), v, v_rows),
+        (lambda s, rows: casimir_residual(S["pi1-v"], grad_casimir_F, s, rows), v, v_rows),
+        (lambda s, rows: casimir_residual(S["pi1-ab"], grad_casimir_C, s, rows), ab, ab_rows),
+        (lambda s, rows: lenard_residual(LENARD["v"], s, rows), v, v_rows),
+        (lambda s, rows: lenard_residual(LENARD["ab"], s, rows), ab, ab_rows),
+        (lambda s, rows: compatibility_residual(S["pi1-v"], S["pi3-v"], 2.5, s, rows), v, v_rows),
         (_lax_along("km", km_field), u, u_rows),
         (_lax_along("toda", toda_ab_field), toda, toda_rows),
         (_lax_along("vd", vd_field), v, v_rows),
         (_lax_along("ab", ab_field), ab, ab_rows),
-        (_one_or_block(lambda s, rows: _involution(s, rows, 2, 6)), ab, ab_rows),
+        (lambda s, rows: _involution(s, rows, 2, 6), ab, ab_rows),
     )
     for residual, template, rows in cases:
-        one = [residual(template.replace_coords(row)) for row in rows]
-        assert all(isinstance(r, float) for r in one)
-        assert residual(template, rows).tolist() == one
+        one = [_at(residual, template.replace_coords(row)) for row in rows]
+        assert np.array(residual(template, rows)).tolist() == np.array(one).tolist()
 
 
 def test_block_of_the_wrong_width_is_rejected(rng):
     with pytest.raises(DimensionError):
-        jacobi_residual("pi3-v", v_state(np.ones(7)), rows=_v_rows(rng, 8, 2))
+        jacobi_residual(S["pi3-v"], v_state(np.ones(7)), _v_rows(rng, 8, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -611,36 +629,36 @@ def _mutants():
                 yield name, entry, k, PoissonStructure(name, struct.chart, lambda s, t=table: t, struct.casimir)
 
 
-def _excesses(monkeypatch, name, mutant, rng):
-    """The checks whose worst residual over 3 states exceeds the gate, with the mutant in place."""
-    monkeypatch.setitem(STRUCTURES, name, mutant)
+def _excesses(name, mutant, rng):
+    """The checks whose worst residual over 3 states exceeds the gate, with the
+    mutant in place of its registry structure in its chart's Lenard pair."""
     chart = "v" if mutant.chart == VOLTERRA_V else "ab"
+    pair = LENARD[chart]._replace(**{name.split("-")[0]: mutant})
     rows = _v_rows(rng, 7, 3) if chart == "v" else _ab_rows(rng, 3, 3)
     template = v_state(rows[0]) if chart == "v" else ab_state(rows[0][:4], rows[0][4:])
     worst = {
-        "jacobi": jacobi_residual(name, template, rows=rows),
-        "compat": np.concatenate([compatibility_residual(f"pi1-{chart}", f"pi3-{chart}", lam, template, rows=rows)
+        "jacobi": jacobi_residual(mutant, template, rows),
+        "compat": np.concatenate([compatibility_residual(pair.pi1, pair.pi3, lam, template, rows)
                                   for lam in (1.0, 2.5)]),
-        "lenard": lenard_residual(chart, template, rows=rows),
+        "lenard": lenard_residual(pair, template, rows),
     }
     if name in _CASIMIR_GRADS:
-        worst["casimir"] = casimir_residual(name, _CASIMIR_GRADS[name], template, rows)
+        worst["casimir"] = casimir_residual(mutant, _CASIMIR_GRADS[name], template, rows)
     return {check for check, values in worst.items() if np.max(values) > _GATES[check]}
 
 
-def test_every_single_monomial_mutant_fails_a_gate(monkeypatch, rng):
+def test_every_single_monomial_mutant_fails_a_gate(rng):
     mutants = list(_mutants())
     assert len(mutants) == 72
     for name, entry, k, mutant in mutants:
-        with monkeypatch.context() as patch:
-            assert _excesses(patch, name, mutant, rng), (name, entry, k)
-    # with every mutant gone, the registry structures pass again
+        assert _excesses(name, mutant, rng), (name, entry, k)
+    # the registry structures themselves pass
     rows = _v_rows(rng, 7, 3)
-    assert np.max(jacobi_residual("pi3-v", v_state(rows[0]), rows=rows)) < JACOBI_TOL
+    assert np.max(jacobi_residual(S["pi3-v"], v_state(rows[0]), rows)) < JACOBI_TOL
 
 
-def test_pi3_v_leading_mutant_is_caught_only_by_lenard(monkeypatch, rng):
+def test_pi3_v_leading_mutant_is_caught_only_by_lenard(rng):
     # 2 v1^2 v2 -> 3 v1^2 v2 in {v1, v2} keeps the Jacobi identity and both
     # pencils; only the Lenard ladder sees it
     (name, entry, k, mutant), = [m for m in _mutants() if m[0] == "pi3-v" and m[1:3] == ((0, 1), 0)]
-    assert _excesses(monkeypatch, name, mutant, rng) == {"lenard"}
+    assert _excesses(name, mutant, rng) == {"lenard"}

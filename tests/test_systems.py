@@ -160,14 +160,16 @@ def test_integrals_conserved_along_flow(rng):
     from lattice_flows.catalog import get_system
     from lattice_flows.integrate import FixedStep, drift_report, integrate
 
-    from lattice_flows.transforms import generalized_flaschka
+    from lattice_flows.transforms import generalized_flaschka_block
 
     spec = sklyanin_spectrum(3)
     lam = null_combination(spec)[0]
     system = get_system("spectrum", spectrum=spec)
     # start on the image of the exponential map: there F1 vanishes, which is
     # exactly where the product integral rides along unchanged
-    s0 = generalized_flaschka(random_qp(rng, 3), spec)
+    start = random_qp(rng, 3)
+    zero, image = generalized_flaschka_block(spec, start, [start.array])
+    s0 = zero.replace_coords(image[0])
     traj = integrate(system, s0, 5.0, FixedStep(1e-3))
     f1, f2 = integrals_F1_F2_columns(s0, lam, traj.coords)
     report = drift_report({"F1": f1, "F2": f2})

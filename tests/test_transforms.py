@@ -20,7 +20,7 @@ from lattice_flows import transforms
 from lattice_flows.catalog import get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import FixedStep, drift_report, integrate
-from lattice_flows.lax import casimir_C_column, h2_ab, lax_pair
+from lattice_flows.lax import casimir_C_column, h2_ab, km_lax, lax_pair
 from lattice_flows.systems import (
     ab_field,
     c_field,
@@ -34,21 +34,15 @@ from lattice_flows.systems import (
 from lattice_flows.states import coordinate_columns
 from lattice_flows.transforms import (
     FD_STEP,
-    c_to_v,
     c_to_v_block,
     c_to_v_jacobian,
-    d_transform,
     d_transform_block,
-    generalized_flaschka,
     generalized_flaschka_block,
     henon_block,
-    henon_map,
     map_jacobian,
     moser_reduce,
     pushforward_residual,
-    sklyanin_flaschka,
     sklyanin_flaschka_block,
-    toda_flaschka,
     toda_flaschka_block,
     toda_jacobi,
 )
@@ -61,21 +55,27 @@ def a_chain_spectrum(n):
     return Spectrum(n, rows)
 
 
+def image(kernel, state):
+    """The image State of one state under a map kernel: the kernel on a one-row block."""
+    zero, rows = kernel(state, [state.array])
+    return zero.replace_coords(rows[0])
+
+
 def test_henon_examples():
-    img = henon_map(u_state([2, 2, 2, 2]))
+    img = image(henon_block, u_state([2, 2, 2, 2]))
     assert np.allclose(img.first(), [-1, -1])
     assert np.allclose(img.second(), [1, 2, 1])
-    img = henon_map(u_state([0, 0, 0, 0]))
+    img = image(henon_block, u_state([0, 0, 0, 0]))
     assert np.all(img.array == 0)
     with pytest.raises(DomainError):
-        henon_map(u_state([1, -1, 1, 1]))
+        image(henon_block, u_state([1, -1, 1, 1]))
 
 
 def test_moser_reduce_examples(rng):
     assert np.array_equal(moser_reduce(np.eye(2)), [[1.0]])
     u = rng.uniform(0.1, 2.0, 4)
     a = np.sqrt(u / 2)
-    L = lax_pair("km", u_state(u), [u])[0][0]
+    L = lax_pair(km_lax, u_state(u), [u])[0][0]
     L2 = L @ L
     displayed_L2 = np.array(
         [
@@ -104,29 +104,29 @@ def test_moser_matches_henon_jacobi(rng):
     for n in (4, 5, 6, 7):
         for _ in range(20):
             state = random_u(rng, n)
-            reduced = moser_reduce(lax_pair("km", state, [state.array])[0][0])
-            jac = toda_jacobi(henon_map(state))
+            reduced = moser_reduce(lax_pair(km_lax, state, [state.array])[0][0])
+            jac = toda_jacobi(image(henon_block, state))
             assert np.max(np.abs(reduced - jac)) < 1e-12
 
 
 def test_d_transform_example():
-    img = d_transform(v_state([2, 1, 4, 1, 3]))
+    img = image(d_transform_block, v_state([2, 1, 4, 1, 3]))
     assert np.allclose(img.first(), [1j, 1.0, 1j])
     assert np.allclose(img.second(), [-4.0, -1.5])
 
 
 def test_d_transform_equal_tail_kills_a1():
-    img = d_transform(v_state([1, 1, 1, 2, 2]))
+    img = image(d_transform_block, v_state([1, 1, 1, 2, 2]))
     assert img.first()[0] == 0
 
 
 def test_d_transform_parity():
     with pytest.raises(ParityError):
-        d_transform(v_state([1, 1, 1, 1]))
+        image(d_transform_block, v_state([1, 1, 1, 1]))
 
 
 def test_sklyanin_flaschka_example():
-    img = sklyanin_flaschka(qp_state([0, 0], [0, 0]))
+    img = image(sklyanin_flaschka_block, qp_state([0, 0], [0, 0]))
     assert np.allclose(img.first(), [2**-0.5, 0.5, 2**-0.5])
     assert np.all(img.second() == 0)
 
@@ -134,7 +134,7 @@ def test_sklyanin_flaschka_example():
 def test_casimir_constant_on_image(rng):
     for m in (2, 3, 4):
         for _ in range(100):
-            img = sklyanin_flaschka(random_qp(rng, m))
+            img = image(sklyanin_flaschka_block, random_qp(rng, m))
             c = casimir_C_column(img, [img.array])[0]
             target = 2.0 ** -(2 * m - 1)
             assert abs(c - target) < 1e-13 * target
@@ -144,31 +144,31 @@ def test_h2_is_half_the_hamiltonian(rng):
     for _ in range(50):
         m = int(rng.integers(2, 5))
         state = random_qp(rng, m)
-        img = sklyanin_flaschka(state)
+        img = image(sklyanin_flaschka_block, state)
         assert abs(h2_ab(img) - 0.5 * hamiltonian_eval("sklyanin", state)) < 1e-12
 
 
 def test_toda_flaschka_example():
     spec = a_chain_spectrum(3)
-    img = toda_flaschka(qp_state([0, 0, 0], [0, 0, 0]), spec)
+    img = image(partial(toda_flaschka_block, spec), qp_state([0, 0, 0], [0, 0, 0]))
     assert np.allclose(img.first(), 0.5)
     assert np.all(img.second() == 0)
-    img = toda_flaschka(qp_state([1, 0, -1], [0, 0, 0]), spec)
+    img = image(partial(toda_flaschka_block, spec), qp_state([1, 0, -1], [0, 0, 0]))
     assert np.allclose(img.first(), [0.5 * np.e**0.5, 0.5 * np.e**0.5])
 
 
 def test_generalized_flaschka_example():
     spec = Spectrum(2, ((1, -1),))
-    img = generalized_flaschka(qp_state([np.log(2), 0], [3, 1]), spec)
+    img = image(partial(generalized_flaschka_block, spec), qp_state([np.log(2), 0], [3, 1]))
     assert np.allclose(img.first(), [-2.0])
     assert np.allclose(img.second(), [2.0])
-    img = generalized_flaschka(qp_state([0, 0], [0, 0]), a_chain_spectrum(2))
+    img = image(partial(generalized_flaschka_block, a_chain_spectrum(2)), qp_state([0, 0], [0, 0]))
     assert np.allclose(img.first(), -1.0)
 
 
 def test_c_to_v_examples():
-    assert np.allclose(c_to_v(c_state([1, 1, 1, 1, 1])).array, [1, 2, 1, 1])
-    assert np.allclose(c_to_v(c_state([2, 2, 2, 2, 2])).array, [0.25, 0.5, 0.25, 0.25])
+    assert np.allclose(image(c_to_v_block, c_state([1, 1, 1, 1, 1])).array, [1, 2, 1, 1])
+    assert np.allclose(image(c_to_v_block, c_state([2, 2, 2, 2, 2])).array, [0.25, 0.5, 0.25, 0.25])
 
 
 def _block(sample, count):
@@ -237,19 +237,18 @@ def _complex(rng, lo, hi, k, imag):
     return rng.uniform(lo, hi, k) + 1j * rng.uniform(-imag, imag, k)
 
 
-# (kernel, State map, sampler(rng, imaginary half-width)) of each map, at the
-# sizes of its verify-mix or golden run; every domain admits complex states
+# (kernel, sampler(rng, imaginary half-width)) of each map, at the sizes of
+# its verify-mix or golden run; every domain admits complex states
 MAPS = {
-    "henon": (henon_block, henon_map, lambda rng, im: u_state(_complex(rng, 0.1, 2.0, 7, im))),
-    "d-map": (d_transform_block, d_transform, lambda rng, im: v_state(_complex(rng, 0.5, 2.0, 15, im / 3))),
-    "flaschka-sklyanin": (sklyanin_flaschka_block, sklyanin_flaschka,
+    "henon": (henon_block, lambda rng, im: u_state(_complex(rng, 0.1, 2.0, 7, im))),
+    "d-map": (d_transform_block, lambda rng, im: v_state(_complex(rng, 0.5, 2.0, 15, im / 3))),
+    "flaschka-sklyanin": (sklyanin_flaschka_block,
                           lambda rng, im: qp_state(_complex(rng, -1, 1, 3, im), _complex(rng, -1, 1, 3, im))),
-    "flaschka-toda": (partial(toda_flaschka_block, a_chain_spectrum(7)), lambda s: toda_flaschka(s, a_chain_spectrum(7)),
+    "flaschka-toda": (partial(toda_flaschka_block, a_chain_spectrum(7)),
                       lambda rng, im: qp_state(_complex(rng, -1, 1, 7, im), _complex(rng, -1, 1, 7, im))),
     "flaschka-general": (partial(generalized_flaschka_block, sklyanin_spectrum(7)),
-                         lambda s: generalized_flaschka(s, sklyanin_spectrum(7)),
                          lambda rng, im: qp_state(_complex(rng, -1, 1, 7, im), _complex(rng, -1, 1, 7, im))),
-    "c-to-v": (c_to_v_block, c_to_v, lambda rng, im: c_state(_complex(rng, 0.1, 2.0, 16, im))),
+    "c-to-v": (c_to_v_block, lambda rng, im: c_state(_complex(rng, 0.1, 2.0, 16, im))),
 }
 
 
@@ -259,22 +258,23 @@ MAPS = {
 def test_map_jacobian_is_bitwise_the_per_state_central_difference(rng, name, count, imag):
     # one kernel call on the block of bumps must keep every bit of the
     # state-by-state differences, laid out as one state's own C-ordered matrix
-    kernel, one, sample = MAPS[name]
+    kernel, sample = MAPS[name]
     states = [sample(rng, imag) for _ in range(count)]
     rows = np.array([s.array for s in states])
     jac = map_jacobian(kernel, states[0], rows)
-    zero, image = kernel(states[0], rows)
+    zero, images = kernel(states[0], rows)
     assert jac.shape == (count, zero.dim, states[0].dim) and jac.flags.c_contiguous
     for k, state in enumerate(states):
-        reference = central_difference(lambda s: one(s).array, state, FD_STEP).T
+        reference = central_difference(lambda s: image(kernel, s).array, state, FD_STEP).T
         assert jac[k].tobytes() == np.ascontiguousarray(reference).tobytes(), k
-        assert one(state).array.tobytes() == image[k].tobytes() and one(state).split == zero.split
+        one = image(kernel, state)
+        assert one.array.tobytes() == images[k].tobytes() and one.split == zero.split
 
 
 def _per_state_c_to_v_jacobian(state):
     """The closed form one state at a time, the reference of the block form."""
     c = state.array
-    v = c_to_v(state).array
+    v = image(c_to_v_block, state).array
     n = len(c) - 1
     pairs = [(0, 1)] + [(k - 1, k) for k in range(2, n - 1)] + [(n - 2, n - 1), (n - 2, n)]
     jac = np.zeros((n, n + 1), dtype=complex)
@@ -313,8 +313,8 @@ def test_scaled_image_coordinate_fails_pushforward(monkeypatch, capsys, rng, nam
     assert main(argv) == 0
     capsys.readouterr()
     original = getattr(transforms, kernel)
-    _, one, sample = MAPS[name]
-    for j in range(one(sample(rng, 0.0)).dim):
+    mapping, sample = MAPS[name]
+    for j in range(image(mapping, sample(rng, 0.0)).dim):
         def mutant(*args, j=j):
             zero, image = original(*args)
             image = image.copy()
@@ -331,5 +331,5 @@ def test_pulled_back_h2_constant_along_vd_flow():
     system = get_system("vd")
     s0 = v_state([0.05, 0.06, 0.04, 0.05, 0.06, 0.045, 0.05])
     traj = integrate(system, s0, 10.0, FixedStep(1e-3))
-    report = drift_report({"h2_pullback": [h2_ab(d_transform(s0.replace_coords(y))) for y in traj.coords]})
+    report = drift_report({"h2_pullback": [h2_ab(image(d_transform_block, s0.replace_coords(y))) for y in traj.coords]})
     assert report[0].max_rel_drift < 1e-7
