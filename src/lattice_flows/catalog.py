@@ -46,12 +46,13 @@ def _closed_form(fn, *args) -> Column:
 class LatticeSystem:
     """A vector field on each chart it accepts, plus its named invariants.
 
-    ``fields`` maps a chart to a callable (state, spectrum) -> ndarray and
-    ``named_invariants`` maps (system, state) to {name: Column}.  ``lax`` is
-    the system's Lax builder (``lax.km_lax`` and the rest) or None: the one
-    place that says which Lax pair belongs to a system.  ``spectrum``
-    parametrises the 'spectrum' system.  Dimension is carried by the states
-    themselves; every entry accepts any admissible size of its charts.
+    ``fields`` maps a chart to a callable (state, y, spectrum) -> ndarray,
+    the velocity at one raw (d,) row ``y`` in the chart of the template
+    ``state``; ``named_invariants`` maps (system, state) to {name: Column}.
+    ``lax`` is the system's Lax builder (``lax.km_lax`` and the rest) or
+    None: the one place that says which Lax pair belongs to a system.
+    ``spectrum`` parametrises the 'spectrum' system.  Dimension is carried by
+    the states themselves; every entry accepts any admissible size of its charts.
     """
 
     key: str
@@ -68,8 +69,9 @@ class LatticeSystem:
     def positive(self) -> bool:
         return all(ch in POSITIVE_CHARTS for ch in self.fields)
 
-    def field(self, state: State) -> np.ndarray:
-        return self._on_chart(state)(state, self.spectrum)
+    def field(self, state: State, y) -> np.ndarray:
+        """The velocity at ``y``, one (d,) coordinate row in the chart of ``state``."""
+        return self._on_chart(state)(state, y, self.spectrum)
 
     def invariants(self, state: State) -> dict[str, Callable[[State], complex]]:
         """Named invariants available for this system on the state's chart.
@@ -144,27 +146,28 @@ def _toda_invariants(system: LatticeSystem, state: State):
     return _traces(system.lax, range(1, state.dim // 2 + 2))
 
 
-# Fields look ``systems.*_field`` up at call time, so a wrapper installed on
-# the systems module (e.g. by a profiler) sees every evaluation.
+# Fields, called as (template State, row, spectrum), look ``systems.*_field``
+# up at call time, so a wrapper on the systems module sees every evaluation.
 SYSTEMS = {system.key: system for system in (
-    LatticeSystem("km", {VOLTERRA_U: lambda s, _: systems.km_field(s)},
+    LatticeSystem("km", {VOLTERRA_U: lambda s, y, _: systems.km_field(s, y)},
                   lambda km, s: _traces(km.lax, range(2, s.dim + 2, 2)), lax=lax.km_lax),
-    *(LatticeSystem(f"bv-{fam}", {VOLTERRA_U: lambda s, _, f=fam.upper(): systems.bv_field(f, s)})
+    *(LatticeSystem(f"bv-{fam}", {VOLTERRA_U: lambda s, y, _, f=fam.upper(): systems.bv_field(f, s, y)})
       for fam in "abcd"),
-    *(LatticeSystem(f"c-{fam}", {C_VARS: lambda s, _, f=fam.upper(): systems.c_field(f, s)})
+    *(LatticeSystem(f"c-{fam}", {C_VARS: lambda s, y, _, f=fam.upper(): systems.c_field(f, s, y)})
       for fam in "abcd"),
-    LatticeSystem("vd", {VOLTERRA_V: lambda s, _: systems.vd_field(s)},
+    LatticeSystem("vd", {VOLTERRA_V: lambda s, y, _: systems.vd_field(s, y)},
                   lambda vd, s: {**_traces(vd.lax, range(2, s.dim, 2), 2), "F": _closed_form(lax.casimir_F_column)},
                   lax=lax.vd_lax),
-    LatticeSystem("ab", {FLASCHKA_AB: lambda s, _: systems.ab_field(s)},
+    LatticeSystem("ab", {FLASCHKA_AB: lambda s, y, _: systems.ab_field(s, y)},
                   lambda ab, s: {**_traces(ab.lax, range(2, s.dim + 1, 2)), "C": _closed_form(lax.casimir_C_column)},
                   lax=lax.ab_lax),
-    LatticeSystem("spectrum", {FLASCHKA_AB: lambda s, spectrum: systems.spectrum_field(spectrum, s)},
+    LatticeSystem("spectrum", {FLASCHKA_AB: lambda s, y, spectrum: systems.spectrum_field(spectrum, s, y)},
                   _null_integrals),
-    LatticeSystem("toda", {QP: lambda s, _: systems.qp_field("toda", s),
-                           FLASCHKA_AB: lambda s, _: systems.toda_ab_field(s)}, _toda_invariants, lax=lax.toda_lax),
-    LatticeSystem("sklyanin", {QP: lambda s, _: systems.qp_field("sklyanin", s)}, _hamiltonian("sklyanin")),
-    LatticeSystem("sklyanin-full", {QP: lambda s, _: systems.qp_field("sklyanin_full", s)},
+    LatticeSystem("toda", {QP: lambda s, y, _: systems.qp_field("toda", s, y),
+                           FLASCHKA_AB: lambda s, y, _: systems.toda_ab_field(s, y)},
+                  _toda_invariants, lax=lax.toda_lax),
+    LatticeSystem("sklyanin", {QP: lambda s, y, _: systems.qp_field("sklyanin", s, y)}, _hamiltonian("sklyanin")),
+    LatticeSystem("sklyanin-full", {QP: lambda s, y, _: systems.qp_field("sklyanin_full", s, y)},
                   _hamiltonian("sklyanin_full")),
 )}
 

@@ -77,19 +77,6 @@ class Trajectory:
         return self.initial.replace_coords(self.coords[-1])
 
 
-# Fehlberg 4(5) tableau: 4th-order propagation, 5th-order error estimate.
-_FEHLBERG_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
-)
-_FEHLBERG_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
-_FEHLBERG_ERR = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
-
-
 def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Trajectory:
     """Integrate the system's field from s0 to t_end, sampling every accepted step."""
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -104,13 +91,16 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
     if t_end == 0.0:
         return trajectory()
 
+    # the chart's field is resolved once; every stage passes s0 as the template
+    field, spectrum = system._on_chart(s0), system.spectrum
+
     def f(y):
-        return np.asarray(system.field(s0.replace_coords(y)), dtype=complex)
+        return field(s0, y, spectrum)
 
     def check_step(y, t):
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise StepFailure(f"state overflowed to a non-finite value at t = {t:.6g}")
-        if system.positive and np.min(y.real) <= 0.0:
+        if system.positive and y.real.min() <= 0.0:
             raise DomainExit(
                 f"positivity-constrained coordinate crossed zero at t = {t:.6g}", trajectory()
             )
@@ -132,7 +122,7 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
         dt = min(dt, t_end - t)
         y_new, err = _fehlberg_step(f, y, dt)
         scale = policy.atol + policy.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = float(np.max(np.abs(err) / scale)) if err.size else 0.0
+        ratio = float((np.abs(err) / scale).max()) if err.size else 0.0
         if ratio <= 1.0:
             t += dt
             y = y_new
@@ -170,14 +160,20 @@ def _rk4_step(f, y, dt):
 
 
 def _fehlberg_step(f, y, dt):
-    # zero tableau entries are skipped; the other terms add left to right
-    ks = []
-    for row in _FEHLBERG_A:
-        yi = y if not row else y + dt * sum(c * k for c, k in zip(row, ks) if c)
-        ks.append(f(yi))
-    y_new = y + dt * sum(b * k for b, k in zip(_FEHLBERG_B4, ks) if b)
-    err = dt * sum(c * k for c, k in zip(_FEHLBERG_ERR, ks) if c)
-    return y_new, np.asarray(err)
+    """One Fehlberg 4(5) step: 4th-order propagation, 5th-order error estimate.
+
+    Zero tableau entries are skipped and the other terms add left to right
+    from an integer 0, so an exact zero gets the sign a Python ``sum`` gives it.
+    """
+    k1 = f(y)
+    k2 = f(y + dt * (0 + 1 / 4 * k1))
+    k3 = f(y + dt * (0 + 3 / 32 * k1 + 9 / 32 * k2))
+    k4 = f(y + dt * (0 + 1932 / 2197 * k1 + -7200 / 2197 * k2 + 7296 / 2197 * k3))
+    k5 = f(y + dt * (0 + 439 / 216 * k1 + -8 * k2 + 3680 / 513 * k3 + -845 / 4104 * k4))
+    k6 = f(y + dt * (0 + -8 / 27 * k1 + 2 * k2 + -3554 / 2565 * k3 + 1859 / 4104 * k4 + -11 / 40 * k5))
+    y_new = y + dt * (0 + 25 / 216 * k1 + 1408 / 2565 * k3 + 2197 / 4104 * k4 + -1 / 5 * k5)
+    err = dt * (0 + 1 / 360 * k1 + -128 / 4275 * k3 + -2197 / 75240 * k4 + 1 / 50 * k5 + 2 / 55 * k6)
+    return y_new, err
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
-from .states import VOLTERRA_U, VOLTERRA_V, State, ab_split, coordinate_columns, require_positive_real, stacked
+from .states import VOLTERRA_U, VOLTERRA_V, State, ab_sizes, coordinate_columns, require_positive_real, stacked
 
 
 def lax_pair(builder, state: State, rows, ds=None):
@@ -111,7 +111,8 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
 
 def h2_ab(state: State) -> complex:
     """Quadratic invariant sum(b^2) + a_1^2 + 2 sum(a_2..a_m)^2 + a_{m+1}^2."""
-    a, b = ab_split(state, +1, "h2_ab")
+    ab_sizes(state, +1, "h2_ab")
+    a, b = state.first(), state.second()
     return complex(np.sum(b**2) + a[0] ** 2 + 2 * np.sum(a[1:-1] ** 2) + a[-1] ** 2)
 
 
@@ -122,8 +123,7 @@ def casimir_C_column(state: State, rows) -> list[complex]:
     The two outer products are Python complex products, which round as
     numpy's scalar product does; numpy's complex array product may not.
     """
-    a, _ = ab_split(state, +1, "casimir_C_column")
-    a = np.asarray(rows)[:, : len(a)]
+    a = np.asarray(rows)[:, : ab_sizes(state, +1, "casimir_C_column")[0]]
     inner = np.prod(a[:, 1:-1] ** 2, axis=1)
     return [x * y * z for x, y, z in zip(a[:, 0].tolist(), inner.tolist(), a[:, -1].tolist())]
 
@@ -132,7 +132,7 @@ def grad_casimir_C(state: State, rows) -> np.ndarray:
     """Analytic gradient of C with respect to (a_1..a_{m+1}, b_1..b_m) at
     each row of an (N, d) block ``rows`` in the chart of ``state``, as a
     C-ordered (N, d) array."""
-    m = len(ab_split(state, +1, "grad_casimir_C")[1])
+    m = ab_sizes(state, +1, "grad_casimir_C")[1]
     x = coordinate_columns(state, rows)
     a = x[: m + 1]
     own = np.array([1] + [2] * (m - 1) + [1])[:, None]  # exponent of each a_i in C
@@ -214,11 +214,10 @@ def km_lax(state: State, x, ds):
 
 
 def toda_lax(state: State, x, ds):
-    a, b = ab_split(state, -1, "toda Lax")
-    if len(b) < 2:
+    split, n = ab_sizes(state, -1, "toda Lax")
+    if n < 2:
         raise DimensionError("toda Lax needs n >= 2")
-    a, b = x[: len(a)], x[len(a) :]
-    n = len(b)
+    a, b = x[:split], x[split:]
 
     def assemble(av, bv):
         L = _zeros(n, bv.shape[1:])
@@ -237,8 +236,7 @@ def toda_lax(state: State, x, ds):
 
 
 def ab_lax(state: State, x, ds):
-    a, b = ab_split(state, +1, "ab Lax")
-    m = len(b)
+    m = ab_sizes(state, +1, "ab Lax")[1]
     if m < 2:
         raise UnsupportedDimension("the 2m x 2m ab Lax needs m >= 2; both end couplings collide at m = 1")
     a, b = x[: m + 1], x[m + 1 :]

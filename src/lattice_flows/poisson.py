@@ -45,7 +45,7 @@ import numpy as np
 from . import lax
 from .catalog import SYSTEMS
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_split, coordinate_columns, stacked
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, stacked
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -301,10 +301,10 @@ STRUCTURES = {
                               ("F", lambda s, rows: lax.grad_casimir_F(s, rows))),
     "pi3-v": PoissonStructure("pi3-v", VOLTERRA_V, lambda s: _pi3_v_table(s.dim)),
     "pi1-ab": PoissonStructure(
-        "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(len(ab_split(s, +1, "pi1-ab")[1])),
+        "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(ab_sizes(s, +1, "pi1-ab")[1]),
         ("C", lambda s, rows: lax.grad_casimir_C(s, rows))),
     "pi3-ab": PoissonStructure(
-        "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(len(ab_split(s, +1, "pi3-ab")[1]))),
+        "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(ab_sizes(s, +1, "pi3-ab")[1])),
 }
 
 
@@ -383,9 +383,9 @@ def casimir_residual(structure, casimir_grad, state: State, rows) -> np.ndarray:
 
 def hamiltonian_flow_check(structure, grad_h, field, state: State, rows) -> np.ndarray:
     """Norm of pi(s) grad H(s) - field(s) at each row s of ``rows``, with
-    ``grad_h(state, rows)`` in closed form and the field taking one State."""
+    ``grad_h(state, rows)`` in closed form and ``field(state, row)`` per row."""
     pis, grads = stacked(structure(state, rows)), np.asarray(grad_h(state, rows), dtype=complex)
-    return np.array([np.linalg.norm(pi @ gh - np.asarray(field(state.replace_coords(row)), dtype=complex))
+    return np.array([np.linalg.norm(pi @ gh - field(state, row))
                      for pi, gh, row in zip(pis, grads, coordinate_columns(state, rows).T)])
 
 

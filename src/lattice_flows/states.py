@@ -138,17 +138,16 @@ def ab_state(a, b) -> State:
 _AB_PATTERNS = {+1: "m+1 a's and m b's", -1: "n-1 a's and n b's"}
 
 
-def ab_split(state: State, extra: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) groups of a Flaschka-type state with len(a) == len(b) + extra.
-
-    ``extra`` is +1 for the boundary-perturbed chain (m+1 a's, m b's) and -1
-    for the open Toda chain (n-1 a's, n b's).
-    """
+def ab_sizes(state: State, extra: int, what: str) -> tuple[int, int]:
+    """(len(a), len(b)) of a Flaschka-type state, from its split and dim
+    alone, with len(a) == len(b) + extra required: ``extra`` is +1 for the
+    boundary-perturbed chain (m+1 a's, m b's), -1 for the open Toda chain
+    (n-1 a's, n b's)."""
     state.require_chart(FLASCHKA_AB, what)
-    a, b = state.first(), state.second()
-    if len(a) != len(b) + extra:
-        raise DimensionError(f"{what} expects {_AB_PATTERNS[extra]}, got {len(a)} and {len(b)}")
-    return a, b
+    sizes = state.split, state.dim - state.split
+    if sizes[0] != sizes[1] + extra:
+        raise DimensionError(f"{what} expects {_AB_PATTERNS[extra]}, got {sizes[0]} and {sizes[1]}")
+    return sizes
 
 
 def u_state(u) -> State:

@@ -1,7 +1,10 @@
 """Vector fields and Hamiltonians for every lattice, in their native charts.
 
 Formulas are written with 1-based indices in comments/docstrings and 0-based
-numpy indexing in code.  All fields are pure functions State -> ndarray.
+numpy indexing in code.  Every field takes a template State and one raw
+coordinate row ``y`` in its chart, and returns the velocity at ``y`` as a
+complex row when ``y`` is complex.  Chart, split and size checks read only
+the template's ``chart``, ``split`` and ``dim``; checks on values read ``y``.
 """
 
 from __future__ import annotations
@@ -10,17 +13,16 @@ import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, UnsupportedDimension
 from .rootdata import Spectrum
-from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_split
+from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_sizes
 
 
 # ---------------------------------------------------------------------------
 # Volterra chains in u variables
 # ---------------------------------------------------------------------------
 
-def km_field(state: State) -> np.ndarray:
+def km_field(state: State, u) -> np.ndarray:
     """Kac-van Moerbeke chain: du_i/dt = u_i (u_{i+1} - u_{i-1}), u_0 = u_{n+1} = 0."""
     state.require_chart(VOLTERRA_U, "km_field")
-    u = state.array
     up = np.concatenate([u[1:], [0.0]])
     um = np.concatenate([[0.0], u[:-1]])
     return u * (up - um)
@@ -29,7 +31,7 @@ def km_field(state: State) -> np.ndarray:
 _BV_MINIMUM = {"A": 2, "B": 3, "C": 3, "D": 5}
 
 
-def bv_field(family: str, state: State) -> np.ndarray:
+def bv_field(family: str, state: State, u) -> np.ndarray:
     """Bogoyavlensky-Volterra chain of the given classical family (A, B, C, D).
 
     Implements the per-family equations verbatim; the D family below n = 5
@@ -39,14 +41,13 @@ def bv_field(family: str, state: State) -> np.ndarray:
     family = family.upper()
     if family not in _BV_MINIMUM:
         raise ValueError(f"unknown family {family!r}")
-    u = state.array
-    n = len(u)
+    n = state.dim
     if n < _BV_MINIMUM[family]:
         raise UnsupportedDimension(f"family {family} requires at least {_BV_MINIMUM[family]} variables")
     du = np.zeros(n, dtype=complex)
     if family == "A":
         # identical to the KM chain with open ends
-        return km_field(state)
+        return km_field(state, u)
     if family == "B":
         du[0] = u[0] * (u[0] + 2 * u[1])
         du[1] = u[1] * (2 * u[2] - u[0])
@@ -72,11 +73,10 @@ def bv_field(family: str, state: State) -> np.ndarray:
     return du
 
 
-def vd_field(state: State) -> np.ndarray:
+def vd_field(state: State, v) -> np.ndarray:
     """Volterra D chain in the rescaled v variables, n >= 4."""
     state.require_chart(VOLTERRA_V, "vd_field")
-    v = state.array
-    n = len(v)
+    n = state.dim
     if n < 4:
         raise UnsupportedDimension("the v-variable Volterra D chain requires n >= 4")
     dv = np.zeros(n, dtype=complex)
@@ -138,14 +138,13 @@ def c_family_data(family: str, n_c: int):
     return edges, k
 
 
-def c_field(family: str, state: State) -> np.ndarray:
+def c_field(family: str, state: State, c) -> np.ndarray:
     """Cartan-variable chain: dc_i/dt = -sum_j k_j c_ij / c_j."""
     state.require_chart(C_VARS, "c_field")
-    c = state.array
-    if np.any(c == 0):
+    if (c == 0).any():
         raise DivisionByZero("c_field requires all c_j nonzero")
-    edges, k = c_family_data(family, len(c))
-    dc = np.zeros(len(c), dtype=complex)
+    edges, k = c_family_data(family, state.dim)
+    dc = np.zeros(state.dim, dtype=complex)
     for i, j in edges:
         # c_ij = +1 contributes -k_j/c_j to dc_i; c_ji = -1 contributes +k_i/c_i to dc_j
         dc[i] -= k[j] / c[j]
@@ -157,16 +156,16 @@ def c_field(family: str, state: State) -> np.ndarray:
 # Flaschka-type (a, b) systems
 # ---------------------------------------------------------------------------
 
-def ab_field(state: State) -> np.ndarray:
+def ab_field(state: State, y) -> np.ndarray:
     """Boundary-perturbed chain in (a, b): m+1 a's and m b's.
 
     da_1 = 2 a_1 b_1; da_i = a_i (b_i - b_{i-1}) for 2 <= i <= m;
     da_{m+1} = -2 a_{m+1} b_m; db_i = 2 (a_{i+1}^2 - a_i^2).
     """
-    a, b = ab_split(state, +1, "ab_field")
-    m = len(b)
+    split, m = ab_sizes(state, +1, "ab_field")
     if m < 1:
         raise DimensionError("ab_field needs m >= 1")
+    a, b = y[:split], y[split:]
     da = np.zeros(m + 1, dtype=complex)
     da[0] = 2 * a[0] * b[0]
     for i in range(1, m):
@@ -176,29 +175,30 @@ def ab_field(state: State) -> np.ndarray:
     return np.concatenate([da, db])
 
 
-def toda_ab_field(state: State) -> np.ndarray:
+def toda_ab_field(state: State, y) -> np.ndarray:
     """Open Toda chain in Flaschka variables: n b's and n-1 a's.
 
     da_i = a_i (b_{i+1} - b_i); db_i = 2 (a_i^2 - a_{i-1}^2) with a_0 = a_n = 0.
     """
-    a, b = ab_split(state, -1, "toda_ab_field")
-    if len(b) < 2:
+    split, n = ab_sizes(state, -1, "toda_ab_field")
+    if n < 2:
         raise DimensionError("toda_ab_field needs n >= 2")
+    a, b = y[:split], y[split:]
     da = a * (b[1:] - b[:-1])
     asq = np.concatenate([[0.0], a**2, [0.0]])
     db = 2 * (asq[1:] - asq[:-1])
     return np.concatenate([da, db])
 
 
-def spectrum_field(spectrum: Spectrum, state: State) -> np.ndarray:
+def spectrum_field(spectrum: Spectrum, state: State, y) -> np.ndarray:
     """Polynomial system attached to a spectrum: da_k = a_k b_k, db_k = sum_i M_ki a_i."""
     state.require_chart(FLASCHKA_AB, "spectrum_field")
-    a = state.first()
-    b = state.second()
-    if len(a) != len(b) or len(a) != spectrum.count:
+    split = state.split
+    if split != state.dim - split or split != spectrum.count:
         raise DimensionError(
             f"spectrum with {spectrum.count} vectors needs {spectrum.count} a's and b's"
         )
+    a, b = y[:split], y[split:]
     return np.concatenate([a * b, spectrum.gram @ a])
 
 
@@ -270,13 +270,12 @@ def _sklyanin_full_params(params):
     return defaults["alpha1"], defaults["beta1"], defaults["alphan"], defaults["betan"]
 
 
-def qp_field(system: str, state: State, params=None) -> np.ndarray:
+def qp_field(system: str, state: State, y, params=None) -> np.ndarray:
     """Hamilton's equations (dq, dp) = (dH/dp, -dH/dq) with analytic partials."""
     state.require_chart(QP, "qp_field")
-    _require_boundary_q(system, state.split, "field")
-    q = state.first()
-    p = state.second()
-    n = len(q)
+    n = state.split
+    _require_boundary_q(system, n, "field")
+    q, p = y[:n], y[n:]
     # dH/dq from the nearest-neighbour chain, shared by all three systems
     expo = np.exp(q[:-1] - q[1:]) if n > 1 else np.zeros(0)
     dh_dq = np.zeros(n, dtype=complex)

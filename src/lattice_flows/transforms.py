@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, ParityError
-from .states import QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_split, ab_state, coordinate_columns, v_state
+from .states import QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_sizes, ab_state, coordinate_columns, v_state
 from .rootdata import Spectrum
 
 #: Central-difference step for Jacobians of O(1) states.
@@ -63,7 +63,8 @@ def toda_jacobi(state: State) -> np.ndarray:
     The sign flip on the off-diagonal matches the positive entries produced
     by squaring the KM Lax matrix, since the Hénon A_i carry a minus sign.
     """
-    a, b = ab_split(state, -1, "toda_jacobi")
+    ab_sizes(state, -1, "toda_jacobi")
+    a, b = state.first(), state.second()
     j = np.diag(b.astype(complex))
     for i in range(len(a)):
         j[i, i + 1] = j[i + 1, i] = -a[i]
@@ -208,13 +209,14 @@ def pushforward_residual(map_fn, source_field, target_field, state: State, rows,
     ``map_fn`` is a map kernel (``henon_block`` and the rest), called on the
     block once.  The Jacobians are ``map_jacobian``'s central differences
     unless a closed form ``jacobian(state, rows, image rows)`` is supplied.
-    Fields take one State each; the matvec and the norm are taken per row.
+    Fields take a template (``state``, or the map's) and one row each; the
+    matvec and the norm are taken per row.
     """
     zero, image = map_fn(state, rows)
     jacs = jacobian(state, rows, image) if jacobian else map_jacobian(map_fn, state, rows)
     out = []
     for jac, row, image_row in zip(jacs, coordinate_columns(state, rows).T, image):
-        pushed = jac @ np.asarray(source_field(state.replace_coords(row)), dtype=complex)
-        direct = np.asarray(target_field(zero.replace_coords(image_row)), dtype=complex)
+        pushed = jac @ source_field(state, row)
+        direct = target_field(zero, image_row)
         out.append(float(np.linalg.norm(pushed - direct)))
     return out

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lattice_flows import ab_state, c_state, qp_state, u_state, v_state
+from lattice_flows import State, ab_state, c_state, qp_state, sklyanin_spectrum, u_state, v_state
+from lattice_flows.catalog import SYSTEMS, get_system
+from lattice_flows.states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V
 
 
 @pytest.fixture
@@ -35,6 +37,37 @@ def random_qp(rng, n):
     return qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
 
 
+def at(state):
+    """A field's (template, row) arguments at the state's own coordinates."""
+    return state, state.array
+
+
+#: (split, dim) of the sampled states, past every field's minimum size: by
+#: chart, and by system on the (a, b) chart.
+_SHAPES = {QP: (3, 6), VOLTERRA_U: (None, 5), VOLTERRA_V: (None, 5), C_VARS: (None, 5)}
+_AB_SHAPES = {"ab": (4, 7), "toda": (3, 7), "spectrum": (4, 8)}
+
+
+def catalog_cases(rng):
+    """(system, state) for every catalog system on each chart it accepts: a
+    real state, a complex one, and unless the chart is c_vars (c_field
+    rejects zeros) one with mixed +0.0 and -0.0 entries and one of -0.0 only."""
+    cases = []
+    for key in SYSTEMS:
+        system = get_system(key, sklyanin_spectrum(3)) if key == "spectrum" else SYSTEMS[key]
+        for chart in system.charts:
+            split, dim = _AB_SHAPES[key] if chart == FLASCHKA_AB else _SHAPES[chart]
+            real = rng.uniform(0.2, 1.5, dim).astype(complex)
+            rows = [real, real + 1j * rng.uniform(-0.3, 0.3, dim)]
+            if chart != C_VARS:
+                mixed = rows[1].copy()
+                mixed[::2] = complex(-0.0, -0.0)
+                mixed[1::3] = 0.0
+                rows += [mixed, np.full(dim, complex(-0.0, -0.0))]
+            cases += [(system, State(chart, row, split)) for row in rows]
+    return cases
+
+
 def central_difference(f, state, step):
     """Derivatives of f along each coordinate, stacked on a leading axis: the
     per-state reference that the batched derivatives must match.
@@ -50,3 +83,39 @@ def central_difference(f, state, step):
         plus, minus = f(state.replace_coords(base + bump)), f(state.replace_coords(base - bump))
         out.append((plus - minus) / (2 * step))
     return np.array(out, dtype=complex)
+
+
+def state_per_stage(system, s0):
+    """The integrator's field as it was before it stepped raw rows, kept as the
+    reference: each stage builds a State from its row and evaluates the field
+    at that State's own coordinates."""
+    def f(y):
+        s = s0.replace_coords(y)
+        return np.asarray(system.field(s, s.array), dtype=complex)
+
+    return f
+
+
+FEHLBERG_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
+)
+FEHLBERG_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
+FEHLBERG_ERR = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
+def fehlberg_step_reference(f, y, dt):
+    """One Fehlberg 4(5) step from the tableau by generator sums: zero entries
+    are skipped and the other terms add left to right, starting from the
+    integer 0 of ``sum``.  The per-state reference of the integrator's step."""
+    ks = []
+    for row in FEHLBERG_A:
+        yi = y if not row else y + dt * sum(c * k for c, k in zip(row, ks) if c)
+        ks.append(f(yi))
+    y_new = y + dt * sum(b * k for b, k in zip(FEHLBERG_B4, ks) if b)
+    err = dt * sum(c * k for c, k in zip(FEHLBERG_ERR, ks) if c)
+    return y_new, np.asarray(err)

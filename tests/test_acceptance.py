@@ -88,7 +88,7 @@ def test_criterion_01_lax_certification():
     def block(key, field, states):
         # 100 states of one size, certified as one block
         builder = SYSTEMS[key].lax
-        return np.max(lax_residual(builder, states[0], [s.array for s in states], [field(s) for s in states]))
+        return np.max(lax_residual(builder, states[0], [s.array for s in states], [field(s, s.array) for s in states]))
 
     for n in (2, 3, 5, 8):
         states = [u_state(rng.uniform(0.1, 2.0, n)) for _ in range(100)]
@@ -212,12 +212,12 @@ def test_criterion_06_transform_conjugacy():
     results = {
         "henon": worst(henon_block, km_field, toda_ab_field, lambda: u_state(rng.uniform(0.1, 2, 5))),
         "d-map": worst(d_transform_block, vd_field, ab_field, lambda: v_state(rng.uniform(0.1, 2, 7))),
-        "flaschka-sklyanin": worst(sklyanin_flaschka_block, lambda x: qp_field("sklyanin", x), ab_field, qp(3)),
-        "flaschka-toda": worst(partial(toda_flaschka_block, chain5), lambda x: qp_field("toda", x),
+        "flaschka-sklyanin": worst(sklyanin_flaschka_block, partial(qp_field, "sklyanin"), ab_field, qp(3)),
+        "flaschka-toda": worst(partial(toda_flaschka_block, chain5), partial(qp_field, "toda"),
                                toda_ab_field, qp(5)),
-        "flaschka-general": worst(partial(generalized_flaschka_block, skl4), lambda x: qp_field("sklyanin", x),
-                                  lambda x: spectrum_field(skl4, x), qp(4)),
-        "c-to-v": worst(c_to_v_block, lambda x: c_field("D", x), vd_field, lambda: c_state(rng.uniform(0.1, 2.0, 8)),
+        "flaschka-general": worst(partial(generalized_flaschka_block, skl4), partial(qp_field, "sklyanin"),
+                                  partial(spectrum_field, skl4), qp(4)),
+        "c-to-v": worst(c_to_v_block, partial(c_field, "D"), vd_field, lambda: c_state(rng.uniform(0.1, 2.0, 8)),
                         jacobian=c_to_v_jacobian),
     }
     ok = all(v < tol for v in results.values())

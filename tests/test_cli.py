@@ -186,11 +186,22 @@ def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
     assert calls == [(lax.vd_lax, 8, (1, 8)), (lax.vd_lax, 2, (1, 2))]
 
 
-def test_verify_lax_rejects_the_empty_km_chain(capsys):
-    # an empty chain's residual is 0.0 and would certify nothing
-    code, out, err = run(capsys, "verify", "lax", "--system", "km", "--n", "0", "--states", "3")
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_verify_lax_rejects_the_empty_km_chain(capsys, n):
+    # below n = 2 the km residual is 0.0 whatever L holds and would certify nothing
+    code, out, err = run(capsys, "verify", "lax", "--system", "km", "--n", n, "--states", "3")
     assert code == 2 and out == ""
-    assert err == "usage error: km Lax needs n >= 1\n"
+    assert err == ("usage error: verify lax --system km needs n >= 2; "
+                   "with one variable the residual is identically 0\n")
+
+
+def test_simulate_one_variable_km_chain(capsys):
+    # the km builder still takes n = 1, for the H2 column of a one-variable chain
+    code, out, err = run(capsys, "simulate", "--system", "km", "--state", '{"u":[1]}', "--t", "0.01", "--dt", "0.005",
+                         "--invariants", "H2")
+    assert code == 0 and err == ""
+    h2 = "0.50000000000000011"
+    assert out == f"t,u1,H2\n0,1,{h2}\n0.0050000000000000001,1,{h2}\n0.01,1,{h2}\n"
 
 
 def test_verify_deterministic_reports(capsys):

@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import catalog_cases, fehlberg_step_reference, state_per_stage
 from lattice_flows import DomainExit, StepFailure, ab_state, c_state, u_state, v_state
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import (
     AdaptiveStep,
     FixedStep,
+    _fehlberg_step,
+    _rk4_step,
     drift_report,
     integrate,
     trajectory_csv,
@@ -48,7 +51,7 @@ def test_time_symmetry():
     system = get_system("ab")
     s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
     fwd = integrate(system, s0, 1.0, FixedStep(1e-3))
-    reverse = LatticeSystem("ab-reversed", {FLASCHKA_AB: lambda s, _: -ab_field(s)})
+    reverse = LatticeSystem("ab-reversed", {FLASCHKA_AB: lambda s, y, _: -ab_field(s, y)})
     back = integrate(reverse, fwd.final, 1.0, FixedStep(1e-3))
     assert np.linalg.norm(back.final.array - s0.array) < 1e-7
 
@@ -62,7 +65,7 @@ def test_adaptive_matches_fixed():
 
 
 def test_domain_exit_reports_partial_trajectory():
-    sinking = LatticeSystem("sink", {VOLTERRA_U: lambda s, _: -np.ones(s.dim)})
+    sinking = LatticeSystem("sink", {VOLTERRA_U: lambda s, y, _: -np.ones(s.dim)})
     with pytest.raises(DomainExit) as err:
         integrate(sinking, u_state([0.5, 1.0]), 3.0, FixedStep(1e-3))
     partial = err.value.trajectory
@@ -114,7 +117,7 @@ def test_csv_shape_and_precision():
 
 def test_csv_complex_cell():
     traj = integrate(
-        LatticeSystem("still", {FLASCHKA_AB: lambda s, _: np.zeros(s.dim)}),
+        LatticeSystem("still", {FLASCHKA_AB: lambda s, y, _: np.zeros(s.dim)}),
         ab_state([1j, 1, 1], [0, 0]),
         0.0,
         FixedStep(1.0),
@@ -153,7 +156,7 @@ def test_integrate_accepts_one_zero_tolerance():
         assert integrate(system, s0, 0.1, policy).times[-1] == pytest.approx(0.1)
 
 
-STILL = LatticeSystem("still", {FLASCHKA_AB: lambda s, _: np.zeros(s.dim)})
+STILL = LatticeSystem("still", {FLASCHKA_AB: lambda s, y, _: np.zeros(s.dim)})
 
 
 @pytest.mark.parametrize("t_end, dt", [(10.0, 0.01), (7.0, 0.01), (3.0, 0.001), (100.0, 0.1), (50.0, 0.01)])
@@ -178,3 +181,17 @@ def test_simulate_t10_dt001_writes_1001_rows(capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 1001
     assert abs(float(rows[-1].split(",")[0]) - 10.0) <= 1e-11
+
+
+def test_steps_match_the_state_per_stage_reference_bit_for_bit(rng):
+    # the integrator's raw-row field and unrolled Fehlberg sums change no bit,
+    # signed zeros included, against a State per stage and generator sums
+    for system, s0 in catalog_cases(rng):
+        def field(y):
+            return system.field(s0, y)
+
+        reference = state_per_stage(system, s0)
+        for dt in (1e-3, 0.05):
+            assert _rk4_step(field, s0.array, dt).tobytes() == _rk4_step(reference, s0.array, dt).tobytes()
+            got, want = _fehlberg_step(field, s0.array, dt), fehlberg_step_reference(reference, s0.array, dt)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (system.key, s0)

@@ -73,7 +73,8 @@ def test_residual_suite(rng):
         cases.append(("ab", [random_ab(rng, m) for _ in range(100)], ab_field))
     worst = 0.0
     for system, states, field in cases:
-        residuals = lax_residual(SYSTEMS[system].lax, states[0], [s.array for s in states], [field(s) for s in states])
+        rows, velocities = [s.array for s in states], [field(s, s.array) for s in states]
+        residuals = lax_residual(SYSTEMS[system].lax, states[0], rows, velocities)
         assert residuals.shape == (100,)
         worst = max(worst, np.max(residuals))
     assert worst < RESIDUAL_TOL
@@ -81,7 +82,7 @@ def test_residual_suite(rng):
 
 def test_residual_on_complex_ab_state():
     state = ab_state([0.3j, 0.5, 0.4, 0.2j], [-1.0, -0.8, -0.9])
-    assert lax_residual(ab_lax, state, [state.array], [ab_field(state)])[0] < 1e-13
+    assert lax_residual(ab_lax, state, [state.array], [ab_field(state, state.array)])[0] < 1e-13
 
 
 def test_vd_lax_dimension_and_entries(rng):
@@ -249,7 +250,7 @@ def test_drift_along_km_flow():
 def test_residual_vanishing_field_zero_a():
     # with every a zero both dL/dt and the commutator vanish identically
     state = ab_state([0, 0, 0], [0.3, -0.7])
-    assert lax_residual(ab_lax, state, [state.array], [ab_field(state)])[0] == 0.0
+    assert lax_residual(ab_lax, state, [state.array], [ab_field(state, state.array)])[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def test_every_lax_entry_mutant_fails_the_gate(rng):
     counts = {}
     for system, sample, size, field in _MUTATION_CASES:
         states = [sample(rng, size) for _ in range(3)]
-        rows, velocities = [s.array for s in states], [field(s) for s in states]
+        rows, velocities = [s.array for s in states], [field(s, s.array) for s in states]
         builder = SYSTEMS[system].lax
         mutants = list(_lax_mutants(system, states[0]))
         counts[system] = len(mutants)

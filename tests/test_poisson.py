@@ -579,7 +579,7 @@ def test_batched_grad_casimir_C_matches_per_state_formula(rng, m):
 
 
 def _lax_along(key, field):
-    return lambda s, rows: lax_residual(SYSTEMS[key].lax, s, rows, [field(s.replace_coords(r)) for r in rows])
+    return lambda s, rows: lax_residual(SYSTEMS[key].lax, s, rows, [field(s, r) for r in rows])
 
 
 def test_block_residuals_equal_one_state_residuals(rng):

@@ -79,13 +79,15 @@ def test_bench_spans_find_the_wrapped_names():
         tracer.op_id = 0
         system = get_system("ab")
         s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
-        integrate.integrate(system, s0, 0.002, integrate.FixedStep(1e-3))
+        # integrate builds no State per stage; a trajectory's final state is one
+        assert integrate.integrate(system, s0, 0.002, integrate.FixedStep(1e-3)).final.dim == s0.dim
         integrate.integrate(system, s0, 0.002, integrate.AdaptiveStep())
         system.invariants(s0)["H2"](s0)
     finally:
         tracer.op_id = -1
         restore()
-    assert {"states.replace_coords", "integrate._rk4_step", "integrate._fehlberg_step",
+    # the field span keeps systems.field_calls and integrate.field_evals_per_step counting
+    assert {"states.replace_coords", "systems.ab_field", "integrate._rk4_step", "integrate._fehlberg_step",
             "catalog.invariants", "catalog.invariant"} <= {tracer.names[i] for i in tracer.name_id}
     assert originals == (State.replace_coords, LatticeSystem.invariants,
                          *(getattr(integrate, name) for name in spans.STEP_FUNCTIONS))

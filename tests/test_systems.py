@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from conftest import random_qp, random_u, random_v
+from conftest import at, catalog_cases, random_qp, random_u, random_v
 
 from lattice_flows import (
     ChartMismatch,
@@ -38,33 +40,33 @@ A2 = Spectrum(3, ((1, -1, 0), (0, 1, -1)))
 
 
 def test_km_examples():
-    assert np.allclose(km_field(u_state([1, 1, 1])), [1, 0, -1])
-    assert np.all(km_field(u_state([0, 0, 0])) == 0)
-    assert np.allclose(km_field(u_state([1, 2, 3])), [2, 4, -6])
+    assert np.allclose(km_field(*at(u_state([1, 1, 1]))), [1, 0, -1])
+    assert np.all(km_field(*at(u_state([0, 0, 0]))) == 0)
+    assert np.allclose(km_field(*at(u_state([1, 2, 3]))), [2, 4, -6])
 
 
 def test_km_chart_mismatch():
     with pytest.raises(ChartMismatch):
-        km_field(v_state([1, 1, 1]))
+        km_field(*at(v_state([1, 1, 1])))
 
 
 def test_bv_examples():
-    assert np.allclose(bv_field("B", u_state([1, 1, 1])), [3, 1, -2])
-    assert np.allclose(bv_field("D", u_state([1] * 6)), [3, 1, 0, 0, -2, -2])
-    assert np.allclose(bv_field("C", u_state([0, 0, 0])), 0)
-    assert np.allclose(bv_field("A", u_state([1, 1, 1])), km_field(u_state([1, 1, 1])))
+    assert np.allclose(bv_field("B", *at(u_state([1, 1, 1]))), [3, 1, -2])
+    assert np.allclose(bv_field("D", *at(u_state([1] * 6))), [3, 1, 0, 0, -2, -2])
+    assert np.allclose(bv_field("C", *at(u_state([0, 0, 0]))), 0)
+    assert np.allclose(bv_field("A", *at(u_state([1, 1, 1]))), km_field(*at(u_state([1, 1, 1]))))
 
 
 def test_bv_minimum_sizes():
     with pytest.raises(UnsupportedDimension):
-        bv_field("D", u_state([1, 1, 1, 1]))
+        bv_field("D", *at(u_state([1, 1, 1, 1])))
     with pytest.raises(UnsupportedDimension):
-        bv_field("B", u_state([1, 1]))
+        bv_field("B", *at(u_state([1, 1])))
 
 
 def test_c_field_examples():
-    assert np.allclose(c_field("A", c_state([1, 1])), [-1, 1])
-    assert np.allclose(c_field("A", c_state([1, 1, 1])), [-1, 0, 1])
+    assert np.allclose(c_field("A", *at(c_state([1, 1]))), [-1, 1])
+    assert np.allclose(c_field("A", *at(c_state([1, 1, 1]))), [-1, 0, 1])
 
 
 def test_c_field_d4_against_bruteforce():
@@ -77,18 +79,32 @@ def test_c_field_d4_against_bruteforce():
         cij[j, i] = -1.0
     expected = np.array([-sum(k[j] * cij[i, j] / c[j] for j in range(4)) for i in range(4)])
     assert np.allclose(expected, [-2, -1, 2, 2])
-    assert np.allclose(c_field("D", c_state(c)), expected)
+    assert np.allclose(c_field("D", *at(c_state(c))), expected)
 
 
 def test_c_field_zero_rejected():
     with pytest.raises(DivisionByZero):
-        c_field("A", c_state([1, 0]))
+        c_field("A", *at(c_state([1, 0])))
+    with pytest.raises(DivisionByZero):  # the row's zero, not the template's coordinates
+        c_field("A", c_state([1, 1]), np.array([1, 0j]))
+
+
+def test_catalog_fields_read_the_row_not_the_template(rng):
+    # only the template's chart, split and dim may matter; a strided row (as a
+    # map kernel's image rows are) gives the same bits as a contiguous one
+    for system, state in catalog_cases(rng):
+        template = state.replace_coords(np.zeros(state.dim))
+        want = system.field(state, state.array)
+        for row in (state.array.copy(), np.array([state.array, -state.array]).T[:, 0]):
+            got = system.field(template, row)
+            assert got.dtype == np.complex128, (system.key, state)
+            assert got.tobytes() == want.tobytes(), (system.key, state)
 
 
 def test_vd_examples():
-    assert np.allclose(vd_field(v_state([1, 1, 1, 1])), [2, 1, -1, -1])
-    assert np.all(vd_field(v_state([0, 0, 0, 0])) == 0)
-    assert np.allclose(vd_field(v_state([1, 2, 1, 1, 2])), [3, 0, 1, 0, -4])
+    assert np.allclose(vd_field(*at(v_state([1, 1, 1, 1]))), [2, 1, -1, -1])
+    assert np.all(vd_field(*at(v_state([0, 0, 0, 0]))) == 0)
+    assert np.allclose(vd_field(*at(v_state([1, 2, 1, 1, 2]))), [3, 0, 1, 0, -4])
 
 
 def test_fields_quadratic_homogeneity(rng):
@@ -96,42 +112,42 @@ def test_fields_quadratic_homogeneity(rng):
         n = int(rng.integers(5, 9))
         u = random_u(rng, n)
         two_u = u_state(2 * u.array)
-        for field in (km_field, lambda s: bv_field("B", s), lambda s: bv_field("C", s), lambda s: bv_field("D", s)):
-            ratio = field(two_u) - 4 * field(u)
-            assert np.max(np.abs(ratio)) < 1e-12 * max(1.0, np.max(np.abs(field(u))))
+        for field in (km_field, *(partial(bv_field, family) for family in "BCD")):
+            ratio = field(*at(two_u)) - 4 * field(*at(u))
+            assert np.max(np.abs(ratio)) < 1e-12 * max(1.0, np.max(np.abs(field(*at(u)))))
         v = random_v(rng, n)
-        assert np.max(np.abs(vd_field(v_state(2 * v.array)) - 4 * vd_field(v))) < 1e-11
+        assert np.max(np.abs(vd_field(*at(v_state(2 * v.array))) - 4 * vd_field(*at(v)))) < 1e-11
 
 
 def test_vd_equals_rescaled_bv_d(rng):
     for n in (5, 6, 7, 9):
         for _ in range(5):
             u = random_u(rng, n)
-            pushed = vd_field(u_to_v(u))
+            pushed = vd_field(*at(u_to_v(u)))
             # chain rule through the diagonal rescaling
             scale = np.ones(n)
             scale[1 : n - 2] = 2.0
-            assert np.max(np.abs(pushed - scale * bv_field("D", u))) < 1e-12
+            assert np.max(np.abs(pushed - scale * bv_field("D", *at(u)))) < 1e-12
 
 
 def test_ab_examples():
-    assert np.allclose(ab_field(ab_state([1, 1, 1], [1, 1])), [2, 0, -2, 0, 0])
-    assert np.all(ab_field(ab_state([0, 0], [0])) == 0)
-    assert np.allclose(ab_field(ab_state([1, 2], [3])), [6, -12, 6])
+    assert np.allclose(ab_field(*at(ab_state([1, 1, 1], [1, 1]))), [2, 0, -2, 0, 0])
+    assert np.all(ab_field(*at(ab_state([0, 0], [0]))) == 0)
+    assert np.allclose(ab_field(*at(ab_state([1, 2], [3]))), [6, -12, 6])
 
 
 def test_toda_ab_field_boundary():
-    out = toda_ab_field(ab_state([1, 1], [1, 2, 3]))
+    out = toda_ab_field(*at(ab_state([1, 1], [1, 2, 3])))
     assert np.allclose(out, [1, 1, 2, 0, -2])
 
 
 def test_spectrum_field_examples():
     single = Spectrum(2, ((1, -1),))
-    out = spectrum_field(single, ab_state([1], [1]))
+    out = spectrum_field(single, *at(ab_state([1], [1])))
     assert np.allclose(out, [1, 2])
-    out = spectrum_field(A2, ab_state([1, 1], [0, 0]))
+    out = spectrum_field(A2, *at(ab_state([1, 1], [0, 0])))
     assert np.allclose(out, [0, 0, 1, 1])
-    assert np.all(spectrum_field(A2, ab_state([0, 0], [0, 0])) == 0)
+    assert np.all(spectrum_field(A2, *at(ab_state([0, 0], [0, 0]))) == 0)
 
 
 def test_gram_matrix_computed_once_per_spectrum(monkeypatch):
@@ -141,7 +157,7 @@ def test_gram_matrix_computed_once_per_spectrum(monkeypatch):
     spec = sklyanin_spectrum(3)
     system = get_system("spectrum", spec)
     for b in ([0.1, 0.0, 0.2, -0.3], [0.4, 0.1, -0.2, 0.0]):
-        system.field(ab_state([-1.0, -0.5, -1.0, -0.8], b))
+        system.field(*at(ab_state([-1.0, -0.5, -1.0, -0.8], b)))
     assert len(calls) == 1 and np.array_equal(spec.gram, gram_matrix(spec))
     assert not spec.gram.flags.writeable
 
@@ -188,9 +204,9 @@ def test_hamiltonian_examples():
 
 
 def test_qp_field_examples():
-    out = qp_field("sklyanin", qp_state([0, 0], [0, 0]))
+    out = qp_field("sklyanin", *at(qp_state([0, 0], [0, 0])))
     assert np.allclose(out, [0, 0, 1, -1])
-    out = qp_field("toda", qp_state([0.3, -0.2], [0, 0]))
+    out = qp_field("toda", *at(qp_state([0.3, -0.2], [0, 0])))
     assert np.allclose(out[:2], 0)
 
 
@@ -202,7 +218,7 @@ def test_qp_field_matches_finite_differences(rng):
             state = random_qp(rng, n)
             q = state.first().real
             p = state.second().real
-            field = qp_field(system, state, params)
+            field = qp_field(system, *at(state), params)
             for i in range(n):
                 dq = np.zeros(n)
                 dq[i] = h

@@ -199,14 +199,14 @@ def test_pushforward_d_transform(rng):
 
 def test_pushforward_sklyanin_flaschka(rng):
     for m in (2, 3, 4):
-        r = pushforward_residual(sklyanin_flaschka_block, lambda s: qp_field("sklyanin", s), ab_field,
+        r = pushforward_residual(sklyanin_flaschka_block, partial(qp_field, "sklyanin"), ab_field,
                                  *_block(lambda: random_qp(rng, m), 25))
         assert max(r) < PUSH_TOL
 
 
 def test_pushforward_toda_flaschka(rng):
     for n in (3, 5):
-        r = pushforward_residual(partial(toda_flaschka_block, a_chain_spectrum(n)), lambda s: qp_field("toda", s),
+        r = pushforward_residual(partial(toda_flaschka_block, a_chain_spectrum(n)), partial(qp_field, "toda"),
                                  toda_ab_field, *_block(lambda: random_qp(rng, n), 25))
         assert max(r) < PUSH_TOL
 
@@ -214,14 +214,14 @@ def test_pushforward_toda_flaschka(rng):
 def test_pushforward_generalized_flaschka(rng):
     for n in (3, 4):
         spec = sklyanin_spectrum(n)
-        r = pushforward_residual(partial(generalized_flaschka_block, spec), lambda s: qp_field("sklyanin", s),
-                                 lambda s: spectrum_field(spec, s), *_block(lambda: random_qp(rng, n), 25))
+        r = pushforward_residual(partial(generalized_flaschka_block, spec), partial(qp_field, "sklyanin"),
+                                 partial(spectrum_field, spec), *_block(lambda: random_qp(rng, n), 25))
         assert max(r) < PUSH_TOL
 
 
 def test_pushforward_c_to_v(rng):
     for n in (4, 5, 7):
-        r = pushforward_residual(c_to_v_block, lambda s: c_field("D", s), vd_field,
+        r = pushforward_residual(c_to_v_block, partial(c_field, "D"), vd_field,
                                  *_block(lambda: random_c(rng, n + 1), 25), jacobian=c_to_v_jacobian)
         assert max(r) < PUSH_TOL
 
