@@ -331,14 +331,8 @@ def _verify_spectrum(args) -> int:
         spec = sklyanin_spectrum(args.sklyanin)
         source = f"sklyanin({args.sklyanin})"
     report_obj = kozlov_treshchev_check(spec, tol=args.tol)
-    vecs = spec.matrix
-    ratios = []
-    for i in range(spec.count):
-        for j in range(spec.count):
-            if i != j:
-                ratios.append(
-                    [i, j, float(2 * np.dot(vecs[i], vecs[j]) / np.dot(vecs[i], vecs[i]))]
-                )
+    gram, count = spec.gram, spec.count
+    ratios = [[i, j, float(2 * gram[i, j] / gram[i, i])] for i in range(count) for j in range(count) if i != j]
     report = {
         "schema": 1,
         "suite": "spectrum",

@@ -106,15 +106,8 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed-form invariants in the (a, b) and v charts
+# Casimirs in the (a, b) and v charts
 # ---------------------------------------------------------------------------
-
-def h2_ab(state: State) -> complex:
-    """Quadratic invariant sum(b^2) + a_1^2 + 2 sum(a_2..a_m)^2 + a_{m+1}^2."""
-    ab_sizes(state, +1, "h2_ab")
-    a, b = state.first(), state.second()
-    return complex(np.sum(b**2) + a[0] ** 2 + 2 * np.sum(a[1:-1] ** 2) + a[-1] ** 2)
-
 
 def casimir_C_column(state: State, rows) -> list[complex]:
     """Casimir C = a_1 a_2^2 ... a_m^2 a_{m+1} of the linear (a, b) bracket at

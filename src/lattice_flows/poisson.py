@@ -432,35 +432,3 @@ def lenard_residual(pair: LenardPair, state: State, rows) -> np.ndarray:
     g2, g4 = lax.grad_trace_invariant(pair.lax, state, rows, [o2, o4])
     return np.array([np.linalg.norm(p3 @ (s2 * a) - p1 @ (s4 * b)) for p3, p1, a, b in zip(pi3, pi1, g2, g4)])
 
-
-def vd_quarter_h2(state: State) -> complex:
-    """Closed form of one quarter of the v-chart flow Hamiltonian.
-
-    v_{n-2} v_n + 2 v_{n-1} v_n + sum_{i<n-1} v_i v_{i+1} + (1/2) sum_{2<=i<=n-2} v_i^2.
-    """
-    state.require_chart(VOLTERRA_V, "vd_quarter_h2")
-    v = state.array
-    n = len(v)
-    return complex(
-        v[n - 3] * v[n - 1]
-        + 2 * v[n - 2] * v[n - 1]
-        + np.sum(v[: n - 2] * v[1 : n - 1])
-        + 0.5 * np.sum(v[1 : n - 2] ** 2)
-    )
-
-
-def grad_vd_quarter_h2(state: State, rows) -> np.ndarray:
-    """Analytic gradient of vd_quarter_h2 at each row of ``rows``, as a C-ordered (N, n) array."""
-    state.require_chart(VOLTERRA_V, "grad_vd_quarter_h2")
-    v = coordinate_columns(state, rows)
-    n = len(v)
-    g = np.zeros_like(v)
-    for i in range(n - 2):              # chain products v_i v_{i+1}
-        g[i] += v[i + 1]
-        g[i + 1] += v[i]
-    g[n - 3] += v[n - 1]
-    g[n - 1] += v[n - 3]
-    g[n - 2] += 2 * v[n - 1]
-    g[n - 1] += 2 * v[n - 2]
-    g[1 : n - 2] += v[1 : n - 2]
-    return np.ascontiguousarray(g.T)

@@ -174,7 +174,7 @@ def kozlov_treshchev_check(spectrum: Spectrum, tol: float = INTEGER_TOL) -> Cond
             )
             if collinear:
                 continue
-            ratio = 2.0 * float(np.dot(vecs[i], vecs[j])) / float(np.dot(vecs[i], vecs[i]))
+            ratio = float(2.0 * spectrum.gram[i, j] / spectrum.gram[i, i])
             nearest = round(ratio)
             if abs(ratio - nearest) > tol or nearest > 0:
                 violations.append((i, j, ratio))

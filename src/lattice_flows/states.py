@@ -97,22 +97,8 @@ class State:
     def array(self) -> np.ndarray:
         return self.coords
 
-    def first(self) -> np.ndarray:
-        """First coordinate group (q's or a's) of a split chart."""
-        self._require_split()
-        return self.coords[: self.split]
-
-    def second(self) -> np.ndarray:
-        """Second coordinate group (p's or b's) of a split chart."""
-        self._require_split()
-        return self.coords[self.split :]
-
     def replace_coords(self, coords) -> "State":
         return State(self.chart, coords, self.split)
-
-    def _require_split(self):
-        if len(CHARTS[self.chart]) != 2:
-            raise ChartMismatch(f"chart {self.chart!r} has no coordinate groups")
 
     def require_chart(self, chart: str, what: str = "operation"):
         if self.chart != chart:

@@ -23,6 +23,8 @@ from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_s
 def km_field(state: State, u) -> np.ndarray:
     """Kac-van Moerbeke chain: du_i/dt = u_i (u_{i+1} - u_{i-1}), u_0 = u_{n+1} = 0."""
     state.require_chart(VOLTERRA_U, "km_field")
+    if state.dim < 1:
+        raise DimensionError("the km field needs n >= 1")
     up = np.concatenate([u[1:], [0.0]])
     um = np.concatenate([[0.0], u[:-1]])
     return u * (up - um)
@@ -227,12 +229,16 @@ def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], lis
 # Hamiltonians in (q, p)
 # ---------------------------------------------------------------------------
 
-def hamiltonian_eval(system: str, state: State, params=None) -> complex:
+#: The boundary coefficients (alpha_1, beta_1, alpha_n, beta_n) of sklyanin_full.
+_SKLYANIN_FULL_ENDS = (1.0, 1.0, 1.0, 1.0)
+
+
+def hamiltonian_eval(system: str, state: State) -> complex:
     """Evaluate one of the three (q, p) Hamiltonians: toda | sklyanin | sklyanin_full."""
-    return hamiltonian_column(system, state, state.array[None], params)[0]
+    return hamiltonian_column(system, state, state.array[None])[0]
 
 
-def hamiltonian_column(system: str, state: State, rows, params=None) -> list[complex]:
+def hamiltonian_column(system: str, state: State, rows) -> list[complex]:
     """hamiltonian_eval at each row of an (N, 2n) block of (q, p) coordinates."""
     state.require_chart(QP, "hamiltonian_eval")
     _require_boundary_q(system, state.split, "Hamiltonian")
@@ -246,7 +252,7 @@ def hamiltonian_column(system: str, state: State, rows, params=None) -> list[com
     if system == "sklyanin":
         return (kin + chain + np.exp(-2 * q[:, 0]) + np.exp(2 * q[:, -1])).tolist()
     if system == "sklyanin_full":
-        a1, b1, an, bn = _sklyanin_full_params(params)
+        a1, b1, an, bn = _SKLYANIN_FULL_ENDS
         ends = (
             a1 * np.exp(q[:, 0])
             + b1 * np.exp(2 * q[:, 0])
@@ -263,14 +269,7 @@ def _require_boundary_q(system: str, n: int, what: str):
         raise DimensionError(f"the {system} {what} needs at least one q")
 
 
-def _sklyanin_full_params(params):
-    defaults = {"alpha1": 1.0, "beta1": 1.0, "alphan": 1.0, "betan": 1.0}
-    if params:
-        defaults.update(params)
-    return defaults["alpha1"], defaults["beta1"], defaults["alphan"], defaults["betan"]
-
-
-def qp_field(system: str, state: State, y, params=None) -> np.ndarray:
+def qp_field(system: str, state: State, y) -> np.ndarray:
     """Hamilton's equations (dq, dp) = (dH/dp, -dH/dq) with analytic partials."""
     state.require_chart(QP, "qp_field")
     n = state.split
@@ -287,7 +286,7 @@ def qp_field(system: str, state: State, y, params=None) -> np.ndarray:
         dh_dq[0] += -2 * np.exp(-2 * q[0])
         dh_dq[-1] += 2 * np.exp(2 * q[-1])
     elif system == "sklyanin_full":
-        a1, b1, an, bn = _sklyanin_full_params(params)
+        a1, b1, an, bn = _SKLYANIN_FULL_ENDS
         dh_dq[0] += a1 * np.exp(q[0]) + 2 * b1 * np.exp(2 * q[0])
         dh_dq[-1] += -an * np.exp(-q[-1]) - 2 * bn * np.exp(-2 * q[-1])
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, ParityError
-from .states import QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_sizes, ab_state, coordinate_columns, v_state
+from .states import QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, coordinate_columns, v_state
 from .rootdata import Spectrum
 
 #: Central-difference step for Jacobians of O(1) states.
@@ -43,7 +43,8 @@ def henon_block(state: State, rows) -> tuple[State, np.ndarray]:
     """Quadratic map from the KM chain to open-Toda variables (A, B).
 
     A_i = -1/2 sqrt(u_{2i} u_{2i-1}), B_i = 1/2 (u_{2i-1} + u_{2i-2}) with
-    u_0 = 0 and u_k = 0 past the chain end.
+    u_0 = 0 and u_k = 0 past the chain end.  Moser's reduction: the odd
+    (1-based) rows and columns of the squared km L are toda_lax's L at (-A, B).
     """
     state.require_chart(VOLTERRA_U, "henon_map")
     u = coordinate_columns(state, rows)
@@ -55,27 +56,6 @@ def henon_block(state: State, rows) -> tuple[State, np.ndarray]:
     A = -0.5 * np.sqrt(_product(ext[2 : 2 * nb - 1 : 2], ext[1 : 2 * nb - 2 : 2]))
     B = 0.5 * (ext[1 : 2 * nb : 2] + ext[0 : 2 * nb - 1 : 2])
     return _ab_image(A, B)
-
-
-def toda_jacobi(state: State) -> np.ndarray:
-    """Jacobi matrix of an open-Toda (a, b) state: diag B, off-diagonal -A.
-
-    The sign flip on the off-diagonal matches the positive entries produced
-    by squaring the KM Lax matrix, since the Hénon A_i carry a minus sign.
-    """
-    ab_sizes(state, -1, "toda_jacobi")
-    a, b = state.first(), state.second()
-    j = np.diag(b.astype(complex))
-    for i in range(len(a)):
-        j[i, i + 1] = j[i + 1, i] = -a[i]
-    return j
-
-
-def moser_reduce(L) -> np.ndarray:
-    """Square L and keep the odd-indexed (1-based) rows and columns."""
-    L = np.asarray(L, dtype=complex)
-    L2 = L @ L
-    return L2[::2, ::2]
 
 
 def d_transform_block(state: State, rows) -> tuple[State, np.ndarray]:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from lattice_flows import State, ab_state, c_state, qp_state, sklyanin_spectrum, u_state, v_state
+from lattice_flows import transforms
 from lattice_flows.catalog import SYSTEMS, get_system
+from lattice_flows.lax import lax_pair
 from lattice_flows.states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V
 
 
@@ -35,6 +37,14 @@ def random_toda_ab(rng, n):
 
 def random_qp(rng, n):
     return qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+
+
+def henon_jacobi(state):
+    """The Toda Jacobi matrix of a km state's Hénon image: toda_lax's L at
+    (-A, B), since the Hénon A_i carry a minus sign."""
+    zero, rows = transforms.henon_block(state, [state.array])
+    flip = [-1] * zero.split + [1] * (zero.dim - zero.split)
+    return lax_pair(SYSTEMS["toda"].lax, zero, rows * flip)[0][0]
 
 
 def at(state):

@@ -421,3 +421,10 @@ def test_empty_qp_state_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("policy", [("--dt", "0.05"), ("--adaptive",)], ids=["fixed", "adaptive"])
+def test_empty_km_chain_is_usage_error(capsys, policy):
+    code, out, err = run(capsys, "simulate", "--system", "km", "--state", '{"u":[]}', "--t", "0.1", *policy)
+    assert code == 2 and out == ""
+    assert err == "usage error: the km field needs n >= 1\n"

@@ -28,7 +28,7 @@ def _trace_ref(L, k):
 
 
 def _hamiltonian_ref(name, s):
-    q, p = s.first(), s.second()
+    q, p = s.array[: s.split], s.array[s.split :]
     kin = 0.5 * np.sum(p**2)
     chain = np.sum(np.exp(q[:-1] - q[1:])) if len(q) > 1 else 0.0
     if name == "toda":
@@ -55,13 +55,13 @@ def _reference(key, name, s, spectrum):
     if name == "H":
         return _hamiltonian_ref(key.replace("-", "_"), s)
     if name == "C":
-        a = s.first()
+        a = s.array[: s.split]
         return complex(a[0] * np.prod(a[1:-1] ** 2) * a[-1])
     if name == "F":
         v = s.array
         return complex((v[-1] - v[-2]) * np.prod(v[:-2]))
     lam = null_combination(spectrum)[0]
-    a, b = s.first(), s.second()
+    a, b = s.array[: s.split], s.array[s.split :]
     if name == "F1":
         return complex(np.dot(lam, b))
     return complex(np.prod([z**e for z, e in zip(a, lam)]))

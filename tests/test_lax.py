@@ -11,7 +11,6 @@ from lattice_flows.lax import (
     casimir_C_column,
     casimir_F_column,
     grad_trace_invariant,
-    h2_ab,
     lax_pair,
     lax_residual,
     trace_columns,
@@ -113,15 +112,30 @@ def test_ab_lax_m1_unsupported():
 
 
 def test_h2_examples():
-    assert h2_ab(ab_state([1, 1, 1], [1, 1])) == 6
-    assert h2_ab(ab_state([0, 0, 0], [0, 0])) == 0
+    template = ab_state([1, 1, 1], [1, 1])
+    assert SYSTEMS["ab"].invariant_columns(template, ["H2"], [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0]])["H2"] == [6, 0]
 
 
 def test_h2_equals_trace_invariant(rng):
     for _ in range(20):
         m = int(rng.integers(2, 5))
         state = random_ab(rng, m)
-        assert abs(h2_ab(state) - _traces("ab", state, [2])[0]) < 1e-13
+        a, b = state.array[: state.split], state.array[state.split :]
+        closed_form = np.sum(b**2) + a[0] ** 2 + 2 * np.sum(a[1:-1] ** 2) + a[-1] ** 2
+        assert abs(closed_form - _traces("ab", state, [2])[0]) < 1e-13
+
+
+def test_vd_h2_is_four_times_the_closed_form(rng):
+    # the paper's flow Hamiltonian v_{n-2} v_n + 2 v_{n-1} v_n + sum v_i v_{i+1}
+    # + (1/2) sum v_i^2 (interior i) is tr(L^4)/8, a quarter of the H2 column
+    for n in (5, 7, 9, 15):
+        template = v_state(np.ones(n))
+        rows = rng.uniform(0.1, 2.0, (10, n))
+        column = SYSTEMS["vd"].invariant_columns(template, ["H2"], rows)["H2"]
+        for v, h2 in zip(rows, column):
+            closed_form = (v[n - 3] * v[n - 1] + 2 * v[n - 2] * v[n - 1] + np.sum(v[: n - 2] * v[1 : n - 1])
+                           + 0.5 * np.sum(v[1 : n - 2] ** 2))
+            assert abs(h2 - 4 * closed_form) < 1e-12 * abs(h2)
 
 
 def test_even_traces_real_on_real_states(rng):

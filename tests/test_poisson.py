@@ -16,14 +16,12 @@ from lattice_flows.poisson import (
     _pi3_v_table,
     casimir_residual,
     compatibility_residual,
-    grad_vd_quarter_h2,
     hamiltonian_flow_check,
     jacobi_residual,
     lenard_residual,
-    vd_quarter_h2,
     STRUCTURES,
 )
-from lattice_flows.states import VOLTERRA_V
+from lattice_flows.states import C_VARS, VOLTERRA_V
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
 from lattice_flows.transforms import c_to_v_block, c_to_v_jacobian, d_transform_block, map_jacobian
 
@@ -303,20 +301,17 @@ def test_casimir_residual_constant_function(rng):
     assert _at(casimir_residual, S["pi3-v"], lambda s, rows: np.zeros((len(rows), s.dim)), state) == 0.0
 
 
+def _grad_h_vd(state, rows):
+    """Gradient of the vd flow Hamiltonian tr(L^4)/8, half that of tr(L^4)/4."""
+    return 0.5 * grad_trace_invariant(SYSTEMS["vd"].lax, state, rows, [4])[0]
+
+
 def test_hamiltonian_flow_vd(rng):
     for n in (5, 7):
         for _ in range(50):
             state = random_v(rng, n)
-            r = _at(hamiltonian_flow_check, S["pi1-v"], grad_vd_quarter_h2, vd_field, state)
+            r = _at(hamiltonian_flow_check, S["pi1-v"], _grad_h_vd, vd_field, state)
             assert r < 1e-8
-
-
-def test_grad_vd_quarter_h2_matches_fd(rng):
-    for n in (5, 7, 9, 15):
-        for _ in range(10):
-            state = random_v(rng, n)
-            fd = central_difference(vd_quarter_h2, state, 1e-6)
-            assert np.max(np.abs(grad_vd_quarter_h2(state, [state.array])[0] - fd)) < 1e-8
 
 
 def _grad_h2_ab(state, rows):
@@ -410,7 +405,7 @@ def test_involution_of_invariants(rng):
 def push_tensor(structure, kernel, state, jacobian=None):
     rows = [state.array]
     jac = (jacobian(state, rows, kernel(state, rows)[1]) if jacobian else map_jacobian(kernel, state, rows))[0]
-    return jac @ _pi(S[structure], state) @ jac.T
+    return jac @ _pi(structure, state) @ jac.T
 
 
 def _image(kernel, state):
@@ -423,16 +418,31 @@ def test_c_bracket_pushes_to_half_pi3_v(rng):
     for n in (5, 7):
         for _ in range(20):
             state = random_c(rng, n + 1)
-            pushed = push_tensor("c-bracket", c_to_v_block, state, jacobian=c_to_v_jacobian)
+            pushed = push_tensor(S["c-bracket"], c_to_v_block, state, jacobian=c_to_v_jacobian)
             target = _pi(S["pi3-v"], _image(c_to_v_block, state))
             assert np.max(np.abs(C_TO_V_PI3_SCALE * pushed - target)) < 1e-8
+
+
+def test_every_c_bracket_entry_mutant_fails_the_push_check(rng):
+    # d pi = 0, so the c-bracket's Jacobi residual is identically 0 whatever
+    # its table holds; the push onto pi3-v is the check that sees a wrong entry
+    for nc in (6, 8):
+        state = random_c(rng, nc)
+        target = _pi(S["pi3-v"], _image(c_to_v_block, state))
+        table = S["c-bracket"].table_builder(state)
+        for entry, monos in table.items():
+            mutated = {**table, entry: [(1.5 * coef, powers) for coef, powers in monos]}
+            mutant = PoissonStructure("c-bracket", C_VARS, lambda s, t=mutated: t)
+            assert _at(jacobi_residual, mutant, state) == 0.0
+            pushed = push_tensor(mutant, c_to_v_block, state, jacobian=c_to_v_jacobian)
+            assert np.max(np.abs(C_TO_V_PI3_SCALE * pushed - target)) > 1e-8, (nc, entry)
 
 
 def test_d_map_pushes_pi1_to_half_pi1_ab(rng):
     for n in (5, 7):
         for _ in range(20):
             state = random_v(rng, n)
-            pushed = push_tensor("pi1-v", d_transform_block, state)
+            pushed = push_tensor(S["pi1-v"], d_transform_block, state)
             target = _pi(S["pi1-ab"], _image(d_transform_block, state))
             assert np.max(np.abs(D_MAP_PI1_SCALE * pushed - target)) < 1e-8
 
@@ -441,7 +451,7 @@ def test_d_map_pushes_pi3_onto_pi3_ab(rng):
     for n in (5, 7):
         for _ in range(20):
             state = random_v(rng, n)
-            pushed = push_tensor("pi3-v", d_transform_block, state)
+            pushed = push_tensor(S["pi3-v"], d_transform_block, state)
             target = _pi(S["pi3-ab"], _image(d_transform_block, state))
             assert np.max(np.abs(D_MAP_PI3_SCALE * pushed - target)) < 1e-8
 

@@ -20,9 +20,6 @@ def test_array_is_the_stored_read_only_array():
     assert s.array.dtype == complex and s.array.shape == (5,)
     with pytest.raises(ValueError):
         s.array[0] = 7
-    with pytest.raises(ValueError):
-        s.first()[0] = 7
-    assert s.first().tolist() == [1, 2, 3] and s.second().tolist() == [4, 5]
 
 
 def test_coordinates_are_copied_from_the_input():

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import central_difference, random_c, random_qp, random_u, random_v
+from conftest import central_difference, henon_jacobi, random_c, random_qp, random_u, random_v
 
 from lattice_flows import (
     DomainError,
@@ -17,10 +17,10 @@ from lattice_flows import (
     v_state,
 )
 from lattice_flows import transforms
-from lattice_flows.catalog import get_system
+from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import FixedStep, drift_report, integrate
-from lattice_flows.lax import casimir_C_column, h2_ab, km_lax, lax_pair
+from lattice_flows.lax import casimir_C_column, km_lax, lax_pair
 from lattice_flows.systems import (
     ab_field,
     c_field,
@@ -40,11 +40,9 @@ from lattice_flows.transforms import (
     generalized_flaschka_block,
     henon_block,
     map_jacobian,
-    moser_reduce,
     pushforward_residual,
     sklyanin_flaschka_block,
     toda_flaschka_block,
-    toda_jacobi,
 )
 
 PUSH_TOL = 1e-8
@@ -63,8 +61,8 @@ def image(kernel, state):
 
 def test_henon_examples():
     img = image(henon_block, u_state([2, 2, 2, 2]))
-    assert np.allclose(img.first(), [-1, -1])
-    assert np.allclose(img.second(), [1, 2, 1])
+    assert np.allclose(img.array[: img.split], [-1, -1])
+    assert np.allclose(img.array[img.split :], [1, 2, 1])
     img = image(henon_block, u_state([0, 0, 0, 0]))
     assert np.all(img.array == 0)
     with pytest.raises(DomainError):
@@ -72,7 +70,6 @@ def test_henon_examples():
 
 
 def test_moser_reduce_examples(rng):
-    assert np.array_equal(moser_reduce(np.eye(2)), [[1.0]])
     u = rng.uniform(0.1, 2.0, 4)
     a = np.sqrt(u / 2)
     L = lax_pair(km_lax, u_state(u), [u])[0][0]
@@ -87,7 +84,7 @@ def test_moser_reduce_examples(rng):
         ]
     )
     assert np.max(np.abs(L2 - displayed_L2)) < 1e-12
-    reduced = moser_reduce(L)
+    reduced = L2[::2, ::2]
     displayed_odd = np.array(
         [
             [a[0] ** 2, a[0] * a[1], 0],
@@ -96,28 +93,26 @@ def test_moser_reduce_examples(rng):
         ]
     )
     assert np.max(np.abs(reduced - displayed_odd)) < 1e-12
-    sym = moser_reduce(L)
-    assert np.array_equal(sym, sym.T)
+    assert np.array_equal(reduced, reduced.T)
 
 
 def test_moser_matches_henon_jacobi(rng):
     for n in (4, 5, 6, 7):
         for _ in range(20):
             state = random_u(rng, n)
-            reduced = moser_reduce(lax_pair(km_lax, state, [state.array])[0][0])
-            jac = toda_jacobi(image(henon_block, state))
-            assert np.max(np.abs(reduced - jac)) < 1e-12
+            L = lax_pair(km_lax, state, [state.array])[0][0]
+            assert np.max(np.abs((L @ L)[::2, ::2] - henon_jacobi(state))) < 1e-12
 
 
 def test_d_transform_example():
     img = image(d_transform_block, v_state([2, 1, 4, 1, 3]))
-    assert np.allclose(img.first(), [1j, 1.0, 1j])
-    assert np.allclose(img.second(), [-4.0, -1.5])
+    assert np.allclose(img.array[: img.split], [1j, 1.0, 1j])
+    assert np.allclose(img.array[img.split :], [-4.0, -1.5])
 
 
 def test_d_transform_equal_tail_kills_a1():
     img = image(d_transform_block, v_state([1, 1, 1, 2, 2]))
-    assert img.first()[0] == 0
+    assert img.array[0] == 0
 
 
 def test_d_transform_parity():
@@ -127,8 +122,8 @@ def test_d_transform_parity():
 
 def test_sklyanin_flaschka_example():
     img = image(sklyanin_flaschka_block, qp_state([0, 0], [0, 0]))
-    assert np.allclose(img.first(), [2**-0.5, 0.5, 2**-0.5])
-    assert np.all(img.second() == 0)
+    assert np.allclose(img.array[: img.split], [2**-0.5, 0.5, 2**-0.5])
+    assert np.all(img.array[img.split :] == 0)
 
 
 def test_casimir_constant_on_image(rng):
@@ -145,25 +140,26 @@ def test_h2_is_half_the_hamiltonian(rng):
         m = int(rng.integers(2, 5))
         state = random_qp(rng, m)
         img = image(sklyanin_flaschka_block, state)
-        assert abs(h2_ab(img) - 0.5 * hamiltonian_eval("sklyanin", state)) < 1e-12
+        h2 = SYSTEMS["ab"].invariant_columns(img, ["H2"], [img.array])["H2"][0]
+        assert abs(h2 - 0.5 * hamiltonian_eval("sklyanin", state)) < 1e-12
 
 
 def test_toda_flaschka_example():
     spec = a_chain_spectrum(3)
     img = image(partial(toda_flaschka_block, spec), qp_state([0, 0, 0], [0, 0, 0]))
-    assert np.allclose(img.first(), 0.5)
-    assert np.all(img.second() == 0)
+    assert np.allclose(img.array[: img.split], 0.5)
+    assert np.all(img.array[img.split :] == 0)
     img = image(partial(toda_flaschka_block, spec), qp_state([1, 0, -1], [0, 0, 0]))
-    assert np.allclose(img.first(), [0.5 * np.e**0.5, 0.5 * np.e**0.5])
+    assert np.allclose(img.array[: img.split], [0.5 * np.e**0.5, 0.5 * np.e**0.5])
 
 
 def test_generalized_flaschka_example():
     spec = Spectrum(2, ((1, -1),))
     img = image(partial(generalized_flaschka_block, spec), qp_state([np.log(2), 0], [3, 1]))
-    assert np.allclose(img.first(), [-2.0])
-    assert np.allclose(img.second(), [2.0])
+    assert np.allclose(img.array[: img.split], [-2.0])
+    assert np.allclose(img.array[img.split :], [2.0])
     img = image(partial(generalized_flaschka_block, a_chain_spectrum(2)), qp_state([0, 0], [0, 0]))
-    assert np.allclose(img.first(), -1.0)
+    assert np.allclose(img.array[: img.split], -1.0)
 
 
 def test_c_to_v_examples():
@@ -331,5 +327,6 @@ def test_pulled_back_h2_constant_along_vd_flow():
     system = get_system("vd")
     s0 = v_state([0.05, 0.06, 0.04, 0.05, 0.06, 0.045, 0.05])
     traj = integrate(system, s0, 10.0, FixedStep(1e-3))
-    report = drift_report({"h2_pullback": [h2_ab(image(d_transform_block, s0.replace_coords(y))) for y in traj.coords]})
+    zero, images = d_transform_block(s0, traj.coords)
+    report = drift_report(SYSTEMS["ab"].invariant_columns(zero, ["H2"], images))
     assert report[0].max_rel_drift < 1e-7
