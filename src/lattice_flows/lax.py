@@ -35,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
-from .states import VOLTERRA_U, VOLTERRA_V, State, ab_sizes, coordinate_columns, require_positive_real, stacked
+from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, coordinate_columns,
+                     require_positive_real, stacked)
 
 
 def lax_pair(builder, state: State, rows, ds=None):
@@ -93,16 +94,44 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     chart of ``state``: component j is tr(L^{k-1} dL/dx_j).
 
     Returns a (len(orders), N, d) array.  One builder call yields L and every
-    dL/dx_j (the d unit directions as the velocities of each row).  A row's
-    d products L^{k-1} dL/dx_j are one stacked product, and their stacked
-    trace sums each diagonal as np.trace of one matrix does, so the bits are
-    a single state's; one row's products are held at a time.
+    dL/dx_j (the d unit directions as the velocities of each row), and no
+    matrix is multiplied: each dL/dx_j has at most four nonzero entries, so
+    diagonal entry i of P dL/dx_j, P = L^{k-1}, is the sum of
+    P[i, a] dL/dx_j[a, i] over the entries a of column i that are nonzero
+    in some row of the block.  Those products are gathered for the whole
+    block and rounded as scalar products (``complex_product``); each entry
+    (j, i) sums its terms from zero in ascending a, and each row of
+    diagonals sums as np.trace sums one matrix's.
+
+    The bits are those of np.trace(P @ dL/dx_j) while no diagonal entry
+    takes two real or two imaginary terms: each running sum of the dense
+    product then takes one product, which rounds alike whether or not the
+    BLAS fuses multiply-adds.  (OpenBLAS does on FMA hardware, and two such
+    terms in one sum may then differ in the last bit.)  Every catalog
+    builder's entries are real or imaginary, and at most one of each meets
+    in a diagonal entry (vd_lax: row 1 takes columns 3 and 4).  Zero
+    entries are skipped, so a non-finite entry of P reaches only the
+    components whose dL/dx_j is nonzero where it meets them, where a dense
+    product made all of them NaN.
     """
     d, count = coordinate_columns(state, rows).shape
     units = np.broadcast_to(np.eye(d)[:, :, None], (d, d, count))
     L, _, _, dL = lax_pair(builder, state, rows, units)
-    powers = [np.linalg.matrix_power(L, k - 1) for k in orders]
-    return np.array([[np.trace(P[r] @ dL[r], axis1=-2, axis2=-1) for r in range(count)] for P in powers])
+    T = L.shape[-1]
+    # terms (j, i, a) of dL/dx_j[a, i], grouped by diagonal entry (j, i) and in ascending a
+    j, i, a = np.nonzero(np.any(dL, axis=0).swapaxes(1, 2))
+    entry = j * T + i
+    rank = np.arange(len(entry)) - np.searchsorted(entry, entry)  # place of a term within its entry
+    layers = [rank == r for r in range(rank.max(initial=-1) + 1)]  # each entry once per layer
+    terms = dL[:, j, a, i]
+    grads = []
+    for k in orders:
+        products = complex_product(np.linalg.matrix_power(L, k - 1)[:, i, a], terms)
+        diagonals = np.zeros((count, d, T), dtype=complex)
+        for layer in layers:
+            diagonals[:, j[layer], i[layer]] += products[:, layer]
+        grads.append(diagonals.sum(axis=-1))
+    return np.array(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +145,7 @@ def casimir_C_column(state: State, rows) -> list[complex]:
     The two outer products are Python complex products, which round as
     numpy's scalar product does; numpy's complex array product may not.
     """
-    a = np.asarray(rows)[:, : ab_sizes(state, +1, "casimir_C_column")[0]]
+    a = np.asarray(rows)[:, : _casimir_C_sizes(state, "casimir_C_column")[0]]
     inner = np.prod(a[:, 1:-1] ** 2, axis=1)
     return [x * y * z for x, y, z in zip(a[:, 0].tolist(), inner.tolist(), a[:, -1].tolist())]
 
@@ -125,7 +154,7 @@ def grad_casimir_C(state: State, rows) -> np.ndarray:
     """Analytic gradient of C with respect to (a_1..a_{m+1}, b_1..b_m) at
     each row of an (N, d) block ``rows`` in the chart of ``state``, as a
     C-ordered (N, d) array."""
-    m = ab_sizes(state, +1, "grad_casimir_C")[1]
+    m = _casimir_C_sizes(state, "grad_casimir_C")[1]
     x = coordinate_columns(state, rows)
     a = x[: m + 1]
     own = np.array([1] + [2] * (m - 1) + [1])[:, None]  # exponent of each a_i in C
@@ -133,6 +162,14 @@ def grad_casimir_C(state: State, rows) -> np.ndarray:
     grad = np.zeros_like(x)
     grad[: m + 1] = own * a ** (own - 1) * np.prod(a.take(rest, axis=0) ** own.take(rest, axis=0), axis=1)
     return np.ascontiguousarray(grad.T)
+
+
+def _casimir_C_sizes(state: State, what: str) -> tuple[int, int]:
+    """(m + 1, m) of an (a, b) state, m >= 1: at m = 0 the one a_1 would be both end factors of C."""
+    sizes = ab_sizes(state, +1, what)
+    if sizes[1] < 1:
+        raise DimensionError(f"{what} needs m >= 1")
+    return sizes
 
 
 def casimir_F_column(state: State, rows) -> list[complex]:

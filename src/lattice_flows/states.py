@@ -221,3 +221,12 @@ def stacked(tensor: np.ndarray) -> np.ndarray:
     as one state's own matrix."""
     return np.ascontiguousarray(tensor.swapaxes(0, 1).T)
 
+
+def complex_product(x, y) -> np.ndarray:
+    """x * y for complex arrays, rounded as one state's scalar product is: numpy's
+    vectorised complex product may fuse a multiply and an add, which would
+    give a state other bits in a block."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out

@@ -241,7 +241,7 @@ def hamiltonian_eval(system: str, state: State) -> complex:
 def hamiltonian_column(system: str, state: State, rows) -> list[complex]:
     """hamiltonian_eval at each row of an (N, 2n) block of (q, p) coordinates."""
     state.require_chart(QP, "hamiltonian_eval")
-    _require_boundary_q(system, state.split, "Hamiltonian")
+    _require_q(system, state.split, "Hamiltonian")
     rows = np.asarray(rows)
     q, p = rows[:, : state.split], rows[:, state.split :]
     n = q.shape[1]
@@ -263,9 +263,11 @@ def hamiltonian_column(system: str, state: State, rows) -> list[complex]:
     raise ValueError(f"unknown Hamiltonian system {system!r}")
 
 
-def _require_boundary_q(system: str, n: int, what: str):
-    """The Sklyanin-type boundary terms act on q_1 and q_n, so those chains need a q."""
-    if n == 0 and system in ("sklyanin", "sklyanin_full"):
+def _require_q(system: str, n: int, what: str):
+    """Every (q, p) chain needs a q: the Sklyanin-type boundary terms act on
+    q_1 and q_n, and an empty toda chain has no coordinate to move, so its
+    trajectory and its H = 0 would certify nothing."""
+    if n == 0:
         raise DimensionError(f"the {system} {what} needs at least one q")
 
 
@@ -273,7 +275,7 @@ def qp_field(system: str, state: State, y) -> np.ndarray:
     """Hamilton's equations (dq, dp) = (dH/dp, -dH/dq) with analytic partials."""
     state.require_chart(QP, "qp_field")
     n = state.split
-    _require_boundary_q(system, n, "field")
+    _require_q(system, n, "field")
     q, p = y[:n], y[n:]
     # dH/dq from the nearest-neighbour chain, shared by all three systems
     expo = np.exp(q[:-1] - q[1:]) if n > 1 else np.zeros(0)

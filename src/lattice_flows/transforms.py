@@ -17,21 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, ParityError
-from .states import QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, coordinate_columns, v_state
+from .states import QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, complex_product, coordinate_columns, v_state
 from .rootdata import Spectrum
 
 #: Central-difference step for Jacobians of O(1) states.
 FD_STEP = 1e-6
-
-
-def _product(x, y) -> np.ndarray:
-    """x * y for complex arrays, rounded as one state's scalar product is: numpy's
-    vectorised complex product may fuse a multiply and an add, which would
-    give a state other bits in a block."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _ab_image(a, b) -> tuple[State, np.ndarray]:
@@ -53,7 +43,7 @@ def henon_block(state: State, rows) -> tuple[State, np.ndarray]:
     n, count = u.shape
     nb = n // 2 + 1
     ext = np.concatenate([np.zeros((1, count)), u, np.zeros((2, count))])  # ext[k] = u_k, 1-based, zero padded
-    A = -0.5 * np.sqrt(_product(ext[2 : 2 * nb - 1 : 2], ext[1 : 2 * nb - 2 : 2]))
+    A = -0.5 * np.sqrt(complex_product(ext[2 : 2 * nb - 1 : 2], ext[1 : 2 * nb - 2 : 2]))
     B = 0.5 * (ext[1 : 2 * nb : 2] + ext[0 : 2 * nb - 1 : 2])
     return _ab_image(A, B)
 
@@ -73,7 +63,7 @@ def d_transform_block(state: State, rows) -> tuple[State, np.ndarray]:
         raise ParityError("d_transform requires odd dimension n = 2m+1")
     if n < 5:
         raise DimensionError("d_transform requires n >= 5")
-    prods = _product(u[1 : n - 2], u[: n - 3])  # u_{k+1} u_k pairs feeding the square roots
+    prods = complex_product(u[1 : n - 2], u[: n - 3])  # u_{k+1} u_k pairs feeding the square roots
     if np.any(prods.real < 0):
         raise DomainError("d_transform requires nonnegative interior products")
     # rows j = 2..m take the pairs and sums from u_{n-2} down to u_1
@@ -139,7 +129,7 @@ def c_to_v_block(state: State, rows) -> tuple[State, np.ndarray]:
     if n < 3:
         raise DimensionError("c_to_v requires at least 4 c variables")
     i, j = _c_to_v_factors(n)
-    v = np.array([1.0] + [2.0] * (n - 3) + [1.0, 1.0])[:, None] / _product(c[i], c[j])
+    v = np.array([1.0] + [2.0] * (n - 3) + [1.0, 1.0])[:, None] / complex_product(c[i], c[j])
     return v_state(np.zeros(n)), v.T
 
 

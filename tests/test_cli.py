@@ -428,3 +428,26 @@ def test_empty_km_chain_is_usage_error(capsys, policy):
     code, out, err = run(capsys, "simulate", "--system", "km", "--state", '{"u":[]}', "--t", "0.1", *policy)
     assert code == 2 and out == ""
     assert err == "usage error: the km field needs n >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "run_args, message",
+    [(("--t", "0.1", "--dt", "0.05"), "the toda field needs at least one q"),
+     (("--t", "0.1", "--adaptive"), "the toda field needs at least one q"),
+     # at t = 0 no field is evaluated, so the H column meets the empty state first
+     (("--t", "0", "--invariants", "H"), "the toda Hamiltonian needs at least one q")],
+    ids=["fixed", "adaptive", "H-t0"],
+)
+def test_empty_toda_qp_state_is_usage_error(capsys, run_args, message):
+    # an empty chain has no coordinate to move: a CSV of t alone, or H = 0, would certify nothing
+    code, out, err = run(capsys, "simulate", "--system", "toda", "--state", '{"q":[],"p":[]}', *run_args)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_casimir_C_at_m0_is_usage_error(capsys):
+    # with one a, a_1 would be both end factors of C = a_1 a_2^2 ... a_m^2 a_{m+1}
+    code, out, err = run(capsys, "simulate", "--system", "ab", "--state", '{"a":[2],"b":[]}', "--t", "0",
+                         "--invariants", "C")
+    assert code == 2 and out == ""
+    assert err == "usage error: casimir_C_column needs m >= 1\n"

@@ -10,6 +10,7 @@ from lattice_flows.lax import (
     ab_lax,
     casimir_C_column,
     casimir_F_column,
+    grad_casimir_C,
     grad_trace_invariant,
     lax_pair,
     lax_residual,
@@ -150,6 +151,14 @@ def test_casimir_C_examples():
     assert casimir_C_column(template, [[1, 1, 1, 0, 0], [2, 3, 4, 0, 0]]) == [1, 72]
 
 
+def test_casimir_C_needs_m_at_least_1():
+    template = ab_state([2], [])
+    with pytest.raises(DimensionError, match="casimir_C_column needs m >= 1"):
+        casimir_C_column(template, [[2]])
+    with pytest.raises(DimensionError, match="grad_casimir_C needs m >= 1"):
+        grad_casimir_C(template, [[2]])
+
+
 def test_casimir_F_examples():
     assert casimir_F_column(v_state([1, 1, 1, 1]), [[1, 1, 2, 2], [1, 1, 1, 2]]) == [0, 1]
 
@@ -169,31 +178,37 @@ _LARGER_SAMPLES = {  # T = 13, 10, 14 and 29
 }
 
 
+FD_GRAD_TOL = 1e-6
+
+
+def _fd_grad(system, state, order, h=1e-6):
+    """Central differences of tr(L^order)/order in each coordinate of a real state."""
+    base = state.array.real
+
+    def f(x):
+        return _traces(system, state.replace_coords(x), [order])[0]
+
+    return np.array([(f(base + h * e) - f(base - h * e)) / (2 * h) for e in np.eye(state.dim)])
+
+
 def test_grad_trace_invariant_matches_fd(rng):
-    h = 1e-6
     for system, sample in LAX_SAMPLES:
         state = sample(rng)
-        base = state.array.real
         for order in (3, 4):
             [[grad]] = grad_trace_invariant(SYSTEMS[system].lax, state, [state.array], [order])
-
-            def f(x):
-                return _traces(system, state.replace_coords(x), [order])[0]
-
+            fd = _fd_grad(system, state, order)
             for j in range(state.dim):
-                bump = np.zeros(state.dim)
-                bump[j] = h
-                fd = (f(base + bump) - f(base - bump)) / (2 * h)
-                assert abs(grad[j] - fd) < 1e-6, (system, order, j)
+                assert abs(grad[j] - fd[j]) < FD_GRAD_TOL, (system, order, j)
 
 
-def _single_direction_grads(system, state, rows, orders):
-    """The gradients from one builder call per row and unit direction: the bit-exact reference."""
-    d = state.dim
+def _single_direction_grads(system, state, rows, orders, builder=None):
+    """The gradients from one builder call per row and unit direction: the bit-exact reference.
+    ``builder`` stands in for the system's own."""
+    d, builder = state.dim, builder or SYSTEMS[system].lax
     grads = np.zeros((len(orders), len(rows), d), dtype=complex)
     for r, row in enumerate(rows):
         for j, e in enumerate(np.eye(d)):
-            L, _, _, dL = lax_pair(SYSTEMS[system].lax, state, [row], e[:, None, None])
+            L, _, _, dL = lax_pair(builder, state, [row], e[:, None, None])
             for i, k in enumerate(orders):
                 grads[i, r, j] = np.trace(np.linalg.matrix_power(L[0], k - 1) @ dL[0, 0])
     return grads
@@ -210,6 +225,130 @@ def test_grad_trace_invariant_is_exactly_the_per_coordinate_trace(rng, system, s
         grads = grad_trace_invariant(SYSTEMS[system].lax, states[0], rows, orders)
         assert grads.shape == (len(orders), 5, states[0].dim)
         assert np.array_equal(grads, _single_direction_grads(system, states[0], rows, orders))
+
+
+def _unit_dL(system, state):
+    """Every dL/dx_j at one state, (d, T, T)."""
+    return lax_pair(SYSTEMS[system].lax, state, [state.array], np.eye(state.dim)[:, :, None])[3][0]
+
+
+@pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
+def test_dL_entries_meet_at_most_once_per_kind_in_a_diagonal_entry(rng, system, sample):
+    # grad_trace_invariant keeps the bits of the dense product while each diagonal
+    # entry (j, i) of L^{k-1} dL/dx_j takes at most one real and one imaginary term
+    # from column i of dL/dx_j; only vd has entries with two terms, where one
+    # sqrt(v_k) and one i*sqrt(v_k) coupling meet
+    shared = {}
+    for draw in (sample, _LARGER_SAMPLES[system]):
+        state = draw(rng)
+        dL = _unit_dL(system, state)
+        for j, column in zip(*np.nonzero(np.any(dL, axis=1))):
+            terms = dL[j, :, column]
+            real, imaginary = terms[terms.imag == 0], terms[terms.real == 0]
+            assert np.count_nonzero(terms) == np.count_nonzero(real) + np.count_nonzero(imaginary)
+            assert np.count_nonzero(real) <= 1 and np.count_nonzero(imaginary) <= 1, (system, j, column)
+            if np.count_nonzero(terms) > 1:
+                shared[state.dim, j, column] = tuple(np.flatnonzero(terms))
+    if system == "vd":
+        # L[1, 3] = sqrt(v_n) and L[1, 4] = i sqrt(v_n), their v_{n-1} twins in row 2, and the border row 0
+        assert shared == {(n, j, column): rows for n in (7, 15) for j, column, rows in (
+            (0, 0, (2 * n - 3, 2 * n - 2)), (n - 2, 2, (3, 4)), (n - 1, 1, (3, 4)))}
+    else:
+        assert shared == {}
+
+
+@pytest.mark.parametrize("system, size, orders", [
+    ("vd", 15, (4, 8)),  # lenard v --n 15
+    ("ab", 7, (2, 4, 6)),  # lenard ab --m 7 (2, 4), involution --m 7 (pairs H2:H4, H2:H6)
+])
+def test_grad_trace_invariant_keeps_the_dense_bits_at_verify_mix_sizes(rng, system, size, orders):
+    sample = {"vd": random_v, "ab": random_ab}[system]
+    states = [sample(rng, size) for _ in range(8)]
+    rows = np.array([s.array for s in states])
+    grads = grad_trace_invariant(SYSTEMS[system].lax, states[0], rows, orders)
+    assert grads.tobytes() == _single_direction_grads(system, states[0], rows, orders).tobytes()
+
+
+def _term_by_term_grads(builder, state, rows, orders):
+    """Each diagonal entry i of L^{k-1} dL/dx_j summed from zero over the nonzero
+    entries of column i in ascending row, with products rounded from real and
+    imaginary parts, and traced by np.trace: one state, one entry and one term
+    at a time."""
+    d = state.dim
+    grads = np.zeros((len(orders), len(rows), d), dtype=complex)
+    for r, row in enumerate(rows):
+        for j, e in enumerate(np.eye(d)):
+            L, _, _, dL = lax_pair(builder, state, [row], e[:, None, None])
+            for o, k in enumerate(orders):
+                P = np.linalg.matrix_power(L[0], k - 1)
+                diagonal = np.zeros(len(P), dtype=complex)
+                for i in range(len(P)):
+                    for a in np.flatnonzero(dL[0, 0, :, i]):
+                        p, t = P[i, a], dL[0, 0, a, i]
+                        diagonal[i] += complex(p.real * t.real - p.imag * t.imag, p.real * t.imag + p.imag * t.real)
+                grads[o, r, j] = np.trace(np.diag(diagonal))
+    return grads
+
+
+@pytest.mark.parametrize("system, size, orders", [("vd", 15, (4, 8)), ("ab", 7, (2, 4, 6))])
+def test_grad_trace_invariant_sums_any_number_of_terms_in_an_entry(rng, system, size, orders):
+    # a builder whose dL/dx_1 gains five real, imaginary and complex terms in
+    # column 5: the gradient sums each entry term by term, in ascending row.
+    # The dense product rounds the same sum otherwise when two real (or two
+    # imaginary) terms meet: a BLAS on FMA hardware fuses each multiply-add
+    # into its running sum, so there it is within a few ulps, not bitwise
+    base = SYSTEMS[system].lax
+
+    def builder(state, x, ds):
+        L, B, sign, dL = base(state, x, ds)
+        for row, value in ((0, 0.3), (2, -0.7j), (6, 1.1), (7, 0.45 + 0.2j), (9, -1.3)):
+            dL[row, 5] += value * ds[0]
+        return L, B, sign, dL
+
+    sample = {"vd": random_v, "ab": random_ab}[system]
+    states = [sample(rng, size) for _ in range(4)]
+    rows = np.array([s.array for s in states])
+    grads = grad_trace_invariant(builder, states[0], rows, orders)
+    assert grads.tobytes() == _term_by_term_grads(builder, states[0], rows, orders).tobytes()
+    dense = _single_direction_grads(system, states[0], rows, orders, builder)
+    assert np.max(np.abs(grads - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_a_non_finite_power_reaches_only_the_components_it_meets():
+    # at order 2, P = L: an infinite L[0, 2] meets only dL/da_2, whose entry (2, 0)
+    # is 1; a dense product's inf * 0 terms made every component NaN
+    def builder(state, x, ds):
+        L, B, sign, dL = ab_lax(state, x, ds)
+        L[0, 2] = np.inf
+        return L, B, sign, dL
+
+    state = ab_state([1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.3])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the imaginary part of inf * 1
+        [[grad]] = grad_trace_invariant(builder, state, [state.array], [2])
+    assert np.flatnonzero(~np.isfinite(grad)).tolist() == [1]
+
+
+@pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
+def test_every_dL_entry_mutant_moves_the_gradient_off_fd(rng, system, sample):
+    # each nonzero entry of each dL/dx_j scaled by 1.5 alone must move the
+    # gradient past the tolerance that the true one meets: the gather reads it
+    state = sample(rng)
+    dL = _unit_dL(system, state)
+    fd = {order: _fd_grad(system, state, order) for order in (3, 4)}
+    base = SYSTEMS[system].lax
+    clean = grad_trace_invariant(base, state, [state.array], list(fd))
+    assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(clean, fd)) < FD_GRAD_TOL
+    mutants = 0
+    for j, a, i in zip(*np.nonzero(dL)):
+        def builder(state, x, ds, j=j, a=a, i=i):
+            L, B, sign, dL = base(state, x, ds)
+            dL[a, i, j] *= 1.5  # dL/dx_j, the j-th of the unit directions
+            return L, B, sign, dL
+
+        grads = grad_trace_invariant(builder, state, [state.array], list(fd))
+        assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(grads, fd)) > FD_GRAD_TOL, (system, j, a, i)
+        mutants += 1
+    assert mutants == {"km": 12, "toda": 13, "ab": 18, "vd": 28}[system]
 
 
 @pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
