@@ -21,8 +21,7 @@ from .catalog import SYSTEM_KEYS, SYSTEMS, get_system
 from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import Spectrum, kozlov_treshchev_check, sklyanin_spectrum, spectrum_from_json
-from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_V, ab_state, c_state, qp_state, stacked, state_from_dict,
-                     u_state, v_state)
+from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, stacked, state_from_dict
 
 RNG_NAME = "numpy-pcg64"
 SPECTRUM_TOL = 1e-9
@@ -138,7 +137,7 @@ def _run_simulate(args) -> int:
 class Check(NamedTuple):
     """One report record: sample states, keep the worst residual, gate it."""
 
-    sample: Callable  # (rng, n, m) -> State
+    sample: Callable  # (rng, count, n, m) -> (template State, (count, d) rows)
     residual: Callable  # (template State, (N, d) rows, *sweep parameters) -> N residuals
     tolerance: float
     structure: str  # record labels; "{0}", "{1}" take the sweep parameters
@@ -155,15 +154,31 @@ class Suite(NamedTuple):
     sweep: Callable | None = None  # args -> parameter tuples, one record each
 
 
-# Samplers (rng, n, m) -> State.  Coordinate groups are drawn in this order,
-# so a seed keeps selecting the same states.
-_U = lambda rng, n, m: u_state(rng.uniform(0.1, 2.0, n))
-_V = lambda rng, n, m: v_state(rng.uniform(0.1, 2.0, n))
-_C = lambda rng, n, m: c_state(rng.uniform(0.1, 2.0, n + 1))
-_AB = lambda rng, n, m: ab_state(rng.uniform(-1.0, 1.0, m + 1), rng.uniform(-1.0, 1.0, m))
-_TODA_AB = lambda rng, n, m: ab_state(rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n))
-_QP_M = lambda rng, n, m: qp_state(rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m))
-_QP_N = lambda rng, n, m: qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+def _sampler(chart: str, lo: float, hi: float, groups: Callable) -> Callable:
+    """A block sampler (rng, count, n, m) -> (template State, (count, d) rows)
+    of states in ``chart`` whose coordinate groups have the lengths
+    ``groups(n, m)``, drawn uniformly from [lo, hi).
+
+    One rng.uniform call draws the whole block, row by row.  Every group of
+    a chart shares its bounds, so these are the numbers that drawing each
+    state group by group takes, and a seed keeps selecting the same states.
+    The template is the block's first state.
+    """
+    def sample(rng, count, n, m):
+        sizes = groups(n, m)
+        rows = rng.uniform(lo, hi, (count, sum(sizes))).astype(complex)
+        return State(chart, rows[0], sizes[0] if len(sizes) == 2 else None), rows
+
+    return sample
+
+
+_U = _sampler(VOLTERRA_U, 0.1, 2.0, lambda n, m: (n,))
+_V = _sampler(VOLTERRA_V, 0.1, 2.0, lambda n, m: (n,))
+_C = _sampler(C_VARS, 0.1, 2.0, lambda n, m: (n + 1,))
+_AB = _sampler(FLASCHKA_AB, -1.0, 1.0, lambda n, m: (m + 1, m))
+_TODA_AB = _sampler(FLASCHKA_AB, -1.0, 1.0, lambda n, m: (n - 1, n))
+_QP_M = _sampler(QP, -1.0, 1.0, lambda n, m: (m, m))
+_QP_N = _sampler(QP, -1.0, 1.0, lambda n, m: (n, n))
 _ON_CHART = {C_VARS: _C, VOLTERRA_V: _V, FLASCHKA_AB: _AB}  # a Poisson structure's sampler
 
 
@@ -275,11 +290,12 @@ SUITES = {
 
 #: States per residual call.  The batched Poisson kernels hold dense tensors
 #: for every state of a block (d pi of pi1-v at n = 25 takes 250 kB a state),
-#: as does a trace gradient (every dL/dx_j of vd at n = 25 takes 1 MB a
-#: state) and a map's block of bumps ((d, 2d * 8) complex, 58 kB for d-map
-#: at n = 15), so a fixed block bounds their memory whatever --states is.
-#: Blocks of 64 were under 2% faster on the benchmark's verify suites and
-#: doubled the peak working set.
+#: as does a map's block of bumps ((d, 2d * 8) complex, 58 kB for d-map at
+#: n = 15), so a fixed block bounds their memory whatever --states is.  A
+#: trace gradient holds only L, its powers and the gathered entries of dL
+#: (a 49 x 49 L of vd at n = 25 takes 38 kB a state).  Blocks of 64 were
+#: under 2% faster on the benchmark's verify suites and doubled the peak
+#: working set.
 BLOCK = 8
 
 
@@ -296,8 +312,8 @@ def _run_verify(args) -> int:
         for start in range(0, args.states, BLOCK):
             # a block's states are drawn before its residuals, which draw no
             # random numbers, so a seed selects the same states as state by state
-            states = [check.sample(rng, n, args.m) for _ in range(min(BLOCK, args.states - start))]
-            block_max.append(np.max(check.residual(states[0], np.array([s.array for s in states]), *params)))
+            state, rows = check.sample(rng, min(BLOCK, args.states - start), n, args.m)
+            block_max.append(np.max(check.residual(state, rows, *params)))
         # np.max propagates NaN, so a non-finite residual fails its record
         worst = float(np.max(block_max))
         records.append({

@@ -1,17 +1,23 @@
 """Lax pairs for the four concrete systems, trace invariants, and Casimirs.
 
-Each builder stores its numerically certified commutator convention in
-``sign``: +1 means dL/dt = [B, L], -1 means dL/dt = [L, B].  The derivative
-dL/dt used by the residual is assembled analytically from the closed-form
-entries (chain rule through square roots), never by finite differences, in
-the same builder call that yields L, B and the sign.
+Each Lax pair is a table (``LaxTable``) with one row per matrix entry:
+its slot, the coordinate(s) it reads, its kind (x, the root of x, a
+product of two roots, or a difference of two x's), its coefficient, and
+whether it is mirrored symmetric or antisymmetric.  The builders
+``km_lax``, ``toda_lax``, ``ab_lax`` and ``vd_lax`` check a template
+state's chart and size and return their system's table at that size,
+built once per size; each catalog row with a Lax pair carries its builder
+as ``lax``, and every function here takes the builder itself.
 
-The builders are ``km_lax``, ``toda_lax``, ``ab_lax`` and ``vd_lax``; each
-catalog row with a Lax pair carries its builder as ``lax``, and every
-function here takes the builder itself.  There is one call shape: a builder
-takes a block of states and returns their matrices with the state axis
-trailing, and ``lax_pair`` hands them out as C-ordered (N, T, T) stacks.
-Every residual and gradient takes its block through it; matrix products
+``lax_pair`` assembles a block's L and B with one fancy-indexed write per
+matrix, and dL along given velocities by the chain rule: L's entries are
+linear in x or in its roots, so L at (dx, dr) is dL.  ``grad_trace_invariant``
+reads each dL/dx_j straight from the table and builds neither B nor a dense
+dL.  Each builder's ``sign`` is its numerically certified commutator
+convention: +1 means dL/dt = [B, L], -1 means dL/dt = [L, B].
+
+An entry's value takes the operations the formula reads, in its order, so
+the matrices keep the bits of writing each entry by hand.  Matrix products
 are stacked (each slice is multiplied as one state's matrix would be), and
 norms and the traces of the invariant columns are taken slice by slice, so
 a state gets the same bits in any block.
@@ -32,25 +38,35 @@ Matrix layout notes (0-based):
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
 from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, coordinate_columns,
-                     require_positive_real, stacked)
+                     require_positive_real)
 
 
 def lax_pair(builder, state: State, rows, ds=None):
-    """(L, B, sign, dL) from one call of ``builder`` (``km_lax`` and the rest,
-    a catalog row's ``lax``) at every row of ``rows``, an (N, d) block of
+    """(L, B, sign, dL) of ``builder``'s table (``km_lax`` and the rest, a
+    catalog row's ``lax``) at every row of ``rows``, an (N, d) block of
     coordinates in the chart of ``state``.
 
     L and B are C-ordered (N, T, T) stacks.  ``ds`` is a (d, K, N) array of
     K velocities per row (ds[:, k, r] is the k-th at row r); dL along each
     is then a C-ordered (N, K, T, T) stack, and None without ``ds``.
     """
-    x, ds = coordinate_columns(state, rows), None if ds is None else np.asarray(ds, dtype=complex)
-    L, B, sign, dL = builder(state, x, ds)
-    return stacked(L), stacked(B), sign, None if dL is None else stacked(dL)
+    table = builder(state)
+    x = coordinate_columns(state, rows)
+    r = table.roots(x)
+    (L, B), dL = (plan.assemble(table.size, x, r) for plan in table.plans), None
+    if ds is not None:
+        ds = np.asarray(ds, dtype=complex)
+        dL = table.plans[0].assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
+    return L, B, table.sign, dL
 
 
 def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
@@ -93,12 +109,12 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     """Analytic gradients of tr(L^k)/k at every row of ``rows``, (N, d) in the
     chart of ``state``: component j is tr(L^{k-1} dL/dx_j).
 
-    Returns a (len(orders), N, d) array.  One builder call yields L and every
-    dL/dx_j (the d unit directions as the velocities of each row), and no
-    matrix is multiplied: each dL/dx_j has at most four nonzero entries, so
-    diagonal entry i of P dL/dx_j, P = L^{k-1}, is the sum of
-    P[i, a] dL/dx_j[a, i] over the entries a of column i that are nonzero
-    in some row of the block.  Those products are gathered for the whole
+    Returns a (len(orders), N, d) array.  The table gives L and, for each
+    slot (a, i) of L, the coordinate j it reads and its derivative there
+    (L's entries at the unit directions); no matrix is multiplied, and
+    neither B nor a dense dL is built.  Diagonal entry i of P dL/dx_j,
+    P = L^{k-1}, is the sum of P[i, a] dL/dx_j[a, i] over the slots (a, i)
+    of column i that read x_j.  The products are gathered for the whole
     block and rounded as scalar products (``complex_product``); each entry
     (j, i) sums its terms from zero in ascending a, and each row of
     diagonals sums as np.trace sums one matrix's.
@@ -108,22 +124,21 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     product then takes one product, which rounds alike whether or not the
     BLAS fuses multiply-adds.  (OpenBLAS does on FMA hardware, and two such
     terms in one sum may then differ in the last bit.)  Every catalog
-    builder's entries are real or imaginary, and at most one of each meets
-    in a diagonal entry (vd_lax: row 1 takes columns 3 and 4).  Zero
-    entries are skipped, so a non-finite entry of P reaches only the
+    table's entries are real or imaginary, and at most one of each meets in
+    a diagonal entry (vd_lax: row 1 takes columns 3 and 4).  Slots outside
+    the table are never read, so a non-finite entry of P reaches only the
     components whose dL/dx_j is nonzero where it meets them, where a dense
     product made all of them NaN.
     """
-    d, count = coordinate_columns(state, rows).shape
-    units = np.broadcast_to(np.eye(d)[:, :, None], (d, d, count))
-    L, _, _, dL = lax_pair(builder, state, rows, units)
-    T = L.shape[-1]
-    # terms (j, i, a) of dL/dx_j[a, i], grouped by diagonal entry (j, i) and in ascending a
-    j, i, a = np.nonzero(np.any(dL, axis=0).swapaxes(1, 2))
-    entry = j * T + i
-    rank = np.arange(len(entry)) - np.searchsorted(entry, entry)  # place of a term within its entry
-    layers = [rank == r for r in range(rank.max(initial=-1) + 1)]  # each entry once per layer
-    terms = dL[:, j, a, i]
+    table = builder(state)
+    x = coordinate_columns(state, rows)
+    d, count = x.shape
+    r = table.roots(x)
+    plan, T = table.plans[0], table.size
+    L = plan.assemble(T, x, r)
+    ones = np.ones_like(x)
+    j, i, a, slot, layers = table.terms
+    terms = plan.values(ones, None if r is None else ones / (table.slope * r))[slot].T
     grads = []
     for k in orders:
         products = complex_product(np.linalg.matrix_power(L, k - 1)[:, i, a], terms)
@@ -204,152 +219,214 @@ def _v_coords(state: State):
         raise UnsupportedDimension("v-chart invariants need n >= 4")
 
 
+
+
 # ---------------------------------------------------------------------------
-# builders (state, x, ds) -> (L, B, sign, dL).  ``state`` fixes the chart and
-# sizes; x is a (d, N) block of coordinates, coordinates first, and L and B
-# are (T, T, N).  ds is None or a (d, K, N) block of K velocities per state,
-# so ds[i] is coordinate i's velocities and dL is (T, T, K, N); dL is None
-# when ds is.  x[:, None] lines each state's coordinates up with its K
-# velocities.  The matrices are stored state by state (see _zeros), so
-# lax_pair stacks them without a copy.
+# Lax tables: one row per matrix entry
 # ---------------------------------------------------------------------------
 
-def _zeros(T: int, batch: tuple) -> np.ndarray:
-    """Zero (T, T) + batch matrices, a view of the C-ordered stack that stacked() returns."""
-    return np.zeros(batch[::-1] + (T, T), dtype=complex).T.swapaxes(0, 1)
+X, ROOT, ROOTS, DIFF = "x", "root", "roots", "diff"
 
 
-def km_lax(state: State, x, ds):
+class Entry(NamedTuple):
+    """One entry of L or B at (row, col), from coordinates p (and q) of x:
+
+    * X      coef * x_p
+    * ROOT   coef * r_p, where r is the table's root of x
+    * ROOTS  (coef * r_p) * r_q
+    * DIFF   coef * (x_p - x_q)
+
+    A coefficient 1 is not multiplied, and a negative one (-1, -0.5) is
+    multiplied as its absolute value and then negated, as the formulas read.
+    ``mirror`` +1 puts the same value at (col, row); -1 puts 0 - value
+    there, as B - B^T rounds it.
+    """
+
+    row: int
+    col: int
+    kind: str
+    p: int
+    q: int = 0
+    coef: complex = 1
+    mirror: int = 0
+
+
+class _Plan(NamedTuple):
+    """One table compiled to index arrays: its entries grouped by the
+    operations their values take, and their slots, mirrors last."""
+
+    groups: tuple  # (kind, scale, negate, at, p, q)
+    count: int
+    rows: np.ndarray
+    cols: np.ndarray
+    same: np.ndarray  # entries whose mirror takes their value
+    minus: np.ndarray  # entries whose mirror takes 0 - their value
+
+    @classmethod
+    def of(cls, entries) -> "_Plan":
+        groups = {}
+        for at, e in enumerate(entries):
+            negate = (complex(e.coef).real, complex(e.coef).imag) < (0, 0)
+            groups.setdefault((e.kind, -e.coef if negate else e.coef, negate), []).append((at, e.p, e.q))
+        same = [at for at, e in enumerate(entries) if e.mirror == 1]
+        minus = [at for at, e in enumerate(entries) if e.mirror == -1]
+        rows = [e.row for e in entries] + [entries[at].col for at in same + minus]
+        cols = [e.col for e in entries] + [entries[at].row for at in same + minus]
+        return cls(tuple(key + tuple(np.array(column, dtype=int) for column in zip(*group))
+                         for key, group in groups.items()),
+                   len(entries), *(np.array(index, dtype=int) for index in (rows, cols, same, minus)))
+
+    def values(self, x, r) -> np.ndarray:
+        """The value of every slot, (slots,) + batch, from x and its roots r,
+        each (d,) + batch; a linear table at (dx, dr) gives its derivative."""
+        out = np.empty((self.count,) + x.shape[1:], dtype=complex)
+        for kind, scale, negate, at, p, q in self.groups:
+            v = (r if kind in (ROOT, ROOTS) else x)[p]
+            if kind == ROOTS:
+                v = (v if scale == 1 else scale * v) * r[q]
+            else:
+                v = v - x[q] if kind == DIFF else v
+                v = v if scale == 1 else scale * v
+            out[at] = -v if negate else v
+        return np.concatenate([out, out[self.same], 0 - out[self.minus]])
+
+    def assemble(self, size: int, x, r) -> np.ndarray:
+        """C-ordered (batch reversed, T, T) matrices: (N, T, T) at an (d, N)
+        block, (N, K, T, T) at (d, K, N) velocities."""
+        values = self.values(x, r)
+        out = np.zeros(values.shape[:0:-1] + (size, size), dtype=complex)
+        out[..., self.rows, self.cols] = values.T
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class LaxTable:
+    """A Lax pair at one size: L and B as tables of ``Entry`` rows.
+
+    ``sign`` is the commutator convention (+1: dL/dt = [B, L]).  ``root``
+    maps a block of coordinates to the roots its entries take, r = root(x)
+    with dr = dx / (slope * r); the coordinates of a table with roots must
+    keep a positive real part.  L takes X and ROOT entries only, so L at
+    (dx, dr) is dL along dx.
+    """
+
+    name: str
+    size: int
+    sign: int
+    L: tuple
+    B: tuple
+    root: Callable | None = None
+    slope: int = 0
+
+    def __post_init__(self):
+        if any(e.kind not in (X, ROOT) for e in self.L):
+            raise ValueError(f"{self.name}: L entries must be linear in x or in its roots")
+
+    @cached_property
+    def plans(self) -> tuple[_Plan, _Plan]:
+        return _Plan.of(self.L), _Plan.of(self.B)
+
+    @cached_property
+    def terms(self) -> tuple:
+        """(j, i, a, slot, layers): every slot (a, i) of L taken by coordinate
+        j, ordered by (j, i, a); ``layers`` picks each (j, i) once per layer."""
+        plan = self.plans[0]
+        p = np.array([e.p for e in self.L], dtype=int)
+        j = np.concatenate([p, p[plan.same], p[plan.minus]])
+        slot = np.lexsort((plan.rows, plan.cols, j))
+        j, i, a = j[slot], plan.cols[slot], plan.rows[slot]
+        entry = j * self.size + i
+        rank = np.arange(len(entry)) - np.searchsorted(entry, entry)  # place of a term within its entry
+        return j, i, a, slot, tuple(rank == k for k in range(rank.max(initial=-1) + 1))
+
+    def roots(self, x):
+        """The roots of a (d, ...) block of coordinates, or None for a table without them."""
+        return None if self.root is None else self.root(require_positive_real(x, f"{self.name} builder"))
+
+
+# Builders: (template State) -> the LaxTable of its system at its size, built
+# once per size.  Indices are 0-based.
+
+def km_lax(state: State) -> LaxTable:
     state.require_chart(VOLTERRA_U, "km Lax")
-    u = require_positive_real(x, "km Lax builder")
-    n = len(u)
-    if n < 1:
+    if state.dim < 1:
         raise DimensionError("km Lax needs n >= 1")
-    a = np.sqrt(u / 2)
-    T = n + 1
-
-    def assemble(av):
-        L = _zeros(T, av.shape[1:])
-        for i in range(n):
-            L[i, i + 1] = L[i + 1, i] = av[i]
-        return L
-
-    L = assemble(a)
-    B = np.zeros_like(L)
-    for i in range(n - 1):
-        B[i, i + 2] = a[i] * a[i + 1]
-        B[i + 2, i] = -B[i, i + 2]
-    dL = assemble(ds / (4 * a[:, None])) if ds is not None else None
-    return L, B, +1, dL
+    return _km_table(state.dim)
 
 
-def toda_lax(state: State, x, ds):
-    split, n = ab_sizes(state, -1, "toda Lax")
+@functools.cache
+def _km_table(n: int) -> LaxTable:
+    # a_i = sqrt(u_i / 2) off the diagonal; B[i, i+2] = a_i a_{i+1} = -B[i+2, i]
+    return LaxTable("km Lax", n + 1, +1,
+                    tuple(Entry(i, i + 1, ROOT, i, mirror=1) for i in range(n)),
+                    tuple(e for i in range(n - 1) for e in (Entry(i, i + 2, ROOTS, i, i + 1),
+                                                            Entry(i + 2, i, ROOTS, i, i + 1, -1))),
+                    lambda u: np.sqrt(u / 2), 4)
+
+
+def toda_lax(state: State) -> LaxTable:
+    n = ab_sizes(state, -1, "toda Lax")[1]
     if n < 2:
         raise DimensionError("toda Lax needs n >= 2")
-    a, b = x[:split], x[split:]
-
-    def assemble(av, bv):
-        L = _zeros(n, bv.shape[1:])
-        for i in range(n - 1):
-            L[i, i + 1] = L[i + 1, i] = av[i]
-        L[range(n), range(n)] = bv
-        return L
-
-    L = assemble(a, b)
-    B = np.zeros_like(L)
-    for i in range(n - 1):
-        B[i, i + 1] = a[i]
-        B[i + 1, i] = -a[i]
-    dL = assemble(ds[: n - 1], ds[n - 1 :]) if ds is not None else None
-    return L, B, +1, dL
+    return _toda_table(n)
 
 
-def ab_lax(state: State, x, ds):
+@functools.cache
+def _toda_table(n: int) -> LaxTable:
+    # the Jacobi matrix: a_i off the diagonal, b_i on it; B[i, i+1] = a_i = -B[i+1, i]
+    return LaxTable("toda Lax", n, +1,
+                    tuple(Entry(i, i + 1, X, i, mirror=1) for i in range(n - 1))
+                    + tuple(Entry(i, i, X, n - 1 + i) for i in range(n)),
+                    tuple(e for i in range(n - 1) for e in (Entry(i, i + 1, X, i), Entry(i + 1, i, X, i, coef=-1))))
+
+
+def ab_lax(state: State) -> LaxTable:
     m = ab_sizes(state, +1, "ab Lax")[1]
     if m < 2:
         raise UnsupportedDimension("the 2m x 2m ab Lax needs m >= 2; both end couplings collide at m = 1")
-    a, b = x[: m + 1], x[m + 1 :]
+    return _ab_table(m)
+
+
+@functools.cache
+def _ab_table(m: int) -> LaxTable:
+    # diagonal pairs (b_j, -b_j); a_1 at (0, 1), interior a_j at +(2j-4, 2j-2)
+    # and -(2j-3, 2j-1), a_{m+1} at (2m-2, 2m-1); B is antisymmetric
     T = 2 * m
-
-    def assemble_L(av, bv):
-        L = _zeros(T, bv.shape[1:])
-        for j in range(m):
-            L[2 * j, 2 * j] = bv[j]
-            L[2 * j + 1, 2 * j + 1] = -bv[j]
-        L[0, 1] = L[1, 0] = av[0]
-        for j in range(2, m + 1):
-            r1, c1 = 2 * j - 4, 2 * j - 2
-            r2, c2 = 2 * j - 3, 2 * j - 1
-            L[r1, c1] = L[c1, r1] = av[j - 1]
-            L[r2, c2] = L[c2, r2] = -av[j - 1]
-        L[T - 2, T - 1] = L[T - 1, T - 2] = av[m]
-        return L
-
-    L = assemble_L(a, b)
-    B = np.zeros_like(L)
-    B[0, 1] = -a[0]
+    L = [e for j in range(m) for e in (Entry(2 * j, 2 * j, X, m + 1 + j), Entry(2 * j + 1, 2 * j + 1, X, m + 1 + j, coef=-1))]
+    L.append(Entry(0, 1, X, 0, mirror=1))
+    B = [Entry(0, 1, X, 0, coef=-1, mirror=-1)]
     for j in range(2, m + 1):
-        B[2 * j - 4, 2 * j - 2] = a[j - 1]
-        B[2 * j - 3, 2 * j - 1] = a[j - 1]
-    B[T - 2, T - 1] = a[m]
-    B -= B.swapaxes(0, 1).copy()
-    dL = assemble_L(ds[: m + 1], ds[m + 1 :]) if ds is not None else None
-    return L, B, +1, dL
+        L += [Entry(2 * j - 4, 2 * j - 2, X, j - 1, mirror=1), Entry(2 * j - 3, 2 * j - 1, X, j - 1, coef=-1, mirror=1)]
+        B += [Entry(2 * j - 4, 2 * j - 2, X, j - 1, mirror=-1), Entry(2 * j - 3, 2 * j - 1, X, j - 1, mirror=-1)]
+    L.append(Entry(T - 2, T - 1, X, m, mirror=1))
+    B.append(Entry(T - 2, T - 1, X, m, mirror=-1))
+    return LaxTable("ab Lax", T, +1, tuple(L), tuple(B))
 
 
-def vd_lax(state: State, x, ds):
+def vd_lax(state: State) -> LaxTable:
     state.require_chart(VOLTERRA_V, "vd Lax")
-    v = require_positive_real(x, "vd Lax builder")
-    n = len(v)
-    if n < 4:
+    if state.dim < 4:
         raise UnsupportedDimension("vd Lax requires n >= 4")
-    sq = np.sqrt(v)
+    return _vd_table(state.dim)
+
+
+@functools.cache
+def _vd_table(n: int) -> LaxTable:
     T = 2 * n - 1
-
-    def assemble(s):
-        """The L pattern, linear in s = sqrt(v) (or in its derivative)."""
-        L = _zeros(T, s.shape[1:])
-
-        def put(i, j, val):
-            L[i, j] = L[j, i] = val
-
-        # block (1,2) is the non-diagonal coupling mixing v_n and v_{n-1}
-        put(1, 3, s[n - 1])
-        put(1, 4, 1j * s[n - 1])
-        put(2, 3, -s[n - 2])
-        put(2, 4, 1j * s[n - 2])
-        # diagonal couplings sqrt(v_k), i*sqrt(v_k) for k = n-2 ... 2
-        for j in range(2, n - 1):
-            k = n - j - 1  # 0-based index of v_{n-j}
-            put(2 * j - 1, 2 * j + 1, s[k])
-            put(2 * j, 2 * j + 2, 1j * s[k])
-        # scalar border ties v_1 to the last block
-        put(0, T - 2, s[0])
-        put(0, T - 1, 1j * s[0])
-        return L
-
-    def halfroot(i, j):
-        return 0.5 * sq[i] * sq[j]
-
-    L = assemble(sq)
-    B = np.zeros_like(L)
-    B[0, 2 * n - 5] = -halfroot(0, 1)
-    B[0, 2 * n - 4] = -halfroot(0, 1)
-    # block (1,3): mixes v_{n-2} with v_n and v_{n-1}
-    B[1, 5] = halfroot(n - 3, n - 1)
-    B[1, 6] = halfroot(n - 3, n - 1)
-    B[2, 5] = -halfroot(n - 3, n - 2)
-    B[2, 6] = halfroot(n - 3, n - 2)
-    # blocks (j, j+2): half-root ladder down the chain
+    # block (1, 2) mixes v_n and v_{n-1}; the scalar border ties v_1 to the last block
+    L = [Entry(1, 3, ROOT, n - 1), Entry(1, 4, ROOT, n - 1, coef=1j),
+         Entry(2, 3, ROOT, n - 2, coef=-1), Entry(2, 4, ROOT, n - 2, coef=1j)]
+    for j in range(2, n - 1):  # diagonal couplings sqrt(v_k), i sqrt(v_k) for k = n-2 ... 2
+        L += [Entry(2 * j - 1, 2 * j + 1, ROOT, n - j - 1), Entry(2 * j, 2 * j + 2, ROOT, n - j - 1, coef=1j)]
+    L += [Entry(0, T - 2, ROOT, 0), Entry(0, T - 1, ROOT, 0, coef=1j)]
+    # B: half-roots 0.5 sqrt(v_k v_l) from the border, block (1, 3) and down
+    # the chain, then the diagonal blocks
+    B = [Entry(0, 2 * n - 5, ROOTS, 0, 1, -0.5), Entry(0, 2 * n - 4, ROOTS, 0, 1, -0.5),
+         Entry(1, 5, ROOTS, n - 3, n - 1, 0.5), Entry(1, 6, ROOTS, n - 3, n - 1, 0.5),
+         Entry(2, 5, ROOTS, n - 3, n - 2, -0.5), Entry(2, 6, ROOTS, n - 3, n - 2, 0.5)]
     for j in range(2, n - 2):
-        k = n - j - 2  # 0-based index of v_{n-1-j}
-        B[2 * j - 1, 2 * j + 3] = halfroot(k, k + 1)
-        B[2 * j, 2 * j + 4] = halfroot(k, k + 1)
-    # diagonal blocks
-    B[3, 4] = 0.5j * (v[n - 2] - v[n - 1])
-    B[T - 2, T - 1] = 0.5j * v[0]
-    B -= B.swapaxes(0, 1).copy()
-    dL = assemble(ds / (2 * sq[:, None])) if ds is not None else None
-    return L, B, -1, dL
-
+        k = n - j - 2
+        B += [Entry(2 * j - 1, 2 * j + 3, ROOTS, k, k + 1, 0.5), Entry(2 * j, 2 * j + 4, ROOTS, k, k + 1, 0.5)]
+    B += [Entry(3, 4, DIFF, n - 2, n - 1, 0.5j), Entry(T - 2, T - 1, X, 0, coef=0.5j)]
+    return LaxTable("vd Lax", T, -1, tuple(e._replace(mirror=1) for e in L), tuple(e._replace(mirror=-1) for e in B),
+                    np.sqrt, 2)

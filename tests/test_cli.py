@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import lattice_flows
-from lattice_flows import lax
-from lattice_flows.cli import main
+from lattice_flows import ab_state, c_state, cli, lax, qp_state, u_state, v_state
+from lattice_flows.cli import BLOCK, main
 from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
 
 
@@ -169,21 +169,52 @@ def test_verify_suites_pass(capsys, argv):
 
 
 def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
-    # one builder call per block of states: 10 states are a block of 8 and one of 2
+    # one lax_pair call per block of states: 10 states are a block of 8 and one of 2
     calls = []
     pair = lax.lax_pair
 
-    def counting_pair(builder, *args):
-        def counting(state, x, ds):
-            calls.append((builder, x.shape[1], None if ds is None else ds.shape[1:]))
-            return builder(state, x, ds)
-
-        return pair(counting, *args)
+    def counting_pair(builder, state, rows, ds=None):
+        calls.append((builder, len(rows), None if ds is None else ds.shape[1:]))
+        return pair(builder, state, rows, ds)
 
     monkeypatch.setattr(lax, "lax_pair", counting_pair)
     code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", "10")
     assert code == 0 and json.loads(out)["pass"]
     assert calls == [(lax.vd_lax, 8, (1, 8)), (lax.vd_lax, 2, (1, 2))]
+
+
+# The samplers as they drew before blocks: one State per call, its coordinate
+# groups drawn in turn
+_STATE_BY_STATE = {
+    "_U": lambda rng, n, m: u_state(rng.uniform(0.1, 2.0, n)),
+    "_V": lambda rng, n, m: v_state(rng.uniform(0.1, 2.0, n)),
+    "_C": lambda rng, n, m: c_state(rng.uniform(0.1, 2.0, n + 1)),
+    "_AB": lambda rng, n, m: ab_state(rng.uniform(-1.0, 1.0, m + 1), rng.uniform(-1.0, 1.0, m)),
+    "_TODA_AB": lambda rng, n, m: ab_state(rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n)),
+    "_QP_M": lambda rng, n, m: qp_state(rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m)),
+    "_QP_N": lambda rng, n, m: qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)),
+}
+
+
+def test_every_suite_sampler_has_its_state_by_state_reference():
+    used = {check.sample for suite in cli.SUITES.values() for check in suite.checks.values()}
+    assert used == {getattr(cli, name) for name in _STATE_BY_STATE}
+
+
+@pytest.mark.parametrize("name", list(_STATE_BY_STATE))
+@pytest.mark.parametrize("states", [1, 7, 8, 9, 20])
+def test_block_samplers_draw_the_bits_of_state_by_state_draws(name, states):
+    # _run_verify's blocks of BLOCK states, twice over as a sweep's records draw them
+    sample, reference = getattr(cli, name), _STATE_BY_STATE[name]
+    blocks, one_by_one = np.random.default_rng(11), np.random.default_rng(11)
+    n, m = 6, 3
+    for _ in range(2):
+        for start in range(0, states, BLOCK):
+            count = min(BLOCK, states - start)
+            template, rows = sample(blocks, count, n, m)
+            drawn = [reference(one_by_one, n, m) for _ in range(count)]
+            assert template == drawn[0] and template.array.tobytes() == drawn[0].array.tobytes()
+            assert rows.flags.c_contiguous and rows.tobytes() == np.array([s.array for s in drawn]).tobytes()
 
 
 @pytest.mark.parametrize("n", ["0", "1"])

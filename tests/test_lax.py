@@ -1,12 +1,18 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import lax_reference
 from conftest import random_ab, random_toda_ab, random_u, random_v
 
 from lattice_flows import DimensionError, DomainError, UnsupportedDimension, ab_state, u_state, v_state
 from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
+    X,
+    Entry,
     ab_lax,
     casimir_C_column,
     casimir_F_column,
@@ -15,6 +21,7 @@ from lattice_flows.lax import (
     lax_pair,
     lax_residual,
     trace_columns,
+    vd_lax,
 )
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
 
@@ -227,34 +234,97 @@ def test_grad_trace_invariant_is_exactly_the_per_coordinate_trace(rng, system, s
         assert np.array_equal(grads, _single_direction_grads(system, states[0], rows, orders))
 
 
-def _unit_dL(system, state):
-    """Every dL/dx_j at one state, (d, T, T)."""
-    return lax_pair(SYSTEMS[system].lax, state, [state.array], np.eye(state.dim)[:, :, None])[3][0]
+def _table(system, size):
+    """The system's Lax table at chain size ``size`` (m for ab)."""
+    ones = np.ones(size)
+    template = {"km": lambda: u_state(ones), "vd": lambda: v_state(ones),
+                "toda": lambda: ab_state(ones[1:], ones), "ab": lambda: ab_state(np.ones(size + 1), ones)}[system]()
+    return SYSTEMS[system].lax(template)
 
 
-@pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
-def test_dL_entries_meet_at_most_once_per_kind_in_a_diagonal_entry(rng, system, sample):
+def _slots(entries):
+    """(row, col, entry) of every slot that a table's entries fill, mirrors included."""
+    for e in entries:
+        yield e.row, e.col, e
+        if e.mirror:
+            yield e.col, e.row, e
+
+
+@pytest.mark.parametrize("system", _LAX_IDS)
+def test_tables_fill_each_slot_once_and_meet_once_per_kind_in_a_diagonal_entry(system):
     # grad_trace_invariant keeps the bits of the dense product while each diagonal
     # entry (j, i) of L^{k-1} dL/dx_j takes at most one real and one imaginary term
     # from column i of dL/dx_j; only vd has entries with two terms, where one
     # sqrt(v_k) and one i*sqrt(v_k) coupling meet
-    shared = {}
-    for draw in (sample, _LARGER_SAMPLES[system]):
-        state = draw(rng)
-        dL = _unit_dL(system, state)
-        for j, column in zip(*np.nonzero(np.any(dL, axis=1))):
-            terms = dL[j, :, column]
-            real, imaginary = terms[terms.imag == 0], terms[terms.real == 0]
-            assert np.count_nonzero(terms) == np.count_nonzero(real) + np.count_nonzero(imaginary)
-            assert np.count_nonzero(real) <= 1 and np.count_nonzero(imaginary) <= 1, (system, j, column)
-            if np.count_nonzero(terms) > 1:
-                shared[state.dim, j, column] = tuple(np.flatnonzero(terms))
-    if system == "vd":
-        # L[1, 3] = sqrt(v_n) and L[1, 4] = i sqrt(v_n), their v_{n-1} twins in row 2, and the border row 0
-        assert shared == {(n, j, column): rows for n in (7, 15) for j, column, rows in (
-            (0, 0, (2 * n - 3, 2 * n - 2)), (n - 2, 2, (3, 4)), (n - 1, 1, (3, 4)))}
-    else:
-        assert shared == {}
+    for size in range(2 if system == "ab" else 4, 26):
+        table = _table(system, size)
+        for entries in (table.L, table.B):
+            slots = [(row, col) for row, col, _ in _slots(entries)]
+            assert len(set(slots)) == len(slots), (system, size)
+            assert all(0 <= row < table.size and 0 <= col < table.size for row, col in slots)
+            assert all(complex(e.coef).real == 0 or complex(e.coef).imag == 0 for e in entries)
+        terms = {}
+        for a, i, e in _slots(table.L):
+            terms.setdefault((e.p, i), []).append((a, complex(e.coef).imag != 0))
+        for key, column in terms.items():
+            imaginary = [kind for _, kind in column]
+            assert imaginary.count(True) <= 1 and imaginary.count(False) <= 1, (system, size, key)
+        shared = {key: tuple(sorted(a for a, _ in column)) for key, column in terms.items() if len(column) > 1}
+        if system == "vd":
+            # L[1, 3] = sqrt(v_n) and L[1, 4] = i sqrt(v_n), their v_{n-1} twins in row 2, and the border row 0
+            n = size
+            assert shared == {(0, 0): (2 * n - 3, 2 * n - 2), (n - 2, 2): (3, 4), (n - 1, 1): (3, 4)}
+        else:
+            assert shared == {}
+
+
+# (system, size): every verify-mix size (lax, lenard and involution at vd
+# n = 15 and ab m = 7), simulate-mix's ab m = 3, the verify lax defaults of
+# km and toda, each builder's smallest size and larger ones
+_REFERENCE_SIZES = [("km", 1), ("km", 7), ("km", 12), ("toda", 2), ("toda", 7), ("toda", 10),
+                    ("ab", 2), ("ab", 3), ("ab", 7), ("vd", 4), ("vd", 15), ("vd", 25)]
+
+
+def _block(rng, system, size, count, imaginary):
+    """A template state and an (N, d) block of real or complex rows."""
+    sample = {"km": random_u, "toda": random_toda_ab, "ab": random_ab, "vd": random_v}[system]
+    states = [sample(rng, size) for _ in range(count)]
+    rows = np.array([s.array for s in states])
+    if imaginary:
+        rows = rows + 1j * rng.uniform(-0.3, 0.3, rows.shape)
+    return states[0].replace_coords(rows[0]), rows
+
+
+@pytest.mark.parametrize("system, size", _REFERENCE_SIZES, ids=[f"{s}-{n}" for s, n in _REFERENCE_SIZES])
+def test_tables_keep_every_bit_of_the_hand_written_builders(rng, system, size):
+    reference = getattr(lax_reference, f"{system}_lax")
+    for imaginary in (False, True):
+        state, rows = _block(rng, system, size, 8, imaginary)
+        d = rows.shape[1]
+        for ds in (None, rng.uniform(-1.0, 1.0, (d, 1, 8)), np.broadcast_to(np.eye(d)[:, :, None], (d, d, 8))):
+            L, B, sign, dL = lax_pair(SYSTEMS[system].lax, state, rows, ds)
+            want = lax_reference.reference_pair(reference, state, rows, ds)
+            assert sign == want[2] and (dL is None) == (want[3] is None) == (ds is None)
+            for got, bits in zip((L, B, dL), (want[0], want[1], want[3])):
+                if bits is not None:
+                    assert got.flags.c_contiguous and got.shape == bits.shape and got.tobytes() == bits.tobytes()
+        orders = (1, 2, 3, 4, 6, 8)
+        grads = grad_trace_invariant(SYSTEMS[system].lax, state, rows, orders)
+        assert grads.tobytes() == lax_reference.reference_grads(reference, state, rows, orders).tobytes()
+
+
+def test_grad_trace_invariant_peak_memory_at_vd_n25():
+    # the dense (8, 25, 49, 49) dL of the unit directions alone took 7.7 MB; the
+    # table's L, its powers and the gathered terms peak near 1.4 MB
+    state, rows = _block(np.random.default_rng(5), "vd", 25, 8, False)
+    grad_trace_invariant(vd_lax, state, rows, [4, 8])  # tables and plans built outside the trace
+    tracemalloc.start()
+    try:
+        grad_trace_invariant(vd_lax, state, rows, [4, 8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 @pytest.mark.parametrize("system, size, orders", [
@@ -292,18 +362,19 @@ def _term_by_term_grads(builder, state, rows, orders):
 
 @pytest.mark.parametrize("system, size, orders", [("vd", 15, (4, 8)), ("ab", 7, (2, 4, 6))])
 def test_grad_trace_invariant_sums_any_number_of_terms_in_an_entry(rng, system, size, orders):
-    # a builder whose dL/dx_1 gains five real, imaginary and complex terms in
-    # column 5: the gradient sums each entry term by term, in ascending row.
-    # The dense product rounds the same sum otherwise when two real (or two
+    # a table whose x_1 gains five real, imaginary and complex terms in column 5
+    # of L: the gradient sums each entry term by term, in ascending row.  The
+    # dense product rounds the same sum otherwise when two real (or two
     # imaginary) terms meet: a BLAS on FMA hardware fuses each multiply-add
     # into its running sum, so there it is within a few ulps, not bitwise
-    base = SYSTEMS[system].lax
+    base = _table(system, size)
+    extra = tuple(Entry(row, 5, X, 0, coef=value)
+                  for row, value in ((0, 0.3), (2, -0.7j), (6, 1.1), (8, 0.45 + 0.2j), (9, -1.3)))
+    assert not {(e.row, e.col) for e in extra} & {(row, col) for row, col, _ in _slots(base.L)}
+    table = replace(base, L=base.L + extra)
 
-    def builder(state, x, ds):
-        L, B, sign, dL = base(state, x, ds)
-        for row, value in ((0, 0.3), (2, -0.7j), (6, 1.1), (7, 0.45 + 0.2j), (9, -1.3)):
-            dL[row, 5] += value * ds[0]
-        return L, B, sign, dL
+    def builder(state):
+        return table
 
     sample = {"vd": random_v, "ab": random_ab}[system]
     states = [sample(rng, size) for _ in range(4)]
@@ -315,38 +386,37 @@ def test_grad_trace_invariant_sums_any_number_of_terms_in_an_entry(rng, system, 
 
 
 def test_a_non_finite_power_reaches_only_the_components_it_meets():
-    # at order 2, P = L: an infinite L[0, 2] meets only dL/da_2, whose entry (2, 0)
-    # is 1; a dense product's inf * 0 terms made every component NaN
-    def builder(state, x, ds):
-        L, B, sign, dL = ab_lax(state, x, ds)
-        L[0, 2] = np.inf
-        return L, B, sign, dL
-
-    state = ab_state([1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.3])
+    # at order 2, P = L: an infinite a_2 fills L[0, 2] and L[1, 3], which meet only
+    # dL/da_2; a dense product's inf * 0 terms made every component NaN
+    state = ab_state([1.0, np.inf, 1.1, 0.8], [0.1, -0.2, 0.3])
     with np.errstate(invalid="ignore"):  # inf * 0 in the imaginary part of inf * 1
-        [[grad]] = grad_trace_invariant(builder, state, [state.array], [2])
+        [[grad]] = grad_trace_invariant(ab_lax, state, [state.array], [2])
     assert np.flatnonzero(~np.isfinite(grad)).tolist() == [1]
+
+
+def _slot_mutants(table):
+    """(label, table) pairs: each slot of L, with its dL/dx_j entry, scaled by 1.5 alone."""
+    for at, e in enumerate(table.L):
+        assert e.mirror in (0, 1)
+        for row, col in [(e.row, e.col)] + [(e.col, e.row)] * e.mirror:
+            split = (e._replace(row=row, col=col, coef=1.5 * e.coef, mirror=0),) + (
+                (e._replace(row=col, col=row, mirror=0),) if e.mirror else ())
+            yield f"L[{row},{col}]", replace(table, L=table.L[:at] + split + table.L[at + 1 :])
 
 
 @pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
 def test_every_dL_entry_mutant_moves_the_gradient_off_fd(rng, system, sample):
-    # each nonzero entry of each dL/dx_j scaled by 1.5 alone must move the
-    # gradient past the tolerance that the true one meets: the gather reads it
+    # each slot of L scaled by 1.5 alone, and with it its entry of dL/dx_j, must
+    # move the gradient past the tolerance that the true one meets
     state = sample(rng)
-    dL = _unit_dL(system, state)
     fd = {order: _fd_grad(system, state, order) for order in (3, 4)}
     base = SYSTEMS[system].lax
     clean = grad_trace_invariant(base, state, [state.array], list(fd))
     assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(clean, fd)) < FD_GRAD_TOL
     mutants = 0
-    for j, a, i in zip(*np.nonzero(dL)):
-        def builder(state, x, ds, j=j, a=a, i=i):
-            L, B, sign, dL = base(state, x, ds)
-            dL[a, i, j] *= 1.5  # dL/dx_j, the j-th of the unit directions
-            return L, B, sign, dL
-
-        grads = grad_trace_invariant(builder, state, [state.array], list(fd))
-        assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(grads, fd)) > FD_GRAD_TOL, (system, j, a, i)
+    for label, table in _slot_mutants(base(state)):
+        grads = grad_trace_invariant(lambda s, table=table: table, state, [state.array], list(fd))
+        assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(grads, fd)) > FD_GRAD_TOL, (system, label)
         mutants += 1
     assert mutants == {"km": 12, "toda": 13, "ab": 18, "vd": 28}[system]
 
@@ -418,30 +488,16 @@ _MUTATION_CASES = (
 )
 
 
-def _lax_mutants(system, state):
-    """(label, mutate) pairs: each nonzero entry of L (with its dL) scaled by
-    1.5, each upper entry of B scaled by 1.5 with its mirror, and the sign flipped."""
-    L, B, _ = _pair(system, state)
-
-    def scale_L(i, j):
-        def mutate(L, B, sign, dL):
-            L[i, j] *= 1.5
-            dL[i, j] *= 1.5
-            return L, B, sign, dL
-        return mutate
-
-    def scale_B(i, j):
-        def mutate(L, B, sign, dL):
-            B[i, j] *= 1.5
-            B[j, i] *= 1.5
-            return L, B, sign, dL
-        return mutate
-
-    for i, j in zip(*np.nonzero(L)):
-        yield f"L[{i},{j}]", scale_L(i, j)
-    for i, j in zip(*np.nonzero(np.triu(B))):
-        yield f"B[{i},{j}]", scale_B(i, j)
-    yield "sign", lambda L, B, sign, dL: (L, B, -sign, dL)
+def _lax_mutants(table):
+    """(label, table) pairs: each slot of L (with its dL) scaled by 1.5, each
+    upper entry of B scaled by 1.5 with its mirror, and the sign flipped."""
+    yield from _slot_mutants(table)
+    for e in table.B:
+        if e.row < e.col:
+            pair = {(e.row, e.col), (e.col, e.row)}
+            yield f"B[{e.row},{e.col}]", replace(
+                table, B=tuple(f._replace(coef=1.5 * f.coef) if (f.row, f.col) in pair else f for f in table.B))
+    yield "sign", replace(table, sign=-table.sign)
 
 
 def test_every_lax_entry_mutant_fails_the_gate(rng):
@@ -450,12 +506,10 @@ def test_every_lax_entry_mutant_fails_the_gate(rng):
         states = [sample(rng, size) for _ in range(3)]
         rows, velocities = [s.array for s in states], [field(s, s.array) for s in states]
         builder = SYSTEMS[system].lax
-        mutants = list(_lax_mutants(system, states[0]))
+        mutants = list(_lax_mutants(builder(states[0])))
         counts[system] = len(mutants)
-        for label, mutate in mutants:
-            def mutant(state, x, ds, mutate=mutate):
-                return mutate(*builder(state, x, ds))  # fresh arrays each call
-
+        for label, table in mutants:
+            mutant = lambda state, table=table: table
             assert np.max(lax_residual(mutant, states[0], rows, velocities)) > RESIDUAL_TOL, (system, label)
         assert np.max(lax_residual(builder, states[0], rows, velocities)) < RESIDUAL_TOL
     # 111 entry mutants and one sign flip per builder
