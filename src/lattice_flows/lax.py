@@ -39,8 +39,6 @@ Matrix layout notes (0-based):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,11 +60,12 @@ def lax_pair(builder, state: State, rows, ds=None):
     table = builder(state)
     x = coordinate_columns(state, rows)
     r = table.roots(x)
-    (L, B), dL = (plan.assemble(table.size, x, r) for plan in table.plans), None
-    if ds is not None:
-        ds = np.asarray(ds, dtype=complex)
-        dL = table.plans[0].assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
-    return L, B, table.sign, dL
+    plan, B_plan, _ = _compiled(table)
+    L, B = plan.assemble(table.size, x, r), B_plan.assemble(table.size, x, r)
+    if ds is None:
+        return L, B, table.sign, None
+    ds = np.asarray(ds, dtype=complex)
+    return L, B, table.sign, plan.assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
 
 
 def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
@@ -134,10 +133,10 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     x = coordinate_columns(state, rows)
     d, count = x.shape
     r = table.roots(x)
-    plan, T = table.plans[0], table.size
+    plan, _, (j, i, a, slot, layers) = _compiled(table)
+    T = table.size
     L = plan.assemble(T, x, r)
     ones = np.ones_like(x)
-    j, i, a, slot, layers = table.terms
     terms = plan.values(ones, None if r is None else ones / (table.slope * r))[slot].T
     grads = []
     for k in orders:
@@ -266,7 +265,8 @@ class _Plan(NamedTuple):
     def of(cls, entries) -> "_Plan":
         groups = {}
         for at, e in enumerate(entries):
-            negate = (complex(e.coef).real, complex(e.coef).imag) < (0, 0)
+            coef = complex(e.coef)
+            negate = (coef.real, coef.imag) < (0, 0)
             groups.setdefault((e.kind, -e.coef if negate else e.coef, negate), []).append((at, e.p, e.q))
         same = [at for at, e in enumerate(entries) if e.mirror == 1]
         minus = [at for at, e in enumerate(entries) if e.mirror == -1]
@@ -285,8 +285,10 @@ class _Plan(NamedTuple):
             if kind == ROOTS:
                 v = (v if scale == 1 else scale * v) * r[q]
             else:
-                v = v - x[q] if kind == DIFF else v
-                v = v if scale == 1 else scale * v
+                if kind == DIFF:
+                    v = v - x[q]
+                if scale != 1:
+                    v = scale * v
             out[at] = -v if negate else v
         return np.concatenate([out, out[self.same], 0 - out[self.minus]])
 
@@ -299,8 +301,7 @@ class _Plan(NamedTuple):
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class LaxTable:
+class LaxTable(NamedTuple):
     """A Lax pair at one size: L and B as tables of ``Entry`` rows.
 
     ``sign`` is the commutator convention (+1: dL/dt = [B, L]).  ``root``
@@ -318,30 +319,26 @@ class LaxTable:
     root: Callable | None = None
     slope: int = 0
 
-    def __post_init__(self):
-        if any(e.kind not in (X, ROOT) for e in self.L):
-            raise ValueError(f"{self.name}: L entries must be linear in x or in its roots")
-
-    @cached_property
-    def plans(self) -> tuple[_Plan, _Plan]:
-        return _Plan.of(self.L), _Plan.of(self.B)
-
-    @cached_property
-    def terms(self) -> tuple:
-        """(j, i, a, slot, layers): every slot (a, i) of L taken by coordinate
-        j, ordered by (j, i, a); ``layers`` picks each (j, i) once per layer."""
-        plan = self.plans[0]
-        p = np.array([e.p for e in self.L], dtype=int)
-        j = np.concatenate([p, p[plan.same], p[plan.minus]])
-        slot = np.lexsort((plan.rows, plan.cols, j))
-        j, i, a = j[slot], plan.cols[slot], plan.rows[slot]
-        entry = j * self.size + i
-        rank = np.arange(len(entry)) - np.searchsorted(entry, entry)  # place of a term within its entry
-        return j, i, a, slot, tuple(rank == k for k in range(rank.max(initial=-1) + 1))
-
     def roots(self, x):
         """The roots of a (d, ...) block of coordinates, or None for a table without them."""
         return None if self.root is None else self.root(require_positive_real(x, f"{self.name} builder"))
+
+
+@functools.cache
+def _compiled(table: LaxTable) -> tuple:
+    """(L's plan, B's plan, terms) of a table, compiled once.  The terms
+    (j, i, a, slot, layers) are every slot (a, i) of L taken by coordinate
+    j, ordered by (j, i, a); ``layers`` picks each (j, i) once per layer."""
+    if any(e.kind not in (X, ROOT) for e in table.L):
+        raise ValueError(f"{table.name}: L entries must be linear in x or in its roots")
+    plan = _Plan.of(table.L)
+    p = np.array([e.p for e in table.L], dtype=int)
+    j = np.concatenate([p, p[plan.same], p[plan.minus]])
+    slot = np.lexsort((plan.rows, plan.cols, j))
+    j, i, a = j[slot], plan.cols[slot], plan.rows[slot]
+    entry = j * table.size + i
+    rank = np.arange(len(entry)) - np.searchsorted(entry, entry)  # place of a term within its entry
+    return plan, _Plan.of(table.B), (j, i, a, slot, tuple(rank == k for k in range(rank.max(initial=-1) + 1)))
 
 
 # Builders: (template State) -> the LaxTable of its system at its size, built
@@ -392,7 +389,8 @@ def _ab_table(m: int) -> LaxTable:
     # diagonal pairs (b_j, -b_j); a_1 at (0, 1), interior a_j at +(2j-4, 2j-2)
     # and -(2j-3, 2j-1), a_{m+1} at (2m-2, 2m-1); B is antisymmetric
     T = 2 * m
-    L = [e for j in range(m) for e in (Entry(2 * j, 2 * j, X, m + 1 + j), Entry(2 * j + 1, 2 * j + 1, X, m + 1 + j, coef=-1))]
+    L = [e for j in range(m)
+         for e in (Entry(2 * j, 2 * j, X, m + 1 + j), Entry(2 * j + 1, 2 * j + 1, X, m + 1 + j, coef=-1))]
     L.append(Entry(0, 1, X, 0, mirror=1))
     B = [Entry(0, 1, X, 0, coef=-1, mirror=-1)]
     for j in range(2, m + 1):

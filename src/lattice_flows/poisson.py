@@ -409,7 +409,7 @@ class LenardPair(NamedTuple):
 
     pi1: PoissonStructure
     pi3: PoissonStructure
-    lax: Callable  # Lax builder (state, x, ds) -> (L, B, sign, dL)
+    lax: Callable  # Lax builder (template State) -> LaxTable
     h2: tuple[int, int]  # (order, scale)
     h4: tuple[int, int]
 

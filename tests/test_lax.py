@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -371,7 +370,7 @@ def test_grad_trace_invariant_sums_any_number_of_terms_in_an_entry(rng, system, 
     extra = tuple(Entry(row, 5, X, 0, coef=value)
                   for row, value in ((0, 0.3), (2, -0.7j), (6, 1.1), (8, 0.45 + 0.2j), (9, -1.3)))
     assert not {(e.row, e.col) for e in extra} & {(row, col) for row, col, _ in _slots(base.L)}
-    table = replace(base, L=base.L + extra)
+    table = base._replace(L=base.L + extra)
 
     def builder(state):
         return table
@@ -401,7 +400,7 @@ def _slot_mutants(table):
         for row, col in [(e.row, e.col)] + [(e.col, e.row)] * e.mirror:
             split = (e._replace(row=row, col=col, coef=1.5 * e.coef, mirror=0),) + (
                 (e._replace(row=col, col=row, mirror=0),) if e.mirror else ())
-            yield f"L[{row},{col}]", replace(table, L=table.L[:at] + split + table.L[at + 1 :])
+            yield f"L[{row},{col}]", table._replace(L=table.L[:at] + split + table.L[at + 1 :])
 
 
 @pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
@@ -495,9 +494,9 @@ def _lax_mutants(table):
     for e in table.B:
         if e.row < e.col:
             pair = {(e.row, e.col), (e.col, e.row)}
-            yield f"B[{e.row},{e.col}]", replace(
-                table, B=tuple(f._replace(coef=1.5 * f.coef) if (f.row, f.col) in pair else f for f in table.B))
-    yield "sign", replace(table, sign=-table.sign)
+            yield f"B[{e.row},{e.col}]", table._replace(
+                B=tuple(f._replace(coef=1.5 * f.coef) if (f.row, f.col) in pair else f for f in table.B))
+    yield "sign", table._replace(sign=-table.sign)
 
 
 def test_every_lax_entry_mutant_fails_the_gate(rng):
