@@ -156,14 +156,10 @@ class Suite(NamedTuple):
 
 def _sampler(chart: str, lo: float, hi: float, groups: Callable) -> Callable:
     """A block sampler (rng, count, n, m) -> (template State, (count, d) rows)
-    of states in ``chart`` whose coordinate groups have the lengths
-    ``groups(n, m)``, drawn uniformly from [lo, hi).
-
-    One rng.uniform call draws the whole block, row by row.  Every group of
-    a chart shares its bounds, so these are the numbers that drawing each
-    state group by group takes, and a seed keeps selecting the same states.
-    The template is the block's first state.
-    """
+    in ``chart``, with coordinate groups of lengths ``groups(n, m)`` drawn
+    from [lo, hi) by one rng.uniform call.  A chart's groups share their
+    bounds, so the block holds the numbers that drawing state by state,
+    group by group, took.  The template is the block's first state."""
     def sample(rng, count, n, m):
         sizes = groups(n, m)
         rows = rng.uniform(lo, hi, (count, sum(sizes))).astype(complex)

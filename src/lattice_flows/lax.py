@@ -1,26 +1,22 @@
 """Lax pairs for the four concrete systems, trace invariants, and Casimirs.
 
-Each Lax pair is a table (``LaxTable``) with one row per matrix entry:
-its slot, the coordinate(s) it reads, its kind (x, the root of x, a
-product of two roots, or a difference of two x's), its coefficient, and
-whether it is mirrored symmetric or antisymmetric.  The builders
-``km_lax``, ``toda_lax``, ``ab_lax`` and ``vd_lax`` check a template
-state's chart and size and return their system's table at that size,
-built once per size; each catalog row with a Lax pair carries its builder
-as ``lax``, and every function here takes the builder itself.
+A Lax pair is a ``LaxTable``: one ``Entry`` row per matrix entry, giving
+its slot, the coordinates it reads, its kind, its coefficient and its
+mirror.  The builders ``km_lax``, ``toda_lax``, ``ab_lax`` and ``vd_lax``
+check a template state's chart and size and return their system's table at
+that size, built once per size; each catalog row with a Lax pair carries
+its builder as ``lax``, and every function here takes the builder itself.
 
-``lax_pair`` assembles a block's L and B with one fancy-indexed write per
-matrix, and dL along given velocities by the chain rule: L's entries are
-linear in x or in its roots, so L at (dx, dr) is dL.  ``grad_trace_invariant``
-reads each dL/dx_j straight from the table and builds neither B nor a dense
-dL.  Each builder's ``sign`` is its numerically certified commutator
-convention: +1 means dL/dt = [B, L], -1 means dL/dt = [L, B].
-
-An entry's value takes the operations the formula reads, in its order, so
-the matrices keep the bits of writing each entry by hand.  Matrix products
-are stacked (each slice is multiplied as one state's matrix would be), and
-norms and the traces of the invariant columns are taken slice by slice, so
-a state gets the same bits in any block.
+``lax_pair`` assembles a block's L and B with one fancy-indexed write each,
+and dL along given velocities by the chain rule; ``grad_trace_invariant``
+reads each dL/dx_j from the table and builds neither B nor a dense dL.
+Each entry's value takes the operations of its formula in order, so the
+matrices keep the bits of writing the entries by hand.  ``sign`` is the
+numerically certified commutator convention: +1 means dL/dt = [B, L], -1
+means dL/dt = [L, B].  Matrix products are stacked (each slice is
+multiplied as one state's matrix would be), and norms and the traces of
+the invariant columns are taken slice by slice, so a state gets the same
+bits in any block.
 
 Matrix layout notes (0-based):
 
