@@ -122,8 +122,7 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     table's entries are real or imaginary, and at most one of each meets in
     a diagonal entry (vd_lax: row 1 takes columns 3 and 4).  Slots outside
     the table are never read, so a non-finite entry of P reaches only the
-    components whose dL/dx_j is nonzero where it meets them, where a dense
-    product made all of them NaN.
+    components whose dL/dx_j has a slot where it meets it.
     """
     table = builder(state)
     x = coordinate_columns(state, rows)
