@@ -170,7 +170,7 @@ def _fehlberg_step(f, y, dt):
     k3 = f(y + dt * (0 + 3 / 32 * k1 + 9 / 32 * k2))
     k4 = f(y + dt * (0 + 1932 / 2197 * k1 + -7200 / 2197 * k2 + 7296 / 2197 * k3))
     k5 = f(y + dt * (0 + 439 / 216 * k1 + -8 * k2 + 3680 / 513 * k3 + -845 / 4104 * k4))
-    k6 = f(y + dt * (0 + -8 / 27 * k1 + 2 * k2 + -3544 / 2565 * k3 + 1859 / 4104 * k4 + -11 / 40 * k5))
+    k6 = f(y + dt * (0 + -8 / 27 * k1 + 2 * k2 + -3554 / 2565 * k3 + 1859 / 4104 * k4 + -11 / 40 * k5))
     y_new = y + dt * (0 + 25 / 216 * k1 + 1408 / 2565 * k3 + 2197 / 4104 * k4 + -1 / 5 * k5)
     err = dt * (0 + 1 / 360 * k1 + -128 / 4275 * k3 + -2197 / 75240 * k4 + 1 / 50 * k5 + 2 / 55 * k6)
     return y_new, err

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -108,30 +106,26 @@ def state_per_stage(system, s0):
     return f
 
 
-F = Fraction
-#: Fehlberg's 4(5) tableau, exact: stage rows, the 4th-order weights and the
-#: error weights (5th-order weights minus 4th-order ones).
 FEHLBERG_A = (
     (),
-    (F(1, 4),),
-    (F(3, 32), F(9, 32)),
-    (F(1932, 2197), F(-7200, 2197), F(7296, 2197)),
-    (F(439, 216), F(-8), F(3680, 513), F(-845, 4104)),
-    (F(-8, 27), F(2), F(-3544, 2565), F(1859, 4104), F(-11, 40)),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
 )
-FEHLBERG_B4 = (F(25, 216), F(0), F(1408, 2565), F(2197, 4104), F(-1, 5), F(0))
-FEHLBERG_ERR = (F(1, 360), F(0), F(-128, 4275), F(-2197, 75240), F(1, 50), F(2, 55))
+FEHLBERG_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
+FEHLBERG_ERR = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 def fehlberg_step_reference(f, y, dt):
     """One Fehlberg 4(5) step from the tableau by generator sums: zero entries
     are skipped and the other terms add left to right, starting from the
-    integer 0 of ``sum``, each coefficient rounded to the nearest float.  The
-    per-state reference of the integrator's step."""
-    def terms(weights, ks):
-        return sum(float(c) * k for c, k in zip(weights, ks) if c)
-
+    integer 0 of ``sum``.  The per-state reference of the integrator's step."""
     ks = []
     for row in FEHLBERG_A:
-        ks.append(f(y if not row else y + dt * terms(row, ks)))
-    return y + dt * terms(FEHLBERG_B4, ks), np.asarray(dt * terms(FEHLBERG_ERR, ks))
+        yi = y if not row else y + dt * sum(c * k for c, k in zip(row, ks) if c)
+        ks.append(f(yi))
+    y_new = y + dt * sum(b * k for b, k in zip(FEHLBERG_B4, ks) if b)
+    err = dt * sum(c * k for c, k in zip(FEHLBERG_ERR, ks) if c)
+    return y_new, np.asarray(err)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import FEHLBERG_A, FEHLBERG_B4, FEHLBERG_ERR, catalog_cases, fehlberg_step_reference, state_per_stage
+from conftest import catalog_cases, fehlberg_step_reference, state_per_stage
 from lattice_flows import DomainExit, StepFailure, ab_state, c_state, u_state, v_state
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.cli import main
@@ -35,67 +35,16 @@ def test_fixed_step_hits_t_end():
 
 
 def test_rk4_order_against_reference():
-    # Richardson: with global error C dt^4, halving dt divides the change of the end state by 16
     system = get_system("ab")
     s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
-    ends = [integrate(system, s0, 1.0, FixedStep(dt)).final.array for dt in (2e-3, 1e-3, 5e-4)]
-    ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
+    ref = integrate(system, s0, 1.0, AdaptiveStep(rtol=1e-12, atol=1e-13)).final.array
+
+    def endpoint_error(dt):
+        end = integrate(system, s0, 1.0, FixedStep(dt)).final.array
+        return np.linalg.norm(end - ref)
+
+    ratio = endpoint_error(2e-3) / endpoint_error(1e-3)
     assert 12.0 <= ratio <= 20.0
-
-
-def _trees(order):
-    """The rooted trees with ``order`` nodes, each a sorted tuple of its root's subtrees."""
-    if order == 1:
-        return [()]
-    return sorted({tuple(sorted(rest + (child,))) for k in range(1, order)
-                   for child in _trees(k) for rest in _trees(order - k)})
-
-
-def _weights(tree):
-    """The elementary weight of a tree at each Fehlberg stage."""
-    phi = [Fraction(1)] * len(FEHLBERG_A)
-    for child in tree:
-        inner = _weights(child)
-        phi = [p * sum((a * w for a, w in zip(row, inner)), Fraction(0)) for p, row in zip(phi, FEHLBERG_A)]
-    return phi
-
-
-def _order(tree):
-    return 1 + sum(_order(child) for child in tree)
-
-
-def _density(tree):
-    """gamma of a tree: its order times its subtrees' densities."""
-    return _order(tree) * math.prod(_density(child) for child in tree)
-
-
-def test_fehlberg_tableau_rows_and_order_conditions():
-    # the rows sum to the stage times c, the weights b4 meet every condition of
-    # order 4 and b5 = b4 + err every one of order 5, and b4 misses one of order
-    # 5, so err estimates the local error at order 5
-    assert [sum(row, Fraction(0)) for row in FEHLBERG_A] == [0, Fraction(1, 4), Fraction(3, 8), Fraction(12, 13), 1,
-                                                             Fraction(1, 2)]
-    b5 = [b + e for b, e in zip(FEHLBERG_B4, FEHLBERG_ERR)]
-    trees = {order: _trees(order) for order in range(1, 6)}
-    assert [len(trees[order]) for order in trees] == [1, 1, 2, 4, 9]
-
-    def meets(weights, tree):
-        return sum(b * phi for b, phi in zip(weights, _weights(tree))) == Fraction(1, _density(tree))
-
-    assert all(meets(FEHLBERG_B4, tree) for order in range(1, 5) for tree in trees[order])
-    assert all(meets(b5, tree) for order in range(1, 6) for tree in trees[order])
-    assert not all(meets(FEHLBERG_B4, tree) for tree in trees[5])
-
-
-def test_fehlberg_error_estimate_is_fifth_order():
-    # halving dt divides the local error estimate by about 2^5
-    system = get_system("ab")
-    s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
-
-    def err(dt):
-        return np.linalg.norm(_fehlberg_step(lambda y: system.field(s0, y), s0.array, dt)[1])
-
-    assert 30.0 <= err(0.02) / err(0.01) <= 34.0
 
 
 def test_time_symmetry():
