@@ -4,8 +4,9 @@ A Lax pair is a ``LaxTable``: one ``Entry`` row per matrix entry, giving
 its slot, the coordinates it reads, its kind, its coefficient and its
 mirror.  The builders ``km_lax``, ``toda_lax``, ``ab_lax`` and ``vd_lax``
 check a template state's chart and size and return their system's table at
-that size, built once per size; each catalog row with a Lax pair carries
-its builder as ``lax``, and every function here takes the builder itself.
+that size with its index arrays (a ``CompiledLax``), built and compiled
+once per size; each catalog row with a Lax pair carries its builder as
+``lax``, and every function here takes the builder itself.
 
 ``lax_pair`` assembles a block's L and B with one fancy-indexed write each,
 and dL along given velocities by the chain rule; ``grad_trace_invariant``
@@ -53,15 +54,15 @@ def lax_pair(builder, state: State, rows, ds=None):
     K velocities per row (ds[:, k, r] is the k-th at row r); dL along each
     is then a C-ordered (N, K, T, T) stack, and None without ``ds``.
     """
-    table = builder(state)
+    lax = builder(state)
+    table = lax.table
     x = coordinate_columns(state, rows)
     r = table.roots(x)
-    plan, B_plan, _ = _compiled(table)
-    L, B = plan.assemble(table.size, x, r), B_plan.assemble(table.size, x, r)
+    L, B = lax.L.assemble(table.size, x, r), lax.B.assemble(table.size, x, r)
     if ds is None:
         return L, B, table.sign, None
     ds = np.asarray(ds, dtype=complex)
-    return L, B, table.sign, plan.assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
+    return L, B, table.sign, lax.L.assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
 
 
 def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
@@ -124,11 +125,11 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     the table are never read, so a non-finite entry of P reaches only the
     components whose dL/dx_j has a slot where it meets it.
     """
-    table = builder(state)
+    lax = builder(state)
+    table, plan, (j, i, a, slot, layers) = lax.table, lax.L, lax.terms
     x = coordinate_columns(state, rows)
     d, count = x.shape
     r = table.roots(x)
-    plan, _, (j, i, a, slot, layers) = _compiled(table)
     T = table.size
     L = plan.assemble(T, x, r)
     ones = np.ones_like(x)
@@ -319,11 +320,20 @@ class LaxTable(NamedTuple):
         return None if self.root is None else self.root(require_positive_real(x, f"{self.name} builder"))
 
 
-@functools.cache
-def _compiled(table: LaxTable) -> tuple:
-    """(L's plan, B's plan, terms) of a table, compiled once.  The terms
-    (j, i, a, slot, layers) are every slot (a, i) of L taken by coordinate
-    j, ordered by (j, i, a); ``layers`` picks each (j, i) once per layer."""
+class CompiledLax(NamedTuple):
+    """A ``LaxTable`` with the plans of its L and B, and the terms of its
+    gradient: (j, i, a, slot, layers), every slot (a, i) of L taken by
+    coordinate j, ordered by (j, i, a), where ``layers`` picks each (j, i)
+    once per layer.  The builders return these."""
+
+    table: LaxTable
+    L: _Plan
+    B: _Plan
+    terms: tuple
+
+
+def compile_lax(table: LaxTable) -> CompiledLax:
+    """The index arrays of ``table``; the builders compile each size once."""
     if any(e.kind not in (X, ROOT) for e in table.L):
         raise ValueError(f"{table.name}: L entries must be linear in x or in its roots")
     plan = _Plan.of(table.L)
@@ -333,54 +343,57 @@ def _compiled(table: LaxTable) -> tuple:
     j, i, a = j[slot], plan.cols[slot], plan.rows[slot]
     entry = j * table.size + i
     rank = np.arange(len(entry)) - np.searchsorted(entry, entry)  # place of a term within its entry
-    return plan, _Plan.of(table.B), (j, i, a, slot, tuple(rank == k for k in range(rank.max(initial=-1) + 1)))
+    return CompiledLax(table, plan, _Plan.of(table.B),
+                       (j, i, a, slot, tuple(rank == k for k in range(rank.max(initial=-1) + 1))))
 
 
-# Builders: (template State) -> the LaxTable of its system at its size, built
-# once per size.  Indices are 0-based.
+# Builders: (template State) -> the CompiledLax of its system at its size,
+# built and compiled once per size.  Indices are 0-based.
 
-def km_lax(state: State) -> LaxTable:
+def km_lax(state: State) -> CompiledLax:
     state.require_chart(VOLTERRA_U, "km Lax")
     if state.dim < 1:
         raise DimensionError("km Lax needs n >= 1")
-    return _km_table(state.dim)
+    return _km_lax(state.dim)
 
 
 @functools.cache
-def _km_table(n: int) -> LaxTable:
+def _km_lax(n: int) -> CompiledLax:
     # a_i = sqrt(u_i / 2) off the diagonal; B[i, i+2] = a_i a_{i+1} = -B[i+2, i]
-    return LaxTable("km Lax", n + 1, +1,
-                    tuple(Entry(i, i + 1, ROOT, i, mirror=1) for i in range(n)),
-                    tuple(e for i in range(n - 1) for e in (Entry(i, i + 2, ROOTS, i, i + 1),
-                                                            Entry(i + 2, i, ROOTS, i, i + 1, -1))),
-                    lambda u: np.sqrt(u / 2), 4)
+    return compile_lax(LaxTable(
+        "km Lax", n + 1, +1,
+        tuple(Entry(i, i + 1, ROOT, i, mirror=1) for i in range(n)),
+        tuple(e for i in range(n - 1)
+              for e in (Entry(i, i + 2, ROOTS, i, i + 1), Entry(i + 2, i, ROOTS, i, i + 1, -1))),
+        lambda u: np.sqrt(u / 2), 4))
 
 
-def toda_lax(state: State) -> LaxTable:
+def toda_lax(state: State) -> CompiledLax:
     n = ab_sizes(state, -1, "toda Lax")[1]
     if n < 2:
         raise DimensionError("toda Lax needs n >= 2")
-    return _toda_table(n)
+    return _toda_lax(n)
 
 
 @functools.cache
-def _toda_table(n: int) -> LaxTable:
+def _toda_lax(n: int) -> CompiledLax:
     # the Jacobi matrix: a_i off the diagonal, b_i on it; B[i, i+1] = a_i = -B[i+1, i]
-    return LaxTable("toda Lax", n, +1,
-                    tuple(Entry(i, i + 1, X, i, mirror=1) for i in range(n - 1))
-                    + tuple(Entry(i, i, X, n - 1 + i) for i in range(n)),
-                    tuple(e for i in range(n - 1) for e in (Entry(i, i + 1, X, i), Entry(i + 1, i, X, i, coef=-1))))
+    return compile_lax(LaxTable(
+        "toda Lax", n, +1,
+        tuple(Entry(i, i + 1, X, i, mirror=1) for i in range(n - 1))
+        + tuple(Entry(i, i, X, n - 1 + i) for i in range(n)),
+        tuple(e for i in range(n - 1) for e in (Entry(i, i + 1, X, i), Entry(i + 1, i, X, i, coef=-1)))))
 
 
-def ab_lax(state: State) -> LaxTable:
+def ab_lax(state: State) -> CompiledLax:
     m = ab_sizes(state, +1, "ab Lax")[1]
     if m < 2:
         raise UnsupportedDimension("the 2m x 2m ab Lax needs m >= 2; both end couplings collide at m = 1")
-    return _ab_table(m)
+    return _ab_lax(m)
 
 
 @functools.cache
-def _ab_table(m: int) -> LaxTable:
+def _ab_lax(m: int) -> CompiledLax:
     # diagonal pairs (b_j, -b_j); a_1 at (0, 1), interior a_j at +(2j-4, 2j-2)
     # and -(2j-3, 2j-1), a_{m+1} at (2m-2, 2m-1); B is antisymmetric
     T = 2 * m
@@ -393,18 +406,18 @@ def _ab_table(m: int) -> LaxTable:
         B += [Entry(2 * j - 4, 2 * j - 2, X, j - 1, mirror=-1), Entry(2 * j - 3, 2 * j - 1, X, j - 1, mirror=-1)]
     L.append(Entry(T - 2, T - 1, X, m, mirror=1))
     B.append(Entry(T - 2, T - 1, X, m, mirror=-1))
-    return LaxTable("ab Lax", T, +1, tuple(L), tuple(B))
+    return compile_lax(LaxTable("ab Lax", T, +1, tuple(L), tuple(B)))
 
 
-def vd_lax(state: State) -> LaxTable:
+def vd_lax(state: State) -> CompiledLax:
     state.require_chart(VOLTERRA_V, "vd Lax")
     if state.dim < 4:
         raise UnsupportedDimension("vd Lax requires n >= 4")
-    return _vd_table(state.dim)
+    return _vd_lax(state.dim)
 
 
 @functools.cache
-def _vd_table(n: int) -> LaxTable:
+def _vd_lax(n: int) -> CompiledLax:
     T = 2 * n - 1
     # block (1, 2) mixes v_n and v_{n-1}; the scalar border ties v_1 to the last block
     L = [Entry(1, 3, ROOT, n - 1), Entry(1, 4, ROOT, n - 1, coef=1j),
@@ -421,5 +434,5 @@ def _vd_table(n: int) -> LaxTable:
         k = n - j - 2
         B += [Entry(2 * j - 1, 2 * j + 3, ROOTS, k, k + 1, 0.5), Entry(2 * j, 2 * j + 4, ROOTS, k, k + 1, 0.5)]
     B += [Entry(3, 4, DIFF, n - 2, n - 1, 0.5j), Entry(T - 2, T - 1, X, 0, coef=0.5j)]
-    return LaxTable("vd Lax", T, -1, tuple(e._replace(mirror=1) for e in L), tuple(e._replace(mirror=-1) for e in B),
-                    np.sqrt, 2)
+    return compile_lax(LaxTable("vd Lax", T, -1, tuple(e._replace(mirror=1) for e in L),
+                                tuple(e._replace(mirror=-1) for e in B), np.sqrt, 2))

@@ -409,7 +409,7 @@ class LenardPair(NamedTuple):
 
     pi1: PoissonStructure
     pi3: PoissonStructure
-    lax: Callable  # Lax builder (template State) -> LaxTable
+    lax: Callable  # Lax builder (template State) -> CompiledLax
     h2: tuple[int, int]  # (order, scale)
     h4: tuple[int, int]
 

@@ -13,6 +13,7 @@ from lattice_flows.lax import (
     X,
     Entry,
     ab_lax,
+    compile_lax,
     casimir_C_column,
     casimir_F_column,
     grad_casimir_C,
@@ -234,11 +235,11 @@ def test_grad_trace_invariant_is_exactly_the_per_coordinate_trace(rng, system, s
 
 
 def _table(system, size):
-    """The system's Lax table at chain size ``size`` (m for ab)."""
+    """The system's Lax table at chain size ``size`` (m for ab), uncompiled."""
     ones = np.ones(size)
     template = {"km": lambda: u_state(ones), "vd": lambda: v_state(ones),
                 "toda": lambda: ab_state(ones[1:], ones), "ab": lambda: ab_state(np.ones(size + 1), ones)}[system]()
-    return SYSTEMS[system].lax(template)
+    return SYSTEMS[system].lax(template).table
 
 
 def _slots(entries):
@@ -370,10 +371,10 @@ def test_grad_trace_invariant_sums_any_number_of_terms_in_an_entry(rng, system, 
     extra = tuple(Entry(row, 5, X, 0, coef=value)
                   for row, value in ((0, 0.3), (2, -0.7j), (6, 1.1), (8, 0.45 + 0.2j), (9, -1.3)))
     assert not {(e.row, e.col) for e in extra} & {(row, col) for row, col, _ in _slots(base.L)}
-    table = base._replace(L=base.L + extra)
+    compiled = compile_lax(base._replace(L=base.L + extra))
 
     def builder(state):
-        return table
+        return compiled
 
     sample = {"vd": random_v, "ab": random_ab}[system]
     states = [sample(rng, size) for _ in range(4)]
@@ -413,8 +414,8 @@ def test_every_dL_entry_mutant_moves_the_gradient_off_fd(rng, system, sample):
     clean = grad_trace_invariant(base, state, [state.array], list(fd))
     assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(clean, fd)) < FD_GRAD_TOL
     mutants = 0
-    for label, table in _slot_mutants(base(state)):
-        grads = grad_trace_invariant(lambda s, table=table: table, state, [state.array], list(fd))
+    for label, table in _slot_mutants(base(state).table):
+        grads = grad_trace_invariant(lambda s, compiled=compile_lax(table): compiled, state, [state.array], list(fd))
         assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(grads, fd)) > FD_GRAD_TOL, (system, label)
         mutants += 1
     assert mutants == {"km": 12, "toda": 13, "ab": 18, "vd": 28}[system]
@@ -505,10 +506,10 @@ def test_every_lax_entry_mutant_fails_the_gate(rng):
         states = [sample(rng, size) for _ in range(3)]
         rows, velocities = [s.array for s in states], [field(s, s.array) for s in states]
         builder = SYSTEMS[system].lax
-        mutants = list(_lax_mutants(builder(states[0])))
+        mutants = list(_lax_mutants(builder(states[0]).table))
         counts[system] = len(mutants)
         for label, table in mutants:
-            mutant = lambda state, table=table: table
+            mutant = lambda state, compiled=compile_lax(table): compiled
             assert np.max(lax_residual(mutant, states[0], rows, velocities)) > RESIDUAL_TOL, (system, label)
         assert np.max(lax_residual(builder, states[0], rows, velocities)) < RESIDUAL_TOL
     # 111 entry mutants and one sign flip per builder
