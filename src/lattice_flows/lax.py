@@ -337,14 +337,18 @@ def compile_lax(table: LaxTable) -> CompiledLax:
     if any(e.kind not in (X, ROOT) for e in table.L):
         raise ValueError(f"{table.name}: L entries must be linear in x or in its roots")
     plan = _Plan.of(table.L)
-    p = np.array([e.p for e in table.L], dtype=int)
-    j = np.concatenate([p, p[plan.same], p[plan.minus]])
-    slot = np.lexsort((plan.rows, plan.cols, j))
-    j, i, a = j[slot], plan.cols[slot], plan.rows[slot]
-    entry = j * table.size + i
-    rank = np.arange(len(entry)) - np.searchsorted(entry, entry)  # place of a term within its entry
-    return CompiledLax(table, plan, _Plan.of(table.B),
-                       (j, i, a, slot, tuple(rank == k for k in range(rank.max(initial=-1) + 1))))
+    # sorted and counted in Python: numpy's sort and integer loops would be
+    # paged in for this alone, about 0.4 MB of a simulate run's peak RSS
+    p = [e.p for e in table.L]
+    j = p + [p[at] for at in plan.same.tolist() + plan.minus.tolist()]
+    terms = sorted(zip(j, plan.cols.tolist(), plan.rows.tolist(), range(len(j))))
+    rank = [0] * len(terms)  # place of a term within its entry (j, i)
+    for k in range(1, len(terms)):
+        if terms[k][:2] == terms[k - 1][:2]:
+            rank[k] = rank[k - 1] + 1
+    j, i, a, slot = (np.array(column, dtype=int) for column in zip(*terms))
+    layers = tuple(np.array([r == k for r in rank]) for k in range(max(rank) + 1))
+    return CompiledLax(table, plan, _Plan.of(table.B), (j, i, a, slot, layers))
 
 
 # Builders: (template State) -> the CompiledLax of its system at its size,
