@@ -47,8 +47,9 @@ class LatticeSystem:
     """A vector field on each chart it accepts, plus its named invariants.
 
     ``fields`` maps a chart to a callable (state, y, spectrum) -> ndarray,
-    the velocity at one raw (d,) row ``y`` in the chart of the template
-    ``state``; ``named_invariants`` maps (system, state) to {name: Column}.
+    the velocity at raw coordinates ``y`` in the chart of the template
+    ``state``: one (d,) row, or a (d, N) block of columns, one per point;
+    ``named_invariants`` maps (system, state) to {name: Column}.
     ``lax`` is the system's Lax builder (``lax.km_lax`` and the rest) or
     None: the one place that says which Lax pair belongs to a system.
     ``spectrum`` parametrises the 'spectrum' system.  Dimension is carried by
@@ -70,7 +71,11 @@ class LatticeSystem:
         return all(ch in POSITIVE_CHARTS for ch in self.fields)
 
     def field(self, state: State, y) -> np.ndarray:
-        """The velocity at ``y``, one (d,) coordinate row in the chart of ``state``."""
+        """The velocity at ``y`` in the chart of ``state``, in the shape of
+        ``y``: one (d,) coordinate row, or a (d, N) block whose columns are
+        N points (``states.coordinate_columns``).  On a real block each
+        column has the bits of its own row call; see ``systems`` for
+        complex blocks."""
         return self._on_chart(state)(state, y, self.spectrum)
 
     def invariants(self, state: State) -> dict[str, Callable[[State], complex]]:
@@ -146,7 +151,7 @@ def _toda_invariants(system: LatticeSystem, state: State):
     return _traces(system.lax, range(1, state.dim // 2 + 2))
 
 
-# Fields, called as (template State, row, spectrum), look ``systems.*_field``
+# Fields, called as (template State, row or columns, spectrum), look ``systems.*_field``
 # up at call time, so a wrapper on the systems module sees every evaluation.
 SYSTEMS = {system.key: system for system in (
     LatticeSystem("km", {VOLTERRA_U: lambda s, y, _: systems.km_field(s, y)},

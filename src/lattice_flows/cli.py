@@ -21,7 +21,8 @@ from .catalog import SYSTEM_KEYS, SYSTEMS, get_system
 from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import Spectrum, kozlov_treshchev_check, sklyanin_spectrum, spectrum_from_json
-from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, stacked, state_from_dict
+from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, coordinate_columns, stacked,
+                     state_from_dict)
 
 RNG_NAME = "numpy-pcg64"
 SPECTRUM_TOL = 1e-9
@@ -178,7 +179,7 @@ _QP_N = _sampler(QP, -1.0, 1.0, lambda n, m: (n, n))
 _ON_CHART = {C_VARS: _C, VOLTERRA_V: _V, FLASCHKA_AB: _AB}  # a Poisson structure's sampler
 
 
-def _conjugacy(kernel, source: str, target: str, state, rows, spectrum=None, jacobian=None) -> list[float]:
+def _conjugacy(kernel, source: str, target: str, state, rows, spectrum=None, jacobian=None) -> np.ndarray:
     """Pushforward residuals of a block under a map kernel between two catalog
     systems' fields.  A ``spectrum`` goes to the kernel as its first argument
     and selects the target system's field when that system is 'spectrum'."""
@@ -195,22 +196,26 @@ def _open_chain(n: int) -> Spectrum:
 
 
 def _lax(system) -> Callable:
-    """The Lax residual of a block of a catalog row's states along its field."""
-    return lambda s, rows: lax.lax_residual(system.lax, s, rows, [system.field(s, r) for r in rows])
+    """The Lax residual of a block of a catalog row's states along its field,
+    evaluated once on the block's columns."""
+    return lambda s, rows: lax.lax_residual(system.lax, s, rows, system.field(s, coordinate_columns(s, rows)).T)
 
 
-def _km_lax(s, rows) -> list[float]:
+def _km_lax(s, rows) -> np.ndarray:
     # below n = 2, du/dt = 0 and B has no entries: the residual is 0 whatever L holds
     if s.dim < 2:
         raise ValueError("verify lax --system km needs n >= 2; with one variable the residual is identically 0")
     return _lax(SYSTEMS["km"])(s, rows)
 
 
-def _involution(state, rows, k1: int, k2: int) -> list[float]:
-    """|{H_k1, H_k2}| under pi1-ab at each row, from analytic trace gradients."""
+def _involution(state, rows, k1: int, k2: int) -> np.ndarray:
+    """|{H_k1, H_k2}| under pi1-ab at each row, from analytic trace gradients:
+    per row, a vector-matrix and a vector-vector product, stacked."""
     g1, g2 = lax.grad_trace_invariant(SYSTEMS["ab"].lax, state, rows, [k1, k2])
     pis = stacked(poisson.STRUCTURES["pi1-ab"](state, rows))
-    return [abs(complex(a @ pi @ b)) for a, pi, b in zip(g1, pis, g2)]
+    bracket = (g1[:, None] @ pis @ g2[..., None])[:, 0, 0]
+    # hypot is Python's abs of a complex; numpy's complex abs rounds otherwise
+    return np.hypot(bracket.real, bracket.imag)
 
 
 def _invariant_pairs(args) -> list[tuple[int, int]]:

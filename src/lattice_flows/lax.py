@@ -15,9 +15,9 @@ Each entry's value takes the operations of its formula in order, so the
 matrices keep the bits of writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
 means dL/dt = [L, B].  Matrix products are stacked (each slice is
-multiplied as one state's matrix would be), and norms and the traces of
-the invariant columns are taken slice by slice, so a state gets the same
-bits in any block.
+multiplied as one state's matrix would be), so are the residual norms
+(``states.row_norms``), and the traces of the invariant columns are taken
+slice by slice, so a state gets the same bits in any block.
 
 Matrix layout notes (0-based):
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
 from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, coordinate_columns,
-                     require_positive_real)
+                     require_positive_real, row_norms)
 
 
 def lax_pair(builder, state: State, rows, ds=None):
@@ -70,7 +70,7 @@ def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
     dL/dt taken along the same row of ``velocities``, (N, d); one per row."""
     ds = np.asarray(velocities, dtype=complex).T[:, None]
     L, B, sign, dL = lax_pair(builder, state, rows, ds)
-    return np.array([np.linalg.norm(r) for r in dL[:, 0] - sign * (B @ L - L @ B)])
+    return row_norms(dL[:, 0] - sign * (B @ L - L @ B))
 
 
 def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:

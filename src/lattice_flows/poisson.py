@@ -28,9 +28,10 @@ Every tensor, gradient and residual here has one call shape: a template
 ``state``, which fixes the chart and size, and ``rows``, an (N, d) block of
 coordinates in its chart; one state is a block of one row.  Tensors keep
 the state axis last, (n, n, N); gradients are (N, d) and residuals give
-one value per row, with matrix-vector products and norms taken per state.
-Functions take structure objects (``STRUCTURES`` values, ``Pencil``s) and
-Lenard pairs, never their names.
+one value per row.  Matrix-vector products and norms are stacked, one per
+state's slice (``states.matvecs``, ``states.row_norms``), so each state
+keeps the bits of its own evaluation.  Functions take structure objects
+(``STRUCTURES`` values, ``Pencil``s) and Lenard pairs, never their names.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import numpy as np
 from . import lax
 from .catalog import SYSTEMS
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, stacked
+from .states import (C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, matvecs, row_norms,
+                     stacked)
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -376,17 +378,17 @@ def compatibility_residual(structure1, structure2, lam: float, state: State, row
 def casimir_residual(structure, casimir_grad, state: State, rows) -> np.ndarray:
     """Norm of pi(s) . grad C(s) at each row; the gradient must be supplied in
     closed form, as ``casimir_grad(state, rows)``, one gradient per row."""
-    pis = stacked(structure(state, rows))
     grads = np.asarray(casimir_grad(state, rows), dtype=complex)
-    return np.array([np.linalg.norm(pi @ grad) for pi, grad in zip(pis, grads)])
+    return row_norms(matvecs(stacked(structure(state, rows)), grads))
 
 
 def hamiltonian_flow_check(structure, grad_h, field, state: State, rows) -> np.ndarray:
     """Norm of pi(s) grad H(s) - field(s) at each row s of ``rows``, with
-    ``grad_h(state, rows)`` in closed form and ``field(state, row)`` per row."""
-    pis, grads = stacked(structure(state, rows)), np.asarray(grad_h(state, rows), dtype=complex)
-    return np.array([np.linalg.norm(pi @ gh - field(state, row))
-                     for pi, gh, row in zip(pis, grads, coordinate_columns(state, rows).T)])
+    ``grad_h(state, rows)`` in closed form and ``field(state, columns)``
+    called once on the block's (d, N) columns."""
+    grads = np.asarray(grad_h(state, rows), dtype=complex)
+    flow = matvecs(stacked(structure(state, rows)), grads)
+    return row_norms(flow - field(state, coordinate_columns(state, rows)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -430,5 +432,5 @@ def lenard_residual(pair: LenardPair, state: State, rows) -> np.ndarray:
     pi3, pi1 = stacked(pair.pi3(state, rows)), stacked(pair.pi1(state, rows))
     (o2, s2), (o4, s4) = pair.h2, pair.h4
     g2, g4 = lax.grad_trace_invariant(pair.lax, state, rows, [o2, o4])
-    return np.array([np.linalg.norm(p3 @ (s2 * a) - p1 @ (s4 * b)) for p3, p1, a, b in zip(pi3, pi1, g2, g4)])
+    return row_norms(matvecs(pi3, s2 * g2) - matvecs(pi1, s4 * g4))
 

@@ -230,3 +230,21 @@ def complex_product(x, y) -> np.ndarray:
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out
+
+
+def row_norms(x) -> np.ndarray:
+    """np.linalg.norm of each slice x[r] of a complex stack, with its bits:
+    sqrt(re·re + im·im) over the flattened slice, each dot one per-slice
+    BLAS ddot taken by a stacked 1×K·K×1 product.  A non-finite slice gives
+    a non-finite norm and leaves the others alone."""
+    x = np.asarray(x, dtype=complex).reshape(len(x), 1, -1)
+    re, im = x.real, x.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def matvecs(matrices, vectors) -> np.ndarray:
+    """matrices[r] @ vectors[r] for each r of an (N, m, n) stack and an
+    (N, n) block: one matrix-vector product per slice, on a contiguous
+    vector as one state's would be.  A single matrix product over the
+    block would sum in another order."""
+    return (matrices @ np.ascontiguousarray(vectors)[..., None])[..., 0]

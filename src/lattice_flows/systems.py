@@ -1,13 +1,24 @@
 """Vector fields and Hamiltonians for every lattice, in their native charts.
 
 Formulas are written with 1-based indices in comments/docstrings and 0-based
-numpy indexing in code.  Every field takes a template State and one raw
-coordinate row ``y`` in its chart, and returns the velocity at ``y`` as a
-complex row when ``y`` is complex.  Chart, split and size checks read only
-the template's ``chart``, ``split`` and ``dim``; checks on values read ``y``.
+numpy indexing in code.  Every field takes a template State and raw
+coordinates ``y`` in its chart: one (d,) row, or a (d, N) block whose
+columns are N points (``states.coordinate_columns``'s layout).  It returns
+the velocity in the same shape, complex when ``y`` is.  Chart, split and
+size checks read only the template's ``chart``, ``split`` and ``dim``;
+checks on values read ``y``.
+
+A block runs each formula once on rows of N values: allocations take
+``y.shape`` and boundary zeros are zero rows, so a (d,) row runs the
+operations it always has.  On a real block every column gets the bits of
+its own row call.  On a complex block a product of two complex coordinates
+may round otherwise, because numpy's array complex product may fuse a
+multiply and an add where a scalar product does not.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,8 +36,9 @@ def km_field(state: State, u) -> np.ndarray:
     state.require_chart(VOLTERRA_U, "km_field")
     if state.dim < 1:
         raise DimensionError("the km field needs n >= 1")
-    up = np.concatenate([u[1:], [0.0]])
-    um = np.concatenate([[0.0], u[:-1]])
+    zero = np.zeros((1,) + u.shape[1:])
+    up = np.concatenate([u[1:], zero])
+    um = np.concatenate([zero, u[:-1]])
     return u * (up - um)
 
 
@@ -46,7 +58,7 @@ def bv_field(family: str, state: State, u) -> np.ndarray:
     n = state.dim
     if n < _BV_MINIMUM[family]:
         raise UnsupportedDimension(f"family {family} requires at least {_BV_MINIMUM[family]} variables")
-    du = np.zeros(n, dtype=complex)
+    du = np.zeros(u.shape, dtype=complex)
     if family == "A":
         # identical to the KM chain with open ends
         return km_field(state, u)
@@ -81,7 +93,7 @@ def vd_field(state: State, v) -> np.ndarray:
     n = state.dim
     if n < 4:
         raise UnsupportedDimension("the v-variable Volterra D chain requires n >= 4")
-    dv = np.zeros(n, dtype=complex)
+    dv = np.zeros(v.shape, dtype=complex)
     dv[0] = v[0] * (v[0] + v[1])
     for k in range(1, n - 3):
         dv[k] = v[k] * (v[k + 1] - v[k - 1])
@@ -110,11 +122,13 @@ def u_to_v(state: State) -> State:
 # Cartan-variable form of the Volterra chains
 # ---------------------------------------------------------------------------
 
-def c_family_data(family: str, n_c: int):
+@functools.cache
+def c_family_data(family: str, n_c: int) -> tuple[np.ndarray, np.ndarray]:
     """Edge list and k coefficients of the family's diagram on n_c vertices.
 
-    Edges are returned as 0-based (i, j) pairs with i < j; the corresponding
-    structure constant is +1 for (i, j) and -1 for (j, i).
+    Edges are returned as 0-based (i, j) rows of an (E, 2) array, with i < j;
+    the corresponding structure constant is +1 for (i, j) and -1 for (j, i).
+    Both arrays are read-only and built once per (family, n_c).
     """
     family = family.upper()
     if family not in ("A", "B", "C", "D"):
@@ -125,18 +139,17 @@ def c_family_data(family: str, n_c: int):
         edges = [(i, i + 1) for i in range(n_c - 2)] + [(n_c - 3, n_c - 1)]
         k = np.full(n_c, 2.0)
         k[0] = k[n_c - 2] = k[n_c - 1] = 1.0
-        return edges, k
-    if n_c < 2:
-        raise UnsupportedDimension("chain families require at least 2 c variables")
-    edges = [(i, i + 1) for i in range(n_c - 1)]
-    if family == "A":
-        k = np.ones(n_c)
-    elif family == "B":
-        k = np.full(n_c, 2.0)
-        k[0] = 1.0
-    else:  # C
-        k = np.full(n_c, 2.0)
-        k[-1] = 1.0
+    else:
+        if n_c < 2:
+            raise UnsupportedDimension("chain families require at least 2 c variables")
+        edges = [(i, i + 1) for i in range(n_c - 1)]
+        k = np.full(n_c, 1.0 if family == "A" else 2.0)
+        if family == "B":
+            k[0] = 1.0
+        elif family == "C":
+            k[-1] = 1.0
+    edges = np.array(edges, dtype=np.intp)
+    edges.flags.writeable = k.flags.writeable = False
     return edges, k
 
 
@@ -146,8 +159,8 @@ def c_field(family: str, state: State, c) -> np.ndarray:
     if (c == 0).any():
         raise DivisionByZero("c_field requires all c_j nonzero")
     edges, k = c_family_data(family, state.dim)
-    dc = np.zeros(state.dim, dtype=complex)
-    for i, j in edges:
+    dc = np.zeros(c.shape, dtype=complex)
+    for i, j in edges.tolist():
         # c_ij = +1 contributes -k_j/c_j to dc_i; c_ji = -1 contributes +k_i/c_i to dc_j
         dc[i] -= k[j] / c[j]
         dc[j] += k[i] / c[i]
@@ -168,7 +181,7 @@ def ab_field(state: State, y) -> np.ndarray:
     if m < 1:
         raise DimensionError("ab_field needs m >= 1")
     a, b = y[:split], y[split:]
-    da = np.zeros(m + 1, dtype=complex)
+    da = np.zeros(a.shape, dtype=complex)
     da[0] = 2 * a[0] * b[0]
     for i in range(1, m):
         da[i] = a[i] * (b[i] - b[i - 1])
@@ -187,7 +200,8 @@ def toda_ab_field(state: State, y) -> np.ndarray:
         raise DimensionError("toda_ab_field needs n >= 2")
     a, b = y[:split], y[split:]
     da = a * (b[1:] - b[:-1])
-    asq = np.concatenate([[0.0], a**2, [0.0]])
+    zero = np.zeros((1,) + a.shape[1:])
+    asq = np.concatenate([zero, a**2, zero])
     db = 2 * (asq[1:] - asq[:-1])
     return np.concatenate([da, db])
 
@@ -201,7 +215,8 @@ def spectrum_field(spectrum: Spectrum, state: State, y) -> np.ndarray:
             f"spectrum with {spectrum.count} vectors needs {spectrum.count} a's and b's"
         )
     a, b = y[:split], y[split:]
-    return np.concatenate([a * b, spectrum.gram @ a])
+    # one matrix-vector product per column: a matrix product sums in another order
+    return np.concatenate([a * b, (spectrum.gram @ a.T[..., None])[..., 0].T])
 
 
 def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], list[complex]]:
@@ -278,8 +293,8 @@ def qp_field(system: str, state: State, y) -> np.ndarray:
     _require_q(system, n, "field")
     q, p = y[:n], y[n:]
     # dH/dq from the nearest-neighbour chain, shared by all three systems
-    expo = np.exp(q[:-1] - q[1:]) if n > 1 else np.zeros(0)
-    dh_dq = np.zeros(n, dtype=complex)
+    expo = np.exp(q[:-1] - q[1:])
+    dh_dq = np.zeros(q.shape, dtype=complex)
     dh_dq[:-1] += expo
     dh_dq[1:] -= expo
     if system == "toda":

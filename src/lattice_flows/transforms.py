@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, ParityError
-from .states import QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, complex_product, coordinate_columns, v_state
+from .states import (QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, complex_product, coordinate_columns, matvecs,
+                     row_norms, v_state)
 from .rootdata import Spectrum
 
 #: Central-difference step for Jacobians of O(1) states.
@@ -97,17 +98,30 @@ def _qp_with_spectrum(spectrum: Spectrum, state: State, rows, what: str) -> tupl
     return x[: state.split], x[state.split :]
 
 
+def _pairings(vecs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(v_i, x) for each row v_i of a real spectrum matrix and each column
+    of x, complex, from two real products.  A real-by-complex product would
+    run a complex BLAS kernel, after which glibc's complex exp can run ten
+    or more times slower on x86-64 until other AVX code runs.  The verify
+    suites' spectra (the open chain's and Sklyanin's) have at most two
+    nonzero entries per vector, so any order of summation gives their bits."""
+    out = np.empty((len(vecs), x.shape[1]), dtype=complex)
+    out.real = vecs @ x.real
+    out.imag = vecs @ x.imag
+    return out
+
+
 def toda_flaschka_block(spectrum: Spectrum, state: State, rows) -> tuple[State, np.ndarray]:
     """Traditional Flaschka map: a_i = (1/2) e^{(v_i, q)/2}, b_i = -p_i/2."""
     q, p = _qp_with_spectrum(spectrum, state, rows, "toda_flaschka")
-    return _ab_image(0.5 * np.exp(0.5 * (spectrum.matrix @ q)), -0.5 * p)
+    return _ab_image(0.5 * np.exp(0.5 * _pairings(spectrum.matrix, q)), -0.5 * p)
 
 
 def generalized_flaschka_block(spectrum: Spectrum, state: State, rows) -> tuple[State, np.ndarray]:
     """Exponential map a_i = -e^{(v_i, q)}, b_i = (v_i, p)."""
     q, p = _qp_with_spectrum(spectrum, state, rows, "generalized_flaschka")
     vecs = spectrum.matrix
-    return _ab_image(-np.exp(vecs @ q), vecs @ p)
+    return _ab_image(-np.exp(_pairings(vecs, q)), _pairings(vecs, p))
 
 
 def _c_to_v_factors(n: int) -> np.ndarray:
@@ -172,21 +186,18 @@ def map_jacobian(map_fn, state: State, rows) -> np.ndarray:
     return np.ascontiguousarray(((image[0] - image[1]) / (2 * FD_STEP)).transpose(1, 2, 0))
 
 
-def pushforward_residual(map_fn, source_field, target_field, state: State, rows, jacobian=None) -> list[float]:
+def pushforward_residual(map_fn, source_field, target_field, state: State, rows, jacobian=None) -> np.ndarray:
     """Norm of J_map(s) . source_field(s) - target_field(map(s)) at every row
     s of ``rows``, (N, d) in the chart of ``state``; one value per row.
 
     ``map_fn`` is a map kernel (``henon_block`` and the rest), called on the
     block once.  The Jacobians are ``map_jacobian``'s central differences
     unless a closed form ``jacobian(state, rows, image rows)`` is supplied.
-    Fields take a template (``state``, or the map's) and one row each; the
-    matvec and the norm are taken per row.
+    Each field is called once, on the block's columns (``state``'s, or the
+    image's with the map's zero State as template); the matrix-vector
+    products and the norms are stacked, one per row.
     """
     zero, image = map_fn(state, rows)
     jacs = jacobian(state, rows, image) if jacobian else map_jacobian(map_fn, state, rows)
-    out = []
-    for jac, row, image_row in zip(jacs, coordinate_columns(state, rows).T, image):
-        pushed = jac @ source_field(state, row)
-        direct = target_field(zero, image_row)
-        out.append(float(np.linalg.norm(pushed - direct)))
-    return out
+    pushed = matvecs(jacs, source_field(state, coordinate_columns(state, rows)).T)
+    return row_norms(pushed - target_field(zero, image.T).T)

@@ -10,8 +10,8 @@ import pytest
 from lattice_flows import integrate
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.errors import DimensionError
-from lattice_flows.states import (CHARTS, FLASCHKA_AB, VOLTERRA_U, State, ab_state, coordinate_names, state_from_dict,
-                                  u_state)
+from lattice_flows.states import (CHARTS, FLASCHKA_AB, VOLTERRA_U, State, ab_state, coordinate_names, matvecs,
+                                  row_norms, state_from_dict, u_state)
 
 
 def test_array_is_the_stored_read_only_array():
@@ -88,3 +88,34 @@ def test_bench_spans_find_the_wrapped_names():
             "catalog.invariants", "catalog.invariant"} <= {tracer.names[i] for i in tracer.name_id}
     assert originals == (State.replace_coords, LatticeSystem.invariants,
                          *(getattr(integrate, name) for name in spans.STEP_FUNCTIONS))
+
+
+@pytest.mark.parametrize("size", [7, 8, 15, 49, 169, 841])
+def test_row_norms_equal_numpy_norm_on_each_slice(size):
+    # 841 = 29 x 29, a vd L at n = 15 flattened; one ddot per slice keeps the bits
+    rng = np.random.default_rng(size)
+    x = (rng.normal(size=(9, size)) + 1j * rng.normal(size=(9, size))) * 10.0 ** rng.uniform(-8, 8, (9, 1))
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert row_norms(x).tobytes() == want.tobytes()
+    side = math.isqrt(size)
+    if side * side == size:  # a stack of matrices takes each one's Frobenius norm
+        stack = x.reshape(9, side, side)
+        assert row_norms(stack).tobytes() == np.array([np.linalg.norm(m) for m in stack]).tobytes()
+
+
+def test_row_norms_keep_a_non_finite_slice_to_itself():
+    x = np.random.default_rng(3).normal(size=(5, 12)) + 0j
+    x[1, 4] = np.nan
+    x[3, 0] = complex(0.0, np.inf)
+    norms = row_norms(x)
+    assert np.isnan(norms[1]) and norms[3] == np.inf
+    finite = [0, 2, 4]
+    assert norms[finite].tobytes() == np.array([np.linalg.norm(x[r]) for r in finite]).tobytes()
+
+
+def test_matvecs_equal_one_product_per_slice():
+    rng = np.random.default_rng(5)
+    matrices = rng.normal(size=(8, 11, 13)) + 1j * rng.normal(size=(8, 11, 13))
+    vectors = rng.normal(size=(13, 8)) + 1j * rng.normal(size=(13, 8))  # columns, as fields return them
+    want = np.array([m @ v for m, v in zip(matrices, np.ascontiguousarray(vectors.T))])
+    assert matvecs(matrices, vectors.T).tobytes() == want.tobytes()

@@ -19,8 +19,10 @@ from lattice_flows import (
     v_state,
 )
 from lattice_flows import rootdata
-from lattice_flows.catalog import get_system
+from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.rootdata import gram_matrix
+from lattice_flows.states import (C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State,
+                                  coordinate_columns)
 from lattice_flows.systems import (
     ab_field,
     bv_field,
@@ -101,6 +103,57 @@ def test_catalog_fields_read_the_row_not_the_template(rng):
             assert got.tobytes() == want.tobytes(), (system.key, state)
 
 
+def _catalog_blocks(rng, complex_part):
+    """(system, template, (N, d) rows) for every catalog field, at n = 5 and 9
+    and at the verify-mix sizes (n = 15 on the v and c charts, m = 7, n = 7
+    for (q, p)), with N = 1, 3 and 8 rows.  Real rows carry some -0.0 entries
+    off the c chart; ``complex_part`` adds imaginary parts instead."""
+    shapes = {QP: lambda n: (n, 2 * n), C_VARS: lambda n: (None, n + 1), VOLTERRA_U: lambda n: (None, n),
+              VOLTERRA_V: lambda n: (None, n), "ab": lambda n: (n + 1, 2 * n + 1),
+              "toda": lambda n: (n - 1, 2 * n - 1), "spectrum": lambda n: (n + 1, 2 * n + 2)}
+    for key in SYSTEMS:
+        for n in (5, 7, 9, 15):
+            system = get_system(key, sklyanin_spectrum(n)) if key == "spectrum" else SYSTEMS[key]
+            for chart in system.charts:
+                split, dim = shapes[key if chart == FLASCHKA_AB else chart](n)
+                lo = 0.1 if chart in POSITIVE_CHARTS else -1.0
+                for count in (1, 3, 8):
+                    rows = rng.uniform(lo, 2.0 if lo > 0 else 1.0, (count, dim)).astype(complex)
+                    if complex_part:
+                        rows += 1j * rng.uniform(-0.5, 0.5, rows.shape)
+                    elif chart != C_VARS:
+                        rows[rng.uniform(size=rows.shape) < 0.2] = -0.0
+                    yield system, State(chart, rows[0], split), rows
+
+
+def test_catalog_fields_on_a_real_block_equal_their_row_calls(rng):
+    # verify evaluates each field once on a block's (d, N) columns; on real
+    # coordinates every column keeps the bits of its own row call
+    for system, template, rows in _catalog_blocks(rng, complex_part=False):
+        got = system.field(template, coordinate_columns(template, rows))
+        want = np.stack([system.field(template, row) for row in rows], axis=1)
+        assert got.shape == want.shape and got.dtype == np.complex128, (system.key, rows.shape)
+        assert got.tobytes() == want.tobytes(), (system.key, rows.shape)
+
+
+def test_catalog_fields_on_a_complex_block_round_like_their_row_calls(rng):
+    # numpy's array complex product may fuse a multiply and an add, so a
+    # product of two complex coordinates may round otherwise in a block
+    for system, template, rows in _catalog_blocks(rng, complex_part=True):
+        got = system.field(template, coordinate_columns(template, rows))
+        want = np.stack([system.field(template, row) for row in rows], axis=1)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (system.key, rows.shape)
+
+
+def test_c_family_data_is_built_once_and_read_only():
+    edges, k = c_family_data("D", 6)
+    assert c_family_data("D", 6)[0] is edges
+    assert edges.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4], [3, 5]] and k.tolist() == [1, 2, 2, 2, 1, 1]
+    for array in (edges, k):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_vd_examples():
     assert np.allclose(vd_field(*at(v_state([1, 1, 1, 1]))), [2, 1, -1, -1])
     assert np.all(vd_field(*at(v_state([0, 0, 0, 0]))) == 0)
@@ -173,7 +226,7 @@ def test_integrals_examples():
 def test_integrals_conserved_along_flow(rng):
     # spectra with more vectors than the dimension admit null combinations;
     # their two integrals must ride along the polynomial flow unchanged
-    from lattice_flows.catalog import get_system
+    from lattice_flows.catalog import SYSTEMS, get_system
     from lattice_flows.integrate import FixedStep, drift_report, integrate
 
     from lattice_flows.transforms import generalized_flaschka_block
