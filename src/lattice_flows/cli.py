@@ -289,15 +289,16 @@ SUITES = {
     }, sweep=_invariant_pairs),
 }
 
-#: States per residual call.  The batched Poisson kernels hold dense tensors
-#: for every state of a block (d pi of pi1-v at n = 25 takes 250 kB a state),
-#: as does a map's block of bumps ((d, 2d * 8) complex, 58 kB for d-map at
-#: n = 15), so a fixed block bounds their memory whatever --states is.  A
-#: trace gradient holds only L, its powers and the gathered entries of dL
-#: (a 49 x 49 L of vd at n = 25 takes 38 kB a state).  Blocks of 64 were
-#: under 2% faster on the benchmark's verify suites and doubled the peak
-#: working set.
-BLOCK = 8
+#: States per residual call.  Every kernel holds a few arrays per state of a
+#: block (a compact d pi of pi1-v at n = 25 takes 82 kB a state, a 49 x 49
+#: matrix of vd at n = 25 38 kB), so a fixed block bounds memory whatever
+#: --states is.  One 13-op verify-mix cycle in one process (2-core Xeon,
+#: single-threaded OpenBLAS 0.3.31) took 35-50 ms with blocks of 8 and
+#: 20-24 ms with 32, 48 or 64.  Per state, blocks of 48 and 64 saved up to
+#: 25% at n = 7 and at most 10% at n = 15 and 25, and brought page faults
+#: back into lax vd run alone (25-90 a call); 32 keeps the working set
+#: smaller.
+BLOCK = 32
 
 
 def _run_verify(args) -> int:

@@ -8,9 +8,10 @@ that size with its index arrays (a ``CompiledLax``), built and compiled
 once per size; each catalog row with a Lax pair carries its builder as
 ``lax``, and every function here takes the builder itself.
 
-``lax_pair`` assembles a block's L and B with one fancy-indexed write each,
-and dL along given velocities by the chain rule; ``grad_trace_invariant``
-reads each dL/dx_j from the table and builds neither B nor a dense dL.
+``lax_pair`` assembles a block's L and B with one fancy-indexed write each;
+``lax_residual`` takes dL along the velocities at L's slots by the chain
+rule, and ``grad_trace_invariant`` reads each dL/dx_j from the table:
+neither builds a dense dL.
 Each entry's value takes the operations of its formula in order, so the
 matrices keep the bits of writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
@@ -45,32 +46,52 @@ from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, c
                      require_positive_real, row_norms)
 
 
-def lax_pair(builder, state: State, rows, ds=None):
-    """(L, B, sign, dL) of ``builder``'s table (``km_lax`` and the rest, a
-    catalog row's ``lax``) at every row of ``rows``, an (N, d) block of
-    coordinates in the chart of ``state``.
-
-    L and B are C-ordered (N, T, T) stacks.  ``ds`` is a (d, K, N) array of
-    K velocities per row (ds[:, k, r] is the k-th at row r); dL along each
-    is then a C-ordered (N, K, T, T) stack, and None without ``ds``.
-    """
+def lax_pair(builder, state: State, rows, out=None):
+    """(L, B, sign) of ``builder``'s table (``km_lax`` and the rest, a catalog
+    row's ``lax``) at every row of ``rows``, an (N, d) block of coordinates in
+    the chart of ``state``.  L and B are C-ordered (N, T, T) stacks, written
+    into out[0] and out[1] if ``out``, a zeroed (2, N, T, T) array, is given."""
     lax = builder(state)
     table = lax.table
     x = coordinate_columns(state, rows)
     r = table.roots(x)
-    L, B = lax.L.assemble(table.size, x, r), lax.B.assemble(table.size, x, r)
-    if ds is None:
-        return L, B, table.sign, None
-    ds = np.asarray(ds, dtype=complex)
-    return L, B, table.sign, lax.L.assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
+    L, B = (None, None) if out is None else out
+    return lax.L.assemble(table.size, x, r, L), lax.B.assemble(table.size, x, r, B), table.sign
 
 
 def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
     """Frobenius norm of dL/dt - sign * [B, L] at every row of ``rows``, with
-    dL/dt taken along the same row of ``velocities``, (N, d); one per row."""
-    ds = np.asarray(velocities, dtype=complex).T[:, None]
-    L, B, sign, dL = lax_pair(builder, state, rows, ds)
-    return row_norms(dL[:, 0] - sign * (B @ L - L @ B))
+    dL/dt taken along the same row of ``velocities``, (N, d); one per row.
+
+    No dense dL is built: the commutator is the two stacked products
+    ``B @ L - L @ B`` with their bits, scaled by ``sign``, and only L's slots
+    take dL/dt - sign * [B, L], dL/dt from the table's values along the
+    velocities.  Every other entry holds sign * [B, L], where a dense dL
+    would hold 0 - sign * [B, L]: the squares are the same, so the norm has
+    the bits of the dense difference's.
+
+    L, B and the two products share one allocation.  glibc hands the top of
+    its heap back to the system when a free leaves more than twice the
+    largest mmapped block there; four separate stacks did so at every block,
+    and the next block faulted the pages in again (about 2300 minor faults
+    per 200-state ``verify lax --system vd --n 15`` call in 32-state blocks).
+    """
+    lax = builder(state)
+    table, plan = lax.table, lax.L
+    x = coordinate_columns(state, rows)
+    stacks = np.empty((4, x.shape[1], table.size, table.size), dtype=complex)
+    stacks[:2] = 0
+    L, B, sign = lax_pair(builder, state, rows, stacks[:2])
+    residual, LB = stacks[2:]
+    ds = np.asarray(velocities, dtype=complex).T
+    r = table.roots(x)
+    dL = plan.values(ds, None if r is None else ds / (table.slope * r))
+    np.matmul(B, L, out=residual)
+    residual -= np.matmul(L, B, out=LB)
+    residual *= sign
+    slots = (slice(None), plan.rows, plan.cols)
+    residual[slots] = dL.T - residual[slots]
+    return row_norms(residual)
 
 
 def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
@@ -288,11 +309,13 @@ class _Plan(NamedTuple):
             out[at] = -v if negate else v
         return np.concatenate([out, out[self.same], 0 - out[self.minus]])
 
-    def assemble(self, size: int, x, r) -> np.ndarray:
+    def assemble(self, size: int, x, r, out=None) -> np.ndarray:
         """C-ordered (batch reversed, T, T) matrices: (N, T, T) at an (d, N)
-        block, (N, K, T, T) at (d, K, N) velocities."""
+        block, (N, K, T, T) at (d, K, N) velocities; written into ``out``,
+        a zeroed array of that shape, if one is given."""
         values = self.values(x, r)
-        out = np.zeros(values.shape[:0:-1] + (size, size), dtype=complex)
+        if out is None:
+            out = np.zeros(values.shape[:0:-1] + (size, size), dtype=complex)
         out[..., self.rows, self.cols] = values.T
         return out
 

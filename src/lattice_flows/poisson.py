@@ -22,7 +22,17 @@ x[v2]**e2 * ... multiplied left to right (the x[v]-derivative starts from
 (coef*e) * x[v]**(e-1), then the other factors in order); entry (i, j)
 starts at zero and adds its terms in table order, and entry (j, i)
 subtracts them.  Each step is elementwise over the states, so a real state
-gets the same bits in any block.
+gets the same bits in any block.  The plan holds only the entries its terms
+reach, both triangles, one row each plus a zero row; the dense tensor is
+scattered from these rows for the callers that take it.
+
+The Jacobi residual sums over structural nonzeros only.  For each structure
+or pencil and size, the (triple, l) groups of the cyclic sums in which some
+term pairs a nonzero of pi with a nonzero of d pi are compiled once
+(``_Jacobi``); pi3-v at n = 25 has 326 such terms of a dense 172,500.  Each
+triple adds its live groups in ascending l, as the sum over every l does:
+the groups left out add exact zeros on finite states (see
+``jacobi_residual``).
 
 Every tensor, gradient and residual here has one call shape: a template
 ``state``, which fixes the chart and size, and ``rows``, an (N, d) block of
@@ -37,7 +47,6 @@ keeps the bits of its own evaluation.  Functions take structure objects
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -67,11 +76,16 @@ class PoissonStructure:
     def __call__(self, state: State, rows) -> np.ndarray:
         """pi at each row of ``rows``, an (N, n) block of coordinates in the
         chart of ``state``, as (n, n, N); antisymmetric by construction."""
-        return self._plan(state).pi(coordinate_columns(state, rows))
+        return self._plan(state).pi.dense(coordinate_columns(state, rows))
 
     def derivatives(self, state: State, rows) -> np.ndarray:
         """d pi / d x_l at each row, as an (n, n, n, N) array indexed [l, i, j, row]."""
-        return self._plan(state).dpi(coordinate_columns(state, rows))
+        return self._plan(state).dpi.dense(coordinate_columns(state, rows))
+
+    def _jacobi_terms(self, state: State, x: np.ndarray) -> tuple:
+        """Compact pi and d pi at the columns x, and the layers of their live Jacobi groups."""
+        plan = self._plan(state)
+        return plan.pi(x), plan.dpi(x), _jacobi_plan((plan,), state.dim).layers
 
     def _plan(self, state: State) -> _Plan:
         """The compiled table at the state's size.  A table and its size and
@@ -80,7 +94,7 @@ class PoissonStructure:
         state.require_chart(self.chart, f"structure {self.name}")
         key = (self, state.dim, state.split)
         if key not in _PLANS:
-            _PLANS[key] = _compile(self.table_builder(state))
+            _PLANS[key] = _compile(self.table_builder(state), state.dim)
         return _PLANS[key]
 
 
@@ -88,13 +102,17 @@ class _Sums:
     """pi or d pi of one table, compiled to index arrays (see the module notes).
 
     ``terms`` lists (slot, coef, factors) in the scalar loop's order; a slot
-    indexes an upper-triangle entry (..., i, j).  Terms are sorted longest
-    first, so that multiplying in every term's s-th factor is one operation
-    on a prefix of the rows, and rank r adds the r-th term of each slot to
-    (..., i, j) and subtracts it from (..., j, i).
+    indexes an upper-triangle entry (..., i, j) of the (d,) * axes tensor.
+    The tensor is held compactly: ``at`` lists, in ascending order, the flat
+    positions of the entries its terms reach, both triangles, and row s of a
+    compact array holds entry at[s], with one zero row last for every other
+    entry.  Terms are sorted longest first, so that multiplying in every
+    term's s-th factor is one operation on a prefix of the rows, and rank r
+    adds the r-th term of each slot to (..., i, j) and subtracts it from
+    (..., j, i), as a dense accumulation would.
     """
 
-    def __init__(self, terms, axes: int):
+    def __init__(self, terms, d: int, axes: int):
         seen: dict[tuple, int] = {}
         ranked = []
         for slot, coef, factors in terms:
@@ -108,32 +126,44 @@ class _Sums:
                 if step == len(steps):
                     steps.append([])
                 steps[step].append(powers.setdefault(factor, len(powers)))
-        self.axes = axes
+        self.shape = (d,) * axes
         self.var, expo = np.array(list(powers), dtype=np.intp).reshape(-1, 2).T
         self.expo = expo[:, None]
         self.coef = np.array([term[2] for term in ranked], dtype=complex)[:, None]
         self.steps = [np.array(step, dtype=np.intp) for step in steps]
+
+        def positions(slot):  # flat positions of (..., i, j) and (..., j, i)
+            return _flat(slot, d), _flat((*slot[:-2], slot[-1], slot[-2]), d)
+
+        # sorted and looked up in Python: numpy's sort would be paged in for this alone
+        at = sorted({p for term in ranked for p in positions(term[1])})
+        index = {p: s for s, p in enumerate(at)}
+        self.at = np.array(at, dtype=np.intp)
         self.ranks = []
         for rank in range(max(seen.values(), default=-1) + 1):
             rows = [k for k, term in enumerate(ranked) if term[0] == rank]
-            slots = np.array([ranked[k][1] for k in rows], dtype=np.intp).reshape(-1, axes).T
-            self.ranks.append((slots, np.array(rows, dtype=np.intp)))
+            plus, minus = ([index[p] for p in ps] for ps in zip(*(positions(ranked[k][1]) for k in rows)))
+            self.ranks.append(tuple(np.array(a, dtype=np.intp) for a in (plus, minus, rows)))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The tensor at each column of x, a (d, N) complex array: shape (d, ..., d, N)."""
-        d, count = x.shape
+        """The compact tensor at each column of x, a (d, N) complex array: (len(at) + 1, N)."""
         power = x.take(self.var, axis=0) ** self.expo
-        value = np.empty((len(self.coef), count), dtype=complex)
+        value = np.empty((len(self.coef), x.shape[1]), dtype=complex)
         value[...] = self.coef
         for step in self.steps:
             value[: len(step)] *= power.take(step, axis=0)
-        shape = (d,) * self.axes
-        out = np.zeros((d**self.axes, count), dtype=complex)
-        for slots, rows in self.ranks:
+        out = np.zeros((len(self.at) + 1, x.shape[1]), dtype=complex)
+        for plus, minus, rows in self.ranks:
             terms = value.take(rows, axis=0)
-            out[np.ravel_multi_index(slots, shape)] += terms
-            out[np.ravel_multi_index((*slots[:-2], slots[-1], slots[-2]), shape)] -= terms
-        return out.reshape(shape + (count,))
+            out[plus] += terms
+            out[minus] -= terms
+        return out
+
+    def dense(self, x: np.ndarray) -> np.ndarray:
+        """The tensor at each column of x, scattered from its compact rows: shape (d, ..., d, N)."""
+        out = np.zeros((np.prod(self.shape), x.shape[1]), dtype=complex)
+        out[self.at] = self(x)[:-1]
+        return out.reshape(self.shape + (x.shape[1],))
 
 
 class _Plan(NamedTuple):
@@ -141,15 +171,24 @@ class _Plan(NamedTuple):
     dpi: _Sums
 
 
-def _compile(table: EntryTable) -> _Plan:
+def _compile(table: EntryTable, d: int) -> _Plan:
     monomials = [((i, j), coef, powers) for (i, j), monos in table.items() for coef, powers in monos]
-    return _Plan(_Sums(monomials, 2), _Sums([
+    return _Plan(_Sums(monomials, d, 2), _Sums([
         ((var, i, j), coef * expo, ((var, expo - 1),) + tuple(f for f in powers if f[0] != var))
         for (i, j), coef, powers in monomials for var, expo in powers
-    ], 3))
+    ], d, 3))
 
 
-_PLANS: dict[tuple[PoissonStructure, int, int | None], _Plan] = {}
+# (structure, dim, split) -> its _Plan; a tuple of _Plans -> their _Jacobi groups
+_PLANS: dict[tuple, _Plan | _Jacobi] = {}
+
+
+def _flat(index: tuple[int, ...], d: int) -> int:
+    """The flat position of ``index`` in a C-ordered (d, ..., d) array."""
+    position = 0
+    for i in index:
+        position = position * d + i
+    return position
 
 
 def _mono(coef, *factors) -> Monomial:
@@ -314,14 +353,53 @@ STRUCTURES = {
 # residual checks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _jacobi_indices(n: int) -> tuple[np.ndarray, ...]:
-    """For every triple i < j < k < n, in lexicographic order: i, j, k and the
-    flat positions j*n+k, k*n+i, i*n+j in an n x n matrix."""
-    i, j, k = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
-    indices = np.stack([i, j, k, j * n + k, k * n + i, i * n + j])
-    indices.setflags(write=False)
-    return tuple(indices)
+class _Jacobi(NamedTuple):
+    """The live (triple, l) groups of the Jacobi sums of one structure or
+    pencil at one size.
+
+    A group is live if one of its three cyclic terms pairs a structural
+    nonzero of pi with one of d pi.  Rows index the union of the parts'
+    compact rows, the zero row last; ``pi_at`` and ``dpi_at`` hold the union's
+    size and each part's rows within it.  Triples are sorted by their number
+    of live groups, most first, and layer r holds each triple's r-th live l
+    in ascending l, so it covers a prefix of the triples: a (6, k_r) array of
+    the rows of pi[i,l], dpi[l,j,k], pi[j,l], dpi[l,k,i], pi[k,l], dpi[l,i,j].
+    """
+
+    pi_at: tuple
+    dpi_at: tuple
+    layers: tuple
+
+
+def _jacobi_plan(plans: tuple, d: int) -> _Jacobi:
+    """The live groups of the parts' plans, compiled once per tuple of plans."""
+    if plans not in _PLANS:
+        ats, rows = [], []
+        for name, shape in (("pi", (d, d)), ("dpi", (d, d, d))):
+            parts = [getattr(plan, name).at.tolist() for plan in plans]
+            union = sorted(set().union(*parts))  # in Python, as in _Sums
+            index = {p: s for s, p in enumerate(union)}
+            ats.append((len(union), *(np.array([index[p] for p in part], dtype=np.intp) for part in parts)))
+            row = np.full(d ** len(shape), len(union))  # the zero row where no part has an entry
+            row[union] = np.arange(len(union))
+            rows.append(row.reshape(shape))
+        (pi_row, dpi_row), (pi_at, dpi_at) = rows, ats
+        i, j, k = np.array(list(combinations(range(d), 3)), dtype=np.intp).reshape(-1, 3).T
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        live = np.zeros((len(i), d), dtype=bool)
+        for a, b, c in cyclic:
+            live |= (pi_row[a] < pi_at[0]) & (dpi_row[:, b, c].T < dpi_at[0])
+        key = live.sum(axis=1).tolist()
+        order = np.array(sorted(range(len(key)), key=lambda t: -key[t]), dtype=np.intp)  # most live groups first
+        counts = live.sum(axis=1)[order]
+        triple, l = np.nonzero(live[order])  # by triple, then ascending l
+        rank = np.arange(len(triple)) - (np.cumsum(counts) - counts)[triple]  # place of l among its triple's
+        layers = []
+        for r in range(counts.max(initial=0)):
+            t, lr = order[triple[rank == r]], l[rank == r]
+            layers.append(np.stack([x for a, b, c in cyclic for x in (pi_row[a[t], lr], dpi_row[lr, b[t], c[t]])]))
+        _PLANS[plans] = _Jacobi(pi_at, dpi_at, tuple(layers))
+    return _PLANS[plans]
 
 
 def jacobi_residual(structure, state: State, rows) -> np.ndarray:
@@ -330,23 +408,30 @@ def jacobi_residual(structure, state: State, rows) -> np.ndarray:
     Tensor derivatives are analytic (exact monomial differentiation).
 
     Summation order is part of the contract, because reports print the
-    residual's exact bits: for every triple i < j < k the sum runs over
-    l = 0, 1, ..., n-1, adding ``pi[i,l]*dpi[l,j,k] + pi[j,l]*dpi[l,k,i] +
-    pi[k,l]*dpi[l,i,j]`` (grouped left to right) to a running total that
-    starts at zero.  All triples of all states advance together, one vector
-    operation per l; a contraction over l (``einsum``, ``np.sum``, matmul)
+    residual's exact bits: for every triple i < j < k the sum runs over the
+    live l in ascending order (see ``_Jacobi``), adding ``pi[i,l]*dpi[l,j,k]
+    + pi[j,l]*dpi[l,k,i] + pi[k,l]*dpi[l,i,j]`` (grouped left to right, a
+    structural zero read from the zero row) to a running total that starts
+    at zero.  A skipped group's terms each take a structural zero, so on
+    finite states they add exact zeros, and the total is that of the sum
+    over every l.  The one difference: a structural zero is not multiplied
+    by a non-finite entry, so such an entry makes the residual NaN only
+    through the live terms that read it.  Each layer of all states is one
+    vector operation; a contraction over l (``einsum``, ``np.sum``, matmul)
     would reorder these additions and change the low bits.
     """
-    pi, dpi = structure(state, rows), structure.derivatives(state, rows)
-    n = state.dim
-    i, j, k, jk, ki, ij = _jacobi_indices(n)
-    columns = pi.transpose(1, 0, 2).copy()  # columns[l] = pi[:, l], contiguous for take
-    planes = dpi.reshape(n, n * n, -1)  # planes[l] = dpi[l] flattened
-    total = np.zeros((len(i), pi.shape[-1]), dtype=complex)
-    for l in range(n):
-        p, d = columns[l], planes[l]
-        total += (p.take(i, axis=0) * d.take(jk, axis=0) + p.take(j, axis=0) * d.take(ki, axis=0)
-                  + p.take(k, axis=0) * d.take(ij, axis=0))
+    pi, dpi, layers = structure._jacobi_terms(state, coordinate_columns(state, rows))
+    total = np.zeros((layers[0].shape[1] if layers else 0, pi.shape[1]), dtype=complex)
+    for pa, da, pb, db, pc, dc in layers:
+        terms = pi.take(pa, axis=0)
+        terms *= dpi.take(da, axis=0)
+        term = pi.take(pb, axis=0)
+        term *= dpi.take(db, axis=0)
+        terms += term
+        term = pi.take(pc, axis=0)
+        term *= dpi.take(dc, axis=0)
+        terms += term
+        total[: len(pa)] += terms
     return np.max(np.abs(total), axis=0, initial=0.0)
 
 
@@ -368,6 +453,20 @@ class Pencil:
         out = self.second.derivatives(state, rows)
         np.multiply(self.lam, out, out=out)
         return np.add(self.first.derivatives(state, rows), out, out=out)
+
+    def _jacobi_terms(self, state: State, x: np.ndarray) -> tuple:
+        """As ``PoissonStructure._jacobi_terms``, on the union of the two
+        structures' rows: first + lam * second, as the dense sum takes it."""
+        plans = self.first._plan(state), self.second._plan(state)
+        jacobi = _jacobi_plan(plans, state.dim)
+        tensors = []
+        for name, (size, first, second) in (("pi", jacobi.pi_at), ("dpi", jacobi.dpi_at)):
+            part = getattr(plans[0], name)(x)  # before the union: its terms and the union need not coexist
+            out = np.zeros((size + 1, x.shape[1]), dtype=complex)
+            out[first] = part[:-1]
+            out[second] += self.lam * getattr(plans[1], name)(x)[:-1]
+            tensors.append(out)
+        return (*tensors, jacobi.layers)
 
 
 def compatibility_residual(structure1, structure2, lam: float, state: State, rows) -> np.ndarray:

@@ -169,18 +169,36 @@ def test_verify_suites_pass(capsys, argv):
 
 
 def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
-    # one lax_pair call per block of states: 10 states are a block of 8 and one of 2
+    # one lax_pair call per block of states: BLOCK + 2 states are a block of BLOCK and one of 2
     calls = []
     pair = lax.lax_pair
 
-    def counting_pair(builder, state, rows, ds=None):
-        calls.append((builder, len(rows), None if ds is None else ds.shape[1:]))
-        return pair(builder, state, rows, ds)
+    def counting_pair(builder, state, rows, out=None):
+        calls.append((builder, len(rows)))
+        return pair(builder, state, rows, out)
 
     monkeypatch.setattr(lax, "lax_pair", counting_pair)
-    code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", "10")
+    code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", str(BLOCK + 2))
     assert code == 0 and json.loads(out)["pass"]
-    assert calls == [(lax.vd_lax, 8, (1, 8)), (lax.vd_lax, 2, (1, 2))]
+    assert calls == [(lax.vd_lax, BLOCK), (lax.vd_lax, 2)]
+
+
+_ONE_ARGV_PER_CHECK = [
+    ["verify", name, *([suite.selector, selector] if suite.selector else []), "--states", "40", "--seed", "5"]
+    for name, suite in cli.SUITES.items() for selector in suite.checks
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_ARGV_PER_CHECK, ids=" ".join)
+def test_reports_do_not_depend_on_the_block(monkeypatch, capsys, argv):
+    # 40 states are 40 blocks of 1, five of 8, or a full block of 32 and a
+    # partial one: each state keeps its bits in any block, so the report does
+    reports = []
+    for block in (1, 8, 32):
+        monkeypatch.setattr(cli, "BLOCK", block)
+        reports.append(run(capsys, *argv))
+    assert reports[0][0] == 0 and json.loads(reports[0][1])["pass"]
+    assert reports == [reports[0]] * 3
 
 
 # The samplers as they drew before blocks: one State per call, its coordinate

@@ -162,7 +162,7 @@ def test_lax_stack_is_the_stack_of_single_matrices(rng):
         rows = _rows(rng, chart, d, True)[:20]
         template = State(chart, rows[0], split)
         builder = SYSTEMS[key].lax
-        L, B, _, _ = lax.lax_pair(builder, template, rows)
+        L, B, _ = lax.lax_pair(builder, template, rows)
         assert L.flags.c_contiguous and B.flags.c_contiguous
         singles = [lax.lax_pair(builder, template, [r]) for r in rows]
         assert np.array_equal(L, np.concatenate([one[0] for one in singles]))

@@ -8,6 +8,7 @@ from conftest import random_ab, random_toda_ab, random_u, random_v
 
 from lattice_flows import DimensionError, DomainError, UnsupportedDimension, ab_state, u_state, v_state
 from lattice_flows.catalog import SYSTEMS, get_system
+from lattice_flows.cli import BLOCK
 from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
     X,
@@ -23,6 +24,7 @@ from lattice_flows.lax import (
     trace_columns,
     vd_lax,
 )
+from lattice_flows.states import coordinate_columns, row_norms
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
 
 RESIDUAL_TOL = 1e-10
@@ -30,8 +32,19 @@ RESIDUAL_TOL = 1e-10
 
 def _pair(system, state):
     """L, B and the sign at one state of a catalog system: the one row of a one-row block."""
-    L, B, sign, _ = lax_pair(SYSTEMS[system].lax, state, [state.array])
+    L, B, sign = lax_pair(SYSTEMS[system].lax, state, [state.array])
     return L[0], B[0], sign
+
+
+def _dL(builder, state, rows, ds):
+    """dL along K velocities per row, a (d, K, N) block ``ds``, as a C-ordered
+    (N, K, T, T) stack: the compiled plan's ``assemble`` by the chain rule,
+    dr = ds / (slope * r), with the values ``lax_residual`` takes at L's slots."""
+    lax = builder(state)
+    table = lax.table
+    r = table.roots(coordinate_columns(state, rows))
+    ds = np.asarray(ds, dtype=complex)
+    return lax.L.assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
 
 
 def _traces(system, state, orders):
@@ -215,7 +228,7 @@ def _single_direction_grads(system, state, rows, orders, builder=None):
     grads = np.zeros((len(orders), len(rows), d), dtype=complex)
     for r, row in enumerate(rows):
         for j, e in enumerate(np.eye(d)):
-            L, _, _, dL = lax_pair(builder, state, [row], e[:, None, None])
+            L, dL = lax_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
             for i, k in enumerate(orders):
                 grads[i, r, j] = np.trace(np.linalg.matrix_power(L[0], k - 1) @ dL[0, 0])
     return grads
@@ -302,7 +315,8 @@ def test_tables_keep_every_bit_of_the_hand_written_builders(rng, system, size):
         state, rows = _block(rng, system, size, 8, imaginary)
         d = rows.shape[1]
         for ds in (None, rng.uniform(-1.0, 1.0, (d, 1, 8)), np.broadcast_to(np.eye(d)[:, :, None], (d, d, 8))):
-            L, B, sign, dL = lax_pair(SYSTEMS[system].lax, state, rows, ds)
+            L, B, sign = lax_pair(SYSTEMS[system].lax, state, rows)
+            dL = None if ds is None else _dL(SYSTEMS[system].lax, state, rows, ds)
             want = lax_reference.reference_pair(reference, state, rows, ds)
             assert sign == want[2] and (dL is None) == (want[3] is None) == (ds is None)
             for got, bits in zip((L, B, dL), (want[0], want[1], want[3])):
@@ -311,6 +325,21 @@ def test_tables_keep_every_bit_of_the_hand_written_builders(rng, system, size):
         orders = (1, 2, 3, 4, 6, 8)
         grads = grad_trace_invariant(SYSTEMS[system].lax, state, rows, orders)
         assert grads.tobytes() == lax_reference.reference_grads(reference, state, rows, orders).tobytes()
+
+
+@pytest.mark.parametrize("system, size", _REFERENCE_SIZES, ids=[f"{s}-{n}" for s, n in _REFERENCE_SIZES])
+def test_lax_residual_keeps_the_bits_of_the_dense_difference(rng, system, size):
+    # without a dense dL, off L's slots the residual holds sign * [B, L] where
+    # the dense difference holds 0 - sign * [B, L]; the norms keep every bit,
+    # along the field (near cancellation) and along other velocities
+    reference, builder = getattr(lax_reference, f"{system}_lax"), SYSTEMS[system].lax
+    for imaginary in (False, True):
+        state, rows = _block(rng, system, size, BLOCK, imaginary)
+        field = SYSTEMS[system].field(state, coordinate_columns(state, rows)).T
+        for velocities in (field, field + rng.uniform(-1.0, 1.0, rows.shape)):
+            L, B, sign, dL = lax_reference.reference_pair(reference, state, rows, velocities.T[:, None])
+            want = row_norms(dL[:, 0] - sign * (B @ L - L @ B))
+            assert lax_residual(builder, state, rows, velocities).tobytes() == want.tobytes()
 
 
 def test_grad_trace_invariant_peak_memory_at_vd_n25():
@@ -348,7 +377,7 @@ def _term_by_term_grads(builder, state, rows, orders):
     grads = np.zeros((len(orders), len(rows), d), dtype=complex)
     for r, row in enumerate(rows):
         for j, e in enumerate(np.eye(d)):
-            L, _, _, dL = lax_pair(builder, state, [row], e[:, None, None])
+            L, dL = lax_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
             for o, k in enumerate(orders):
                 P = np.linalg.matrix_power(L[0], k - 1)
                 diagonal = np.zeros(len(P), dtype=complex)
@@ -428,15 +457,15 @@ def test_lax_dL_batch_is_the_stack_of_single_directions(rng, system, sample):
     d, T = rows.shape[1], _pair(system, states[0])[0].shape[0]
     ds = rng.uniform(-1.0, 1.0, (d, 4, 3))
     builder = SYSTEMS[system].lax
-    L, B, sign, dL = lax_pair(builder, states[0], rows, ds)
+    L, B, sign = lax_pair(builder, states[0], rows)
+    dL = _dL(builder, states[0], rows, ds)
     assert L.shape == B.shape == (3, T, T) and dL.shape == (3, 4, T, T)
     assert all(a.flags.c_contiguous for a in (L, B, dL))
     for r, state in enumerate(states):
         one_L, one_B, one_sign = _pair(system, state)
         assert np.array_equal(L[r], one_L) and np.array_equal(B[r], one_B) and sign == one_sign
         for k in range(4):
-            assert np.array_equal(dL[r, k], lax_pair(builder, state, [state.array], ds[:, k, r, None, None])[3][0, 0])
-    assert lax_pair(builder, states[0], rows)[3] is None
+            assert np.array_equal(dL[r, k], _dL(builder, state, [state.array], ds[:, k, r, None, None])[0, 0])
 
 
 def _drift(system, traj, names):

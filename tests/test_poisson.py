@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, random_ab, random_c, random_qp, random_v
+from jacobi_reference import dense_jacobi_residual
 
 from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
 from lattice_flows.catalog import SYSTEMS
-from lattice_flows.cli import BLOCK, _involution
+from lattice_flows.cli import _AB, _C, _V, BLOCK, _involution
 from lattice_flows.lax import (ab_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_pair, lax_residual,
                                trace_columns)
 from lattice_flows.poisson import (
@@ -151,6 +152,83 @@ def test_jacobi_residual_propagates_nan():
     # a NaN cyclic sum must not be dropped by the max over index triples
     state = v_state([np.nan, 1.0, 1.5, 0.5, 1.2])
     assert np.isnan(_at(jacobi_residual, S["pi3-v"], state))
+
+
+_LAMBDAS = (1.0, 2.5, -0.75)
+_REFERENCE_BLOCKS = (  # (sampler, structures and pencils, sizes): n for c and v, m for ab
+    (_C, ("c-bracket",), (5, 6, 7, 9, 15, 25)),
+    (_V, ("pi3-v",), (5, 6, 7, 8, 9, 12, 15, 20, 25)),
+    (_V, ("pi1-v",) + tuple(("pi1-v", "pi3-v", lam) for lam in _LAMBDAS), (5, 7, 9, 11, 15, 25)),
+    (_AB, ("pi1-ab", "pi3-ab") + tuple(("pi1-ab", "pi3-ab", lam) for lam in _LAMBDAS), (2, 3, 4, 7, 12)),
+)
+_REFERENCE_CASES = [(sample, structure, size) for sample, structures, sizes in _REFERENCE_BLOCKS
+                    for structure in structures for size in sizes]
+
+
+@pytest.mark.parametrize("sample, structure, size", _REFERENCE_CASES,
+                         ids=[f"{structure}-{size}" for _, structure, size in _REFERENCE_CASES])
+def test_jacobi_residual_keeps_every_bit_of_the_dense_sum(structure, sample, size):
+    # the live groups of a block of verify's states, summed in ascending l,
+    # against the sum over every l of the dense tensors: the skipped groups
+    # add exact zeros on finite states, so every bit is kept
+    struct = _structure(structure)
+    for seed, count in ((0, 1), (1, 7), (2, BLOCK)):
+        template, rows = sample(np.random.default_rng(seed), count, size, size)
+        got = jacobi_residual(struct, template, rows)
+        assert got.tobytes() == dense_jacobi_residual(struct, template, rows).tobytes()
+
+
+def _dense_table(state):
+    """A table whose every entry reads every coordinate: not a Poisson
+    bracket, but each (triple, l) group of its cyclic sums has three live terms."""
+    n = state.dim
+    return {(i, j): [(complex(1 + i - 0.7 * j), tuple((v, 1 + (i * v + j) % 3) for v in range(n)))]
+            for i in range(n) for j in range(i + 1, n)}
+
+
+def test_jacobi_residual_keeps_the_grouping_of_three_live_terms():
+    # no catalog structure or pencil has a group with three live terms, where
+    # (A + B) + C and A + (B + C) round apart; this table has nothing else
+    dense = PoissonStructure("dense", VOLTERRA_V, _dense_table)
+    for n in (4, 7, 9):
+        template, rows = _V(np.random.default_rng(n), BLOCK, n, None)
+        for struct in (dense, Pencil(dense, S["pi3-v"], -0.75)):
+            got = jacobi_residual(struct, template, rows)
+            assert got.tobytes() == dense_jacobi_residual(struct, template, rows).tobytes()
+
+
+_NAN_CASES = (
+    [(v_state(np.ones(7)), s) for s in ("pi1-v", "pi3-v") + tuple(("pi1-v", "pi3-v", lam) for lam in _LAMBDAS)]
+    + [(ab_state(np.ones(4), np.ones(3)), s) for s in ("pi3-ab",) + tuple(("pi1-ab", "pi3-ab", lam)
+                                                                          for lam in _LAMBDAS)]
+)
+
+
+@pytest.mark.parametrize("template, structure", _NAN_CASES, ids=[str(s) for _, s in _NAN_CASES])
+def test_a_nan_at_any_coordinate_makes_the_residual_nan(template, structure):
+    # row c of the block holds a NaN at coordinate c: each of these tensors
+    # reads every coordinate in a live term, so every row's residual is NaN
+    rows = np.random.default_rng(3).uniform(0.5, 1.5, (7, 7)).astype(complex)
+    np.fill_diagonal(rows, np.nan)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(jacobi_residual(_structure(structure), template, rows)).all()
+
+
+def test_a_structural_zero_is_not_multiplied_by_a_nan():
+    # the one change from the dense sum: pi1-ab reads a_1 and a_4 only in
+    # pi[a_1, b_1] and pi[a_4, b_3], which meet no live d pi entry, so a NaN
+    # there no longer reaches the residual through the zeros of d pi; the
+    # b's are read by no entry of pi1-ab at all
+    template = ab_state(np.ones(4), np.ones(3))
+    rows = np.random.default_rng(4).uniform(0.5, 1.5, (7, 7)).astype(complex)
+    clean = jacobi_residual(S["pi1-ab"], template, rows)
+    np.fill_diagonal(rows, np.nan)
+    with np.errstate(invalid="ignore"):
+        got = jacobi_residual(S["pi1-ab"], template, rows)
+        dense = dense_jacobi_residual(S["pi1-ab"], template, rows)
+    assert np.flatnonzero(np.isnan(dense)).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(np.isnan(got)).tolist() == [1, 2]
+    assert got[[0, 3, 4, 5, 6]].tobytes() == clean[[0, 3, 4, 5, 6]].tobytes()
 
 
 def _eval_table(table, x):
