@@ -21,7 +21,7 @@ from .catalog import SYSTEM_KEYS, SYSTEMS, get_system
 from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import Spectrum, kozlov_treshchev_check, sklyanin_spectrum, spectrum_from_json
-from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, coordinate_columns, stacked,
+from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, coordinate_columns,
                      state_from_dict)
 
 RNG_NAME = "numpy-pcg64"
@@ -212,7 +212,7 @@ def _involution(state, rows, k1: int, k2: int) -> np.ndarray:
     """|{H_k1, H_k2}| under pi1-ab at each row, from analytic trace gradients:
     per row, a vector-matrix and a vector-vector product, stacked."""
     g1, g2 = lax.grad_trace_invariant(SYSTEMS["ab"].lax, state, rows, [k1, k2])
-    pis = stacked(poisson.STRUCTURES["pi1-ab"](state, rows))
+    pis = poisson.STRUCTURES["pi1-ab"](state, rows)
     bracket = (g1[:, None] @ pis @ g2[..., None])[:, 0, 0]
     # hypot is Python's abs of a complex; numpy's complex abs rounds otherwise
     return np.hypot(bracket.real, bracket.imag)

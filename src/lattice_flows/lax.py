@@ -8,10 +8,11 @@ that size with its index arrays (a ``CompiledLax``), built and compiled
 once per size; each catalog row with a Lax pair carries its builder as
 ``lax``, and every function here takes the builder itself.
 
-``lax_pair`` assembles a block's L and B with one fancy-indexed write each;
-``lax_residual`` takes dL along the velocities at L's slots by the chain
-rule, and ``grad_trace_invariant`` reads each dL/dx_j from the table:
-neither builds a dense dL.
+``lax_pair`` and ``lax_residual`` assemble a block's L and B with one
+fancy-indexed write each, as C-ordered (N, T, T) stacks; ``lax_residual``
+takes dL along the velocities at L's slots by the chain rule, and
+``grad_trace_invariant`` reads each dL/dx_j from the table: neither builds
+a dense dL.
 Each entry's value takes the operations of its formula in order, so the
 matrices keep the bits of writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
@@ -46,17 +47,15 @@ from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, c
                      require_positive_real, row_norms)
 
 
-def lax_pair(builder, state: State, rows, out=None):
+def lax_pair(builder, state: State, rows):
     """(L, B, sign) of ``builder``'s table (``km_lax`` and the rest, a catalog
     row's ``lax``) at every row of ``rows``, an (N, d) block of coordinates in
-    the chart of ``state``.  L and B are C-ordered (N, T, T) stacks, written
-    into out[0] and out[1] if ``out``, a zeroed (2, N, T, T) array, is given."""
+    the chart of ``state``.  L and B are C-ordered (N, T, T) stacks."""
     lax = builder(state)
     table = lax.table
     x = coordinate_columns(state, rows)
     r = table.roots(x)
-    L, B = (None, None) if out is None else out
-    return lax.L.assemble(table.size, x, r, L), lax.B.assemble(table.size, x, r, B), table.sign
+    return lax.L.assemble(table.size, x, r), lax.B.assemble(table.size, x, r), table.sign
 
 
 def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
@@ -70,25 +69,27 @@ def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
     would hold 0 - sign * [B, L]: the squares are the same, so the norm has
     the bits of the dense difference's.
 
-    L, B and the two products share one allocation.  glibc hands the top of
-    its heap back to the system when a free leaves more than twice the
-    largest mmapped block there; four separate stacks did so at every block,
-    and the next block faulted the pages in again (about 2300 minor faults
-    per 200-state ``verify lax --system vd --n 15`` call in 32-state blocks).
+    L and B are assembled from the table's plans into one allocation, which
+    the two products share.  glibc hands the top of its heap back to the
+    system when a free leaves more than twice the largest mmapped block
+    there; four separate stacks did so at every block, and the next block
+    faulted the pages in again (about 2300 minor faults per 200-state
+    ``verify lax --system vd --n 15`` call in 32-state blocks).
     """
     lax = builder(state)
     table, plan = lax.table, lax.L
     x = coordinate_columns(state, rows)
+    r = table.roots(x)
     stacks = np.empty((4, x.shape[1], table.size, table.size), dtype=complex)
     stacks[:2] = 0
-    L, B, sign = lax_pair(builder, state, rows, stacks[:2])
-    residual, LB = stacks[2:]
+    L, B, residual, LB = stacks
+    plan.assemble(table.size, x, r, L)
+    lax.B.assemble(table.size, x, r, B)
     ds = np.asarray(velocities, dtype=complex).T
-    r = table.roots(x)
     dL = plan.values(ds, None if r is None else ds / (table.slope * r))
     np.matmul(B, L, out=residual)
     residual -= np.matmul(L, B, out=LB)
-    residual *= sign
+    residual *= table.sign
     slots = (slice(None), plan.rows, plan.cols)
     residual[slots] = dL.T - residual[slots]
     return row_norms(residual)
@@ -310,13 +311,13 @@ class _Plan(NamedTuple):
         return np.concatenate([out, out[self.same], 0 - out[self.minus]])
 
     def assemble(self, size: int, x, r, out=None) -> np.ndarray:
-        """C-ordered (batch reversed, T, T) matrices: (N, T, T) at an (d, N)
-        block, (N, K, T, T) at (d, K, N) velocities; written into ``out``,
-        a zeroed array of that shape, if one is given."""
+        """The table's (T, T) matrix, T = ``size``, at each column of a (d, N)
+        block x with roots r, as a C-ordered (N, T, T) stack; written into
+        ``out``, a zeroed (N, T, T) array, if one is given."""
         values = self.values(x, r)
         if out is None:
-            out = np.zeros(values.shape[:0:-1] + (size, size), dtype=complex)
-        out[..., self.rows, self.cols] = values.T
+            out = np.zeros((x.shape[1], size, size), dtype=complex)
+        out[:, self.rows, self.cols] = values.T
         return out
 
 

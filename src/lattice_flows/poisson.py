@@ -23,8 +23,8 @@ x[v2]**e2 * ... multiplied left to right (the x[v]-derivative starts from
 starts at zero and adds its terms in table order, and entry (j, i)
 subtracts them.  Each step is elementwise over the states, so a real state
 gets the same bits in any block.  The plan holds only the entries its terms
-reach, both triangles, one row each plus a zero row; the dense tensor is
-scattered from these rows for the callers that take it.
+reach, both triangles, one row each plus a zero row; pi is scattered from
+these rows into a matrix per state, and d pi stays compact.
 
 The Jacobi residual sums over structural nonzeros only.  For each structure
 or pencil and size, the (triple, l) groups of the cyclic sums in which some
@@ -36,12 +36,13 @@ the groups left out add exact zeros on finite states (see
 
 Every tensor, gradient and residual here has one call shape: a template
 ``state``, which fixes the chart and size, and ``rows``, an (N, d) block of
-coordinates in its chart; one state is a block of one row.  Tensors keep
-the state axis last, (n, n, N); gradients are (N, d) and residuals give
-one value per row.  Matrix-vector products and norms are stacked, one per
-state's slice (``states.matvecs``, ``states.row_norms``), so each state
-keeps the bits of its own evaluation.  Functions take structure objects
-(``STRUCTURES`` values, ``Pencil``s) and Lenard pairs, never their names.
+coordinates in its chart; one state is a block of one row.  pi comes back
+as a C-ordered (N, n, n) stack, one matrix per state, the layout of the
+Lax matrices; gradients are (N, d) and residuals give one value per row.
+Matrix-vector products and norms are stacked, one per state's slice
+(``states.matvecs``, ``states.row_norms``), so each state keeps the bits
+of its own evaluation.  Functions take structure objects (``STRUCTURES``
+values) and Lenard pairs, never their names.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ import numpy as np
 from . import lax
 from .catalog import SYSTEMS
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import (C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, matvecs, row_norms,
-                     stacked)
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, matvecs, row_norms
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -75,17 +75,12 @@ class PoissonStructure:
 
     def __call__(self, state: State, rows) -> np.ndarray:
         """pi at each row of ``rows``, an (N, n) block of coordinates in the
-        chart of ``state``, as (n, n, N); antisymmetric by construction."""
-        return self._plan(state).pi.dense(coordinate_columns(state, rows))
-
-    def derivatives(self, state: State, rows) -> np.ndarray:
-        """d pi / d x_l at each row, as an (n, n, n, N) array indexed [l, i, j, row]."""
-        return self._plan(state).dpi.dense(coordinate_columns(state, rows))
-
-    def _jacobi_terms(self, state: State, x: np.ndarray) -> tuple:
-        """Compact pi and d pi at the columns x, and the layers of their live Jacobi groups."""
-        plan = self._plan(state)
-        return plan.pi(x), plan.dpi(x), _jacobi_plan((plan,), state.dim).layers
+        chart of ``state``, as a C-ordered (N, n, n) stack; antisymmetric by
+        construction."""
+        sums, x = self._plan(state).pi, coordinate_columns(state, rows)
+        out = np.zeros((x.shape[1], state.dim ** 2), dtype=complex)
+        out[:, sums.at] = sums(x)[:-1].T
+        return out.reshape(-1, state.dim, state.dim)
 
     def _plan(self, state: State) -> _Plan:
         """The compiled table at the state's size.  A table and its size and
@@ -102,7 +97,7 @@ class _Sums:
     """pi or d pi of one table, compiled to index arrays (see the module notes).
 
     ``terms`` lists (slot, coef, factors) in the scalar loop's order; a slot
-    indexes an upper-triangle entry (..., i, j) of the (d,) * axes tensor.
+    indexes an upper-triangle entry (..., i, j) of a (d, ..., d) tensor.
     The tensor is held compactly: ``at`` lists, in ascending order, the flat
     positions of the entries its terms reach, both triangles, and row s of a
     compact array holds entry at[s], with one zero row last for every other
@@ -112,7 +107,7 @@ class _Sums:
     (..., j, i), as a dense accumulation would.
     """
 
-    def __init__(self, terms, d: int, axes: int):
+    def __init__(self, terms, d: int):
         seen: dict[tuple, int] = {}
         ranked = []
         for slot, coef, factors in terms:
@@ -126,7 +121,6 @@ class _Sums:
                 if step == len(steps):
                     steps.append([])
                 steps[step].append(powers.setdefault(factor, len(powers)))
-        self.shape = (d,) * axes
         self.var, expo = np.array(list(powers), dtype=np.intp).reshape(-1, 2).T
         self.expo = expo[:, None]
         self.coef = np.array([term[2] for term in ranked], dtype=complex)[:, None]
@@ -159,12 +153,6 @@ class _Sums:
             out[minus] -= terms
         return out
 
-    def dense(self, x: np.ndarray) -> np.ndarray:
-        """The tensor at each column of x, scattered from its compact rows: shape (d, ..., d, N)."""
-        out = np.zeros((np.prod(self.shape), x.shape[1]), dtype=complex)
-        out[self.at] = self(x)[:-1]
-        return out.reshape(self.shape + (x.shape[1],))
-
 
 class _Plan(NamedTuple):
     pi: _Sums
@@ -173,10 +161,10 @@ class _Plan(NamedTuple):
 
 def _compile(table: EntryTable, d: int) -> _Plan:
     monomials = [((i, j), coef, powers) for (i, j), monos in table.items() for coef, powers in monos]
-    return _Plan(_Sums(monomials, d, 2), _Sums([
+    return _Plan(_Sums(monomials, d), _Sums([
         ((var, i, j), coef * expo, ((var, expo - 1),) + tuple(f for f in powers if f[0] != var))
         for (i, j), coef, powers in monomials for var, expo in powers
-    ], d, 3))
+    ], d))
 
 
 # (structure, dim, split) -> its _Plan; a tuple of _Plans -> their _Jacobi groups
@@ -420,9 +408,38 @@ def jacobi_residual(structure, state: State, rows) -> np.ndarray:
     vector operation; a contraction over l (``einsum``, ``np.sum``, matmul)
     would reorder these additions and change the low bits.
     """
-    pi, dpi, layers = structure._jacobi_terms(state, coordinate_columns(state, rows))
-    total = np.zeros((layers[0].shape[1] if layers else 0, pi.shape[1]), dtype=complex)
-    for pa, da, pb, db, pc, dc in layers:
+    return _jacobi((structure,), (), state, rows)
+
+
+def compatibility_residual(structure1, structure2, lam: float, state: State, rows) -> np.ndarray:
+    """Jacobi residual of the pencil pi1 + lam * pi3 at each row, summed as
+    ``jacobi_residual`` sums one structure's."""
+    if structure1.chart != structure2.chart:
+        raise ChartMismatch("pencil requires structures on the same chart")
+    return _jacobi((structure1, structure2), (lam,), state, rows)
+
+
+def _jacobi(structures: tuple, lams: tuple, state: State, rows) -> np.ndarray:
+    """The Jacobi residual of structures[0] + lams[0] * structures[1] + ...
+    at each row (see ``jacobi_residual``).  pi and d pi are the compact rows
+    of the union of the structures' entries, each later structure scaled and
+    added as the dense sum would take it; the first is used as it is when the
+    others add no rows to its own."""
+    x = coordinate_columns(state, rows)
+    plans = tuple(structure._plan(state) for structure in structures)
+    jacobi = _jacobi_plan(plans, state.dim)
+    tensors = []
+    for name, (size, first, *rest) in (("pi", jacobi.pi_at), ("dpi", jacobi.dpi_at)):
+        out = getattr(plans[0], name)(x)  # before the union: its terms and the union need not coexist
+        if len(first) < size:  # the others add rows: scatter the first into the union's
+            out, part = np.zeros((size + 1, x.shape[1]), dtype=complex), out
+            out[first] = part[:-1]
+        for plan, at, lam in zip(plans[1:], rest, lams):
+            out[at] += lam * getattr(plan, name)(x)[:-1]
+        tensors.append(out)
+    pi, dpi = tensors
+    total = np.zeros((jacobi.layers[0].shape[1] if jacobi.layers else 0, x.shape[1]), dtype=complex)
+    for pa, da, pb, db, pc, dc in jacobi.layers:
         terms = pi.take(pa, axis=0)
         terms *= dpi.take(da, axis=0)
         term = pi.take(pb, axis=0)
@@ -435,50 +452,11 @@ def jacobi_residual(structure, state: State, rows) -> np.ndarray:
     return np.max(np.abs(total), axis=0, initial=0.0)
 
 
-class Pencil:
-    """The linear pencil pi_a + lam * pi_b of two structures on one chart."""
-
-    def __init__(self, first: PoissonStructure, second: PoissonStructure, lam: float):
-        self.first = first
-        self.second = second
-        if self.first.chart != self.second.chart:
-            raise ChartMismatch("pencil requires structures on the same chart")
-        self.lam = lam
-
-    def __call__(self, state: State, rows) -> np.ndarray:
-        return self.first(state, rows) + self.lam * self.second(state, rows)
-
-    def derivatives(self, state: State, rows) -> np.ndarray:
-        # first + lam * second, computed in place: two d pi tensors live, not four
-        out = self.second.derivatives(state, rows)
-        np.multiply(self.lam, out, out=out)
-        return np.add(self.first.derivatives(state, rows), out, out=out)
-
-    def _jacobi_terms(self, state: State, x: np.ndarray) -> tuple:
-        """As ``PoissonStructure._jacobi_terms``, on the union of the two
-        structures' rows: first + lam * second, as the dense sum takes it."""
-        plans = self.first._plan(state), self.second._plan(state)
-        jacobi = _jacobi_plan(plans, state.dim)
-        tensors = []
-        for name, (size, first, second) in (("pi", jacobi.pi_at), ("dpi", jacobi.dpi_at)):
-            part = getattr(plans[0], name)(x)  # before the union: its terms and the union need not coexist
-            out = np.zeros((size + 1, x.shape[1]), dtype=complex)
-            out[first] = part[:-1]
-            out[second] += self.lam * getattr(plans[1], name)(x)[:-1]
-            tensors.append(out)
-        return (*tensors, jacobi.layers)
-
-
-def compatibility_residual(structure1, structure2, lam: float, state: State, rows) -> np.ndarray:
-    """Jacobi residual of the pencil pi1 + lam * pi3 at each row."""
-    return jacobi_residual(Pencil(structure1, structure2, lam), state, rows)
-
-
 def casimir_residual(structure, casimir_grad, state: State, rows) -> np.ndarray:
     """Norm of pi(s) . grad C(s) at each row; the gradient must be supplied in
     closed form, as ``casimir_grad(state, rows)``, one gradient per row."""
     grads = np.asarray(casimir_grad(state, rows), dtype=complex)
-    return row_norms(matvecs(stacked(structure(state, rows)), grads))
+    return row_norms(matvecs(structure(state, rows), grads))
 
 
 def hamiltonian_flow_check(structure, grad_h, field, state: State, rows) -> np.ndarray:
@@ -486,7 +464,7 @@ def hamiltonian_flow_check(structure, grad_h, field, state: State, rows) -> np.n
     ``grad_h(state, rows)`` in closed form and ``field(state, columns)``
     called once on the block's (d, N) columns."""
     grads = np.asarray(grad_h(state, rows), dtype=complex)
-    flow = matvecs(stacked(structure(state, rows)), grads)
+    flow = matvecs(structure(state, rows), grads)
     return row_norms(flow - field(state, coordinate_columns(state, rows)).T)
 
 
@@ -528,7 +506,7 @@ def lenard_residual(pair: LenardPair, state: State, rows) -> np.ndarray:
     Gradients of the trace invariants are analytic.  The tensors and the
     gradients of a block of ``rows`` each come from one call.
     """
-    pi3, pi1 = stacked(pair.pi3(state, rows)), stacked(pair.pi1(state, rows))
+    pi3, pi1 = pair.pi3(state, rows), pair.pi1(state, rows)
     (o2, s2), (o4, s4) = pair.h2, pair.h4
     g2, g4 = lax.grad_trace_invariant(pair.lax, state, rows, [o2, o4])
     return row_norms(matvecs(pi3, s2 * g2) - matvecs(pi1, s4 * g4))

@@ -214,14 +214,6 @@ def coordinate_columns(state: State, rows) -> np.ndarray:
     return rows.T
 
 
-def stacked(tensor: np.ndarray) -> np.ndarray:
-    """Per-state (T, T) matrices with trailing batch axes as one C-ordered
-    stack, batch axes first and reversed: (T, T, N) -> (N, T, T) and
-    (T, T, K, N) -> (N, K, T, T).  Each slice is laid out, so multiplied,
-    as one state's own matrix."""
-    return np.ascontiguousarray(tensor.swapaxes(0, 1).T)
-
-
 def complex_product(x, y) -> np.ndarray:
     """x * y for complex arrays, rounded as one state's scalar product is: numpy's
     vectorised complex product may fuse a multiply and an add, which would

@@ -1,18 +1,23 @@
 """The Jacobi residual over dense tensors: the bit reference that
-``lattice_flows.poisson.jacobi_residual`` must reproduce.
+``lattice_flows.poisson.jacobi_residual`` and ``compatibility_residual``
+must reproduce.
 
 For every triple i < j < k the cyclic sum runs over every l = 0, 1, ..., n-1,
 adding ``pi[i,l]*dpi[l,j,k] + pi[j,l]*dpi[l,k,i] + pi[k,l]*dpi[l,i,j]``
 (grouped left to right) to a running total that starts at zero, all triples
 of all states together, one vector operation per l.  The tensors are the
-dense (n, n, N) pi and (n, n, n, N) d pi of a structure or pencil.  The
-compiled kernel skips the groups whose three terms each meet a structural
-zero; on finite states they add exact zeros here.
+dense (n, n, N) pi and (n, n, n, N) d pi of a structure, or of a pencil
+given as a (first, second, lam) triple of structures, scattered from the
+compiled compact rows.  The compiled kernel skips the groups whose three
+terms each meet a structural zero; on finite states they add exact zeros
+here.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from lattice_flows.states import coordinate_columns
 
 
 def jacobi_indices(n):
@@ -22,9 +27,28 @@ def jacobi_indices(n):
     return i, j, k, j * n + k, k * n + i, i * n + j
 
 
+def _scatter(sums, x, axes):
+    """A compiled tensor (``poisson._Sums``) at the columns of x, scattered
+    from its compact rows into a dense (n, ..., n, N) array."""
+    out = np.zeros((len(x) ** axes, x.shape[1]), dtype=complex)
+    out[sums.at] = sums(x)[:-1]
+    return out.reshape((len(x),) * axes + (x.shape[1],))
+
+
+def dense_tensors(structure, state, rows):
+    """The dense pi, (n, n, N), and d pi, (n, n, n, N) indexed [l, i, j, row],
+    of a structure or of the pencil first + lam * second of a triple."""
+    if isinstance(structure, tuple):
+        first, second, lam = structure
+        (pi, dpi), (pi2, dpi2) = dense_tensors(first, state, rows), dense_tensors(second, state, rows)
+        return pi + lam * pi2, dpi + lam * dpi2
+    plan, x = structure._plan(state), coordinate_columns(state, rows)
+    return _scatter(plan.pi, x, 2), _scatter(plan.dpi, x, 3)
+
+
 def dense_jacobi_residual(structure, state, rows):
     """Max over index triples of the cyclic Jacobi sum at each row, from the dense tensors."""
-    pi, dpi = structure(state, rows), structure.derivatives(state, rows)
+    pi, dpi = dense_tensors(structure, state, rows)
     n = state.dim
     i, j, k, jk, ki, ij = jacobi_indices(n)
     columns = pi.transpose(1, 0, 2).copy()  # columns[l] = pi[:, l], contiguous for take
@@ -35,4 +59,3 @@ def dense_jacobi_residual(structure, state, rows):
         total += (p.take(i, axis=0) * d.take(jk, axis=0) + p.take(j, axis=0) * d.take(ki, axis=0)
                   + p.take(k, axis=0) * d.take(ij, axis=0))
     return np.max(np.abs(total), axis=0, initial=0.0)
-

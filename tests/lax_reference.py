@@ -12,7 +12,15 @@ import numpy as np
 
 from lattice_flows.errors import DimensionError, UnsupportedDimension
 from lattice_flows.states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, coordinate_columns,
-                                  require_positive_real, stacked)
+                                  require_positive_real)
+
+
+def stacked(tensor: np.ndarray) -> np.ndarray:
+    """Per-state (T, T) matrices with trailing batch axes as one C-ordered
+    stack, batch axes first and reversed: (T, T, N) -> (N, T, T) and
+    (T, T, K, N) -> (N, K, T, T).  Each slice is laid out, so multiplied,
+    as one state's own matrix."""
+    return np.ascontiguousarray(tensor.swapaxes(0, 1).T)
 
 
 def reference_pair(builder, state, rows, ds=None):

@@ -148,7 +148,7 @@ def test_criterion_03_pi1_golden():
                 [-t13 / 2, t23 / 2, -t23 / 2, v[4] / 2, -v[4] / 2, -half, 0],
             ]
         )
-        got = STRUCTURES["pi1-v"](v_state(v), [v])[..., 0]
+        got = STRUCTURES["pi1-v"](v_state(v), [v])[0]
         worst = max(worst, np.max(np.abs(got - displayed)))
     report(3, "pi1 golden test", worst < tol, f"max entry error {worst:.2e} < {tol:g}")
 
@@ -280,7 +280,7 @@ def test_criterion_10_involution():
     worst = 0.0
     for _ in range(50):
         s = ab_state(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3))
-        pi = STRUCTURES["pi1-ab"](s, one(s))[..., 0]
+        pi = STRUCTURES["pi1-ab"](s, one(s))[0]
         [g2], [g4], [g6] = grad_trace_invariant(ab_lax, s, one(s), [2, 4, 6])
         for gk in (g4, g6):
             worst = max(worst, abs(complex(g2 @ pi @ gk)))

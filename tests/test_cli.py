@@ -169,15 +169,18 @@ def test_verify_suites_pass(capsys, argv):
 
 
 def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
-    # one lax_pair call per block of states: BLOCK + 2 states are a block of BLOCK and one of 2
+    # one builder call per block inside lax_residual: BLOCK + 2 states are a block of BLOCK and one of 2
     calls = []
-    pair = lax.lax_pair
+    residual = lax.lax_residual
 
-    def counting_pair(builder, state, rows, out=None):
-        calls.append((builder, len(rows)))
-        return pair(builder, state, rows, out)
+    def counting_residual(builder, state, rows, velocities):
+        def counting_builder(s):
+            calls.append((builder, len(rows)))
+            return builder(s)
 
-    monkeypatch.setattr(lax, "lax_pair", counting_pair)
+        return residual(counting_builder, state, rows, velocities)
+
+    monkeypatch.setattr(lax, "lax_residual", counting_residual)
     code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", str(BLOCK + 2))
     assert code == 0 and json.loads(out)["pass"]
     assert calls == [(lax.vd_lax, BLOCK), (lax.vd_lax, 2)]

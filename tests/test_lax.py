@@ -38,13 +38,16 @@ def _pair(system, state):
 
 def _dL(builder, state, rows, ds):
     """dL along K velocities per row, a (d, K, N) block ``ds``, as a C-ordered
-    (N, K, T, T) stack: the compiled plan's ``assemble`` by the chain rule,
-    dr = ds / (slope * r), with the values ``lax_residual`` takes at L's slots."""
+    (N, K, T, T) stack: the compiled plan's values by the chain rule,
+    dr = ds / (slope * r), the values ``lax_residual`` takes, written at L's slots."""
     lax = builder(state)
-    table = lax.table
+    table, plan = lax.table, lax.L
     r = table.roots(coordinate_columns(state, rows))
     ds = np.asarray(ds, dtype=complex)
-    return lax.L.assemble(table.size, ds, None if r is None else ds / (table.slope * r[:, None]))
+    values = plan.values(ds, None if r is None else ds / (table.slope * r[:, None]))
+    out = np.zeros(values.shape[:0:-1] + (table.size, table.size), dtype=complex)
+    out[..., plan.rows, plan.cols] = values.T
+    return out
 
 
 def _traces(system, state, orders):

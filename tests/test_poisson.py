@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, random_ab, random_c, random_qp, random_v
-from jacobi_reference import dense_jacobi_residual
+from jacobi_reference import dense_jacobi_residual, dense_tensors
 
 from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
@@ -12,7 +12,6 @@ from lattice_flows.lax import (ab_lax, grad_casimir_C, grad_casimir_F, grad_trac
                                trace_columns)
 from lattice_flows.poisson import (
     LENARD,
-    Pencil,
     PoissonStructure,
     _pi3_v_table,
     casimir_residual,
@@ -38,9 +37,17 @@ D_MAP_PI3_SCALE = 1.0
 S = STRUCTURES
 
 
+def _tensor(structure, state, rows):
+    """pi at each row, (N, n, n), of a structure or of the pencil first + lam * second of a triple."""
+    if isinstance(structure, tuple):
+        first, second, lam = structure
+        return first(state, rows) + lam * second(state, rows)
+    return structure(state, rows)
+
+
 def _pi(structure, state):
     """pi at one state: the one matrix of a one-row block."""
-    return structure(state, [state.array])[..., 0]
+    return _tensor(structure, state, [state.array])[0]
 
 
 def _at(residual, *args):
@@ -50,11 +57,18 @@ def _at(residual, *args):
 
 
 def _structure(spec):
-    """A registry structure by name, or the pencil of a (name, name, lambda) triple."""
+    """A registry structure by name, or the (first, second, lambda) pencil of a (name, name, lambda) triple."""
     if isinstance(spec, tuple):
         first, second, lam = spec
-        return Pencil(S[first], S[second], lam)
+        return S[first], S[second], lam
     return S[spec]
+
+
+def _jacobi(struct, state, rows):
+    """The Jacobi residual of a structure, or the compatibility residual of a pencil triple."""
+    if isinstance(struct, tuple):
+        return compatibility_residual(*struct, state, rows)
+    return jacobi_residual(struct, state, rows)
 
 
 def golden_pi1_matrix(v):
@@ -144,7 +158,7 @@ def test_jacobi_analytic_matches_fd(rng):
     for name, state in (("pi1-v", random_v(rng, 7)), ("pi3-ab", random_ab(rng, 3))):
         struct = S[name]
         fd = _reference_dpi(struct, state, 1e-5)
-        assert np.max(np.abs(struct.derivatives(state, [state.array])[..., 0] - fd)) <= 1e-7 * np.max(np.abs(fd))
+        assert np.max(np.abs(dense_tensors(struct, state, [state.array])[1][..., 0] - fd)) <= 1e-7 * np.max(np.abs(fd))
         assert _matches_loop(_at(jacobi_residual, struct, state), struct, state, 1e-5)
 
 
@@ -174,7 +188,7 @@ def test_jacobi_residual_keeps_every_bit_of_the_dense_sum(structure, sample, siz
     struct = _structure(structure)
     for seed, count in ((0, 1), (1, 7), (2, BLOCK)):
         template, rows = sample(np.random.default_rng(seed), count, size, size)
-        got = jacobi_residual(struct, template, rows)
+        got = _jacobi(struct, template, rows)
         assert got.tobytes() == dense_jacobi_residual(struct, template, rows).tobytes()
 
 
@@ -192,8 +206,8 @@ def test_jacobi_residual_keeps_the_grouping_of_three_live_terms():
     dense = PoissonStructure("dense", VOLTERRA_V, _dense_table)
     for n in (4, 7, 9):
         template, rows = _V(np.random.default_rng(n), BLOCK, n, None)
-        for struct in (dense, Pencil(dense, S["pi3-v"], -0.75)):
-            got = jacobi_residual(struct, template, rows)
+        for struct in (dense, (dense, S["pi3-v"], -0.75)):
+            got = _jacobi(struct, template, rows)
             assert got.tobytes() == dense_jacobi_residual(struct, template, rows).tobytes()
 
 
@@ -211,7 +225,7 @@ def test_a_nan_at_any_coordinate_makes_the_residual_nan(template, structure):
     rows = np.random.default_rng(3).uniform(0.5, 1.5, (7, 7)).astype(complex)
     np.fill_diagonal(rows, np.nan)
     with np.errstate(invalid="ignore"):
-        assert np.isnan(jacobi_residual(_structure(structure), template, rows)).all()
+        assert np.isnan(_jacobi(_structure(structure), template, rows)).all()
 
 
 def test_a_structural_zero_is_not_multiplied_by_a_nan():
@@ -263,16 +277,18 @@ def _eval_table_derivatives(table, x):
 
 
 def _reference_pi(struct, state):
-    if isinstance(struct, Pencil):
-        return _reference_pi(struct.first, state) + struct.lam * _reference_pi(struct.second, state)
+    if isinstance(struct, tuple):
+        first, second, lam = struct
+        return _reference_pi(first, state) + lam * _reference_pi(second, state)
     return _eval_table(struct.table_builder(state), state.array)
 
 
 def _reference_dpi(struct, state, fd_step=None):
     if fd_step is not None:
         return central_difference(lambda s: _reference_pi(struct, s), state, fd_step)
-    if isinstance(struct, Pencil):
-        return _reference_dpi(struct.first, state) + struct.lam * _reference_dpi(struct.second, state)
+    if isinstance(struct, tuple):
+        first, second, lam = struct
+        return _reference_dpi(first, state) + lam * _reference_dpi(second, state)
     return _eval_table_derivatives(struct.table_builder(state), state.array)
 
 
@@ -329,10 +345,10 @@ def test_jacobi_residual_matches_scalar_loop_bitwise(rng, structure, sample, siz
     struct = _structure(structure)
     for _ in range(2):
         state = sample(rng, size)
-        assert _matches_loop(_at(jacobi_residual, struct, state), struct, state, fd_step)
+        assert _matches_loop(_at(_jacobi, struct, state), struct, state, fd_step)
     states = [sample(rng, size) for _ in range(3)]
     rows = np.array([s.array for s in states])
-    got = jacobi_residual(struct, states[0], rows)
+    got = _jacobi(struct, states[0], rows)
     assert all(_matches_loop(r, struct, s, fd_step) for r, s in zip(got.tolist(), states))
 
 
@@ -363,6 +379,13 @@ def test_compatibility(rng):
 def test_pencil_at_lambda_zero_is_first_structure(rng):
     state = random_v(rng, 7)
     assert _at(compatibility_residual, S["pi1-v"], S["pi3-v"], 0.0, state) == _at(jacobi_residual, S["pi1-v"], state)
+
+
+def test_a_pencil_needs_structures_on_one_chart(rng):
+    # checked before either structure reads the state, whichever chart it is on
+    for state in (random_v(rng, 7), random_ab(rng, 3)):
+        with pytest.raises(ChartMismatch, match="pencil requires structures on the same chart"):
+            _at(compatibility_residual, S["pi1-v"], S["pi1-ab"], 1.0, state)
 
 
 def test_casimir_residuals(rng):
@@ -545,7 +568,7 @@ def test_plans_are_compiled_once_per_structure_and_size(monkeypatch, rng):
     counting = PoissonStructure("pi3-v-counted", VOLTERRA_V, counted)
     first, second = random_v(rng, 9), random_v(rng, 9)
     assert np.array_equal(_pi(counting, first), _pi(STRUCTURES["pi3-v"], first))
-    counting.derivatives(second, [second.array])
+    _pi(counting, second)
     assert builds == [9] and list(poisson._PLANS) == [(counting, 9, None), (STRUCTURES["pi3-v"], 9, None)]
     _pi(counting, random_v(rng, 11))
     assert builds == [9, 11]
@@ -609,8 +632,11 @@ def test_compiled_tensors_match_reference_loops(rng, family, size):
         states = [template.replace_coords(row) for row in rows]
         for structure in structures:
             struct = _structure(structure)
-            got_pi, got_dpi = struct(template, rows), struct.derivatives(template, rows)
-            ref_pi = np.stack([_reference_pi(struct, s) for s in states], axis=-1)
+            # pi is a C-ordered (N, n, n) stack: states.matvecs takes its bits from each slice's layout
+            got_pi = _tensor(struct, template, rows)
+            assert got_pi.flags.c_contiguous and got_pi.shape == (count, template.dim, template.dim), structure
+            got_dpi = dense_tensors(struct, template, rows)[1]  # scattered from the compact rows
+            ref_pi = np.stack([_reference_pi(struct, s) for s in states])
             ref_dpi = np.stack([_reference_dpi(struct, s) for s in states], axis=-1)
             if imag:
                 for got, ref in ((got_pi, ref_pi), (got_dpi, ref_dpi)):
@@ -618,8 +644,8 @@ def test_compiled_tensors_match_reference_loops(rng, family, size):
             else:
                 assert np.array_equal(got_pi, ref_pi), structure
                 assert np.array_equal(got_dpi, ref_dpi), structure
-                assert np.array_equal(_pi(struct, states[0]), ref_pi[..., 0]), structure
-                assert np.array_equal(struct.derivatives(states[0], rows[:1]), ref_dpi[..., :1]), structure
+                assert np.array_equal(_pi(struct, states[0]), ref_pi[0]), structure
+                assert np.array_equal(dense_tensors(struct, states[0], rows[:1])[1], ref_dpi[..., :1]), structure
 
 
 def _grad_casimir_F_loop(v):
