@@ -189,8 +189,10 @@ def _conjugacy(kernel, source: str, target: str, state, rows, spectrum=None, jac
     )
 
 
+@functools.cache
 def _open_chain(n: int) -> Spectrum:
-    """Spectrum e_i - e_{i+1} of the open Toda chain on n particles."""
+    """Spectrum e_i - e_{i+1} of the open Toda chain on n particles, built once
+    per n: a Spectrum is frozen and its gram read-only, so blocks share it."""
     rows = (tuple(float(j == i) - float(j == i + 1) for j in range(n)) for i in range(n - 1))
     return Spectrum(n, tuple(rows))
 
@@ -219,13 +221,16 @@ def _involution(state, rows, k1: int, k2: int) -> np.ndarray:
 
 
 def _invariant_pairs(args) -> list[tuple[int, int]]:
-    """Trace orders named by --pairs; only the ab system's H<k> at this m are accepted."""
+    """Trace orders named by --pairs; only two distinct H<k> of the ab system at
+    this m are accepted: {H, H} = 0 under any bracket, so it would check nothing."""
     probe = ab_state([1.0] * (args.m + 1), [0.0] * args.m)
     offered = [name for name in get_system("ab").invariants(probe) if name.startswith("H")]
     pairs = [spec.split(":") for spec in args.pairs.split(",")]
     for pair in pairs:
         if len(pair) != 2 or not set(pair) <= set(offered):
             raise ValueError(f"--pairs entry {':'.join(pair)!r} must name two of {offered}")
+        if pair[0] == pair[1]:
+            raise ValueError(f"--pairs entry {':'.join(pair)!r} names {pair[0]} twice: {{H, H}} = 0 checks nothing")
     return [(int(left[1:]), int(right[1:])) for left, right in pairs]
 
 

@@ -12,7 +12,9 @@ once per size; each catalog row with a Lax pair carries its builder as
 fancy-indexed write each, as C-ordered (N, T, T) stacks; ``lax_residual``
 takes dL along the velocities at L's slots by the chain rule, and
 ``grad_trace_invariant`` reads each dL/dx_j from the table: neither builds
-a dense dL.
+a dense dL.  Every catalog pair is ``symmetric`` (``CompiledLax``), so on
+a real block ``lax_residual`` takes [B, L] from one product, P + P^T with
+P = B @ L, and holds three stacks: L, B and P.
 Each entry's value takes the operations of its formula in order, so the
 matrices keep the bits of writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
@@ -38,6 +40,7 @@ Matrix layout notes (0-based):
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,33 +65,45 @@ def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
     """Frobenius norm of dL/dt - sign * [B, L] at every row of ``rows``, with
     dL/dt taken along the same row of ``velocities``, (N, d); one per row.
 
-    No dense dL is built: the commutator is the two stacked products
-    ``B @ L - L @ B`` with their bits, scaled by ``sign``, and only L's slots
-    take dL/dt - sign * [B, L], dL/dt from the table's values along the
+    No dense dL is built: the commutator has the bits of the two stacked
+    products ``B @ L - L @ B``, scaled by ``sign``, and only L's slots take
+    dL/dt - sign * [B, L], dL/dt from the table's values along the
     velocities.  Every other entry holds sign * [B, L], where a dense dL
     would hold 0 - sign * [B, L]: the squares are the same, so the norm has
     the bits of the dense difference's.
 
-    L and B are assembled from the table's plans into one allocation, which
-    the two products share.  glibc hands the top of its heap back to the
-    system when a free leaves more than twice the largest mmapped block
-    there; four separate stacks did so at every block, and the next block
-    faulted the pages in again (about 2300 minor faults per 200-state
-    ``verify lax --system vd --n 15`` call in 32-state blocks).
+    A ``symmetric`` table (L = L^T, B = -B^T, every entry real or
+    imaginary; every catalog pair) on a block with no imaginary part takes
+    one product, P = B @ L, and [B, L] = P + P^T, written over L: each entry
+    of L @ B then sums the products of the transposed entry of P, negated,
+    in the same order, and each product has one nonzero term, so
+    L @ B = -P^T entry for entry (a zero may differ in sign).  A complex
+    block or another table takes both products, which may round apart.
+
+    L, B and the products are one allocation: three (N, T, T) stacks on
+    the one-product path, four on the other.  glibc hands the top of its
+    heap back to the system when a free leaves more than twice the largest
+    mmapped block there; four separate stacks did so at every block, and
+    the next block faulted the pages in again (about 2300 minor faults per
+    200-state ``verify lax --system vd --n 15`` call in 32-state blocks).
     """
     lax = builder(state)
     table, plan = lax.table, lax.L
     x = coordinate_columns(state, rows)
     r = table.roots(x)
-    stacks = np.empty((4, x.shape[1], table.size, table.size), dtype=complex)
+    one_product = lax.symmetric and not x.imag.any()
+    stacks = np.empty((3 if one_product else 4, x.shape[1], table.size, table.size), dtype=complex)
     stacks[:2] = 0
-    L, B, residual, LB = stacks
+    L, B, P = stacks[:3]
     plan.assemble(table.size, x, r, L)
     lax.B.assemble(table.size, x, r, B)
     ds = np.asarray(velocities, dtype=complex).T
     dL = plan.values(ds, None if r is None else ds / (table.slope * r))
-    np.matmul(B, L, out=residual)
-    residual -= np.matmul(L, B, out=LB)
+    np.matmul(B, L, out=P)
+    if one_product:
+        residual = np.add(P, P.transpose(0, 2, 1), out=L)
+    else:
+        residual = np.subtract(P, np.matmul(L, B, out=stacks[3]), out=P)
     residual *= table.sign
     slots = (slice(None), plan.rows, plan.cols)
     residual[slots] = dL.T - residual[slots]
@@ -348,12 +363,14 @@ class CompiledLax(NamedTuple):
     """A ``LaxTable`` with the plans of its L and B, and the terms of its
     gradient: (j, i, a, slot, layers), every slot (a, i) of L taken by
     coordinate j, ordered by (j, i, a), where ``layers`` picks each (j, i)
-    once per layer.  The builders return these."""
+    once per layer.  ``symmetric``: L = L^T and B = -B^T, with every entry
+    real or imaginary, at real points.  The builders return these."""
 
     table: LaxTable
     L: _Plan
     B: _Plan
     terms: tuple
+    symmetric: bool
 
 
 def compile_lax(table: LaxTable) -> CompiledLax:
@@ -372,7 +389,22 @@ def compile_lax(table: LaxTable) -> CompiledLax:
             rank[k] = rank[k - 1] + 1
     j, i, a, slot = (np.array(column, dtype=int) for column in zip(*terms))
     layers = tuple(np.array([r == k for r in rank]) for k in range(max(rank) + 1))
-    return CompiledLax(table, plan, _Plan.of(table.B), (j, i, a, slot, layers))
+    plans = plan, _Plan.of(table.B)
+    return CompiledLax(table, *plans, (j, i, a, slot, layers), _symmetric(table, plans))
+
+
+def _symmetric(table: LaxTable, plans) -> bool:
+    """Whether the L and B of ``plans`` have L = L^T and B = -B^T with every
+    entry real or imaginary, at one positive real point whose coordinates
+    2 + sin(j) have no simple relation among them.  Each entry is its
+    coefficient times a formula that is real at every such point, so a
+    table that passes here passes on every real block."""
+    d = 1 + max(max(e.p, e.q) for e in table.L + table.B)
+    x = np.array([[2 + math.sin(j)] for j in range(d)], dtype=complex)
+    r = table.roots(x)
+    L, B = (plan.assemble(table.size, x, r)[0] for plan in plans)
+    return (np.array_equal(L, L.T) and np.array_equal(B, -B.T)
+            and all(((M.real == 0) | (M.imag == 0)).all() for M in (L, B)))
 
 
 # Builders: (template State) -> the CompiledLax of its system at its size,

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -216,10 +216,12 @@ def null_combination(spectrum: Spectrum) -> list[np.ndarray]:
     return basis
 
 
+@cache
 def sklyanin_spectrum(n: int) -> Spectrum:
     """Spectrum of the doubly boundary-perturbed Toda chain in R^n.
 
-    The n+1 vectors are e_1 - e_2, ..., e_{n-1} - e_n, -2 e_1, 2 e_n.
+    The n+1 vectors are e_1 - e_2, ..., e_{n-1} - e_n, -2 e_1, 2 e_n.  Built
+    once per n and shared: a Spectrum is frozen and its ``gram`` read-only.
     """
     if n < 2:
         raise DimensionError("sklyanin_spectrum requires n >= 2")

@@ -10,7 +10,7 @@ import pytest
 import lattice_flows
 from lattice_flows import ab_state, c_state, cli, lax, qp_state, u_state, v_state
 from lattice_flows.cli import BLOCK, main
-from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
+from lattice_flows.rootdata import Spectrum, sklyanin_spectrum, spectrum_to_json
 
 
 def run(capsys, *argv):
@@ -186,6 +186,19 @@ def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
     assert calls == [(lax.vd_lax, BLOCK), (lax.vd_lax, 2)]
 
 
+@pytest.mark.parametrize("name, spectrum", [("flaschka-general", sklyanin_spectrum),
+                                            ("flaschka-toda", cli._open_chain)])
+def test_verify_transform_builds_each_spectrum_once_per_size(monkeypatch, capsys, name, spectrum):
+    # a frozen Spectrum and its read-only gram are shared by every block of a size
+    spectrum.cache_clear()
+    built, init = [], Spectrum.__post_init__
+    monkeypatch.setattr(Spectrum, "__post_init__", lambda self: built.append(self) or init(self))
+    for _ in range(2):
+        code, out, _ = run(capsys, "verify", "transform", "--map", name, "--n", "7", "--states", str(3 * BLOCK))
+        assert code == 0 and json.loads(out)["pass"]
+    assert len(built) == 1 and spectrum(7) is built[0]
+
+
 _ONE_ARGV_PER_CHECK = [
     ["verify", name, *([suite.selector, selector] if suite.selector else []), "--states", "40", "--seed", "5"]
     for name, suite in cli.SUITES.items() for selector in suite.checks
@@ -330,7 +343,8 @@ def test_verify_rejects_fewer_than_one_state(capsys, suite, states):
     assert "--states" in err
 
 
-@pytest.mark.parametrize("pairs", ["Q2:Z4", "H0:H2", "H2:H8", "C:H2", "H2", "H2:H4:H6", "H2:H4,H02:H4"])
+@pytest.mark.parametrize("pairs", ["Q2:Z4", "H0:H2", "H2:H8", "C:H2", "H2", "H2:H4:H6", "H2:H4,H02:H4",
+                                   "H2:H2", "H2:H4,H4:H4"])
 def test_verify_involution_rejects_unoffered_pairs(capsys, pairs):
     code, out, err = run(capsys, "verify", "involution", "--m", "3", "--pairs", pairs, "--states", "2")
     assert code == 2 and out == ""

@@ -8,7 +8,7 @@ from conftest import random_ab, random_toda_ab, random_u, random_v
 
 from lattice_flows import DimensionError, DomainError, UnsupportedDimension, ab_state, u_state, v_state
 from lattice_flows.catalog import SYSTEMS, get_system
-from lattice_flows.cli import BLOCK
+from lattice_flows.cli import BLOCK, SUITES
 from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
     X,
@@ -26,6 +26,7 @@ from lattice_flows.lax import (
 )
 from lattice_flows.states import coordinate_columns, row_norms
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
+from lattice_flows.transforms import d_transform_block
 
 RESIDUAL_TOL = 1e-10
 
@@ -250,12 +251,17 @@ def test_grad_trace_invariant_is_exactly_the_per_coordinate_trace(rng, system, s
         assert np.array_equal(grads, _single_direction_grads(system, states[0], rows, orders))
 
 
-def _table(system, size):
-    """The system's Lax table at chain size ``size`` (m for ab), uncompiled."""
+def _compiled(system, size):
+    """The system's compiled Lax table at chain size ``size`` (m for ab)."""
     ones = np.ones(size)
     template = {"km": lambda: u_state(ones), "vd": lambda: v_state(ones),
                 "toda": lambda: ab_state(ones[1:], ones), "ab": lambda: ab_state(np.ones(size + 1), ones)}[system]()
-    return SYSTEMS[system].lax(template).table
+    return SYSTEMS[system].lax(template)
+
+
+def _table(system, size):
+    """The system's Lax table at chain size ``size`` (m for ab), uncompiled."""
+    return _compiled(system, size).table
 
 
 def _slots(entries):
@@ -343,6 +349,82 @@ def test_lax_residual_keeps_the_bits_of_the_dense_difference(rng, system, size):
             L, B, sign, dL = lax_reference.reference_pair(reference, state, rows, velocities.T[:, None])
             want = row_norms(dL[:, 0] - sign * (B @ L - L @ B))
             assert lax_residual(builder, state, rows, velocities).tobytes() == want.tobytes()
+
+
+# the sizes of each builder whose tables must compile as symmetric: km n = 1-25,
+# toda n = 2-25, ab m = 2-12, vd n = 4-25
+_SYMMETRIC_SIZES = {"km": range(1, 26), "toda": range(2, 26), "ab": range(2, 13), "vd": range(4, 26)}
+
+
+@pytest.mark.parametrize("system", _LAX_IDS)
+def test_every_catalog_table_compiles_as_symmetric(system):
+    # lax_residual takes one product, P = B @ L, and [B, L] = P + P^T on real
+    # blocks of a symmetric table: L = L^T, B = -B^T, entries real or imaginary
+    for size in _SYMMETRIC_SIZES[system]:
+        assert _compiled(system, size).symmetric, (system, size)
+
+
+@pytest.mark.parametrize("system", _LAX_IDS)
+def test_no_off_diagonal_slot_mutant_compiles_as_symmetric(system):
+    # a mutant that scales one of two mirrored slots breaks L = L^T, so it takes
+    # both products; one that scales a diagonal entry (toda's b's, ab's +-b's)
+    # leaves L symmetric, and P + P^T is still its commutator
+    sizes = _SYMMETRIC_SIZES[system]
+    for size in (sizes[0], sizes[len(sizes) // 2], sizes[-1]):
+        for label, table in _slot_mutants(_table(system, size)):
+            row, col = map(int, label[2:-1].split(","))
+            assert compile_lax(table).symmetric == (row == col), (system, size, label)
+
+
+def test_complex_or_non_antisymmetric_entries_do_not_compile_as_symmetric():
+    # a complex coefficient, or a B entry whose mirror takes the same value,
+    # breaks the one-product identity
+    table = _table("ab", 3)
+    complex_entry = table._replace(L=table.L[:-1] + (table.L[-1]._replace(coef=0.5 + 0.5j),))
+    symmetric_B = table._replace(B=tuple(e._replace(mirror=1) for e in table.B))
+    assert compile_lax(table).symmetric
+    assert not compile_lax(complex_entry).symmetric and not compile_lax(symmetric_B).symmetric
+
+
+@pytest.mark.parametrize("system, size", _REFERENCE_SIZES, ids=[f"{s}-{n}" for s, n in _REFERENCE_SIZES])
+def test_L_B_is_minus_the_transpose_of_B_L_on_verify_blocks(system, size):
+    # the identity the one-product commutator rests on, entry for entry, on blocks
+    # drawn by the verify lax sampler (every verify-mix size is a reference size;
+    # its lax ops draw 200 and 250 states there)
+    sample = SUITES["lax"].checks[system].sample
+    rng = np.random.default_rng(size)
+    for _ in range(8 if (system, size) in (("vd", 15), ("ab", 7)) else 2):
+        state, rows = sample(rng, BLOCK, size, size)
+        L, B, _ = lax_pair(SYSTEMS[system].lax, state, rows)
+        assert not rows.imag.any() and SYSTEMS[system].lax(state).symmetric
+        # equal as numbers: a zero may differ in sign, which no square sees
+        assert np.array_equal(L @ B, -(B @ L).transpose(0, 2, 1))
+
+
+def _trace_identity_gap(n, rng, factor):
+    """max over 20 states and k = 1..n-1 of |tr(L_vd^{2k}) - factor(k) tr(L_ab^k)|
+    / tr(|L_vd|^{2k}), with L_ab at the d-map image of each vd state."""
+    rows = rng.uniform(0.1, 2.0, (20, n)).astype(complex)
+    state = v_state(rows[0])
+    L_vd = lax_pair(vd_lax, state, rows)[0]
+    L_ab = lax_pair(ab_lax, *d_transform_block(state, rows))[0]
+    gap = 0.0
+    for k in range(1, n):
+        vd = np.trace(np.linalg.matrix_power(L_vd, 2 * k), axis1=1, axis2=2)
+        ab = np.trace(np.linalg.matrix_power(L_ab, k), axis1=1, axis2=2)
+        scale = np.trace(np.linalg.matrix_power(np.abs(L_vd), 2 * k), axis1=1, axis2=2)
+        gap = max(gap, np.max(np.abs(vd - factor(k) * ab) / scale))
+    return gap
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 15, 25])
+def test_vd_traces_are_the_ab_traces_at_the_d_map_image(n):
+    # the paper's vd Lax pair: at odd n, tr(L_vd^{2k}) = 2^{k+1} tr(L_ab^k) at
+    # the d-map image; gated on tr(|L_vd|^{2k}), the size of the rounding,
+    # since tr(L_vd^{2k}) itself cancels at large n
+    assert _trace_identity_gap(n, np.random.default_rng(n), lambda k: 2.0 ** (k + 1)) < 1e-12
+    # the negative control: 2^k in place of 2^{k+1} must fail the gate
+    assert _trace_identity_gap(n, np.random.default_rng(n), lambda k: 2.0**k) > 1e-12
 
 
 def test_grad_trace_invariant_peak_memory_at_vd_n25():
@@ -546,3 +628,20 @@ def test_every_lax_entry_mutant_fails_the_gate(rng):
         assert np.max(lax_residual(builder, states[0], rows, velocities)) < RESIDUAL_TOL
     # 111 entry mutants and one sign flip per builder
     assert counts == {"km": 14 + 6 + 1, "toda": 19 + 6 + 1, "vd": 28 + 14 + 1, "ab": 18 + 6 + 1}
+
+
+@pytest.mark.parametrize("system, sample, size, field", _MUTATION_CASES, ids=[c[0] for c in _MUTATION_CASES])
+def test_a_non_symmetric_table_keeps_the_bits_of_both_products(rng, system, sample, size, field):
+    # P + P^T is no commutator of a table with L != L^T: the off-diagonal slot
+    # mutants must take B @ L - L @ B, on real blocks too
+    states = [sample(rng, size) for _ in range(4)]
+    rows, velocities = np.array([s.array for s in states]), np.array([field(s, s.array) for s in states])
+    for label, table in _slot_mutants(SYSTEMS[system].lax(states[0]).table):
+        compiled = compile_lax(table)
+        if compiled.symmetric:
+            continue
+        builder = lambda s: compiled
+        L, B, sign = lax_pair(builder, states[0], rows)
+        dL = _dL(builder, states[0], rows, velocities.T[:, None])[:, 0]
+        want = row_norms(dL - sign * (B @ L - L @ B))
+        assert lax_residual(builder, states[0], rows, velocities).tobytes() == want.tobytes(), (system, label)

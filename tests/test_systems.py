@@ -207,7 +207,7 @@ def test_gram_matrix_computed_once_per_spectrum(monkeypatch):
     # every field evaluation of the 'spectrum' system used to recompute it
     calls = []
     monkeypatch.setattr(rootdata, "gram_matrix", lambda spec: calls.append(spec) or gram_matrix(spec))
-    spec = sklyanin_spectrum(3)
+    spec = Spectrum(3, sklyanin_spectrum(3).vectors)  # a fresh one: sklyanin_spectrum shares one per n
     system = get_system("spectrum", spec)
     for b in ([0.1, 0.0, 0.2, -0.3], [0.4, 0.1, -0.2, 0.0]):
         system.field(*at(ab_state([-1.0, -0.5, -1.0, -0.8], b)))
