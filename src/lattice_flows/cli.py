@@ -295,9 +295,11 @@ SUITES = {
 }
 
 #: States per residual call.  Every kernel holds a few arrays per state of a
-#: block (a compact d pi of pi1-v at n = 25 takes 82 kB a state, a 49 x 49
-#: matrix of vd at n = 25 38 kB), so a fixed block bounds memory whatever
-#: --states is.  One 13-op verify-mix cycle in one process (2-core Xeon,
+#: block (a compact d pi of pi1-v at n = 25 takes 82 kB a state, a complex
+#: 49 x 49 matrix of vd at n = 25 38 kB; the Lax residual's float64 path
+#: holds three real stacks of 19-21 kB a state at that size, and vd at even
+#: n, without a gauge, four complex ones), so a fixed block bounds memory
+#: whatever --states is.  One 13-op verify-mix cycle in one process (2-core Xeon,
 #: single-threaded OpenBLAS 0.3.31) took 35-50 ms with blocks of 8 and
 #: 20-24 ms with 32, 48 or 64.  Per state, blocks of 48 and 64 saved up to
 #: 25% at n = 7 and at most 10% at n = 15 and 25, and brought page faults

@@ -12,9 +12,10 @@ once per size; each catalog row with a Lax pair carries its builder as
 fancy-indexed write each, as C-ordered (N, T, T) stacks; ``lax_residual``
 takes dL along the velocities at L's slots by the chain rule, and
 ``grad_trace_invariant`` reads each dL/dx_j from the table: neither builds
-a dense dL.  Every catalog pair is ``symmetric`` (``CompiledLax``), so on
-a real block ``lax_residual`` takes [B, L] from one product, P + P^T with
-P = B @ L, and holds three stacks: L, B and P.
+a dense dL.  Every catalog pair but vd at even n has a ``Gauge``, a
+diagonal similarity to a real pair, and on a real block ``lax_residual``
+takes [B, L] from one float64 product with the bits of the complex ones;
+``lax_pair``, ``trace_columns`` and ``grad_trace_invariant`` stay complex.
 Each entry's value takes the operations of its formula in order, so the
 matrices keep the bits of writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
@@ -65,48 +66,80 @@ def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
     """Frobenius norm of dL/dt - sign * [B, L] at every row of ``rows``, with
     dL/dt taken along the same row of ``velocities``, (N, d); one per row.
 
-    No dense dL is built: the commutator has the bits of the two stacked
-    products ``B @ L - L @ B``, scaled by ``sign``, and only L's slots take
-    dL/dt - sign * [B, L], dL/dt from the table's values along the
-    velocities.  Every other entry holds sign * [B, L], where a dense dL
-    would hold 0 - sign * [B, L]: the squares are the same, so the norm has
-    the bits of the dense difference's.
+    No dense dL is built: only L's slots take dL/dt - sign * [B, L], dL/dt
+    from the table's values along the velocities.  Every other entry holds
+    +-[B, L], where a dense dL would hold 0 - sign * [B, L]: the squares are
+    the same, so the norm has the bits of the dense difference's.
 
-    A ``symmetric`` table (L = L^T, B = -B^T, every entry real or
-    imaginary; every catalog pair) on a block with no imaginary part takes
-    one product, P = B @ L, and [B, L] = P + P^T, written over L: each entry
-    of L @ B then sums the products of the transposed entry of P, negated,
-    in the same order, and each product has one nonzero term, so
-    L @ B = -P^T entry for entry (a zero may differ in sign).  A complex
-    block or another table takes both products, which may round apart.
+    A real block (rows and velocities) of a table with a ``Gauge`` (every
+    catalog pair but vd at even n) takes float64 arithmetic.  With
+    D = diag(d), L = D L_R D and B = D B_R D, so B @ L = D P_R D with
+    P_R = B_R @ (S L_R), S = D^2 = diag(+-1), one real product, and
+    [B, L] = D (P_R + P_R^T) D: L = L^T and B = -B^T, so each entry of
+    L @ B sums the products of the transposed entry of B @ L, negated, in
+    the same order.  Each entry of B @ L is real or imaginary and each of
+    its terms one real product, so it sums the terms of P_R's entry (zero
+    terms aside) with their bits where dgemm orders a sum as zgemm does
+    (``_gemm_width``); dr = ds * (1 / (slope * r)) has the bits of numpy's
+    complex quotient, which multiplies by the reciprocal.  The residual's
+    entries with d_a d_b = +-1 go to the real parts of a complex stack, the
+    others to its imaginary parts, so ``row_norms`` takes the dots of the
+    complex residual's parts.  Any other block or table (a complex block,
+    vd at even n, a non-symmetric table) takes ``B @ L - L @ B`` in complex
+    arithmetic.  A non-finite entry gives a non-finite norm on either path,
+    though not always the same one.
 
-    L, B and the products are one allocation: three (N, T, T) stacks on
-    the one-product path, four on the other.  glibc hands the top of its
-    heap back to the system when a free leaves more than twice the largest
-    mmapped block there; four separate stacks did so at every block, and
-    the next block faulted the pages in again (about 2300 minor faults per
-    200-state ``verify lax --system vd --n 15`` call in 32-state blocks).
+    Each path is one allocation: three float64 (N, T, T) stacks, L_R, B_R
+    and P_R, whose first two hold the complex residual, or four complex
+    ones, L, B and both products.  glibc hands the top of its heap back to
+    the system when a free leaves more than twice the largest mmapped block
+    there; four separate stacks did so at every block, and the next block
+    faulted the pages in again (about 2300 minor faults per 200-state
+    ``verify lax --system vd --n 15`` call in 32-state blocks).
     """
     lax = builder(state)
-    table, plan = lax.table, lax.L
     x = coordinate_columns(state, rows)
-    r = table.roots(x)
-    one_product = lax.symmetric and not x.imag.any()
-    stacks = np.empty((3 if one_product else 4, x.shape[1], table.size, table.size), dtype=complex)
-    stacks[:2] = 0
-    L, B, P = stacks[:3]
-    plan.assemble(table.size, x, r, L)
-    lax.B.assemble(table.size, x, r, B)
     ds = np.asarray(velocities, dtype=complex).T
-    dL = plan.values(ds, None if r is None else ds / (table.slope * r))
-    np.matmul(B, L, out=P)
-    if one_product:
-        residual = np.add(P, P.transpose(0, 2, 1), out=L)
-    else:
-        residual = np.subtract(P, np.matmul(L, B, out=stacks[3]), out=P)
+    if lax.gauge is not None and not (x.imag.any() or ds.imag.any()):
+        return _gauged_residual(lax.table, lax.gauge, x.real, ds.real)
+    table, T = lax.table, lax.table.size
+    r = table.roots(x)
+    stacks = np.empty((4, x.shape[1], T, T), dtype=complex)
+    stacks[:2] = 0
+    L, B, P, Q = stacks
+    lax.L.assemble(T, x, r, L)
+    lax.B.assemble(T, x, r, B)
+    dL = lax.L.values(ds, None if r is None else ds / (table.slope * r))
+    residual = np.subtract(np.matmul(B, L, out=P), np.matmul(L, B, out=Q), out=P)
     residual *= table.sign
-    slots = (slice(None), plan.rows, plan.cols)
+    slots = (slice(None), lax.L.rows, lax.L.cols)
     residual[slots] = dL.T - residual[slots]
+    return row_norms(residual)
+
+
+def _gauged_residual(table: LaxTable, gauge: Gauge, x, ds) -> np.ndarray:
+    """``lax_residual`` of a real (d, N) block ``x`` with velocities ``ds``
+    for a table with a gauge, in float64."""
+    T, N, W = table.size, x.shape[1], gauge.width
+    r = table.roots(x)
+    # numpy's complex quotient multiplies by the reciprocal; a real one would round otherwise
+    dL = gauge.L.values(ds, None if r is None else ds * (1.0 / (table.slope * r)))
+    buffer = np.empty(N * T * (T + 2 * W))
+    buffer[: N * T * (T + W)] = 0
+    L, B, P = (buffer[N * T * start : N * T * stop].reshape(N, T, -1)
+               for start, stop in ((0, W), (W, W + T), (W + T, W + T + W)))
+    gauge.L.assemble(T, x, r, L)
+    gauge.B.assemble(T, x, r, B)
+    P = np.matmul(B, L, out=P)[:, :, :T]
+    residual = buffer[: 2 * N * T * T].view(complex).reshape(N, T, T)  # over L and B
+    parts = np.add(P, P.transpose(0, 2, 1), out=residual.real)
+    slots = (slice(None), gauge.L.rows, gauge.L.cols)
+    parts[slots] = dL.T - table.sign * parts[slots]
+    if gauge.odd is None:  # every entry is real
+        residual.imag[...] = 0
+    else:
+        np.multiply(parts, gauge.odd, out=residual.imag)
+        parts *= 1.0 - gauge.odd
     return row_norms(residual)
 
 
@@ -144,13 +177,15 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
 
     Returns a (len(orders), N, d) array.  The table gives L and, for each
     slot (a, i) of L, the coordinate j it reads and its derivative there
-    (L's entries at the unit directions); no matrix is multiplied, and
-    neither B nor a dense dL is built.  Diagonal entry i of P dL/dx_j,
-    P = L^{k-1}, is the sum of P[i, a] dL/dx_j[a, i] over the slots (a, i)
-    of column i that read x_j.  The products are gathered for the whole
-    block and rounded as scalar products (``complex_product``); each entry
-    (j, i) sums its terms from zero in ascending a, and each row of
-    diagonals sums as np.trace sums one matrix's.
+    (L's entries at the unit directions); no matrix is multiplied by dL/dx_j,
+    and neither B nor a dense dL is built.  The powers P = L^{k-1} take
+    np.linalg.matrix_power's products, each product once per block
+    (``_matrix_powers``).  Diagonal entry i of P dL/dx_j is the sum of
+    P[i, a] dL/dx_j[a, i] over the slots (a, i) of column i that read x_j.
+    The products are gathered for the whole block and rounded as scalar
+    products (``complex_product``); each entry (j, i) sums its terms from
+    zero in ascending a, and each row of diagonals sums as np.trace sums
+    one matrix's.
 
     The bits are those of np.trace(P @ dL/dx_j) while no diagonal entry
     takes two real or two imaginary terms: each running sum of the dense
@@ -168,17 +203,82 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     d, count = x.shape
     r = table.roots(x)
     T = table.size
-    L = plan.assemble(T, x, r)
     ones = np.ones_like(x)
     terms = plan.values(ones, None if r is None else ones / (table.slope * r))[slot].T
+    # a power is read at the slots (a, i) only: gathered as the chain forms it,
+    # L and the chain's products are freed before the sums
+    powers = _matrix_powers(plan.assemble(T, x, r), [k - 1 for k in orders])
     grads = []
-    for k in orders:
-        products = complex_product(np.linalg.matrix_power(L, k - 1)[:, i, a], terms)
+    for entries in [power[:, i, a] for power in powers]:
+        products = complex_product(entries, terms)
         diagonals = np.zeros((count, d, T), dtype=complex)
         for layer in layers:
             diagonals[:, j[layer], i[layer]] += products[:, layer]
         grads.append(diagonals.sum(axis=-1))
     return np.array(grads)
+
+
+def _matrix_powers(L, exponents):
+    """np.linalg.matrix_power(L, e) of an (N, T, T) stack for each e of
+    ``exponents``, in order, with its bits: each power takes matrix_power's
+    products, and a product two powers share is taken once (L @ L, in
+    L^3 = (L @ L) @ L and L^7 = (L @ L^2) @ L^4).  The products share one
+    allocation, whose slots are reused once no later product or power reads
+    them, so a power yielded holds only until the next one is asked for."""
+    slots, actions = _power_chain(tuple(exponents))
+    stack = np.empty((slots,) + L.shape, dtype=L.dtype)
+    for out, left, right in actions:  # operand -1 is L, s >= 0 slot s
+        if left is None:
+            yield L if out < 0 else stack[out]
+        elif left == right == -2:
+            stack[out] = np.eye(L.shape[-1])
+        else:
+            np.matmul(L if left < 0 else stack[left], L if right < 0 else stack[right], out=stack[out])
+
+
+@functools.cache
+def _power_chain(exponents: tuple) -> tuple:
+    """(slots, actions) for ``_matrix_powers``: each action writes a slot
+    with the product of two operands, (out, left, right), or with the
+    identity, (out, -2, -2), or yields an operand, (operand, None, None).
+    matrix_power's products for L^n are nested (left, right) pairs of
+    operands; an equal pair is taken once, and a slot is free again after
+    the last action that reads it."""
+    def key(n):
+        if n < 4:  # matrix_power's shortcuts
+            return ("I", "L", ("L", "L"), (("L", "L"), "L"))[n]
+        z = result = None
+        while n > 0:
+            z = "L" if z is None else (z, z)
+            n, bit = divmod(n, 2)
+            if bit:
+                result = z if result is None else (result, z)
+        return result
+
+    events, done = [], {"L"}  # (key, its inputs) in order, inputs None for a power
+
+    def compute(k):
+        if k not in done:
+            done.add(k)
+            events.append((k, () if k == "I" else (compute(k[0]), compute(k[1]))))
+        return k
+
+    for n in exponents:
+        events.append((compute(key(n)), None))
+    reads = [(k,) if inputs is None else inputs for k, inputs in events]
+    last = {read: at for at, keys in enumerate(reads) for read in keys}  # the last event reading each key
+    slot, free, slots, actions = {"L": -1}, [], 0, []
+    for at, (k, inputs) in enumerate(events):
+        if inputs is None:
+            actions.append((slot[k], None, None))
+        else:
+            if not free:
+                free.append(slots)
+                slots += 1
+            slot[k] = free.pop()
+            actions.append((slot[k], -2, -2) if k == "I" else (slot[k], slot[inputs[0]], slot[inputs[1]]))
+        free += [slot[read] for read in dict.fromkeys(reads[at]) if read != "L" and last[read] == at]
+    return slots, tuple(actions)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +411,9 @@ class _Plan(NamedTuple):
 
     def values(self, x, r) -> np.ndarray:
         """The value of every slot, (slots,) + batch, from x and its roots r,
-        each (d,) + batch; a linear table at (dx, dr) gives its derivative."""
-        out = np.empty((self.count,) + x.shape[1:], dtype=complex)
+        each (d,) + batch, in x's dtype; a linear table at (dx, dr) gives its
+        derivative."""
+        out = np.empty((self.count,) + x.shape[1:], dtype=x.dtype)
         for kind, scale, negate, at, p, q in self.groups:
             v = (r if kind in (ROOT, ROOTS) else x)[p]
             if kind == ROOTS:
@@ -331,7 +432,7 @@ class _Plan(NamedTuple):
         ``out``, a zeroed (N, T, T) array, if one is given."""
         values = self.values(x, r)
         if out is None:
-            out = np.zeros((x.shape[1], size, size), dtype=complex)
+            out = np.zeros((x.shape[1], size, size), dtype=values.dtype)
         out[:, self.rows, self.cols] = values.T
         return out
 
@@ -355,8 +456,29 @@ class LaxTable(NamedTuple):
     slope: int = 0
 
     def roots(self, x):
-        """The roots of a (d, ...) block of coordinates, or None for a table without them."""
-        return None if self.root is None else self.root(require_positive_real(x, f"{self.name} builder"))
+        """The roots of a (d, ...) block of coordinates, in its dtype, or None
+        for a table without them."""
+        if self.root is None:
+            return None
+        require_positive_real(x, f"{self.name} builder")
+        return self.root(x)
+
+
+class Gauge(NamedTuple):
+    """A diagonal similarity of a table's pair to a real pair: ``d`` in
+    {1, i}^T with every entry (a, b) of L and B equal to d_a d_b times a real
+    number.  ``L`` plans L_R = L / (d_a d_b) and ``B`` plans B_R S, B_R
+    = B / (d_a d_b) with column b scaled by S_b = d_b^2 = +-1, both with real
+    coefficients coef * conj(d_a d_b), so that B @ L = D (B_R S L_R) D.
+    ``odd`` is 1.0 at the (T, T) entries with d_a d_b = i and 0.0 elsewhere,
+    or None if d = 1.  ``width`` is the number of columns L_R's stack takes
+    (see ``_gemm_width``)."""
+
+    d: tuple
+    L: _Plan
+    B: _Plan
+    odd: np.ndarray | None
+    width: int
 
 
 class CompiledLax(NamedTuple):
@@ -364,13 +486,16 @@ class CompiledLax(NamedTuple):
     gradient: (j, i, a, slot, layers), every slot (a, i) of L taken by
     coordinate j, ordered by (j, i, a), where ``layers`` picks each (j, i)
     once per layer.  ``symmetric``: L = L^T and B = -B^T, with every entry
-    real or imaginary, at real points.  The builders return these."""
+    real or imaginary, at real points; ``gauge``: the ``Gauge`` of a
+    symmetric table, or None if it has none (vd at even n).  The builders
+    return these."""
 
     table: LaxTable
     L: _Plan
     B: _Plan
     terms: tuple
     symmetric: bool
+    gauge: Gauge | None
 
 
 def compile_lax(table: LaxTable) -> CompiledLax:
@@ -390,21 +515,72 @@ def compile_lax(table: LaxTable) -> CompiledLax:
     j, i, a, slot = (np.array(column, dtype=int) for column in zip(*terms))
     layers = tuple(np.array([r == k for r in rank]) for k in range(max(rank) + 1))
     plans = plan, _Plan.of(table.B)
-    return CompiledLax(table, *plans, (j, i, a, slot, layers), _symmetric(table, plans))
+    L, B = _probe(table, plans)
+    symmetric = (np.array_equal(L, L.T) and np.array_equal(B, -B.T)
+                 and all(((M.real == 0) | (M.imag == 0)).all() for M in (L, B)))
+    return CompiledLax(table, *plans, (j, i, a, slot, layers), symmetric,
+                       _gauge(table, L, B) if symmetric else None)
 
 
-def _symmetric(table: LaxTable, plans) -> bool:
-    """Whether the L and B of ``plans`` have L = L^T and B = -B^T with every
-    entry real or imaginary, at one positive real point whose coordinates
+def _probe(table: LaxTable, plans) -> tuple:
+    """L and B of ``plans`` at one positive real point whose coordinates
     2 + sin(j) have no simple relation among them.  Each entry is its
-    coefficient times a formula that is real at every such point, so a
-    table that passes here passes on every real block."""
+    coefficient times a formula that is real at every such point, so the
+    symmetry and the gauge found here hold on every real block."""
     d = 1 + max(max(e.p, e.q) for e in table.L + table.B)
     x = np.array([[2 + math.sin(j)] for j in range(d)], dtype=complex)
     r = table.roots(x)
-    L, B = (plan.assemble(table.size, x, r)[0] for plan in plans)
-    return (np.array_equal(L, L.T) and np.array_equal(B, -B.T)
-            and all(((M.real == 0) | (M.imag == 0)).all() for M in (L, B)))
+    return tuple(plan.assemble(table.size, x, r)[0] for plan in plans)
+
+
+def _gauge(table: LaxTable, L, B) -> Gauge | None:
+    """The gauge of a symmetric pair from its L and B at the probe point, or
+    None: each nonzero entry (a, b) asks d_a d_b to be real or imaginary as
+    the entry is, and a walk over the entries, from d = 1 at the first index
+    of each connected set, meets every demand or finds two that conflict."""
+    links = [[] for _ in range(table.size)]
+    for M in (L, B):
+        for a, row in enumerate(M.tolist()):
+            for b, value in enumerate(row):
+                if value:
+                    links[a].append((b, value.imag != 0))
+    odd = [None] * table.size  # d_a = i
+    for start in range(table.size):
+        if odd[start] is None:
+            odd[start], todo = False, [start]
+            while todo:
+                a = todo.pop()
+                for b, imaginary in links[a]:
+                    if odd[b] is None:
+                        odd[b] = odd[a] != imaginary
+                        todo.append(b)
+                    elif odd[b] != (odd[a] != imaginary):
+                        return None
+    S = [-1 if o else 1 for o in odd]
+
+    def real(e, column_sign):
+        g = 1j if odd[e.row] != odd[e.col] else S[e.row]  # d_row d_col
+        sign = S[e.col] if column_sign else 1  # a mirror (col, row) takes S_row
+        return e._replace(coef=(complex(e.coef) * g.conjugate()).real * sign,
+                          mirror=e.mirror * (S[e.row] * sign if column_sign else 1))
+
+    return Gauge(tuple(1j if o else 1 for o in odd), _Plan.of([real(e, False) for e in table.L]),
+                 _Plan.of([real(e, True) for e in table.B]),
+                 np.array([[float(p != q) for q in odd] for p in odd]) if any(odd) else None,
+                 _gemm_width(table.size))
+
+
+def _gemm_width(T: int) -> int:
+    """The columns a (T, T) float64 product takes to round as zgemm does.
+
+    OpenBLAS 0.3.31's dgemm (SkylakeX kernels) sums a row-major product
+    with 17 or more columns, 1-4 past a multiple of 8, in another order
+    than its zgemm sums the real parts (dense random (N, T, T) stacks,
+    N = 1, 2, 7, 32, 33: every T = 17-20, 25-28, ... differed, no other
+    T = 2-65).
+    Zero columns up to 5 past the multiple of 8 make them agree; they give
+    zero columns of the product, which are not read."""
+    return T if T <= 16 or T % 8 in (0, 5, 6, 7) else T + 5 - T % 8
 
 
 # Builders: (template State) -> the CompiledLax of its system at its size,

@@ -13,6 +13,8 @@ from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
     X,
     Entry,
+    _matrix_powers,
+    _power_chain,
     ab_lax,
     compile_lax,
     casimir_C_column,
@@ -401,6 +403,131 @@ def test_L_B_is_minus_the_transpose_of_B_L_on_verify_blocks(system, size):
         assert np.array_equal(L @ B, -(B @ L).transpose(0, 2, 1))
 
 
+def _complex_path(compiled):
+    """A builder returning ``compiled`` without its gauge, so that ``lax_residual``
+    takes B @ L - L @ B in complex arithmetic on every block."""
+    stripped = compiled._replace(gauge=None)
+    return lambda state: stripped
+
+
+@pytest.mark.parametrize("system", _LAX_IDS)
+def test_the_real_path_keeps_the_bits_of_the_complex_products(system):
+    # every size of _SYMMETRIC_SIZES, in blocks of 1, 7 and BLOCK states drawn by
+    # the verify lax sampler, along the field (near cancellation, where one ulp
+    # of [B, L] moves the norm) and along other velocities: the float64 path's
+    # norms are those of B @ L - L @ B in complex arithmetic and of the
+    # hand-written dense difference; complex velocities take the complex path
+    sample, builder = SUITES["lax"].checks[system].sample, SYSTEMS[system].lax
+    reference = getattr(lax_reference, f"{system}_lax")
+    for size in _SYMMETRIC_SIZES[system]:
+        rng = np.random.default_rng(size)
+        for count in (1, 7, BLOCK):
+            state, rows = sample(rng, count, size, size)
+            compiled = builder(state)
+            assert not rows.imag.any() and (compiled.gauge is None) == (system == "vd" and size % 2 == 0)
+            field = SYSTEMS[system].field(state, coordinate_columns(state, rows)).T
+            for velocities in (field, field + rng.uniform(-1.0, 1.0, rows.shape), field + 1e-3j):
+                got = lax_residual(builder, state, rows, velocities)
+                complex_bits = lax_residual(_complex_path(compiled), state, rows, velocities)
+                assert got.tobytes() == complex_bits.tobytes(), (
+                    f"{system} n={size}, {count} states: the float64 residual rounds unlike the complex one "
+                    "(see test_the_floating_point_facts_of_the_real_path)")
+                L, B, sign, dL = lax_reference.reference_pair(reference, state, rows, velocities.T[:, None])
+                assert got.tobytes() == row_norms(dL[:, 0] - sign * (B @ L - L @ B)).tobytes(), (system, size, count)
+
+
+@pytest.mark.parametrize("system", _LAX_IDS)
+def test_the_gauge_makes_every_entry_real_and_is_none_exactly_at_vd_even_n(system):
+    # with g = d d^T, L / g and B / g are real on real blocks; the real plans write
+    # L_R and B_R S, S = d^2 on B's columns, mirrors included; vd at even n has
+    # no gauge (its entries' parities conflict) and keeps the complex path
+    for size in _SYMMETRIC_SIZES[system]:
+        compiled = _compiled(system, size)
+        assert compiled.symmetric
+        if system == "vd" and size % 2 == 0:
+            assert compiled.gauge is None, size
+            continue
+        gauge, T = compiled.gauge, compiled.table.size
+        d = np.array(gauge.d)
+        assert set(gauge.d) <= {1, 1j} and gauge.d[0] == 1
+        g = np.outer(d, d)
+        assert (gauge.odd is None) == (not (g.imag != 0).any())
+        if gauge.odd is not None:
+            assert np.array_equal(gauge.odd, (g.imag != 0).astype(float))
+        state, rows = SUITES["lax"].checks[system].sample(np.random.default_rng(size), 3, size, size)
+        L, B, _ = lax_pair(SYSTEMS[system].lax, state, rows)
+        x = coordinate_columns(state, rows).real
+        r = compiled.table.roots(x)
+        L_R, B_S = gauge.L.assemble(T, x, r), gauge.B.assemble(T, x, r)
+        assert L_R.dtype == B_S.dtype == np.float64
+        assert np.array_equal(L_R * g, L) and np.array_equal(B_S * (d * d).real * g, B), (system, size)
+
+
+_FACT_SIZES = [("vd", 15), ("ab", 7), ("km", 7), ("toda", 7), ("toda", 19), ("ab", 10)]
+
+
+@pytest.mark.parametrize("system, size", _FACT_SIZES, ids=[f"{s}-{n}" for s, n in _FACT_SIZES])
+def test_the_floating_point_facts_of_the_real_path(system, size):
+    # what the float64 path rests on, on blocks the verify lax sampler draws
+    # (the verify-mix lax sizes, km and toda at the defaults, and two sizes whose
+    # product is widened): a BLAS or libm that breaks one fails here by name
+    sample, builder = SUITES["lax"].checks[system].sample, SYSTEMS[system].lax
+    rng = np.random.default_rng(size)
+    for _ in range(8):
+        state, rows = sample(rng, BLOCK, size, size)
+        compiled = builder(state)
+        table, gauge, T = compiled.table, compiled.gauge, compiled.table.size
+        x = coordinate_columns(state, rows)
+        r, r_real = table.roots(x), table.roots(x.real)
+        if r is not None:
+            assert r_real.tobytes() == np.ascontiguousarray(r.real).tobytes(), (
+                "the roots of a real array round unlike the real part of the complex roots")
+            ds = SYSTEMS[system].field(state, x)
+            quotient = ds / (table.slope * r)
+            assert not quotient.imag.any()
+            reciprocal = ds.real * (1.0 / (table.slope * r_real))
+            assert reciprocal.tobytes() == np.ascontiguousarray(quotient.real).tobytes(), (
+                "numpy's complex quotient no longer multiplies by the reciprocal: dr = ds * (1 / (slope * r)) "
+                "rounds unlike ds / (slope * r)")
+        L, B, _ = lax_pair(builder, state, rows)
+        d = np.array(gauge.d)
+        wide = np.zeros((BLOCK, T, gauge.width))
+        wide[:, :, :T] = gauge.L.assemble(T, x.real, r_real)
+        product = (gauge.B.assemble(T, x.real, r_real) @ wide)[:, :, :T]
+        # equal as numbers: a zero may differ in sign, which no square sees
+        assert np.array_equal(product * np.outer(d, d), B @ L), (
+            f"dgemm and zgemm round these stacks apart (width {gauge.width} of {T}): "
+            "the float64 path would not keep the bits of the complex product")
+
+
+# the powers grad_trace_invariant takes: L^{k-1} for lenard v (H4, H8), lenard ab
+# (H2, H4) and involution (H2 with each of H4 ... H14)
+_POWER_ORDERS = [("vd", 15, (4, 8)), ("ab", 7, (2, 4))] + [("ab", 7, (2, k)) for k in range(4, 15, 2)]
+
+
+@pytest.mark.parametrize("system, size, orders", _POWER_ORDERS, ids=[f"{s}-{n}-{o}" for s, n, o in _POWER_ORDERS])
+def test_the_power_chain_keeps_the_bits_of_matrix_power(rng, system, size, orders):
+    state, rows = _block(rng, system, size, BLOCK, False)
+    L = lax_pair(SYSTEMS[system].lax, state, rows)[0]
+    exponents = [k - 1 for k in orders]
+    for power, k in zip(_matrix_powers(L, exponents), exponents):
+        assert power.tobytes() == np.linalg.matrix_power(L, k).tobytes(), (system, size, k)
+    reference = getattr(lax_reference, f"{system}_lax")
+    grads = grad_trace_invariant(SYSTEMS[system].lax, state, rows, orders)
+    assert grads.tobytes() == lax_reference.reference_grads(reference, state, rows, orders).tobytes()
+
+
+def test_the_power_chain_shares_L_squared_and_reuses_its_slots():
+    # lenard v: L^3 = (L @ L) @ L and L^7 = (L @ L^2) @ L^4 share L @ L, so 5
+    # products, not 6, in 3 slots: L^3's slot takes L @ L^2 once L^3 is
+    # yielded, and L^7 takes L @ L's once L^4 is formed (operand -1 is L)
+    assert _power_chain((3, 7)) == (3, ((0, -1, -1), (1, 0, -1), (1, None, None),
+                                        (1, -1, 0), (2, 0, 0), (0, 1, 2), (0, None, None)))
+    # lenard ab and involution yield L itself, and the identity takes a slot
+    assert _power_chain((1, 3)) == (2, ((-1, None, None), (0, -1, -1), (1, 0, -1), (1, None, None)))
+    assert _power_chain((0, 1)) == (1, ((0, -2, -2), (0, None, None), (-1, None, None)))
+
+
 def _trace_identity_gap(n, rng, factor):
     """max over 20 states and k = 1..n-1 of |tr(L_vd^{2k}) - factor(k) tr(L_ab^k)|
     / tr(|L_vd|^{2k}), with L_ab at the d-map image of each vd state."""
@@ -633,13 +760,14 @@ def test_every_lax_entry_mutant_fails_the_gate(rng):
 @pytest.mark.parametrize("system, sample, size, field", _MUTATION_CASES, ids=[c[0] for c in _MUTATION_CASES])
 def test_a_non_symmetric_table_keeps_the_bits_of_both_products(rng, system, sample, size, field):
     # P + P^T is no commutator of a table with L != L^T: the off-diagonal slot
-    # mutants must take B @ L - L @ B, on real blocks too
+    # mutants have no gauge and must take B @ L - L @ B, on real blocks too; the
+    # diagonal ones keep L = L^T and a gauge, and their float64 path must keep
+    # the same bits
     states = [sample(rng, size) for _ in range(4)]
     rows, velocities = np.array([s.array for s in states]), np.array([field(s, s.array) for s in states])
     for label, table in _slot_mutants(SYSTEMS[system].lax(states[0]).table):
         compiled = compile_lax(table)
-        if compiled.symmetric:
-            continue
+        assert (compiled.gauge is None) == (not compiled.symmetric), (system, label)
         builder = lambda s: compiled
         L, B, sign = lax_pair(builder, states[0], rows)
         dL = _dL(builder, states[0], rows, velocities.T[:, None])[:, 0]
