@@ -16,8 +16,10 @@ a dense dL.  Every catalog pair but vd at even n has a ``Gauge``, a
 diagonal similarity to a real pair, and on a real block ``lax_residual``
 takes [B, L] from one float64 product with the bits of the complex ones;
 ``lax_pair``, ``trace_columns`` and ``grad_trace_invariant`` stay complex.
-Each entry's value takes the operations of its formula in order, so the
-matrices keep the bits of writing the entries by hand.  ``sign`` is the
+The trace powers of both gradings and the powers of the trace gradients
+come from one power chain (``_matrix_powers``).  Each entry's value takes
+the operations of its formula in order, so the matrices keep the bits of
+writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
 means dL/dt = [L, B].  Matrix products are stacked (each slice is
 multiplied as one state's matrix would be), so are the residual norms
@@ -146,29 +148,20 @@ def _gauged_residual(table: LaxTable, gauge: Gauge, x, ds) -> np.ndarray:
 def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
     """H_k = tr(L^{grading k}) / k at each matrix of an (N, T, T) stack, one list per order.
 
-    Grading 1 takes every order from one chain of stacked products
-    (I @ L @ L ...); grading 2 (the v-degree grading of vd) takes each power
-    with np.linalg.matrix_power.  Each value is complex(P.trace()) / k on
-    one C-ordered (T, T) slice in Python arithmetic, so it keeps the bits of
-    a single-matrix evaluation: a stacked trace sums the diagonal in another
-    order, and numpy's complex array division multiplies by 1/k.
+    Both gradings take their powers from one power chain (``_matrix_powers``),
+    a product two orders share taken once: grading 1 multiplies I @ L @ L ...
+    left to right, grading 2 (vd's v-degree grading) takes matrix_power's
+    products.  Each value is complex(P.trace()) / k on one C-ordered (T, T)
+    slice in Python arithmetic, so it keeps the bits of a single-matrix
+    evaluation: a stacked trace sums the diagonal in another order, and
+    numpy's complex array division multiplies by 1/k.
     """
     orders = list(orders)
     if any(k < 1 for k in orders):
         raise ValueError("orders must be positive integers")
-
-    def column(power, k):
-        return [complex(p.trace()) / k for p in power]
-
-    if grading != 1:
-        return [column(np.linalg.matrix_power(L, grading * k), k) for k in orders]
-    out = {}
-    power = np.eye(L.shape[-1], dtype=complex)
-    for k in range(1, max(orders) + 1):
-        power = power @ L
-        if k in orders:
-            out[k] = column(power, k)
-    return [out[k] for k in orders]
+    tree = _chain if grading == 1 else lambda k: _matrix_power_tree(grading * k)
+    powers = _matrix_powers(L, [tree(k) for k in orders])
+    return [[complex(p.trace()) / k for p in power] for power, k in zip(powers, orders)]
 
 
 def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
@@ -207,7 +200,7 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     terms = plan.values(ones, None if r is None else ones / (table.slope * r))[slot].T
     # a power is read at the slots (a, i) only: gathered as the chain forms it,
     # L and the chain's products are freed before the sums
-    powers = _matrix_powers(plan.assemble(T, x, r), [k - 1 for k in orders])
+    powers = _matrix_powers(plan.assemble(T, x, r), [_matrix_power_tree(k - 1) for k in orders])
     grads = []
     for entries in [power[:, i, a] for power in powers]:
         products = complex_product(entries, terms)
@@ -218,14 +211,14 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     return np.array(grads)
 
 
-def _matrix_powers(L, exponents):
-    """np.linalg.matrix_power(L, e) of an (N, T, T) stack for each e of
-    ``exponents``, in order, with its bits: each power takes matrix_power's
-    products, and a product two powers share is taken once (L @ L, in
-    L^3 = (L @ L) @ L and L^7 = (L @ L^2) @ L^4).  The products share one
-    allocation, whose slots are reused once no later product or power reads
-    them, so a power yielded holds only until the next one is asked for."""
-    slots, actions = _power_chain(tuple(exponents))
+def _matrix_powers(L, trees):
+    """The power of an (N, T, T) stack L that each of ``trees`` names, in
+    order: a tree is "I", "L" or a (left, right) pair of trees multiplied as
+    left @ right, so a power keeps the bits of its products, and a product
+    two trees share is taken once.  The products share one allocation, whose
+    slots are reused once no later product or power reads them, so a power
+    yielded holds only until the next one is asked for."""
+    slots, actions = _power_chain(tuple(trees))
     stack = np.empty((slots,) + L.shape, dtype=L.dtype)
     for out, left, right in actions:  # operand -1 is L, s >= 0 slot s
         if left is None:
@@ -236,26 +229,35 @@ def _matrix_powers(L, exponents):
             np.matmul(L if left < 0 else stack[left], L if right < 0 else stack[right], out=stack[out])
 
 
+def _matrix_power_tree(n: int):
+    """np.linalg.matrix_power's products for L^n, as a tree."""
+    if n < 4:  # matrix_power's shortcuts
+        return ("I", "L", ("L", "L"), (("L", "L"), "L"))[n]
+    z = result = None
+    while n > 0:
+        z = "L" if z is None else (z, z)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else (result, z)
+    return result
+
+
+def _chain(k: int):
+    """I @ L @ ... @ L with k factors L, multiplied left to right, as a tree."""
+    tree = "I"
+    for _ in range(k):
+        tree = (tree, "L")
+    return tree
+
+
 @functools.cache
-def _power_chain(exponents: tuple) -> tuple:
+def _power_chain(trees: tuple) -> tuple:
     """(slots, actions) for ``_matrix_powers``: each action writes a slot
     with the product of two operands, (out, left, right), or with the
     identity, (out, -2, -2), or yields an operand, (operand, None, None).
-    matrix_power's products for L^n are nested (left, right) pairs of
-    operands; an equal pair is taken once, and a slot is free again after
-    the last action that reads it."""
-    def key(n):
-        if n < 4:  # matrix_power's shortcuts
-            return ("I", "L", ("L", "L"), (("L", "L"), "L"))[n]
-        z = result = None
-        while n > 0:
-            z = "L" if z is None else (z, z)
-            n, bit = divmod(n, 2)
-            if bit:
-                result = z if result is None else (result, z)
-        return result
-
-    events, done = [], {"L"}  # (key, its inputs) in order, inputs None for a power
+    An equal subtree is taken once, and a slot is free again after the last
+    action that reads it."""
+    events, done = [], {"L"}  # (tree, its inputs) in order, inputs None for a power
 
     def compute(k):
         if k not in done:
@@ -263,10 +265,10 @@ def _power_chain(exponents: tuple) -> tuple:
             events.append((k, () if k == "I" else (compute(k[0]), compute(k[1]))))
         return k
 
-    for n in exponents:
-        events.append((compute(key(n)), None))
+    for tree in trees:
+        events.append((compute(tree), None))
     reads = [(k,) if inputs is None else inputs for k, inputs in events]
-    last = {read: at for at, keys in enumerate(reads) for read in keys}  # the last event reading each key
+    last = {read: at for at, keys in enumerate(reads) for read in keys}  # the last event reading each tree
     slot, free, slots, actions = {"L": -1}, [], 0, []
     for at, (k, inputs) in enumerate(events):
         if inputs is None:
@@ -485,16 +487,13 @@ class CompiledLax(NamedTuple):
     """A ``LaxTable`` with the plans of its L and B, and the terms of its
     gradient: (j, i, a, slot, layers), every slot (a, i) of L taken by
     coordinate j, ordered by (j, i, a), where ``layers`` picks each (j, i)
-    once per layer.  ``symmetric``: L = L^T and B = -B^T, with every entry
-    real or imaginary, at real points; ``gauge``: the ``Gauge`` of a
-    symmetric table, or None if it has none (vd at even n).  The builders
-    return these."""
+    once per layer.  ``gauge``: the table's ``Gauge``, or None if it has
+    none (``_gauge``).  The builders return these."""
 
     table: LaxTable
     L: _Plan
     B: _Plan
     terms: tuple
-    symmetric: bool
     gauge: Gauge | None
 
 
@@ -515,11 +514,7 @@ def compile_lax(table: LaxTable) -> CompiledLax:
     j, i, a, slot = (np.array(column, dtype=int) for column in zip(*terms))
     layers = tuple(np.array([r == k for r in rank]) for k in range(max(rank) + 1))
     plans = plan, _Plan.of(table.B)
-    L, B = _probe(table, plans)
-    symmetric = (np.array_equal(L, L.T) and np.array_equal(B, -B.T)
-                 and all(((M.real == 0) | (M.imag == 0)).all() for M in (L, B)))
-    return CompiledLax(table, *plans, (j, i, a, slot, layers), symmetric,
-                       _gauge(table, L, B) if symmetric else None)
+    return CompiledLax(table, *plans, (j, i, a, slot, layers), _gauge(table, *_probe(table, plans)))
 
 
 def _probe(table: LaxTable, plans) -> tuple:
@@ -534,10 +529,15 @@ def _probe(table: LaxTable, plans) -> tuple:
 
 
 def _gauge(table: LaxTable, L, B) -> Gauge | None:
-    """The gauge of a symmetric pair from its L and B at the probe point, or
-    None: each nonzero entry (a, b) asks d_a d_b to be real or imaginary as
-    the entry is, and a walk over the entries, from d = 1 at the first index
-    of each connected set, meets every demand or finds two that conflict."""
+    """The gauge of a pair from its L and B at the probe point, or None
+    unless L = L^T, B = -B^T and every entry is real or imaginary there:
+    each nonzero entry (a, b) asks d_a d_b to be real or imaginary as the
+    entry is, and a walk over the entries, from d = 1 at the first index of
+    each connected set, meets every demand or finds two that conflict (vd at
+    even n)."""
+    if not (np.array_equal(L, L.T) and np.array_equal(B, -B.T)
+            and all(((M.real == 0) | (M.imag == 0)).all() for M in (L, B))):
+        return None
     links = [[] for _ in range(table.size)]
     for M in (L, B):
         for a, row in enumerate(M.tolist()):

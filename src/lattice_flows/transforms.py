@@ -20,6 +20,7 @@ from .errors import DimensionError, DivisionByZero, DomainError, ParityError
 from .states import (QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, complex_product, coordinate_columns, matvecs,
                      row_norms, v_state)
 from .rootdata import Spectrum
+from .systems import c_family_data
 
 #: Central-difference step for Jacobians of O(1) states.
 FD_STEP = 1e-6
@@ -124,16 +125,12 @@ def generalized_flaschka_block(spectrum: Spectrum, state: State, rows) -> tuple[
     return _ab_image(-np.exp(_pairings(vecs, q)), _pairings(vecs, p))
 
 
-def _c_to_v_factors(n: int) -> np.ndarray:
-    """The 0-based (i, j) of v_k = const / (c_i c_j), k = 1..n, as two rows."""
-    return np.array([(k, k + 1) for k in range(n - 1)] + [(n - 2, n)]).T
-
-
 def c_to_v_block(state: State, rows) -> tuple[State, np.ndarray]:
     """Reciprocal-product map from n+1 Cartan variables to n chain variables.
 
     v_1 = 1/(c_1 c_2); v_k = 2/(c_k c_{k+1}) for 2 <= k <= n-2;
-    v_{n-1} = 1/(c_{n-1} c_n); v_n = 1/(c_{n-1} c_{n+1}).
+    v_{n-1} = 1/(c_{n-1} c_n); v_n = 1/(c_{n-1} c_{n+1}): v_k's factors are
+    the k-th edge of the D diagram on n+1 vertices (``c_family_data``).
     """
     state.require_chart(C_VARS, "c_to_v")
     c = coordinate_columns(state, rows)
@@ -142,7 +139,7 @@ def c_to_v_block(state: State, rows) -> tuple[State, np.ndarray]:
     n = len(c) - 1
     if n < 3:
         raise DimensionError("c_to_v requires at least 4 c variables")
-    i, j = _c_to_v_factors(n)
+    i, j = c_family_data("D", n + 1)[0].T
     v = np.array([1.0] + [2.0] * (n - 3) + [1.0, 1.0])[:, None] / complex_product(c[i], c[j])
     return v_state(np.zeros(n)), v.T
 
@@ -159,7 +156,7 @@ def c_to_v_jacobian(state: State, rows, image) -> np.ndarray:
     c = coordinate_columns(state, rows)
     v = image.T
     n = len(v)
-    (i, j), k = _c_to_v_factors(n), np.arange(n)
+    (i, j), k = c_family_data("D", n + 1)[0].T, np.arange(n)
     jac = np.zeros((c.shape[1], n, n + 1), dtype=complex)
     jac[:, k, i] = (-v / c[i]).T
     jac[:, k, j] = (-v / c[j]).T

@@ -2,6 +2,9 @@
 gradient: the bit reference that the entry tables of ``lattice_flows.lax``
 must reproduce.
 
+``reference_traces`` forms each trace power on its own, as the bit
+reference of the shared power chain.
+
 A builder takes (state, x, ds): ``state`` fixes the chart and sizes, x is a
 (d, N) block of coordinates, and ds is None or a (d, K, N) block of K
 velocities per state.  It returns (L, B, sign, dL) with the batch axes
@@ -49,6 +52,21 @@ def reference_grads(builder, state, rows, orders):
             diagonals[:, j[layer], i[layer]] += products[:, layer]
         grads.append(diagonals.sum(axis=-1))
     return np.array(grads)
+
+
+def reference_traces(L, orders, grading=1):
+    """H_k = tr(L^{grading k}) / k for each order k of an (N, T, T) stack, each
+    power formed on its own: I @ L @ L ... at grading 1, np.linalg.matrix_power
+    at any other."""
+    def power(k):
+        if grading != 1:
+            return np.linalg.matrix_power(L, grading * k)
+        P = np.eye(L.shape[-1], dtype=complex)
+        for _ in range(k):
+            P = P @ L
+        return P
+
+    return [[complex(p.trace()) / k for p in power(k)] for k in orders]
 
 
 def _zeros(T: int, batch: tuple) -> np.ndarray:

@@ -13,8 +13,11 @@ from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
     X,
     Entry,
+    _chain,
+    _matrix_power_tree,
     _matrix_powers,
     _power_chain,
+    _probe,
     ab_lax,
     compile_lax,
     casimir_C_column,
@@ -353,39 +356,52 @@ def test_lax_residual_keeps_the_bits_of_the_dense_difference(rng, system, size):
             assert lax_residual(builder, state, rows, velocities).tobytes() == want.tobytes()
 
 
-# the sizes of each builder whose tables must compile as symmetric: km n = 1-25,
+# the sizes of each builder whose tables are checked for a gauge: km n = 1-25,
 # toda n = 2-25, ab m = 2-12, vd n = 4-25
-_SYMMETRIC_SIZES = {"km": range(1, 26), "toda": range(2, 26), "ab": range(2, 13), "vd": range(4, 26)}
+_GAUGE_SIZES = {"km": range(1, 26), "toda": range(2, 26), "ab": range(2, 13), "vd": range(4, 26)}
+
+
+def _symmetric(compiled):
+    """L = L^T and B = -B^T, with every entry real or imaginary, at the probe point."""
+    L, B = _probe(compiled.table, (compiled.L, compiled.B))
+    return (np.array_equal(L, L.T) and np.array_equal(B, -B.T)
+            and all(((M.real == 0) | (M.imag == 0)).all() for M in (L, B)))
 
 
 @pytest.mark.parametrize("system", _LAX_IDS)
-def test_every_catalog_table_compiles_as_symmetric(system):
-    # lax_residual takes one product, P = B @ L, and [B, L] = P + P^T on real
-    # blocks of a symmetric table: L = L^T, B = -B^T, entries real or imaginary
-    for size in _SYMMETRIC_SIZES[system]:
-        assert _compiled(system, size).symmetric, (system, size)
+def test_every_catalog_table_but_vd_at_even_n_has_a_gauge(system):
+    # lax_residual takes one real product, P_R = B_R @ (S L_R), and [B, L] =
+    # D (P_R + P_R^T) D on real blocks of a table with a gauge; vd at even n is
+    # symmetric too, but the parities its entries ask of d conflict
+    for size in _GAUGE_SIZES[system]:
+        compiled = _compiled(system, size)
+        assert _symmetric(compiled), (system, size)
+        assert (compiled.gauge is None) == (system == "vd" and size % 2 == 0), (system, size)
 
 
 @pytest.mark.parametrize("system", _LAX_IDS)
-def test_no_off_diagonal_slot_mutant_compiles_as_symmetric(system):
+def test_no_off_diagonal_slot_mutant_has_a_gauge(system):
     # a mutant that scales one of two mirrored slots breaks L = L^T, so it takes
     # both products; one that scales a diagonal entry (toda's b's, ab's +-b's)
-    # leaves L symmetric, and P + P^T is still its commutator
-    sizes = _SYMMETRIC_SIZES[system]
+    # leaves L symmetric and keeps the gauge, and P + P^T is still its commutator
+    sizes = _GAUGE_SIZES[system]
     for size in (sizes[0], sizes[len(sizes) // 2], sizes[-1]):
+        gauged = _compiled(system, size).gauge is not None
         for label, table in _slot_mutants(_table(system, size)):
             row, col = map(int, label[2:-1].split(","))
-            assert compile_lax(table).symmetric == (row == col), (system, size, label)
+            compiled = compile_lax(table)
+            assert _symmetric(compiled) == (row == col), (system, size, label)
+            assert (compiled.gauge is not None) == (row == col and gauged), (system, size, label)
 
 
-def test_complex_or_non_antisymmetric_entries_do_not_compile_as_symmetric():
+def test_complex_or_non_antisymmetric_entries_have_no_gauge():
     # a complex coefficient, or a B entry whose mirror takes the same value,
     # breaks the one-product identity
     table = _table("ab", 3)
     complex_entry = table._replace(L=table.L[:-1] + (table.L[-1]._replace(coef=0.5 + 0.5j),))
     symmetric_B = table._replace(B=tuple(e._replace(mirror=1) for e in table.B))
-    assert compile_lax(table).symmetric
-    assert not compile_lax(complex_entry).symmetric and not compile_lax(symmetric_B).symmetric
+    assert compile_lax(table).gauge is not None
+    assert compile_lax(complex_entry).gauge is None and compile_lax(symmetric_B).gauge is None
 
 
 @pytest.mark.parametrize("system, size", _REFERENCE_SIZES, ids=[f"{s}-{n}" for s, n in _REFERENCE_SIZES])
@@ -398,7 +414,7 @@ def test_L_B_is_minus_the_transpose_of_B_L_on_verify_blocks(system, size):
     for _ in range(8 if (system, size) in (("vd", 15), ("ab", 7)) else 2):
         state, rows = sample(rng, BLOCK, size, size)
         L, B, _ = lax_pair(SYSTEMS[system].lax, state, rows)
-        assert not rows.imag.any() and SYSTEMS[system].lax(state).symmetric
+        assert not rows.imag.any() and _symmetric(SYSTEMS[system].lax(state))
         # equal as numbers: a zero may differ in sign, which no square sees
         assert np.array_equal(L @ B, -(B @ L).transpose(0, 2, 1))
 
@@ -412,14 +428,14 @@ def _complex_path(compiled):
 
 @pytest.mark.parametrize("system", _LAX_IDS)
 def test_the_real_path_keeps_the_bits_of_the_complex_products(system):
-    # every size of _SYMMETRIC_SIZES, in blocks of 1, 7 and BLOCK states drawn by
+    # every size of _GAUGE_SIZES, in blocks of 1, 7 and BLOCK states drawn by
     # the verify lax sampler, along the field (near cancellation, where one ulp
     # of [B, L] moves the norm) and along other velocities: the float64 path's
     # norms are those of B @ L - L @ B in complex arithmetic and of the
     # hand-written dense difference; complex velocities take the complex path
     sample, builder = SUITES["lax"].checks[system].sample, SYSTEMS[system].lax
     reference = getattr(lax_reference, f"{system}_lax")
-    for size in _SYMMETRIC_SIZES[system]:
+    for size in _GAUGE_SIZES[system]:
         rng = np.random.default_rng(size)
         for count in (1, 7, BLOCK):
             state, rows = sample(rng, count, size, size)
@@ -441,9 +457,9 @@ def test_the_gauge_makes_every_entry_real_and_is_none_exactly_at_vd_even_n(syste
     # with g = d d^T, L / g and B / g are real on real blocks; the real plans write
     # L_R and B_R S, S = d^2 on B's columns, mirrors included; vd at even n has
     # no gauge (its entries' parities conflict) and keeps the complex path
-    for size in _SYMMETRIC_SIZES[system]:
+    for size in _GAUGE_SIZES[system]:
         compiled = _compiled(system, size)
-        assert compiled.symmetric
+        assert _symmetric(compiled)
         if system == "vd" and size % 2 == 0:
             assert compiled.gauge is None, size
             continue
@@ -510,22 +526,69 @@ def test_the_power_chain_keeps_the_bits_of_matrix_power(rng, system, size, order
     state, rows = _block(rng, system, size, BLOCK, False)
     L = lax_pair(SYSTEMS[system].lax, state, rows)[0]
     exponents = [k - 1 for k in orders]
-    for power, k in zip(_matrix_powers(L, exponents), exponents):
+    for power, k in zip(_matrix_powers(L, [_matrix_power_tree(k) for k in exponents]), exponents):
         assert power.tobytes() == np.linalg.matrix_power(L, k).tobytes(), (system, size, k)
     reference = getattr(lax_reference, f"{system}_lax")
     grads = grad_trace_invariant(SYSTEMS[system].lax, state, rows, orders)
     assert grads.tobytes() == lax_reference.reference_grads(reference, state, rows, orders).tobytes()
 
 
+# every _REFERENCE_SIZES entry and vd at n = 9 (simulate's H2 ... H8) and 16
+_TRACE_SIZES = sorted(_REFERENCE_SIZES + [("vd", 9), ("vd", 16)])
+
+
+@pytest.mark.parametrize("system, size", _TRACE_SIZES, ids=[f"{s}-{n}" for s, n in _TRACE_SIZES])
+def test_trace_columns_keep_the_bits_of_each_power_formed_alone(rng, system, size):
+    # every order the catalog offers, from trace_columns and from the catalog's
+    # own columns (so in its grading: 2 for vd, 1 for the others), equals each
+    # power formed on its own, on real and complex blocks
+    catalog, grading = SYSTEMS[system], 2 if system == "vd" else 1
+    for imaginary in (False, True):
+        state, rows = _block(rng, system, size, 40, imaginary)
+        orders = {name: column.key for name, column in catalog.named_invariants(catalog, state).items()
+                  if name.startswith("H")}
+        L = lax_pair(catalog.lax, state, rows)[0]
+        want = np.array(lax_reference.reference_traces(L, orders.values(), grading)).tobytes()
+        assert np.array(trace_columns(L, orders.values(), grading)).tobytes() == want, (system, size, imaginary)
+        columns = catalog.invariant_columns(state, list(orders), rows)
+        assert np.array(list(columns.values())).tobytes() == want, (system, size, imaginary)
+
+
+def _power_trees(*exponents):
+    return tuple(_matrix_power_tree(n) for n in exponents)
+
+
+def _products(trees):
+    """The products ``_power_chain`` takes for ``trees``, identities aside."""
+    return [action for action in _power_chain(trees)[1] if action[1] is not None and action[1] >= -1]
+
+
 def test_the_power_chain_shares_L_squared_and_reuses_its_slots():
     # lenard v: L^3 = (L @ L) @ L and L^7 = (L @ L^2) @ L^4 share L @ L, so 5
     # products, not 6, in 3 slots: L^3's slot takes L @ L^2 once L^3 is
     # yielded, and L^7 takes L @ L's once L^4 is formed (operand -1 is L)
-    assert _power_chain((3, 7)) == (3, ((0, -1, -1), (1, 0, -1), (1, None, None),
-                                        (1, -1, 0), (2, 0, 0), (0, 1, 2), (0, None, None)))
+    assert _power_chain(_power_trees(3, 7)) == (3, ((0, -1, -1), (1, 0, -1), (1, None, None),
+                                                    (1, -1, 0), (2, 0, 0), (0, 1, 2), (0, None, None)))
     # lenard ab and involution yield L itself, and the identity takes a slot
-    assert _power_chain((1, 3)) == (2, ((-1, None, None), (0, -1, -1), (1, 0, -1), (1, None, None)))
-    assert _power_chain((0, 1)) == (1, ((0, -2, -2), (0, None, None), (-1, None, None)))
+    assert _power_chain(_power_trees(1, 3)) == (2, ((-1, None, None), (0, -1, -1), (1, 0, -1), (1, None, None)))
+    assert _power_chain(_power_trees(0, 1)) == (1, ((0, -2, -2), (0, None, None), (-1, None, None)))
+
+
+def test_vd_trace_trees_share_their_products_and_chain_trees_their_prefix():
+    # vd's H2 ... H8 (n = 9) read L^4, L^8, L^12 = L^4 @ L^8 and L^16 = L^8 @ L^8:
+    # 5 products in 3 slots, where one matrix_power call per order takes 13
+    vd = _power_trees(4, 8, 12, 16)
+    assert _power_chain(vd)[0] == 3 and len(_products(vd)) == 5
+    assert sum(len(_products((tree,))) for tree in vd) == 13
+    # H2 ... H14 (n = 15): 8 products, not 29
+    vd = _power_trees(*range(4, 29, 4))
+    assert len(_products(vd)) == 8 and sum(len(_products((tree,))) for tree in vd) == 29
+    # ab's H2, H4 and H6 (simulate-mix's columns) share their prefix: the
+    # identity, then 6 products, left to right, in 2 slots
+    chains = tuple(_chain(k) for k in (2, 4, 6))
+    assert chains[1][0][0] == chains[0] and chains[2][0][0] == chains[1]
+    step, power = ((1, 0, -1), (0, 1, -1)), (0, None, None)
+    assert _power_chain(chains) == (2, ((0, -2, -2),) + (step + (power,)) * 3)
 
 
 def _trace_identity_gap(n, rng, factor):
@@ -767,7 +830,7 @@ def test_a_non_symmetric_table_keeps_the_bits_of_both_products(rng, system, samp
     rows, velocities = np.array([s.array for s in states]), np.array([field(s, s.array) for s in states])
     for label, table in _slot_mutants(SYSTEMS[system].lax(states[0]).table):
         compiled = compile_lax(table)
-        assert (compiled.gauge is None) == (not compiled.symmetric), (system, label)
+        assert (compiled.gauge is None) == (not _symmetric(compiled)), (system, label)
         builder = lambda s: compiled
         L, B, sign = lax_pair(builder, states[0], rows)
         dL = _dL(builder, states[0], rows, velocities.T[:, None])[:, 0]
