@@ -92,18 +92,20 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
         return trajectory()
 
     # the chart's field is resolved once; every stage passes s0 as the template
-    field, spectrum = system._on_chart(s0), system.spectrum
+    field, spectrum, positive = system._on_chart(s0), system.spectrum, system.positive
 
     def f(y):
         return field(s0, y, spectrum)
 
-    def check_step(y, t):
+    def check_step(y, t, dt):
         if not np.isfinite(y).all():
-            raise StepFailure(f"state overflowed to a non-finite value at t = {t:.6g}")
-        if system.positive and y.real.min() <= 0.0:
-            raise DomainExit(
-                f"positivity-constrained coordinate crossed zero at t = {t:.6g}", trajectory()
-            )
+            name, value = _first(s0, ~np.isfinite(y), y)
+            raise StepFailure(f"coordinate {name} overflowed to a non-finite value ({value}) "
+                              f"at t = {t:.6g} (dt = {dt:.3g})")
+        if positive and y.real.min() <= 0.0:
+            name, value = _first(s0, y.real <= 0.0, y)
+            raise DomainExit(f"positivity-constrained coordinate {name} crossed zero to {value} "
+                             f"at t = {t:.6g} (dt = {dt:.3g})", trajectory())
 
     y = s0.array
     t = 0.0
@@ -112,21 +114,23 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             dt = min(policy.dt, t_end - t)
             y = _rk4_step(f, y, dt)
             t += dt
-            check_step(y, t)
+            check_step(y, t, dt)
             times.append(t)
             rows.append(y)
         return trajectory()
 
     dt = min(DT_INITIAL, t_end)
+    abs_y = np.abs(y)
     while t < t_end - 1e-15 * max(1.0, t_end):
         dt = min(dt, t_end - t)
         y_new, err = _fehlberg_step(f, y, dt)
-        scale = policy.atol + policy.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        abs_new = np.abs(y_new)
+        scale = policy.atol + policy.rtol * np.maximum(abs_y, abs_new)
         ratio = float((np.abs(err) / scale).max()) if err.size else 0.0
         if ratio <= 1.0:
             t += dt
-            y = y_new
-            check_step(y, t)
+            y, abs_y = y_new, abs_new
+            check_step(y, t, dt)
             times.append(t)
             rows.append(y)
             grow = 0.9 * ratio ** -0.2 if ratio > 0 else 5.0
@@ -136,6 +140,13 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
         if dt < DT_MIN:
             raise StepFailure(f"adaptive step underflow (dt = {dt:.3g}) at t = {t:.6g}")
     return trajectory()
+
+
+def _first(s0: State, where, y) -> tuple[str, str]:
+    """The CSV column name and the value of the first coordinate of ``y``
+    that ``where`` marks."""
+    i = int(np.argmax(where))
+    return coordinate_names(s0)[i], _cells(y[i : i + 1])[0]
 
 
 def _check_policy(policy) -> None:
@@ -159,21 +170,46 @@ def _rk4_step(f, y, dt):
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _tableau_row(*weights):
+    """One weighted sum of the Fehlberg stages, as (stages, weights) of the
+    stage stack: row 0, the zero row, with weight 1, then each stage whose
+    tableau entry is nonzero.  The weights are complex, as a complex product
+    would cast them."""
+    stages = [0] + [s + 1 for s, w in enumerate(weights) if w]
+    return np.array(stages), np.array([1.0] + [w for w in weights if w], dtype=complex)[:, None]
+
+
+#: Fehlberg 4(5): the rows that form stages 2-6, then the 4th-order
+#: propagation and the error estimate.
+FEHLBERG_STAGES = (
+    _tableau_row(1 / 4),
+    _tableau_row(3 / 32, 9 / 32),
+    _tableau_row(1932 / 2197, -7200 / 2197, 7296 / 2197),
+    _tableau_row(439 / 216, -8, 3680 / 513, -845 / 4104),
+    _tableau_row(-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
+)
+FEHLBERG_B4 = _tableau_row(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
+FEHLBERG_ERR = _tableau_row(1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
 def _fehlberg_step(f, y, dt):
     """One Fehlberg 4(5) step: 4th-order propagation, 5th-order error estimate.
 
-    Zero tableau entries are skipped and the other terms add left to right
-    from an integer 0, so an exact zero gets the sign a Python ``sum`` gives it.
+    The stages k1 ... k6 are rows 1-6 of one stack whose row 0 is zero.  A
+    weighted sum multiplies its rows by their weights in one product and
+    adds the terms in order along the stage axis (``np.add.accumulate``, at
+    every state dimension), so zero entries are skipped and the other terms
+    add left to right from zero, as a Python ``sum`` adds them from its 0.
     """
-    k1 = f(y)
-    k2 = f(y + dt * (0 + 1 / 4 * k1))
-    k3 = f(y + dt * (0 + 3 / 32 * k1 + 9 / 32 * k2))
-    k4 = f(y + dt * (0 + 1932 / 2197 * k1 + -7200 / 2197 * k2 + 7296 / 2197 * k3))
-    k5 = f(y + dt * (0 + 439 / 216 * k1 + -8 * k2 + 3680 / 513 * k3 + -845 / 4104 * k4))
-    k6 = f(y + dt * (0 + -8 / 27 * k1 + 2 * k2 + -3554 / 2565 * k3 + 1859 / 4104 * k4 + -11 / 40 * k5))
-    y_new = y + dt * (0 + 25 / 216 * k1 + 1408 / 2565 * k3 + 2197 / 4104 * k4 + -1 / 5 * k5)
-    err = dt * (0 + 1 / 360 * k1 + -128 / 4275 * k3 + -2197 / 75240 * k4 + 1 / 50 * k5 + 2 / 55 * k6)
-    return y_new, err
+    k = np.zeros((7,) + y.shape, dtype=complex)
+    k[1] = f(y)
+    for s, row in enumerate(FEHLBERG_STAGES, start=2):
+        k[s] = f(y + dt * _stage_sum(k, *row))
+    return y + dt * _stage_sum(k, *FEHLBERG_B4), dt * _stage_sum(k, *FEHLBERG_ERR)
+
+
+def _stage_sum(k, stages, weights):
+    return np.add.accumulate(weights * k.take(stages, axis=0), axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +239,35 @@ def drift_report(columns) -> list[DriftRecord]:
     return out
 
 
-def _fmt(z: complex) -> str:
-    if z.imag == 0.0:
-        return f"{z.real:.17g}"
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+#: Rows per block in which trajectory_csv formats its cells, a column at a time.
+CSV_BLOCK_ROWS = 128
+
+
+def _cells(values) -> list[str]:
+    """Each number of a 1-D complex array as a CSV cell of 17 significant
+    digits: its real part, then its signed imaginary part and ``j`` where
+    that is nonzero."""
+    return [f"{re:.17g}" if im == 0.0 else f"{re:.17g}{im:+.17g}j"
+            for re, im in zip(values.real.tolist(), values.imag.tolist())]
 
 
 def trajectory_csv(traj: Trajectory, columns=None) -> str:
     """Render a trajectory as CSV: t, coordinates, then invariant columns.
 
     ``columns`` maps each invariant name to its values, one complex number
-    per sample (as ``LatticeSystem.invariant_columns`` returns them).
+    per sample (as ``LatticeSystem.invariant_columns`` returns them).  Cells
+    are formatted a column at a time, in blocks of CSV_BLOCK_ROWS rows.
     """
     columns = columns or {}
     if any(len(values) != len(traj.times) for values in columns.values()):
         raise ValueError("every invariant column needs one value per sample")
     header = ["t"] + coordinate_names(traj.initial) + list(columns)
-    lines = [",".join(header)]
-    invariant_rows = zip(*columns.values()) if columns else [()] * len(traj.times)
-    for t, row, values in zip(traj.times.tolist(), traj.coords.tolist(), invariant_rows):
-        cells = [f"{t:.17g}"] + [_fmt(z) for z in row] + [_fmt(complex(v)) for v in values]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    parts = [",".join(header) + "\n"]
+    invariants = [np.asarray(values, dtype=complex) for values in columns.values()]
+    for lo in range(0, len(traj.times), CSV_BLOCK_ROWS):
+        block = slice(lo, lo + CSV_BLOCK_ROWS)
+        cells = [[f"{t:.17g}" for t in traj.times[block].tolist()]]
+        cells += [_cells(column) for column in traj.coords[block].T]
+        cells += [_cells(values[block]) for values in invariants]
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(parts)

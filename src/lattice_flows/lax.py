@@ -23,8 +23,10 @@ writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
 means dL/dt = [L, B].  Matrix products are stacked (each slice is
 multiplied as one state's matrix would be), so are the residual norms
-(``states.row_norms``), and the traces of the invariant columns are taken
-slice by slice, so a state gets the same bits in any block.
+(``states.row_norms``) and the traces of the invariant columns: a block's
+diagonals are copied to one C-ordered (N, T) array and summed along its last
+axis, each row in the order np.trace sums one matrix's diagonal, so a state
+gets the same bits in any block.
 
 Matrix layout notes (0-based):
 
@@ -151,17 +153,25 @@ def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
     Both gradings take their powers from one power chain (``_matrix_powers``),
     a product two orders share taken once: grading 1 multiplies I @ L @ L ...
     left to right, grading 2 (vd's v-degree grading) takes matrix_power's
-    products.  Each value is complex(P.trace()) / k on one C-ordered (T, T)
-    slice in Python arithmetic, so it keeps the bits of a single-matrix
-    evaluation: a stacked trace sums the diagonal in another order, and
-    numpy's complex array division multiplies by 1/k.
+    products.  Each power's traces are one sum over its diagonals
+    (``_diagonal_sums``), which adds each matrix's diagonal in the order of
+    its own P.trace(); each trace is then divided by k as a Python complex,
+    since numpy's complex array division multiplies by 1/k.  So a value keeps
+    the bits of a single-matrix evaluation.
     """
     orders = list(orders)
     if any(k < 1 for k in orders):
         raise ValueError("orders must be positive integers")
     tree = _chain if grading == 1 else lambda k: _matrix_power_tree(grading * k)
     powers = _matrix_powers(L, [tree(k) for k in orders])
-    return [[complex(p.trace()) / k for p in power] for power, k in zip(powers, orders)]
+    return [[h / k for h in _diagonal_sums(power).tolist()] for power, k in zip(powers, orders)]
+
+
+def _diagonal_sums(P) -> np.ndarray:
+    """The trace of each matrix of an (N, T, T) stack: its diagonals as one
+    C-ordered (N, T) array, each row summed along the last axis as P[i].trace()
+    sums its diagonal (pairwise, on longer diagonals), bit for bit."""
+    return np.ascontiguousarray(P.diagonal(0, 1, 2)).sum(axis=-1)
 
 
 def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:

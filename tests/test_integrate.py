@@ -73,6 +73,28 @@ def test_domain_exit_reports_partial_trajectory():
     assert traj.times[-1] == pytest.approx(3.0)
 
 
+def test_domain_exit_names_the_coordinate_its_value_t_and_dt():
+    sinking = LatticeSystem("sink", {VOLTERRA_U: lambda s, y, _: -np.ones(s.dim)})
+    with pytest.raises(DomainExit, match=r"^positivity-constrained coordinate u2 crossed zero to "
+                                         r"-0\.000[0-9]+ at t = 0\.751 \(dt = 0\.001\)$"):
+        integrate(sinking, u_state([1.0, 0.7505, 2.0]), 3.0, FixedStep(1e-3))
+
+
+def test_step_failure_names_the_first_non_finite_coordinate_t_and_dt():
+    # a2 and b1 overflow in the first step; a2 comes first in the CSV
+    system = LatticeSystem("overflow", {FLASCHKA_AB: lambda s, y, _: np.where(np.arange(s.dim) >= 1, np.inf, 0.0)})
+    with pytest.raises(StepFailure, match=r"^coordinate a2 overflowed to a non-finite value \(inf\) "
+                                          r"at t = 0\.02 \(dt = 0\.02\)$"):
+        integrate(system, ab_state([1.0, 2.0], [3.0]), 1.0, FixedStep(0.02))
+
+
+def test_simulate_names_the_coordinate_that_leaves_the_domain(capsys):
+    argv = ["simulate", "--system", "bv-b", "--state", '{"u": [5, 5, 5, 5]}', "--t", "1", "--dt", "0.01"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: positivity-constrained coordinate u4 crossed zero to -4.62")
+
+
 def test_step_failure_near_blowup():
     # the leading v equation grows superlinearly; a large state blows up fast
     system = get_system("vd")
@@ -192,3 +214,28 @@ def test_steps_match_the_state_per_stage_reference_bit_for_bit(rng):
             assert _rk4_step(field, s0.array, dt).tobytes() == _rk4_step(reference, s0.array, dt).tobytes()
             got, want = _fehlberg_step(field, s0.array, dt), fehlberg_step_reference(reference, s0.array, dt)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (system.key, s0)
+
+
+def _bits(x):
+    """The bytes of a complex array with every NaN made the same NaN."""
+    parts = np.asarray(x, dtype=complex).view(float)
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_the_stage_stack_keeps_the_bits_of_the_generator_sums(rng, d):
+    # the stage sums add in order at every state dimension: at d = 1 the
+    # stack's stage axis is contiguous, and np.add.reduce would sum it pairwise
+    W = rng.normal(size=(d, d))
+    for field in (lambda y: W @ np.sin(y), np.sinh):
+        for _ in range(40):
+            real = rng.normal(size=d) * 10.0 ** rng.integers(-3, 3, d)
+            complex_row = real + 1j * rng.normal(size=d)
+            signed_zeros = rng.choice([0.0, -0.0], d) + 1j * rng.choice([0.0, -0.0], d)
+            with_inf = complex_row.copy()
+            with_inf[rng.integers(d)] = rng.choice([np.inf, -np.inf, complex(0.5, np.inf)])
+            for y in (real.astype(complex), complex_row, signed_zeros, with_inf):
+                dt = rng.choice([1e-3, 0.05, 0.7])
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got, want = _fehlberg_step(field, y, dt), fehlberg_step_reference(field, y, dt)
+                assert [_bits(x) for x in got] == [_bits(x) for x in want], (d, y, dt)

@@ -14,6 +14,7 @@ from lattice_flows.lax import (
     X,
     Entry,
     _chain,
+    _diagonal_sums,
     _matrix_power_tree,
     _matrix_powers,
     _power_chain,
@@ -552,6 +553,27 @@ def test_trace_columns_keep_the_bits_of_each_power_formed_alone(rng, system, siz
         assert np.array(trace_columns(L, orders.values(), grading)).tobytes() == want, (system, size, imaginary)
         columns = catalog.invariant_columns(state, list(orders), rows)
         assert np.array(list(columns.values())).tobytes() == want, (system, size, imaginary)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_stacked_trace_is_each_matrix_trace_bit_for_bit(rng, dtype):
+    # one sum over a block's diagonals adds each diagonal as that matrix's own
+    # trace does, pairwise ones included, with signed zeros, inf and NaN on it
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for T in range(1, 50):
+        P = rng.normal(size=(12, T, T)) * 10.0 ** rng.integers(-8, 9, (12, T, T))
+        if dtype is complex:
+            P = P + 1j * rng.normal(size=(12, T, T))
+        diagonals = P.diagonal(0, 1, 2).copy()
+        diagonals[2:6] = rng.choice(specials[:2], (4, T))  # signed zeros only
+        special = rng.random((12, T)) < 0.2
+        diagonals[6:][special[6:]] = rng.choice(specials, special[6:].sum())
+        if dtype is complex:
+            diagonals[2:4].imag = rng.choice(specials[:2], (2, T))
+        P[:, range(T), range(T)] = diagonals
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.array([p.trace() for p in P])
+            assert _diagonal_sums(P).tobytes() == want.tobytes(), T
 
 
 def _power_trees(*exponents):
