@@ -220,12 +220,20 @@ def _involution(state, rows, k1: int, k2: int) -> np.ndarray:
     return np.hypot(bracket.real, bracket.imag)
 
 
+#: The default --pairs of verify involution.
+INVOLUTION_PAIRS = "H2:H4,H2:H6"
+
+
 def _invariant_pairs(args) -> list[tuple[int, int]]:
     """Trace orders named by --pairs; only two distinct H<k> of the ab system at
-    this m are accepted: {H, H} = 0 under any bracket, so it would check nothing."""
+    this m are accepted: {H, H} = 0 under any bracket, so it would check nothing.
+    The default keeps the pairs the system offers at this m (H2:H4 alone at
+    m = 2), or all of them if it offers none, so that none passes unchecked."""
     probe = ab_state([1.0] * (args.m + 1), [0.0] * args.m)
     offered = [name for name in get_system("ab").invariants(probe) if name.startswith("H")]
     pairs = [spec.split(":") for spec in args.pairs.split(",")]
+    if args.pairs == INVOLUTION_PAIRS:
+        pairs = [pair for pair in pairs if set(pair) <= set(offered)] or pairs
     for pair in pairs:
         if len(pair) != 2 or not set(pair) <= set(offered):
             raise ValueError(f"--pairs entry {':'.join(pair)!r} must name two of {offered}")
@@ -289,7 +297,7 @@ SUITES = {
                                         jacobian=transforms.c_to_v_jacobian)),
         )
     }),
-    "involution": Suite(None, 50, (("--m", 3), ("--pairs", "H2:H4,H2:H6")), {
+    "involution": Suite(None, 50, (("--m", 3), ("--pairs", INVOLUTION_PAIRS)), {
         None: Check(_AB, _involution, 1e-9, "pi1-ab", "involution-H{0}-H{1}"),
     }, sweep=_invariant_pairs),
 }

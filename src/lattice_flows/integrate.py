@@ -136,7 +136,11 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             grow = 0.9 * ratio ** -0.2 if ratio > 0 else 5.0
             dt *= min(5.0, max(0.2, grow))
         else:
-            dt *= max(0.2, 0.9 * ratio**-0.2)
+            shrunk = dt * max(0.2, 0.9 * ratio**-0.2)
+            if shrunk < DT_MIN and not np.isfinite(y_new).all():
+                # a non-finite trial rejects every step down to DT_MIN: name the overflow, not the underflow
+                check_step(y_new, t + dt, dt)
+            dt = shrunk
         if dt < DT_MIN:
             raise StepFailure(f"adaptive step underflow (dt = {dt:.3g}) at t = {t:.6g}")
     return trajectory()
@@ -170,46 +174,53 @@ def _rk4_step(f, y, dt):
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _tableau_row(*weights):
-    """One weighted sum of the Fehlberg stages, as (stages, weights) of the
-    stage stack: row 0, the zero row, with weight 1, then each stage whose
-    tableau entry is nonzero.  The weights are complex, as a complex product
-    would cast them."""
-    stages = [0] + [s + 1 for s, w in enumerate(weights) if w]
-    return np.array(stages), np.array([1.0] + [w for w in weights if w], dtype=complex)[:, None]
-
-
-#: Fehlberg 4(5): the rows that form stages 2-6, then the 4th-order
-#: propagation and the error estimate.
-FEHLBERG_STAGES = (
-    _tableau_row(1 / 4),
-    _tableau_row(3 / 32, 9 / 32),
-    _tableau_row(1932 / 2197, -7200 / 2197, 7296 / 2197),
-    _tableau_row(439 / 216, -8, 3680 / 513, -845 / 4104),
-    _tableau_row(-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
+#: Fehlberg 4(5), one row per weighted sum of the stages k1 ... k6: the
+#: inputs of stages 2-6, then the 4th-order propagation and the error estimate.
+FEHLBERG_ROWS = (
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
+    (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0),
+    (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55),
 )
-FEHLBERG_B4 = _tableau_row(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
-FEHLBERG_ERR = _tableau_row(1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
+def _tableau_columns(rows):
+    """Each stage's column of the tableau as (lo, hi, weights): the rows
+    lo ... hi - 1 are the sums that take the stage, a contiguous span, and
+    ``weights`` their entries as a complex (hi - lo, 1) column, as a complex
+    product would cast them."""
+    columns = []
+    for stage in range(len(rows) - 1):
+        used = [r for r, row in enumerate(rows) if stage < len(row) and row[stage]]
+        lo, hi = used[0], used[-1] + 1
+        if used != list(range(lo, hi)):
+            raise ValueError(f"stage {stage + 1} is taken by rows {used}, not a contiguous span")
+        columns.append((lo, hi, np.array([rows[r][stage] for r in used], dtype=complex)[:, None]))
+    return tuple(columns)
+
+
+FEHLBERG_COLUMNS = _tableau_columns(FEHLBERG_ROWS)
 
 
 def _fehlberg_step(f, y, dt):
     """One Fehlberg 4(5) step: 4th-order propagation, 5th-order error estimate.
 
-    The stages k1 ... k6 are rows 1-6 of one stack whose row 0 is zero.  A
-    weighted sum multiplies its rows by their weights in one product and
-    adds the terms in order along the stage axis (``np.add.accumulate``, at
-    every state dimension), so zero entries are skipped and the other terms
-    add left to right from zero, as a Python ``sum`` adds them from its 0.
+    The seven weighted sums are running rows of one (7, d) stack that starts
+    at zero.  Once a stage is made, its weighted copies are added to the
+    span of sums that take it (``FEHLBERG_COLUMNS``), so each sum adds its
+    nonzero terms left to right from zero, as a Python ``sum`` adds them
+    from its 0, and row s - 2 is complete when stage s needs it.
     """
-    k = np.zeros((7,) + y.shape, dtype=complex)
-    k[1] = f(y)
-    for s, row in enumerate(FEHLBERG_STAGES, start=2):
-        k[s] = f(y + dt * _stage_sum(k, *row))
-    return y + dt * _stage_sum(k, *FEHLBERG_B4), dt * _stage_sum(k, *FEHLBERG_ERR)
-
-
-def _stage_sum(k, stages, weights):
-    return np.add.accumulate(weights * k.take(stages, axis=0), axis=0)[-1]
+    sums = np.zeros((len(FEHLBERG_ROWS),) + y.shape, dtype=complex)
+    k = f(y)
+    for s, (lo, hi, weights) in enumerate(FEHLBERG_COLUMNS):
+        sums[lo:hi] += weights * k
+        if s < len(FEHLBERG_COLUMNS) - 1:
+            k = f(y + dt * sums[s])
+    return y + dt * sums[-2], dt * sums[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,13 @@ takes dL along the velocities at L's slots by the chain rule, and
 ``grad_trace_invariant`` reads each dL/dx_j from the table: neither builds
 a dense dL.  Every catalog pair but vd at even n has a ``Gauge``, a
 diagonal similarity to a real pair, and on a real block ``lax_residual``
-takes [B, L] from one float64 product with the bits of the complex ones;
-``lax_pair``, ``trace_columns`` and ``grad_trace_invariant`` stay complex.
+takes [B, L] from one float64 product with the bits of the complex ones.
 The trace powers of both gradings and the powers of the trace gradients
-come from one power chain (``_matrix_powers``).  Each entry's value takes
+come from one power chain (``_matrix_powers``), which multiplies in
+float64 when L has no imaginary part (km, toda and ab on a real block),
+again with the bits of the complex products; ``lax_pair`` stays complex,
+and so do the values ``trace_columns`` and ``grad_trace_invariant``
+return.  Each entry's value takes
 the operations of its formula in order, so the matrices keep the bits of
 writing the entries by hand.  ``sign`` is the
 numerically certified commutator convention: +1 means dL/dt = [B, L], -1
@@ -168,10 +171,11 @@ def trace_columns(L, orders, grading: int = 1) -> list[list[complex]]:
 
 
 def _diagonal_sums(P) -> np.ndarray:
-    """The trace of each matrix of an (N, T, T) stack: its diagonals as one
-    C-ordered (N, T) array, each row summed along the last axis as P[i].trace()
-    sums its diagonal (pairwise, on longer diagonals), bit for bit."""
-    return np.ascontiguousarray(P.diagonal(0, 1, 2)).sum(axis=-1)
+    """The complex trace of each matrix of a real or complex (N, T, T) stack:
+    its diagonals as one C-ordered complex (N, T) array, each row summed
+    along the last axis as P[i].astype(complex).trace() sums its diagonal
+    (pairwise, on longer diagonals), bit for bit."""
+    return np.ascontiguousarray(P.diagonal(0, 1, 2), dtype=complex).sum(axis=-1)
 
 
 def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
@@ -222,21 +226,35 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
 
 
 def _matrix_powers(L, trees):
-    """The power of an (N, T, T) stack L that each of ``trees`` names, in
-    order: a tree is "I", "L" or a (left, right) pair of trees multiplied as
-    left @ right, so a power keeps the bits of its products, and a product
-    two trees share is taken once.  The products share one allocation, whose
-    slots are reused once no later product or power reads them, so a power
-    yielded holds only until the next one is asked for."""
+    """The power of an (N, T, T) complex stack L that each of ``trees``
+    names, in order: a tree is "I", "L" or a (left, right) pair of trees
+    multiplied as left @ right, so a power keeps the bits of its products,
+    and a product two trees share is taken once.  The products share one
+    allocation, whose slots are reused once no later product or power reads
+    them, so a power yielded holds only until the next one is asked for.
+
+    A stack with no imaginary part (km, toda and ab on a real block) is
+    multiplied in float64: L's real part and every product are padded to
+    ``_gemm_width(T)`` columns, so that each entry has the bits of the real
+    part of the complex product, and such a power is yielded as a float64
+    (N, T, T) view, whose diagonals ``_diagonal_sums`` sums as complex.
+    The tree "L" always yields the complex L itself."""
     slots, actions = _power_chain(tuple(trees))
-    stack = np.empty((slots,) + L.shape, dtype=L.dtype)
+    N, T = L.shape[:2]
+    if L.imag.any():
+        stack, base = np.empty((slots, N, T, T), dtype=complex), L
+    else:
+        stack = np.zeros((slots + 1, N, T, _gemm_width(T)))
+        base = stack[slots]
+        base[:, :, :T] = L.real
     for out, left, right in actions:  # operand -1 is L, s >= 0 slot s
         if left is None:
-            yield L if out < 0 else stack[out]
+            yield L if out < 0 else stack[out][:, :, :T]
         elif left == right == -2:
-            stack[out] = np.eye(L.shape[-1])
+            stack[out][:, :, :T] = np.eye(T)
         else:
-            np.matmul(L if left < 0 else stack[left], L if right < 0 else stack[right], out=stack[out])
+            np.matmul((base if left < 0 else stack[left])[:, :, :T], base if right < 0 else stack[right],
+                      out=stack[out])
 
 
 def _matrix_power_tree(n: int):

@@ -176,18 +176,22 @@ def ab_field(state: State, y) -> np.ndarray:
 
     da_1 = 2 a_1 b_1; da_i = a_i (b_i - b_{i-1}) for 2 <= i <= m;
     da_{m+1} = -2 a_{m+1} b_m; db_i = 2 (a_{i+1}^2 - a_i^2).
+
+    da and db go into one complex array; db is formed in the dtype of ``y``
+    before it is cast, as a concatenation would cast it.
     """
     split, m = ab_sizes(state, +1, "ab_field")
     if m < 1:
         raise DimensionError("ab_field needs m >= 1")
     a, b = y[:split], y[split:]
-    da = np.zeros(a.shape, dtype=complex)
-    da[0] = 2 * a[0] * b[0]
+    out = np.empty(y.shape, dtype=complex)
+    out[0] = 2 * a[0] * b[0]
     for i in range(1, m):
-        da[i] = a[i] * (b[i] - b[i - 1])
-    da[m] = -2 * a[m] * b[m - 1]
-    db = 2 * (a[1:] ** 2 - a[:-1] ** 2)
-    return np.concatenate([da, db])
+        out[i] = a[i] * (b[i] - b[i - 1])
+    out[m] = -2 * a[m] * b[m - 1]
+    asq = a**2
+    out[split:] = 2 * (asq[1:] - asq[:-1])
+    return out
 
 
 def toda_ab_field(state: State, y) -> np.ndarray:

@@ -3,7 +3,9 @@ gradient: the bit reference that the entry tables of ``lattice_flows.lax``
 must reproduce.
 
 ``reference_traces`` forms each trace power on its own, as the bit
-reference of the shared power chain.
+reference of the shared power chain, and ``reference_power`` forms the
+power a product tree names in complex arithmetic, as the bit reference of
+the float64 chain.
 
 A builder takes (state, x, ds): ``state`` fixes the chart and sizes, x is a
 (d, N) block of coordinates, and ds is None or a (d, K, N) block of K
@@ -67,6 +69,16 @@ def reference_traces(L, orders, grading=1):
         return P
 
     return [[complex(p.trace()) / k for p in power(k)] for k in orders]
+
+
+def reference_power(L, tree):
+    """The power of an (N, T, T) complex stack that a ``lax`` product tree
+    names ("I", "L" or a (left, right) pair), each product a complex one."""
+    if tree == "I":
+        return np.broadcast_to(np.eye(L.shape[-1], dtype=complex), L.shape).copy()
+    if tree == "L":
+        return L
+    return reference_power(L, tree[0]) @ reference_power(L, tree[1])
 
 
 def _zeros(T: int, batch: tuple) -> np.ndarray:

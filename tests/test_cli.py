@@ -357,6 +357,17 @@ def test_verify_involution_accepts_top_order_at_larger_m(capsys):
     assert json.loads(out)["records"][0]["check"] == "involution-H2-H8"
 
 
+def test_verify_involution_default_pairs_keep_what_the_system_offers(capsys):
+    # ab offers H6 only from m = 3: the default runs H2:H4 alone at m = 2, an
+    # explicit H2:H6 stays a usage error, and at m = 1 (H2 alone) no pair is left
+    code, out, _ = run(capsys, "verify", "involution", "--m", "2", "--states", "2")
+    assert code == 0
+    assert [r["check"] for r in json.loads(out)["records"]] == ["involution-H2-H4"]
+    for argv in (("--m", "2", "--pairs", "H2:H6"), ("--m", "1")):
+        code, out, err = run(capsys, "verify", "involution", *argv, "--states", "2")
+        assert code == 2 and out == "" and "--pairs" in err
+
+
 def test_simulate_fixed_step_overflow_exits_one(tmp_path, capsys):
     out_file = tmp_path / "traj.csv"
     state = '{"q":[-300,0],"p":[0,0]}'  # exp(600) overflows in the first step

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import catalog_cases, fehlberg_step_reference, state_per_stage
-from lattice_flows import DomainExit, StepFailure, ab_state, c_state, u_state, v_state
+from lattice_flows import DomainExit, StepFailure, ab_state, c_state, qp_state, u_state, v_state
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import (
@@ -86,6 +86,21 @@ def test_step_failure_names_the_first_non_finite_coordinate_t_and_dt():
     with pytest.raises(StepFailure, match=r"^coordinate a2 overflowed to a non-finite value \(inf\) "
                                           r"at t = 0\.02 \(dt = 0\.02\)$"):
         integrate(system, ab_state([1.0, 2.0], [3.0]), 1.0, FixedStep(0.02))
+
+
+def test_adaptive_overflow_is_named_as_the_fixed_step_names_it(capsys):
+    # exp(600) overflows at the initial state: every trial is non-finite and its
+    # NaN error estimate rejects it, until dt falls below DT_MIN
+    s0 = qp_state([-300.0, 0.0], [0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            StepFailure, match=r"^coordinate q1 overflowed to a non-finite value \(nan\+nanj\) "
+                               r"at t = 1\.6384e-12 \(dt = 1\.64e-12\)$"):
+        integrate(get_system("sklyanin"), s0, 0.1, AdaptiveStep())
+    argv = ["simulate", "--system", "sklyanin", "--state", '{"q":[-300,0],"p":[0,0]}', "--t", "0.1", "--adaptive"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: coordinate q1 overflowed to a non-finite value (nan+nanj) "
+                                       "at t = 1.6384e-12 (dt = 1.64e-12)\n")
 
 
 def test_simulate_names_the_coordinate_that_leaves_the_domain(capsys):

@@ -528,10 +528,56 @@ def test_the_power_chain_keeps_the_bits_of_matrix_power(rng, system, size, order
     L = lax_pair(SYSTEMS[system].lax, state, rows)[0]
     exponents = [k - 1 for k in orders]
     for power, k in zip(_matrix_powers(L, [_matrix_power_tree(k) for k in exponents]), exponents):
-        assert power.tobytes() == np.linalg.matrix_power(L, k).tobytes(), (system, size, k)
+        want = np.linalg.matrix_power(L, k)
+        if power.dtype == complex:  # vd, and L itself
+            assert power.tobytes() == want.tobytes(), (system, size, k)
+        else:  # the float64 chain of a real L: its zeros may differ in sign, which no gradient sees
+            assert not want.imag.any() and np.array_equal(power, want.real), (system, size, k)
     reference = getattr(lax_reference, f"{system}_lax")
     grads = grad_trace_invariant(SYSTEMS[system].lax, state, rows, orders)
     assert grads.tobytes() == lax_reference.reference_grads(reference, state, rows, orders).tobytes()
+
+
+def _signed_zero_block(rng, system, size, count):
+    """A real block whose imaginary parts are -0.0 and, but for km (u > 0),
+    about a third of whose b's are +0.0 or -0.0."""
+    state, rows = _block(rng, system, size, count, False)
+    if system != "km":
+        b, zero = rows[:, state.split:], rng.random((count, state.dim - state.split)) < 0.35
+        b[zero] = rng.choice([0.0, -0.0], zero.sum())
+    rows.imag = -0.0
+    return state, rows
+
+
+@pytest.mark.parametrize("system", ["km", "toda", "ab"])
+def test_the_float64_chain_keeps_the_bits_of_the_complex_chain(rng, system):
+    # every T from 2 to 33 (ab: even T from 4), both tree families: unpadded,
+    # dgemm sums the products at T = 17-20, 25-28 and 33 otherwise than zgemm
+    # sums their real parts (dense (N, T, T) stacks, OpenBLAS 0.3.31
+    # SkylakeX), so this fails if the stacks lose their _gemm_width padding
+    chains = [_chain(k) for k in range(1, 9)]
+    matrix_powers = [_matrix_power_tree(k) for k in range(10)]
+    for T in range(2, 34):
+        if system == "ab" and (T % 2 or T < 4):
+            continue
+        size = {"km": T - 1, "toda": T, "ab": T // 2}[system]
+        for sample in (_block(rng, system, size, 9, False), _signed_zero_block(rng, system, size, 9)):
+            L = lax_pair(SYSTEMS[system].lax, *sample)[0]
+            assert not L.imag.any()
+            for trees in (chains, matrix_powers):
+                for power, tree in zip(_matrix_powers(L, trees), trees):
+                    want = lax_reference.reference_power(L, tree)
+                    if tree == "L":
+                        assert power is L
+                        continue
+                    # entries equal as numbers (a zero may differ in sign), traces bit for bit
+                    assert power.dtype == float and not want.imag.any(), (T, tree)
+                    assert np.array_equal(power, want.real), (system, T, tree)
+                    assert _diagonal_sums(power).tobytes() == _diagonal_sums(want).tobytes(), (system, T, tree)
+            reference = getattr(lax_reference, f"{system}_lax")
+            orders = (2, 3, 4, 6)
+            grads = grad_trace_invariant(SYSTEMS[system].lax, *sample, orders)
+            assert grads.tobytes() == lax_reference.reference_grads(reference, *sample, orders).tobytes(), (system, T)
 
 
 # every _REFERENCE_SIZES entry and vd at n = 9 (simulate's H2 ... H8) and 16
@@ -558,7 +604,8 @@ def test_trace_columns_keep_the_bits_of_each_power_formed_alone(rng, system, siz
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_a_stacked_trace_is_each_matrix_trace_bit_for_bit(rng, dtype):
     # one sum over a block's diagonals adds each diagonal as that matrix's own
-    # trace does, pairwise ones included, with signed zeros, inf and NaN on it
+    # complex trace does, pairwise ones included, with signed zeros, inf and
+    # NaN on it; a float64 power of the real chain is summed as complex too
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     for T in range(1, 50):
         P = rng.normal(size=(12, T, T)) * 10.0 ** rng.integers(-8, 9, (12, T, T))
@@ -572,7 +619,7 @@ def test_a_stacked_trace_is_each_matrix_trace_bit_for_bit(rng, dtype):
             diagonals[2:4].imag = rng.choice(specials[:2], (2, T))
         P[:, range(T), range(T)] = diagonals
         with np.errstate(invalid="ignore"):  # inf - inf
-            want = np.array([p.trace() for p in P])
+            want = np.array([p.astype(complex).trace() for p in P])
             assert _diagonal_sums(P).tobytes() == want.tobytes(), T
 
 

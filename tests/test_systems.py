@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import field_reference
 from conftest import at, catalog_cases, random_qp, random_u, random_v
 
 from lattice_flows import (
@@ -187,6 +188,28 @@ def test_ab_examples():
     assert np.allclose(ab_field(*at(ab_state([1, 1, 1], [1, 1]))), [2, 0, -2, 0, 0])
     assert np.all(ab_field(*at(ab_state([0, 0], [0]))) == 0)
     assert np.allclose(ab_field(*at(ab_state([1, 2], [3]))), [6, -12, 6])
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_ab_field_keeps_the_bits_of_the_reference(rng, m):
+    # one complex output, one square of a: every entry has the reference's
+    # bits on rows and on (d, N) blocks, real or complex, with signed zeros
+    # and non-finite coordinates
+    d = 2 * m + 1
+    real = rng.normal(size=(d, 6))
+    complex_part = rng.normal(size=(d, 6))
+    signed_zeros = rng.choice([0.0, -0.0], (d, 6))
+    specials = real.copy()
+    specials[rng.random((d, 6)) < 0.3] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0])
+    blocks = [real, real + 1j * complex_part, signed_zeros, signed_zeros + 1j * rng.choice([0.0, -0.0], (d, 6)),
+              real + 1j * signed_zeros, specials, specials + 1j * complex_part]
+    template = ab_state(np.ones(m + 1), np.zeros(m))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for y in blocks:
+            for got, want in ((ab_field(template, y), field_reference.ab_field(template, y)),
+                              (ab_field(template, y[:, 0]), field_reference.ab_field(template, y[:, 0]))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (m, y)
 
 
 def test_toda_ab_field_boundary():
