@@ -17,7 +17,7 @@ import numpy as np
 from . import lax, systems
 from .errors import ChartMismatch
 from .rootdata import Spectrum, null_combination
-from .states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State
+from .states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State, coordinate_columns
 
 #: Rows per block when invariant columns are evaluated, so the (N, T, T) Lax
 #: stacks keep one size however many rows a trajectory has.
@@ -78,14 +78,12 @@ class LatticeSystem:
         complex blocks."""
         return self._on_chart(state)(state, y, self.spectrum)
 
-    def invariants(self, state: State) -> dict[str, Callable[[State], complex]]:
-        """Named invariants available for this system on the state's chart.
-
-        Each is a State -> complex callable: its column at a one-row block.
-        """
+    def invariants(self, state: State) -> dict[str, Column]:
+        """The named invariants available for this system on the state's
+        chart, as its ``named_invariants`` table; ``invariant_columns``
+        evaluates them."""
         self._on_chart(state)
-        return {name: lambda s, name=name: self.invariant_columns(s, [name], s.array[None])[name][0]
-                for name in self.named_invariants(self, state)}
+        return self.named_invariants(self, state)
 
     def invariant_columns(self, state: State, names, rows) -> dict[str, list[complex]]:
         """The named invariants at every row of ``rows``, (N, d) in the chart of ``state``.
@@ -122,7 +120,8 @@ def _traces(builder, orders, grading: int = 1) -> dict[str, Column]:
     vd takes grading 2 (its v-degree grading): its odd-power traces vanish.
     """
     def evaluate(state, rows, ks):
-        return lax.trace_columns(lax.lax_pair(builder, state, rows)[0], ks, grading)
+        compiled, x = builder(state), coordinate_columns(state, rows)  # L alone: B is not read
+        return lax.trace_columns(compiled.L.assemble(compiled.table.size, x, compiled.table.roots(x)), ks, grading)
 
     return {f"H{k}": Column(evaluate, k) for k in orders}
 

@@ -12,20 +12,21 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lax, poisson, transforms
-from .catalog import SYSTEM_KEYS, SYSTEMS, get_system
+from .catalog import SYSTEM_KEYS, SYSTEMS, LatticeSystem, get_system
 from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
-from .rootdata import Spectrum, kozlov_treshchev_check, sklyanin_spectrum, spectrum_from_json
+from .rootdata import (INTEGER_TOL, kozlov_treshchev_check, open_chain_spectrum, sklyanin_spectrum,
+                       spectrum_from_json)
 from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, coordinate_columns,
                      state_from_dict)
 
 RNG_NAME = "numpy-pcg64"
-SPECTRUM_TOL = 1e-9
 
 
 def main(argv=None) -> int:
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("spectrum")
     p.add_argument("--file", default=None, help="spectrum JSON document")
     p.add_argument("--sklyanin", type=int, default=None, help="use the built-in spectrum of this size")
-    p.add_argument("--tol", type=float, default=SPECTRUM_TOL)
+    p.add_argument("--tol", type=float, default=INTEGER_TOL)
     p.set_defaults(run=_verify_spectrum)
 
     return parser
@@ -179,43 +180,57 @@ _QP_N = _sampler(QP, -1.0, 1.0, lambda n, m: (n, n))
 _ON_CHART = {C_VARS: _C, VOLTERRA_V: _V, FLASCHKA_AB: _AB}  # a Poisson structure's sampler
 
 
-def _conjugacy(kernel, source: str, target: str, state, rows, spectrum=None, jacobian=None) -> np.ndarray:
-    """Pushforward residuals of a block under a map kernel between two catalog
-    systems' fields.  A ``spectrum`` goes to the kernel as its first argument
-    and selects the target system's field when that system is 'spectrum'."""
-    mapping = kernel if spectrum is None else functools.partial(kernel, spectrum)
-    return transforms.pushforward_residual(
-        mapping, get_system(source).field, get_system(target, spectrum).field, state, rows, jacobian=jacobian
-    )
+class Transform(NamedTuple):
+    """A ``verify transform`` row: a map kernel from the ``source`` row's
+    chart to the ``target`` row's, with the sampler of its source chart,
+    ``spectrum(n)`` for a map whose first argument is the spectrum of n q's
+    (the target row takes it too), and a closed-form ``jacobian`` or None."""
+
+    sample: Callable
+    kernel: Callable
+    source: LatticeSystem
+    target: LatticeSystem
+    spectrum: Callable | None = None
+    jacobian: Callable | None = None
+
+    def residual(self, state, rows) -> np.ndarray:
+        kernel, target = self.kernel, self.target
+        if self.spectrum:
+            spectrum = self.spectrum(state.split)
+            kernel, target = functools.partial(kernel, spectrum), replace(target, spectrum=spectrum)
+        return transforms.pushforward_residual(kernel, self.source.field, target.field, state, rows, self.jacobian)
 
 
-@functools.cache
-def _open_chain(n: int) -> Spectrum:
-    """Spectrum e_i - e_{i+1} of the open Toda chain on n particles, built once
-    per n: a Spectrum is frozen and its gram read-only, so blocks share it."""
-    rows = (tuple(float(j == i) - float(j == i + 1) for j in range(n)) for i in range(n - 1))
-    return Spectrum(n, tuple(rows))
+TRANSFORMS = {
+    "henon": Transform(_U, transforms.henon_block, SYSTEMS["km"], SYSTEMS["toda"]),
+    "d-map": Transform(_V, transforms.d_transform_block, SYSTEMS["vd"], SYSTEMS["ab"]),
+    "flaschka-sklyanin": Transform(_QP_M, transforms.sklyanin_flaschka_block, SYSTEMS["sklyanin"], SYSTEMS["ab"]),
+    "flaschka-toda": Transform(_QP_N, transforms.toda_flaschka_block, SYSTEMS["toda"], SYSTEMS["toda"],
+                               open_chain_spectrum),
+    "flaschka-general": Transform(_QP_N, transforms.generalized_flaschka_block, SYSTEMS["sklyanin"],
+                                  SYSTEMS["spectrum"], sklyanin_spectrum),
+    "c-to-v": Transform(_C, transforms.c_to_v_block, SYSTEMS["c-d"], SYSTEMS["vd"], None, transforms.c_to_v_jacobian),
+}
 
 
-def _lax(system) -> Callable:
+def _lax(system: LatticeSystem) -> Callable:
     """The Lax residual of a block of a catalog row's states along its field,
     evaluated once on the block's columns."""
     return lambda s, rows: lax.lax_residual(system.lax, s, rows, system.field(s, coordinate_columns(s, rows)).T)
 
 
-def _km_lax(s, rows) -> np.ndarray:
+def _km_lax(s, rows, residual=_lax(SYSTEMS["km"])) -> np.ndarray:
     # below n = 2, du/dt = 0 and B has no entries: the residual is 0 whatever L holds
     if s.dim < 2:
         raise ValueError("verify lax --system km needs n >= 2; with one variable the residual is identically 0")
-    return _lax(SYSTEMS["km"])(s, rows)
+    return residual(s, rows)
 
 
-def _involution(state, rows, k1: int, k2: int) -> np.ndarray:
+def _involution(state, rows, k1: int, k2: int, ab=SYSTEMS["ab"], pi=poisson.STRUCTURES["pi1-ab"]) -> np.ndarray:
     """|{H_k1, H_k2}| under pi1-ab at each row, from analytic trace gradients:
     per row, a vector-matrix and a vector-vector product, stacked."""
-    g1, g2 = lax.grad_trace_invariant(SYSTEMS["ab"].lax, state, rows, [k1, k2])
-    pis = poisson.STRUCTURES["pi1-ab"](state, rows)
-    bracket = (g1[:, None] @ pis @ g2[..., None])[:, 0, 0]
+    g1, g2 = lax.grad_trace_invariant(ab.lax, state, rows, [k1, k2])
+    bracket = (g1[:, None] @ pi(state, rows) @ g2[..., None])[:, 0, 0]
     # hypot is Python's abs of a complex; numpy's complex abs rounds otherwise
     return np.hypot(bracket.real, bracket.imag)
 
@@ -280,22 +295,8 @@ SUITES = {
         for chart, pair in poisson.LENARD.items()
     }),
     "transform": Suite("--map", 100, _SIZES, {
-        name: Check(sample, residual, 1e-8, name, "pushforward")
-        for name, sample, residual in (
-            ("henon", _U, lambda s, rows: _conjugacy(transforms.henon_block, "km", "toda", s, rows)),
-            ("d-map", _V, lambda s, rows: _conjugacy(transforms.d_transform_block, "vd", "ab", s, rows)),
-            ("flaschka-sklyanin", _QP_M,
-             lambda s, rows: _conjugacy(transforms.sklyanin_flaschka_block, "sklyanin", "ab", s, rows)),
-            ("flaschka-toda", _QP_N,
-             lambda s, rows: _conjugacy(transforms.toda_flaschka_block, "toda", "toda", s, rows,
-                                        _open_chain(s.split))),
-            ("flaschka-general", _QP_N,
-             lambda s, rows: _conjugacy(transforms.generalized_flaschka_block, "sklyanin", "spectrum", s, rows,
-                                        sklyanin_spectrum(s.split))),
-            ("c-to-v", _C,
-             lambda s, rows: _conjugacy(transforms.c_to_v_block, "c-d", "vd", s, rows,
-                                        jacobian=transforms.c_to_v_jacobian)),
-        )
+        name: Check(transform.sample, transform.residual, 1e-8, name, "pushforward")
+        for name, transform in TRANSFORMS.items()
     }),
     "involution": Suite(None, 50, (("--m", 3), ("--pairs", INVOLUTION_PAIRS)), {
         None: Check(_AB, _involution, 1e-9, "pi1-ab", "involution-H{0}-H{1}"),

@@ -77,6 +77,8 @@ class Trajectory:
         return self.initial.replace_coords(self.coords[-1])
 
 
+# a step that overflows is named by check_step (StepFailure), not by numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Trajectory:
     """Integrate the system's field from s0 to t_end, sampling every accepted step."""
     if not (math.isfinite(t_end) and t_end >= 0):

@@ -217,27 +217,22 @@ def null_combination(spectrum: Spectrum) -> list[np.ndarray]:
 
 
 @cache
-def sklyanin_spectrum(n: int) -> Spectrum:
-    """Spectrum of the doubly boundary-perturbed Toda chain in R^n.
+def open_chain_spectrum(n: int) -> Spectrum:
+    """Spectrum e_1 - e_2, ..., e_{n-1} - e_n of the open Toda chain in R^n.
+    Built once per n and shared: a Spectrum is frozen and its ``gram`` read-only."""
+    rows = (tuple(float(j == i) - float(j == i + 1) for j in range(n)) for i in range(n - 1))
+    return Spectrum(n, tuple(rows))
 
-    The n+1 vectors are e_1 - e_2, ..., e_{n-1} - e_n, -2 e_1, 2 e_n.  Built
-    once per n and shared: a Spectrum is frozen and its ``gram`` read-only.
-    """
+
+@cache
+def sklyanin_spectrum(n: int) -> Spectrum:
+    """Spectrum of the doubly boundary-perturbed Toda chain in R^n: the open
+    chain's n-1 vectors, then -2 e_1 and 2 e_n.  Built once per n and shared."""
     if n < 2:
         raise DimensionError("sklyanin_spectrum requires n >= 2")
-    vecs = []
-    for i in range(n - 1):
-        v = [0.0] * n
-        v[i] = 1.0
-        v[i + 1] = -1.0
-        vecs.append(tuple(v))
-    left = [0.0] * n
-    left[0] = -2.0
-    right = [0.0] * n
-    right[-1] = 2.0
-    vecs.append(tuple(left))
-    vecs.append(tuple(right))
-    return Spectrum(dimension=n, vectors=tuple(vecs))
+    left, right = [0.0] * n, [0.0] * n
+    left[0], right[-1] = -2.0, 2.0
+    return Spectrum(n, open_chain_spectrum(n).vectors + (tuple(left), tuple(right)))
 
 
 def spectrum_from_json(text: str) -> Spectrum:

@@ -103,21 +103,6 @@ def vd_field(state: State, v) -> np.ndarray:
     return dv
 
 
-def u_to_v(state: State) -> State:
-    """Linear rescaling taking the D-family u variables to the v variables.
-
-    v_1 = u_1, v_k = 2 u_k for 2 <= k <= n-2, v_{n-1} = u_{n-1}, v_n = u_n.
-    """
-    state.require_chart(VOLTERRA_U, "u_to_v")
-    u = state.array
-    n = len(u)
-    if n < 4:
-        raise UnsupportedDimension("u_to_v requires n >= 4")
-    v = u.copy()
-    v[1 : n - 2] *= 2
-    return State(VOLTERRA_V, tuple(v))
-
-
 # ---------------------------------------------------------------------------
 # Cartan-variable form of the Volterra chains
 # ---------------------------------------------------------------------------

@@ -92,13 +92,11 @@ def test_adaptive_overflow_is_named_as_the_fixed_step_names_it(capsys):
     # exp(600) overflows at the initial state: every trial is non-finite and its
     # NaN error estimate rejects it, until dt falls below DT_MIN
     s0 = qp_state([-300.0, 0.0], [0.0, 0.0])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            StepFailure, match=r"^coordinate q1 overflowed to a non-finite value \(nan\+nanj\) "
-                               r"at t = 1\.6384e-12 \(dt = 1\.64e-12\)$"):
+    with pytest.raises(StepFailure, match=r"^coordinate q1 overflowed to a non-finite value \(nan\+nanj\) "
+                                          r"at t = 1\.6384e-12 \(dt = 1\.64e-12\)$"):
         integrate(get_system("sklyanin"), s0, 0.1, AdaptiveStep())
     argv = ["simulate", "--system", "sklyanin", "--state", '{"q":[-300,0],"p":[0,0]}', "--t", "0.1", "--adaptive"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(argv) == 1
+    assert main(argv) == 1
     assert capsys.readouterr().err == ("error: coordinate q1 overflowed to a non-finite value (nan+nanj) "
                                        "at t = 1.6384e-12 (dt = 1.64e-12)\n")
 

@@ -79,13 +79,13 @@ def test_bench_spans_find_the_wrapped_names():
         # integrate builds no State per stage; a trajectory's final state is one
         assert integrate.integrate(system, s0, 0.002, integrate.FixedStep(1e-3)).final.dim == s0.dim
         integrate.integrate(system, s0, 0.002, integrate.AdaptiveStep())
-        system.invariants(s0)["H2"](s0)
+        assert "H2" in system.invariants(s0)
     finally:
         tracer.op_id = -1
         restore()
     # the field span keeps systems.field_calls and integrate.field_evals_per_step counting
     assert {"states.replace_coords", "systems.ab_field", "integrate._rk4_step", "integrate._fehlberg_step",
-            "catalog.invariants", "catalog.invariant"} <= {tracer.names[i] for i in tracer.name_id}
+            "catalog.invariants"} <= {tracer.names[i] for i in tracer.name_id}
     assert originals == (State.replace_coords, LatticeSystem.invariants,
                          *(getattr(integrate, name) for name in spans.STEP_FUNCTIONS))
 

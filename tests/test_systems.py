@@ -35,7 +35,6 @@ from lattice_flows.systems import (
     qp_field,
     spectrum_field,
     toda_ab_field,
-    u_to_v,
     vd_field,
 )
 
@@ -174,13 +173,14 @@ def test_fields_quadratic_homogeneity(rng):
 
 
 def test_vd_equals_rescaled_bv_d(rng):
+    # v_1 = u_1, v_k = 2 u_k for 2 <= k <= n-2, v_{n-1} = u_{n-1}, v_n = u_n
     for n in (5, 6, 7, 9):
+        scale = np.ones(n)
+        scale[1 : n - 2] = 2.0
         for _ in range(5):
             u = random_u(rng, n)
-            pushed = vd_field(*at(u_to_v(u)))
+            pushed = vd_field(*at(v_state(scale * u.array)))
             # chain rule through the diagonal rescaling
-            scale = np.ones(n)
-            scale[1 : n - 2] = 2.0
             assert np.max(np.abs(pushed - scale * bv_field("D", *at(u)))) < 1e-12
 
 
