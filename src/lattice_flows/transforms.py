@@ -5,11 +5,9 @@ and the rest: it maps each row of ``rows``, an (N, d) block of coordinates
 in the chart of ``state`` (``states.coordinate_columns``), checks chart,
 size and domain once per block, and returns a zero State of the image chart
 and split with the (N, d') image rows.  One state is a block of one row.
-``pushforward_residual`` verifies that a map intertwines two flows by
-comparing the Jacobian-pushed source field with the target field at the
-image point; Jacobians are complex-aware central differences at step
-``FD_STEP`` from one kernel call on a block of bumps, unless a closed form
-is supplied.
+Given an (N, d) block of ``tangents`` too, a kernel also returns the (N, d')
+rows of their exact pushforwards J dx (its JVP), built from the values its
+formula holds.  ``pushforward_residual`` checks that a map intertwines two flows.
 """
 
 from __future__ import annotations
@@ -17,21 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, ParityError
-from .states import (QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, complex_product, coordinate_columns, matvecs,
+from .states import (QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, complex_product, coordinate_columns,
                      row_norms, v_state)
 from .rootdata import Spectrum
 from .systems import c_family_data
 
-#: Central-difference step for Jacobians of O(1) states.
-FD_STEP = 1e-6
+
+def _ab_image(a, b, jvp=None) -> tuple:
+    """A kernel's result for (a, b) images given as (len(a), N) and (len(b), N)
+    columns, and the JVP rows of the (da, db) columns ``jvp`` if given."""
+    result = ab_state(np.zeros(len(a)), np.zeros(len(b))), np.concatenate([a, b]).T
+    return result if jvp is None else (*result, np.concatenate(jvp).T)
 
 
-def _ab_image(a, b) -> tuple[State, np.ndarray]:
-    """A kernel's result for (a, b) images given as (len(a), N) and (len(b), N) columns."""
-    return ab_state(np.zeros(len(a)), np.zeros(len(b))), np.concatenate([a, b]).T
-
-
-def henon_block(state: State, rows) -> tuple[State, np.ndarray]:
+def henon_block(state: State, rows, tangents=None) -> tuple:
     """Quadratic map from the KM chain to open-Toda variables (A, B).
 
     A_i = -1/2 sqrt(u_{2i} u_{2i-1}), B_i = 1/2 (u_{2i-1} + u_{2i-2}) with
@@ -44,13 +41,19 @@ def henon_block(state: State, rows) -> tuple[State, np.ndarray]:
         raise DomainError("henon_map requires u_i >= 0")
     n, count = u.shape
     nb = n // 2 + 1
-    ext = np.concatenate([np.zeros((1, count)), u, np.zeros((2, count))])  # ext[k] = u_k, 1-based, zero padded
-    A = -0.5 * np.sqrt(complex_product(ext[2 : 2 * nb - 1 : 2], ext[1 : 2 * nb - 2 : 2]))
-    B = 0.5 * (ext[1 : 2 * nb : 2] + ext[0 : 2 * nb - 1 : 2])
-    return _ab_image(A, B)
+
+    def parts(x):  # the factors x_{2i} and x_{2i-1} of A_i, and B, at x = u or du
+        ext = np.concatenate([np.zeros((1, count)), x, np.zeros((2, count))])  # ext[k] = x_k, 1-based, zero padded
+        return ext[2 : 2 * nb - 1 : 2], ext[1 : 2 * nb - 2 : 2], 0.5 * (ext[1 : 2 * nb : 2] + ext[0 : 2 * nb - 1 : 2])
+    even, odd, B = parts(u)
+    A = -0.5 * np.sqrt(complex_product(even, odd))
+    if tangents is None:
+        return _ab_image(A, B)
+    d_even, d_odd, dB = parts(coordinate_columns(state, tangents))
+    return _ab_image(A, B, (complex_product(0.5 * A, d_even / even + d_odd / odd), dB))  # (A/2)(du/u + du'/u')
 
 
-def d_transform_block(state: State, rows) -> tuple[State, np.ndarray]:
+def d_transform_block(state: State, rows, tangents=None) -> tuple:
     """Analogue of the Hénon map for the Volterra D chain, odd n = 2m+1.
 
     a_1 = (i/2)(u_n - u_{n-1}); a_j = (1/2) sqrt(u_{n-2j+2} u_{n-2j+1});
@@ -68,13 +71,30 @@ def d_transform_block(state: State, rows) -> tuple[State, np.ndarray]:
     prods = complex_product(u[1 : n - 2], u[: n - 3])  # u_{k+1} u_k pairs feeding the square roots
     if np.any(prods.real < 0):
         raise DomainError("d_transform requires nonnegative interior products")
+
+    def linear(x):  # a_1, a_{m+1} and b at x = u or du
+        b = -0.5 * np.concatenate([x[-1:] + x[-2:-1] + x[-3:-2], x[n - 4 : 0 : -2] + x[n - 5 :: -2]])
+        return 0.5j * (x[-1:] - x[-2:-1]), 0.5j * x[:1], b
     # rows j = 2..m take the pairs and sums from u_{n-2} down to u_1
-    a = np.concatenate([0.5j * (u[-1:] - u[-2:-1]), 0.5 * np.sqrt(prods[n - 4 : 0 : -2]), 0.5j * u[:1]])
-    b = -0.5 * np.concatenate([u[-1:] + u[-2:-1] + u[-3:-2], u[n - 4 : 0 : -2] + u[n - 5 :: -2]])
-    return _ab_image(a, b)
+    first, last, b = linear(u)
+    roots = 0.5 * np.sqrt(prods[n - 4 : 0 : -2])
+    a = np.concatenate([first, roots, last])
+    if tangents is None:
+        return _ab_image(a, b)
+    du = coordinate_columns(state, tangents)
+    d_first, d_last, db = linear(du)
+    hi, lo = slice(n - 3, 1, -2), slice(n - 4, 0, -2)  # the factors of the roots, as prods[n - 4 : 0 : -2] takes them
+    d_roots = complex_product(0.5 * roots, du[hi] / u[hi] + du[lo] / u[lo])
+    return _ab_image(a, b, (np.concatenate([d_first, d_roots, d_last]), db))
 
 
-def sklyanin_flaschka_block(state: State, rows) -> tuple[State, np.ndarray]:
+def _qp(state: State, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The q and p columns of an (N, d) block in the (q, p) chart of ``state``."""
+    x = coordinate_columns(state, rows)
+    return x[: state.split], x[state.split :]
+
+
+def sklyanin_flaschka_block(state: State, rows, tangents=None) -> tuple:
     """Flaschka-type map for the doubly boundary-perturbed chain, m degrees.
 
     a_1 = e^{-q_1}/sqrt(2); a_{m+1} = e^{q_m}/sqrt(2);
@@ -83,11 +103,16 @@ def sklyanin_flaschka_block(state: State, rows) -> tuple[State, np.ndarray]:
     state.require_chart(QP, "sklyanin_flaschka")
     if state.split == 0:
         raise DimensionError("sklyanin_flaschka needs at least one q")
-    x = coordinate_columns(state, rows)
-    q, p = x[: state.split], x[state.split :]
-    inner = 0.5 * np.exp(0.5 * (q[:-1] - q[1:]))
-    a = np.concatenate([np.exp(-q[:1]) / np.sqrt(2), inner, np.exp(q[-1:]) / np.sqrt(2)])
-    return _ab_image(a, -0.5 * p)
+    q, p = _qp(state, rows)
+
+    def exponents(x):  # of the a_i, at x = q or dq
+        return np.concatenate([-x[:1], 0.5 * (x[:-1] - x[1:]), x[-1:]])
+    e = exponents(q)
+    a = np.concatenate([np.exp(e[:1]) / np.sqrt(2), 0.5 * np.exp(e[1:-1]), np.exp(e[-1:]) / np.sqrt(2)])
+    if tangents is None:
+        return _ab_image(a, -0.5 * p)
+    dq, dp = _qp(state, tangents)
+    return _ab_image(a, -0.5 * p, (complex_product(a, exponents(dq)), -0.5 * dp))
 
 
 def _qp_with_spectrum(spectrum: Spectrum, state: State, rows, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +120,7 @@ def _qp_with_spectrum(spectrum: Spectrum, state: State, rows, what: str) -> tupl
     state.require_chart(QP, what)
     if spectrum.dimension != state.split:
         raise DimensionError("spectrum dimension must match the number of q's")
-    x = coordinate_columns(state, rows)
-    return x[: state.split], x[state.split :]
+    return _qp(state, rows)
 
 
 def _pairings(vecs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -112,20 +136,28 @@ def _pairings(vecs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def toda_flaschka_block(spectrum: Spectrum, state: State, rows) -> tuple[State, np.ndarray]:
+def toda_flaschka_block(spectrum: Spectrum, state: State, rows, tangents=None) -> tuple:
     """Traditional Flaschka map: a_i = (1/2) e^{(v_i, q)/2}, b_i = -p_i/2."""
     q, p = _qp_with_spectrum(spectrum, state, rows, "toda_flaschka")
-    return _ab_image(0.5 * np.exp(0.5 * _pairings(spectrum.matrix, q)), -0.5 * p)
+    a = 0.5 * np.exp(0.5 * _pairings(spectrum.matrix, q))
+    if tangents is None:
+        return _ab_image(a, -0.5 * p)
+    dq, dp = _qp(state, tangents)
+    return _ab_image(a, -0.5 * p, (complex_product(a, 0.5 * _pairings(spectrum.matrix, dq)), -0.5 * dp))
 
 
-def generalized_flaschka_block(spectrum: Spectrum, state: State, rows) -> tuple[State, np.ndarray]:
+def generalized_flaschka_block(spectrum: Spectrum, state: State, rows, tangents=None) -> tuple:
     """Exponential map a_i = -e^{(v_i, q)}, b_i = (v_i, p)."""
     q, p = _qp_with_spectrum(spectrum, state, rows, "generalized_flaschka")
     vecs = spectrum.matrix
-    return _ab_image(-np.exp(_pairings(vecs, q)), _pairings(vecs, p))
+    a = -np.exp(_pairings(vecs, q))
+    if tangents is None:
+        return _ab_image(a, _pairings(vecs, p))
+    dq, dp = _qp(state, tangents)
+    return _ab_image(a, _pairings(vecs, p), (complex_product(a, _pairings(vecs, dq)), _pairings(vecs, dp)))
 
 
-def c_to_v_block(state: State, rows) -> tuple[State, np.ndarray]:
+def c_to_v_block(state: State, rows, tangents=None) -> tuple:
     """Reciprocal-product map from n+1 Cartan variables to n chain variables.
 
     v_1 = 1/(c_1 c_2); v_k = 2/(c_k c_{k+1}) for 2 <= k <= n-2;
@@ -141,60 +173,25 @@ def c_to_v_block(state: State, rows) -> tuple[State, np.ndarray]:
         raise DimensionError("c_to_v requires at least 4 c variables")
     i, j = c_family_data("D", n + 1)[0].T
     v = np.array([1.0] + [2.0] * (n - 3) + [1.0, 1.0])[:, None] / complex_product(c[i], c[j])
-    return v_state(np.zeros(n)), v.T
+    if tangents is None:
+        return v_state(np.zeros(n)), v.T
+    dc = coordinate_columns(state, tangents)
+    return v_state(np.zeros(n)), v.T, -complex_product(v, dc[i] / c[i] + dc[j] / c[j]).T
 
 
-def c_to_v_jacobian(state: State, rows, image) -> np.ndarray:
-    """Closed-form Jacobians of c_to_v, d v_k / d c_i = -v_k / c_i on its
-    factors, at every row of ``rows`` whose image rows are ``image``
-    (``c_to_v_block``'s); a C-ordered (N, n, n+1) stack.
-
-    The reciprocal products amplify finite-difference error beyond the
-    pushforward tolerance when several c_i sit near the sampling floor, so
-    the conjugacy suite differentiates this map analytically.
-    """
-    c = coordinate_columns(state, rows)
-    v = image.T
-    n = len(v)
-    (i, j), k = c_family_data("D", n + 1)[0].T, np.arange(n)
-    jac = np.zeros((c.shape[1], n, n + 1), dtype=complex)
-    jac[:, k, i] = (-v / c[i]).T
-    jac[:, k, j] = (-v / c[j]).T
-    return jac
-
-
-# ---------------------------------------------------------------------------
-# pushforward conjugacy
-# ---------------------------------------------------------------------------
-
-def map_jacobian(map_fn, state: State, rows) -> np.ndarray:
-    """Jacobians of a map kernel at every row of ``rows``, (N, d) in the chart
-    of ``state``, by complex-aware central differences: a C-ordered (N, d', d)
-    stack, since matmul sums a transposed view in another order.
-
-    One kernel call maps all 2·d·N bumped rows x ± FD_STEP e_k (each row plus
-    a whole bump vector, as for one state), so a state's bits do not depend on its block.
-    """
-    x = coordinate_columns(state, rows).T
-    count, d = x.shape
-    bumps = FD_STEP * np.eye(d)[:, None]  # [k, 0, j] = h e_k
-    _, image = map_fn(state, np.stack([x + bumps, x - bumps]).reshape(2 * d * count, d))
-    image = image.reshape(2, d, count, image.shape[1])
-    return np.ascontiguousarray(((image[0] - image[1]) / (2 * FD_STEP)).transpose(1, 2, 0))
-
-
-def pushforward_residual(map_fn, source_field, target_field, state: State, rows, jacobian=None) -> np.ndarray:
+def pushforward_residual(map_fn, source_field, target_field, state: State, rows) -> np.ndarray:
     """Norm of J_map(s) . source_field(s) - target_field(map(s)) at every row
     s of ``rows``, (N, d) in the chart of ``state``; one value per row.
 
     ``map_fn`` is a map kernel (``henon_block`` and the rest), called on the
-    block once.  The Jacobians are ``map_jacobian``'s central differences
-    unless a closed form ``jacobian(state, rows, image rows)`` is supplied.
-    Each field is called once, on the block's columns (``state``'s, or the
-    image's with the map's zero State as template); the matrix-vector
-    products and the norms are stacked, one per row.
+    block once with the source field's rows as its tangents: its JVP rows
+    are the pushed field.  Each field is called once, on the block's columns
+    (``state``'s, or the image's with the map's zero State as template).
     """
-    zero, image = map_fn(state, rows)
-    jacs = jacobian(state, rows, image) if jacobian else map_jacobian(map_fn, state, rows)
-    pushed = matvecs(jacs, source_field(state, coordinate_columns(state, rows)).T)
+    try:
+        field = source_field(state, coordinate_columns(state, rows)).T
+    except Exception:
+        map_fn(state, rows)  # the map's checks come first: a block that both reject gets the map's error
+        raise
+    zero, image, pushed = map_fn(state, rows, field)
     return row_norms(pushed - target_field(zero, image.T).T)

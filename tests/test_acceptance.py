@@ -5,13 +5,12 @@ a single pass/fail line; run with ``pytest tests/test_acceptance.py -v -s``
 to see the lines as they certify.
 """
 
-from functools import partial
-
 import numpy as np
 
 from conftest import henon_jacobi
 
-from lattice_flows import Spectrum, ab_state, c_state, qp_state, sklyanin_spectrum, u_state, v_state
+from lattice_flows import Spectrum, ab_state, qp_state, sklyanin_spectrum, u_state, v_state
+from lattice_flows import cli
 from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
@@ -33,26 +32,8 @@ from lattice_flows.poisson import (
     lenard_residual,
 )
 from lattice_flows.rootdata import kozlov_treshchev_check
-from lattice_flows.systems import (
-    ab_field,
-    c_field,
-    hamiltonian_eval,
-    km_field,
-    qp_field,
-    spectrum_field,
-    toda_ab_field,
-    vd_field,
-)
-from lattice_flows.transforms import (
-    c_to_v_block,
-    c_to_v_jacobian,
-    d_transform_block,
-    generalized_flaschka_block,
-    henon_block,
-    pushforward_residual,
-    sklyanin_flaschka_block,
-    toda_flaschka_block,
-)
+from lattice_flows.systems import ab_field, hamiltonian_eval, km_field, toda_ab_field, vd_field
+from lattice_flows.transforms import sklyanin_flaschka_block
 
 SEED = 20240911
 
@@ -198,28 +179,10 @@ def test_criterion_05_lenard():
 def test_criterion_06_transform_conjugacy():
     tol = 1e-8
     rng = fresh_rng()
-    chain5 = Spectrum(5, tuple(tuple(float(j == i) - float(j == i + 1) for j in range(5)) for i in range(4)))
-    skl4 = sklyanin_spectrum(4)
-
-    def worst(kernel, source, target, sample, jacobian=None):
-        states = [sample() for _ in range(100)]
-        rows = np.array([s.array for s in states])
-        return max(pushforward_residual(kernel, source, target, states[0], rows, jacobian=jacobian))
-
-    def qp(n):
-        return lambda: qp_state(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-
-    results = {
-        "henon": worst(henon_block, km_field, toda_ab_field, lambda: u_state(rng.uniform(0.1, 2, 5))),
-        "d-map": worst(d_transform_block, vd_field, ab_field, lambda: v_state(rng.uniform(0.1, 2, 7))),
-        "flaschka-sklyanin": worst(sklyanin_flaschka_block, partial(qp_field, "sklyanin"), ab_field, qp(3)),
-        "flaschka-toda": worst(partial(toda_flaschka_block, chain5), partial(qp_field, "toda"),
-                               toda_ab_field, qp(5)),
-        "flaschka-general": worst(partial(generalized_flaschka_block, skl4), partial(qp_field, "sklyanin"),
-                                  partial(spectrum_field, skl4), qp(4)),
-        "c-to-v": worst(c_to_v_block, partial(c_field, "D"), vd_field, lambda: c_state(rng.uniform(0.1, 2.0, 8)),
-                        jacobian=c_to_v_jacobian),
-    }
+    results = {}
+    for name, row in cli.TRANSFORMS.items():  # every map the transform suite certifies, at its default sizes
+        state, rows = row.sample(rng, 100, 7, 3)
+        results[name] = max(row.residual(state, rows))
     ok = all(v < tol for v in results.values())
     detail = ", ".join(f"{k} {v:.1e}" for k, v in results.items())
     report(6, "transform conjugacy", ok, f"{detail} < {tol:g}")

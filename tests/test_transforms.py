@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -33,19 +34,16 @@ from lattice_flows.systems import (
 )
 from lattice_flows.states import coordinate_columns
 from lattice_flows.transforms import (
-    FD_STEP,
     c_to_v_block,
-    c_to_v_jacobian,
     d_transform_block,
     generalized_flaschka_block,
     henon_block,
-    map_jacobian,
     pushforward_residual,
     sklyanin_flaschka_block,
     toda_flaschka_block,
 )
 
-PUSH_TOL = 1e-8
+PUSH_TOL = 1e-10
 
 
 def a_chain_spectrum(n):
@@ -175,7 +173,7 @@ def _block(sample, count):
 
 def test_pushforward_identity_is_zero(rng):
     state, rows = _block(lambda: random_u(rng, 5), 3)
-    identity = lambda s, rows: (s, coordinate_columns(s, rows).T)
+    identity = lambda s, rows, tangents=None: (s, coordinate_columns(s, rows).T, np.asarray(tangents))
     assert max(pushforward_residual(identity, km_field, km_field, state, rows)) < 1e-9
 
 
@@ -218,15 +216,8 @@ def test_pushforward_generalized_flaschka(rng):
 def test_pushforward_c_to_v(rng):
     for n in (4, 5, 7):
         r = pushforward_residual(c_to_v_block, partial(c_field, "D"), vd_field,
-                                 *_block(lambda: random_c(rng, n + 1), 25), jacobian=c_to_v_jacobian)
+                                 *_block(lambda: random_c(rng, n + 1), 25))
         assert max(r) < PUSH_TOL
-
-
-def test_c_to_v_jacobian_matches_fd(rng):
-    state = random_c(rng, 8).replace_coords(np.full(8, 1.3))
-    rows = [state.array]
-    closed = c_to_v_jacobian(state, rows, c_to_v_block(state, rows)[1])
-    assert np.max(np.abs(closed - map_jacobian(c_to_v_block, state, rows))) < 1e-8
 
 
 def _complex(rng, lo, hi, k, imag):
@@ -248,48 +239,45 @@ MAPS = {
 }
 
 
+def _tangents(rng, states, imag):
+    """An (N, d) block of tangents, one random direction per state."""
+    return np.array([_complex(rng, -1, 1, s.dim, imag) for s in states])
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
+@pytest.mark.parametrize("name", MAPS)
+def test_jvp_is_the_per_state_central_difference(rng, name, imag):
+    # J dx from the central differences of one state at a time; at d copies
+    # of a state with tangents I the JVP rows are the whole transposed Jacobian
+    kernel, sample = MAPS[name]
+    states = [sample(rng, imag) for _ in range(4)]
+    tangents = _tangents(rng, states, imag)
+    _, _, jvp = kernel(states[0], np.array([s.array for s in states]), tangents)
+    for k, state in enumerate(states):
+        reference = central_difference(lambda s: image(kernel, s).array, state, 1e-6)  # (d, d')
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(jvp[k] - tangents[k] @ reference)) < 1e-7 * scale, k
+        d = state.dim
+        full = kernel(state, np.tile(state.array, (d, 1)), np.eye(d))[2]
+        assert np.max(np.abs(full - reference)) < 1e-7 * scale, k
+
+
 @pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
 @pytest.mark.parametrize("count", [1, 3, 8, 11])
 @pytest.mark.parametrize("name", MAPS)
-def test_map_jacobian_is_bitwise_the_per_state_central_difference(rng, name, count, imag):
-    # one kernel call on the block of bumps must keep every bit of the
-    # state-by-state differences, laid out as one state's own C-ordered matrix
+def test_jvp_rows_keep_their_bits_in_any_block(rng, name, count, imag):
+    # a state's image and JVP rows have the bits of its own one-row call, and
+    # the image is the one the kernel gives without tangents
     kernel, sample = MAPS[name]
     states = [sample(rng, imag) for _ in range(count)]
-    rows = np.array([s.array for s in states])
-    jac = map_jacobian(kernel, states[0], rows)
-    zero, images = kernel(states[0], rows)
-    assert jac.shape == (count, zero.dim, states[0].dim) and jac.flags.c_contiguous
+    rows, tangents = np.array([s.array for s in states]), _tangents(rng, states, imag)
+    zero, images, jvps = kernel(states[0], rows, tangents)
+    assert jvps.shape == images.shape == (count, zero.dim)
+    assert images.tobytes() == kernel(states[0], rows)[1].tobytes()
     for k, state in enumerate(states):
-        reference = central_difference(lambda s: image(kernel, s).array, state, FD_STEP).T
-        assert jac[k].tobytes() == np.ascontiguousarray(reference).tobytes(), k
-        one = image(kernel, state)
-        assert one.array.tobytes() == images[k].tobytes() and one.split == zero.split
-
-
-def _per_state_c_to_v_jacobian(state):
-    """The closed form one state at a time, the reference of the block form."""
-    c = state.array
-    v = image(c_to_v_block, state).array
-    n = len(c) - 1
-    pairs = [(0, 1)] + [(k - 1, k) for k in range(2, n - 1)] + [(n - 2, n - 1), (n - 2, n)]
-    jac = np.zeros((n, n + 1), dtype=complex)
-    for k, (i, j) in enumerate(pairs):
-        jac[k, i] = -v[k] / c[i]
-        jac[k, j] = -v[k] / c[j]
-    return jac
-
-
-@pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
-@pytest.mark.parametrize("count", [1, 3, 8, 11])
-def test_c_to_v_jacobian_is_bitwise_the_per_state_closed_form(rng, count, imag):
-    for nc in (4, 16):
-        states = [c_state(_complex(rng, 0.1, 2.0, nc, imag)) for _ in range(count)]
-        rows = np.array([s.array for s in states])
-        jac = c_to_v_jacobian(states[0], rows, c_to_v_block(states[0], rows)[1])
-        assert jac.shape == (count, nc - 1, nc) and jac.flags.c_contiguous
-        for k, state in enumerate(states):
-            assert jac[k].tobytes() == _per_state_c_to_v_jacobian(state).tobytes()
+        one_zero, one, jvp = kernel(state, [state.array], tangents[k : k + 1])
+        assert one_zero.split == zero.split and one[0].tobytes() == images[k].tobytes(), k
+        assert jvp[0].tobytes() == jvps[k].tobytes(), k
 
 
 # (map, size flags, kernel name): the verify-mix sizes of d-map, c-to-v and
@@ -302,9 +290,9 @@ MUTATED = [("henon", ("--n", "7"), "henon_block"), ("d-map", ("--n", "15"), "d_t
 
 @pytest.mark.parametrize("name, size, kernel", MUTATED, ids=[m[0] for m in MUTATED])
 def test_scaled_image_coordinate_fails_pushforward(monkeypatch, capsys, rng, name, size, kernel):
-    # each image coordinate times 1.5 gives a map that is no conjugacy; its
-    # Jacobian (finite differences, or c-to-v's closed form from the image)
-    # follows the mutant, so only the fields can tell.  No mutant survives.
+    # each image coordinate times 1.5, with its JVP row scaled alike, is a
+    # map with its exact JVP that is no conjugacy, so only the fields can
+    # tell.  No mutant survives.
     argv = ["verify", "transform", "--map", name, *size, "--states", "8", "--seed", "11"]
     assert main(argv) == 0
     capsys.readouterr()
@@ -313,16 +301,46 @@ def test_scaled_image_coordinate_fails_pushforward(monkeypatch, capsys, rng, nam
     mapping, sample = MAPS[name]
     for j in range(image(mapping, sample(rng, 0.0)).dim):
         def mutant(*args, j=j):
-            zero, image = original(*args)
-            image = image.copy()
-            image[:, j] *= 1.5
-            return zero, image
+            zero, *outputs = original(*args)  # the image rows, and the JVP rows given tangents
+            outputs = [out.copy() for out in outputs]
+            for out in outputs:
+                out[:, j] *= 1.5
+            return zero, *outputs
 
         row = cli.TRANSFORMS[name]._replace(kernel=mutant)  # the suite's row with the mutant kernel
         monkeypatch.setitem(checks, name, checks[name]._replace(residual=row.residual))
         code = main(argv)
         [record] = json.loads(capsys.readouterr().out)["records"]
         assert code == 1 and not record["pass"] and record["max_residual"] > record["tolerance"], j
+
+
+def _scaled_component(field, j, factor):
+    """A chart field whose component j is scaled by ``factor``."""
+    def scaled(state, y, spectrum):
+        out = np.array(field(state, y, spectrum), dtype=complex)
+        out[j] *= factor
+        return out
+
+    return scaled
+
+
+@pytest.mark.parametrize("name, size, kernel", MUTATED, ids=[m[0] for m in MUTATED])
+def test_target_field_off_by_1e_9_fails_pushforward(monkeypatch, capsys, rng, name, size, kernel):
+    # one component of the target field times 1 + 1e-9: a relative error that
+    # central differences could not see under their 1e-8 gate fails every map
+    argv = ["verify", "transform", "--map", name, *size, "--states", "40", "--seed", "11"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    checks, row = cli.SUITES["transform"].checks, cli.TRANSFORMS[name]
+    assert checks[name].tolerance == 1e-10
+    mapping, sample = MAPS[name]
+    for j in range(image(mapping, sample(rng, 0.0)).dim):
+        fields = {chart: _scaled_component(f, j, 1 + 1e-9) for chart, f in row.target.fields.items()}
+        mutant = row._replace(target=replace(row.target, fields=fields))
+        monkeypatch.setitem(checks, name, checks[name]._replace(residual=mutant.residual))
+        code = main(argv)
+        [record] = json.loads(capsys.readouterr().out)["records"]
+        assert code == 1 and not record["pass"], (j, record["max_residual"])
 
 
 def test_pulled_back_h2_constant_along_vd_flow():
