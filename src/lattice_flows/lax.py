@@ -8,28 +8,27 @@ that size with its index arrays (a ``CompiledLax``), built and compiled
 once per size; each catalog row with a Lax pair carries its builder as
 ``lax``, and every function here takes the builder itself.
 
-``lax_pair`` and ``lax_residual`` assemble a block's L and B with one
-fancy-indexed write each, as C-ordered (N, T, T) stacks; ``lax_residual``
-takes dL along the velocities at L's slots by the chain rule, and
-``grad_trace_invariant`` reads each dL/dx_j from the table: neither builds
-a dense dL.  Every catalog pair but vd at even n has a ``Gauge``, a
-diagonal similarity to a real pair, and on a real block ``lax_residual``
-takes [B, L] from one float64 product with the bits of the complex ones.
-The trace powers of both gradings and the powers of the trace gradients
-come from one power chain (``_matrix_powers``), which multiplies in
-float64 when L has no imaginary part (km, toda and ab on a real block),
-again with the bits of the complex products; ``lax_pair`` stays complex,
-and so do the values ``trace_columns`` and ``grad_trace_invariant``
-return.  Each entry's value takes
-the operations of its formula in order, so the matrices keep the bits of
-writing the entries by hand.  ``sign`` is the
-numerically certified commutator convention: +1 means dL/dt = [B, L], -1
-means dL/dt = [L, B].  Matrix products are stacked (each slice is
-multiplied as one state's matrix would be), so are the residual norms
-(``states.row_norms``) and the traces of the invariant columns: a block's
-diagonals are copied to one C-ordered (N, T) array and summed along its last
-axis, each row in the order np.trace sums one matrix's diagonal, so a state
-gets the same bits in any block.
+A ``CompiledLax`` assembles a block's L and B with one fancy-indexed write
+each, as C-ordered (N, T, T) stacks (``builder(state).L.assemble``, as the
+invariant columns take L); ``lax_residual`` takes dL along the velocities
+at L's slots by the chain rule, and ``grad_trace_invariant`` reads each
+dL/dx_j from the table: neither builds a dense dL.  Every catalog pair but
+vd at even n has a ``Gauge``, a diagonal similarity to a real pair, and on
+a real block ``lax_residual`` takes [B, L] from one float64 product with
+the bits of the complex ones.  The trace powers of both gradings and the
+powers of the trace gradients come from one power chain
+(``_matrix_powers``), which multiplies in float64 when L has no imaginary
+part (km, toda and ab on a real block), again with the bits of the complex
+products; an assembled L stays complex, and so do the values
+``trace_columns`` and ``grad_trace_invariant`` return.  Each entry's value
+takes the operations of its formula in order, so the matrices keep the bits
+of writing the entries by hand.  ``sign`` is the numerically certified
+commutator convention: +1 means dL/dt = [B, L], -1 means dL/dt = [L, B].
+Matrix products are stacked (each slice is multiplied as one state's matrix
+would be), so are the residual norms (``states.row_norms``) and the traces
+of the invariant columns: a block's diagonals are copied to one C-ordered
+(N, T) array and summed along its last axis, each row in the order np.trace
+sums one matrix's diagonal, so a state gets the same bits in any block.
 
 Matrix layout notes (0-based):
 
@@ -56,17 +55,6 @@ import numpy as np
 from .errors import DimensionError, UnsupportedDimension
 from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, coordinate_columns,
                      require_positive_real, row_norms)
-
-
-def lax_pair(builder, state: State, rows):
-    """(L, B, sign) of ``builder``'s table (``km_lax`` and the rest, a catalog
-    row's ``lax``) at every row of ``rows``, an (N, d) block of coordinates in
-    the chart of ``state``.  L and B are C-ordered (N, T, T) stacks."""
-    lax = builder(state)
-    table = lax.table
-    x = coordinate_columns(state, rows)
-    r = table.roots(x)
-    return lax.L.assemble(table.size, x, r), lax.B.assemble(table.size, x, r), table.sign
 
 
 def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:

@@ -43,6 +43,10 @@ Matrix-vector products and norms are stacked, one per state's slice
 (``states.matvecs``, ``states.row_norms``), so each state keeps the bits
 of its own evaluation.  Functions take structure objects (``STRUCTURES``
 values) and Lenard pairs, never their names.
+
+One residual, ``hamiltonian_flow_check``, certifies pi grad H = X at each
+row: a Casimir is X = 0, a Hamiltonian flow takes X from the vector field,
+and the Lenard ladder takes X = pi3 grad H2 for the flow of H4 under pi1.
 """
 
 from __future__ import annotations
@@ -452,20 +456,14 @@ def _jacobi(structures: tuple, lams: tuple, state: State, rows) -> np.ndarray:
     return np.max(np.abs(total), axis=0, initial=0.0)
 
 
-def casimir_residual(structure, casimir_grad, state: State, rows) -> np.ndarray:
-    """Norm of pi(s) . grad C(s) at each row; the gradient must be supplied in
-    closed form, as ``casimir_grad(state, rows)``, one gradient per row."""
-    grads = np.asarray(casimir_grad(state, rows), dtype=complex)
-    return row_norms(matvecs(structure(state, rows), grads))
-
-
-def hamiltonian_flow_check(structure, grad_h, field, state: State, rows) -> np.ndarray:
-    """Norm of pi(s) grad H(s) - field(s) at each row s of ``rows``, with
-    ``grad_h(state, rows)`` in closed form and ``field(state, columns)``
-    called once on the block's (d, N) columns."""
-    grads = np.asarray(grad_h(state, rows), dtype=complex)
-    flow = matvecs(structure(state, rows), grads)
-    return row_norms(flow - field(state, coordinate_columns(state, rows)).T)
+def hamiltonian_flow_check(structure, state: State, rows, grads, field=None) -> np.ndarray:
+    """Norm of pi(s) grad H(s) - X(s) at each row s of ``rows``, with the
+    (N, d) rows of grad H in ``grads`` and of X in ``field``; X = 0 when
+    ``field`` is None.  One identity certifies a Casimir (X = 0), a
+    Hamiltonian flow (X the vector field) and the Lenard ladder (X = pi3
+    grad H2, see ``lenard_residual``)."""
+    flow = matvecs(structure(state, rows), np.asarray(grads, dtype=complex))
+    return row_norms(flow if field is None else flow - field)
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +499,16 @@ LENARD = {
 
 
 def lenard_residual(pair: LenardPair, state: State, rows) -> np.ndarray:
-    """Norm of pi3 grad H2 - pi1 grad H4 of a Lenard pair at each row.
+    """Norm of pi3 grad H2 - pi1 grad H4 of a Lenard pair at each row: the
+    flow of H4 under pi1 checked against X = pi3 grad H2
+    (``hamiltonian_flow_check``), whose difference is the negation, so has
+    the same norm, bit for bit.
 
     Gradients of the trace invariants are analytic.  The tensors and the
     gradients of a block of ``rows`` each come from one call.
     """
-    pi3, pi1 = pair.pi3(state, rows), pair.pi1(state, rows)
+    pi3 = pair.pi3(state, rows)  # pi3 checks the chart and size before the Lax builder and pi1
     (o2, s2), (o4, s4) = pair.h2, pair.h4
     g2, g4 = lax.grad_trace_invariant(pair.lax, state, rows, [o2, o4])
-    return row_norms(matvecs(pi3, s2 * g2) - matvecs(pi1, s4 * g4))
+    return hamiltonian_flow_check(pair.pi1, state, rows, s4 * g4, matvecs(pi3, s2 * g2))
 

@@ -233,7 +233,9 @@ def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], lis
 # Hamiltonians in (q, p)
 # ---------------------------------------------------------------------------
 
-#: The boundary coefficients (alpha_1, beta_1, alpha_n, beta_n) of sklyanin_full.
+#: The boundary coefficients (alpha_1, beta_1, alpha_n, beta_n) of sklyanin_full,
+#: whose walls alpha_1 e^{-q_1} + beta_1 e^{-2 q_1} + alpha_n e^{q_n} + beta_n e^{2 q_n}
+#: face the chain term e^{q_i - q_{i+1}} as sklyanin's do; alpha_1 = alpha_n = 0 gives sklyanin.
 _SKLYANIN_FULL_ENDS = (1.0, 1.0, 1.0, 1.0)
 
 
@@ -258,10 +260,10 @@ def hamiltonian_column(system: str, state: State, rows) -> list[complex]:
     if system == "sklyanin_full":
         a1, b1, an, bn = _SKLYANIN_FULL_ENDS
         ends = (
-            a1 * np.exp(q[:, 0])
-            + b1 * np.exp(2 * q[:, 0])
-            + an * np.exp(-q[:, -1])
-            + bn * np.exp(-2 * q[:, -1])
+            a1 * np.exp(-q[:, 0])
+            + b1 * np.exp(-2 * q[:, 0])
+            + an * np.exp(q[:, -1])
+            + bn * np.exp(2 * q[:, -1])
         )
         return (kin + chain + ends).tolist()
     raise ValueError(f"unknown Hamiltonian system {system!r}")
@@ -293,8 +295,8 @@ def qp_field(system: str, state: State, y) -> np.ndarray:
         dh_dq[-1] += 2 * np.exp(2 * q[-1])
     elif system == "sklyanin_full":
         a1, b1, an, bn = _SKLYANIN_FULL_ENDS
-        dh_dq[0] += a1 * np.exp(q[0]) + 2 * b1 * np.exp(2 * q[0])
-        dh_dq[-1] += -an * np.exp(-q[-1]) - 2 * bn * np.exp(-2 * q[-1])
+        dh_dq[0] += -a1 * np.exp(-q[0]) - 2 * b1 * np.exp(-2 * q[0])
+        dh_dq[-1] += an * np.exp(q[-1]) + 2 * bn * np.exp(2 * q[-1])
     else:
         raise ValueError(f"unknown Hamiltonian system {system!r}")
     return np.concatenate([p, -dh_dq])

@@ -54,14 +54,14 @@ def henon_block(state: State, rows, tangents=None) -> tuple:
 
 
 def d_transform_block(state: State, rows, tangents=None) -> tuple:
-    """Analogue of the Hénon map for the Volterra D chain, odd n = 2m+1.
+    """Analogue of the Hénon map for the Volterra D chain, odd n = 2m+1, on
+    vd's v states; u_k below is the coordinate v_k.
 
     a_1 = (i/2)(u_n - u_{n-1}); a_j = (1/2) sqrt(u_{n-2j+2} u_{n-2j+1});
     a_{m+1} = (i/2) u_1; b_1 = -(1/2)(u_n + u_{n-1} + u_{n-2});
     b_j = -(1/2)(u_{n-2j+1} + u_{n-2j}).
     """
-    if state.chart not in (VOLTERRA_U, VOLTERRA_V):
-        state.require_chart(VOLTERRA_V, "d_transform")
+    state.require_chart(VOLTERRA_V, "d_transform")
     u = coordinate_columns(state, rows)
     n = len(u)
     if n % 2 == 0:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from lax_reference import assembled_pair
+
 from lattice_flows import State, ab_state, c_state, qp_state, sklyanin_spectrum, u_state, v_state
 from lattice_flows import transforms
 from lattice_flows.catalog import SYSTEMS, get_system
-from lattice_flows.lax import lax_pair
 from lattice_flows.states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V
 
 
@@ -44,7 +45,7 @@ def henon_jacobi(state):
     (-A, B), since the Hénon A_i carry a minus sign."""
     zero, rows = transforms.henon_block(state, [state.array])
     flip = [-1] * zero.split + [1] * (zero.dim - zero.split)
-    return lax_pair(SYSTEMS["toda"].lax, zero, rows * flip)[0][0]
+    return assembled_pair(SYSTEMS["toda"].lax, zero, rows * flip)[0][0]
 
 
 def at(state):

@@ -5,7 +5,8 @@ must reproduce.
 ``reference_traces`` forms each trace power on its own, as the bit
 reference of the shared power chain, and ``reference_power`` forms the
 power a product tree names in complex arithmetic, as the bit reference of
-the float64 chain.
+the float64 chain.  ``assembled_pair`` gives the library's own L and B
+of a block, from a compiled builder's plans.
 
 A builder takes (state, x, ds): ``state`` fixes the chart and sizes, x is a
 (d, N) block of coordinates, and ds is None or a (d, K, N) block of K
@@ -26,6 +27,16 @@ def stacked(tensor: np.ndarray) -> np.ndarray:
     (T, T, K, N) -> (N, K, T, T).  Each slice is laid out, so multiplied,
     as one state's own matrix."""
     return np.ascontiguousarray(tensor.swapaxes(0, 1).T)
+
+
+def assembled_pair(builder, state, rows):
+    """(L, B, sign) of a compiled builder's table (``lattice_flows.lax.km_lax``
+    and the rest, a catalog row's ``lax``) at every row of ``rows``, assembled
+    as the library assembles them: C-ordered (N, T, T) stacks."""
+    lax = builder(state)
+    x = coordinate_columns(state, rows)
+    r = lax.table.roots(x)
+    return lax.L.assemble(lax.table.size, x, r), lax.B.assemble(lax.table.size, x, r), lax.table.sign
 
 
 def reference_pair(builder, state, rows, ds=None):

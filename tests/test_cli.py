@@ -527,6 +527,13 @@ def test_empty_qp_state_is_usage_error(capsys, argv, message):
     assert err == f"usage error: {message}\n"
 
 
+def test_simulate_needs_dt_or_adaptive(capsys):
+    code, out, err = run(capsys, "simulate", "--system", "ab", "--state", '{"a":[1,0.8,1.2],"b":[0.3,-0.1]}',
+                         "--t", "0.1")
+    assert code == 2 and out == ""
+    assert err == "usage error: --dt is required unless --adaptive is given\n"
+
+
 @pytest.mark.parametrize("policy", [("--dt", "0.05"), ("--adaptive",)], ids=["fixed", "adaptive"])
 def test_empty_km_chain_is_usage_error(capsys, policy):
     code, out, err = run(capsys, "simulate", "--system", "km", "--state", '{"u":[]}', "--t", "0.1", *policy)

@@ -12,6 +12,8 @@ up to T = 17 and with more rows than one block holds.
 import numpy as np
 import pytest
 
+from lax_reference import assembled_pair
+
 from lattice_flows import lax, systems
 from lattice_flows.catalog import COLUMN_BLOCK_ROWS, SYSTEMS, get_system
 from lattice_flows.rootdata import null_combination, sklyanin_spectrum
@@ -36,13 +38,13 @@ def _hamiltonian_ref(name, s):
     if name == "sklyanin":
         return complex(kin + chain + np.exp(-2 * q[0]) + np.exp(2 * q[-1]))
     a1 = b1 = an = bn = 1.0  # the sklyanin_full defaults
-    ends = a1 * np.exp(q[0]) + b1 * np.exp(2 * q[0]) + an * np.exp(-q[-1]) + bn * np.exp(-2 * q[-1])
+    ends = a1 * np.exp(-q[0]) + b1 * np.exp(-2 * q[0]) + an * np.exp(q[-1]) + bn * np.exp(2 * q[-1])
     return complex(kin + chain + ends)
 
 
 def _lax_matrix(key, s):
     """L at one state: the one slice of a one-row block."""
-    return lax.lax_pair(SYSTEMS[key].lax, s, [s.array])[0][0]
+    return assembled_pair(SYSTEMS[key].lax, s, [s.array])[0][0]
 
 
 def _reference(key, name, s, spectrum):
@@ -162,9 +164,9 @@ def test_lax_stack_is_the_stack_of_single_matrices(rng):
         rows = _rows(rng, chart, d, True)[:20]
         template = State(chart, rows[0], split)
         builder = SYSTEMS[key].lax
-        L, B, _ = lax.lax_pair(builder, template, rows)
+        L, B, _ = assembled_pair(builder, template, rows)
         assert L.flags.c_contiguous and B.flags.c_contiguous
-        singles = [lax.lax_pair(builder, template, [r]) for r in rows]
+        singles = [assembled_pair(builder, template, [r]) for r in rows]
         assert np.array_equal(L, np.concatenate([one[0] for one in singles]))
         assert np.array_equal(B, np.concatenate([one[1] for one in singles]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lax_reference
+from lax_reference import assembled_pair
 from conftest import random_ab, random_toda_ab, random_u, random_v
 
 from lattice_flows import DimensionError, DomainError, UnsupportedDimension, ab_state, u_state, v_state
@@ -25,7 +26,6 @@ from lattice_flows.lax import (
     casimir_F_column,
     grad_casimir_C,
     grad_trace_invariant,
-    lax_pair,
     lax_residual,
     trace_columns,
     vd_lax,
@@ -39,7 +39,7 @@ RESIDUAL_TOL = 1e-10
 
 def _pair(system, state):
     """L, B and the sign at one state of a catalog system: the one row of a one-row block."""
-    L, B, sign = lax_pair(SYSTEMS[system].lax, state, [state.array])
+    L, B, sign = assembled_pair(SYSTEMS[system].lax, state, [state.array])
     return L[0], B[0], sign
 
 
@@ -238,7 +238,7 @@ def _single_direction_grads(system, state, rows, orders, builder=None):
     grads = np.zeros((len(orders), len(rows), d), dtype=complex)
     for r, row in enumerate(rows):
         for j, e in enumerate(np.eye(d)):
-            L, dL = lax_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
+            L, dL = assembled_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
             for i, k in enumerate(orders):
                 grads[i, r, j] = np.trace(np.linalg.matrix_power(L[0], k - 1) @ dL[0, 0])
     return grads
@@ -330,7 +330,7 @@ def test_tables_keep_every_bit_of_the_hand_written_builders(rng, system, size):
         state, rows = _block(rng, system, size, 8, imaginary)
         d = rows.shape[1]
         for ds in (None, rng.uniform(-1.0, 1.0, (d, 1, 8)), np.broadcast_to(np.eye(d)[:, :, None], (d, d, 8))):
-            L, B, sign = lax_pair(SYSTEMS[system].lax, state, rows)
+            L, B, sign = assembled_pair(SYSTEMS[system].lax, state, rows)
             dL = None if ds is None else _dL(SYSTEMS[system].lax, state, rows, ds)
             want = lax_reference.reference_pair(reference, state, rows, ds)
             assert sign == want[2] and (dL is None) == (want[3] is None) == (ds is None)
@@ -414,7 +414,7 @@ def test_L_B_is_minus_the_transpose_of_B_L_on_verify_blocks(system, size):
     rng = np.random.default_rng(size)
     for _ in range(8 if (system, size) in (("vd", 15), ("ab", 7)) else 2):
         state, rows = sample(rng, BLOCK, size, size)
-        L, B, _ = lax_pair(SYSTEMS[system].lax, state, rows)
+        L, B, _ = assembled_pair(SYSTEMS[system].lax, state, rows)
         assert not rows.imag.any() and _symmetric(SYSTEMS[system].lax(state))
         # equal as numbers: a zero may differ in sign, which no square sees
         assert np.array_equal(L @ B, -(B @ L).transpose(0, 2, 1))
@@ -472,7 +472,7 @@ def test_the_gauge_makes_every_entry_real_and_is_none_exactly_at_vd_even_n(syste
         if gauge.odd is not None:
             assert np.array_equal(gauge.odd, (g.imag != 0).astype(float))
         state, rows = SUITES["lax"].checks[system].sample(np.random.default_rng(size), 3, size, size)
-        L, B, _ = lax_pair(SYSTEMS[system].lax, state, rows)
+        L, B, _ = assembled_pair(SYSTEMS[system].lax, state, rows)
         x = coordinate_columns(state, rows).real
         r = compiled.table.roots(x)
         L_R, B_S = gauge.L.assemble(T, x, r), gauge.B.assemble(T, x, r)
@@ -506,7 +506,7 @@ def test_the_floating_point_facts_of_the_real_path(system, size):
             assert reciprocal.tobytes() == np.ascontiguousarray(quotient.real).tobytes(), (
                 "numpy's complex quotient no longer multiplies by the reciprocal: dr = ds * (1 / (slope * r)) "
                 "rounds unlike ds / (slope * r)")
-        L, B, _ = lax_pair(builder, state, rows)
+        L, B, _ = assembled_pair(builder, state, rows)
         d = np.array(gauge.d)
         wide = np.zeros((BLOCK, T, gauge.width))
         wide[:, :, :T] = gauge.L.assemble(T, x.real, r_real)
@@ -525,7 +525,7 @@ _POWER_ORDERS = [("vd", 15, (4, 8)), ("ab", 7, (2, 4))] + [("ab", 7, (2, k)) for
 @pytest.mark.parametrize("system, size, orders", _POWER_ORDERS, ids=[f"{s}-{n}-{o}" for s, n, o in _POWER_ORDERS])
 def test_the_power_chain_keeps_the_bits_of_matrix_power(rng, system, size, orders):
     state, rows = _block(rng, system, size, BLOCK, False)
-    L = lax_pair(SYSTEMS[system].lax, state, rows)[0]
+    L = assembled_pair(SYSTEMS[system].lax, state, rows)[0]
     exponents = [k - 1 for k in orders]
     for power, k in zip(_matrix_powers(L, [_matrix_power_tree(k) for k in exponents]), exponents):
         want = np.linalg.matrix_power(L, k)
@@ -562,7 +562,7 @@ def test_the_float64_chain_keeps_the_bits_of_the_complex_chain(rng, system):
             continue
         size = {"km": T - 1, "toda": T, "ab": T // 2}[system]
         for sample in (_block(rng, system, size, 9, False), _signed_zero_block(rng, system, size, 9)):
-            L = lax_pair(SYSTEMS[system].lax, *sample)[0]
+            L = assembled_pair(SYSTEMS[system].lax, *sample)[0]
             assert not L.imag.any()
             for trees in (chains, matrix_powers):
                 for power, tree in zip(_matrix_powers(L, trees), trees):
@@ -594,7 +594,7 @@ def test_trace_columns_keep_the_bits_of_each_power_formed_alone(rng, system, siz
         state, rows = _block(rng, system, size, 40, imaginary)
         orders = {name: column.key for name, column in catalog.named_invariants(catalog, state).items()
                   if name.startswith("H")}
-        L = lax_pair(catalog.lax, state, rows)[0]
+        L = assembled_pair(catalog.lax, state, rows)[0]
         want = np.array(lax_reference.reference_traces(L, orders.values(), grading)).tobytes()
         assert np.array(trace_columns(L, orders.values(), grading)).tobytes() == want, (system, size, imaginary)
         columns = catalog.invariant_columns(state, list(orders), rows)
@@ -665,8 +665,8 @@ def _trace_identity_gap(n, rng, factor):
     / tr(|L_vd|^{2k}), with L_ab at the d-map image of each vd state."""
     rows = rng.uniform(0.1, 2.0, (20, n)).astype(complex)
     state = v_state(rows[0])
-    L_vd = lax_pair(vd_lax, state, rows)[0]
-    L_ab = lax_pair(ab_lax, *d_transform_block(state, rows))[0]
+    L_vd = assembled_pair(vd_lax, state, rows)[0]
+    L_ab = assembled_pair(ab_lax, *d_transform_block(state, rows))[0]
     gap = 0.0
     for k in range(1, n):
         vd = np.trace(np.linalg.matrix_power(L_vd, 2 * k), axis1=1, axis2=2)
@@ -721,7 +721,7 @@ def _term_by_term_grads(builder, state, rows, orders):
     grads = np.zeros((len(orders), len(rows), d), dtype=complex)
     for r, row in enumerate(rows):
         for j, e in enumerate(np.eye(d)):
-            L, dL = lax_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
+            L, dL = assembled_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
             for o, k in enumerate(orders):
                 P = np.linalg.matrix_power(L[0], k - 1)
                 diagonal = np.zeros(len(P), dtype=complex)
@@ -801,7 +801,7 @@ def test_lax_dL_batch_is_the_stack_of_single_directions(rng, system, sample):
     d, T = rows.shape[1], _pair(system, states[0])[0].shape[0]
     ds = rng.uniform(-1.0, 1.0, (d, 4, 3))
     builder = SYSTEMS[system].lax
-    L, B, sign = lax_pair(builder, states[0], rows)
+    L, B, sign = assembled_pair(builder, states[0], rows)
     dL = _dL(builder, states[0], rows, ds)
     assert L.shape == B.shape == (3, T, T) and dL.shape == (3, 4, T, T)
     assert all(a.flags.c_contiguous for a in (L, B, dL))
@@ -901,7 +901,7 @@ def test_a_non_symmetric_table_keeps_the_bits_of_both_products(rng, system, samp
         compiled = compile_lax(table)
         assert (compiled.gauge is None) == (not _symmetric(compiled)), (system, label)
         builder = lambda s: compiled
-        L, B, sign = lax_pair(builder, states[0], rows)
+        L, B, sign = assembled_pair(builder, states[0], rows)
         dL = _dL(builder, states[0], rows, velocities.T[:, None])[:, 0]
         want = row_norms(dL - sign * (B @ L - L @ B))
         assert lax_residual(builder, states[0], rows, velocities).tobytes() == want.tobytes(), (system, label)

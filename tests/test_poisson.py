@@ -3,25 +3,25 @@ import pytest
 
 from conftest import central_difference, random_ab, random_c, random_qp, random_v
 from jacobi_reference import dense_jacobi_residual, dense_tensors
+from lax_reference import assembled_pair
 
 from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
 from lattice_flows.catalog import SYSTEMS
 from lattice_flows.cli import _AB, _C, _V, BLOCK, _involution
-from lattice_flows.lax import (ab_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_pair, lax_residual,
+from lattice_flows.lax import (ab_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_residual,
                                trace_columns)
 from lattice_flows.poisson import (
     LENARD,
     PoissonStructure,
     _pi3_v_table,
-    casimir_residual,
     compatibility_residual,
     hamiltonian_flow_check,
     jacobi_residual,
     lenard_residual,
     STRUCTURES,
 )
-from lattice_flows.states import C_VARS, VOLTERRA_V
+from lattice_flows.states import C_VARS, VOLTERRA_V, coordinate_columns, matvecs, row_norms
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
 from lattice_flows.transforms import c_to_v_block, d_transform_block
 
@@ -388,18 +388,29 @@ def test_a_pencil_needs_structures_on_one_chart(rng):
             _at(compatibility_residual, S["pi1-v"], S["pi1-ab"], 1.0, state)
 
 
+def _casimir(structure, grad_c):
+    """The Casimir residual |pi grad C| at each row: a flow check with X = 0."""
+    return lambda s, rows: hamiltonian_flow_check(structure, s, rows, grad_c(s, rows))
+
+
+def _flow(structure, grad_h, field):
+    """|pi grad H - X| at each row, X the field evaluated once on the block's columns."""
+    return lambda s, rows: hamiltonian_flow_check(structure, s, rows, grad_h(s, rows),
+                                                  field(s, coordinate_columns(s, rows)).T)
+
+
 def test_casimir_residuals(rng):
     for n in (5, 7, 9):
         for _ in range(50):
-            assert _at(casimir_residual, S["pi1-v"], grad_casimir_F, random_v(rng, n)) < CASIMIR_TOL
+            assert _at(_casimir(S["pi1-v"], grad_casimir_F), random_v(rng, n)) < CASIMIR_TOL
     for m in (2, 3):
         for _ in range(50):
-            assert _at(casimir_residual, S["pi1-ab"], grad_casimir_C, random_ab(rng, m)) < CASIMIR_TOL
+            assert _at(_casimir(S["pi1-ab"], grad_casimir_C), random_ab(rng, m)) < CASIMIR_TOL
 
 
 def test_casimir_residual_constant_function(rng):
     state = random_v(rng, 7)
-    assert _at(casimir_residual, S["pi3-v"], lambda s, rows: np.zeros((len(rows), s.dim)), state) == 0.0
+    assert _at(_casimir(S["pi3-v"], lambda s, rows: np.zeros((len(rows), s.dim))), state) == 0.0
 
 
 def _grad_h_vd(state, rows):
@@ -411,8 +422,8 @@ def test_hamiltonian_flow_vd(rng):
     for n in (5, 7):
         for _ in range(50):
             state = random_v(rng, n)
-            r = _at(hamiltonian_flow_check, S["pi1-v"], _grad_h_vd, vd_field, state)
-            assert r < 1e-8
+            r = _at(_flow(S["pi1-v"], _grad_h_vd, vd_field), state)
+            assert r < 1e-10
 
 
 def _grad_h2_ab(state, rows):
@@ -423,14 +434,26 @@ def test_hamiltonian_flow_ab(rng):
     for m in (2, 3):
         for _ in range(50):
             state = random_ab(rng, m)
-            r = _at(hamiltonian_flow_check, S["pi1-ab"], _grad_h2_ab, ab_field, state)
-            assert r < 1e-8
+            r = _at(_flow(S["pi1-ab"], _grad_h2_ab, ab_field), state)
+            assert r < 1e-10
 
 
 def test_hamiltonian_flow_zero_state():
     state = ab_state([0, 0, 0], [0, 0])
-    r = _at(hamiltonian_flow_check, S["pi1-ab"], _grad_h2_ab, ab_field, state)
+    r = _at(_flow(S["pi1-ab"], _grad_h2_ab, ab_field), state)
     assert r == 0.0
+
+
+def test_lenard_residual_keeps_the_bits_of_pi3_grad_h2_minus_pi1_grad_h4(rng):
+    # the ladder is a flow check of H4 under pi1 against X = pi3 grad H2:
+    # its difference is the negation of pi3 grad H2 - pi1 grad H4, so its norm has the same bits
+    for chart, rows in (("v", _v_rows(rng, 9, 5)), ("ab", _ab_rows(rng, 3, 5))):
+        pair = LENARD[chart]
+        template = v_state(rows[0]) if chart == "v" else ab_state(rows[0][:4], rows[0][4:])
+        (o2, s2), (o4, s4) = pair.h2, pair.h4
+        g2, g4 = grad_trace_invariant(pair.lax, template, rows, [o2, o4])
+        want = row_norms(matvecs(pair.pi3(template, rows), s2 * g2) - matvecs(pair.pi1(template, rows), s4 * g4))
+        assert np.array_equal(lenard_residual(pair, template, rows), want)
 
 
 def test_lenard_both_charts(rng):
@@ -446,7 +469,7 @@ def _fd_lenard_residual(chart, system, h2, h4, state, fd_step=1e-6):
     """pi3 grad H2 - pi1 grad H4 with central differences of H = scale * tr(L^order) / order."""
     def grad(order, scale):
         def h(s):
-            return scale * trace_columns(lax_pair(SYSTEMS[system].lax, s, [s.array])[0], [order])[0][0]
+            return scale * trace_columns(assembled_pair(SYSTEMS[system].lax, s, [s.array])[0], [order])[0][0]
 
         return central_difference(h, state, fd_step)
 
@@ -516,13 +539,19 @@ def _image(kernel, state):
     return zero.replace_coords(image[0])
 
 
+def _relative_gap(pushed, target):
+    """max |pushed - target| over max |target|: pi3-v's cubic entries pass
+    1e5 at n near 25, where the absolute gap reads up to 5e-10, a few ulps."""
+    return np.max(np.abs(pushed - target)) / np.max(np.abs(target))
+
+
 def test_c_bracket_pushes_to_half_pi3_v(rng):
     for n in (5, 7):
         for _ in range(20):
             state = random_c(rng, n + 1)
             pushed = push_tensor(S["c-bracket"], c_to_v_block, state)
             target = _pi(S["pi3-v"], _image(c_to_v_block, state))
-            assert np.max(np.abs(C_TO_V_PI3_SCALE * pushed - target)) < 1e-8
+            assert _relative_gap(C_TO_V_PI3_SCALE * pushed, target) < 1e-12
 
 
 def test_every_c_bracket_entry_mutant_fails_the_push_check(rng):
@@ -537,7 +566,7 @@ def test_every_c_bracket_entry_mutant_fails_the_push_check(rng):
             mutant = PoissonStructure("c-bracket", C_VARS, lambda s, t=mutated: t)
             assert _at(jacobi_residual, mutant, state) == 0.0
             pushed = push_tensor(mutant, c_to_v_block, state)
-            assert np.max(np.abs(C_TO_V_PI3_SCALE * pushed - target)) > 1e-8, (nc, entry)
+            assert _relative_gap(C_TO_V_PI3_SCALE * pushed, target) > 1e-12, (nc, entry)
 
 
 def test_d_map_pushes_pi1_to_half_pi1_ab(rng):
@@ -546,7 +575,7 @@ def test_d_map_pushes_pi1_to_half_pi1_ab(rng):
             state = random_v(rng, n)
             pushed = push_tensor(S["pi1-v"], d_transform_block, state)
             target = _pi(S["pi1-ab"], _image(d_transform_block, state))
-            assert np.max(np.abs(D_MAP_PI1_SCALE * pushed - target)) < 1e-8
+            assert np.max(np.abs(D_MAP_PI1_SCALE * pushed - target)) < 1e-12
 
 
 def test_d_map_pushes_pi3_onto_pi3_ab(rng):
@@ -555,7 +584,7 @@ def test_d_map_pushes_pi3_onto_pi3_ab(rng):
             state = random_v(rng, n)
             pushed = push_tensor(S["pi3-v"], d_transform_block, state)
             target = _pi(S["pi3-ab"], _image(d_transform_block, state))
-            assert np.max(np.abs(D_MAP_PI3_SCALE * pushed - target)) < 1e-8
+            assert np.max(np.abs(D_MAP_PI3_SCALE * pushed - target)) < 1e-12
 
 
 def test_plans_are_compiled_once_per_structure_and_size(monkeypatch, rng):
@@ -703,8 +732,9 @@ def test_block_residuals_equal_one_state_residuals(rng):
     u, toda = u_state(np.ones(7)), ab_state(np.ones(6), np.ones(7))
     u_rows, toda_rows = _v_rows(rng, 7, 5), rng.uniform(-1.0, 1.0, (5, 13))
     cases = (
-        (lambda s, rows: casimir_residual(S["pi1-v"], grad_casimir_F, s, rows), v, v_rows),
-        (lambda s, rows: casimir_residual(S["pi1-ab"], grad_casimir_C, s, rows), ab, ab_rows),
+        (_casimir(S["pi1-v"], grad_casimir_F), v, v_rows),
+        (_casimir(S["pi1-ab"], grad_casimir_C), ab, ab_rows),
+        (_flow(S["pi1-v"], _grad_h_vd, vd_field), v, v_rows),
         (lambda s, rows: lenard_residual(LENARD["v"], s, rows), v, v_rows),
         (lambda s, rows: lenard_residual(LENARD["ab"], s, rows), ab, ab_rows),
         (lambda s, rows: compatibility_residual(S["pi1-v"], S["pi3-v"], 2.5, s, rows), v, v_rows),
@@ -758,7 +788,7 @@ def _excesses(name, mutant, rng):
         "lenard": lenard_residual(pair, template, rows),
     }
     if name in _CASIMIR_GRADS:
-        worst["casimir"] = casimir_residual(mutant, _CASIMIR_GRADS[name], template, rows)
+        worst["casimir"] = _casimir(mutant, _CASIMIR_GRADS[name])(template, rows)
     return {check for check, values in worst.items() if np.max(values) > _GATES[check]}
 
 

@@ -21,7 +21,7 @@ from lattice_flows import (
 )
 from lattice_flows import rootdata
 from lattice_flows.catalog import SYSTEMS, get_system
-from lattice_flows.rootdata import gram_matrix
+from lattice_flows.rootdata import gram_matrix, kozlov_treshchev_check, open_chain_spectrum
 from lattice_flows.states import (C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State,
                                   coordinate_columns)
 from lattice_flows.systems import (
@@ -29,6 +29,7 @@ from lattice_flows.systems import (
     bv_field,
     c_family_data,
     c_field,
+    hamiltonian_column,
     hamiltonian_eval,
     integrals_F1_F2_columns,
     km_field,
@@ -238,6 +239,20 @@ def test_gram_matrix_computed_once_per_spectrum(monkeypatch):
     assert not spec.gram.flags.writeable
 
 
+def test_spectrum_row_offers_f1_f2_only_with_a_null_combination():
+    dependent = get_system("spectrum", Spectrum(2, ((1, 0), (0, 1), (1, 1))))
+    assert list(dependent.invariants(ab_state([1.0] * 3, [0.0] * 3))) == ["F1", "F2"]
+    independent = get_system("spectrum", open_chain_spectrum(3))  # e_1 - e_2 and e_2 - e_3
+    assert independent.invariants(ab_state([1.0, 1.0], [0.0, 0.0])) == {}
+
+
+def test_get_system_rejects_an_unknown_key_and_a_spectrum_row_without_one():
+    with pytest.raises(ValueError, match="unknown system 'vd-x'"):
+        get_system("vd-x")
+    with pytest.raises(ValueError, match="system 'spectrum' requires a spectrum"):
+        get_system("spectrum")
+
+
 def test_integrals_examples():
     template = ab_state([1, 1], [2, 3])
     assert integrals_F1_F2_columns(template, [1, 1], [[1, 1, 2, 3]]) == ([5], [1])
@@ -274,6 +289,42 @@ def test_hamiltonian_examples():
     assert hamiltonian_eval("sklyanin", qp_state([0, 0], [0, 0])) == 3
     assert hamiltonian_eval("toda", qp_state([0, 0], [0, 0])) == 1
     assert hamiltonian_eval("sklyanin_full", qp_state([0, 0], [0, 0])) == 5
+
+
+def _sklyanin_full_spectrum(n, wall=1.0):
+    """The exponents of sklyanin_full's potential: e_i - e_{i+1}, then the
+    walls -e_1, -2 e_1, e_n and 2 e_n (each times ``wall``)."""
+    def unit(i, scale):
+        return tuple(scale * wall if j == i else 0.0 for j in range(n))
+
+    return Spectrum(n, open_chain_spectrum(n).vectors + (unit(0, -1), unit(0, -2), unit(n - 1, 1), unit(n - 1, 2)))
+
+
+def test_sklyanin_full_potential_is_its_spectrum_sum(rng):
+    for n in (2, 3, 6):
+        rows = rng.uniform(-1.0, 1.0, (5, 2 * n))
+        q, p = rows[:, :n], rows[:, n:]
+        want = 0.5 * np.sum(p**2, axis=1) + np.exp(q @ _sklyanin_full_spectrum(n).matrix.T).sum(axis=1)
+        got = hamiltonian_column("sklyanin_full", qp_state(q[0], p[0]), rows)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+def test_sklyanin_full_spectrum_passes_kozlov_treshchev():
+    # -e_1 and -2 e_1 share a direction, so only -2 e_1 is maximal, and the
+    # pair is skipped as collinear; so are e_n and 2 e_n
+    for n in range(2, 9):
+        assert kozlov_treshchev_check(_sklyanin_full_spectrum(n)).passed, n
+    # walls on the other side (e_1, 2 e_1, -e_n, -2 e_n) break the condition
+    assert len(kozlov_treshchev_check(_sklyanin_full_spectrum(3, wall=-1.0)).violations) == 6
+
+
+def test_sklyanin_full_minus_sklyanin_is_the_first_order_walls(rng):
+    for n in (1, 2, 5):
+        rows = rng.uniform(-1.0, 1.0, (7, 2 * n))
+        template = qp_state(rows[0, :n], rows[0, n:])
+        difference = np.subtract(hamiltonian_column("sklyanin_full", template, rows),
+                                 hamiltonian_column("sklyanin", template, rows))
+        np.testing.assert_allclose(difference, np.exp(-rows[:, 0]) + np.exp(rows[:, n - 1]), rtol=1e-13)
 
 
 def test_qp_field_examples():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, henon_jacobi, random_c, random_qp, random_u, random_v
+from lax_reference import assembled_pair
 
 from lattice_flows import (
+    ChartMismatch,
     DomainError,
     ParityError,
     Spectrum,
@@ -21,7 +23,7 @@ from lattice_flows import cli, transforms
 from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import FixedStep, drift_report, integrate
-from lattice_flows.lax import casimir_C_column, km_lax, lax_pair
+from lattice_flows.lax import casimir_C_column, km_lax
 from lattice_flows.systems import (
     ab_field,
     c_field,
@@ -70,7 +72,7 @@ def test_henon_examples():
 def test_moser_reduce_examples(rng):
     u = rng.uniform(0.1, 2.0, 4)
     a = np.sqrt(u / 2)
-    L = lax_pair(km_lax, u_state(u), [u])[0][0]
+    L = assembled_pair(km_lax, u_state(u), [u])[0][0]
     L2 = L @ L
     displayed_L2 = np.array(
         [
@@ -98,7 +100,7 @@ def test_moser_matches_henon_jacobi(rng):
     for n in (4, 5, 6, 7):
         for _ in range(20):
             state = random_u(rng, n)
-            L = lax_pair(km_lax, state, [state.array])[0][0]
+            L = assembled_pair(km_lax, state, [state.array])[0][0]
             assert np.max(np.abs((L @ L)[::2, ::2] - henon_jacobi(state))) < 1e-12
 
 
@@ -116,6 +118,12 @@ def test_d_transform_equal_tail_kills_a1():
 def test_d_transform_parity():
     with pytest.raises(ParityError):
         image(d_transform_block, v_state([1, 1, 1, 1]))
+
+
+def test_d_transform_rejects_u_states():
+    # the formula is the v chain's; on a u state it would map the wrong coordinates
+    with pytest.raises(ChartMismatch, match="d_transform expects chart 'volterra_v', got 'volterra_u'"):
+        image(d_transform_block, u_state([2, 1, 4, 1, 3]))
 
 
 def test_sklyanin_flaschka_example():
