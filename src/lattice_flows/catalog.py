@@ -25,21 +25,23 @@ COLUMN_BLOCK_ROWS = 128
 
 
 class Column(NamedTuple):
-    """How to evaluate one named invariant over a block of rows.
+    """How to evaluate one named invariant, and its gradient, over a block of rows.
 
     ``evaluate(state, rows, keys)`` returns one list of values per key for an
-    (N, d) block ``rows`` in the chart of ``state``.  Invariants that share
-    an ``evaluate`` (the trace powers of one Lax matrix) are evaluated in one
-    call; ``key`` tells them apart.
+    (N, d) block ``rows`` in the chart of ``state``, ``gradient`` (or None)
+    one (N, d) array per key.  Invariants that share a callable (the trace
+    powers of one Lax matrix) are evaluated in one call; ``key`` tells them apart.
     """
 
     evaluate: Callable
     key: object = None
+    gradient: Callable | None = None
 
 
-def _closed_form(fn, *args) -> Column:
-    """A Column for a single column function fn(*args, state, rows)."""
-    return Column(lambda state, rows, keys: [fn(*args, state, rows)])
+def _closed_form(fn, *args, gradient=None) -> Column:
+    """A Column for a single column function fn(*args, state, rows) and gradient(state, rows)."""
+    return Column(lambda state, rows, keys: [fn(*args, state, rows)], None,
+                  gradient and (lambda state, rows, keys: [gradient(state, rows)]))
 
 
 @dataclass(frozen=True)
@@ -80,32 +82,41 @@ class LatticeSystem:
 
     def invariants(self, state: State) -> dict[str, Column]:
         """The named invariants available for this system on the state's
-        chart, as its ``named_invariants`` table; ``invariant_columns``
-        evaluates them."""
+        chart, as its ``named_invariants`` table; ``invariant_columns`` and
+        ``invariant_gradients`` evaluate them."""
         self._on_chart(state)
         return self.named_invariants(self, state)
 
     def invariant_columns(self, state: State, names, rows) -> dict[str, list[complex]]:
-        """The named invariants at every row of ``rows``, (N, d) in the chart of ``state``.
-
-        Each name is taken once, in first-seen order.  Rows go in blocks of
-        COLUMN_BLOCK_ROWS, and the invariants sharing an evaluator (the trace
-        powers of one Lax matrix) are evaluated together, one stack of L and
-        one power chain per block.
-        """
-        self._on_chart(state)
-        table = self.named_invariants(self, state)
-        names = list(dict.fromkeys(names))
-        groups = {}
-        for name in names:
-            groups.setdefault(table[name].evaluate, []).append(name)
+        """The named invariants at every row of ``rows``, (N, d) in the chart of
+        ``state``, each name once, in first-seen order.  Rows go in blocks of
+        COLUMN_BLOCK_ROWS; the invariants sharing an evaluator (the trace powers
+        of one Lax matrix) take one stack of L and one power chain per block."""
         out = {name: [] for name in names}
+        groups = self._grouped(state, out, "evaluate")
         for lo in range(0, len(rows), COLUMN_BLOCK_ROWS):
             block = rows[lo : lo + COLUMN_BLOCK_ROWS]
-            for evaluate, group in groups.items():
-                for name, column in zip(group, evaluate(state, block, [table[n].key for n in group])):
+            for evaluate, group, keys in groups:
+                for name, column in zip(group, evaluate(state, block, keys)):
                     out[name] += column
         return out
+
+    def invariant_gradients(self, state: State, names, rows) -> dict[str, np.ndarray]:
+        """The (N, d) gradient of each named invariant at ``rows``, one call per
+        group of ``invariant_columns``; a name without a gradient raises ValueError."""
+        return {name: grad for gradient, group, keys in self._grouped(state, names, "gradient")
+                for name, grad in zip(group, gradient(state, rows, keys))}
+
+    def _grouped(self, state: State, names, kind: str) -> list[tuple[Callable, list[str], list]]:
+        """(callable, names, keys) per ``kind`` callable the named invariants share."""
+        self._on_chart(state)
+        table, groups = self.named_invariants(self, state), {}
+        for name in dict.fromkeys(names):
+            fn = getattr(table[name], kind)
+            if fn is None:
+                raise ValueError(f"invariant {name!r} of system {self.key!r} has no {kind}")
+            groups.setdefault(fn, []).append(name)
+        return [(fn, group, [table[name].key for name in group]) for fn, group in groups.items()]
 
     def _on_chart(self, state: State) -> Callable:
         fn = self.fields.get(state.chart)
@@ -123,7 +134,10 @@ def _traces(builder, orders, grading: int = 1) -> dict[str, Column]:
         compiled, x = builder(state), coordinate_columns(state, rows)  # L alone: B is not read
         return lax.trace_columns(compiled.L.assemble(compiled.table.size, x, compiled.table.roots(x)), ks, grading)
 
-    return {f"H{k}": Column(evaluate, k) for k in orders}
+    def gradient(state, rows, ks):
+        return grading * lax.grad_trace_invariant(builder, state, rows, [grading * k for k in ks])
+
+    return {f"H{k}": Column(evaluate, k, gradient) for k in orders}
 
 
 def _hamiltonian(name: str):
@@ -160,10 +174,12 @@ SYSTEMS = {system.key: system for system in (
     *(LatticeSystem(f"c-{fam}", {C_VARS: lambda s, y, _, f=fam.upper(): systems.c_field(f, s, y)})
       for fam in "abcd"),
     LatticeSystem("vd", {VOLTERRA_V: lambda s, y, _: systems.vd_field(s, y)},
-                  lambda vd, s: {**_traces(vd.lax, range(2, s.dim, 2), 2), "F": _closed_form(lax.casimir_F_column)},
+                  lambda vd, s: {**_traces(vd.lax, range(2, s.dim, 2), 2),
+                                 "F": _closed_form(lax.casimir_F_column, gradient=lax.grad_casimir_F)},
                   lax=lax.vd_lax),
     LatticeSystem("ab", {FLASCHKA_AB: lambda s, y, _: systems.ab_field(s, y)},
-                  lambda ab, s: {**_traces(ab.lax, range(2, s.dim + 1, 2)), "C": _closed_form(lax.casimir_C_column)},
+                  lambda ab, s: {**_traces(ab.lax, range(2, s.dim + 1, 2)),
+                                 "C": _closed_form(lax.casimir_C_column, gradient=lax.grad_casimir_C)},
                   lax=lax.ab_lax),
     LatticeSystem("spectrum", {FLASCHKA_AB: lambda s, y, spectrum: systems.spectrum_field(spectrum, s, y)},
                   _null_integrals),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -36,7 +37,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the reader is gone: say nothing more, and let the exit flush write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (LatticeError, ValueError, KeyError, OSError) as exc:
         if isinstance(exc, (DomainExit, StepFailure)):
             print(f"error: {exc}", file=sys.stderr)
@@ -102,12 +109,13 @@ def _run_simulate(args) -> int:
         with open(args.spectrum) as fh:
             spectrum = spectrum_from_json(fh.read())
     system = get_system(args.system, spectrum=spectrum)
-    if args.m is not None and state.chart == FLASCHKA_AB and state.dim - state.split != args.m:
-        raise ValueError(f"--m {args.m} does not match the supplied state")
-    if args.n is not None and state.chart != FLASCHKA_AB and args.n != (
-        state.split if state.chart == QP else state.dim
-    ):
-        raise ValueError(f"--n {args.n} does not match the supplied state")
+    sizes = {"--m": args.m, "--n": args.n}  # --m sizes an (a, b) state by its b's, --n any other state
+    flag, other = ("--m", "--n") if state.chart == FLASCHKA_AB else ("--n", "--m")
+    if sizes[other] is not None:
+        raise ValueError(f"{other} does not apply to a {state.chart} state; its size flag is {flag}")
+    size = state.dim - state.split if flag == "--m" else state.split if state.chart == QP else state.dim
+    if sizes[flag] not in (None, size):
+        raise ValueError(f"{flag} {sizes[flag]} does not match the supplied state")
 
     available = system.invariants(state)
     names = [s for s in args.invariants.split(",") if s]
@@ -226,11 +234,11 @@ def _km_lax(s, rows, residual=_lax(SYSTEMS["km"])) -> np.ndarray:
     return residual(s, rows)
 
 
-def _involution(state, rows, k1: int, k2: int, ab=SYSTEMS["ab"], pi=poisson.STRUCTURES["pi1-ab"]) -> np.ndarray:
-    """|{H_k1, H_k2}| under pi1-ab at each row, from analytic trace gradients:
+def _involution(state, rows, name1: str, name2: str, ab=SYSTEMS["ab"], pi=poisson.STRUCTURES["pi1-ab"]) -> np.ndarray:
+    """|{H, G}| of two named invariants of the ab row under pi1-ab at each row:
     per row, a vector-matrix and a vector-vector product, stacked."""
-    g1, g2 = lax.grad_trace_invariant(ab.lax, state, rows, [k1, k2])
-    bracket = (g1[:, None] @ pi(state, rows) @ g2[..., None])[:, 0, 0]
+    grads = ab.invariant_gradients(state, [name1, name2], rows)
+    bracket = (grads[name1][:, None] @ pi(state, rows) @ grads[name2][..., None])[:, 0, 0]
     # hypot is Python's abs of a complex; numpy's complex abs rounds otherwise
     return np.hypot(bracket.real, bracket.imag)
 
@@ -239,8 +247,8 @@ def _involution(state, rows, k1: int, k2: int, ab=SYSTEMS["ab"], pi=poisson.STRU
 INVOLUTION_PAIRS = "H2:H4,H2:H6"
 
 
-def _invariant_pairs(args) -> list[tuple[int, int]]:
-    """Trace orders named by --pairs; only two distinct H<k> of the ab system at
+def _invariant_pairs(args) -> list[list[str]]:
+    """The name pairs of --pairs; only two distinct H<k> of the ab system at
     this m are accepted: {H, H} = 0 under any bracket, so it would check nothing.
     The default keeps the pairs the system offers at this m (H2:H4 alone at
     m = 2), or all of them if it offers none, so that none passes unchecked."""
@@ -254,7 +262,7 @@ def _invariant_pairs(args) -> list[tuple[int, int]]:
             raise ValueError(f"--pairs entry {':'.join(pair)!r} must name two of {offered}")
         if pair[0] == pair[1]:
             raise ValueError(f"--pairs entry {':'.join(pair)!r} names {pair[0]} twice: {{H, H}} = 0 checks nothing")
-    return [(int(left[1:]), int(right[1:])) for left, right in pairs]
+    return pairs
 
 
 _SIZES = (("--n", 7), ("--m", 3))
@@ -282,12 +290,10 @@ SUITES = {
         for chart, pair in poisson.LENARD.items()
     }, sweep=lambda args: [(float(x),) for x in args.lambdas.split(",")]),
     "casimir": Suite("--structure", 50, _SIZES, {
-        name: Check(
-            _ON_CHART[struct.chart],
-            lambda s, rows, struct=struct: poisson.hamiltonian_flow_check(struct, s, rows, struct.casimir[1](s, rows)),
-            1e-10, name, f"casimir-{struct.casimir[0]}",
-        )
-        for name, struct in poisson.STRUCTURES.items() if struct.casimir
+        name: Check(_ON_CHART[pi.chart], lambda s, rows, pi=pi, row=row, c=c: poisson.hamiltonian_flow_check(
+            pi, s, rows, row.invariant_gradients(s, [c], rows)[c]), 1e-10, name, f"casimir-{c}")
+        for name, pi, row, c in (("pi1-v", poisson.STRUCTURES["pi1-v"], SYSTEMS["vd"], "F"),
+                                 ("pi1-ab", poisson.STRUCTURES["pi1-ab"], SYSTEMS["ab"], "C"))
     }),
     "lenard": Suite("--chart", 50, _SIZES, {
         chart: Check(_ON_CHART[pair.pi1.chart], lambda s, rows, pair=pair: poisson.lenard_residual(pair, s, rows),
@@ -299,7 +305,7 @@ SUITES = {
         for name, transform in TRANSFORMS.items()
     }),
     "involution": Suite(None, 50, (("--m", 3), ("--pairs", INVOLUTION_PAIRS)), {
-        None: Check(_AB, _involution, 1e-9, "pi1-ab", "involution-H{0}-H{1}"),
+        None: Check(_AB, _involution, 1e-9, "pi1-ab", "involution-{0}-{1}"),
     }, sweep=_invariant_pairs),
 }
 

@@ -57,8 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import lax
-from .catalog import SYSTEMS
+from .catalog import SYSTEMS, LatticeSystem
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
 from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, matvecs, row_norms
 
@@ -75,7 +74,6 @@ class PoissonStructure:
     name: str
     chart: str
     table_builder: Callable[[State], EntryTable]
-    casimir: tuple[str, Callable] | None = None  # (name, closed-form gradient) of a Casimir
 
     def __call__(self, state: State, rows) -> np.ndarray:
         """pi at each row of ``rows``, an (N, n) block of coordinates in the
@@ -326,16 +324,12 @@ def _pi3_ab_table(m: int) -> EntryTable:
     return table
 
 
-# Casimir gradients look ``lax.grad_casimir_*`` up at call time, so a wrapper
-# installed on the lax module (e.g. by a profiler) sees every evaluation.
 STRUCTURES = {
     "c-bracket": PoissonStructure("c-bracket", C_VARS, lambda s: _c_bracket_table(s.dim)),
-    "pi1-v": PoissonStructure("pi1-v", VOLTERRA_V, lambda s: _pi1_v_table(s.dim),
-                              ("F", lambda s, rows: lax.grad_casimir_F(s, rows))),
+    "pi1-v": PoissonStructure("pi1-v", VOLTERRA_V, lambda s: _pi1_v_table(s.dim)),
     "pi3-v": PoissonStructure("pi3-v", VOLTERRA_V, lambda s: _pi3_v_table(s.dim)),
     "pi1-ab": PoissonStructure(
-        "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(ab_sizes(s, +1, "pi1-ab")[1]),
-        ("C", lambda s, rows: lax.grad_casimir_C(s, rows))),
+        "pi1-ab", FLASCHKA_AB, lambda s: _pi1_ab_table(ab_sizes(s, +1, "pi1-ab")[1])),
     "pi3-ab": PoissonStructure(
         "pi3-ab", FLASCHKA_AB, lambda s: _pi3_ab_table(ab_sizes(s, +1, "pi3-ab")[1])),
 }
@@ -471,44 +465,34 @@ def hamiltonian_flow_check(structure, state: State, rows, grads, field=None) -> 
 # ---------------------------------------------------------------------------
 
 class LenardPair(NamedTuple):
-    """pi3 grad H2 = pi1 grad H4 on one chart, with H = scale * tr(L^order) / order
-    and L from a catalog row's Lax builder.
+    """pi3 grad H2 = pi1 grad (scale H4) on one chart, with H2 and H4 the
+    named invariants of a catalog row.
 
-    The ladder itself pins each normalization.  In the (a, b) chart
-    H2 = tr(L^2)/2 (the flow Hamiltonian of pi1) and H4 = tr(L^4)/2: with
-    tr(L^4)/4 the two sides of the ladder differ by exactly 2 at every
-    state.  In the v chart the Lax entries are square roots, tr(L^2)
-    vanishes identically, and the invariants are graded by v-degree:
-    H_k = tr(L^{2k}) / k, under which the ladder is exact as written.  The
-    chart and its admissible sizes are those of the structures: pi1-v, and
-    so the v-chart ladder, needs odd n.
+    The ladder pins the scale: the (a, b) row's H4 = tr(L^4)/4 needs 2, and
+    the v row's v-degree graded H_k = tr(L^{2k})/k needs 1.  The chart and
+    its admissible sizes are those of the structures: pi1-v, and so the
+    v-chart ladder, needs odd n.
     """
 
     pi1: PoissonStructure
     pi3: PoissonStructure
-    lax: Callable  # Lax builder (template State) -> CompiledLax
-    h2: tuple[int, int]  # (order, scale)
-    h4: tuple[int, int]
+    row: LatticeSystem
+    scale: int
 
 
 #: The Lenard ladders of the vd and ab systems, keyed by the short chart name.
 LENARD = {
-    "v": LenardPair(STRUCTURES["pi1-v"], STRUCTURES["pi3-v"], SYSTEMS["vd"].lax, (4, 2), (8, 2)),
-    "ab": LenardPair(STRUCTURES["pi1-ab"], STRUCTURES["pi3-ab"], SYSTEMS["ab"].lax, (2, 1), (4, 2)),
+    "v": LenardPair(STRUCTURES["pi1-v"], STRUCTURES["pi3-v"], SYSTEMS["vd"], 1),
+    "ab": LenardPair(STRUCTURES["pi1-ab"], STRUCTURES["pi3-ab"], SYSTEMS["ab"], 2),
 }
 
 
 def lenard_residual(pair: LenardPair, state: State, rows) -> np.ndarray:
-    """Norm of pi3 grad H2 - pi1 grad H4 of a Lenard pair at each row: the
-    flow of H4 under pi1 checked against X = pi3 grad H2
+    """Norm of pi3 grad H2 - pi1 grad (scale H4) of a Lenard pair at each
+    row: the flow of scale H4 under pi1 checked against X = pi3 grad H2
     (``hamiltonian_flow_check``), whose difference is the negation, so has
-    the same norm, bit for bit.
-
-    Gradients of the trace invariants are analytic.  The tensors and the
-    gradients of a block of ``rows`` each come from one call.
-    """
-    pi3 = pair.pi3(state, rows)  # pi3 checks the chart and size before the Lax builder and pi1
-    (o2, s2), (o4, s4) = pair.h2, pair.h4
-    g2, g4 = lax.grad_trace_invariant(pair.lax, state, rows, [o2, o4])
-    return hamiltonian_flow_check(pair.pi1, state, rows, s4 * g4, matvecs(pi3, s2 * g2))
-
+    the same norm, bit for bit."""
+    pi3 = pair.pi3(state, rows)
+    pair.pi1._plan(state)  # pi3, then pi1, check the chart and size before the row's names are read
+    grads = pair.row.invariant_gradients(state, ["H2", "H4"], rows)
+    return hamiltonian_flow_check(pair.pi1, state, rows, pair.scale * grads["H4"], matvecs(pi3, grads["H2"]))

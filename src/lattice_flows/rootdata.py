@@ -239,7 +239,9 @@ def spectrum_from_json(text: str) -> Spectrum:
     """Parse a spectrum document: {"dimension": n, "vectors": [[...], ...]}.
 
     The dimension and every vector entry must be numbers that a float holds
-    finitely (booleans are not numbers here); anything else raises ValueError.
+    finitely (booleans are not numbers here), and the optional labels a list
+    of strings, one per vector; anything else raises ValueError or, for a
+    label count that is not the vector count, DimensionError.
     """
     obj = json.loads(text)
     if not isinstance(obj, dict):
@@ -251,7 +253,10 @@ def spectrum_from_json(text: str) -> Spectrum:
         # NaN compares false, and an int beyond the float range does not fit
         if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
             raise ValueError(f"spectrum entry {x!r} is not a finite number")
-    labels = tuple(obj["labels"]) if "labels" in obj else None
+    labels = obj.get("labels")
+    if "labels" in obj and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f"spectrum labels must be a list of strings, got {labels!r}")
+    labels = None if labels is None else tuple(labels)
     return Spectrum(dimension=int(obj["dimension"]), vectors=tuple(map(tuple, vectors)), labels=labels)
 
 

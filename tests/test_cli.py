@@ -80,6 +80,32 @@ def test_simulate_wrong_m_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("system, state, flag, wanted", [
+    ("toda", '{"a":[1,1],"b":[0,0,0]}', ("--n", "99"), "--m"),
+    ("ab", '{"a":[1,1,1],"b":[0,0]}', ("--n", "2"), "--m"),
+    ("km", '{"u":[1,0.5,0.8]}', ("--m", "5"), "--n"),
+    ("toda", '{"q":[0,0.5],"p":[0.1,0]}', ("--m", "2"), "--n"),
+], ids=["toda-ab-n", "ab-n", "km-m", "toda-qp-m"])
+def test_simulate_size_flag_of_another_chart_is_usage_error(capsys, system, state, flag, wanted):
+    code, out, err = run(capsys, "simulate", "--system", system, "--state", state, *flag, "--t", "0.01", "--dt", "0.01")
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: {flag[0]} does not apply") and f"its size flag is {wanted}" in err
+
+
+def test_closed_stdout_exits_one_without_a_usage_line():
+    # the read end is closed before the child starts, so its first write meets a broken pipe
+    package_root = str(Path(lattice_flows.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", "verify", "spectrum", "--sklyanin", "5"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def test_simulate_blowup_exits_one(capsys):
     code, _, err = run(
         capsys,
@@ -494,7 +520,11 @@ def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
      ('{"dimension": 2, "vectors": [[1, "0"]]}', "number"),
      ('{"dimension": 2, "vectors": [[1, true]]}', "number"),
      ('{"dimension": "2", "vectors": [[1, 0]]}', "number"),
-     ('[1]', "JSON object"), ('"spectrum"', "JSON object"), ('{"dimension": 2}', "vectors")],
+     ('[1]', "JSON object"), ('"spectrum"', "JSON object"), ('{"dimension": 2}', "vectors"),
+     ('{"dimension": 2, "vectors": [[1, 0], [0, 1]], "labels": "ab"}', "list of strings"),
+     ('{"dimension": 2, "vectors": [[1, 0], [0, 1]], "labels": [1, {"x": 2}]}', "list of strings"),
+     ('{"dimension": 2, "vectors": [[1, 0], [0, 1]], "labels": null}', "list of strings"),
+     ('{"dimension": 2, "vectors": [[1, 0], [0, 1]], "labels": ["a"]}', "one label per vector")],
 )
 def test_malformed_spectrum_document_is_usage_error(tmp_path, capsys, document, message):
     doc = tmp_path / "spectrum.json"

@@ -6,12 +6,15 @@ the closed forms (C, F, H, F1/F2) as array expressions.  The references
 below are the per-state formulas the catalog evaluated one row at a time
 before; each column value must equal its reference exactly, real and
 imaginary parts, on real and complex states of every chart, at Lax sizes
-up to T = 17 and with more rows than one block holds.
+up to T = 17 and with more rows than one block holds.  The gradients of
+``LatticeSystem.invariant_gradients`` are checked against central
+differences of the same columns.
 """
 
 import numpy as np
 import pytest
 
+from conftest import central_difference
 from lax_reference import assembled_pair
 
 from lattice_flows import lax, systems
@@ -198,3 +201,50 @@ def test_numpy_array_product_mutant_is_caught(rng, monkeypatch):
     assert _mismatches(rng, "ab", FLASCHKA_AB, 5, 3, False) == []
     bad = _mismatches(rng, "ab", FLASCHKA_AB, 5, 3, True)
     assert bad and {name for name, *_ in bad} == {"C"}
+
+
+# ---------------------------------------------------------------------------
+# gradients of the named invariants
+# ---------------------------------------------------------------------------
+
+# (system, chart, d, split): km n = 5, toda n = 4 in (a, b), vd n = 7, ab m = 3
+GRADIENT_CASES = [("km", VOLTERRA_U, 5, None), ("toda", FLASCHKA_AB, 7, 3),
+                  ("vd", VOLTERRA_V, 7, None), ("ab", FLASCHKA_AB, 7, 4)]
+
+
+@pytest.mark.parametrize("complex_part", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("key, chart, d, split", GRADIENT_CASES, ids=lambda c: str(c))
+def test_invariant_gradient_is_the_derivative_of_its_column(rng, key, chart, d, split, complex_part):
+    # the invariants are holomorphic, so a real step gives the complex derivative
+    system = SYSTEMS[key]
+    rows = _rows(rng, chart, d, complex_part)[:3]
+    template = State(chart, rows[0], split)
+    names = list(system.invariants(template))
+    grads = system.invariant_gradients(template, names, rows)
+    assert list(grads) == names and all(grad.shape == (len(rows), d) for grad in grads.values())
+    for i, row in enumerate(rows):
+        s = template.replace_coords(row)
+        for name in names:
+            want = central_difference(lambda t: system.invariant_columns(t, [name], [t.array])[name][0], s, 1e-6)
+            assert np.max(np.abs(grads[name][i] - want)) < 1e-7 * max(1.0, np.max(np.abs(want))), (name, i)
+
+
+def test_trace_gradients_of_one_lax_matrix_take_one_call(rng, monkeypatch):
+    calls = []
+    real = lax.grad_trace_invariant
+    monkeypatch.setattr(lax, "grad_trace_invariant", lambda *args: calls.append(args[3]) or real(*args))
+    rows = _rows(rng, VOLTERRA_V, 9, True)[:4]
+    grads = SYSTEMS["vd"].invariant_gradients(State(VOLTERRA_V, rows[0]), ["H4", "F", "H2", "H4"], rows)
+    assert list(grads) == ["H4", "H2", "F"] and calls == [[8, 4]]  # vd's grading 2: tr(L^{2k})
+
+
+@pytest.mark.parametrize("key, state, name", [
+    ("toda", State(QP, [0.1, -0.2, 0.3, 0.0], 2), "H"),
+    ("spectrum", State(FLASCHKA_AB, [-1, -0.5, -0.8, 0.1, 0, -0.2], 3), "F1"),
+    ("spectrum", State(FLASCHKA_AB, [-1, -0.5, -0.8, 0.1, 0, -0.2], 3), "F2"),
+], ids=["toda-H", "spectrum-F1", "spectrum-F2"])
+def test_an_invariant_without_a_gradient_is_named(key, state, name):
+    system = get_system(key, sklyanin_spectrum(2) if key == "spectrum" else None)
+    assert name in system.invariants(state)
+    with pytest.raises(ValueError, match=f"invariant '{name}' of system '{key}' has no gradient"):
+        system.invariant_gradients(state, [name], [state.array])

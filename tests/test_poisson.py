@@ -8,7 +8,7 @@ from lax_reference import assembled_pair
 from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
 from lattice_flows.catalog import SYSTEMS
-from lattice_flows.cli import _AB, _C, _V, BLOCK, _involution
+from lattice_flows.cli import _AB, _C, _V, BLOCK, SUITES, _involution
 from lattice_flows.lax import (ab_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_residual,
                                trace_columns)
 from lattice_flows.poisson import (
@@ -447,11 +447,13 @@ def test_hamiltonian_flow_zero_state():
 def test_lenard_residual_keeps_the_bits_of_pi3_grad_h2_minus_pi1_grad_h4(rng):
     # the ladder is a flow check of H4 under pi1 against X = pi3 grad H2:
     # its difference is the negation of pi3 grad H2 - pi1 grad H4, so its norm has the same bits
-    for chart, rows in (("v", _v_rows(rng, 9, 5)), ("ab", _ab_rows(rng, 3, 5))):
+    # H = scale * tr(L^order) / order as (order, scale): the v row's H2, H4 are
+    # tr(L^4)/2, tr(L^8)/4 and the ladder takes the ab row's tr(L^4)/4 twice
+    for chart, rows, (o2, s2), (o4, s4) in (("v", _v_rows(rng, 9, 5), (4, 2), (8, 2)),
+                                            ("ab", _ab_rows(rng, 3, 5), (2, 1), (4, 2))):
         pair = LENARD[chart]
         template = v_state(rows[0]) if chart == "v" else ab_state(rows[0][:4], rows[0][4:])
-        (o2, s2), (o4, s4) = pair.h2, pair.h4
-        g2, g4 = grad_trace_invariant(pair.lax, template, rows, [o2, o4])
+        g2, g4 = grad_trace_invariant(pair.row.lax, template, rows, [o2, o4])
         want = row_norms(matvecs(pair.pi3(template, rows), s2 * g2) - matvecs(pair.pi1(template, rows), s4 * g4))
         assert np.array_equal(lenard_residual(pair, template, rows), want)
 
@@ -486,8 +488,10 @@ def test_lenard_fd_cross_check(rng):
 
 
 def test_lenard_parity_error(rng):
-    with pytest.raises(ParityError, match="pi1-v requires odd n"):
-        _at(lenard_residual, LENARD["v"], random_v(rng, 6))
+    # at n = 4 vd offers no H4: pi1 must name the parity before the row's names are read
+    for n in (4, 6):
+        with pytest.raises(ParityError, match="pi1-v requires odd n"):
+            _at(lenard_residual, LENARD["v"], random_v(rng, n))
 
 
 def test_lenard_rejects_a_state_off_its_chart(rng):
@@ -616,11 +620,15 @@ def test_plans_are_compiled_once_per_structure_and_size(monkeypatch, rng):
 
 def test_structures_registry_contents():
     assert set(STRUCTURES) == {"c-bracket", "pi1-v", "pi3-v", "pi1-ab", "pi3-ab"}
-    assert {name: struct.casimir[0] for name, struct in STRUCTURES.items() if struct.casimir} == {
-        "pi1-v": "F", "pi1-ab": "C"}
+    # the casimir suite pairs pi1-v with vd's F and pi1-ab with ab's C, both catalog gradients
+    assert {name: check.check for name, check in SUITES["casimir"].checks.items()} == {
+        "pi1-v": "casimir-F", "pi1-ab": "casimir-C"}
     state = random_v(np.random.default_rng(0), 7)
     rows = [state.array]
-    assert np.array_equal(STRUCTURES["pi1-v"].casimir[1](state, rows), grad_casimir_F(state, rows))
+    assert np.array_equal(SYSTEMS["vd"].invariant_gradients(state, ["F"], rows)["F"], grad_casimir_F(state, rows))
+    state = random_ab(np.random.default_rng(0), 3)
+    rows = [state.array]
+    assert np.array_equal(SYSTEMS["ab"].invariant_gradients(state, ["C"], rows)["C"], grad_casimir_C(state, rows))
 
 
 def test_lenard_zero_at_origin():
@@ -742,7 +750,7 @@ def test_block_residuals_equal_one_state_residuals(rng):
         (_lax_along("toda", toda_ab_field), toda, toda_rows),
         (_lax_along("vd", vd_field), v, v_rows),
         (_lax_along("ab", ab_field), ab, ab_rows),
-        (lambda s, rows: _involution(s, rows, 2, 6), ab, ab_rows),
+        (lambda s, rows: _involution(s, rows, "H2", "H6"), ab, ab_rows),
     )
     for residual, template, rows in cases:
         one = [_at(residual, template.replace_coords(row)) for row in rows]
@@ -771,7 +779,7 @@ def _mutants():
             for k, (coef, powers) in enumerate(monos):
                 table = dict(struct.table_builder(template))
                 table[entry] = monos[:k] + [(1.5 * coef, powers)] + monos[k + 1:]
-                yield name, entry, k, PoissonStructure(name, struct.chart, lambda s, t=table: t, struct.casimir)
+                yield name, entry, k, PoissonStructure(name, struct.chart, lambda s, t=table: t)
 
 
 def _excesses(name, mutant, rng):
