@@ -4,7 +4,8 @@
 vd, ab, spectrum, toda, sklyanin, sklyanin-full) to its vector field on
 each chart it accepts and to the invariants the CLI can track along
 trajectories.  An invariant is evaluated as a column, down an (N, d) block
-of coordinate rows at a time.
+of coordinate rows at a time.  ``LENARD`` pairs each Poisson pencil with the
+row whose invariants it brackets and names that row's pi1 Casimir.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import lax, systems
+from . import lax, poisson, systems
 from .errors import ChartMismatch
 from .rootdata import Spectrum, null_combination
 from .states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State, coordinate_columns
@@ -192,6 +193,32 @@ SYSTEMS = {system.key: system for system in (
 )}
 
 SYSTEM_KEYS = tuple(SYSTEMS)
+
+
+class LenardPair(NamedTuple):
+    """The Poisson pencil pi1, pi3 of a catalog row: pi3 grad H2 = pi1 grad
+    (scale H4), with H2 and H4 the row's named invariants, and ``casimir``
+    the name of the row's invariant that pi1 annihilates.
+
+    The ladder pins the scale: the (a, b) row's H4 = tr(L^4)/4 needs 2, and
+    the v row's v-degree graded H_k = tr(L^{2k})/k needs 1.  The chart and
+    its admissible sizes are those of the structures: pi1-v, and so the
+    v-chart ladder, needs odd n.
+    """
+
+    pi1: poisson.PoissonStructure
+    pi3: poisson.PoissonStructure
+    row: LatticeSystem
+    scale: int
+    casimir: str
+
+
+#: The Lenard ladders of the vd and ab systems, keyed by the short chart name:
+#: the one place that pairs a pencil with its row and its Casimir.
+LENARD = {
+    "v": LenardPair(poisson.STRUCTURES["pi1-v"], poisson.STRUCTURES["pi3-v"], SYSTEMS["vd"], 1, "F"),
+    "ab": LenardPair(poisson.STRUCTURES["pi1-ab"], poisson.STRUCTURES["pi3-ab"], SYSTEMS["ab"], 2, "C"),
+}
 
 
 def get_system(key: str, spectrum: Spectrum | None = None) -> LatticeSystem:

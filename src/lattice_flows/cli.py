@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lax, poisson, transforms
-from .catalog import SYSTEM_KEYS, SYSTEMS, LatticeSystem, get_system
+from .catalog import LENARD, SYSTEM_KEYS, SYSTEMS, LatticeSystem, get_system
 from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import (INTEGER_TOL, kozlov_treshchev_check, open_chain_spectrum, sklyanin_spectrum,
@@ -131,7 +131,15 @@ def _run_simulate(args) -> int:
         policy = FixedStep(args.dt if args.dt is not None else 1e-3)
 
     traj = integrate(system, state, args.t, policy)
-    csv_text = trajectory_csv(traj, system.invariant_columns(state, names, traj.coords))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not by numpy's warnings
+        columns = system.invariant_columns(state, names, traj.coords)
+    for name, values in columns.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise StepFailure(f"invariant {name} overflowed to a non-finite value ({values[k]:.17g}) "
+                              f"at t = {traj.times[k]:.6g}")
+    csv_text = trajectory_csv(traj, columns)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
@@ -234,11 +242,11 @@ def _km_lax(s, rows, residual=_lax(SYSTEMS["km"])) -> np.ndarray:
     return residual(s, rows)
 
 
-def _involution(state, rows, name1: str, name2: str, ab=SYSTEMS["ab"], pi=poisson.STRUCTURES["pi1-ab"]) -> np.ndarray:
-    """|{H, G}| of two named invariants of the ab row under pi1-ab at each row:
-    per row, a vector-matrix and a vector-vector product, stacked."""
-    grads = ab.invariant_gradients(state, [name1, name2], rows)
-    bracket = (grads[name1][:, None] @ pi(state, rows) @ grads[name2][..., None])[:, 0, 0]
+def _involution(state, rows, name1: str, name2: str, ladder=LENARD["ab"]) -> np.ndarray:
+    """|{H, G}| of two named invariants of the ab ladder's row under its pi1
+    at each row: per row, a vector-matrix and a vector-vector product, stacked."""
+    grads = ladder.row.invariant_gradients(state, [name1, name2], rows)
+    bracket = (grads[name1][:, None] @ ladder.pi1(state, rows) @ grads[name2][..., None])[:, 0, 0]
     # hypot is Python's abs of a complex; numpy's complex abs rounds otherwise
     return np.hypot(bracket.real, bracket.imag)
 
@@ -247,13 +255,13 @@ def _involution(state, rows, name1: str, name2: str, ab=SYSTEMS["ab"], pi=poisso
 INVOLUTION_PAIRS = "H2:H4,H2:H6"
 
 
-def _invariant_pairs(args) -> list[list[str]]:
-    """The name pairs of --pairs; only two distinct H<k> of the ab system at
-    this m are accepted: {H, H} = 0 under any bracket, so it would check nothing.
-    The default keeps the pairs the system offers at this m (H2:H4 alone at
+def _invariant_pairs(args, ladder=LENARD["ab"]) -> list[list[str]]:
+    """The name pairs of --pairs; only two distinct H<k> of the ab ladder's row
+    at this m are accepted: {H, H} = 0 under any bracket, so it would check nothing.
+    The default keeps the pairs the row offers at this m (H2:H4 alone at
     m = 2), or all of them if it offers none, so that none passes unchecked."""
     probe = ab_state([1.0] * (args.m + 1), [0.0] * args.m)
-    offered = [name for name in get_system("ab").invariants(probe) if name.startswith("H")]
+    offered = [name for name in ladder.row.invariants(probe) if name.startswith("H")]
     pairs = [spec.split(":") for spec in args.pairs.split(",")]
     if args.pairs == INVOLUTION_PAIRS:
         pairs = [pair for pair in pairs if set(pair) <= set(offered)] or pairs
@@ -263,6 +271,15 @@ def _invariant_pairs(args) -> list[list[str]]:
         if pair[0] == pair[1]:
             raise ValueError(f"--pairs entry {':'.join(pair)!r} names {pair[0]} twice: {{H, H}} = 0 checks nothing")
     return pairs
+
+
+def _lambdas(args) -> list[tuple[float]]:
+    """One (lambda,) per --lambdas entry; pi1 + lambda * pi3 is a pencil only at a finite lambda."""
+    lams = [float(x) for x in args.lambdas.split(",")]
+    for lam in lams:
+        if not np.isfinite(lam):
+            raise ValueError(f"--lambdas entry {lam!r} is not finite")
+    return [(lam,) for lam in lams]
 
 
 _SIZES = (("--n", 7), ("--m", 3))
@@ -287,18 +304,18 @@ SUITES = {
             lambda s, rows, lam, pair=pair: poisson.compatibility_residual(pair.pi1, pair.pi3, lam, s, rows),
             1e-6, f"{pair.pi1.name}+{{0}}*{pair.pi3.name}", "compatibility",
         )
-        for chart, pair in poisson.LENARD.items()
-    }, sweep=lambda args: [(float(x),) for x in args.lambdas.split(",")]),
+        for chart, pair in LENARD.items()
+    }, sweep=_lambdas),
     "casimir": Suite("--structure", 50, _SIZES, {
-        name: Check(_ON_CHART[pi.chart], lambda s, rows, pi=pi, row=row, c=c: poisson.hamiltonian_flow_check(
-            pi, s, rows, row.invariant_gradients(s, [c], rows)[c]), 1e-10, name, f"casimir-{c}")
-        for name, pi, row, c in (("pi1-v", poisson.STRUCTURES["pi1-v"], SYSTEMS["vd"], "F"),
-                                 ("pi1-ab", poisson.STRUCTURES["pi1-ab"], SYSTEMS["ab"], "C"))
+        pair.pi1.name: Check(_ON_CHART[pair.pi1.chart], lambda s, rows, pair=pair: poisson.hamiltonian_flow_check(
+            pair.pi1, s, rows, pair.row.invariant_gradients(s, [pair.casimir], rows)[pair.casimir]),
+            1e-10, pair.pi1.name, f"casimir-{pair.casimir}")
+        for pair in LENARD.values()
     }),
     "lenard": Suite("--chart", 50, _SIZES, {
         chart: Check(_ON_CHART[pair.pi1.chart], lambda s, rows, pair=pair: poisson.lenard_residual(pair, s, rows),
                      1e-7, f"lenard-{chart}", "lenard")
-        for chart, pair in poisson.LENARD.items()
+        for chart, pair in LENARD.items()
     }),
     "transform": Suite("--map", 100, _SIZES, {
         name: Check(transform.sample, transform.residual, 1e-10, name, "pushforward")

@@ -34,7 +34,8 @@ class DivisionByZero(LatticeError):
 
 
 class StepFailure(LatticeError):
-    """Adaptive step size underflowed, or a step overflowed to a non-finite state."""
+    """Adaptive step size underflowed, or a step, or an invariant column at an
+    accepted step, overflowed to a non-finite value."""
 
 
 class DomainExit(LatticeError):

@@ -25,6 +25,13 @@ from .states import State, coordinate_names
 #: after 1e5 steps), not a step worth taking.
 FIXED_STEP_SLACK = 1e-6
 
+#: The most steps, t_end / dt rounded up, that a fixed-step run may take.  A
+#: trajectory holds every accepted row until it is rendered: ``simulate
+#: --system ab --m 2`` peaked at 30 MiB plus about 370 bytes a row (65.7,
+#: 100.3 and 171.0 MiB at 1e5, 2e5 and 4e5 steps), so this limit keeps such a
+#: run near 730 MiB.  A wider state takes more bytes a row.
+MAX_FIXED_STEPS = 2_000_000
+
 #: The adaptive policy's first step (clipped to t_end), and the step below
 #: which it gives up with StepFailure.
 DT_INITIAL = 1e-2
@@ -84,6 +91,9 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and nonnegative")
     _check_policy(policy)
+    if isinstance(policy, FixedStep) and t_end / policy.dt > MAX_FIXED_STEPS:  # an overflow reads inf
+        raise ValueError(f"t / dt = {t_end!r} / {policy.dt!r} is more than the {MAX_FIXED_STEPS:,} "
+                         "fixed steps a run may take; use a larger dt or adaptive steps")
     times = [0.0]
     rows = [s0.array]
 

@@ -42,7 +42,7 @@ Lax matrices; gradients are (N, d) and residuals give one value per row.
 Matrix-vector products and norms are stacked, one per state's slice
 (``states.matvecs``, ``states.row_norms``), so each state keeps the bits
 of its own evaluation.  Functions take structure objects (``STRUCTURES``
-values) and Lenard pairs, never their names.
+values) and Lenard pairs (``catalog.LENARD`` values), never their names.
 
 One residual, ``hamiltonian_flow_check``, certifies pi grad H = X at each
 row: a Casimir is X = 0, a Hamiltonian flow takes X from the vector field,
@@ -57,7 +57,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import SYSTEMS, LatticeSystem
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
 from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, matvecs, row_norms
 
@@ -417,6 +416,8 @@ def compatibility_residual(structure1, structure2, lam: float, state: State, row
     return _jacobi((structure1, structure2), (lam,), state, rows)
 
 
+# an overflow fails its record by an inf or NaN residual, not by numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _jacobi(structures: tuple, lams: tuple, state: State, rows) -> np.ndarray:
     """The Jacobi residual of structures[0] + lams[0] * structures[1] + ...
     at each row (see ``jacobi_residual``).  pi and d pi are the compact rows
@@ -460,38 +461,11 @@ def hamiltonian_flow_check(structure, state: State, rows, grads, field=None) -> 
     return row_norms(flow if field is None else flow - field)
 
 
-# ---------------------------------------------------------------------------
-# the Lenard ladder
-# ---------------------------------------------------------------------------
-
-class LenardPair(NamedTuple):
-    """pi3 grad H2 = pi1 grad (scale H4) on one chart, with H2 and H4 the
-    named invariants of a catalog row.
-
-    The ladder pins the scale: the (a, b) row's H4 = tr(L^4)/4 needs 2, and
-    the v row's v-degree graded H_k = tr(L^{2k})/k needs 1.  The chart and
-    its admissible sizes are those of the structures: pi1-v, and so the
-    v-chart ladder, needs odd n.
-    """
-
-    pi1: PoissonStructure
-    pi3: PoissonStructure
-    row: LatticeSystem
-    scale: int
-
-
-#: The Lenard ladders of the vd and ab systems, keyed by the short chart name.
-LENARD = {
-    "v": LenardPair(STRUCTURES["pi1-v"], STRUCTURES["pi3-v"], SYSTEMS["vd"], 1),
-    "ab": LenardPair(STRUCTURES["pi1-ab"], STRUCTURES["pi3-ab"], SYSTEMS["ab"], 2),
-}
-
-
-def lenard_residual(pair: LenardPair, state: State, rows) -> np.ndarray:
-    """Norm of pi3 grad H2 - pi1 grad (scale H4) of a Lenard pair at each
-    row: the flow of scale H4 under pi1 checked against X = pi3 grad H2
-    (``hamiltonian_flow_check``), whose difference is the negation, so has
-    the same norm, bit for bit."""
+def lenard_residual(pair, state: State, rows) -> np.ndarray:
+    """Norm of pi3 grad H2 - pi1 grad (scale H4) of a Lenard pair (a
+    ``catalog.LenardPair``) at each row: the flow of scale H4 under pi1
+    checked against X = pi3 grad H2 (``hamiltonian_flow_check``), whose
+    difference is the negation, so has the same norm, bit for bit."""
     pi3 = pair.pi3(state, rows)
     pair.pi1._plan(state)  # pi3, then pi1, check the chart and size before the row's names are read
     grads = pair.row.invariant_gradients(state, ["H2", "H4"], rows)

@@ -12,7 +12,7 @@ from lax_reference import assembled_pair
 
 from lattice_flows import Spectrum, ab_state, qp_state, sklyanin_spectrum, u_state, v_state
 from lattice_flows import cli
-from lattice_flows.catalog import SYSTEMS, get_system
+from lattice_flows.catalog import LENARD, SYSTEMS, get_system
 from lattice_flows.integrate import FixedStep, drift_report, integrate
 from lattice_flows.lax import (
     ab_lax,
@@ -23,7 +23,6 @@ from lattice_flows.lax import (
     lax_residual,
 )
 from lattice_flows.poisson import (
-    LENARD,
     STRUCTURES,
     compatibility_residual,
     hamiltonian_flow_check,

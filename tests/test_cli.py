@@ -11,6 +11,7 @@ import lattice_flows
 from lattice_flows import ab_state, c_state, cli, lax, qp_state, u_state, v_state
 from lattice_flows.catalog import SYSTEMS
 from lattice_flows.cli import BLOCK, main
+from lattice_flows.integrate import MAX_FIXED_STEPS
 from lattice_flows.rootdata import Spectrum, open_chain_spectrum, sklyanin_spectrum, spectrum_to_json
 
 
@@ -369,12 +370,20 @@ def test_verify_spectrum_requires_exactly_one_source(capsys):
 
 
 def test_verify_non_finite_residual_fails(capsys):
-    code, out, _ = run(capsys, "verify", "compat", "--chart", "v", "--lambdas", "nan", "--states", "2")
-    assert code == 1
+    # a finite lambda whose pencil overflows: the record fails by its NaN, and numpy's
+    # overflow warnings (errors under this suite's filterwarnings) are not raised
+    code, out, err = run(capsys, "verify", "compat", "--chart", "v", "--lambdas", "1e200", "--states", "2")
+    assert code == 1 and err == ""
     report = json.loads(out)
     assert report["pass"] is False
     [record] = report["records"]
     assert record["pass"] is False and np.isnan(record["max_residual"])
+
+
+@pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
+def test_verify_compat_rejects_a_lambda_that_is_not_finite(capsys, lam):
+    code, out, err = run(capsys, "verify", "compat", "--chart", "ab", "--m", "7", f"--lambdas={lam}", "--states", "9")
+    assert (code, out, err) == (2, "", f"usage error: --lambdas entry {lam} is not finite\n")
 
 
 @pytest.mark.parametrize("suite", [("jacobi", "--structure", "pi1-v"), ("lax", "--system", "km")])
@@ -419,6 +428,29 @@ def test_simulate_fixed_step_overflow_exits_one(tmp_path, capsys):
     assert "non-finite" in err and "t = 0.01" in err
     code, _, _ = run(capsys, *argv, "--out", str(out_file))
     assert code == 1 and not out_file.exists()
+
+
+def test_simulate_invariant_overflow_exits_one(capsys):
+    # a finite trajectory whose H = p^2/2 + ... overflows: the column is named, as a step's overflow is
+    state = '{"q":[1e300,1e300],"p":[1e300,1e300]}'
+    code, out, err = run(capsys, "simulate", "--system", "toda", "--state", state, "--t", "0.01", "--dt", "0.005",
+                         "--invariants", "H")
+    assert (code, out, err) == (1, "", "error: invariant H overflowed to a non-finite value (inf+nanj) at t = 0\n")
+
+
+@pytest.mark.parametrize("step", [("--t", "0.01", "--dt", "1e-320"), ("--t", "1e300", "--dt", "1")])
+def test_simulate_rejects_more_fixed_steps_than_the_limit(step):
+    # rejected before the first step; run in a child with a timeout, since
+    # without the limit the first run only grows (past 1 GB in 2 minutes)
+    package_root = str(Path(lattice_flows.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    argv = ["simulate", "--system", "ab", "--state", '{"a":[1,1,1],"b":[0,0]}', *step]
+    done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", *argv], env=env, capture_output=True,
+                          timeout=20, check=False)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (f"usage error: t / dt = {float(step[1])!r} / {float(step[3])!r} is more than "
+                                    f"the {MAX_FIXED_STEPS:,} fixed steps a run may take; "
+                                    "use a larger dt or adaptive steps\n")
 
 
 @pytest.mark.parametrize("policy, at", [(("--dt", "0.01"), "t = 0.01 (dt = 0.01)"),

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import catalog_cases, fehlberg_step_reference, state_per_stage
 from lattice_flows import DomainExit, StepFailure, ab_state, c_state, qp_state, u_state, v_state
+from lattice_flows import integrate as integrate_module
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import (
@@ -199,6 +200,17 @@ def test_fixed_step_takes_no_sliver_step(t_end, dt):
     assert len(traj.times) == math.ceil(Fraction(repr(t_end)) / Fraction(repr(dt))) + 1
     assert abs(traj.times[-1] - t_end) <= 1e-12 * max(1.0, t_end)
     assert np.min(np.diff(traj.times)) > 0.5 * dt
+
+
+def test_fixed_step_limit_counts_t_over_dt_rounded_up(monkeypatch):
+    monkeypatch.setattr(integrate_module, "MAX_FIXED_STEPS", 10)
+    s0 = ab_state([1, 1, 1], [0, 0])
+    assert len(integrate(STILL, s0, 0.01, FixedStep(1e-3)).times) == 11  # t / dt = 10 steps
+    for t_end in (0.0101, 1e300):  # 11 steps; an overflowing t / dt
+        with pytest.raises(ValueError, match="more than the 10 fixed steps"):
+            integrate(STILL, s0, t_end, FixedStep(1e-3))
+    with pytest.raises(ValueError, match="more than the 10 fixed steps"):
+        integrate(STILL, s0, 0.01, FixedStep(1e-320))
 
 
 def test_fixed_step_shorter_than_dt_still_steps():

@@ -7,12 +7,11 @@ from lax_reference import assembled_pair
 
 from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
-from lattice_flows.catalog import SYSTEMS
+from lattice_flows.catalog import LENARD, SYSTEMS
 from lattice_flows.cli import _AB, _C, _V, BLOCK, SUITES, _involution
 from lattice_flows.lax import (ab_lax, grad_casimir_C, grad_casimir_F, grad_trace_invariant, lax_residual,
                                trace_columns)
 from lattice_flows.poisson import (
-    LENARD,
     PoissonStructure,
     _pi3_v_table,
     compatibility_residual,
@@ -480,7 +479,7 @@ def _fd_lenard_residual(chart, system, h2, h4, state, fd_step=1e-6):
 
 def test_lenard_fd_cross_check(rng):
     # the ladder with the test's own central-difference gradients, at the
-    # orders and scales of poisson.LENARD: ab (2, 1), (4, 2); v (4, 2), (8, 2)
+    # orders and scales of catalog.LENARD: ab (2, 1), (4, 2); v (4, 2), (8, 2)
     state = v_state(rng.uniform(0.8, 1.2, 7))
     assert _fd_lenard_residual("v", "vd", (4, 2), (8, 2), state) < 1e-6
     state = random_ab(rng, 3)
