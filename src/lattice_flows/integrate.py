@@ -193,7 +193,7 @@ FEHLBERG_ROWS = (
     (3 / 32, 9 / 32),
     (1932 / 2197, -7200 / 2197, 7296 / 2197),
     (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
+    (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
     (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0),
     (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55),
 )

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -107,26 +109,31 @@ def state_per_stage(system, s0):
     return f
 
 
+#: Fehlberg's 4(5) tableau in exact rationals: the nodes c_i, the stage
+#: inputs a_ij, the 4th-order weights b4 and the error row b5 - b4.
+FEHLBERG_C = (0, Fraction(1, 4), Fraction(3, 8), Fraction(12, 13), 1, Fraction(1, 2))
 FEHLBERG_A = (
     (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3554 / 2565, 1859 / 4104, -11 / 40),
+    (Fraction(1, 4),),
+    (Fraction(3, 32), Fraction(9, 32)),
+    (Fraction(1932, 2197), Fraction(-7200, 2197), Fraction(7296, 2197)),
+    (Fraction(439, 216), -8, Fraction(3680, 513), Fraction(-845, 4104)),
+    (Fraction(-8, 27), 2, Fraction(-3544, 2565), Fraction(1859, 4104), Fraction(-11, 40)),
 )
-FEHLBERG_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
-FEHLBERG_ERR = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+FEHLBERG_B4 = (Fraction(25, 216), 0, Fraction(1408, 2565), Fraction(2197, 4104), Fraction(-1, 5), 0)
+FEHLBERG_ERR = (Fraction(1, 360), 0, Fraction(-128, 4275), Fraction(-2197, 75240), Fraction(1, 50), Fraction(2, 55))
 
 
 def fehlberg_step_reference(f, y, dt):
     """One Fehlberg 4(5) step from the tableau by generator sums: zero entries
     are skipped and the other terms add left to right, starting from the
-    integer 0 of ``sum``.  The per-state reference of the integrator's step."""
+    integer 0 of ``sum``.  Each entry is rounded once, by ``float``, as the
+    integrator's ``a / b`` literals are.  The per-state reference of the
+    integrator's step."""
     ks = []
     for row in FEHLBERG_A:
-        yi = y if not row else y + dt * sum(c * k for c, k in zip(row, ks) if c)
+        yi = y if not row else y + dt * sum(float(c) * k for c, k in zip(row, ks) if c)
         ks.append(f(yi))
-    y_new = y + dt * sum(b * k for b, k in zip(FEHLBERG_B4, ks) if b)
-    err = dt * sum(c * k for c, k in zip(FEHLBERG_ERR, ks) if c)
+    y_new = y + dt * sum(float(b) * k for b, k in zip(FEHLBERG_B4, ks) if b)
+    err = dt * sum(float(c) * k for c, k in zip(FEHLBERG_ERR, ks) if c)
     return y_new, np.asarray(err)

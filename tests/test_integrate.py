@@ -4,12 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import catalog_cases, fehlberg_step_reference, state_per_stage
+from conftest import (
+    FEHLBERG_A,
+    FEHLBERG_B4,
+    FEHLBERG_C,
+    FEHLBERG_ERR,
+    catalog_cases,
+    fehlberg_step_reference,
+    state_per_stage,
+)
 from lattice_flows import DomainExit, StepFailure, ab_state, c_state, qp_state, u_state, v_state
 from lattice_flows import integrate as integrate_module
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import (
+    FEHLBERG_ROWS,
     AdaptiveStep,
     FixedStep,
     _fehlberg_step,
@@ -43,6 +52,97 @@ def test_rk4_order_by_richardson():
     coarse, mid, fine = (integrate(system, s0, 1.0, FixedStep(dt)).final.array for dt in (2e-3, 1e-3, 5e-4))
     ratio = np.linalg.norm(coarse - mid) / np.linalg.norm(mid - fine)
     assert 12.0 <= ratio <= 20.0
+
+
+def test_the_float_tableau_is_the_exact_one_rounded():
+    exact = FEHLBERG_A[1:] + (FEHLBERG_B4, FEHLBERG_ERR)
+    assert [list(row) for row in FEHLBERG_ROWS] == [[float(x) for x in row] for row in exact]
+
+
+def test_each_stage_row_sums_to_its_node():
+    # a63 misread as -3554/2565 would make stage 6 sum to 509/1026, not c6 = 1/2
+    assert [sum(row, Fraction(0)) for row in FEHLBERG_A] == list(FEHLBERG_C)
+
+
+def _grow(tree):
+    """Every rooted tree made by adding one leaf to ``tree``: a tree is the
+    sorted tuple of the subtrees at its root."""
+    yield tuple(sorted(tree + ((),)))
+    for i, child in enumerate(tree):
+        for grown in _grow(child):
+            yield tuple(sorted(tree[:i] + (grown,) + tree[i + 1:]))
+
+
+def _rooted_trees(order):
+    trees = {()}
+    for _ in range(order - 1):
+        trees = {grown for tree in trees for grown in _grow(tree)}
+    return trees
+
+
+def _size(tree):
+    return 1 + sum(map(_size, tree))
+
+
+def _density(tree):
+    """gamma(t): the tree's size times the densities of its subtrees."""
+    return _size(tree) * math.prod(map(_density, tree))
+
+
+def _elementary_weights(tree, a):
+    """Phi_i(t) at each stage i: the product over the root's subtrees u of
+    sum_j a_ij Phi_j(u)."""
+    out = [Fraction(1)] * len(a)
+    for sub in tree:
+        phi = _elementary_weights(sub, a)
+        out = [w * sum((x * p for x, p in zip(row, phi)), Fraction(0)) for w, row in zip(out, a)]
+    return out
+
+
+@pytest.mark.parametrize("name, order", [("b4", 4), ("b5", 5)])
+def test_the_weights_meet_the_order_conditions(name, order):
+    # b . Phi(t) = 1 / gamma(t) for every rooted tree t of up to ``order``
+    # nodes (8 trees to order 4, 17 to order 5); b5 = b4 + the error row
+    b = FEHLBERG_B4 if name == "b4" else [x + e for x, e in zip(FEHLBERG_B4, FEHLBERG_ERR)]
+    trees = [tree for size in range(1, order + 1) for tree in _rooted_trees(size)]
+    assert len(trees) == {4: 8, 5: 17}[order]
+    for tree in trees:
+        phi = _elementary_weights(tree, FEHLBERG_A)
+        assert sum(x * p for x, p in zip(b, phi)) == Fraction(1, _density(tree)), tree
+
+
+#: The adaptive ``ab`` run of the README: m = 2 over t = 1.
+AB_S0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
+
+
+def test_the_error_estimate_is_fifth_order():
+    # err ~ C dt^5, so halving dt divides it by 2^5 = 32 (31.9 here); a stage
+    # row that misses its node leaves err ~ dt^2, a ratio of 4.0
+    system = get_system("ab")
+
+    def field(y):
+        return system.field(AB_S0, y)
+
+    coarse, fine = (np.linalg.norm(_fehlberg_step(field, AB_S0.array, dt)[1]) for dt in (0.02, 0.01))
+    assert 28.0 <= coarse / fine <= 36.0
+
+
+@pytest.mark.parametrize("rtol, most", [(1e-6, 30), (1e-9, 100), (1e-12, 250)])
+def test_adaptive_steps_on_ab(rtol, most):
+    # 22, 86 and 211 steps; an error estimate of order 2 takes 72, 2,266 and 25,931
+    traj = integrate(get_system("ab"), AB_S0, 1.0, AdaptiveStep(rtol=rtol))
+    assert len(traj.times) - 1 <= most
+
+
+def test_rtol_bounds_each_step_estimate_not_the_global_error():
+    # against RK4 at dt = 1e-3 (2e-12 from dt = 1e-4), the end state is off
+    # by 2.3e-6, 1.2e-8 and 1.8e-10 relative at rtol 1e-6, 1e-9 and 1e-12
+    system = get_system("ab")
+    reference = integrate(system, AB_S0, 1.0, FixedStep(1e-3)).final.array
+    errors = [np.linalg.norm(integrate(system, AB_S0, 1.0, AdaptiveStep(rtol=rtol)).final.array - reference)
+              / np.linalg.norm(reference) for rtol in (1e-6, 1e-9, 1e-12)]
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[1] < 100 * 1e-9
 
 
 def test_time_symmetry():
