@@ -20,10 +20,6 @@ from .errors import ChartMismatch
 from .rootdata import Spectrum, null_combination
 from .states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State, coordinate_columns
 
-#: Rows per block when invariant columns are evaluated, so the (N, T, T) Lax
-#: stacks keep one size however many rows a trajectory has.
-COLUMN_BLOCK_ROWS = 128
-
 
 class Column(NamedTuple):
     """How to evaluate one named invariant, and its gradient, over a block of rows.
@@ -90,16 +86,12 @@ class LatticeSystem:
 
     def invariant_columns(self, state: State, names, rows) -> dict[str, list[complex]]:
         """The named invariants at every row of ``rows``, (N, d) in the chart of
-        ``state``, each name once, in first-seen order.  Rows go in blocks of
-        COLUMN_BLOCK_ROWS; the invariants sharing an evaluator (the trace powers
-        of one Lax matrix) take one stack of L and one power chain per block."""
-        out = {name: [] for name in names}
-        groups = self._grouped(state, out, "evaluate")
-        for lo in range(0, len(rows), COLUMN_BLOCK_ROWS):
-            block = rows[lo : lo + COLUMN_BLOCK_ROWS]
-            for evaluate, group, keys in groups:
-                for name, column in zip(group, evaluate(state, block, keys)):
-                    out[name] += column
+        ``state``, each name once, in first-seen order.  The invariants sharing
+        an evaluator (the trace powers of one Lax matrix) take one stack of L
+        and one power chain; ``simulate`` hands in one block at a time."""
+        out = dict.fromkeys(names)
+        for evaluate, group, keys in self._grouped(state, out, "evaluate"):
+            out.update(zip(group, evaluate(state, rows, keys)))
         return out
 
     def invariant_gradients(self, state: State, names, rows) -> dict[str, np.ndarray]:

@@ -12,7 +12,9 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -25,7 +27,7 @@ from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import (INTEGER_TOL, kozlov_treshchev_check, open_chain_spectrum, sklyanin_spectrum,
                        spectrum_from_json)
 from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, coordinate_columns,
-                     state_from_dict)
+                     coordinate_names, state_from_dict)
 
 RNG_NAME = "numpy-pcg64"
 
@@ -97,6 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # simulate
 # ---------------------------------------------------------------------------
 
+#: CSV characters a run holds in memory before its spool moves to a
+#: temporary file.  The CSV is copied out only once the run has succeeded, so
+#: a failing run writes none; a short run's CSV never reaches the disk.
+SPOOL_BYTES = 1 << 20
+
+
 def _run_simulate(args) -> int:
     text = args.state
     if text.startswith("@"):
@@ -122,6 +130,7 @@ def _run_simulate(args) -> int:
     unknown = [s for s in names if s not in available]
     if unknown:
         raise ValueError(f"unknown invariants {unknown}; available: {sorted(available)}")
+    names = list(dict.fromkeys(names))  # the CSV's columns, as invariant_columns names them
 
     if args.adaptive:
         policy = AdaptiveStep(rtol=args.rtol, atol=args.atol)
@@ -130,21 +139,30 @@ def _run_simulate(args) -> int:
             raise ValueError("--dt is required unless --adaptive is given")
         policy = FixedStep(args.dt if args.dt is not None else 1e-3)
 
-    traj = integrate(system, state, args.t, policy)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not by numpy's warnings
-        columns = system.invariant_columns(state, names, traj.coords)
-    for name, values in columns.items():
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise StepFailure(f"invariant {name} overflowed to a non-finite value ({values[k]:.17g}) "
-                              f"at t = {traj.times[k]:.6g}")
-    csv_text = trajectory_csv(traj, columns)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    overflows = {}  # name -> (value, t) at its first non-finite value
+
+    def sink(times, coords):
+        columns = system.invariant_columns(state, names, coords)
+        for name, values in columns.items():
+            finite = np.isfinite(values)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                overflows.setdefault(name, (values[k], times[k]))
+        spool.write(trajectory_csv(times, coords, columns))
+
+    with tempfile.SpooledTemporaryFile(max_size=SPOOL_BYTES, mode="w+") as spool:
+        spool.write(",".join(["t"] + coordinate_names(state) + names) + "\n")
+        integrate(system, state, args.t, policy, sink)
+        for name in names:  # a state failure, raised by integrate, wins over an invariant's
+            if name in overflows:
+                value, t = overflows[name]
+                raise StepFailure(f"invariant {name} overflowed to a non-finite value ({value:.17g}) at t = {t:.6g}")
+        spool.seek(0)
+        if args.out:
+            with open(args.out, "w") as fh:
+                shutil.copyfileobj(spool, fh)
+        else:
+            shutil.copyfileobj(spool, sys.stdout)
     return 0
 
 

@@ -34,16 +34,10 @@ class DivisionByZero(LatticeError):
 
 
 class StepFailure(LatticeError):
-    """Adaptive step size underflowed, or a step, or an invariant column at an
-    accepted step, overflowed to a non-finite value."""
+    """Adaptive step size underflowed, an adaptive run reached the step limit,
+    or a step, or an invariant column at an accepted step, overflowed to a
+    non-finite value."""
 
 
 class DomainExit(LatticeError):
-    """A positivity-constrained coordinate crossed zero during integration.
-
-    Carries the partial trajectory computed up to the exit in ``trajectory``.
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """A positivity-constrained coordinate crossed zero during integration."""

@@ -1,11 +1,12 @@
-"""Trajectory integration and invariant-drift reporting.
+"""Streamed integration and invariant-drift reporting.
 
 Two step policies: classic fixed-step fourth-order Runge-Kutta, and the
 embedded Fehlberg 4(5) pair with absolute/relative error control.  States
-may be complex.  Charts whose coordinates must stay positive are watched at
-every accepted step; a crossing halts integration with DomainExit carrying
-the partial trajectory.  A step that overflows to a non-finite state raises
-StepFailure.
+may be complex.  The accepted samples go to a sink in blocks of BLOCK_ROWS
+rows, so a run holds one block whatever its length.  Charts whose
+coordinates must stay positive are watched at every accepted step; a
+crossing halts integration with DomainExit.  A step that overflows to a
+non-finite state raises StepFailure.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from .states import State, coordinate_names
 #: after 1e5 steps), not a step worth taking.
 FIXED_STEP_SLACK = 1e-6
 
-#: The most steps, t_end / dt rounded up, that a fixed-step run may take.  A
-#: trajectory holds every accepted row until it is rendered: ``simulate
-#: --system ab --m 2`` peaked at 30 MiB plus about 370 bytes a row (65.7,
-#: 100.3 and 171.0 MiB at 1e5, 2e5 and 4e5 steps), so this limit keeps such a
-#: run near 730 MiB.  A wider state takes more bytes a row.
-MAX_FIXED_STEPS = 2_000_000
+#: Accepted samples per block handed to a run's sink, counted from t = 0.
+BLOCK_ROWS = 128
+
+#: The most steps a run may take.  A fixed-step run whose t_end / dt, rounded
+#: up, is larger is refused before its first step; an adaptive run that has
+#: accepted this many steps short of t_end stops with StepFailure.  It bounds
+#: a run's length and the CSV it writes; one block bounds its memory.
+MAX_STEPS = 2_000_000
 
 #: The adaptive policy's first step (clipped to t_end), and the step below
 #: which it gives up with StepFailure.
@@ -57,51 +60,45 @@ class AdaptiveStep:
     atol: float = 1e-12
 
 
-@dataclass
-class Trajectory:
-    """Accepted samples: ``coords`` row k, a (T, d) array, is the state at ``times[k]``.
-
-    Every row is in the chart of ``initial``, the state at times[0].
-    """
-
-    times: np.ndarray
-    coords: np.ndarray
-    initial: State
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        y = np.asarray(self.coords, dtype=complex)
-        if y.ndim != 2 or len(t) != len(y):
-            raise ValueError("one row of coordinates per sample time required")
-        if y.shape[1] != self.initial.dim:
-            raise ValueError("state dimension must stay constant along a trajectory")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        self.times, self.coords = t, y
-
-    @property
-    def final(self) -> State:
-        return self.initial.replace_coords(self.coords[-1])
-
-
 # a step that overflows is named by check_step (StepFailure), not by numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
-def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Trajectory:
-    """Integrate the system's field from s0 to t_end, sampling every accepted step."""
+def integrate(system: LatticeSystem, s0: State, t_end: float, policy, sink) -> None:
+    """Integrate the system's field from s0 to t_end, sampling t = 0 and every accepted step.
+
+    The samples go to ``sink(times, coords)`` in blocks of up to BLOCK_ROWS,
+    counted from t = 0: a (k,) array of times and the (k, d) complex array
+    whose row i, in the chart of s0, is the state at times[i].  The rows
+    accepted before a DomainExit or StepFailure are handed over before it is
+    raised.  The sink runs under this function's ``np.errstate``.
+    """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and nonnegative")
     _check_policy(policy)
-    if isinstance(policy, FixedStep) and t_end / policy.dt > MAX_FIXED_STEPS:  # an overflow reads inf
-        raise ValueError(f"t / dt = {t_end!r} / {policy.dt!r} is more than the {MAX_FIXED_STEPS:,} "
+    if isinstance(policy, FixedStep) and t_end / policy.dt > MAX_STEPS:  # an overflow reads inf
+        raise ValueError(f"t / dt = {t_end!r} / {policy.dt!r} is more than the {MAX_STEPS:,} "
                          "fixed steps a run may take; use a larger dt or adaptive steps")
-    times = [0.0]
-    rows = [s0.array]
+    times, rows = [], []
 
-    def trajectory():
-        return Trajectory(np.array(times), np.array(rows), s0)
+    def emit(t, y):
+        times.append(t)
+        rows.append(y)
+        if len(times) == BLOCK_ROWS:
+            flush()
 
+    def flush():
+        if times:
+            sink(np.array(times), np.array(rows))
+            times.clear()
+            rows.clear()
+
+    def fail(exc):
+        flush()
+        return exc
+
+    emit(0.0, s0.array)
     if t_end == 0.0:
-        return trajectory()
+        flush()
+        return
 
     # the chart's field is resolved once; every stage passes s0 as the template
     field, spectrum, positive = system._on_chart(s0), system.spectrum, system.positive
@@ -112,12 +109,12 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
     def check_step(y, t, dt):
         if not np.isfinite(y).all():
             name, value = _first(s0, ~np.isfinite(y), y)
-            raise StepFailure(f"coordinate {name} overflowed to a non-finite value ({value}) "
-                              f"at t = {t:.6g} (dt = {dt:.3g})")
+            raise fail(StepFailure(f"coordinate {name} overflowed to a non-finite value ({value}) "
+                                   f"at t = {t:.6g} (dt = {dt:.3g})"))
         if positive and y.real.min() <= 0.0:
             name, value = _first(s0, y.real <= 0.0, y)
-            raise DomainExit(f"positivity-constrained coordinate {name} crossed zero to {value} "
-                             f"at t = {t:.6g} (dt = {dt:.3g})", trajectory())
+            raise fail(DomainExit(f"positivity-constrained coordinate {name} crossed zero to {value} "
+                                  f"at t = {t:.6g} (dt = {dt:.3g})"))
 
     y = s0.array
     t = 0.0
@@ -127,13 +124,15 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             y = _rk4_step(f, y, dt)
             t += dt
             check_step(y, t, dt)
-            times.append(t)
-            rows.append(y)
-        return trajectory()
+            emit(t, y)
+        flush()
+        return
 
     dt = min(DT_INITIAL, t_end)
     abs_y = np.abs(y)
-    while t < t_end - 1e-15 * max(1.0, t_end):
+    end = t_end - 1e-15 * max(1.0, t_end)
+    steps = 0
+    while t < end:
         dt = min(dt, t_end - t)
         y_new, err = _fehlberg_step(f, y, dt)
         abs_new = np.abs(y_new)
@@ -143,8 +142,11 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
             t += dt
             y, abs_y = y_new, abs_new
             check_step(y, t, dt)
-            times.append(t)
-            rows.append(y)
+            emit(t, y)
+            steps += 1
+            if steps == MAX_STEPS and t < end:
+                raise fail(StepFailure(f"adaptive run reached the {MAX_STEPS:,}-step limit "
+                                       f"at t = {t:.6g} (dt = {dt:.3g})"))
             grow = 0.9 * ratio ** -0.2 if ratio > 0 else 5.0
             dt *= min(5.0, max(0.2, grow))
         else:
@@ -154,8 +156,8 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy) -> Traject
                 check_step(y_new, t + dt, dt)
             dt = shrunk
         if dt < DT_MIN:
-            raise StepFailure(f"adaptive step underflow (dt = {dt:.3g}) at t = {t:.6g}")
-    return trajectory()
+            raise fail(StepFailure(f"adaptive step underflow (dt = {dt:.3g}) at t = {t:.6g}"))
+    flush()
 
 
 def _first(s0: State, where, y) -> tuple[str, str]:
@@ -262,10 +264,6 @@ def drift_report(columns) -> list[DriftRecord]:
     return out
 
 
-#: Rows per block in which trajectory_csv formats its cells, a column at a time.
-CSV_BLOCK_ROWS = 128
-
-
 def _cells(values) -> list[str]:
     """Each number of a 1-D complex array as a CSV cell of 17 significant
     digits: its real part, then its signed imaginary part and ``j`` where
@@ -274,23 +272,16 @@ def _cells(values) -> list[str]:
             for re, im in zip(values.real.tolist(), values.imag.tolist())]
 
 
-def trajectory_csv(traj: Trajectory, columns=None) -> str:
-    """Render a trajectory as CSV: t, coordinates, then invariant columns.
+def trajectory_csv(times, coords, columns=None) -> str:
+    """The CSV lines of one block of samples: t, the coordinates, then the
+    invariant columns, with no header.
 
-    ``columns`` maps each invariant name to its values, one complex number
-    per sample (as ``LatticeSystem.invariant_columns`` returns them).  Cells
-    are formatted a column at a time, in blocks of CSV_BLOCK_ROWS rows.
+    ``times`` and ``coords`` are a block as ``integrate`` hands it to its
+    sink; ``columns`` maps each invariant name to its values at those rows
+    (as ``LatticeSystem.invariant_columns`` returns them).  Cells are
+    formatted a column at a time.
     """
-    columns = columns or {}
-    if any(len(values) != len(traj.times) for values in columns.values()):
-        raise ValueError("every invariant column needs one value per sample")
-    header = ["t"] + coordinate_names(traj.initial) + list(columns)
-    parts = [",".join(header) + "\n"]
-    invariants = [np.asarray(values, dtype=complex) for values in columns.values()]
-    for lo in range(0, len(traj.times), CSV_BLOCK_ROWS):
-        block = slice(lo, lo + CSV_BLOCK_ROWS)
-        cells = [[f"{t:.17g}" for t in traj.times[block].tolist()]]
-        cells += [_cells(column) for column in traj.coords[block].T]
-        cells += [_cells(values[block]) for values in invariants]
-        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(parts)
+    cells = [[f"{t:.17g}" for t in times.tolist()]]
+    cells += [_cells(column) for column in coords.T]
+    cells += [_cells(np.asarray(values, dtype=complex)) for values in (columns or {}).values()]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"

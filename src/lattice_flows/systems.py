@@ -144,11 +144,12 @@ def c_field(family: str, state: State, c) -> np.ndarray:
     if (c == 0).any():
         raise DivisionByZero("c_field requires all c_j nonzero")
     edges, k = c_family_data(family, state.dim)
+    q = (k if c.ndim == 1 else k[:, None]) / c  # k_j / c_j, once per vertex
     dc = np.zeros(c.shape, dtype=complex)
     for i, j in edges.tolist():
         # c_ij = +1 contributes -k_j/c_j to dc_i; c_ji = -1 contributes +k_i/c_i to dc_j
-        dc[i] -= k[j] / c[j]
-        dc[j] += k[i] / c[i]
+        dc[i] -= q[j]
+        dc[j] += q[i]
     return dc
 
 

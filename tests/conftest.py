@@ -8,6 +8,7 @@ from lax_reference import assembled_pair
 from lattice_flows import State, ab_state, c_state, qp_state, sklyanin_spectrum, u_state, v_state
 from lattice_flows import transforms
 from lattice_flows.catalog import SYSTEMS, get_system
+from lattice_flows.integrate import integrate
 from lattice_flows.states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V
 
 
@@ -40,6 +41,13 @@ def random_toda_ab(rng, n):
 
 def random_qp(rng, n):
     return qp_state(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+
+
+def run(system, s0, t_end, policy):
+    """``integrate``'s blocks collected: the (T,) sample times and the (T, d) rows."""
+    blocks = []
+    integrate(system, s0, t_end, policy, lambda times, coords: blocks.append((times, coords)))
+    return np.concatenate([times for times, _ in blocks]), np.concatenate([coords for _, coords in blocks])
 
 
 def henon_jacobi(state):

@@ -5,6 +5,7 @@ import numpy as np
 
 from lattice_flows.errors import DimensionError
 from lattice_flows.states import State, ab_sizes
+from lattice_flows.systems import c_family_data
 
 
 def ab_field(state: State, y) -> np.ndarray:
@@ -22,3 +23,14 @@ def ab_field(state: State, y) -> np.ndarray:
     da[m] = -2 * a[m] * b[m - 1]
     db = 2 * (a[1:] ** 2 - a[:-1] ** 2)
     return np.concatenate([da, db])
+
+
+def c_field(family: str, state: State, c) -> np.ndarray:
+    """The Cartan-variable field with two divisions per edge: ``systems.c_field``
+    divides once per vertex and must keep these bits."""
+    edges, k = c_family_data(family, state.dim)
+    dc = np.zeros(c.shape, dtype=complex)
+    for i, j in edges.tolist():
+        dc[i] -= k[j] / c[j]
+        dc[j] += k[i] / c[i]
+    return dc

@@ -7,13 +7,13 @@ to see the lines as they certify.
 
 import numpy as np
 
-from conftest import henon_jacobi
+from conftest import henon_jacobi, run
 from lax_reference import assembled_pair
 
 from lattice_flows import Spectrum, ab_state, qp_state, sklyanin_spectrum, u_state, v_state
 from lattice_flows import cli
 from lattice_flows.catalog import LENARD, SYSTEMS, get_system
-from lattice_flows.integrate import FixedStep, drift_report, integrate
+from lattice_flows.integrate import FixedStep, drift_report
 from lattice_flows.lax import (
     ab_lax,
     casimir_C_column,
@@ -214,14 +214,14 @@ def test_criterion_09_conservation_under_flow():
     tol = 1e-6
     ab_sys = get_system("ab")
     s0 = ab_state([1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.3])
-    traj = integrate(ab_sys, s0, 10.0, FixedStep(1e-3))
-    columns = ab_sys.invariant_columns(s0, ab_sys.invariants(s0), traj.coords)
+    _, coords = run(ab_sys, s0, 10.0, FixedStep(1e-3))
+    columns = ab_sys.invariant_columns(s0, ab_sys.invariants(s0), coords)
     drifts = {r.name: r.max_rel_drift for r in drift_report(columns)}
     ab_ok = all(drifts[k] < tol for k in ("H2", "H4", "H6", "C"))
     vd_sys = get_system("vd")
     v0 = v_state([0.04, 0.05, 0.06, 0.05, 0.045, 0.06, 0.03])
-    traj_v = integrate(vd_sys, v0, 10.0, FixedStep(1e-3))
-    columns_v = vd_sys.invariant_columns(v0, ["H2", "H4", "F"], traj_v.coords)
+    _, coords_v = run(vd_sys, v0, 10.0, FixedStep(1e-3))
+    columns_v = vd_sys.invariant_columns(v0, ["H2", "H4", "F"], coords_v)
     drifts_v = {r.name: r.max_rel_drift for r in drift_report(columns_v)}
     ok = ab_ok and all(d < tol for d in drifts_v.values())
     detail = (

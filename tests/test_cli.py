@@ -11,7 +11,7 @@ import lattice_flows
 from lattice_flows import ab_state, c_state, cli, lax, qp_state, u_state, v_state
 from lattice_flows.catalog import SYSTEMS
 from lattice_flows.cli import BLOCK, main
-from lattice_flows.integrate import MAX_FIXED_STEPS
+from lattice_flows.integrate import MAX_STEPS
 from lattice_flows.rootdata import Spectrum, open_chain_spectrum, sklyanin_spectrum, spectrum_to_json
 
 
@@ -19,6 +19,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**extra):
+    """The environment of a child interpreter that imports this lattice_flows."""
+    package_root = str(Path(lattice_flows.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
 
 
 def test_simulate_smoke(capsys):
@@ -95,13 +101,11 @@ def test_simulate_size_flag_of_another_chart_is_usage_error(capsys, system, stat
 
 def test_closed_stdout_exits_one_without_a_usage_line():
     # the read end is closed before the child starts, so its first write meets a broken pipe
-    package_root = str(Path(lattice_flows.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
     read, write = os.pipe()
     os.close(read)
     try:
         done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", "verify", "spectrum", "--sklyanin", "5"],
-                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+                              stdout=write, stderr=subprocess.PIPE, env=child_env(), timeout=120, check=False)
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, b"")
@@ -322,20 +326,36 @@ def test_verify_deterministic_reports(capsys):
 _COMPLEX_QP = json.dumps({"q": [[0.3, 0.05], [-0.2, -0.1], [0.1, 0.0]], "p": [[0.5, 0.02], [0.0, 0.1], [-0.4, 0.0]]})
 
 
+#: The first two ops of the benchmark's simulate-mix at seed 0: RK4 on an
+#: (a, b) chain with every invariant column, and Fehlberg on a complex (q, p) chain.
+_MIX_RK4 = ("simulate", "--system", "ab", "--m", "3", "--state",
+            '{"a": [0.7095693498571636, 0.4158293710110963, 0.23277881914895576, 0.2132221084228233], '
+            '"b": [0.3132702392002724, 0.4127555772777217, 0.10663577576717986]}',
+            "--t", "1.0", "--dt", "0.001", "--invariants", "H2,H4,H6,C")
+_MIX_FEHLBERG = ("simulate", "--system", "sklyanin", "--n", "5", "--state",
+                 '{"q": [[0.7794775825562685, -0.05271986094008383], [0.11427610041245262, 0.05756243957443294], '
+                 '[0.6018161737839443, -0.0999383519285697], [0.9130276349506772, 0.04514461467223013], '
+                 '[-0.8827696797012912, 0.02375333225154712]], '
+                 '"p": [[-0.9918968526203247, -0.07448835470354394], [-0.7833892158415454, 0.015950824807548863], '
+                 '[-0.7389905764477038, -0.03706431488002308], [0.5234045601568831, -0.09331422506925269], '
+                 '[0.9175433176617727, -0.03309035614898352]]}',
+                 "--t", "0.5", "--adaptive", "--rtol", "1e-09")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "lenard", "--chart", "v", "--n", "9", "--states", "10", "--seed", "5"),
     ("simulate", "--system", "sklyanin", "--state", _COMPLEX_QP, "--t", "0.2", "--adaptive", "--invariants", "H"),
-], ids=["verify", "simulate-complex"])
+    _MIX_RK4,
+    _MIX_FEHLBERG,
+    ("verify", "lax", "--system", "vd", "--n", "15", "--seed", "3"),
+], ids=["verify", "simulate-complex", "simulate-mix-rk4", "simulate-mix-fehlberg", "verify-lax-vd"])
 def test_output_is_the_same_bytes_in_other_processes(capsys, argv):
     # the determinism promise across interpreters: string hashing (and so set
     # and dict-of-str iteration order) differs with PYTHONHASHSEED
-    package_root = str(Path(lattice_flows.__file__).resolve().parent.parent)
     outputs = []
     for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", *argv], env=env, capture_output=True,
-                              timeout=120, check=False)
+        done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", *argv], env=child_env(PYTHONHASHSEED=seed),
+                              capture_output=True, timeout=120, check=False)
         assert done.returncode == 0, done.stderr.decode()
         outputs.append(done.stdout)
     code, out, _ = run(capsys, *argv)
@@ -438,19 +458,67 @@ def test_simulate_invariant_overflow_exits_one(capsys):
     assert (code, out, err) == (1, "", "error: invariant H overflowed to a non-finite value (inf+nanj) at t = 0\n")
 
 
+@pytest.mark.parametrize("argv, want", [
+    # p1^2 + p2^2 overflows at row 1,262, in the tenth block, while the state stays finite
+    (("--system", "toda", "--state", '{"q":[707,0],"p":[9.2e153,9.2e153]}', "--t", "3e-154", "--dt", "2e-157",
+      "--invariants", "H"), "error: invariant H overflowed to a non-finite value (inf+nanj) at t = 2.524e-154"),
+    # F overflows at t = 0, and the domain exit in the second block still wins
+    (("--system", "vd", "--state", '{"v":[1e40,1e40,1e40,1e40,1e40,1e40,1e40,1e40,2e40]}', "--t", "1e-40",
+      "--dt", "5e-43", "--invariants", "H2,F"),
+     "error: positivity-constrained coordinate v3 crossed zero to -1.8790046703498502e+76 at t = 7.3e-41 "
+     "(dt = 5e-43)"),
+], ids=["later-block", "state-failure-wins"])
+def test_simulate_names_an_invariant_overflow_once_the_run_is_over(capsys, argv, want):
+    # columns are evaluated block by block as the run goes, but an overflow is
+    # raised only after it: at the column's first non-finite row, and only if
+    # no state failure ends the run
+    code, out, err = run(capsys, "simulate", *argv)
+    assert (code, out, err) == (1, "", want + "\n")
+
+
 @pytest.mark.parametrize("step", [("--t", "0.01", "--dt", "1e-320"), ("--t", "1e300", "--dt", "1")])
 def test_simulate_rejects_more_fixed_steps_than_the_limit(step):
     # rejected before the first step; run in a child with a timeout, since
-    # without the limit the first run only grows (past 1 GB in 2 minutes)
-    package_root = str(Path(lattice_flows.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    # without the limit the first run writes rows until the disk is full
     argv = ["simulate", "--system", "ab", "--state", '{"a":[1,1,1],"b":[0,0]}', *step]
-    done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", *argv], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-m", "lattice_flows.cli", *argv], env=child_env(), capture_output=True,
                           timeout=20, check=False)
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr.decode() == (f"usage error: t / dt = {float(step[1])!r} / {float(step[3])!r} is more than "
-                                    f"the {MAX_FIXED_STEPS:,} fixed steps a run may take; "
+                                    f"the {MAX_STEPS:,} fixed steps a run may take; "
                                     "use a larger dt or adaptive steps\n")
+
+
+def test_simulate_stops_an_adaptive_run_at_the_step_limit():
+    # the limit lowered to 1,000 in a child: the run stops with one error line
+    # and no CSV, where a run with no limit goes on until it is killed
+    child = ("import sys; from lattice_flows import integrate; integrate.MAX_STEPS = 1000; "
+             "from lattice_flows.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["simulate", "--system", "ab", "--state", '{"a":[1,0.8,1.2],"b":[0.3,-0.1]}', "--t", "1e300",
+            "--adaptive"]
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=child_env(), capture_output=True, timeout=20,
+                          check=False)
+    assert (done.returncode, done.stdout) == (1, b"")
+    err = done.stderr.decode()
+    assert err.startswith("error: adaptive run reached the 1,000-step limit at t = ") and err.count("\n") == 1
+    assert err.endswith(")\n") and " (dt = " in err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_simulate_memory_does_not_grow_with_run_length():
+    # a run streams its rows in blocks and spools its CSV, so 3e4 steps peak
+    # within 4 MiB of one step (+1.2 MiB measured; +14.2 MiB when a run held every row)
+    child = ("import resource, sys; from lattice_flows.cli import main; code = main(sys.argv[1:]); "
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+    state = '{"a":[1,0.8,1.2],"b":[0.3,-0.1]}'
+    peaks = []
+    for t in ("0.001", "30"):
+        argv = ["simulate", "--system", "ab", "--m", "2", "--state", state, "--t", t, "--dt", "0.001",
+                "--out", os.devnull]
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=child_env(), capture_output=True,
+                              timeout=120, check=True)
+        peaks.append(int(done.stdout))
+    assert peaks[1] - peaks[0] <= 4 * 1024, peaks
 
 
 @pytest.mark.parametrize("policy, at", [(("--dt", "0.01"), "t = 0.01 (dt = 0.01)"),

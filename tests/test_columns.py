@@ -6,7 +6,7 @@ the closed forms (C, F, H, F1/F2) as array expressions.  The references
 below are the per-state formulas the catalog evaluated one row at a time
 before; each column value must equal its reference exactly, real and
 imaginary parts, on real and complex states of every chart, at Lax sizes
-up to T = 17 and with more rows than one block holds.  The gradients of
+up to T = 17 and with more rows than one block of ``simulate`` holds.  The gradients of
 ``LatticeSystem.invariant_gradients`` are checked against central
 differences of the same columns.
 """
@@ -18,11 +18,12 @@ from conftest import central_difference
 from lax_reference import assembled_pair
 
 from lattice_flows import lax, systems
-from lattice_flows.catalog import COLUMN_BLOCK_ROWS, SYSTEMS, get_system
+from lattice_flows.catalog import SYSTEMS, get_system
+from lattice_flows.integrate import BLOCK_ROWS
 from lattice_flows.rootdata import null_combination, sklyanin_spectrum
 from lattice_flows.states import FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State
 
-ROWS = COLUMN_BLOCK_ROWS + 72  # a full block and a partial one
+ROWS = BLOCK_ROWS + 72  # more rows than simulate hands in at once
 
 
 def _trace_ref(L, k):

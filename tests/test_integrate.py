@@ -11,6 +11,7 @@ from conftest import (
     FEHLBERG_ERR,
     catalog_cases,
     fehlberg_step_reference,
+    run,
     state_per_stage,
 )
 from lattice_flows import DomainExit, StepFailure, ab_state, c_state, qp_state, u_state, v_state
@@ -18,6 +19,7 @@ from lattice_flows import integrate as integrate_module
 from lattice_flows.catalog import LatticeSystem, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import (
+    BLOCK_ROWS,
     FEHLBERG_ROWS,
     AdaptiveStep,
     FixedStep,
@@ -31,17 +33,22 @@ from lattice_flows.states import FLASCHKA_AB, VOLTERRA_U, coordinate_names
 from lattice_flows.systems import ab_field
 
 
+def final(system, s0, t_end, policy):
+    """The last row a run hands its sink."""
+    return run(system, s0, t_end, policy)[1][-1]
+
+
 def test_zero_time_single_sample():
     system = get_system("ab")
     s0 = ab_state([1, 1, 1], [0, 0])
-    traj = integrate(system, s0, 0.0, FixedStep(1e-3))
-    assert len(traj.times) == 1 and traj.final == s0
+    times, coords = run(system, s0, 0.0, FixedStep(1e-3))
+    assert times.tolist() == [0.0] and coords.tobytes() == s0.array[None].tobytes()
 
 
 def test_fixed_step_hits_t_end():
     system = get_system("ab")
-    traj = integrate(system, ab_state([1, 1, 1], [0, 0]), 0.0105, FixedStep(1e-3))
-    assert traj.times[-1] == pytest.approx(0.0105, abs=1e-12)
+    times, _ = run(system, ab_state([1, 1, 1], [0, 0]), 0.0105, FixedStep(1e-3))
+    assert times[-1] == pytest.approx(0.0105, abs=1e-12)
 
 
 def test_rk4_order_by_richardson():
@@ -49,7 +56,7 @@ def test_rk4_order_by_richardson():
     # shrink by 2^4 = 16; no reference solution is needed
     system = get_system("ab")
     s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
-    coarse, mid, fine = (integrate(system, s0, 1.0, FixedStep(dt)).final.array for dt in (2e-3, 1e-3, 5e-4))
+    coarse, mid, fine = (final(system, s0, 1.0, FixedStep(dt)) for dt in (2e-3, 1e-3, 5e-4))
     ratio = np.linalg.norm(coarse - mid) / np.linalg.norm(mid - fine)
     assert 12.0 <= ratio <= 20.0
 
@@ -130,16 +137,16 @@ def test_the_error_estimate_is_fifth_order():
 @pytest.mark.parametrize("rtol, most", [(1e-6, 30), (1e-9, 100), (1e-12, 250)])
 def test_adaptive_steps_on_ab(rtol, most):
     # 22, 86 and 211 steps; an error estimate of order 2 takes 72, 2,266 and 25,931
-    traj = integrate(get_system("ab"), AB_S0, 1.0, AdaptiveStep(rtol=rtol))
-    assert len(traj.times) - 1 <= most
+    times, _ = run(get_system("ab"), AB_S0, 1.0, AdaptiveStep(rtol=rtol))
+    assert len(times) - 1 <= most
 
 
 def test_rtol_bounds_each_step_estimate_not_the_global_error():
     # against RK4 at dt = 1e-3 (2e-12 from dt = 1e-4), the end state is off
     # by 2.3e-6, 1.2e-8 and 1.8e-10 relative at rtol 1e-6, 1e-9 and 1e-12
     system = get_system("ab")
-    reference = integrate(system, AB_S0, 1.0, FixedStep(1e-3)).final.array
-    errors = [np.linalg.norm(integrate(system, AB_S0, 1.0, AdaptiveStep(rtol=rtol)).final.array - reference)
+    reference = final(system, AB_S0, 1.0, FixedStep(1e-3))
+    errors = [np.linalg.norm(final(system, AB_S0, 1.0, AdaptiveStep(rtol=rtol)) - reference)
               / np.linalg.norm(reference) for rtol in (1e-6, 1e-9, 1e-12)]
     assert errors[0] > errors[1] > errors[2]
     assert errors[1] < 100 * 1e-9
@@ -148,37 +155,39 @@ def test_rtol_bounds_each_step_estimate_not_the_global_error():
 def test_time_symmetry():
     system = get_system("ab")
     s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
-    fwd = integrate(system, s0, 1.0, FixedStep(1e-3))
+    fwd = final(system, s0, 1.0, FixedStep(1e-3))
     reverse = LatticeSystem("ab-reversed", {FLASCHKA_AB: lambda s, y, _: -ab_field(s, y)})
-    back = integrate(reverse, fwd.final, 1.0, FixedStep(1e-3))
-    assert np.linalg.norm(back.final.array - s0.array) < 1e-7
+    back = final(reverse, s0.replace_coords(fwd), 1.0, FixedStep(1e-3))
+    assert np.linalg.norm(back - s0.array) < 1e-7
 
 
 def test_adaptive_matches_fixed():
     system = get_system("km")
     s0 = u_state([1.0, 0.5, 0.8])
-    end_fixed = integrate(system, s0, 1.0, FixedStep(2e-4)).final.array
-    end_adapt = integrate(system, s0, 1.0, AdaptiveStep(rtol=1e-11, atol=1e-13)).final.array
+    end_fixed = final(system, s0, 1.0, FixedStep(2e-4))
+    end_adapt = final(system, s0, 1.0, AdaptiveStep(rtol=1e-11, atol=1e-13))
     assert np.linalg.norm(end_fixed - end_adapt) < 1e-8
 
 
 def test_domain_exit_reports_partial_trajectory():
     sinking = LatticeSystem("sink", {VOLTERRA_U: lambda s, y, _: -np.ones(s.dim)})
-    with pytest.raises(DomainExit) as err:
-        integrate(sinking, u_state([0.5, 1.0]), 3.0, FixedStep(1e-3))
-    partial = err.value.trajectory
-    assert partial is not None and len(partial.times) > 10
-    assert partial.times[-1] < 3.0
+    blocks = []
+    with pytest.raises(DomainExit):
+        integrate(sinking, u_state([0.5, 1.0]), 3.0, FixedStep(1e-3), lambda *block: blocks.append(block))
+    # every row accepted before the exit is handed over, the last partial block included
+    times = np.concatenate([t for t, _ in blocks])
+    assert len(times) > 10 and len(blocks[-1][0]) < BLOCK_ROWS
+    assert times[-1] < 0.5 and np.all(np.diff(times) > 0)
     # positivity watch never fires for the positivity-preserving chains
-    traj = integrate(get_system("c-a"), c_state([1.0, 1.0]), 3.0, FixedStep(1e-3))
-    assert traj.times[-1] == pytest.approx(3.0)
+    times, _ = run(get_system("c-a"), c_state([1.0, 1.0]), 3.0, FixedStep(1e-3))
+    assert times[-1] == pytest.approx(3.0)
 
 
 def test_domain_exit_names_the_coordinate_its_value_t_and_dt():
     sinking = LatticeSystem("sink", {VOLTERRA_U: lambda s, y, _: -np.ones(s.dim)})
     with pytest.raises(DomainExit, match=r"^positivity-constrained coordinate u2 crossed zero to "
                                          r"-0\.000[0-9]+ at t = 0\.751 \(dt = 0\.001\)$"):
-        integrate(sinking, u_state([1.0, 0.7505, 2.0]), 3.0, FixedStep(1e-3))
+        run(sinking, u_state([1.0, 0.7505, 2.0]), 3.0, FixedStep(1e-3))
 
 
 def test_step_failure_names_the_first_non_finite_coordinate_t_and_dt():
@@ -186,7 +195,7 @@ def test_step_failure_names_the_first_non_finite_coordinate_t_and_dt():
     system = LatticeSystem("overflow", {FLASCHKA_AB: lambda s, y, _: np.where(np.arange(s.dim) >= 1, np.inf, 0.0)})
     with pytest.raises(StepFailure, match=r"^coordinate a2 overflowed to a non-finite value \(inf\) "
                                           r"at t = 0\.02 \(dt = 0\.02\)$"):
-        integrate(system, ab_state([1.0, 2.0], [3.0]), 1.0, FixedStep(0.02))
+        run(system, ab_state([1.0, 2.0], [3.0]), 1.0, FixedStep(0.02))
 
 
 def test_adaptive_overflow_is_named_as_the_fixed_step_names_it(capsys):
@@ -195,7 +204,7 @@ def test_adaptive_overflow_is_named_as_the_fixed_step_names_it(capsys):
     s0 = qp_state([-300.0, 0.0], [0.0, 0.0])
     with pytest.raises(StepFailure, match=r"^coordinate q1 overflowed to a non-finite value \(nan\+nanj\) "
                                           r"at t = 1\.6384e-12 \(dt = 1\.64e-12\)$"):
-        integrate(get_system("sklyanin"), s0, 0.1, AdaptiveStep())
+        run(get_system("sklyanin"), s0, 0.1, AdaptiveStep())
     argv = ["simulate", "--system", "sklyanin", "--state", '{"q":[-300,0],"p":[0,0]}', "--t", "0.1", "--adaptive"]
     assert main(argv) == 1
     assert capsys.readouterr().err == ("error: coordinate q1 overflowed to a non-finite value (nan+nanj) "
@@ -213,13 +222,13 @@ def test_step_failure_near_blowup():
     # the leading v equation grows superlinearly; a large state blows up fast
     system = get_system("vd")
     with pytest.raises((StepFailure, DomainExit)):
-        integrate(system, v_state([2.0, 2.0, 2.0, 2.0]), 5.0, AdaptiveStep())
+        run(system, v_state([2.0, 2.0, 2.0, 2.0]), 5.0, AdaptiveStep())
 
 
 def test_drift_report_constant_function():
     system = get_system("ab")
-    traj = integrate(system, ab_state([1, 1, 1], [0.1, 0.2]), 0.5, FixedStep(1e-3))
-    rec = drift_report({"one": [1.0] * len(traj.times)})[0]
+    times, _ = run(system, ab_state([1, 1, 1], [0.1, 0.2]), 0.5, FixedStep(1e-3))
+    rec = drift_report({"one": [1.0] * len(times)})[0]
     assert rec.max_abs_drift == 0.0 and rec.max_rel_drift == 0.0
 
 
@@ -231,31 +240,26 @@ def test_coordinate_names():
     assert coordinate_names(qp_state([1], [2])) == ["q1", "p1"]
 
 
-def test_csv_shape_and_precision():
-    system = get_system("ab")
-    s0 = ab_state([1, 1, 1], [0, 0])
-    traj = integrate(system, s0, 0.002, FixedStep(1e-3))
-    text = trajectory_csv(traj, system.invariant_columns(s0, ["H2"], traj.coords))
-    lines = text.strip().split("\n")
+def test_csv_shape_and_precision(capsys):
+    argv = ["simulate", "--system", "ab", "--state", '{"a":[1,1,1],"b":[0,0]}', "--t", "0.002", "--dt", "1e-3",
+            "--invariants", "H2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "t,a1,a2,a3,b1,b2,H2"
     assert len(lines) == 4
     third = float(lines[1].split(",")[1])
     assert third == 1.0
-    # 17 significant digits survive the round trip
+    # a block's lines carry no header; 17 significant digits survive the round trip
     value = 1 / 3
-    traj2 = integrate(system, ab_state([value, 1, 1], [0, 0]), 0.0, FixedStep(1e-3))
-    cell = trajectory_csv(traj2).strip().split("\n")[1].split(",")[1]
-    assert float(cell) == value
+    times, coords = run(get_system("ab"), ab_state([value, 1, 1], [0, 0]), 0.0, FixedStep(1e-3))
+    text = trajectory_csv(times, coords)
+    assert text.count("\n") == 1
+    assert float(text.split(",")[1]) == value
 
 
 def test_csv_complex_cell():
-    traj = integrate(
-        LatticeSystem("still", {FLASCHKA_AB: lambda s, y, _: np.zeros(s.dim)}),
-        ab_state([1j, 1, 1], [0, 0]),
-        0.0,
-        FixedStep(1.0),
-    )
-    cell = trajectory_csv(traj).strip().split("\n")[1].split(",")[1]
+    times, coords = run(STILL, ab_state([1j, 1, 1], [0, 0]), 0.0, FixedStep(1.0))
+    cell = trajectory_csv(times, coords).split(",")[1]
     assert cell == "0+1j"
 
 
@@ -279,14 +283,14 @@ def test_csv_complex_cell():
 )
 def test_integrate_rejects_bad_step_parameters(t_end, policy):
     with pytest.raises(ValueError):
-        integrate(get_system("km"), u_state([1.0, 0.5, 0.8]), t_end, policy)
+        integrate(get_system("km"), u_state([1.0, 0.5, 0.8]), t_end, policy, None)
 
 
 def test_integrate_accepts_one_zero_tolerance():
     system = get_system("km")
     s0 = u_state([1.0, 0.5, 0.8])
     for policy in (AdaptiveStep(rtol=0.0, atol=1e-10), AdaptiveStep(rtol=1e-9, atol=0.0)):
-        assert integrate(system, s0, 0.1, policy).times[-1] == pytest.approx(0.1)
+        assert run(system, s0, 0.1, policy)[0][-1] == pytest.approx(0.1)
 
 
 STILL = LatticeSystem("still", {FLASCHKA_AB: lambda s, y, _: np.zeros(s.dim)})
@@ -296,27 +300,53 @@ STILL = LatticeSystem("still", {FLASCHKA_AB: lambda s, y, _: np.zeros(s.dim)})
 def test_fixed_step_takes_no_sliver_step(t_end, dt):
     # the running sum of N dt's falls short of t_end = N dt by ~1e-11 dt;
     # that remainder is rounding and must not become a step of its own
-    traj = integrate(STILL, ab_state([1, 1, 1], [0, 0]), t_end, FixedStep(dt))
-    assert len(traj.times) == math.ceil(Fraction(repr(t_end)) / Fraction(repr(dt))) + 1
-    assert abs(traj.times[-1] - t_end) <= 1e-12 * max(1.0, t_end)
-    assert np.min(np.diff(traj.times)) > 0.5 * dt
+    times, _ = run(STILL, ab_state([1, 1, 1], [0, 0]), t_end, FixedStep(dt))
+    assert len(times) == math.ceil(Fraction(repr(t_end)) / Fraction(repr(dt))) + 1
+    assert abs(times[-1] - t_end) <= 1e-12 * max(1.0, t_end)
+    assert np.min(np.diff(times)) > 0.5 * dt
 
 
 def test_fixed_step_limit_counts_t_over_dt_rounded_up(monkeypatch):
-    monkeypatch.setattr(integrate_module, "MAX_FIXED_STEPS", 10)
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", 10)
     s0 = ab_state([1, 1, 1], [0, 0])
-    assert len(integrate(STILL, s0, 0.01, FixedStep(1e-3)).times) == 11  # t / dt = 10 steps
+    assert len(run(STILL, s0, 0.01, FixedStep(1e-3))[0]) == 11  # t / dt = 10 steps
     for t_end in (0.0101, 1e300):  # 11 steps; an overflowing t / dt
         with pytest.raises(ValueError, match="more than the 10 fixed steps"):
-            integrate(STILL, s0, t_end, FixedStep(1e-3))
+            integrate(STILL, s0, t_end, FixedStep(1e-3), None)
     with pytest.raises(ValueError, match="more than the 10 fixed steps"):
-        integrate(STILL, s0, 0.01, FixedStep(1e-320))
+        integrate(STILL, s0, 0.01, FixedStep(1e-320), None)
+
+
+def test_adaptive_run_stops_at_the_step_limit(monkeypatch):
+    # a run that ends at its last allowed step passes; one step fewer is the
+    # limit, and the rows accepted up to it are handed over before it is raised
+    system = get_system("ab")
+    steps = len(run(system, AB_S0, 1.0, AdaptiveStep())[0]) - 1
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", steps)
+    assert len(run(system, AB_S0, 1.0, AdaptiveStep())[0]) == steps + 1
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", steps - 1)
+    blocks = []
+    with pytest.raises(StepFailure, match=rf"^adaptive run reached the {steps - 1}-step limit "
+                                          r"at t = 0\.\d+ \(dt = \S+\)$"):
+        integrate(system, AB_S0, 1.0, AdaptiveStep(), lambda *block: blocks.append(block))
+    assert sum(len(times) for times, _ in blocks) == steps
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+def test_the_sink_gets_blocks_of_block_rows_counted_from_t0(rows):
+    s0 = ab_state([1, 1, 1], [0, 0])
+    blocks = []
+    integrate(STILL, s0, (rows - 1) * 0.5, FixedStep(0.5), lambda *block: blocks.append(block))
+    full, rest = divmod(rows, BLOCK_ROWS)
+    assert [len(times) for times, _ in blocks] == [BLOCK_ROWS] * full + [rest] * (rest > 0)
+    assert all(coords.shape == (len(times), s0.dim) and coords.dtype == complex for times, coords in blocks)
+    assert np.concatenate([times for times, _ in blocks]).tolist() == [0.5 * k for k in range(rows)]
 
 
 def test_fixed_step_shorter_than_dt_still_steps():
     for t_end in (1e-12, 0.0105):
-        traj = integrate(STILL, ab_state([1, 1, 1], [0, 0]), t_end, FixedStep(1e-3))
-        assert traj.times[-1] == pytest.approx(t_end, rel=1e-12, abs=0.0)
+        times, _ = run(STILL, ab_state([1, 1, 1], [0, 0]), t_end, FixedStep(1e-3))
+        assert times[-1] == pytest.approx(t_end, rel=1e-12, abs=0.0)
 
 
 def test_simulate_t10_dt001_writes_1001_rows(capsys):

@@ -76,9 +76,11 @@ def test_bench_spans_find_the_wrapped_names():
         tracer.op_id = 0
         system = get_system("ab")
         s0 = ab_state([1.0, 0.8, 1.2], [0.3, -0.1])
-        # integrate builds no State per stage; a trajectory's final state is one
-        assert integrate.integrate(system, s0, 0.002, integrate.FixedStep(1e-3)).final.dim == s0.dim
-        integrate.integrate(system, s0, 0.002, integrate.AdaptiveStep())
+        # integrate builds no State per stage: it hands its sink raw rows
+        blocks = []
+        integrate.integrate(system, s0, 0.002, integrate.FixedStep(1e-3), lambda *block: blocks.append(block))
+        assert s0.replace_coords(blocks[-1][1][-1]).dim == s0.dim
+        integrate.integrate(system, s0, 0.002, integrate.AdaptiveStep(), lambda *block: None)
         assert "H2" in system.invariants(s0)
     finally:
         tracer.op_id = -1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import field_reference
-from conftest import at, catalog_cases, random_qp, random_u, random_v
+from conftest import at, catalog_cases, random_qp, random_u, random_v, run
 
 from lattice_flows import (
     ChartMismatch,
@@ -213,6 +213,25 @@ def test_ab_field_keeps_the_bits_of_the_reference(rng, m):
                 assert got.tobytes() == want.tobytes(), (m, y)
 
 
+@pytest.mark.parametrize("family", "ABCD")
+@pytest.mark.parametrize("n_c", [4, 5, 9])
+def test_c_field_keeps_the_bits_of_the_reference(rng, family, n_c):
+    # one division per vertex: every entry has the two-divisions-per-edge
+    # reference's bits on rows and on (d, N) blocks, real or complex, with
+    # signed-zero real or imaginary parts (c itself must be nonzero)
+    real = rng.uniform(0.1, 2.0, (n_c, 6)) * rng.choice([1.0, -1.0], (n_c, 6))
+    imag = rng.normal(size=(n_c, 6))
+    signed = rng.choice([0.0, -0.0], (n_c, 6))
+    blocks = [real.astype(complex), real + 1j * imag, real + 1j * signed, signed + 1j * real,
+              real * 10.0 ** rng.integers(-200, 200, (n_c, 6)) + 1j * imag]
+    template = c_state(np.ones(n_c))
+    for y in blocks:
+        for got, want in ((c_field(family, template, y), field_reference.c_field(family, template, y)),
+                          (c_field(family, template, y[:, 0]), field_reference.c_field(family, template, y[:, 0]))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (family, y)
+
+
 def test_toda_ab_field_boundary():
     out = toda_ab_field(*at(ab_state([1, 1], [1, 2, 3])))
     assert np.allclose(out, [1, 1, 2, 0, -2])
@@ -265,7 +284,7 @@ def test_integrals_conserved_along_flow(rng):
     # spectra with more vectors than the dimension admit null combinations;
     # their two integrals must ride along the polynomial flow unchanged
     from lattice_flows.catalog import SYSTEMS, get_system
-    from lattice_flows.integrate import FixedStep, drift_report, integrate
+    from lattice_flows.integrate import FixedStep, drift_report
 
     from lattice_flows.transforms import generalized_flaschka_block
 
@@ -277,8 +296,8 @@ def test_integrals_conserved_along_flow(rng):
     start = random_qp(rng, 3)
     zero, image = generalized_flaschka_block(spec, start, [start.array])
     s0 = zero.replace_coords(image[0])
-    traj = integrate(system, s0, 5.0, FixedStep(1e-3))
-    f1, f2 = integrals_F1_F2_columns(s0, lam, traj.coords)
+    _, coords = run(system, s0, 5.0, FixedStep(1e-3))
+    f1, f2 = integrals_F1_F2_columns(s0, lam, coords)
     report = drift_report({"F1": f1, "F2": f2})
     for rec in report:
         # F1 vanishes identically on the image, so judge it by absolute drift

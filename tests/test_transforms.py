@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import central_difference, henon_jacobi, random_c, random_qp, random_u, random_v
+from conftest import central_difference, henon_jacobi, random_c, random_qp, random_u, random_v, run
 from lax_reference import assembled_pair
 
 from lattice_flows import (
@@ -22,7 +22,7 @@ from lattice_flows import (
 from lattice_flows import cli, transforms
 from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.cli import main
-from lattice_flows.integrate import FixedStep, drift_report, integrate
+from lattice_flows.integrate import FixedStep, drift_report
 from lattice_flows.lax import casimir_C_column, km_lax
 from lattice_flows.systems import (
     ab_field,
@@ -354,7 +354,7 @@ def test_target_field_off_by_1e_9_fails_pushforward(monkeypatch, capsys, rng, na
 def test_pulled_back_h2_constant_along_vd_flow():
     system = get_system("vd")
     s0 = v_state([0.05, 0.06, 0.04, 0.05, 0.06, 0.045, 0.05])
-    traj = integrate(system, s0, 10.0, FixedStep(1e-3))
-    zero, images = d_transform_block(s0, traj.coords)
+    _, coords = run(system, s0, 10.0, FixedStep(1e-3))
+    zero, images = d_transform_block(s0, coords)
     report = drift_report(SYSTEMS["ab"].invariant_columns(zero, ["H2"], images))
     assert report[0].max_rel_drift < 1e-7
