@@ -23,7 +23,11 @@ from a file whose path replaces the ``{spectrum}`` argument.  Runs with a
 ``name`` (used in the test id) pin the sizes where the order of numpy's
 sums and divisions in the invariant columns shows: Lax matrices up to
 17 x 17, every trace order, (q, p) chains of 9 particles, complex states,
-and the two ``simulate-mix`` benchmark ops at seed 7.
+and the two ``simulate-mix`` benchmark ops at seed 7.  The ``bv-*-n7`` and
+``c-*-n7`` runs pin every family's field at 7 variables, past the boundary
+rules, so the interior loops of ``bv-b`` and ``bv-d`` run too, and
+``verify lax --system vd --n 16`` pins the complex path of the Lax
+residual, which only vd at even n takes.
 """
 
 import argparse
