@@ -19,6 +19,7 @@ underlying formulas; code uses 0-based numpy arrays.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -160,8 +161,9 @@ def state_from_dict(obj: dict) -> State:
 
     Accepted forms: {"q": [...], "p": [...]}, {"a": [...], "b": [...]},
     {"u": [...]}, {"v": [...]}, {"c": [...]}.  Entries may be numbers or
-    [re, im] pairs of real numbers; booleans are not numbers here.  Anything
-    else raises ValueError.
+    [re, im] pairs of real numbers; booleans are not numbers here, and each
+    part must be one a float holds finitely (not NaN, an infinity or an
+    integer past the float range).  Anything else raises ValueError.
     """
 
     def group(name):
@@ -172,10 +174,14 @@ def state_from_dict(obj: dict) -> State:
 
     def scal(x):
         if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v, numbers.Real) for v in x):
-            return complex(*x)
-        if _is_number(x):
-            return complex(x)
-        raise ValueError(f"state entry {x!r} is not a number or an [re, im] pair")
+            parts = x
+        elif _is_number(x):
+            parts = x.real, x.imag
+        else:
+            raise ValueError(f"state entry {x!r} is not a number or an [re, im] pair")
+        if not all(abs(v) <= sys.float_info.max for v in parts):
+            raise ValueError(f"state entry {x!r} is not a finite number")
+        return complex(*parts)
 
     if not isinstance(obj, dict):
         raise ValueError(f"a state document must be a JSON object, got {obj!r}")

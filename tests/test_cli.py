@@ -537,12 +537,19 @@ def test_simulate_overflow_prints_its_error_line_alone(capsys, policy, at):
     "state",
     ["5", "[1, 2]", '"u"', '{"u": 5}', '{"u": "12"}', '{"u": [null]}', '{"u": [true]}',
      '{"u": ["1"]}', '{"u": [[1, true]]}', '{"u": [[1, 2, 3]]}', '{"u": [{"re": 1}]}',
-     '{"q": [0], "p": 1}'],
+     '{"q": [0], "p": 1}',
+     # entries a float does not hold finitely, alone or as either part of a pair
+     '{"u": [NaN, 1]}', '{"u": [Infinity, 1]}', '{"u": [-Infinity, 1]}', '{"u": [1e400, 1]}',
+     '{"u": [1' + '0' * 400 + ', 1]}', '{"u": [[1, NaN], 1]}', '{"u": [[Infinity, 0], 1]}',
+     '{"u": [[1, -1e400], 1]}'],
 )
-def test_simulate_malformed_state_is_usage_error(capsys, state):
-    code, out, err = run(capsys, "simulate", "--system", "km", "--state", state, "--t", "0.1", "--dt", "0.01")
+@pytest.mark.parametrize("t", ["0", "0.001", "0.1"])
+def test_simulate_malformed_state_is_usage_error(capsys, state, t):
+    # a non-finite start is refused before any row is written, also by a run that
+    # takes no step, and not named as an overflow of the run
+    code, out, err = run(capsys, "simulate", "--system", "km", "--state", state, "--t", t, "--dt", "0.01")
     assert code == 2 and out == ""
-    assert "usage error" in err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 The table crosses every ``verify`` suite and selector with the sizes -3 and
 0-6 and with --states 0 and 3 (``verify compat`` also with non-finite and
 overflowing lambdas), and every catalog system, on each chart it accepts,
-with fixed, adaptive and invalid step flags, on ordinary, complex,
-signed-zero and overflowing states.  On every argv:
+with fixed, adaptive, zero-length and invalid step flags, on ordinary,
+complex, signed-zero, overflowing and non-finite states.  On every argv:
 
 * no exception escapes ``cli.main``, numpy's warnings included;
 * the exit code is 0, 1 or 2;
@@ -15,6 +15,7 @@ signed-zero and overflowing states.  On every argv:
 
 import cmath
 import json
+import math
 import warnings
 
 from lattice_flows.catalog import SYSTEMS, get_system
@@ -37,9 +38,12 @@ STATES = {
     "complex": lambda i: [0.5 + 0.1 * i, 0.2],
     "signed-zero": lambda i: -0.0 if i % 2 else 0.0,
     "overflowing": lambda i: 1e300,
+    "non-finite": lambda i: [0.5, math.inf] if i % 2 else math.nan,
 }
 
-VALID_STEPS = (("--t", "0.01", "--dt", "0.005"), ("--t", "0.01", "--adaptive"))
+#: ``--t 0`` writes the start state alone: a run that steps nowhere must
+#: still refuse a state that is not finite.
+VALID_STEPS = (("--t", "0.01", "--dt", "0.005"), ("--t", "0.01", "--adaptive"), ("--t", "0", "--dt", "0.001"))
 #: Runs past the fixed-step limit are tested in a child with a timeout
 #: (``test_cli.py``): without the limit they would run on here, unbounded.
 INVALID_STEPS = (
@@ -65,18 +69,23 @@ def _verify_argvs():
         yield ["verify", "spectrum", "--sklyanin", str(size)]
 
 
-def _simulate_argvs(spectrum_file):
+def _simulate_argvs(spectrum_file, invalid_steps=True):
+    """Every system on each chart it accepts, from each state kind, with every
+    valid step asking for all the invariants its chart offers at that size
+    (read from the ordinary state), then, if ``invalid_steps``, every invalid step."""
     for key, system in SYSTEMS.items():
         spectrum = ("--spectrum", spectrum_file) if key == "spectrum" else ()
         for chart in system.charts:
             groups = GROUPS.get((key, chart), (2, 2) if chart == QP else (5,))
+
+            def document(value):
+                return {name: [value(i) for i in range(size)] for name, size in zip(CHARTS[chart], groups)}
+            offered = get_system(key, SPECTRUM).invariants(state_from_dict(document(STATES["ordinary"])))
             for value in STATES.values():
-                document = {name: [value(i) for i in range(size)] for name, size in zip(CHARTS[chart], groups)}
-                offered = get_system(key, SPECTRUM).invariants(state_from_dict(document))
-                state = ("--system", key, "--state", json.dumps(document), *spectrum)
+                state = ("--system", key, "--state", json.dumps(document(value)), *spectrum)
                 for step in VALID_STEPS:
                     yield ["simulate", *state, *step, "--invariants", ",".join(offered)]
-                for step in INVALID_STEPS:
+                for step in INVALID_STEPS if invalid_steps else ():
                     yield ["simulate", *state, *step]
 
 
