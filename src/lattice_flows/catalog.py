@@ -3,9 +3,9 @@
 ``SYSTEMS`` maps each public system identifier (km, bv-a..bv-d, c-a..c-d,
 vd, ab, spectrum, toda, sklyanin, sklyanin-full) to its vector field on
 each chart it accepts and to the invariants the CLI can track along
-trajectories.  An invariant is evaluated as a column, down an (N, d) block
-of coordinate rows at a time.  ``LENARD`` pairs each Poisson pencil with the
-row whose invariants it brackets and names that row's pi1 Casimir.
+trajectories.  An invariant is evaluated as a column, over a block of
+states at a time.  ``LENARD`` pairs each Poisson pencil with the row whose
+invariants it brackets and names that row's pi1 Casimir.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ import numpy as np
 from . import lax, poisson, systems
 from .errors import ChartMismatch
 from .rootdata import Spectrum, null_combination
-from .states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State, coordinate_columns
+from .states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State
 
 
 class Column(NamedTuple):
-    """How to evaluate one named invariant, and its gradient, over a block of rows.
+    """How to evaluate one named invariant, and its gradient, over a block of states.
 
-    ``evaluate(state, rows, keys)`` returns one list of values per key for an
-    (N, d) block ``rows`` in the chart of ``state``, ``gradient`` (or None)
-    one (N, d) array per key.  Invariants that share a callable (the trace
-    powers of one Lax matrix) are evaluated in one call; ``key`` tells them apart.
+    ``evaluate(block, keys)`` returns one list of values per key for the N
+    states of ``block``, ``gradient`` (or None) one (N, d) array per key.
+    Invariants that share a callable (the trace powers of one Lax matrix)
+    are evaluated in one call; ``key`` tells them apart.
     """
 
     evaluate: Callable
@@ -36,9 +36,8 @@ class Column(NamedTuple):
 
 
 def _closed_form(fn, *args, gradient=None) -> Column:
-    """A Column for a single column function fn(*args, state, rows) and gradient(state, rows)."""
-    return Column(lambda state, rows, keys: [fn(*args, state, rows)], None,
-                  gradient and (lambda state, rows, keys: [gradient(state, rows)]))
+    """A Column for a single column function fn(*args, block) and gradient(block)."""
+    return Column(lambda block, keys: [fn(*args, block)], None, gradient and (lambda block, keys: [gradient(block)]))
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class LatticeSystem:
     """A vector field on each chart it accepts, plus its named invariants.
 
     ``fields`` maps a chart to a callable (state, y, spectrum) -> ndarray,
-    the velocity at raw coordinates ``y`` in the chart of the template
+    the velocity at raw coordinates ``y`` in the chart and sizes of
     ``state``: one (d,) row, or a (d, N) block of columns, one per point;
     ``named_invariants`` maps (system, state) to {name: Column}.
     ``lax`` is the system's Lax builder (``lax.km_lax`` and the rest) or
@@ -72,9 +71,9 @@ class LatticeSystem:
     def field(self, state: State, y) -> np.ndarray:
         """The velocity at ``y`` in the chart of ``state``, in the shape of
         ``y``: one (d,) coordinate row, or a (d, N) block whose columns are
-        N points (``states.coordinate_columns``).  On a real block each
-        column has the bits of its own row call; see ``systems`` for
-        complex blocks."""
+        N points, as ``field(block, block.columns)``, so that the integrator
+        steps plain rows.  On a real block each column has the bits of its
+        own row call; see ``systems`` for complex blocks."""
         return self._on_chart(state)(state, y, self.spectrum)
 
     def invariants(self, state: State) -> dict[str, Column]:
@@ -84,21 +83,22 @@ class LatticeSystem:
         self._on_chart(state)
         return self.named_invariants(self, state)
 
-    def invariant_columns(self, state: State, names, rows) -> dict[str, list[complex]]:
-        """The named invariants at every row of ``rows``, (N, d) in the chart of
-        ``state``, each name once, in first-seen order.  The invariants sharing
-        an evaluator (the trace powers of one Lax matrix) take one stack of L
-        and one power chain; ``simulate`` hands in one block at a time."""
+    def invariant_columns(self, block: State, names) -> dict[str, list[complex]]:
+        """The named invariants at each of the N states of ``block``, each name
+        once, in first-seen order.  The invariants sharing an evaluator (the
+        trace powers of one Lax matrix) take one stack of L and one power
+        chain; ``simulate`` hands in one block at a time."""
         out = dict.fromkeys(names)
-        for evaluate, group, keys in self._grouped(state, out, "evaluate"):
-            out.update(zip(group, evaluate(state, rows, keys)))
+        for evaluate, group, keys in self._grouped(block, out, "evaluate"):
+            out.update(zip(group, evaluate(block, keys)))
         return out
 
-    def invariant_gradients(self, state: State, names, rows) -> dict[str, np.ndarray]:
-        """The (N, d) gradient of each named invariant at ``rows``, one call per
-        group of ``invariant_columns``; a name without a gradient raises ValueError."""
-        return {name: grad for gradient, group, keys in self._grouped(state, names, "gradient")
-                for name, grad in zip(group, gradient(state, rows, keys))}
+    def invariant_gradients(self, block: State, names) -> dict[str, np.ndarray]:
+        """The (N, d) gradient of each named invariant at the states of
+        ``block``, one call per group of ``invariant_columns``; a name without
+        a gradient raises ValueError."""
+        return {name: grad for gradient, group, keys in self._grouped(block, names, "gradient")
+                for name, grad in zip(group, gradient(block, keys))}
 
     def _grouped(self, state: State, names, kind: str) -> list[tuple[Callable, list[str], list]]:
         """(callable, names, keys) per ``kind`` callable the named invariants share."""
@@ -123,12 +123,12 @@ def _traces(builder, orders, grading: int = 1) -> dict[str, Column]:
 
     vd takes grading 2 (its v-degree grading): its odd-power traces vanish.
     """
-    def evaluate(state, rows, ks):
-        compiled, x = builder(state), coordinate_columns(state, rows)  # L alone: B is not read
+    def evaluate(block, ks):
+        compiled, x = builder(block), block.columns  # L alone: B is not read
         return lax.trace_columns(compiled.L.assemble(compiled.table.size, x, compiled.table.roots(x)), ks, grading)
 
-    def gradient(state, rows, ks):
-        return grading * lax.grad_trace_invariant(builder, state, rows, [grading * k for k in ks])
+    def gradient(block, ks):
+        return grading * lax.grad_trace_invariant(builder, block, [grading * k for k in ks])
 
     return {f"H{k}": Column(evaluate, k, gradient) for k in orders}
 
@@ -144,8 +144,8 @@ def _null_integrals(system: LatticeSystem, state: State):
     if not basis:
         return {}
 
-    def evaluate(state, rows, keys):
-        columns = systems.integrals_F1_F2_columns(state, basis[0], rows)
+    def evaluate(block, keys):
+        columns = systems.integrals_F1_F2_columns(block, basis[0])
         return [columns[k] for k in keys]
 
     return {"F1": Column(evaluate, 0), "F2": Column(evaluate, 1)}
@@ -157,7 +157,7 @@ def _toda_invariants(system: LatticeSystem, state: State):
     return _traces(system.lax, range(1, state.dim // 2 + 2))
 
 
-# Fields, called as (template State, row or columns, spectrum), look ``systems.*_field``
+# Fields, called as (State, row or columns, spectrum), look ``systems.*_field``
 # up at call time, so a wrapper on the systems module sees every evaluation.
 SYSTEMS = {system.key: system for system in (
     LatticeSystem("km", {VOLTERRA_U: lambda s, y, _: systems.km_field(s, y)},

@@ -26,8 +26,8 @@ from .errors import DomainExit, LatticeError, StepFailure
 from .integrate import AdaptiveStep, FixedStep, integrate, trajectory_csv
 from .rootdata import (INTEGER_TOL, kozlov_treshchev_check, open_chain_spectrum, sklyanin_spectrum,
                        spectrum_from_json)
-from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, coordinate_columns,
-                     coordinate_names, state_from_dict)
+from .states import (C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_state, coordinate_names,
+                     state_from_dict)
 
 RNG_NAME = "numpy-pcg64"
 
@@ -142,7 +142,7 @@ def _run_simulate(args) -> int:
     overflows = {}  # name -> (value, t) at its first non-finite value
 
     def sink(times, coords):
-        columns = system.invariant_columns(state, names, coords)
+        columns = system.invariant_columns(state.replace_coords(coords), names)
         for name, values in columns.items():
             finite = np.isfinite(values)
             if not finite.all():
@@ -173,8 +173,8 @@ def _run_simulate(args) -> int:
 class Check(NamedTuple):
     """One report record: sample states, keep the worst residual, gate it."""
 
-    sample: Callable  # (rng, count, n, m) -> (template State, (count, d) rows)
-    residual: Callable  # (template State, (N, d) rows, *sweep parameters) -> N residuals
+    sample: Callable  # (rng, count, n, m) -> a block, a State of count rows
+    residual: Callable  # (block of N states, *sweep parameters) -> N residuals
     tolerance: float
     structure: str  # record labels; "{0}", "{1}" take the sweep parameters
     check: str
@@ -191,15 +191,13 @@ class Suite(NamedTuple):
 
 
 def _sampler(chart: str, lo: float, hi: float, groups: Callable) -> Callable:
-    """A block sampler (rng, count, n, m) -> (template State, (count, d) rows)
-    in ``chart``, with coordinate groups of lengths ``groups(n, m)`` drawn
-    from [lo, hi) by one rng.uniform call.  A chart's groups share their
-    bounds, so the block holds the numbers that drawing state by state,
-    group by group, took.  The template is the block's first state."""
+    """A block sampler (rng, count, n, m) -> a State of count rows in ``chart``,
+    with coordinate groups of lengths ``groups(n, m)`` drawn from [lo, hi) by
+    one rng.uniform call.  A chart's groups share their bounds, so the block
+    holds the numbers that drawing state by state, group by group, took."""
     def sample(rng, count, n, m):
         sizes = groups(n, m)
-        rows = rng.uniform(lo, hi, (count, sum(sizes))).astype(complex)
-        return State(chart, rows[0], sizes[0] if len(sizes) == 2 else None), rows
+        return State(chart, rng.uniform(lo, hi, (count, sum(sizes))), sizes[0] if len(sizes) == 2 else None)
 
     return sample
 
@@ -227,12 +225,12 @@ class Transform(NamedTuple):
     target: LatticeSystem
     spectrum: Callable | None = None
 
-    def residual(self, state, rows) -> np.ndarray:
+    def residual(self, block) -> np.ndarray:
         kernel, target = self.kernel, self.target
         if self.spectrum:
-            spectrum = self.spectrum(state.split)
+            spectrum = self.spectrum(block.split)
             kernel, target = functools.partial(kernel, spectrum), replace(target, spectrum=spectrum)
-        return transforms.pushforward_residual(kernel, self.source.field, target.field, state, rows)
+        return transforms.pushforward_residual(kernel, self.source.field, target.field, block)
 
 
 TRANSFORMS = {
@@ -250,21 +248,21 @@ TRANSFORMS = {
 def _lax(system: LatticeSystem) -> Callable:
     """The Lax residual of a block of a catalog row's states along its field,
     evaluated once on the block's columns."""
-    return lambda s, rows: lax.lax_residual(system.lax, s, rows, system.field(s, coordinate_columns(s, rows)).T)
+    return lambda block: lax.lax_residual(system.lax, block, system.field(block, block.columns))
 
 
-def _km_lax(s, rows, residual=_lax(SYSTEMS["km"])) -> np.ndarray:
+def _km_lax(block, residual=_lax(SYSTEMS["km"])) -> np.ndarray:
     # below n = 2, du/dt = 0 and B has no entries: the residual is 0 whatever L holds
-    if s.dim < 2:
+    if block.dim < 2:
         raise ValueError("verify lax --system km needs n >= 2; with one variable the residual is identically 0")
-    return residual(s, rows)
+    return residual(block)
 
 
-def _involution(state, rows, name1: str, name2: str, ladder=LENARD["ab"]) -> np.ndarray:
+def _involution(block, name1: str, name2: str, ladder=LENARD["ab"]) -> np.ndarray:
     """|{H, G}| of two named invariants of the ab ladder's row under its pi1
-    at each row: per row, a vector-matrix and a vector-vector product, stacked."""
-    grads = ladder.row.invariant_gradients(state, [name1, name2], rows)
-    bracket = (grads[name1][:, None] @ ladder.pi1(state, rows) @ grads[name2][..., None])[:, 0, 0]
+    at each state: per state, a vector-matrix and a vector-vector product, stacked."""
+    grads = ladder.row.invariant_gradients(block, [name1, name2])
+    bracket = (grads[name1][:, None] @ ladder.pi1(block) @ grads[name2][..., None])[:, 0, 0]
     # hypot is Python's abs of a complex; numpy's complex abs rounds otherwise
     return np.hypot(bracket.real, bracket.imag)
 
@@ -311,7 +309,7 @@ SUITES = {
     "jacobi": Suite("--structure", 50, _SIZES, {
         name: Check(
             _ON_CHART[struct.chart],
-            lambda s, rows, struct=struct: poisson.jacobi_residual(struct, s, rows),
+            lambda block, struct=struct: poisson.jacobi_residual(struct, block),
             1e-6, name, "jacobi",
         )
         for name, struct in poisson.STRUCTURES.items()
@@ -319,19 +317,19 @@ SUITES = {
     "compat": Suite("--chart", 50, (("--lambdas", "1,2.5"),) + _SIZES, {
         chart: Check(
             _ON_CHART[pair.pi1.chart],
-            lambda s, rows, lam, pair=pair: poisson.compatibility_residual(pair.pi1, pair.pi3, lam, s, rows),
+            lambda block, lam, pair=pair: poisson.compatibility_residual(pair.pi1, pair.pi3, lam, block),
             1e-6, f"{pair.pi1.name}+{{0}}*{pair.pi3.name}", "compatibility",
         )
         for chart, pair in LENARD.items()
     }, sweep=_lambdas),
     "casimir": Suite("--structure", 50, _SIZES, {
-        pair.pi1.name: Check(_ON_CHART[pair.pi1.chart], lambda s, rows, pair=pair: poisson.hamiltonian_flow_check(
-            pair.pi1, s, rows, pair.row.invariant_gradients(s, [pair.casimir], rows)[pair.casimir]),
+        pair.pi1.name: Check(_ON_CHART[pair.pi1.chart], lambda block, pair=pair: poisson.hamiltonian_flow_check(
+            pair.pi1, block, pair.row.invariant_gradients(block, [pair.casimir])[pair.casimir]),
             1e-10, pair.pi1.name, f"casimir-{pair.casimir}")
         for pair in LENARD.values()
     }),
     "lenard": Suite("--chart", 50, _SIZES, {
-        chart: Check(_ON_CHART[pair.pi1.chart], lambda s, rows, pair=pair: poisson.lenard_residual(pair, s, rows),
+        chart: Check(_ON_CHART[pair.pi1.chart], lambda block, pair=pair: poisson.lenard_residual(pair, block),
                      1e-7, f"lenard-{chart}", "lenard")
         for chart, pair in LENARD.items()
     }),
@@ -371,8 +369,8 @@ def _run_verify(args) -> int:
         for start in range(0, args.states, BLOCK):
             # a block's states are drawn before its residuals, which draw no
             # random numbers, so a seed selects the same states as state by state
-            state, rows = check.sample(rng, min(BLOCK, args.states - start), n, args.m)
-            block_max.append(np.max(check.residual(state, rows, *params)))
+            block = check.sample(rng, min(BLOCK, args.states - start), n, args.m)
+            block_max.append(np.max(check.residual(block, *params)))
         # np.max propagates NaN, so a non-finite residual fails its record
         worst = float(np.max(block_max))
         records.append({

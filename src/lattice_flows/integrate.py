@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import LatticeSystem
-from .errors import DomainExit, StepFailure
+from .errors import DimensionError, DomainExit, StepFailure
 from .states import State, coordinate_names
 
 
@@ -73,6 +73,8 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy, sink) -> N
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and nonnegative")
+    if s0.array.ndim != 1:
+        raise DimensionError(f"a run starts from one state, not a block of shape {s0.array.shape}")
     _check_policy(policy)
     if isinstance(policy, FixedStep) and t_end / policy.dt > MAX_STEPS:  # an overflow reads inf
         raise ValueError(f"t / dt = {t_end!r} / {policy.dt!r} is more than the {MAX_STEPS:,} "
@@ -100,7 +102,7 @@ def integrate(system: LatticeSystem, s0: State, t_end: float, policy, sink) -> N
         flush()
         return
 
-    # the chart's field is resolved once; every stage passes s0 as the template
+    # the chart's field is resolved once; every stage passes s0 for its chart and sizes
     field, spectrum, positive = system._on_chart(s0), system.spectrum, system.positive
 
     def f(y):

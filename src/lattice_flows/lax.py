@@ -3,13 +3,13 @@
 A Lax pair is a ``LaxTable``: one ``Entry`` row per matrix entry, giving
 its slot, the coordinates it reads, its kind, its coefficient and its
 mirror.  The builders ``km_lax``, ``toda_lax``, ``ab_lax`` and ``vd_lax``
-check a template state's chart and size and return their system's table at
+check a block's chart and size and return their system's table at
 that size with its index arrays (a ``CompiledLax``), built and compiled
 once per size; each catalog row with a Lax pair carries its builder as
 ``lax``, and every function here takes the builder itself.
 
 A ``CompiledLax`` assembles a block's L and B with one fancy-indexed write
-each, as C-ordered (N, T, T) stacks (``builder(state).L.assemble``, as the
+each, as C-ordered (N, T, T) stacks (``builder(block).L.assemble``, as the
 invariant columns take L); ``lax_residual`` takes dL along the velocities
 at L's slots by the chain rule, and ``grad_trace_invariant`` reads each
 dL/dx_j from the table: neither builds a dense dL.  Every catalog pair but
@@ -53,20 +53,21 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension
-from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, coordinate_columns,
-                     require_positive_real, row_norms)
+from .states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, require_positive_real, row_norms,
+                     tangent_columns)
 
 
-def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
-    """Frobenius norm of dL/dt - sign * [B, L] at every row of ``rows``, with
-    dL/dt taken along the same row of ``velocities``, (N, d); one per row.
+def lax_residual(builder, block: State, velocities) -> np.ndarray:
+    """Frobenius norm of dL/dt - sign * [B, L] at each state of ``block``,
+    with dL/dt taken along the same column of ``velocities``, (d, N) as a
+    field gives them; one value per state.
 
     No dense dL is built: only L's slots take dL/dt - sign * [B, L], dL/dt
     from the table's values along the velocities.  Every other entry holds
     +-[B, L], where a dense dL would hold 0 - sign * [B, L]: the squares are
     the same, so the norm has the bits of the dense difference's.
 
-    A real block (rows and velocities) of a table with a ``Gauge`` (every
+    A real block (and velocities) of a table with a ``Gauge`` (every
     catalog pair but vd at even n) takes float64 arithmetic.  With
     D = diag(d), L = D L_R D and B = D B_R D, so B @ L = D P_R D with
     P_R = B_R @ (S L_R), S = D^2 = diag(+-1), one real product, and
@@ -92,9 +93,8 @@ def lax_residual(builder, state: State, rows, velocities) -> np.ndarray:
     faulted the pages in again (about 2300 minor faults per 200-state
     ``verify lax --system vd --n 15`` call in 32-state blocks).
     """
-    lax = builder(state)
-    x = coordinate_columns(state, rows)
-    ds = np.asarray(velocities, dtype=complex).T
+    lax = builder(block)
+    x, ds = block.columns, tangent_columns(block, velocities)
     if lax.gauge is not None and not (x.imag.any() or ds.imag.any()):
         return _gauged_residual(lax.table, lax.gauge, x.real, ds.real)
     table, T = lax.table, lax.table.size
@@ -166,9 +166,9 @@ def _diagonal_sums(P) -> np.ndarray:
     return np.ascontiguousarray(P.diagonal(0, 1, 2), dtype=complex).sum(axis=-1)
 
 
-def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
-    """Analytic gradients of tr(L^k)/k at every row of ``rows``, (N, d) in the
-    chart of ``state``: component j is tr(L^{k-1} dL/dx_j).
+def grad_trace_invariant(builder, block: State, orders) -> np.ndarray:
+    """Analytic gradients of tr(L^k)/k at each of the N states of ``block``:
+    component j is tr(L^{k-1} dL/dx_j).
 
     Returns a (len(orders), N, d) array.  The table gives L and, for each
     slot (a, i) of L, the coordinate j it reads and its derivative there
@@ -192,9 +192,9 @@ def grad_trace_invariant(builder, state: State, rows, orders) -> np.ndarray:
     the table are never read, so a non-finite entry of P reaches only the
     components whose dL/dx_j has a slot where it meets it.
     """
-    lax = builder(state)
+    lax = builder(block)
     table, plan, (j, i, a, slot, layers) = lax.table, lax.L, lax.terms
-    x = coordinate_columns(state, rows)
+    x = block.columns
     d, count = x.shape
     r = table.roots(x)
     T = table.size
@@ -303,24 +303,23 @@ def _power_chain(trees: tuple) -> tuple:
 # Casimirs in the (a, b) and v charts
 # ---------------------------------------------------------------------------
 
-def casimir_C_column(state: State, rows) -> list[complex]:
+def casimir_C_column(block: State) -> list[complex]:
     """Casimir C = a_1 a_2^2 ... a_m^2 a_{m+1} of the linear (a, b) bracket at
-    each row of an (N, d) block of coordinates in the chart of ``state``.
+    each state of ``block``.
 
     The two outer products are Python complex products, which round as
     numpy's scalar product does; numpy's complex array product may not.
     """
-    a = np.asarray(rows)[:, : _casimir_C_sizes(state, "casimir_C_column")[0]]
+    a = block.rows[:, : _casimir_C_sizes(block, "casimir_C_column")[0]]
     inner = np.prod(a[:, 1:-1] ** 2, axis=1)
     return [x * y * z for x, y, z in zip(a[:, 0].tolist(), inner.tolist(), a[:, -1].tolist())]
 
 
-def grad_casimir_C(state: State, rows) -> np.ndarray:
+def grad_casimir_C(block: State) -> np.ndarray:
     """Analytic gradient of C with respect to (a_1..a_{m+1}, b_1..b_m) at
-    each row of an (N, d) block ``rows`` in the chart of ``state``, as a
-    C-ordered (N, d) array."""
-    m = _casimir_C_sizes(state, "grad_casimir_C")[1]
-    x = coordinate_columns(state, rows)
+    each state of ``block``, as a C-ordered (N, d) array."""
+    m = _casimir_C_sizes(block, "grad_casimir_C")[1]
+    x = block.columns
     a = x[: m + 1]
     own = np.array([1] + [2] * (m - 1) + [1])[:, None]  # exponent of each a_i in C
     rest = _others(m + 1)
@@ -337,19 +336,19 @@ def _casimir_C_sizes(state: State, what: str) -> tuple[int, int]:
     return sizes
 
 
-def casimir_F_column(state: State, rows) -> list[complex]:
+def casimir_F_column(block: State) -> list[complex]:
     """Casimir F = (v_n - v_{n-1}) * prod(v_1..v_{n-2}) of the v-chart tau
-    bracket at each row of an (N, n) block of v coordinates; the outer
-    product is a Python complex product, as in casimir_C_column."""
-    _v_coords(state)
-    v = np.asarray(rows)
+    bracket at each state of ``block``; the outer product is a Python
+    complex product, as in casimir_C_column."""
+    _v_coords(block)
+    v = block.rows
     return [x * y for x, y in zip((v[:, -1] - v[:, -2]).tolist(), np.prod(v[:, :-2], axis=1).tolist())]
 
 
-def grad_casimir_F(state: State, rows) -> np.ndarray:
-    """Analytic gradient of F at each row of ``rows``, as in grad_casimir_C."""
-    _v_coords(state)
-    v = coordinate_columns(state, rows)
+def grad_casimir_F(block: State) -> np.ndarray:
+    """Analytic gradient of F at each state of ``block``, as in grad_casimir_C."""
+    _v_coords(block)
+    v = block.columns
     n = len(v)
     head = np.prod(v[: n - 2], axis=0)
     rest = (v[-1] - v[-2]) * np.prod(v.take(_others(n - 2), axis=0), axis=1)
@@ -599,7 +598,7 @@ def _gemm_width(T: int) -> int:
     return T if T <= 16 or T % 8 in (0, 5, 6, 7) else T + 5 - T % 8
 
 
-# Builders: (template State) -> the CompiledLax of its system at its size,
+# Builders: (a State or block) -> the CompiledLax of its system at its size,
 # built and compiled once per size.  Indices are 0-based.
 
 def km_lax(state: State) -> CompiledLax:

@@ -34,11 +34,10 @@ triple adds its live groups in ascending l, as the sum over every l does:
 the groups left out add exact zeros on finite states (see
 ``jacobi_residual``).
 
-Every tensor, gradient and residual here has one call shape: a template
-``state``, which fixes the chart and size, and ``rows``, an (N, d) block of
-coordinates in its chart; one state is a block of one row.  pi comes back
-as a C-ordered (N, n, n) stack, one matrix per state, the layout of the
-Lax matrices; gradients are (N, d) and residuals give one value per row.
+Every tensor, gradient and residual here takes one ``block``, a ``State``
+of N rows whose chart and size it checks (a lone state is one row).  pi
+comes back as a C-ordered (N, n, n) stack, one matrix per state, the layout
+of the Lax matrices; gradients are (N, d) and residuals give one value per state.
 Matrix-vector products and norms are stacked, one per state's slice
 (``states.matvecs``, ``states.row_norms``), so each state keeps the bits
 of its own evaluation.  Functions take structure objects (``STRUCTURES``
@@ -58,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, coordinate_columns, matvecs, row_norms
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, matvecs, row_norms
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -74,14 +73,13 @@ class PoissonStructure:
     chart: str
     table_builder: Callable[[State], EntryTable]
 
-    def __call__(self, state: State, rows) -> np.ndarray:
-        """pi at each row of ``rows``, an (N, n) block of coordinates in the
-        chart of ``state``, as a C-ordered (N, n, n) stack; antisymmetric by
-        construction."""
-        sums, x = self._plan(state).pi, coordinate_columns(state, rows)
-        out = np.zeros((x.shape[1], state.dim ** 2), dtype=complex)
+    def __call__(self, block: State) -> np.ndarray:
+        """pi at each of the N states of ``block``, as a C-ordered (N, n, n)
+        stack; antisymmetric by construction."""
+        sums, x = self._plan(block).pi, block.columns
+        out = np.zeros((x.shape[1], block.dim ** 2), dtype=complex)
         out[:, sums.at] = sums(x)[:-1].T
-        return out.reshape(-1, state.dim, state.dim)
+        return out.reshape(-1, block.dim, block.dim)
 
     def _plan(self, state: State) -> _Plan:
         """The compiled table at the state's size.  A table and its size and
@@ -387,8 +385,8 @@ def _jacobi_plan(plans: tuple, d: int) -> _Jacobi:
     return _PLANS[plans]
 
 
-def jacobi_residual(structure, state: State, rows) -> np.ndarray:
-    """Max over index triples of the cyclic Jacobi sum at each row; NaN if any sum is NaN.
+def jacobi_residual(structure, block: State) -> np.ndarray:
+    """Max over index triples of the cyclic Jacobi sum at each state; NaN if any sum is NaN.
 
     Tensor derivatives are analytic (exact monomial differentiation).
 
@@ -405,28 +403,28 @@ def jacobi_residual(structure, state: State, rows) -> np.ndarray:
     vector operation; a contraction over l (``einsum``, ``np.sum``, matmul)
     would reorder these additions and change the low bits.
     """
-    return _jacobi((structure,), (), state, rows)
+    return _jacobi((structure,), (), block)
 
 
-def compatibility_residual(structure1, structure2, lam: float, state: State, rows) -> np.ndarray:
-    """Jacobi residual of the pencil pi1 + lam * pi3 at each row, summed as
-    ``jacobi_residual`` sums one structure's."""
+def compatibility_residual(structure1, structure2, lam: float, block: State) -> np.ndarray:
+    """Jacobi residual of the pencil pi1 + lam * pi3 at each state of
+    ``block``, summed as ``jacobi_residual`` sums one structure's."""
     if structure1.chart != structure2.chart:
         raise ChartMismatch("pencil requires structures on the same chart")
-    return _jacobi((structure1, structure2), (lam,), state, rows)
+    return _jacobi((structure1, structure2), (lam,), block)
 
 
 # an overflow fails its record by an inf or NaN residual, not by numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _jacobi(structures: tuple, lams: tuple, state: State, rows) -> np.ndarray:
+def _jacobi(structures: tuple, lams: tuple, block: State) -> np.ndarray:
     """The Jacobi residual of structures[0] + lams[0] * structures[1] + ...
-    at each row (see ``jacobi_residual``).  pi and d pi are the compact rows
+    at each state (see ``jacobi_residual``).  pi and d pi are the compact rows
     of the union of the structures' entries, each later structure scaled and
     added as the dense sum would take it; the first is used as it is when the
     others add no rows to its own."""
-    x = coordinate_columns(state, rows)
-    plans = tuple(structure._plan(state) for structure in structures)
-    jacobi = _jacobi_plan(plans, state.dim)
+    x = block.columns
+    plans = tuple(structure._plan(block) for structure in structures)
+    jacobi = _jacobi_plan(plans, block.dim)
     tensors = []
     for name, (size, first, *rest) in (("pi", jacobi.pi_at), ("dpi", jacobi.dpi_at)):
         out = getattr(plans[0], name)(x)  # before the union: its terms and the union need not coexist
@@ -451,22 +449,22 @@ def _jacobi(structures: tuple, lams: tuple, state: State, rows) -> np.ndarray:
     return np.max(np.abs(total), axis=0, initial=0.0)
 
 
-def hamiltonian_flow_check(structure, state: State, rows, grads, field=None) -> np.ndarray:
-    """Norm of pi(s) grad H(s) - X(s) at each row s of ``rows``, with the
+def hamiltonian_flow_check(structure, block: State, grads, field=None) -> np.ndarray:
+    """Norm of pi(s) grad H(s) - X(s) at each state s of ``block``, with the
     (N, d) rows of grad H in ``grads`` and of X in ``field``; X = 0 when
     ``field`` is None.  One identity certifies a Casimir (X = 0), a
     Hamiltonian flow (X the vector field) and the Lenard ladder (X = pi3
     grad H2, see ``lenard_residual``)."""
-    flow = matvecs(structure(state, rows), np.asarray(grads, dtype=complex))
+    flow = matvecs(structure(block), np.asarray(grads, dtype=complex))
     return row_norms(flow if field is None else flow - field)
 
 
-def lenard_residual(pair, state: State, rows) -> np.ndarray:
+def lenard_residual(pair, block: State) -> np.ndarray:
     """Norm of pi3 grad H2 - pi1 grad (scale H4) of a Lenard pair (a
-    ``catalog.LenardPair``) at each row: the flow of scale H4 under pi1
-    checked against X = pi3 grad H2 (``hamiltonian_flow_check``), whose
-    difference is the negation, so has the same norm, bit for bit."""
-    pi3 = pair.pi3(state, rows)
-    pair.pi1._plan(state)  # pi3, then pi1, check the chart and size before the row's names are read
-    grads = pair.row.invariant_gradients(state, ["H2", "H4"], rows)
-    return hamiltonian_flow_check(pair.pi1, state, rows, pair.scale * grads["H4"], matvecs(pi3, grads["H2"]))
+    ``catalog.LenardPair``) at each state of ``block``: the flow of scale H4
+    under pi1 checked against X = pi3 grad H2 (``hamiltonian_flow_check``),
+    whose difference is the negation, so has the same norm, bit for bit."""
+    pi3 = pair.pi3(block)
+    pair.pi1._plan(block)  # pi3, then pi1, check the chart and size before the row's names are read
+    grads = pair.row.invariant_gradients(block, ["H2", "H4"])
+    return hamiltonian_flow_check(pair.pi1, block, pair.scale * grads["H4"], matvecs(pi3, grads["H2"]))

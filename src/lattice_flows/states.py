@@ -10,9 +10,9 @@ state documents and the columns of its trajectories:
 * ``volterra_v``   -- rescaled Volterra D variables v_i
 * ``c_vars``       -- Cartan-type variables c_j
 
-A chart with two groups needs a split index.  Coordinates are stored as one
-read-only complex ndarray per state; real systems simply stay on the real
-slice.  Indexing in docstrings follows the 1-based convention of the
+A chart with two groups needs a split index.  A ``State`` holds one state's
+read-only complex row, or a block of them; real systems simply stay on the
+real slice.  Indexing in docstrings follows the 1-based convention of the
 underlying formulas; code uses 0-based numpy arrays.
 """
 
@@ -41,10 +41,12 @@ POSITIVE_CHARTS = (VOLTERRA_U, VOLTERRA_V, C_VARS)
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """A labeled coordinate vector in one of the five charts.
+    """A labeled coordinate vector, or a block of them, in one of the five charts.
 
-    ``coords`` is a read-only 1-D complex ndarray, copied from the given
-    sequence of numbers; ``array`` returns it without copying.
+    ``coords`` is a read-only complex copy of the given numbers, in the layout
+    of a given ndarray: one state's (d,) row, or an (N, d) block of N states,
+    which every kernel takes as one argument.  ``array`` returns it without
+    copying, ``rows`` as (N, d) and ``columns`` as the (d, N) points a field takes.
     Equality and hashing compare the coordinates as Python complex numbers,
     so 0.0 equals -0.0 and a state with a NaN coordinate equals only itself.
 
@@ -60,27 +62,23 @@ class State:
         if self.chart not in CHARTS:
             raise ChartMismatch(f"unknown chart {self.chart!r}")
         coords = np.array(self.coords, dtype=complex)
-        if coords.ndim != 1:
-            raise DimensionError(f"coordinates must form a flat sequence, got shape {coords.shape}")
+        if coords.ndim not in (1, 2):
+            raise DimensionError(f"coordinates must form a row or an (N, d) block, got shape {coords.shape}")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         if len(CHARTS[self.chart]) == 2:
             if self.split is None:
                 raise DimensionError(f"chart {self.chart!r} requires a split index")
-            if not 0 <= self.split <= len(coords):
-                raise DimensionError(
-                    f"split {self.split} out of range for {len(coords)} coordinates"
-                )
+            if not 0 <= self.split <= self.dim:
+                raise DimensionError(f"split {self.split} out of range for {self.dim} coordinates")
         elif self.split is not None:
             raise DimensionError(f"chart {self.chart!r} takes no split index")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return other is self or (
-            (self.chart, self.split) == (other.chart, other.split)
-            and self.coords.tolist() == other.coords.tolist()
-        )
+        return other is self or ((self.chart, self.split) == (other.chart, other.split)
+                                 and self.coords.tolist() == other.coords.tolist())
 
     def __hash__(self):
         return self._hash
@@ -88,15 +86,23 @@ class State:
     @cached_property
     def _hash(self) -> int:
         # computed once: the hash of a NaN depends on the float object
-        return hash((self.chart, tuple(self.coords.tolist()), self.split))
+        return hash((self.chart, tuple(self.coords.ravel().tolist()), self.split))
 
     @property
-    def dim(self) -> int:
-        return len(self.coords)
+    def dim(self) -> int:  # of each state
+        return self.coords.shape[-1]
 
     @property
     def array(self) -> np.ndarray:
         return self.coords
+
+    @property
+    def rows(self) -> np.ndarray:  # a lone state is a block of one row
+        return self.coords if self.coords.ndim == 2 else self.coords[None]
+
+    @property
+    def columns(self) -> np.ndarray:
+        return self.rows.T
 
     def replace_coords(self, coords) -> "State":
         return State(self.chart, coords, self.split)
@@ -161,9 +167,8 @@ def state_from_dict(obj: dict) -> State:
 
     Accepted forms: {"q": [...], "p": [...]}, {"a": [...], "b": [...]},
     {"u": [...]}, {"v": [...]}, {"c": [...]}.  Entries may be numbers or
-    [re, im] pairs of real numbers; booleans are not numbers here, and each
-    part must be one a float holds finitely (not NaN, an infinity or an
-    integer past the float range).  Anything else raises ValueError.
+    [re, im] pairs of real numbers that a float holds finitely; booleans are
+    not numbers here.  Anything else raises ValueError.
     """
 
     def group(name):
@@ -173,13 +178,11 @@ def state_from_dict(obj: dict) -> State:
         return [scal(x) for x in values]
 
     def scal(x):
-        if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v, numbers.Real) for v in x):
-            parts = x
-        elif _is_number(x):
-            parts = x.real, x.imag
-        else:
+        pair = isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v, numbers.Real) for v in x)
+        if not (pair or _is_number(x)):
             raise ValueError(f"state entry {x!r} is not a number or an [re, im] pair")
-        if not all(abs(v) <= sys.float_info.max for v in parts):
+        parts = x if pair else (x.real, x.imag)
+        if not all(abs(v) <= sys.float_info.max for v in parts):  # NaN, an infinity, an int past the float range
             raise ValueError(f"state entry {x!r} is not a finite number")
         return complex(*parts)
 
@@ -210,14 +213,12 @@ def require_positive_real(values, what: str):
     return arr
 
 
-def coordinate_columns(state: State, rows) -> np.ndarray:
-    """The points a batched function evaluates, as the columns of a (d, N)
-    complex array: the rows of ``rows``, an (N, d) block of coordinates in the
-    chart of ``state``.  One state is the block ``[state.array]``."""
-    rows = np.asarray(rows, dtype=complex)
-    if rows.ndim != 2 or rows.shape[1] != state.dim:
-        raise DimensionError(f"expected an (N, {state.dim}) block of coordinates, got shape {rows.shape}")
-    return rows.T
+def tangent_columns(block: State, tangents) -> np.ndarray:
+    """``tangents`` as complex (d, N) columns, one per state of ``block``, or DimensionError."""
+    tangents = np.asarray(tangents, dtype=complex)
+    if tangents.shape != block.columns.shape:
+        raise DimensionError(f"expected {block.columns.shape} tangent columns, got shape {tangents.shape}")
+    return tangents
 
 
 def complex_product(x, y) -> np.ndarray:

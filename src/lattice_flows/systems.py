@@ -1,12 +1,12 @@
 """Vector fields and Hamiltonians for every lattice, in their native charts.
 
 Formulas are written with 1-based indices in comments/docstrings and 0-based
-numpy indexing in code.  Every field takes a template State and raw
-coordinates ``y`` in its chart: one (d,) row, or a (d, N) block whose
-columns are N points (``states.coordinate_columns``'s layout).  It returns
-the velocity in the same shape, complex when ``y`` is.  Chart, split and
-size checks read only the template's ``chart``, ``split`` and ``dim``;
-checks on values read ``y``.
+numpy indexing in code.  Every field takes a State and raw coordinates
+``y`` in its chart: one (d,) row, or a (d, N) block whose columns are N
+points (``State.columns``).  It returns the velocity in the same shape,
+complex when ``y`` is.  Chart, split and size checks read only the State's
+``chart``, ``split`` and ``dim``, and checks on values read ``y``, so the
+integrator builds no State per stage; the integrals take one block.
 
 A block runs each formula once on rows of N values: allocations take
 ``y.shape`` and boundary zeros are zero rows, so a (d,) row runs the
@@ -209,16 +209,15 @@ def spectrum_field(spectrum: Spectrum, state: State, y) -> np.ndarray:
     return np.concatenate([a * b, (spectrum.gram @ a.T[..., None])[..., 0].T])
 
 
-def integrals_F1_F2_columns(state: State, lam, rows) -> tuple[list[complex], list[complex]]:
+def integrals_F1_F2_columns(block: State, lam) -> tuple[list[complex], list[complex]]:
     """The two integrals attached to a null combination lambda of the spectrum,
-    at each row of an (N, d) block of coordinates in the chart of ``state``.
+    at each state of ``block``.
 
     F1 = sum_i lambda_i b_i and F2 = prod_i a_i^{lambda_i}; complex powers use
     the principal branch when a_i is not a positive real.
     """
-    state.require_chart(FLASCHKA_AB, "integrals_F1_F2_columns")
-    rows = np.asarray(rows)
-    a, b = rows[:, : state.split], rows[:, state.split :]
+    block.require_chart(FLASCHKA_AB, "integrals_F1_F2_columns")
+    a, b = block.rows[:, : block.split], block.rows[:, block.split :]
     lam = np.asarray(lam, dtype=float)
     if len(lam) != a.shape[1] or a.shape[1] != b.shape[1]:
         raise DimensionError(f"lambda length {len(lam)} incompatible with state")
@@ -242,15 +241,14 @@ _SKLYANIN_FULL_ENDS = (1.0, 1.0, 1.0, 1.0)
 
 def hamiltonian_eval(system: str, state: State) -> complex:
     """Evaluate one of the three (q, p) Hamiltonians: toda | sklyanin | sklyanin_full."""
-    return hamiltonian_column(system, state, state.array[None])[0]
+    return hamiltonian_column(system, state)[0]
 
 
-def hamiltonian_column(system: str, state: State, rows) -> list[complex]:
-    """hamiltonian_eval at each row of an (N, 2n) block of (q, p) coordinates."""
-    state.require_chart(QP, "hamiltonian_eval")
-    _require_q(system, state.split, "Hamiltonian")
-    rows = np.asarray(rows)
-    q, p = rows[:, : state.split], rows[:, state.split :]
+def hamiltonian_column(system: str, block: State) -> list[complex]:
+    """hamiltonian_eval at each state of a block of (q, p) states."""
+    block.require_chart(QP, "hamiltonian_eval")
+    _require_q(system, block.split, "Hamiltonian")
+    q, p = block.rows[:, : block.split], block.rows[:, block.split :]
     n = q.shape[1]
     kin = 0.5 * np.sum(p**2, axis=1)
     chain = np.sum(np.exp(q[:, :-1] - q[:, 1:]), axis=1) if n > 1 else 0.0

@@ -1,13 +1,12 @@
 """Coordinate maps between charts, and a generic pushforward-conjugacy check.
 
-Every map is one kernel over a block of states, ``henon_block(state, rows)``
-and the rest: it maps each row of ``rows``, an (N, d) block of coordinates
-in the chart of ``state`` (``states.coordinate_columns``), checks chart,
-size and domain once per block, and returns a zero State of the image chart
-and split with the (N, d') image rows.  One state is a block of one row.
-Given an (N, d) block of ``tangents`` too, a kernel also returns the (N, d')
-rows of their exact pushforwards J dx (its JVP), built from the values its
-formula holds.  ``pushforward_residual`` checks that a map intertwines two flows.
+Every map is one kernel over a block of states, ``henon_block(block)`` and
+the rest: it checks chart, size and domain once per block and returns the
+image block, a State of the image chart; a lone state is a block of one row.
+Given (d, N) ``tangents``, one column per state as a field gives them, it
+returns (image, J dx), the (d', N) columns of their exact pushforwards (its
+JVP) built from the values its formula holds.  ``pushforward_residual``
+checks that a map intertwines two flows.
 """
 
 from __future__ import annotations
@@ -15,28 +14,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, ParityError
-from .states import (QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, ab_state, complex_product, coordinate_columns,
-                     row_norms, v_state)
+from .states import (FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, C_VARS, State, complex_product, row_norms,
+                     tangent_columns)
 from .rootdata import Spectrum
 from .systems import c_family_data
 
 
-def _ab_image(a, b, jvp=None) -> tuple:
+def _ab_image(a, b, jvp=None):
     """A kernel's result for (a, b) images given as (len(a), N) and (len(b), N)
-    columns, and the JVP rows of the (da, db) columns ``jvp`` if given."""
-    result = ab_state(np.zeros(len(a)), np.zeros(len(b))), np.concatenate([a, b]).T
-    return result if jvp is None else (*result, np.concatenate(jvp).T)
+    columns: the image block, and the JVP of the (da, db) columns ``jvp`` if given."""
+    image = State(FLASCHKA_AB, np.concatenate([a, b]).T, len(a))
+    return image if jvp is None else (image, np.concatenate(jvp))
 
 
-def henon_block(state: State, rows, tangents=None) -> tuple:
+def henon_block(block: State, tangents=None):
     """Quadratic map from the KM chain to open-Toda variables (A, B).
 
     A_i = -1/2 sqrt(u_{2i} u_{2i-1}), B_i = 1/2 (u_{2i-1} + u_{2i-2}) with
     u_0 = 0 and u_k = 0 past the chain end.  Moser's reduction: the odd
     (1-based) rows and columns of the squared km L are toda_lax's L at (-A, B).
     """
-    state.require_chart(VOLTERRA_U, "henon_map")
-    u = coordinate_columns(state, rows)
+    block.require_chart(VOLTERRA_U, "henon_map")
+    u = block.columns
     if np.any(u.real < 0):
         raise DomainError("henon_map requires u_i >= 0")
     n, count = u.shape
@@ -49,11 +48,11 @@ def henon_block(state: State, rows, tangents=None) -> tuple:
     A = -0.5 * np.sqrt(complex_product(even, odd))
     if tangents is None:
         return _ab_image(A, B)
-    d_even, d_odd, dB = parts(coordinate_columns(state, tangents))
+    d_even, d_odd, dB = parts(tangent_columns(block, tangents))
     return _ab_image(A, B, (complex_product(0.5 * A, d_even / even + d_odd / odd), dB))  # (A/2)(du/u + du'/u')
 
 
-def d_transform_block(state: State, rows, tangents=None) -> tuple:
+def d_transform_block(block: State, tangents=None):
     """Analogue of the Hénon map for the Volterra D chain, odd n = 2m+1, on
     vd's v states; u_k below is the coordinate v_k.
 
@@ -61,8 +60,8 @@ def d_transform_block(state: State, rows, tangents=None) -> tuple:
     a_{m+1} = (i/2) u_1; b_1 = -(1/2)(u_n + u_{n-1} + u_{n-2});
     b_j = -(1/2)(u_{n-2j+1} + u_{n-2j}).
     """
-    state.require_chart(VOLTERRA_V, "d_transform")
-    u = coordinate_columns(state, rows)
+    block.require_chart(VOLTERRA_V, "d_transform")
+    u = block.columns
     n = len(u)
     if n % 2 == 0:
         raise ParityError("d_transform requires odd dimension n = 2m+1")
@@ -81,29 +80,27 @@ def d_transform_block(state: State, rows, tangents=None) -> tuple:
     a = np.concatenate([first, roots, last])
     if tangents is None:
         return _ab_image(a, b)
-    du = coordinate_columns(state, tangents)
+    du = tangent_columns(block, tangents)
     d_first, d_last, db = linear(du)
     hi, lo = slice(n - 3, 1, -2), slice(n - 4, 0, -2)  # the factors of the roots, as prods[n - 4 : 0 : -2] takes them
     d_roots = complex_product(0.5 * roots, du[hi] / u[hi] + du[lo] / u[lo])
     return _ab_image(a, b, (np.concatenate([d_first, d_roots, d_last]), db))
 
 
-def _qp(state: State, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The q and p columns of an (N, d) block in the (q, p) chart of ``state``."""
-    x = coordinate_columns(state, rows)
-    return x[: state.split], x[state.split :]
+def _qp(block: State, x) -> tuple:  # the q and p parts of (d, N) columns in the chart of ``block``
+    return x[: block.split], x[block.split :]
 
 
-def sklyanin_flaschka_block(state: State, rows, tangents=None) -> tuple:
+def sklyanin_flaschka_block(block: State, tangents=None):
     """Flaschka-type map for the doubly boundary-perturbed chain, m degrees.
 
     a_1 = e^{-q_1}/sqrt(2); a_{m+1} = e^{q_m}/sqrt(2);
     a_i = (1/2) e^{(q_{i-1}-q_i)/2}; b_i = -p_i/2.
     """
-    state.require_chart(QP, "sklyanin_flaschka")
-    if state.split == 0:
+    block.require_chart(QP, "sklyanin_flaschka")
+    if block.split == 0:
         raise DimensionError("sklyanin_flaschka needs at least one q")
-    q, p = _qp(state, rows)
+    q, p = _qp(block, block.columns)
 
     def exponents(x):  # of the a_i, at x = q or dq
         return np.concatenate([-x[:1], 0.5 * (x[:-1] - x[1:]), x[-1:]])
@@ -111,16 +108,16 @@ def sklyanin_flaschka_block(state: State, rows, tangents=None) -> tuple:
     a = np.concatenate([np.exp(e[:1]) / np.sqrt(2), 0.5 * np.exp(e[1:-1]), np.exp(e[-1:]) / np.sqrt(2)])
     if tangents is None:
         return _ab_image(a, -0.5 * p)
-    dq, dp = _qp(state, tangents)
+    dq, dp = _qp(block, tangent_columns(block, tangents))
     return _ab_image(a, -0.5 * p, (complex_product(a, exponents(dq)), -0.5 * dp))
 
 
-def _qp_with_spectrum(spectrum: Spectrum, state: State, rows, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _qp_with_spectrum(spectrum: Spectrum, block: State, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The q and p columns of a block whose q's must match the spectrum's dimension."""
-    state.require_chart(QP, what)
-    if spectrum.dimension != state.split:
+    block.require_chart(QP, what)
+    if spectrum.dimension != block.split:
         raise DimensionError("spectrum dimension must match the number of q's")
-    return _qp(state, rows)
+    return _qp(block, block.columns)
 
 
 def _pairings(vecs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -136,36 +133,36 @@ def _pairings(vecs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def toda_flaschka_block(spectrum: Spectrum, state: State, rows, tangents=None) -> tuple:
+def toda_flaschka_block(spectrum: Spectrum, block: State, tangents=None):
     """Traditional Flaschka map: a_i = (1/2) e^{(v_i, q)/2}, b_i = -p_i/2."""
-    q, p = _qp_with_spectrum(spectrum, state, rows, "toda_flaschka")
+    q, p = _qp_with_spectrum(spectrum, block, "toda_flaschka")
     a = 0.5 * np.exp(0.5 * _pairings(spectrum.matrix, q))
     if tangents is None:
         return _ab_image(a, -0.5 * p)
-    dq, dp = _qp(state, tangents)
+    dq, dp = _qp(block, tangent_columns(block, tangents))
     return _ab_image(a, -0.5 * p, (complex_product(a, 0.5 * _pairings(spectrum.matrix, dq)), -0.5 * dp))
 
 
-def generalized_flaschka_block(spectrum: Spectrum, state: State, rows, tangents=None) -> tuple:
+def generalized_flaschka_block(spectrum: Spectrum, block: State, tangents=None):
     """Exponential map a_i = -e^{(v_i, q)}, b_i = (v_i, p)."""
-    q, p = _qp_with_spectrum(spectrum, state, rows, "generalized_flaschka")
+    q, p = _qp_with_spectrum(spectrum, block, "generalized_flaschka")
     vecs = spectrum.matrix
     a = -np.exp(_pairings(vecs, q))
     if tangents is None:
         return _ab_image(a, _pairings(vecs, p))
-    dq, dp = _qp(state, tangents)
+    dq, dp = _qp(block, tangent_columns(block, tangents))
     return _ab_image(a, _pairings(vecs, p), (complex_product(a, _pairings(vecs, dq)), _pairings(vecs, dp)))
 
 
-def c_to_v_block(state: State, rows, tangents=None) -> tuple:
+def c_to_v_block(block: State, tangents=None):
     """Reciprocal-product map from n+1 Cartan variables to n chain variables.
 
     v_1 = 1/(c_1 c_2); v_k = 2/(c_k c_{k+1}) for 2 <= k <= n-2;
     v_{n-1} = 1/(c_{n-1} c_n); v_n = 1/(c_{n-1} c_{n+1}): v_k's factors are
     the k-th edge of the D diagram on n+1 vertices (``c_family_data``).
     """
-    state.require_chart(C_VARS, "c_to_v")
-    c = coordinate_columns(state, rows)
+    block.require_chart(C_VARS, "c_to_v")
+    c = block.columns
     if np.any(c == 0):
         raise DivisionByZero("c_to_v requires nonzero c_j")
     n = len(c) - 1
@@ -174,24 +171,24 @@ def c_to_v_block(state: State, rows, tangents=None) -> tuple:
     i, j = c_family_data("D", n + 1)[0].T
     v = np.array([1.0] + [2.0] * (n - 3) + [1.0, 1.0])[:, None] / complex_product(c[i], c[j])
     if tangents is None:
-        return v_state(np.zeros(n)), v.T
-    dc = coordinate_columns(state, tangents)
-    return v_state(np.zeros(n)), v.T, -complex_product(v, dc[i] / c[i] + dc[j] / c[j]).T
+        return State(VOLTERRA_V, v.T)
+    dc = tangent_columns(block, tangents)
+    return State(VOLTERRA_V, v.T), -complex_product(v, dc[i] / c[i] + dc[j] / c[j])
 
 
-def pushforward_residual(map_fn, source_field, target_field, state: State, rows) -> np.ndarray:
-    """Norm of J_map(s) . source_field(s) - target_field(map(s)) at every row
-    s of ``rows``, (N, d) in the chart of ``state``; one value per row.
+def pushforward_residual(map_fn, source_field, target_field, block: State) -> np.ndarray:
+    """Norm of J_map(s) . source_field(s) - target_field(map(s)) at each
+    state s of ``block``; one value per state.
 
     ``map_fn`` is a map kernel (``henon_block`` and the rest), called on the
-    block once with the source field's rows as its tangents: its JVP rows
-    are the pushed field.  Each field is called once, on the block's columns
-    (``state``'s, or the image's with the map's zero State as template).
+    block once with the source field's columns as its tangents: its JVP
+    columns are the pushed field.  Each field is called once, on the
+    columns of the block or of its image.
     """
     try:
-        field = source_field(state, coordinate_columns(state, rows)).T
+        field = source_field(block, block.columns)
     except Exception:
-        map_fn(state, rows)  # the map's checks come first: a block that both reject gets the map's error
+        map_fn(block)  # the map's checks come first: a block that both reject gets the map's error
         raise
-    zero, image, pushed = map_fn(state, rows, field)
-    return row_norms(pushed - target_field(zero, image.T).T)
+    image, pushed = map_fn(block, field)
+    return row_norms((pushed - target_field(image, image.columns)).T)

@@ -50,12 +50,17 @@ def run(system, s0, t_end, policy):
     return np.concatenate([times for times, _ in blocks]), np.concatenate([coords for _, coords in blocks])
 
 
+def stack(states):
+    """The block of a list of states of one chart and split, one row per state."""
+    return State(states[0].chart, [s.array for s in states], states[0].split)
+
+
 def henon_jacobi(state):
     """The Toda Jacobi matrix of a km state's Hénon image: toda_lax's L at
     (-A, B), since the Hénon A_i carry a minus sign."""
-    zero, rows = transforms.henon_block(state, [state.array])
-    flip = [-1] * zero.split + [1] * (zero.dim - zero.split)
-    return assembled_pair(SYSTEMS["toda"].lax, zero, rows * flip)[0][0]
+    image = transforms.henon_block(state)
+    flip = [-1] * image.split + [1] * (image.dim - image.split)
+    return assembled_pair(SYSTEMS["toda"].lax, image.replace_coords(image.rows * flip))[0][0]
 
 
 def at(state):

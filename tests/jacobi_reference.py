@@ -17,8 +17,6 @@ from itertools import combinations
 
 import numpy as np
 
-from lattice_flows.states import coordinate_columns
-
 
 def jacobi_indices(n):
     """For every triple i < j < k < n, in lexicographic order: i, j, k and the
@@ -35,21 +33,21 @@ def _scatter(sums, x, axes):
     return out.reshape((len(x),) * axes + (x.shape[1],))
 
 
-def dense_tensors(structure, state, rows):
-    """The dense pi, (n, n, N), and d pi, (n, n, n, N) indexed [l, i, j, row],
+def dense_tensors(structure, block):
+    """The dense pi, (n, n, N), and d pi, (n, n, n, N) indexed [l, i, j, state],
     of a structure or of the pencil first + lam * second of a triple."""
     if isinstance(structure, tuple):
         first, second, lam = structure
-        (pi, dpi), (pi2, dpi2) = dense_tensors(first, state, rows), dense_tensors(second, state, rows)
+        (pi, dpi), (pi2, dpi2) = dense_tensors(first, block), dense_tensors(second, block)
         return pi + lam * pi2, dpi + lam * dpi2
-    plan, x = structure._plan(state), coordinate_columns(state, rows)
+    plan, x = structure._plan(block), block.columns
     return _scatter(plan.pi, x, 2), _scatter(plan.dpi, x, 3)
 
 
-def dense_jacobi_residual(structure, state, rows):
-    """Max over index triples of the cyclic Jacobi sum at each row, from the dense tensors."""
-    pi, dpi = dense_tensors(structure, state, rows)
-    n = state.dim
+def dense_jacobi_residual(structure, block):
+    """Max over index triples of the cyclic Jacobi sum at each state, from the dense tensors."""
+    pi, dpi = dense_tensors(structure, block)
+    n = block.dim
     i, j, k, jk, ki, ij = jacobi_indices(n)
     columns = pi.transpose(1, 0, 2).copy()  # columns[l] = pi[:, l], contiguous for take
     planes = dpi.reshape(n, n * n, -1)  # planes[l] = dpi[l] flattened

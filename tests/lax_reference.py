@@ -17,8 +17,7 @@ trailing: L and B are (T, T, N) and dL is (T, T, K, N), or None without ds.
 import numpy as np
 
 from lattice_flows.errors import DimensionError, UnsupportedDimension
-from lattice_flows.states import (VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, coordinate_columns,
-                                  require_positive_real)
+from lattice_flows.states import VOLTERRA_U, VOLTERRA_V, State, ab_sizes, complex_product, require_positive_real
 
 
 def stacked(tensor: np.ndarray) -> np.ndarray:
@@ -29,28 +28,27 @@ def stacked(tensor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tensor.swapaxes(0, 1).T)
 
 
-def assembled_pair(builder, state, rows):
+def assembled_pair(builder, block):
     """(L, B, sign) of a compiled builder's table (``lattice_flows.lax.km_lax``
-    and the rest, a catalog row's ``lax``) at every row of ``rows``, assembled
-    as the library assembles them: C-ordered (N, T, T) stacks."""
-    lax = builder(state)
-    x = coordinate_columns(state, rows)
+    and the rest, a catalog row's ``lax``) at every state of ``block``,
+    assembled as the library assembles them: C-ordered (N, T, T) stacks."""
+    lax = builder(block)
+    x = block.columns
     r = lax.table.roots(x)
     return lax.L.assemble(lax.table.size, x, r), lax.B.assemble(lax.table.size, x, r), lax.table.sign
 
 
-def reference_pair(builder, state, rows, ds=None):
+def reference_pair(builder, block, ds=None):
     """(L, B, sign, dL) as C-ordered (N, T, T) and (N, K, T, T) stacks."""
-    x, ds = coordinate_columns(state, rows), None if ds is None else np.asarray(ds, dtype=complex)
-    L, B, sign, dL = builder(state, x, ds)
+    L, B, sign, dL = builder(block, block.columns, None if ds is None else np.asarray(ds, dtype=complex))
     return stacked(L), stacked(B), sign, None if dL is None else stacked(dL)
 
 
-def reference_grads(builder, state, rows, orders):
+def reference_grads(builder, block, orders):
     """Trace gradients gathered from the dense dL of all d unit directions."""
-    d, count = coordinate_columns(state, rows).shape
+    d, count = block.columns.shape
     units = np.broadcast_to(np.eye(d)[:, :, None], (d, d, count))
-    L, _, _, dL = reference_pair(builder, state, rows, units)
+    L, _, _, dL = reference_pair(builder, block, units)
     T = L.shape[-1]
     j, i, a = np.nonzero(np.any(dL, axis=0).swapaxes(1, 2))
     entry = j * T + i

@@ -7,7 +7,7 @@ to see the lines as they certify.
 
 import numpy as np
 
-from conftest import henon_jacobi, run
+from conftest import henon_jacobi, run, stack
 from lax_reference import assembled_pair
 
 from lattice_flows import Spectrum, ab_state, qp_state, sklyanin_spectrum, u_state, v_state
@@ -46,17 +46,6 @@ def fresh_rng():
     return np.random.default_rng(SEED)
 
 
-def one(state):
-    """One state as the block every kernel takes: a single row."""
-    return [state.array]
-
-
-def image(kernel, state):
-    """The image State of one state under a map kernel."""
-    zero, rows = kernel(state, one(state))
-    return zero.replace_coords(rows[0])
-
-
 def test_criterion_01_lax_certification():
     tol = 1e-10
     rng = fresh_rng()
@@ -64,8 +53,8 @@ def test_criterion_01_lax_certification():
 
     def block(key, field, states):
         # 100 states of one size, certified as one block
-        builder = SYSTEMS[key].lax
-        return np.max(lax_residual(builder, states[0], [s.array for s in states], [field(s, s.array) for s in states]))
+        velocities = np.array([field(s, s.array) for s in states]).T
+        return np.max(lax_residual(SYSTEMS[key].lax, stack(states), velocities))
 
     for n in (2, 3, 5, 8):
         states = [u_state(rng.uniform(0.1, 2.0, n)) for _ in range(100)]
@@ -89,7 +78,7 @@ def test_criterion_02_moser_golden():
     for _ in range(20):
         u = rng.uniform(0.1, 2.0, 4)
         a = np.sqrt(u / 2)
-        L = assembled_pair(km_lax, u_state(u), [u])[0][0]
+        L = assembled_pair(km_lax, u_state(u))[0][0]
         displayed_square = np.array(
             [
                 [a[0] ** 2, 0, a[0] * a[1], 0, 0],
@@ -127,7 +116,7 @@ def test_criterion_03_pi1_golden():
                 [-t13 / 2, t23 / 2, -t23 / 2, v[4] / 2, -v[4] / 2, -half, 0],
             ]
         )
-        got = STRUCTURES["pi1-v"](v_state(v), [v])[0]
+        got = STRUCTURES["pi1-v"](v_state(v))[0]
         worst = max(worst, np.max(np.abs(got - displayed)))
     report(3, "pi1 golden test", worst < tol, f"max entry error {worst:.2e} < {tol:g}")
 
@@ -135,17 +124,17 @@ def test_criterion_03_pi1_golden():
 def test_criterion_04_bihamiltonian_suite():
     rng = fresh_rng()
     # the flow Hamiltonian tr(L^4)/8: half the gradient of tr(L^4)/4
-    grad_h = lambda s, rows: 0.5 * grad_trace_invariant(SYSTEMS["vd"].lax, s, rows, [4])[0]
+    grad_h = lambda s: 0.5 * grad_trace_invariant(SYSTEMS["vd"].lax, s, [4])[0]
     jac = comp = cas = flow = 0.0
     for n in (5, 7):
         for _ in range(50):
             s = v_state(rng.uniform(0.1, 2.0, n))
             pi1, pi3 = STRUCTURES["pi1-v"], STRUCTURES["pi3-v"]
-            jac = max(jac, jacobi_residual(pi1, s, one(s))[0], jacobi_residual(pi3, s, one(s))[0])
+            jac = max(jac, jacobi_residual(pi1, s)[0], jacobi_residual(pi3, s)[0])
             for lam in (1.0, 2.5):
-                comp = max(comp, compatibility_residual(pi1, pi3, lam, s, one(s))[0])
-            cas = max(cas, hamiltonian_flow_check(pi1, s, one(s), grad_casimir_F(s, one(s)))[0])
-            flow = max(flow, hamiltonian_flow_check(pi1, s, one(s), grad_h(s, one(s)), vd_field(s, s.array)[None])[0])
+                comp = max(comp, compatibility_residual(pi1, pi3, lam, s)[0])
+            cas = max(cas, hamiltonian_flow_check(pi1, s, grad_casimir_F(s))[0])
+            flow = max(flow, hamiltonian_flow_check(pi1, s, grad_h(s), vd_field(s, s.array)[None])[0])
     ok = jac < 1e-6 and comp < 1e-6 and cas < 1e-10 and flow < 1e-10
     report(
         4,
@@ -161,12 +150,12 @@ def test_criterion_05_lenard():
     worst_v = 0.0
     for _ in range(50):
         s = v_state(rng.uniform(0.1, 2.0, 7))
-        worst_v = max(worst_v, lenard_residual(LENARD["v"], s, one(s))[0])
+        worst_v = max(worst_v, lenard_residual(LENARD["v"], s)[0])
     worst_ab = 0.0
     for m in (2, 3):
         for _ in range(50):
             s = ab_state(rng.uniform(-1, 1, m + 1), rng.uniform(-1, 1, m))
-            worst_ab = max(worst_ab, lenard_residual(LENARD["ab"], s, one(s))[0])
+            worst_ab = max(worst_ab, lenard_residual(LENARD["ab"], s)[0])
     ok = worst_v < tol and worst_ab < tol
     report(5, "Lenard relation", ok, f"v-chart {worst_v:.2e}, ab-chart {worst_ab:.2e} < {tol:g}")
 
@@ -177,8 +166,7 @@ def test_criterion_06_transform_conjugacy():
     rng = fresh_rng()
     results = {}
     for name, row in cli.TRANSFORMS.items():  # every map the transform suite certifies, at its default sizes
-        state, rows = row.sample(rng, 100, 7, 3)
-        results[name] = max(row.residual(state, rows))
+        results[name] = max(row.residual(row.sample(rng, 100, 7, 3)))
     ok = all(v < tol for v in results.values())
     detail = ", ".join(f"{k} {v:.1e}" for k, v in results.items())
     report(6, "transform conjugacy", ok, f"{detail} < {tol:g}")
@@ -191,8 +179,7 @@ def test_criterion_07_casimir_constant():
         target = 2.0 ** -(2 * m - 1)
         for _ in range(100):
             st = qp_state(rng.uniform(-1, 1, m), rng.uniform(-1, 1, m))
-            img = image(sklyanin_flaschka_block, st)
-            c = casimir_C_column(img, one(img))[0]
+            c = casimir_C_column(sklyanin_flaschka_block(st))[0]
             worst = max(worst, abs(c - target) / target)
     report(7, "Casimir constant", worst < 1e-13, f"max relative error {worst:.2e} < 1e-13")
 
@@ -203,8 +190,7 @@ def test_criterion_08_hamiltonian_correspondence():
     for _ in range(50):
         m = int(rng.integers(2, 5))
         st = qp_state(rng.uniform(-1, 1, m), rng.uniform(-1, 1, m))
-        img = image(sklyanin_flaschka_block, st)
-        lhs = SYSTEMS["ab"].invariant_columns(img, ["H2"], one(img))["H2"][0]
+        lhs = SYSTEMS["ab"].invariant_columns(sklyanin_flaschka_block(st), ["H2"])["H2"][0]
         rhs = 0.5 * hamiltonian_eval("sklyanin", st)
         worst = max(worst, abs(lhs - rhs))
     report(8, "Hamiltonian correspondence", worst < 1e-12, f"max |h2 - H/2| {worst:.2e} < 1e-12")
@@ -215,13 +201,13 @@ def test_criterion_09_conservation_under_flow():
     ab_sys = get_system("ab")
     s0 = ab_state([1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.3])
     _, coords = run(ab_sys, s0, 10.0, FixedStep(1e-3))
-    columns = ab_sys.invariant_columns(s0, ab_sys.invariants(s0), coords)
+    columns = ab_sys.invariant_columns(s0.replace_coords(coords), ab_sys.invariants(s0))
     drifts = {r.name: r.max_rel_drift for r in drift_report(columns)}
     ab_ok = all(drifts[k] < tol for k in ("H2", "H4", "H6", "C"))
     vd_sys = get_system("vd")
     v0 = v_state([0.04, 0.05, 0.06, 0.05, 0.045, 0.06, 0.03])
     _, coords_v = run(vd_sys, v0, 10.0, FixedStep(1e-3))
-    columns_v = vd_sys.invariant_columns(v0, ["H2", "H4", "F"], coords_v)
+    columns_v = vd_sys.invariant_columns(v0.replace_coords(coords_v), ["H2", "H4", "F"])
     drifts_v = {r.name: r.max_rel_drift for r in drift_report(columns_v)}
     ok = ab_ok and all(d < tol for d in drifts_v.values())
     detail = (
@@ -239,8 +225,8 @@ def test_criterion_10_involution():
     worst = 0.0
     for _ in range(50):
         s = ab_state(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3))
-        pi = STRUCTURES["pi1-ab"](s, one(s))[0]
-        [g2], [g4], [g6] = grad_trace_invariant(ab_lax, s, one(s), [2, 4, 6])
+        pi = STRUCTURES["pi1-ab"](s)[0]
+        [g2], [g4], [g6] = grad_trace_invariant(ab_lax, s, [2, 4, 6])
         for gk in (g4, g6):
             worst = max(worst, abs(complex(g2 @ pi @ gk)))
     report(10, "involution", worst < tol, f"max |{{H2,Hk}}| {worst:.2e} < {tol:g}")

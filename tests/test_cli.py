@@ -205,12 +205,12 @@ def test_verify_lax_builds_each_pair_once(monkeypatch, capsys):
     calls = []
     residual = lax.lax_residual
 
-    def counting_residual(builder, state, rows, velocities):
+    def counting_residual(builder, block, velocities):
         def counting_builder(s):
-            calls.append((builder, len(rows)))
+            calls.append((builder, len(block.rows)))
             return builder(s)
 
-        return residual(counting_builder, state, rows, velocities)
+        return residual(counting_builder, block, velocities)
 
     monkeypatch.setattr(lax, "lax_residual", counting_residual)
     code, out, _ = run(capsys, "verify", "lax", "--system", "vd", "--n", "7", "--states", str(BLOCK + 2))
@@ -292,10 +292,11 @@ def test_block_samplers_draw_the_bits_of_state_by_state_draws(name, states):
     for _ in range(2):
         for start in range(0, states, BLOCK):
             count = min(BLOCK, states - start)
-            template, rows = sample(blocks, count, n, m)
+            block = sample(blocks, count, n, m)
             drawn = [reference(one_by_one, n, m) for _ in range(count)]
-            assert template == drawn[0] and template.array.tobytes() == drawn[0].array.tobytes()
-            assert rows.flags.c_contiguous and rows.tobytes() == np.array([s.array for s in drawn]).tobytes()
+            assert (block.chart, block.split) == (drawn[0].chart, drawn[0].split)
+            assert block.array.flags.c_contiguous
+            assert block.array.tobytes() == np.array([s.array for s in drawn]).tobytes()
 
 
 @pytest.mark.parametrize("n", ["0", "1"])

@@ -1,7 +1,7 @@
 """Invariant columns against the per-state formulas they replace, bit for bit.
 
-``LatticeSystem.invariant_columns`` evaluates every named invariant down a
-block of coordinate rows: the trace powers from one stacked power chain,
+``LatticeSystem.invariant_columns`` evaluates every named invariant over a
+block of states: the trace powers from one stacked power chain,
 the closed forms (C, F, H, F1/F2) as array expressions.  The references
 below are the per-state formulas the catalog evaluated one row at a time
 before; each column value must equal its reference exactly, real and
@@ -47,8 +47,8 @@ def _hamiltonian_ref(name, s):
 
 
 def _lax_matrix(key, s):
-    """L at one state: the one slice of a one-row block."""
-    return assembled_pair(SYSTEMS[key].lax, s, [s.array])[0][0]
+    """L at one state."""
+    return assembled_pair(SYSTEMS[key].lax, s)[0][0]
 
 
 def _reference(key, name, s, spectrum):
@@ -106,18 +106,17 @@ def test_cases_cover_every_system_with_invariants():
 
 
 def _mismatches(rng, key, chart, d, split, complex_part):
-    """Column cells, and the values of one-row blocks, that differ from the reference."""
+    """Column cells, and the values of each state alone, that differ from the reference."""
     spectrum = sklyanin_spectrum(split - 1) if key == "spectrum" else None
     system = get_system(key, spectrum)
-    rows = _rows(rng, chart, d, complex_part)
-    template = State(chart, rows[0], split)
-    names = list(system.invariants(template))
+    block = State(chart, _rows(rng, chart, d, complex_part), split)
+    names = list(system.invariants(block))
     assert names
-    columns = system.invariant_columns(template, names, rows)
+    columns = system.invariant_columns(block, names)
     bad = []
-    for i, row in enumerate(rows):
-        s = template.replace_coords(row)
-        alone = system.invariant_columns(s, names, row[None])
+    for i, row in enumerate(block.rows):
+        s = block.replace_coords(row)
+        alone = system.invariant_columns(s, names)
         for name in names:
             ref = _reference(key, name, s, spectrum)
             for got in (columns[name][i], alone[name][0]):
@@ -133,8 +132,7 @@ def test_invariant_column_is_bitwise_the_per_state_value(rng, key, chart, d, spl
 
 
 def test_columns_are_plain_complex_lists(rng):
-    rows = _rows(rng, FLASCHKA_AB, 7, True)
-    columns = get_system("ab").invariant_columns(State(FLASCHKA_AB, rows[0], 4), ["H2", "C"], rows)
+    columns = get_system("ab").invariant_columns(State(FLASCHKA_AB, _rows(rng, FLASCHKA_AB, 7, True), 4), ["H2", "C"])
     for values in columns.values():
         assert len(values) == ROWS and all(type(v) is complex for v in values)
 
@@ -165,37 +163,35 @@ def test_trace_invariants_match_the_single_matrix_chain(rng):
 def test_lax_stack_is_the_stack_of_single_matrices(rng):
     for key, chart, d, split in (("km", VOLTERRA_U, 8, None), ("vd", VOLTERRA_V, 9, None),
                                  ("ab", FLASCHKA_AB, 15, 8), ("toda", FLASCHKA_AB, 17, 8)):
-        rows = _rows(rng, chart, d, True)[:20]
-        template = State(chart, rows[0], split)
+        block = State(chart, _rows(rng, chart, d, True)[:20], split)
         builder = SYSTEMS[key].lax
-        L, B, _ = assembled_pair(builder, template, rows)
+        L, B, _ = assembled_pair(builder, block)
         assert L.flags.c_contiguous and B.flags.c_contiguous
-        singles = [assembled_pair(builder, template, [r]) for r in rows]
+        singles = [assembled_pair(builder, block.replace_coords(r)) for r in block.rows]
         assert np.array_equal(L, np.concatenate([one[0] for one in singles]))
         assert np.array_equal(B, np.concatenate([one[1] for one in singles]))
 
 
 def test_grad_trace_invariant_takes_several_orders(rng):
-    rows = rng.uniform(-1, 1, (3, 15))
-    state = State(FLASCHKA_AB, rows[0], 8)
-    both = lax.grad_trace_invariant(lax.ab_lax, state, rows, [2, 4])
+    block = State(FLASCHKA_AB, rng.uniform(-1, 1, (3, 15)), 8)
+    both = lax.grad_trace_invariant(lax.ab_lax, block, [2, 4])
     assert both.shape == (2, 3, 15)
     for grads, k in zip(both, (2, 4)):
-        assert np.array_equal(grads, lax.grad_trace_invariant(lax.ab_lax, state, rows, [k])[0])
+        assert np.array_equal(grads, lax.grad_trace_invariant(lax.ab_lax, block, [k])[0])
 
 
 def test_closed_forms_keep_their_state_signatures():
     state = State(QP, [0.1, -0.2, 0.3, 0.0], 2)
     assert type(systems.hamiltonian_eval("sklyanin", state)) is complex
-    assert systems.hamiltonian_column("sklyanin", state, np.array([state.array] * 3)) == [
+    assert systems.hamiltonian_column("sklyanin", state.replace_coords([state.array] * 3)) == [
         systems.hamiltonian_eval("sklyanin", state)] * 3
 
 
 def test_numpy_array_product_mutant_is_caught(rng, monkeypatch):
     """casimir_C's outer products as numpy complex array products move bits on complex states."""
 
-    def mutant(state, rows):
-        a = np.asarray(rows)[:, : state.split]
+    def mutant(block):
+        a = block.rows[:, : block.split]
         return (a[:, 0] * np.prod(a[:, 1:-1] ** 2, axis=1) * a[:, -1]).tolist()
 
     monkeypatch.setattr(lax, "casimir_C_column", mutant)
@@ -218,24 +214,23 @@ GRADIENT_CASES = [("km", VOLTERRA_U, 5, None), ("toda", FLASCHKA_AB, 7, 3),
 def test_invariant_gradient_is_the_derivative_of_its_column(rng, key, chart, d, split, complex_part):
     # the invariants are holomorphic, so a real step gives the complex derivative
     system = SYSTEMS[key]
-    rows = _rows(rng, chart, d, complex_part)[:3]
-    template = State(chart, rows[0], split)
-    names = list(system.invariants(template))
-    grads = system.invariant_gradients(template, names, rows)
-    assert list(grads) == names and all(grad.shape == (len(rows), d) for grad in grads.values())
-    for i, row in enumerate(rows):
-        s = template.replace_coords(row)
+    block = State(chart, _rows(rng, chart, d, complex_part)[:3], split)
+    names = list(system.invariants(block))
+    grads = system.invariant_gradients(block, names)
+    assert list(grads) == names and all(grad.shape == (3, d) for grad in grads.values())
+    for i, row in enumerate(block.rows):
+        s = block.replace_coords(row)
         for name in names:
-            want = central_difference(lambda t: system.invariant_columns(t, [name], [t.array])[name][0], s, 1e-6)
+            want = central_difference(lambda t: system.invariant_columns(t, [name])[name][0], s, 1e-6)
             assert np.max(np.abs(grads[name][i] - want)) < 1e-7 * max(1.0, np.max(np.abs(want))), (name, i)
 
 
 def test_trace_gradients_of_one_lax_matrix_take_one_call(rng, monkeypatch):
     calls = []
     real = lax.grad_trace_invariant
-    monkeypatch.setattr(lax, "grad_trace_invariant", lambda *args: calls.append(args[3]) or real(*args))
-    rows = _rows(rng, VOLTERRA_V, 9, True)[:4]
-    grads = SYSTEMS["vd"].invariant_gradients(State(VOLTERRA_V, rows[0]), ["H4", "F", "H2", "H4"], rows)
+    monkeypatch.setattr(lax, "grad_trace_invariant", lambda *args: calls.append(args[2]) or real(*args))
+    block = State(VOLTERRA_V, _rows(rng, VOLTERRA_V, 9, True)[:4])
+    grads = SYSTEMS["vd"].invariant_gradients(block, ["H4", "F", "H2", "H4"])
     assert list(grads) == ["H4", "H2", "F"] and calls == [[8, 4]]  # vd's grading 2: tr(L^{2k})
 
 
@@ -248,4 +243,4 @@ def test_an_invariant_without_a_gradient_is_named(key, state, name):
     system = get_system(key, sklyanin_spectrum(2) if key == "spectrum" else None)
     assert name in system.invariants(state)
     with pytest.raises(ValueError, match=f"invariant '{name}' of system '{key}' has no gradient"):
-        system.invariant_gradients(state, [name], [state.array])
+        system.invariant_gradients(state, [name])

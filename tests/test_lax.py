@@ -5,9 +5,9 @@ import pytest
 
 import lax_reference
 from lax_reference import assembled_pair
-from conftest import random_ab, random_toda_ab, random_u, random_v, run
+from conftest import random_ab, random_toda_ab, random_u, random_v, run, stack
 
-from lattice_flows import DimensionError, DomainError, UnsupportedDimension, ab_state, u_state, v_state
+from lattice_flows import DimensionError, DomainError, State, UnsupportedDimension, ab_state, u_state, v_state
 from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.cli import BLOCK, SUITES
 from lattice_flows.integrate import FixedStep, drift_report
@@ -30,7 +30,7 @@ from lattice_flows.lax import (
     trace_columns,
     vd_lax,
 )
-from lattice_flows.states import coordinate_columns, row_norms
+from lattice_flows.states import FLASCHKA_AB, row_norms
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
 from lattice_flows.transforms import d_transform_block
 
@@ -38,18 +38,18 @@ RESIDUAL_TOL = 1e-10
 
 
 def _pair(system, state):
-    """L, B and the sign at one state of a catalog system: the one row of a one-row block."""
-    L, B, sign = assembled_pair(SYSTEMS[system].lax, state, [state.array])
+    """L, B and the sign at one state of a catalog system."""
+    L, B, sign = assembled_pair(SYSTEMS[system].lax, state)
     return L[0], B[0], sign
 
 
-def _dL(builder, state, rows, ds):
-    """dL along K velocities per row, a (d, K, N) block ``ds``, as a C-ordered
+def _dL(builder, block, ds):
+    """dL along K velocities per state, a (d, K, N) array ``ds``, as a C-ordered
     (N, K, T, T) stack: the compiled plan's values by the chain rule,
     dr = ds / (slope * r), the values ``lax_residual`` takes, written at L's slots."""
-    lax = builder(state)
+    lax = builder(block)
     table, plan = lax.table, lax.L
-    r = table.roots(coordinate_columns(state, rows))
+    r = table.roots(block.columns)
     ds = np.asarray(ds, dtype=complex)
     values = plan.values(ds, None if r is None else ds / (table.slope * r[:, None]))
     out = np.zeros(values.shape[:0:-1] + (table.size, table.size), dtype=complex)
@@ -103,8 +103,8 @@ def test_residual_suite(rng):
         cases.append(("ab", [random_ab(rng, m) for _ in range(100)], ab_field))
     worst = 0.0
     for system, states, field in cases:
-        rows, velocities = [s.array for s in states], [field(s, s.array) for s in states]
-        residuals = lax_residual(SYSTEMS[system].lax, states[0], rows, velocities)
+        velocities = np.array([field(s, s.array) for s in states]).T
+        residuals = lax_residual(SYSTEMS[system].lax, stack(states), velocities)
         assert residuals.shape == (100,)
         worst = max(worst, np.max(residuals))
     assert worst < RESIDUAL_TOL
@@ -112,7 +112,7 @@ def test_residual_suite(rng):
 
 def test_residual_on_complex_ab_state():
     state = ab_state([0.3j, 0.5, 0.4, 0.2j], [-1.0, -0.8, -0.9])
-    assert lax_residual(ab_lax, state, [state.array], [ab_field(state, state.array)])[0] < 1e-13
+    assert lax_residual(ab_lax, state, ab_field(state, state.columns))[0] < 1e-13
 
 
 def test_vd_lax_dimension_and_entries(rng):
@@ -143,8 +143,8 @@ def test_ab_lax_m1_unsupported():
 
 
 def test_h2_examples():
-    template = ab_state([1, 1, 1], [1, 1])
-    assert SYSTEMS["ab"].invariant_columns(template, ["H2"], [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0]])["H2"] == [6, 0]
+    block = State(FLASCHKA_AB, [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0]], 3)
+    assert SYSTEMS["ab"].invariant_columns(block, ["H2"])["H2"] == [6, 0]
 
 
 def test_h2_equals_trace_invariant(rng):
@@ -160,9 +160,8 @@ def test_vd_h2_is_four_times_the_closed_form(rng):
     # the paper's flow Hamiltonian v_{n-2} v_n + 2 v_{n-1} v_n + sum v_i v_{i+1}
     # + (1/2) sum v_i^2 (interior i) is tr(L^4)/8, a quarter of the H2 column
     for n in (5, 7, 9, 15):
-        template = v_state(np.ones(n))
         rows = rng.uniform(0.1, 2.0, (10, n))
-        column = SYSTEMS["vd"].invariant_columns(template, ["H2"], rows)["H2"]
+        column = SYSTEMS["vd"].invariant_columns(v_state(rows), ["H2"])["H2"]
         for v, h2 in zip(rows, column):
             closed_form = (v[n - 3] * v[n - 1] + 2 * v[n - 2] * v[n - 1] + np.sum(v[: n - 2] * v[1 : n - 1])
                            + 0.5 * np.sum(v[1 : n - 2] ** 2))
@@ -177,20 +176,19 @@ def test_even_traces_real_on_real_states(rng):
 
 
 def test_casimir_C_examples():
-    template = ab_state([1, 1, 1], [0, 0])
-    assert casimir_C_column(template, [[1, 1, 1, 0, 0], [2, 3, 4, 0, 0]]) == [1, 72]
+    assert casimir_C_column(State(FLASCHKA_AB, [[1, 1, 1, 0, 0], [2, 3, 4, 0, 0]], 3)) == [1, 72]
 
 
 def test_casimir_C_needs_m_at_least_1():
-    template = ab_state([2], [])
+    state = ab_state([2], [])
     with pytest.raises(DimensionError, match="casimir_C_column needs m >= 1"):
-        casimir_C_column(template, [[2]])
+        casimir_C_column(state)
     with pytest.raises(DimensionError, match="grad_casimir_C needs m >= 1"):
-        grad_casimir_C(template, [[2]])
+        grad_casimir_C(state)
 
 
 def test_casimir_F_examples():
-    assert casimir_F_column(v_state([1, 1, 1, 1]), [[1, 1, 2, 2], [1, 1, 1, 2]]) == [0, 1]
+    assert casimir_F_column(v_state([[1, 1, 2, 2], [1, 1, 1, 2]])) == [0, 1]
 
 
 LAX_SAMPLES = (
@@ -225,20 +223,21 @@ def test_grad_trace_invariant_matches_fd(rng):
     for system, sample in LAX_SAMPLES:
         state = sample(rng)
         for order in (3, 4):
-            [[grad]] = grad_trace_invariant(SYSTEMS[system].lax, state, [state.array], [order])
+            [[grad]] = grad_trace_invariant(SYSTEMS[system].lax, state, [order])
             fd = _fd_grad(system, state, order)
             for j in range(state.dim):
                 assert abs(grad[j] - fd[j]) < FD_GRAD_TOL, (system, order, j)
 
 
-def _single_direction_grads(system, state, rows, orders, builder=None):
-    """The gradients from one builder call per row and unit direction: the bit-exact reference.
+def _single_direction_grads(system, block, orders, builder=None):
+    """The gradients from one builder call per state and unit direction: the bit-exact reference.
     ``builder`` stands in for the system's own."""
-    d, builder = state.dim, builder or SYSTEMS[system].lax
-    grads = np.zeros((len(orders), len(rows), d), dtype=complex)
-    for r, row in enumerate(rows):
+    d, builder = block.dim, builder or SYSTEMS[system].lax
+    grads = np.zeros((len(orders), len(block.rows), d), dtype=complex)
+    for r, row in enumerate(block.rows):
+        state = block.replace_coords(row)
         for j, e in enumerate(np.eye(d)):
-            L, dL = assembled_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
+            L, dL = assembled_pair(builder, state)[0], _dL(builder, state, e[:, None, None])
             for i, k in enumerate(orders):
                 grads[i, r, j] = np.trace(np.linalg.matrix_power(L[0], k - 1) @ dL[0, 0])
     return grads
@@ -250,11 +249,10 @@ def test_grad_trace_invariant_is_exactly_the_per_coordinate_trace(rng, system, s
     # form, also where L has more than 8 rows and a trace sums pairwise
     orders = (1, 2, 3, 4, 6)
     for draw in (sample, _LARGER_SAMPLES[system]):
-        states = [draw(rng) for _ in range(5)]
-        rows = np.array([s.array for s in states])
-        grads = grad_trace_invariant(SYSTEMS[system].lax, states[0], rows, orders)
-        assert grads.shape == (len(orders), 5, states[0].dim)
-        assert np.array_equal(grads, _single_direction_grads(system, states[0], rows, orders))
+        block = stack([draw(rng) for _ in range(5)])
+        grads = grad_trace_invariant(SYSTEMS[system].lax, block, orders)
+        assert grads.shape == (len(orders), 5, block.dim)
+        assert np.array_equal(grads, _single_direction_grads(system, block, orders))
 
 
 def _compiled(system, size):
@@ -314,32 +312,31 @@ _REFERENCE_SIZES = [("km", 1), ("km", 7), ("km", 12), ("toda", 2), ("toda", 7), 
 
 
 def _block(rng, system, size, count, imaginary):
-    """A template state and an (N, d) block of real or complex rows."""
+    """A block of real or complex states."""
     sample = {"km": random_u, "toda": random_toda_ab, "ab": random_ab, "vd": random_v}[system]
-    states = [sample(rng, size) for _ in range(count)]
-    rows = np.array([s.array for s in states])
+    block = stack([sample(rng, size) for _ in range(count)])
     if imaginary:
-        rows = rows + 1j * rng.uniform(-0.3, 0.3, rows.shape)
-    return states[0].replace_coords(rows[0]), rows
+        block = block.replace_coords(block.rows + 1j * rng.uniform(-0.3, 0.3, block.rows.shape))
+    return block
 
 
 @pytest.mark.parametrize("system, size", _REFERENCE_SIZES, ids=[f"{s}-{n}" for s, n in _REFERENCE_SIZES])
 def test_tables_keep_every_bit_of_the_hand_written_builders(rng, system, size):
     reference = getattr(lax_reference, f"{system}_lax")
     for imaginary in (False, True):
-        state, rows = _block(rng, system, size, 8, imaginary)
-        d = rows.shape[1]
+        block = _block(rng, system, size, 8, imaginary)
+        d = block.dim
         for ds in (None, rng.uniform(-1.0, 1.0, (d, 1, 8)), np.broadcast_to(np.eye(d)[:, :, None], (d, d, 8))):
-            L, B, sign = assembled_pair(SYSTEMS[system].lax, state, rows)
-            dL = None if ds is None else _dL(SYSTEMS[system].lax, state, rows, ds)
-            want = lax_reference.reference_pair(reference, state, rows, ds)
+            L, B, sign = assembled_pair(SYSTEMS[system].lax, block)
+            dL = None if ds is None else _dL(SYSTEMS[system].lax, block, ds)
+            want = lax_reference.reference_pair(reference, block, ds)
             assert sign == want[2] and (dL is None) == (want[3] is None) == (ds is None)
             for got, bits in zip((L, B, dL), (want[0], want[1], want[3])):
                 if bits is not None:
                     assert got.flags.c_contiguous and got.shape == bits.shape and got.tobytes() == bits.tobytes()
         orders = (1, 2, 3, 4, 6, 8)
-        grads = grad_trace_invariant(SYSTEMS[system].lax, state, rows, orders)
-        assert grads.tobytes() == lax_reference.reference_grads(reference, state, rows, orders).tobytes()
+        grads = grad_trace_invariant(SYSTEMS[system].lax, block, orders)
+        assert grads.tobytes() == lax_reference.reference_grads(reference, block, orders).tobytes()
 
 
 @pytest.mark.parametrize("system, size", _REFERENCE_SIZES, ids=[f"{s}-{n}" for s, n in _REFERENCE_SIZES])
@@ -349,12 +346,12 @@ def test_lax_residual_keeps_the_bits_of_the_dense_difference(rng, system, size):
     # along the field (near cancellation) and along other velocities
     reference, builder = getattr(lax_reference, f"{system}_lax"), SYSTEMS[system].lax
     for imaginary in (False, True):
-        state, rows = _block(rng, system, size, BLOCK, imaginary)
-        field = SYSTEMS[system].field(state, coordinate_columns(state, rows)).T
-        for velocities in (field, field + rng.uniform(-1.0, 1.0, rows.shape)):
-            L, B, sign, dL = lax_reference.reference_pair(reference, state, rows, velocities.T[:, None])
+        block = _block(rng, system, size, BLOCK, imaginary)
+        field = SYSTEMS[system].field(block, block.columns)
+        for velocities in (field, field + rng.uniform(-1.0, 1.0, block.rows.shape).T):
+            L, B, sign, dL = lax_reference.reference_pair(reference, block, velocities[:, None])
             want = row_norms(dL[:, 0] - sign * (B @ L - L @ B))
-            assert lax_residual(builder, state, rows, velocities).tobytes() == want.tobytes()
+            assert lax_residual(builder, block, velocities).tobytes() == want.tobytes()
 
 
 # the sizes of each builder whose tables are checked for a gauge: km n = 1-25,
@@ -413,9 +410,9 @@ def test_L_B_is_minus_the_transpose_of_B_L_on_verify_blocks(system, size):
     sample = SUITES["lax"].checks[system].sample
     rng = np.random.default_rng(size)
     for _ in range(8 if (system, size) in (("vd", 15), ("ab", 7)) else 2):
-        state, rows = sample(rng, BLOCK, size, size)
-        L, B, _ = assembled_pair(SYSTEMS[system].lax, state, rows)
-        assert not rows.imag.any() and _symmetric(SYSTEMS[system].lax(state))
+        block = sample(rng, BLOCK, size, size)
+        L, B, _ = assembled_pair(SYSTEMS[system].lax, block)
+        assert not block.array.imag.any() and _symmetric(SYSTEMS[system].lax(block))
         # equal as numbers: a zero may differ in sign, which no square sees
         assert np.array_equal(L @ B, -(B @ L).transpose(0, 2, 1))
 
@@ -439,17 +436,17 @@ def test_the_real_path_keeps_the_bits_of_the_complex_products(system):
     for size in _GAUGE_SIZES[system]:
         rng = np.random.default_rng(size)
         for count in (1, 7, BLOCK):
-            state, rows = sample(rng, count, size, size)
-            compiled = builder(state)
-            assert not rows.imag.any() and (compiled.gauge is None) == (system == "vd" and size % 2 == 0)
-            field = SYSTEMS[system].field(state, coordinate_columns(state, rows)).T
-            for velocities in (field, field + rng.uniform(-1.0, 1.0, rows.shape), field + 1e-3j):
-                got = lax_residual(builder, state, rows, velocities)
-                complex_bits = lax_residual(_complex_path(compiled), state, rows, velocities)
+            block = sample(rng, count, size, size)
+            compiled = builder(block)
+            assert not block.array.imag.any() and (compiled.gauge is None) == (system == "vd" and size % 2 == 0)
+            field = SYSTEMS[system].field(block, block.columns)
+            for velocities in (field, field + rng.uniform(-1.0, 1.0, block.rows.shape).T, field + 1e-3j):
+                got = lax_residual(builder, block, velocities)
+                complex_bits = lax_residual(_complex_path(compiled), block, velocities)
                 assert got.tobytes() == complex_bits.tobytes(), (
                     f"{system} n={size}, {count} states: the float64 residual rounds unlike the complex one "
                     "(see test_the_floating_point_facts_of_the_real_path)")
-                L, B, sign, dL = lax_reference.reference_pair(reference, state, rows, velocities.T[:, None])
+                L, B, sign, dL = lax_reference.reference_pair(reference, block, velocities[:, None])
                 assert got.tobytes() == row_norms(dL[:, 0] - sign * (B @ L - L @ B)).tobytes(), (system, size, count)
 
 
@@ -471,9 +468,9 @@ def test_the_gauge_makes_every_entry_real_and_is_none_exactly_at_vd_even_n(syste
         assert (gauge.odd is None) == (not (g.imag != 0).any())
         if gauge.odd is not None:
             assert np.array_equal(gauge.odd, (g.imag != 0).astype(float))
-        state, rows = SUITES["lax"].checks[system].sample(np.random.default_rng(size), 3, size, size)
-        L, B, _ = assembled_pair(SYSTEMS[system].lax, state, rows)
-        x = coordinate_columns(state, rows).real
+        block = SUITES["lax"].checks[system].sample(np.random.default_rng(size), 3, size, size)
+        L, B, _ = assembled_pair(SYSTEMS[system].lax, block)
+        x = block.columns.real
         r = compiled.table.roots(x)
         L_R, B_S = gauge.L.assemble(T, x, r), gauge.B.assemble(T, x, r)
         assert L_R.dtype == B_S.dtype == np.float64
@@ -491,22 +488,22 @@ def test_the_floating_point_facts_of_the_real_path(system, size):
     sample, builder = SUITES["lax"].checks[system].sample, SYSTEMS[system].lax
     rng = np.random.default_rng(size)
     for _ in range(8):
-        state, rows = sample(rng, BLOCK, size, size)
-        compiled = builder(state)
+        block = sample(rng, BLOCK, size, size)
+        compiled = builder(block)
         table, gauge, T = compiled.table, compiled.gauge, compiled.table.size
-        x = coordinate_columns(state, rows)
+        x = block.columns
         r, r_real = table.roots(x), table.roots(x.real)
         if r is not None:
             assert r_real.tobytes() == np.ascontiguousarray(r.real).tobytes(), (
                 "the roots of a real array round unlike the real part of the complex roots")
-            ds = SYSTEMS[system].field(state, x)
+            ds = SYSTEMS[system].field(block, x)
             quotient = ds / (table.slope * r)
             assert not quotient.imag.any()
             reciprocal = ds.real * (1.0 / (table.slope * r_real))
             assert reciprocal.tobytes() == np.ascontiguousarray(quotient.real).tobytes(), (
                 "numpy's complex quotient no longer multiplies by the reciprocal: dr = ds * (1 / (slope * r)) "
                 "rounds unlike ds / (slope * r)")
-        L, B, _ = assembled_pair(builder, state, rows)
+        L, B, _ = assembled_pair(builder, block)
         d = np.array(gauge.d)
         wide = np.zeros((BLOCK, T, gauge.width))
         wide[:, :, :T] = gauge.L.assemble(T, x.real, r_real)
@@ -524,8 +521,8 @@ _POWER_ORDERS = [("vd", 15, (4, 8)), ("ab", 7, (2, 4))] + [("ab", 7, (2, k)) for
 
 @pytest.mark.parametrize("system, size, orders", _POWER_ORDERS, ids=[f"{s}-{n}-{o}" for s, n, o in _POWER_ORDERS])
 def test_the_power_chain_keeps_the_bits_of_matrix_power(rng, system, size, orders):
-    state, rows = _block(rng, system, size, BLOCK, False)
-    L = assembled_pair(SYSTEMS[system].lax, state, rows)[0]
+    block = _block(rng, system, size, BLOCK, False)
+    L = assembled_pair(SYSTEMS[system].lax, block)[0]
     exponents = [k - 1 for k in orders]
     for power, k in zip(_matrix_powers(L, [_matrix_power_tree(k) for k in exponents]), exponents):
         want = np.linalg.matrix_power(L, k)
@@ -534,19 +531,20 @@ def test_the_power_chain_keeps_the_bits_of_matrix_power(rng, system, size, order
         else:  # the float64 chain of a real L: its zeros may differ in sign, which no gradient sees
             assert not want.imag.any() and np.array_equal(power, want.real), (system, size, k)
     reference = getattr(lax_reference, f"{system}_lax")
-    grads = grad_trace_invariant(SYSTEMS[system].lax, state, rows, orders)
-    assert grads.tobytes() == lax_reference.reference_grads(reference, state, rows, orders).tobytes()
+    grads = grad_trace_invariant(SYSTEMS[system].lax, block, orders)
+    assert grads.tobytes() == lax_reference.reference_grads(reference, block, orders).tobytes()
 
 
 def _signed_zero_block(rng, system, size, count):
     """A real block whose imaginary parts are -0.0 and, but for km (u > 0),
     about a third of whose b's are +0.0 or -0.0."""
-    state, rows = _block(rng, system, size, count, False)
+    block = _block(rng, system, size, count, False)
+    rows = np.array(block.rows)
     if system != "km":
-        b, zero = rows[:, state.split:], rng.random((count, state.dim - state.split)) < 0.35
+        b, zero = rows[:, block.split:], rng.random((count, block.dim - block.split)) < 0.35
         b[zero] = rng.choice([0.0, -0.0], zero.sum())
     rows.imag = -0.0
-    return state, rows
+    return block.replace_coords(rows)
 
 
 @pytest.mark.parametrize("system", ["km", "toda", "ab"])
@@ -562,7 +560,7 @@ def test_the_float64_chain_keeps_the_bits_of_the_complex_chain(rng, system):
             continue
         size = {"km": T - 1, "toda": T, "ab": T // 2}[system]
         for sample in (_block(rng, system, size, 9, False), _signed_zero_block(rng, system, size, 9)):
-            L = assembled_pair(SYSTEMS[system].lax, *sample)[0]
+            L = assembled_pair(SYSTEMS[system].lax, sample)[0]
             assert not L.imag.any()
             for trees in (chains, matrix_powers):
                 for power, tree in zip(_matrix_powers(L, trees), trees):
@@ -576,8 +574,8 @@ def test_the_float64_chain_keeps_the_bits_of_the_complex_chain(rng, system):
                     assert _diagonal_sums(power).tobytes() == _diagonal_sums(want).tobytes(), (system, T, tree)
             reference = getattr(lax_reference, f"{system}_lax")
             orders = (2, 3, 4, 6)
-            grads = grad_trace_invariant(SYSTEMS[system].lax, *sample, orders)
-            assert grads.tobytes() == lax_reference.reference_grads(reference, *sample, orders).tobytes(), (system, T)
+            grads = grad_trace_invariant(SYSTEMS[system].lax, sample, orders)
+            assert grads.tobytes() == lax_reference.reference_grads(reference, sample, orders).tobytes(), (system, T)
 
 
 # every _REFERENCE_SIZES entry and vd at n = 9 (simulate's H2 ... H8) and 16
@@ -591,13 +589,13 @@ def test_trace_columns_keep_the_bits_of_each_power_formed_alone(rng, system, siz
     # power formed on its own, on real and complex blocks
     catalog, grading = SYSTEMS[system], 2 if system == "vd" else 1
     for imaginary in (False, True):
-        state, rows = _block(rng, system, size, 40, imaginary)
-        orders = {name: column.key for name, column in catalog.named_invariants(catalog, state).items()
+        block = _block(rng, system, size, 40, imaginary)
+        orders = {name: column.key for name, column in catalog.named_invariants(catalog, block).items()
                   if name.startswith("H")}
-        L = assembled_pair(catalog.lax, state, rows)[0]
+        L = assembled_pair(catalog.lax, block)[0]
         want = np.array(lax_reference.reference_traces(L, orders.values(), grading)).tobytes()
         assert np.array(trace_columns(L, orders.values(), grading)).tobytes() == want, (system, size, imaginary)
-        columns = catalog.invariant_columns(state, list(orders), rows)
+        columns = catalog.invariant_columns(block, list(orders))
         assert np.array(list(columns.values())).tobytes() == want, (system, size, imaginary)
 
 
@@ -663,10 +661,9 @@ def test_vd_trace_trees_share_their_products_and_chain_trees_their_prefix():
 def _trace_identity_gap(n, rng, factor):
     """max over 20 states and k = 1..n-1 of |tr(L_vd^{2k}) - factor(k) tr(L_ab^k)|
     / tr(|L_vd|^{2k}), with L_ab at the d-map image of each vd state."""
-    rows = rng.uniform(0.1, 2.0, (20, n)).astype(complex)
-    state = v_state(rows[0])
-    L_vd = assembled_pair(vd_lax, state, rows)[0]
-    L_ab = assembled_pair(ab_lax, *d_transform_block(state, rows))[0]
+    block = v_state(rng.uniform(0.1, 2.0, (20, n)))
+    L_vd = assembled_pair(vd_lax, block)[0]
+    L_ab = assembled_pair(ab_lax, d_transform_block(block))[0]
     gap = 0.0
     for k in range(1, n):
         vd = np.trace(np.linalg.matrix_power(L_vd, 2 * k), axis1=1, axis2=2)
@@ -689,11 +686,11 @@ def test_vd_traces_are_the_ab_traces_at_the_d_map_image(n):
 def test_grad_trace_invariant_peak_memory_at_vd_n25():
     # the dense (8, 25, 49, 49) dL of the unit directions alone took 7.7 MB; the
     # table's L, its powers and the gathered terms peak near 1.4 MB
-    state, rows = _block(np.random.default_rng(5), "vd", 25, 8, False)
-    grad_trace_invariant(vd_lax, state, rows, [4, 8])  # tables and plans built outside the trace
+    block = _block(np.random.default_rng(5), "vd", 25, 8, False)
+    grad_trace_invariant(vd_lax, block, [4, 8])  # tables and plans built outside the trace
     tracemalloc.start()
     try:
-        grad_trace_invariant(vd_lax, state, rows, [4, 8])
+        grad_trace_invariant(vd_lax, block, [4, 8])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -706,22 +703,22 @@ def test_grad_trace_invariant_peak_memory_at_vd_n25():
 ])
 def test_grad_trace_invariant_keeps_the_dense_bits_at_verify_mix_sizes(rng, system, size, orders):
     sample = {"vd": random_v, "ab": random_ab}[system]
-    states = [sample(rng, size) for _ in range(8)]
-    rows = np.array([s.array for s in states])
-    grads = grad_trace_invariant(SYSTEMS[system].lax, states[0], rows, orders)
-    assert grads.tobytes() == _single_direction_grads(system, states[0], rows, orders).tobytes()
+    block = stack([sample(rng, size) for _ in range(8)])
+    grads = grad_trace_invariant(SYSTEMS[system].lax, block, orders)
+    assert grads.tobytes() == _single_direction_grads(system, block, orders).tobytes()
 
 
-def _term_by_term_grads(builder, state, rows, orders):
+def _term_by_term_grads(builder, block, orders):
     """Each diagonal entry i of L^{k-1} dL/dx_j summed from zero over the nonzero
     entries of column i in ascending row, with products rounded from real and
     imaginary parts, and traced by np.trace: one state, one entry and one term
     at a time."""
-    d = state.dim
-    grads = np.zeros((len(orders), len(rows), d), dtype=complex)
-    for r, row in enumerate(rows):
+    d = block.dim
+    grads = np.zeros((len(orders), len(block.rows), d), dtype=complex)
+    for r, row in enumerate(block.rows):
+        state = block.replace_coords(row)
         for j, e in enumerate(np.eye(d)):
-            L, dL = assembled_pair(builder, state, [row])[0], _dL(builder, state, [row], e[:, None, None])
+            L, dL = assembled_pair(builder, state)[0], _dL(builder, state, e[:, None, None])
             for o, k in enumerate(orders):
                 P = np.linalg.matrix_power(L[0], k - 1)
                 diagonal = np.zeros(len(P), dtype=complex)
@@ -750,11 +747,10 @@ def test_grad_trace_invariant_sums_any_number_of_terms_in_an_entry(rng, system, 
         return compiled
 
     sample = {"vd": random_v, "ab": random_ab}[system]
-    states = [sample(rng, size) for _ in range(4)]
-    rows = np.array([s.array for s in states])
-    grads = grad_trace_invariant(builder, states[0], rows, orders)
-    assert grads.tobytes() == _term_by_term_grads(builder, states[0], rows, orders).tobytes()
-    dense = _single_direction_grads(system, states[0], rows, orders, builder)
+    block = stack([sample(rng, size) for _ in range(4)])
+    grads = grad_trace_invariant(builder, block, orders)
+    assert grads.tobytes() == _term_by_term_grads(builder, block, orders).tobytes()
+    dense = _single_direction_grads(system, block, orders, builder)
     assert np.max(np.abs(grads - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
@@ -763,7 +759,7 @@ def test_a_non_finite_power_reaches_only_the_components_it_meets():
     # dL/da_2; a dense product's inf * 0 terms made every component NaN
     state = ab_state([1.0, np.inf, 1.1, 0.8], [0.1, -0.2, 0.3])
     with np.errstate(invalid="ignore"):  # inf * 0 in the imaginary part of inf * 1
-        [[grad]] = grad_trace_invariant(ab_lax, state, [state.array], [2])
+        [[grad]] = grad_trace_invariant(ab_lax, state, [2])
     assert np.flatnonzero(~np.isfinite(grad)).tolist() == [1]
 
 
@@ -784,11 +780,11 @@ def test_every_dL_entry_mutant_moves_the_gradient_off_fd(rng, system, sample):
     state = sample(rng)
     fd = {order: _fd_grad(system, state, order) for order in (3, 4)}
     base = SYSTEMS[system].lax
-    clean = grad_trace_invariant(base, state, [state.array], list(fd))
+    clean = grad_trace_invariant(base, state, list(fd))
     assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(clean, fd)) < FD_GRAD_TOL
     mutants = 0
     for label, table in _slot_mutants(base(state).table):
-        grads = grad_trace_invariant(lambda s, compiled=compile_lax(table): compiled, state, [state.array], list(fd))
+        grads = grad_trace_invariant(lambda s, compiled=compile_lax(table): compiled, state, list(fd))
         assert max(np.max(np.abs(g[0] - fd[order])) for g, order in zip(grads, fd)) > FD_GRAD_TOL, (system, label)
         mutants += 1
     assert mutants == {"km": 12, "toda": 13, "ab": 18, "vd": 28}[system]
@@ -797,24 +793,24 @@ def test_every_dL_entry_mutant_moves_the_gradient_off_fd(rng, system, sample):
 @pytest.mark.parametrize("system, sample", LAX_SAMPLES, ids=_LAX_IDS)
 def test_lax_dL_batch_is_the_stack_of_single_directions(rng, system, sample):
     states = [sample(rng) for _ in range(3)]
-    rows = np.array([s.array for s in states])
-    d, T = rows.shape[1], _pair(system, states[0])[0].shape[0]
+    block = stack(states)
+    d, T = block.dim, _pair(system, states[0])[0].shape[0]
     ds = rng.uniform(-1.0, 1.0, (d, 4, 3))
     builder = SYSTEMS[system].lax
-    L, B, sign = assembled_pair(builder, states[0], rows)
-    dL = _dL(builder, states[0], rows, ds)
+    L, B, sign = assembled_pair(builder, block)
+    dL = _dL(builder, block, ds)
     assert L.shape == B.shape == (3, T, T) and dL.shape == (3, 4, T, T)
     assert all(a.flags.c_contiguous for a in (L, B, dL))
     for r, state in enumerate(states):
         one_L, one_B, one_sign = _pair(system, state)
         assert np.array_equal(L[r], one_L) and np.array_equal(B[r], one_B) and sign == one_sign
         for k in range(4):
-            assert np.array_equal(dL[r, k], _dL(builder, state, [state.array], ds[:, k, r, None, None])[0, 0])
+            assert np.array_equal(dL[r, k], _dL(builder, state, ds[:, k, r, None, None])[0, 0])
 
 
 def _drift(system, s0, names):
     _, coords = run(system, s0, 10.0, FixedStep(1e-3))
-    return {r.name: r for r in drift_report(system.invariant_columns(s0, names, coords))}
+    return {r.name: r for r in drift_report(system.invariant_columns(s0.replace_coords(coords), names))}
 
 
 def test_drift_along_ab_flow(rng):
@@ -844,7 +840,7 @@ def test_drift_along_km_flow():
 def test_residual_vanishing_field_zero_a():
     # with every a zero both dL/dt and the commutator vanish identically
     state = ab_state([0, 0, 0], [0.3, -0.7])
-    assert lax_residual(ab_lax, state, [state.array], [ab_field(state, state.array)])[0] == 0.0
+    assert lax_residual(ab_lax, state, ab_field(state, state.columns))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -875,14 +871,14 @@ def test_every_lax_entry_mutant_fails_the_gate(rng):
     counts = {}
     for system, sample, size, field in _MUTATION_CASES:
         states = [sample(rng, size) for _ in range(3)]
-        rows, velocities = [s.array for s in states], [field(s, s.array) for s in states]
+        block, velocities = stack(states), np.array([field(s, s.array) for s in states]).T
         builder = SYSTEMS[system].lax
-        mutants = list(_lax_mutants(builder(states[0]).table))
+        mutants = list(_lax_mutants(builder(block).table))
         counts[system] = len(mutants)
         for label, table in mutants:
             mutant = lambda state, compiled=compile_lax(table): compiled
-            assert np.max(lax_residual(mutant, states[0], rows, velocities)) > RESIDUAL_TOL, (system, label)
-        assert np.max(lax_residual(builder, states[0], rows, velocities)) < RESIDUAL_TOL
+            assert np.max(lax_residual(mutant, block, velocities)) > RESIDUAL_TOL, (system, label)
+        assert np.max(lax_residual(builder, block, velocities)) < RESIDUAL_TOL
     # 111 entry mutants and one sign flip per builder
     assert counts == {"km": 14 + 6 + 1, "toda": 19 + 6 + 1, "vd": 28 + 14 + 1, "ab": 18 + 6 + 1}
 
@@ -894,12 +890,12 @@ def test_a_non_symmetric_table_keeps_the_bits_of_both_products(rng, system, samp
     # diagonal ones keep L = L^T and a gauge, and their float64 path must keep
     # the same bits
     states = [sample(rng, size) for _ in range(4)]
-    rows, velocities = np.array([s.array for s in states]), np.array([field(s, s.array) for s in states])
-    for label, table in _slot_mutants(SYSTEMS[system].lax(states[0]).table):
+    block, velocities = stack(states), np.array([field(s, s.array) for s in states]).T
+    for label, table in _slot_mutants(SYSTEMS[system].lax(block).table):
         compiled = compile_lax(table)
         assert (compiled.gauge is None) == (not _symmetric(compiled)), (system, label)
         builder = lambda s: compiled
-        L, B, sign = assembled_pair(builder, states[0], rows)
-        dL = _dL(builder, states[0], rows, velocities.T[:, None])[:, 0]
+        L, B, sign = assembled_pair(builder, block)
+        dL = _dL(builder, block, velocities[:, None])[:, 0]
         want = row_norms(dL - sign * (B @ L - L @ B))
-        assert lax_residual(builder, states[0], rows, velocities).tobytes() == want.tobytes(), (system, label)
+        assert lax_residual(builder, block, velocities).tobytes() == want.tobytes(), (system, label)

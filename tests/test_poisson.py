@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference, random_ab, random_c, random_qp, random_v
+from conftest import central_difference, random_ab, random_c, random_qp, random_v, stack
 from jacobi_reference import dense_jacobi_residual, dense_tensors
 from lax_reference import assembled_pair
 
-from lattice_flows import ChartMismatch, DimensionError, ParityError, ab_state, c_state, u_state, v_state
+from lattice_flows import ChartMismatch, DimensionError, ParityError, State, ab_state, c_state, u_state, v_state
 from lattice_flows import poisson
 from lattice_flows.catalog import LENARD, SYSTEMS
 from lattice_flows.cli import _AB, _C, _V, BLOCK, SUITES, _involution
@@ -20,7 +20,7 @@ from lattice_flows.poisson import (
     lenard_residual,
     STRUCTURES,
 )
-from lattice_flows.states import C_VARS, VOLTERRA_V, coordinate_columns, matvecs, row_norms
+from lattice_flows.states import C_VARS, FLASCHKA_AB, VOLTERRA_V, matvecs, row_norms
 from lattice_flows.systems import ab_field, km_field, toda_ab_field, vd_field
 from lattice_flows.transforms import c_to_v_block, d_transform_block
 
@@ -36,23 +36,12 @@ D_MAP_PI3_SCALE = 1.0
 S = STRUCTURES
 
 
-def _tensor(structure, state, rows):
-    """pi at each row, (N, n, n), of a structure or of the pencil first + lam * second of a triple."""
+def _tensor(structure, block):
+    """pi at each state, (N, n, n), of a structure or of the pencil first + lam * second of a triple."""
     if isinstance(structure, tuple):
         first, second, lam = structure
-        return first(state, rows) + lam * second(state, rows)
-    return structure(state, rows)
-
-
-def _pi(structure, state):
-    """pi at one state: the one matrix of a one-row block."""
-    return _tensor(structure, state, [state.array])[0]
-
-
-def _at(residual, *args):
-    """A block residual's value at one state, its last argument: the state as a one-row block."""
-    *head, state = args
-    return residual(*head, state, [state.array])[0]
+        return first(block) + lam * second(block)
+    return structure(block)
 
 
 def _structure(spec):
@@ -63,11 +52,11 @@ def _structure(spec):
     return S[spec]
 
 
-def _jacobi(struct, state, rows):
+def _jacobi(struct, block):
     """The Jacobi residual of a structure, or the compatibility residual of a pencil triple."""
     if isinstance(struct, tuple):
-        return compatibility_residual(*struct, state, rows)
-    return jacobi_residual(struct, state, rows)
+        return compatibility_residual(*struct, block)
+    return jacobi_residual(struct, block)
 
 
 def golden_pi1_matrix(v):
@@ -94,17 +83,17 @@ def golden_pi1_matrix(v):
 def test_pi1_v_golden_n7(rng):
     for _ in range(20):
         v = rng.uniform(0.1, 2.0, 7)
-        got = _pi(S["pi1-v"], v_state(v))
+        got = S["pi1-v"](v_state(v))[0]
         assert np.max(np.abs(got - golden_pi1_matrix(v))) < 1e-12
 
 
 def test_pi1_v_needs_odd_dimension(rng):
     with pytest.raises(ParityError):
-        _pi(S["pi1-v"], random_v(rng, 6))
+        S["pi1-v"](random_v(rng, 6))[0]
 
 
 def test_c_bracket_constant_matrix():
-    got = _pi(S["c-bracket"], c_state([1, 2, 3, 4, 5]))
+    got = S["c-bracket"](c_state([1, 2, 3, 4, 5]))[0]
     expected = np.zeros((5, 5))
     for j in range(3):
         expected[j, j + 1] = 1
@@ -114,7 +103,7 @@ def test_c_bracket_constant_matrix():
 
 
 def test_pi1_ab_entries_m2():
-    got = _pi(S["pi1-ab"], ab_state([1, 1, 1], [5, 7]))
+    got = S["pi1-ab"](ab_state([1, 1, 1], [5, 7]))[0]
     # nonzero pattern: {a1,b1}=1, {a2,b2}=1/2, {a2,b1}=-1/2, {a3,b2}=-1
     expected = np.zeros((5, 5))
     expected[0, 3] = 1.0
@@ -134,22 +123,22 @@ def test_antisymmetry_everywhere(rng):
         "pi3-ab": random_ab(rng, 4),
     }
     for name, state in states.items():
-        pi = _pi(S[name], state)
+        pi = S[name](state)[0]
         assert np.array_equal(pi, -pi.T), name
 
 
 def test_jacobi_residuals(rng):
-    assert _at(jacobi_residual, S["c-bracket"], random_c(rng, 8)) == 0.0
+    assert jacobi_residual(S["c-bracket"], random_c(rng, 8))[0] == 0.0
     for n in (5, 7, 9):
         for _ in range(50):
             state = random_v(rng, n)
-            assert _at(jacobi_residual, S["pi1-v"], state) < JACOBI_TOL
-            assert _at(jacobi_residual, S["pi3-v"], state) < JACOBI_TOL
+            assert jacobi_residual(S["pi1-v"], state)[0] < JACOBI_TOL
+            assert jacobi_residual(S["pi3-v"], state)[0] < JACOBI_TOL
     for m in (2, 3):
         for _ in range(25):
             state = random_ab(rng, m)
-            assert _at(jacobi_residual, S["pi1-ab"], state) < JACOBI_TOL
-            assert _at(jacobi_residual, S["pi3-ab"], state) < JACOBI_TOL
+            assert jacobi_residual(S["pi1-ab"], state)[0] < JACOBI_TOL
+            assert jacobi_residual(S["pi3-ab"], state)[0] < JACOBI_TOL
 
 
 def test_jacobi_analytic_matches_fd(rng):
@@ -157,14 +146,14 @@ def test_jacobi_analytic_matches_fd(rng):
     for name, state in (("pi1-v", random_v(rng, 7)), ("pi3-ab", random_ab(rng, 3))):
         struct = S[name]
         fd = _reference_dpi(struct, state, 1e-5)
-        assert np.max(np.abs(dense_tensors(struct, state, [state.array])[1][..., 0] - fd)) <= 1e-7 * np.max(np.abs(fd))
-        assert _matches_loop(_at(jacobi_residual, struct, state), struct, state, 1e-5)
+        assert np.max(np.abs(dense_tensors(struct, state)[1][..., 0] - fd)) <= 1e-7 * np.max(np.abs(fd))
+        assert _matches_loop(jacobi_residual(struct, state)[0], struct, state, 1e-5)
 
 
 def test_jacobi_residual_propagates_nan():
     # a NaN cyclic sum must not be dropped by the max over index triples
     state = v_state([np.nan, 1.0, 1.5, 0.5, 1.2])
-    assert np.isnan(_at(jacobi_residual, S["pi3-v"], state))
+    assert np.isnan(jacobi_residual(S["pi3-v"], state)[0])
 
 
 _LAMBDAS = (1.0, 2.5, -0.75)
@@ -186,9 +175,9 @@ def test_jacobi_residual_keeps_every_bit_of_the_dense_sum(structure, sample, siz
     # add exact zeros on finite states, so every bit is kept
     struct = _structure(structure)
     for seed, count in ((0, 1), (1, 7), (2, BLOCK)):
-        template, rows = sample(np.random.default_rng(seed), count, size, size)
-        got = _jacobi(struct, template, rows)
-        assert got.tobytes() == dense_jacobi_residual(struct, template, rows).tobytes()
+        block = sample(np.random.default_rng(seed), count, size, size)
+        got = _jacobi(struct, block)
+        assert got.tobytes() == dense_jacobi_residual(struct, block).tobytes()
 
 
 def _dense_table(state):
@@ -204,10 +193,10 @@ def test_jacobi_residual_keeps_the_grouping_of_three_live_terms():
     # (A + B) + C and A + (B + C) round apart; this table has nothing else
     dense = PoissonStructure("dense", VOLTERRA_V, _dense_table)
     for n in (4, 7, 9):
-        template, rows = _V(np.random.default_rng(n), BLOCK, n, None)
+        block = _V(np.random.default_rng(n), BLOCK, n, None)
         for struct in (dense, (dense, S["pi3-v"], -0.75)):
-            got = _jacobi(struct, template, rows)
-            assert got.tobytes() == dense_jacobi_residual(struct, template, rows).tobytes()
+            got = _jacobi(struct, block)
+            assert got.tobytes() == dense_jacobi_residual(struct, block).tobytes()
 
 
 _NAN_CASES = (
@@ -217,14 +206,14 @@ _NAN_CASES = (
 )
 
 
-@pytest.mark.parametrize("template, structure", _NAN_CASES, ids=[str(s) for _, s in _NAN_CASES])
-def test_a_nan_at_any_coordinate_makes_the_residual_nan(template, structure):
+@pytest.mark.parametrize("state, structure", _NAN_CASES, ids=[str(s) for _, s in _NAN_CASES])
+def test_a_nan_at_any_coordinate_makes_the_residual_nan(state, structure):
     # row c of the block holds a NaN at coordinate c: each of these tensors
     # reads every coordinate in a live term, so every row's residual is NaN
     rows = np.random.default_rng(3).uniform(0.5, 1.5, (7, 7)).astype(complex)
     np.fill_diagonal(rows, np.nan)
     with np.errstate(invalid="ignore"):
-        assert np.isnan(_jacobi(_structure(structure), template, rows)).all()
+        assert np.isnan(_jacobi(_structure(structure), state.replace_coords(rows))).all()
 
 
 def test_a_structural_zero_is_not_multiplied_by_a_nan():
@@ -232,13 +221,13 @@ def test_a_structural_zero_is_not_multiplied_by_a_nan():
     # pi[a_1, b_1] and pi[a_4, b_3], which meet no live d pi entry, so a NaN
     # there no longer reaches the residual through the zeros of d pi; the
     # b's are read by no entry of pi1-ab at all
-    template = ab_state(np.ones(4), np.ones(3))
+    state = ab_state(np.ones(4), np.ones(3))
     rows = np.random.default_rng(4).uniform(0.5, 1.5, (7, 7)).astype(complex)
-    clean = jacobi_residual(S["pi1-ab"], template, rows)
+    clean = jacobi_residual(S["pi1-ab"], state.replace_coords(rows))
     np.fill_diagonal(rows, np.nan)
     with np.errstate(invalid="ignore"):
-        got = jacobi_residual(S["pi1-ab"], template, rows)
-        dense = dense_jacobi_residual(S["pi1-ab"], template, rows)
+        got = jacobi_residual(S["pi1-ab"], state.replace_coords(rows))
+        dense = dense_jacobi_residual(S["pi1-ab"], state.replace_coords(rows))
     assert np.flatnonzero(np.isnan(dense)).tolist() == [0, 1, 2, 3]
     assert np.flatnonzero(np.isnan(got)).tolist() == [1, 2]
     assert got[[0, 3, 4, 5, 6]].tobytes() == clean[[0, 3, 4, 5, 6]].tobytes()
@@ -344,10 +333,9 @@ def test_jacobi_residual_matches_scalar_loop_bitwise(rng, structure, sample, siz
     struct = _structure(structure)
     for _ in range(2):
         state = sample(rng, size)
-        assert _matches_loop(_at(_jacobi, struct, state), struct, state, fd_step)
+        assert _matches_loop(_jacobi(struct, state)[0], struct, state, fd_step)
     states = [sample(rng, size) for _ in range(3)]
-    rows = np.array([s.array for s in states])
-    got = _jacobi(struct, states[0], rows)
+    got = _jacobi(struct, stack(states))
     assert all(_matches_loop(r, struct, s, fd_step) for r, s in zip(got.tolist(), states))
 
 
@@ -360,86 +348,85 @@ def test_jacobi_residual_detects_a_corrupted_coefficient(rng):
     corrupted = PoissonStructure("pi3-v-corrupted", VOLTERRA_V, lambda s: table)
     for _ in range(5):
         state = random_v(rng, 9)
-        residual = _at(jacobi_residual, corrupted, state)
+        residual = jacobi_residual(corrupted, state)[0]
         assert residual > 1e-3
         assert residual == _jacobi_loop(corrupted, state)
-        assert _at(jacobi_residual, S["pi3-v"], state) < JACOBI_TOL
+        assert jacobi_residual(S["pi3-v"], state)[0] < JACOBI_TOL
 
 
 def test_compatibility(rng):
     for lam in (1.0, 2.5):
         for n in (5, 7, 9):
             for _ in range(25):
-                assert _at(compatibility_residual, S["pi1-v"], S["pi3-v"], lam, random_v(rng, n)) < JACOBI_TOL
+                assert compatibility_residual(S["pi1-v"], S["pi3-v"], lam, random_v(rng, n))[0] < JACOBI_TOL
         for _ in range(25):
-            assert _at(compatibility_residual, S["pi1-ab"], S["pi3-ab"], lam, random_ab(rng, 3)) < JACOBI_TOL
+            assert compatibility_residual(S["pi1-ab"], S["pi3-ab"], lam, random_ab(rng, 3))[0] < JACOBI_TOL
 
 
 def test_pencil_at_lambda_zero_is_first_structure(rng):
     state = random_v(rng, 7)
-    assert _at(compatibility_residual, S["pi1-v"], S["pi3-v"], 0.0, state) == _at(jacobi_residual, S["pi1-v"], state)
+    assert compatibility_residual(S["pi1-v"], S["pi3-v"], 0.0, state)[0] == jacobi_residual(S["pi1-v"], state)[0]
 
 
 def test_a_pencil_needs_structures_on_one_chart(rng):
     # checked before either structure reads the state, whichever chart it is on
     for state in (random_v(rng, 7), random_ab(rng, 3)):
         with pytest.raises(ChartMismatch, match="pencil requires structures on the same chart"):
-            _at(compatibility_residual, S["pi1-v"], S["pi1-ab"], 1.0, state)
+            compatibility_residual(S["pi1-v"], S["pi1-ab"], 1.0, state)[0]
 
 
 def _casimir(structure, grad_c):
-    """The Casimir residual |pi grad C| at each row: a flow check with X = 0."""
-    return lambda s, rows: hamiltonian_flow_check(structure, s, rows, grad_c(s, rows))
+    """The Casimir residual |pi grad C| at each state: a flow check with X = 0."""
+    return lambda block: hamiltonian_flow_check(structure, block, grad_c(block))
 
 
 def _flow(structure, grad_h, field):
-    """|pi grad H - X| at each row, X the field evaluated once on the block's columns."""
-    return lambda s, rows: hamiltonian_flow_check(structure, s, rows, grad_h(s, rows),
-                                                  field(s, coordinate_columns(s, rows)).T)
+    """|pi grad H - X| at each state, X the field evaluated once on the block's columns."""
+    return lambda block: hamiltonian_flow_check(structure, block, grad_h(block), field(block, block.columns).T)
 
 
 def test_casimir_residuals(rng):
     for n in (5, 7, 9):
         for _ in range(50):
-            assert _at(_casimir(S["pi1-v"], grad_casimir_F), random_v(rng, n)) < CASIMIR_TOL
+            assert _casimir(S["pi1-v"], grad_casimir_F)(random_v(rng, n))[0] < CASIMIR_TOL
     for m in (2, 3):
         for _ in range(50):
-            assert _at(_casimir(S["pi1-ab"], grad_casimir_C), random_ab(rng, m)) < CASIMIR_TOL
+            assert _casimir(S["pi1-ab"], grad_casimir_C)(random_ab(rng, m))[0] < CASIMIR_TOL
 
 
 def test_casimir_residual_constant_function(rng):
     state = random_v(rng, 7)
-    assert _at(_casimir(S["pi3-v"], lambda s, rows: np.zeros((len(rows), s.dim))), state) == 0.0
+    assert _casimir(S["pi3-v"], lambda block: np.zeros(block.rows.shape))(state)[0] == 0.0
 
 
-def _grad_h_vd(state, rows):
+def _grad_h_vd(block):
     """Gradient of the vd flow Hamiltonian tr(L^4)/8, half that of tr(L^4)/4."""
-    return 0.5 * grad_trace_invariant(SYSTEMS["vd"].lax, state, rows, [4])[0]
+    return 0.5 * grad_trace_invariant(SYSTEMS["vd"].lax, block, [4])[0]
 
 
 def test_hamiltonian_flow_vd(rng):
     for n in (5, 7):
         for _ in range(50):
             state = random_v(rng, n)
-            r = _at(_flow(S["pi1-v"], _grad_h_vd, vd_field), state)
+            r = _flow(S["pi1-v"], _grad_h_vd, vd_field)(state)[0]
             assert r < 1e-10
 
 
-def _grad_h2_ab(state, rows):
-    return grad_trace_invariant(ab_lax, state, rows, [2])[0]
+def _grad_h2_ab(block):
+    return grad_trace_invariant(ab_lax, block, [2])[0]
 
 
 def test_hamiltonian_flow_ab(rng):
     for m in (2, 3):
         for _ in range(50):
             state = random_ab(rng, m)
-            r = _at(_flow(S["pi1-ab"], _grad_h2_ab, ab_field), state)
+            r = _flow(S["pi1-ab"], _grad_h2_ab, ab_field)(state)[0]
             assert r < 1e-10
 
 
 def test_hamiltonian_flow_zero_state():
     state = ab_state([0, 0, 0], [0, 0])
-    r = _at(_flow(S["pi1-ab"], _grad_h2_ab, ab_field), state)
+    r = _flow(S["pi1-ab"], _grad_h2_ab, ab_field)(state)[0]
     assert r == 0.0
 
 
@@ -451,30 +438,30 @@ def test_lenard_residual_keeps_the_bits_of_pi3_grad_h2_minus_pi1_grad_h4(rng):
     for chart, rows, (o2, s2), (o4, s4) in (("v", _v_rows(rng, 9, 5), (4, 2), (8, 2)),
                                             ("ab", _ab_rows(rng, 3, 5), (2, 1), (4, 2))):
         pair = LENARD[chart]
-        template = v_state(rows[0]) if chart == "v" else ab_state(rows[0][:4], rows[0][4:])
-        g2, g4 = grad_trace_invariant(pair.row.lax, template, rows, [o2, o4])
-        want = row_norms(matvecs(pair.pi3(template, rows), s2 * g2) - matvecs(pair.pi1(template, rows), s4 * g4))
-        assert np.array_equal(lenard_residual(pair, template, rows), want)
+        block = v_state(rows) if chart == "v" else State(FLASCHKA_AB, rows, 4)
+        g2, g4 = grad_trace_invariant(pair.row.lax, block, [o2, o4])
+        want = row_norms(matvecs(pair.pi3(block), s2 * g2) - matvecs(pair.pi1(block), s4 * g4))
+        assert np.array_equal(lenard_residual(pair, block), want)
 
 
 def test_lenard_both_charts(rng):
     for n in (5, 7, 9):
         for _ in range(50):
-            assert _at(lenard_residual, LENARD["v"], random_v(rng, n)) < LENARD_TOL
+            assert lenard_residual(LENARD["v"], random_v(rng, n))[0] < LENARD_TOL
     for m in (2, 3):
         for _ in range(50):
-            assert _at(lenard_residual, LENARD["ab"], random_ab(rng, m)) < LENARD_TOL
+            assert lenard_residual(LENARD["ab"], random_ab(rng, m))[0] < LENARD_TOL
 
 
 def _fd_lenard_residual(chart, system, h2, h4, state, fd_step=1e-6):
     """pi3 grad H2 - pi1 grad H4 with central differences of H = scale * tr(L^order) / order."""
     def grad(order, scale):
         def h(s):
-            return scale * trace_columns(assembled_pair(SYSTEMS[system].lax, s, [s.array])[0], [order])[0][0]
+            return scale * trace_columns(assembled_pair(SYSTEMS[system].lax, s)[0], [order])[0][0]
 
         return central_difference(h, state, fd_step)
 
-    return np.linalg.norm(_pi(S[f"pi3-{chart}"], state) @ grad(*h2) - _pi(S[f"pi1-{chart}"], state) @ grad(*h4))
+    return np.linalg.norm(S[f"pi3-{chart}"](state)[0] @ grad(*h2) - S[f"pi1-{chart}"](state)[0] @ grad(*h4))
 
 
 def test_lenard_fd_cross_check(rng):
@@ -490,17 +477,17 @@ def test_lenard_parity_error(rng):
     # at n = 4 vd offers no H4: pi1 must name the parity before the row's names are read
     for n in (4, 6):
         with pytest.raises(ParityError, match="pi1-v requires odd n"):
-            _at(lenard_residual, LENARD["v"], random_v(rng, n))
+            lenard_residual(LENARD["v"], random_v(rng, n))[0]
 
 
 def test_lenard_rejects_a_state_off_its_chart(rng):
     with pytest.raises(ChartMismatch):
-        _at(lenard_residual, LENARD["v"], random_ab(rng, 3))
+        lenard_residual(LENARD["v"], random_ab(rng, 3))[0]
 
 
 def _bracket(structure, f, g, state, fd_step=1e-6):
     """{f, g}(s) = grad f . pi(s) . grad g, with central-difference gradients."""
-    pi = _pi(S[structure], state)
+    pi = S[structure](state)[0]
     return complex(central_difference(f, state, fd_step) @ pi @ central_difference(g, state, fd_step))
 
 
@@ -523,8 +510,8 @@ def test_involution_of_invariants(rng):
     for m in (3, 4):
         for _ in range(50):
             state = random_ab(rng, m)
-            pi = _pi(S["pi1-ab"], state)
-            [g2], [g4], [g6] = grad_trace_invariant(ab_lax, state, [state.array], [2, 4, 6])
+            pi = S["pi1-ab"](state)[0]
+            [g2], [g4], [g6] = grad_trace_invariant(ab_lax, state, [2, 4, 6])
             for gk in (g4, g6):
                 assert abs(complex(g2 @ pi @ gk)) < 1e-9
 
@@ -532,14 +519,8 @@ def test_involution_of_invariants(rng):
 def push_tensor(structure, kernel, state):
     """J pi J^T, with J's columns the kernel's JVPs of the unit directions at d copies of the state."""
     d = state.dim
-    jac = kernel(state, np.tile(state.array, (d, 1)), np.eye(d))[2].T
-    return jac @ _pi(structure, state) @ jac.T
-
-
-def _image(kernel, state):
-    """The image State of one state under a map kernel."""
-    zero, image = kernel(state, [state.array])
-    return zero.replace_coords(image[0])
+    jac = kernel(stack([state] * d), np.eye(d))[1]
+    return jac @ structure(state)[0] @ jac.T
 
 
 def _relative_gap(pushed, target):
@@ -553,7 +534,7 @@ def test_c_bracket_pushes_to_half_pi3_v(rng):
         for _ in range(20):
             state = random_c(rng, n + 1)
             pushed = push_tensor(S["c-bracket"], c_to_v_block, state)
-            target = _pi(S["pi3-v"], _image(c_to_v_block, state))
+            target = S["pi3-v"](c_to_v_block(state))[0]
             assert _relative_gap(C_TO_V_PI3_SCALE * pushed, target) < 1e-12
 
 
@@ -562,12 +543,12 @@ def test_every_c_bracket_entry_mutant_fails_the_push_check(rng):
     # its table holds; the push onto pi3-v is the check that sees a wrong entry
     for nc in (6, 8):
         state = random_c(rng, nc)
-        target = _pi(S["pi3-v"], _image(c_to_v_block, state))
+        target = S["pi3-v"](c_to_v_block(state))[0]
         table = S["c-bracket"].table_builder(state)
         for entry, monos in table.items():
             mutated = {**table, entry: [(1.5 * coef, powers) for coef, powers in monos]}
             mutant = PoissonStructure("c-bracket", C_VARS, lambda s, t=mutated: t)
-            assert _at(jacobi_residual, mutant, state) == 0.0
+            assert jacobi_residual(mutant, state)[0] == 0.0
             pushed = push_tensor(mutant, c_to_v_block, state)
             assert _relative_gap(C_TO_V_PI3_SCALE * pushed, target) > 1e-12, (nc, entry)
 
@@ -577,7 +558,7 @@ def test_d_map_pushes_pi1_to_half_pi1_ab(rng):
         for _ in range(20):
             state = random_v(rng, n)
             pushed = push_tensor(S["pi1-v"], d_transform_block, state)
-            target = _pi(S["pi1-ab"], _image(d_transform_block, state))
+            target = S["pi1-ab"](d_transform_block(state))[0]
             assert np.max(np.abs(D_MAP_PI1_SCALE * pushed - target)) < 1e-12
 
 
@@ -586,7 +567,7 @@ def test_d_map_pushes_pi3_onto_pi3_ab(rng):
         for _ in range(20):
             state = random_v(rng, n)
             pushed = push_tensor(S["pi3-v"], d_transform_block, state)
-            target = _pi(S["pi3-ab"], _image(d_transform_block, state))
+            target = S["pi3-ab"](d_transform_block(state))[0]
             assert np.max(np.abs(D_MAP_PI3_SCALE * pushed - target)) < 1e-12
 
 
@@ -600,20 +581,20 @@ def test_plans_are_compiled_once_per_structure_and_size(monkeypatch, rng):
     monkeypatch.setattr(poisson, "_PLANS", {})
     counting = PoissonStructure("pi3-v-counted", VOLTERRA_V, counted)
     first, second = random_v(rng, 9), random_v(rng, 9)
-    assert np.array_equal(_pi(counting, first), _pi(STRUCTURES["pi3-v"], first))
-    _pi(counting, second)
+    assert np.array_equal(counting(first)[0], STRUCTURES["pi3-v"](first)[0])
+    counting(second)[0]
     assert builds == [9] and list(poisson._PLANS) == [(counting, 9, None), (STRUCTURES["pi3-v"], 9, None)]
-    _pi(counting, random_v(rng, 11))
+    counting(random_v(rng, 11))[0]
     assert builds == [9, 11]
     # the chart is checked on every call, hit or miss
     with pytest.raises(ChartMismatch):
-        _pi(counting, random_ab(rng, 4))
+        counting(random_ab(rng, 4))[0]
     # a mutant of the same name and chart is another structure, with its own plan
     table = dict(_pi3_v_table(9))
     (coef, powers), *rest = table[(2, 3)]
     table[(2, 3)] = [(1.5 * coef, powers), *rest]
     mutant = PoissonStructure("pi3-v", VOLTERRA_V, lambda s: table)
-    assert not np.array_equal(_pi(mutant, first), _pi(STRUCTURES["pi3-v"], first))
+    assert not np.array_equal(mutant(first)[0], STRUCTURES["pi3-v"](first)[0])
     assert (mutant, 9, None) in poisson._PLANS and len(poisson._PLANS) == 4
 
 
@@ -623,16 +604,14 @@ def test_structures_registry_contents():
     assert {name: check.check for name, check in SUITES["casimir"].checks.items()} == {
         "pi1-v": "casimir-F", "pi1-ab": "casimir-C"}
     state = random_v(np.random.default_rng(0), 7)
-    rows = [state.array]
-    assert np.array_equal(SYSTEMS["vd"].invariant_gradients(state, ["F"], rows)["F"], grad_casimir_F(state, rows))
+    assert np.array_equal(SYSTEMS["vd"].invariant_gradients(state, ["F"])["F"], grad_casimir_F(state))
     state = random_ab(np.random.default_rng(0), 3)
-    rows = [state.array]
-    assert np.array_equal(SYSTEMS["ab"].invariant_gradients(state, ["C"], rows)["C"], grad_casimir_C(state, rows))
+    assert np.array_equal(SYSTEMS["ab"].invariant_gradients(state, ["C"])["C"], grad_casimir_C(state))
 
 
 def test_lenard_zero_at_origin():
     state = ab_state([0, 0, 0], [0, 0])
-    assert _at(lenard_residual, LENARD["ab"], state) == 0.0
+    assert lenard_residual(LENARD["ab"], state)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -665,14 +644,14 @@ def test_compiled_tensors_match_reference_loops(rng, family, size):
     structures, draw, template = _FAMILIES[family]
     template = template(size)
     for count, imag in ((1, 0.0), (3, 0.0), (BLOCK + 1, 0.0), (3, 0.5)):
-        rows = draw(rng, size, count, imag)
-        states = [template.replace_coords(row) for row in rows]
+        block = template.replace_coords(draw(rng, size, count, imag))
+        states = [template.replace_coords(row) for row in block.rows]
         for structure in structures:
             struct = _structure(structure)
             # pi is a C-ordered (N, n, n) stack: states.matvecs takes its bits from each slice's layout
-            got_pi = _tensor(struct, template, rows)
+            got_pi = _tensor(struct, block)
             assert got_pi.flags.c_contiguous and got_pi.shape == (count, template.dim, template.dim), structure
-            got_dpi = dense_tensors(struct, template, rows)[1]  # scattered from the compact rows
+            got_dpi = dense_tensors(struct, block)[1]  # scattered from the compact rows
             ref_pi = np.stack([_reference_pi(struct, s) for s in states])
             ref_dpi = np.stack([_reference_dpi(struct, s) for s in states], axis=-1)
             if imag:
@@ -681,8 +660,8 @@ def test_compiled_tensors_match_reference_loops(rng, family, size):
             else:
                 assert np.array_equal(got_pi, ref_pi), structure
                 assert np.array_equal(got_dpi, ref_dpi), structure
-                assert np.array_equal(_pi(struct, states[0]), ref_pi[0]), structure
-                assert np.array_equal(dense_tensors(struct, states[0], rows[:1])[1], ref_dpi[..., :1]), structure
+                assert np.array_equal(_tensor(struct, states[0])[0], ref_pi[0]), structure
+                assert np.array_equal(dense_tensors(struct, states[0])[1], ref_dpi[..., :1]), structure
 
 
 def _grad_casimir_F_loop(v):
@@ -712,10 +691,10 @@ def test_batched_grad_casimir_F_matches_per_state_formula(rng, size):
     template = v_state(np.ones(size))
     for count in (1, 3, BLOCK + 1):
         rows = _v_rows(rng, size, count)
-        got = grad_casimir_F(template, rows)
+        got = grad_casimir_F(template.replace_coords(rows))
         assert got.flags.c_contiguous
         assert np.array_equal(got, [_grad_casimir_F_loop(row) for row in rows])
-        assert np.array_equal(grad_casimir_F(template.replace_coords(rows[0]), rows[:1]), got[:1])
+        assert np.array_equal(grad_casimir_F(template.replace_coords(rows[0])), got[:1])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
@@ -723,14 +702,15 @@ def test_batched_grad_casimir_C_matches_per_state_formula(rng, m):
     template = ab_state(np.ones(m + 1), np.ones(m))
     for count in (1, 3, BLOCK + 1):
         rows = _ab_rows(rng, m, count)
-        got = grad_casimir_C(template, rows)
+        got = grad_casimir_C(template.replace_coords(rows))
         assert got.flags.c_contiguous
         assert np.array_equal(got, [_grad_casimir_C_loop(row, m) for row in rows])
-        assert np.array_equal(grad_casimir_C(template.replace_coords(rows[0]), rows[:1]), got[:1])
+        assert np.array_equal(grad_casimir_C(template.replace_coords(rows[0])), got[:1])
 
 
 def _lax_along(key, field):
-    return lambda s, rows: lax_residual(SYSTEMS[key].lax, s, rows, [field(s, r) for r in rows])
+    """The Lax residual along velocities from one field call per state."""
+    return lambda block: lax_residual(SYSTEMS[key].lax, block, np.array([field(block, r) for r in block.rows]).T)
 
 
 def test_block_residuals_equal_one_state_residuals(rng):
@@ -742,23 +722,28 @@ def test_block_residuals_equal_one_state_residuals(rng):
         (_casimir(S["pi1-v"], grad_casimir_F), v, v_rows),
         (_casimir(S["pi1-ab"], grad_casimir_C), ab, ab_rows),
         (_flow(S["pi1-v"], _grad_h_vd, vd_field), v, v_rows),
-        (lambda s, rows: lenard_residual(LENARD["v"], s, rows), v, v_rows),
-        (lambda s, rows: lenard_residual(LENARD["ab"], s, rows), ab, ab_rows),
-        (lambda s, rows: compatibility_residual(S["pi1-v"], S["pi3-v"], 2.5, s, rows), v, v_rows),
+        (lambda block: lenard_residual(LENARD["v"], block), v, v_rows),
+        (lambda block: lenard_residual(LENARD["ab"], block), ab, ab_rows),
+        (lambda block: compatibility_residual(S["pi1-v"], S["pi3-v"], 2.5, block), v, v_rows),
         (_lax_along("km", km_field), u, u_rows),
         (_lax_along("toda", toda_ab_field), toda, toda_rows),
         (_lax_along("vd", vd_field), v, v_rows),
         (_lax_along("ab", ab_field), ab, ab_rows),
-        (lambda s, rows: _involution(s, rows, "H2", "H6"), ab, ab_rows),
+        (lambda block: _involution(block, "H2", "H6"), ab, ab_rows),
     )
     for residual, template, rows in cases:
-        one = [_at(residual, template.replace_coords(row)) for row in rows]
-        assert np.array(residual(template, rows)).tolist() == np.array(one).tolist()
+        one = [residual(template.replace_coords(row))[0] for row in rows]
+        assert np.array(residual(template.replace_coords(rows))).tolist() == np.array(one).tolist()
 
 
-def test_block_of_the_wrong_width_is_rejected(rng):
-    with pytest.raises(DimensionError):
-        jacobi_residual(S["pi3-v"], v_state(np.ones(7)), _v_rows(rng, 8, 2))
+def test_velocities_of_another_shape_are_rejected(rng):
+    # a block's rows always fit its chart and size; the velocities must be its (d, N) columns
+    block = v_state(_v_rows(rng, 7, 3))
+    velocities = vd_field(block, block.columns)
+    assert np.max(lax_residual(SYSTEMS["vd"].lax, block, velocities)) < 1e-10
+    for wrong in (velocities.T, velocities[:, :2], velocities[:-1], velocities[:, 0]):
+        with pytest.raises(DimensionError, match="tangent columns"):
+            lax_residual(SYSTEMS["vd"].lax, block, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -786,16 +771,14 @@ def _excesses(name, mutant, rng):
     mutant in place of its registry structure in its chart's Lenard pair."""
     chart = "v" if mutant.chart == VOLTERRA_V else "ab"
     pair = LENARD[chart]._replace(**{name.split("-")[0]: mutant})
-    rows = _v_rows(rng, 7, 3) if chart == "v" else _ab_rows(rng, 3, 3)
-    template = v_state(rows[0]) if chart == "v" else ab_state(rows[0][:4], rows[0][4:])
+    block = v_state(_v_rows(rng, 7, 3)) if chart == "v" else State(FLASCHKA_AB, _ab_rows(rng, 3, 3), 4)
     worst = {
-        "jacobi": jacobi_residual(mutant, template, rows),
-        "compat": np.concatenate([compatibility_residual(pair.pi1, pair.pi3, lam, template, rows)
-                                  for lam in (1.0, 2.5)]),
-        "lenard": lenard_residual(pair, template, rows),
+        "jacobi": jacobi_residual(mutant, block),
+        "compat": np.concatenate([compatibility_residual(pair.pi1, pair.pi3, lam, block) for lam in (1.0, 2.5)]),
+        "lenard": lenard_residual(pair, block),
     }
     if name in _CASIMIR_GRADS:
-        worst["casimir"] = _casimir(mutant, _CASIMIR_GRADS[name])(template, rows)
+        worst["casimir"] = _casimir(mutant, _CASIMIR_GRADS[name])(block)
     return {check for check, values in worst.items() if np.max(values) > _GATES[check]}
 
 
@@ -805,8 +788,7 @@ def test_every_single_monomial_mutant_fails_a_gate(rng):
     for name, entry, k, mutant in mutants:
         assert _excesses(name, mutant, rng), (name, entry, k)
     # the registry structures themselves pass
-    rows = _v_rows(rng, 7, 3)
-    assert np.max(jacobi_residual(S["pi3-v"], v_state(rows[0]), rows)) < JACOBI_TOL
+    assert np.max(jacobi_residual(S["pi3-v"], v_state(_v_rows(rng, 7, 3)))) < JACOBI_TOL
 
 
 def test_pi3_v_leading_mutant_is_caught_only_by_lenard(rng):

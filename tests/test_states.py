@@ -1,4 +1,4 @@
-"""The State contract: read-only ndarray coordinates with tuple-style equality."""
+"""The State contract: a read-only row or block of coordinates with tuple-style equality."""
 
 import importlib.util
 import math
@@ -35,8 +35,28 @@ def test_coordinates_are_copied_from_the_input():
 def test_sequences_of_numbers_are_accepted():
     assert u_state((1, 2.5, 3j)).array.tolist() == [1, 2.5, 3j]
     assert State(VOLTERRA_U, (np.float32(0.5), 2)).array.tolist() == [0.5, 2]
-    with pytest.raises(DimensionError):
-        State(VOLTERRA_U, [[1, 2], [3, 4]])
+    with pytest.raises(DimensionError, match="a row or an"):
+        State(VOLTERRA_U, [[[1, 2], [3, 4]]])
+    with pytest.raises(DimensionError, match="a row or an"):
+        State(VOLTERRA_U, 1.0)
+
+
+def test_a_state_is_a_row_or_a_block_of_rows():
+    # a lone state is a block of one row; the columns are the (d, N) points a field takes
+    row = ab_state([1, 2, 3], [4, 5])
+    assert row.dim == 5 and row.rows.shape == (1, 5) and row.columns.shape == (5, 1)
+    assert row.rows.base is row.array and row.rows[0].tolist() == row.array.tolist()
+    block = row.replace_coords([row.array, 2 * row.array, 3 * row.array])
+    assert block.dim == 5 and block.split == 3 and block.rows is block.array
+    assert block.columns.shape == (5, 3) and block.columns[:, 2].tolist() == (3 * row.array).tolist()
+    with pytest.raises(ValueError):
+        block.rows[0, 0] = 7
+    with pytest.raises(DimensionError, match="split 3 out of range for 2 coordinates"):
+        State(FLASCHKA_AB, np.ones((4, 2)), 3)
+    # the copy keeps a transposed ndarray's layout, so its columns come back with their strides
+    columns = np.arange(12.0).reshape(3, 4).astype(complex)
+    assert State(VOLTERRA_U, columns.T).columns.flags.c_contiguous
+    assert State(VOLTERRA_U, columns.T).columns.tobytes() == columns.tobytes()
 
 
 def test_equality_and_hash_follow_the_coordinate_tuple():
@@ -51,6 +71,11 @@ def test_equality_and_hash_follow_the_coordinate_tuple():
     assert nan == nan and nan != u_state([math.nan, 1.0])
     assert hash(nan) == hash(nan)
     assert len({a, b, u_state([0.0, 1.0])}) == 1
+    # a block compares and hashes its values: a block of one row is not its row
+    block = u_state([[0.0, 1.0], [2.0, 3.0]])
+    assert block == u_state([[-0.0, 1.0], [2.0, 3.0]]) and hash(block) == hash(u_state([[-0.0, 1.0], [2, 3]]))
+    assert hash(block) == hash((VOLTERRA_U, (0j, 1 + 0j, 2 + 0j, 3 + 0j), None))
+    assert u_state([[0.0, 1.0]]) != a and block != u_state([[0.0, 1.0], [2.0, 4.0]])
 
 
 @pytest.mark.parametrize("chart", CHARTS)

@@ -22,8 +22,7 @@ from lattice_flows import (
 from lattice_flows import rootdata
 from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.rootdata import gram_matrix, kozlov_treshchev_check, open_chain_spectrum
-from lattice_flows.states import (C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State,
-                                  coordinate_columns)
+from lattice_flows.states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State
 from lattice_flows.systems import (
     ab_field,
     bv_field,
@@ -105,7 +104,7 @@ def test_catalog_fields_read_the_row_not_the_template(rng):
 
 
 def _catalog_blocks(rng, complex_part):
-    """(system, template, (N, d) rows) for every catalog field, at n = 5 and 9
+    """(system, block of N states) for every catalog field, at n = 5 and 9
     and at the verify-mix sizes (n = 15 on the v and c charts, m = 7, n = 7
     for (q, p)), with N = 1, 3 and 8 rows.  Real rows carry some -0.0 entries
     off the c chart; ``complex_part`` adds imaginary parts instead."""
@@ -124,26 +123,26 @@ def _catalog_blocks(rng, complex_part):
                         rows += 1j * rng.uniform(-0.5, 0.5, rows.shape)
                     elif chart != C_VARS:
                         rows[rng.uniform(size=rows.shape) < 0.2] = -0.0
-                    yield system, State(chart, rows[0], split), rows
+                    yield system, State(chart, rows, split)
 
 
 def test_catalog_fields_on_a_real_block_equal_their_row_calls(rng):
     # verify evaluates each field once on a block's (d, N) columns; on real
     # coordinates every column keeps the bits of its own row call
-    for system, template, rows in _catalog_blocks(rng, complex_part=False):
-        got = system.field(template, coordinate_columns(template, rows))
-        want = np.stack([system.field(template, row) for row in rows], axis=1)
-        assert got.shape == want.shape and got.dtype == np.complex128, (system.key, rows.shape)
-        assert got.tobytes() == want.tobytes(), (system.key, rows.shape)
+    for system, block in _catalog_blocks(rng, complex_part=False):
+        got = system.field(block, block.columns)
+        want = np.stack([system.field(block, row) for row in block.rows], axis=1)
+        assert got.shape == want.shape and got.dtype == np.complex128, (system.key, block.rows.shape)
+        assert got.tobytes() == want.tobytes(), (system.key, block.rows.shape)
 
 
 def test_catalog_fields_on_a_complex_block_round_like_their_row_calls(rng):
     # numpy's array complex product may fuse a multiply and an add, so a
     # product of two complex coordinates may round otherwise in a block
-    for system, template, rows in _catalog_blocks(rng, complex_part=True):
-        got = system.field(template, coordinate_columns(template, rows))
-        want = np.stack([system.field(template, row) for row in rows], axis=1)
-        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (system.key, rows.shape)
+    for system, block in _catalog_blocks(rng, complex_part=True):
+        got = system.field(block, block.columns)
+        want = np.stack([system.field(block, row) for row in block.rows], axis=1)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (system.key, block.rows.shape)
 
 
 def test_c_family_data_is_built_once_and_read_only():
@@ -273,10 +272,10 @@ def test_get_system_rejects_an_unknown_key_and_a_spectrum_row_without_one():
 
 
 def test_integrals_examples():
-    template = ab_state([1, 1], [2, 3])
-    assert integrals_F1_F2_columns(template, [1, 1], [[1, 1, 2, 3]]) == ([5], [1])
-    assert integrals_F1_F2_columns(template, [0, 0], [[1, 1, 2, 3]]) == ([0], [1])
-    _, f2 = integrals_F1_F2_columns(ab_state([2, 3, 4], [0, 0, 0]), [1, 2, 1], [[2, 3, 4, 0, 0, 0]])
+    state = ab_state([1, 1], [2, 3])
+    assert integrals_F1_F2_columns(state, [1, 1]) == ([5], [1])
+    assert integrals_F1_F2_columns(state, [0, 0]) == ([0], [1])
+    _, f2 = integrals_F1_F2_columns(ab_state([2, 3, 4], [0, 0, 0]), [1, 2, 1])
     assert f2 == [72]
 
 
@@ -294,10 +293,10 @@ def test_integrals_conserved_along_flow(rng):
     # start on the image of the exponential map: there F1 vanishes, which is
     # exactly where the product integral rides along unchanged
     start = random_qp(rng, 3)
-    zero, image = generalized_flaschka_block(spec, start, [start.array])
-    s0 = zero.replace_coords(image[0])
+    image = generalized_flaschka_block(spec, start)  # a block of one row; a run starts from its state
+    s0 = image.replace_coords(image.rows[0])
     _, coords = run(system, s0, 5.0, FixedStep(1e-3))
-    f1, f2 = integrals_F1_F2_columns(s0, lam, coords)
+    f1, f2 = integrals_F1_F2_columns(s0.replace_coords(coords), lam)
     report = drift_report({"F1": f1, "F2": f2})
     for rec in report:
         # F1 vanishes identically on the image, so judge it by absolute drift
@@ -324,7 +323,7 @@ def test_sklyanin_full_potential_is_its_spectrum_sum(rng):
         rows = rng.uniform(-1.0, 1.0, (5, 2 * n))
         q, p = rows[:, :n], rows[:, n:]
         want = 0.5 * np.sum(p**2, axis=1) + np.exp(q @ _sklyanin_full_spectrum(n).matrix.T).sum(axis=1)
-        got = hamiltonian_column("sklyanin_full", qp_state(q[0], p[0]), rows)
+        got = hamiltonian_column("sklyanin_full", State(QP, rows, n))
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
@@ -340,9 +339,8 @@ def test_sklyanin_full_spectrum_passes_kozlov_treshchev():
 def test_sklyanin_full_minus_sklyanin_is_the_first_order_walls(rng):
     for n in (1, 2, 5):
         rows = rng.uniform(-1.0, 1.0, (7, 2 * n))
-        template = qp_state(rows[0, :n], rows[0, n:])
-        difference = np.subtract(hamiltonian_column("sklyanin_full", template, rows),
-                                 hamiltonian_column("sklyanin", template, rows))
+        block = State(QP, rows, n)
+        difference = np.subtract(hamiltonian_column("sklyanin_full", block), hamiltonian_column("sklyanin", block))
         np.testing.assert_allclose(difference, np.exp(-rows[:, 0]) + np.exp(rows[:, n - 1]), rtol=1e-13)
 
 
@@ -381,4 +379,4 @@ def test_integrals_zero_to_negative_power_rejected():
     from lattice_flows import DomainError
 
     with pytest.raises(DomainError):
-        integrals_F1_F2_columns(ab_state([0.0, 1.0], [0.0, 0.0]), [-1.0, 1.0], [[0.0, 1.0, 0.0, 0.0]])
+        integrals_F1_F2_columns(ab_state([0.0, 1.0], [0.0, 0.0]), [-1.0, 1.0])

@@ -5,14 +5,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import central_difference, henon_jacobi, random_c, random_qp, random_u, random_v, run
+from conftest import central_difference, henon_jacobi, random_c, random_qp, random_u, random_v, run, stack
 from lax_reference import assembled_pair
 
 from lattice_flows import (
     ChartMismatch,
+    DimensionError,
     DomainError,
     ParityError,
     Spectrum,
+    State,
     c_state,
     qp_state,
     sklyanin_spectrum,
@@ -34,7 +36,6 @@ from lattice_flows.systems import (
     toda_ab_field,
     vd_field,
 )
-from lattice_flows.states import coordinate_columns
 from lattice_flows.transforms import (
     c_to_v_block,
     d_transform_block,
@@ -53,26 +54,21 @@ def a_chain_spectrum(n):
     return Spectrum(n, rows)
 
 
-def image(kernel, state):
-    """The image State of one state under a map kernel: the kernel on a one-row block."""
-    zero, rows = kernel(state, [state.array])
-    return zero.replace_coords(rows[0])
-
-
 def test_henon_examples():
-    img = image(henon_block, u_state([2, 2, 2, 2]))
-    assert np.allclose(img.array[: img.split], [-1, -1])
-    assert np.allclose(img.array[img.split :], [1, 2, 1])
-    img = image(henon_block, u_state([0, 0, 0, 0]))
+    img = henon_block(u_state([2, 2, 2, 2]))  # a lone state maps to a block of one row
+    assert img.array.shape == (1, 5)
+    assert np.allclose(img.rows[0, : img.split], [-1, -1])
+    assert np.allclose(img.rows[0, img.split :], [1, 2, 1])
+    img = henon_block(u_state([0, 0, 0, 0]))
     assert np.all(img.array == 0)
     with pytest.raises(DomainError):
-        image(henon_block, u_state([1, -1, 1, 1]))
+        henon_block(u_state([1, -1, 1, 1]))
 
 
 def test_moser_reduce_examples(rng):
     u = rng.uniform(0.1, 2.0, 4)
     a = np.sqrt(u / 2)
-    L = assembled_pair(km_lax, u_state(u), [u])[0][0]
+    L = assembled_pair(km_lax, u_state(u))[0][0]
     L2 = L @ L
     displayed_L2 = np.array(
         [
@@ -100,43 +96,42 @@ def test_moser_matches_henon_jacobi(rng):
     for n in (4, 5, 6, 7):
         for _ in range(20):
             state = random_u(rng, n)
-            L = assembled_pair(km_lax, state, [state.array])[0][0]
+            L = assembled_pair(km_lax, state)[0][0]
             assert np.max(np.abs((L @ L)[::2, ::2] - henon_jacobi(state))) < 1e-12
 
 
 def test_d_transform_example():
-    img = image(d_transform_block, v_state([2, 1, 4, 1, 3]))
-    assert np.allclose(img.array[: img.split], [1j, 1.0, 1j])
-    assert np.allclose(img.array[img.split :], [-4.0, -1.5])
+    img = d_transform_block(v_state([2, 1, 4, 1, 3]))
+    assert np.allclose(img.rows[0, : img.split], [1j, 1.0, 1j])
+    assert np.allclose(img.rows[0, img.split :], [-4.0, -1.5])
 
 
 def test_d_transform_equal_tail_kills_a1():
-    img = image(d_transform_block, v_state([1, 1, 1, 2, 2]))
-    assert img.array[0] == 0
+    img = d_transform_block(v_state([1, 1, 1, 2, 2]))
+    assert img.rows[0, 0] == 0
 
 
 def test_d_transform_parity():
     with pytest.raises(ParityError):
-        image(d_transform_block, v_state([1, 1, 1, 1]))
+        d_transform_block(v_state([1, 1, 1, 1]))
 
 
 def test_d_transform_rejects_u_states():
     # the formula is the v chain's; on a u state it would map the wrong coordinates
     with pytest.raises(ChartMismatch, match="d_transform expects chart 'volterra_v', got 'volterra_u'"):
-        image(d_transform_block, u_state([2, 1, 4, 1, 3]))
+        d_transform_block(u_state([2, 1, 4, 1, 3]))
 
 
 def test_sklyanin_flaschka_example():
-    img = image(sklyanin_flaschka_block, qp_state([0, 0], [0, 0]))
-    assert np.allclose(img.array[: img.split], [2**-0.5, 0.5, 2**-0.5])
-    assert np.all(img.array[img.split :] == 0)
+    img = sklyanin_flaschka_block(qp_state([0, 0], [0, 0]))
+    assert np.allclose(img.rows[0, : img.split], [2**-0.5, 0.5, 2**-0.5])
+    assert np.all(img.rows[0, img.split :] == 0)
 
 
 def test_casimir_constant_on_image(rng):
     for m in (2, 3, 4):
         for _ in range(100):
-            img = image(sklyanin_flaschka_block, random_qp(rng, m))
-            c = casimir_C_column(img, [img.array])[0]
+            c = casimir_C_column(sklyanin_flaschka_block(random_qp(rng, m)))[0]
             target = 2.0 ** -(2 * m - 1)
             assert abs(c - target) < 1e-13 * target
 
@@ -145,71 +140,68 @@ def test_h2_is_half_the_hamiltonian(rng):
     for _ in range(50):
         m = int(rng.integers(2, 5))
         state = random_qp(rng, m)
-        img = image(sklyanin_flaschka_block, state)
-        h2 = SYSTEMS["ab"].invariant_columns(img, ["H2"], [img.array])["H2"][0]
+        h2 = SYSTEMS["ab"].invariant_columns(sklyanin_flaschka_block(state), ["H2"])["H2"][0]
         assert abs(h2 - 0.5 * hamiltonian_eval("sklyanin", state)) < 1e-12
 
 
 def test_toda_flaschka_example():
     spec = a_chain_spectrum(3)
-    img = image(partial(toda_flaschka_block, spec), qp_state([0, 0, 0], [0, 0, 0]))
-    assert np.allclose(img.array[: img.split], 0.5)
-    assert np.all(img.array[img.split :] == 0)
-    img = image(partial(toda_flaschka_block, spec), qp_state([1, 0, -1], [0, 0, 0]))
-    assert np.allclose(img.array[: img.split], [0.5 * np.e**0.5, 0.5 * np.e**0.5])
+    img = toda_flaschka_block(spec, qp_state([0, 0, 0], [0, 0, 0]))
+    assert np.allclose(img.rows[0, : img.split], 0.5)
+    assert np.all(img.rows[0, img.split :] == 0)
+    img = toda_flaschka_block(spec, qp_state([1, 0, -1], [0, 0, 0]))
+    assert np.allclose(img.rows[0, : img.split], [0.5 * np.e**0.5, 0.5 * np.e**0.5])
 
 
 def test_generalized_flaschka_example():
     spec = Spectrum(2, ((1, -1),))
-    img = image(partial(generalized_flaschka_block, spec), qp_state([np.log(2), 0], [3, 1]))
-    assert np.allclose(img.array[: img.split], [-2.0])
-    assert np.allclose(img.array[img.split :], [2.0])
-    img = image(partial(generalized_flaschka_block, a_chain_spectrum(2)), qp_state([0, 0], [0, 0]))
-    assert np.allclose(img.array[: img.split], -1.0)
+    img = generalized_flaschka_block(spec, qp_state([np.log(2), 0], [3, 1]))
+    assert np.allclose(img.rows[0, : img.split], [-2.0])
+    assert np.allclose(img.rows[0, img.split :], [2.0])
+    img = generalized_flaschka_block(a_chain_spectrum(2), qp_state([0, 0], [0, 0]))
+    assert np.allclose(img.rows[0, : img.split], -1.0)
 
 
 def test_c_to_v_examples():
-    assert np.allclose(image(c_to_v_block, c_state([1, 1, 1, 1, 1])).array, [1, 2, 1, 1])
-    assert np.allclose(image(c_to_v_block, c_state([2, 2, 2, 2, 2])).array, [0.25, 0.5, 0.25, 0.25])
+    assert np.allclose(c_to_v_block(c_state([1, 1, 1, 1, 1])).array, [[1, 2, 1, 1]])
+    assert np.allclose(c_to_v_block(c_state([2, 2, 2, 2, 2])).array, [[0.25, 0.5, 0.25, 0.25]])
 
 
 def _block(sample, count):
-    """A template state and an (N, d) block of ``count`` sampled states."""
-    states = [sample() for _ in range(count)]
-    return states[0], np.array([s.array for s in states])
+    """A block of ``count`` sampled states."""
+    return stack([sample() for _ in range(count)])
 
 
 def test_pushforward_identity_is_zero(rng):
-    state, rows = _block(lambda: random_u(rng, 5), 3)
-    identity = lambda s, rows, tangents=None: (s, coordinate_columns(s, rows).T, np.asarray(tangents))
-    assert max(pushforward_residual(identity, km_field, km_field, state, rows)) < 1e-9
+    identity = lambda block, tangents=None: block if tangents is None else (block, tangents)
+    assert max(pushforward_residual(identity, km_field, km_field, _block(lambda: random_u(rng, 5), 3))) < 1e-9
 
 
 def test_pushforward_henon(rng):
     state = u_state([2.0, 2.0, 2.0, 2.0])
-    assert pushforward_residual(henon_block, km_field, toda_ab_field, state, [state.array])[0] < 1e-9
+    assert pushforward_residual(henon_block, km_field, toda_ab_field, state)[0] < 1e-9
     for n in (4, 5, 6, 7):
-        r = pushforward_residual(henon_block, km_field, toda_ab_field, *_block(lambda: random_u(rng, n), 25))
+        r = pushforward_residual(henon_block, km_field, toda_ab_field, _block(lambda: random_u(rng, n), 25))
         assert len(r) == 25 and max(r) < PUSH_TOL
 
 
 def test_pushforward_d_transform(rng):
     for n in (5, 7, 9):
-        r = pushforward_residual(d_transform_block, vd_field, ab_field, *_block(lambda: random_v(rng, n), 25))
+        r = pushforward_residual(d_transform_block, vd_field, ab_field, _block(lambda: random_v(rng, n), 25))
         assert max(r) < PUSH_TOL
 
 
 def test_pushforward_sklyanin_flaschka(rng):
     for m in (2, 3, 4):
         r = pushforward_residual(sklyanin_flaschka_block, partial(qp_field, "sklyanin"), ab_field,
-                                 *_block(lambda: random_qp(rng, m), 25))
+                                 _block(lambda: random_qp(rng, m), 25))
         assert max(r) < PUSH_TOL
 
 
 def test_pushforward_toda_flaschka(rng):
     for n in (3, 5):
         r = pushforward_residual(partial(toda_flaschka_block, a_chain_spectrum(n)), partial(qp_field, "toda"),
-                                 toda_ab_field, *_block(lambda: random_qp(rng, n), 25))
+                                 toda_ab_field, _block(lambda: random_qp(rng, n), 25))
         assert max(r) < PUSH_TOL
 
 
@@ -217,14 +209,14 @@ def test_pushforward_generalized_flaschka(rng):
     for n in (3, 4):
         spec = sklyanin_spectrum(n)
         r = pushforward_residual(partial(generalized_flaschka_block, spec), partial(qp_field, "sklyanin"),
-                                 partial(spectrum_field, spec), *_block(lambda: random_qp(rng, n), 25))
+                                 partial(spectrum_field, spec), _block(lambda: random_qp(rng, n), 25))
         assert max(r) < PUSH_TOL
 
 
 def test_pushforward_c_to_v(rng):
     for n in (4, 5, 7):
         r = pushforward_residual(c_to_v_block, partial(c_field, "D"), vd_field,
-                                 *_block(lambda: random_c(rng, n + 1), 25))
+                                 _block(lambda: random_c(rng, n + 1), 25))
         assert max(r) < PUSH_TOL
 
 
@@ -248,44 +240,55 @@ MAPS = {
 
 
 def _tangents(rng, states, imag):
-    """An (N, d) block of tangents, one random direction per state."""
-    return np.array([_complex(rng, -1, 1, s.dim, imag) for s in states])
+    """(d, N) tangent columns, one random direction per state."""
+    return np.array([_complex(rng, -1, 1, s.dim, imag) for s in states]).T
 
 
 @pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
 @pytest.mark.parametrize("name", MAPS)
 def test_jvp_is_the_per_state_central_difference(rng, name, imag):
     # J dx from the central differences of one state at a time; at d copies
-    # of a state with tangents I the JVP rows are the whole transposed Jacobian
+    # of a state with tangents I the JVP columns are the whole Jacobian
     kernel, sample = MAPS[name]
     states = [sample(rng, imag) for _ in range(4)]
     tangents = _tangents(rng, states, imag)
-    _, _, jvp = kernel(states[0], np.array([s.array for s in states]), tangents)
+    _, jvp = kernel(stack(states), tangents)
     for k, state in enumerate(states):
-        reference = central_difference(lambda s: image(kernel, s).array, state, 1e-6)  # (d, d')
+        reference = central_difference(lambda s: kernel(s).rows[0], state, 1e-6)  # (d, d')
         scale = np.max(np.abs(reference))
-        assert np.max(np.abs(jvp[k] - tangents[k] @ reference)) < 1e-7 * scale, k
+        assert np.max(np.abs(jvp[:, k] - tangents[:, k] @ reference)) < 1e-7 * scale, k
         d = state.dim
-        full = kernel(state, np.tile(state.array, (d, 1)), np.eye(d))[2]
-        assert np.max(np.abs(full - reference)) < 1e-7 * scale, k
+        full = kernel(stack([state] * d), np.eye(d))[1]
+        assert np.max(np.abs(full.T - reference)) < 1e-7 * scale, k
 
 
 @pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
 @pytest.mark.parametrize("count", [1, 3, 8, 11])
 @pytest.mark.parametrize("name", MAPS)
 def test_jvp_rows_keep_their_bits_in_any_block(rng, name, count, imag):
-    # a state's image and JVP rows have the bits of its own one-row call, and
-    # the image is the one the kernel gives without tangents
+    # a state's image and JVP column have the bits of its own call, and the
+    # image is the one the kernel gives without tangents
     kernel, sample = MAPS[name]
     states = [sample(rng, imag) for _ in range(count)]
-    rows, tangents = np.array([s.array for s in states]), _tangents(rng, states, imag)
-    zero, images, jvps = kernel(states[0], rows, tangents)
-    assert jvps.shape == images.shape == (count, zero.dim)
-    assert images.tobytes() == kernel(states[0], rows)[1].tobytes()
+    block, tangents = stack(states), _tangents(rng, states, imag)
+    images, jvps = kernel(block, tangents)
+    assert jvps.shape == images.columns.shape == (images.dim, count)
+    assert images == kernel(block) and images.array.tobytes() == kernel(block).array.tobytes()
     for k, state in enumerate(states):
-        one_zero, one, jvp = kernel(state, [state.array], tangents[k : k + 1])
-        assert one_zero.split == zero.split and one[0].tobytes() == images[k].tobytes(), k
-        assert jvp[0].tobytes() == jvps[k].tobytes(), k
+        one, jvp = kernel(state, tangents[:, k : k + 1])
+        assert one.split == images.split and one.rows[0].tobytes() == images.rows[k].tobytes(), k
+        assert jvp[:, 0].tobytes() == jvps[:, k].tobytes(), k
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_tangents_of_another_shape_are_rejected(rng, name):
+    # the tangents must be the block's columns: (d, N), one per state
+    kernel, sample = MAPS[name]
+    block = stack([sample(rng, 0.0) for _ in range(3)])
+    kernel(block, block.columns)
+    for shape in [block.rows.shape, (block.dim, 2), (block.dim - 1, 3), (block.dim,)]:
+        with pytest.raises(DimensionError, match="tangent columns"):
+            kernel(block, np.ones(shape))
 
 
 # (map, size flags, kernel name): the verify-mix sizes of d-map, c-to-v and
@@ -307,13 +310,17 @@ def test_scaled_image_coordinate_fails_pushforward(monkeypatch, capsys, rng, nam
     original, checks = getattr(transforms, kernel), cli.SUITES["transform"].checks
     assert cli.TRANSFORMS[name].kernel is original
     mapping, sample = MAPS[name]
-    for j in range(image(mapping, sample(rng, 0.0)).dim):
+    for j in range(mapping(sample(rng, 0.0)).dim):
         def mutant(*args, j=j):
-            zero, *outputs = original(*args)  # the image rows, and the JVP rows given tangents
-            outputs = [out.copy() for out in outputs]
-            for out in outputs:
-                out[:, j] *= 1.5
-            return zero, *outputs
+            result = original(*args)  # the image, or (image, JVP columns) given tangents
+            image, jvp = result if isinstance(result, tuple) else (result, None)
+            scaled = np.array(image.array)
+            scaled[:, j] *= 1.5
+            if jvp is None:
+                return image.replace_coords(scaled)
+            jvp = np.array(jvp)
+            jvp[j] *= 1.5
+            return image.replace_coords(scaled), jvp
 
         row = cli.TRANSFORMS[name]._replace(kernel=mutant)  # the suite's row with the mutant kernel
         monkeypatch.setitem(checks, name, checks[name]._replace(residual=row.residual))
@@ -342,7 +349,7 @@ def test_target_field_off_by_1e_9_fails_pushforward(monkeypatch, capsys, rng, na
     checks, row = cli.SUITES["transform"].checks, cli.TRANSFORMS[name]
     assert checks[name].tolerance == 1e-10
     mapping, sample = MAPS[name]
-    for j in range(image(mapping, sample(rng, 0.0)).dim):
+    for j in range(mapping(sample(rng, 0.0)).dim):
         fields = {chart: _scaled_component(f, j, 1 + 1e-9) for chart, f in row.target.fields.items()}
         mutant = row._replace(target=replace(row.target, fields=fields))
         monkeypatch.setitem(checks, name, checks[name]._replace(residual=mutant.residual))
@@ -355,6 +362,5 @@ def test_pulled_back_h2_constant_along_vd_flow():
     system = get_system("vd")
     s0 = v_state([0.05, 0.06, 0.04, 0.05, 0.06, 0.045, 0.05])
     _, coords = run(system, s0, 10.0, FixedStep(1e-3))
-    zero, images = d_transform_block(s0, coords)
-    report = drift_report(SYSTEMS["ab"].invariant_columns(zero, ["H2"], images))
+    report = drift_report(SYSTEMS["ab"].invariant_columns(d_transform_block(s0.replace_coords(coords)), ["H2"]))
     assert report[0].max_rel_drift < 1e-7
