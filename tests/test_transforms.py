@@ -14,7 +14,6 @@ from lattice_flows import (
     DomainError,
     ParityError,
     Spectrum,
-    State,
     c_state,
     qp_state,
     sklyanin_spectrum,
