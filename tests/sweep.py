@@ -4,11 +4,11 @@ Every argv runs through ``cli.main`` in this process, and gets one SHA-256
 of its exit code, stdout and stderr.  The table is read from the CLI's own
 tables, so a new suite, selector or catalog row joins it with no edit here:
 
-* every ``cli.SUITES`` suite and selector at (n, m) = (7, 2), (15, 3),
-  (16, 7) and (25, 7), seeds 0-2, ``--states 40``;
+* every ``cli.SUITES`` suite and selector at (n, m) = (7, 2), (9, 12),
+  (15, 3), (16, 7) and (25, 7), seeds 0-2, ``--states 40``;
 * ``verify spectrum --sklyanin 5``;
-* the ``simulate`` runs of ``test_properties``' table that take a valid
-  step, with the spectrum file written to one fixed path.
+* the ``simulate`` runs of ``test_properties``' table, valid and invalid
+  steps, with the spectrum file written to one fixed path.
 
 Run the table against two trees, then compare the files:
 
@@ -34,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-SIZES = ((7, 2), (15, 3), (16, 7), (25, 7))
+SIZES = ((7, 2), (9, 12), (15, 3), (16, 7), (25, 7))
 SEEDS = (0, 1, 2)
 STATES = 40
 SPECTRUM_FILE = Path(tempfile.gettempdir()) / "lattice-flows-sweep" / "spectrum.json"
@@ -74,7 +74,7 @@ def sweep(src: Path) -> dict[str, str]:
         raise SystemExit(f"lattice_flows imported from {cli.__file__}, not {src}")
     SPECTRUM_FILE.parent.mkdir(parents=True, exist_ok=True)
     SPECTRUM_FILE.write_text(spectrum_to_json(test_properties.SPECTRUM))
-    argvs = [*_verify_argvs(cli), *test_properties._simulate_argvs(str(SPECTRUM_FILE), invalid_steps=False)]
+    argvs = [*_verify_argvs(cli), *test_properties._simulate_argvs(str(SPECTRUM_FILE))]
     table = {shlex.join(argv): argv for argv in argvs}  # a suite without --n repeats its argvs
     return {line: _digest(cli, argv) for line, argv in table.items()}
 

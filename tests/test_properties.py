@@ -4,7 +4,8 @@ The table crosses every ``verify`` suite and selector with the sizes -3 and
 0-6 and with --states 0 and 3 (``verify compat`` also with non-finite and
 overflowing lambdas), and every catalog system, on each chart it accepts,
 with fixed, adaptive, zero-length and invalid step flags, on ordinary,
-complex, signed-zero, overflowing and non-finite states.  On every argv:
+complex, signed-zero, overflowing, wall-overflowing and non-finite states;
+the (q, p) chains run with 1, 2, 3 and 9 q's.  On every argv:
 
 * no exception escapes ``cli.main``, numpy's warnings included;
 * the exit code is 0, 1 or 2;
@@ -32,13 +33,20 @@ SPECTRUM = sklyanin_spectrum(2)
 #: Coordinates per group of the states a system is run from on a chart.
 GROUPS = {("ab", FLASCHKA_AB): (3, 2), ("toda", FLASCHKA_AB): (2, 3), ("spectrum", FLASCHKA_AB): (3, 3)}
 
-#: Each state kind as a function of the coordinate's index.
+#: The numbers of q's the (q, p) chains run with: one q puts both walls on
+#: it, and 9 is past the sizes the field's terms are written for.
+QP_SIZES = (1, 2, 3, 9)
+
+#: Each state kind as a function of the coordinate's index and of whether it
+#: is the last of the chart's first group (the last q on the (q, p) chart).
 STATES = {
-    "ordinary": lambda i: 0.5 + 0.1 * i,
-    "complex": lambda i: [0.5 + 0.1 * i, 0.2],
-    "signed-zero": lambda i: -0.0 if i % 2 else 0.0,
-    "overflowing": lambda i: 1e300,
-    "non-finite": lambda i: [0.5, math.inf] if i % 2 else math.nan,
+    "ordinary": lambda i, last: 0.5 + 0.1 * i,
+    "complex": lambda i, last: [0.5 + 0.1 * i, 0.2],
+    "signed-zero": lambda i, last: -0.0 if i % 2 else 0.0,
+    "overflowing": lambda i, last: 1e300,
+    # e^{2 q_n} overflows while p and every chain term stay ordinary
+    "wall-overflowing": lambda i, last: 400.0 if last else 0.5 + 0.1 * i,
+    "non-finite": lambda i, last: [0.5, math.inf] if i % 2 else math.nan,
 }
 
 #: ``--t 0`` writes the start state alone: a run that steps nowhere must
@@ -69,24 +77,25 @@ def _verify_argvs():
         yield ["verify", "spectrum", "--sklyanin", str(size)]
 
 
-def _simulate_argvs(spectrum_file, invalid_steps=True):
+def _simulate_argvs(spectrum_file):
     """Every system on each chart it accepts, from each state kind, with every
     valid step asking for all the invariants its chart offers at that size
-    (read from the ordinary state), then, if ``invalid_steps``, every invalid step."""
+    (read from the ordinary state), then every invalid step."""
     for key, system in SYSTEMS.items():
         spectrum = ("--spectrum", spectrum_file) if key == "spectrum" else ()
         for chart in system.charts:
-            groups = GROUPS.get((key, chart), (2, 2) if chart == QP else (5,))
+            for groups in [(n, n) for n in QP_SIZES] if chart == QP else [GROUPS.get((key, chart), (5,))]:
 
-            def document(value):
-                return {name: [value(i) for i in range(size)] for name, size in zip(CHARTS[chart], groups)}
-            offered = get_system(key, SPECTRUM).invariants(state_from_dict(document(STATES["ordinary"])))
-            for value in STATES.values():
-                state = ("--system", key, "--state", json.dumps(document(value)), *spectrum)
-                for step in VALID_STEPS:
-                    yield ["simulate", *state, *step, "--invariants", ",".join(offered)]
-                for step in INVALID_STEPS if invalid_steps else ():
-                    yield ["simulate", *state, *step]
+                def document(value):
+                    return {name: [value(i, j == 0 and i == size - 1) for i in range(size)]
+                            for j, (name, size) in enumerate(zip(CHARTS[chart], groups))}
+                offered = get_system(key, SPECTRUM).invariants(state_from_dict(document(STATES["ordinary"])))
+                for value in STATES.values():
+                    state = ("--system", key, "--state", json.dumps(document(value)), *spectrum)
+                    for step in VALID_STEPS:
+                        yield ["simulate", *state, *step, "--invariants", ",".join(offered)]
+                    for step in INVALID_STEPS:
+                        yield ["simulate", *state, *step]
 
 
 def _fault(argv, code, out, err) -> str | None:
