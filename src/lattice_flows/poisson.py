@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ChartMismatch, ParityError, UnsupportedDimension
-from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, matvecs, row_norms
+from .states import C_VARS, FLASCHKA_AB, VOLTERRA_V, State, ab_sizes, matvecs, row_norms, tangent_columns
 
 # One bracket entry is a list of (coefficient, ((variable, exponent), ...))
 # monomials; negative exponents encode the tau ratios.
@@ -451,12 +451,13 @@ def _jacobi(structures: tuple, lams: tuple, block: State) -> np.ndarray:
 
 def hamiltonian_flow_check(structure, block: State, grads, field=None) -> np.ndarray:
     """Norm of pi(s) grad H(s) - X(s) at each state s of ``block``, with the
-    (N, d) rows of grad H in ``grads`` and of X in ``field``; X = 0 when
-    ``field`` is None.  One identity certifies a Casimir (X = 0), a
-    Hamiltonian flow (X the vector field) and the Lenard ladder (X = pi3
-    grad H2, see ``lenard_residual``)."""
+    (N, d) rows of grad H in ``grads`` and X in the (d, N) columns ``field``,
+    as a vector field returns them on ``block.columns``; X = 0 when ``field``
+    is None.  One identity certifies a Casimir (X = 0), a Hamiltonian flow
+    (X the vector field) and the Lenard ladder (X = pi3 grad H2, see
+    ``lenard_residual``)."""
     flow = matvecs(structure(block), np.asarray(grads, dtype=complex))
-    return row_norms(flow if field is None else flow - field)
+    return row_norms(flow if field is None else flow - tangent_columns(block, field).T)
 
 
 def lenard_residual(pair, block: State) -> np.ndarray:
@@ -467,4 +468,4 @@ def lenard_residual(pair, block: State) -> np.ndarray:
     pi3 = pair.pi3(block)
     pair.pi1._plan(block)  # pi3, then pi1, check the chart and size before the row's names are read
     grads = pair.row.invariant_gradients(block, ["H2", "H4"])
-    return hamiltonian_flow_check(pair.pi1, block, pair.scale * grads["H4"], matvecs(pi3, grads["H2"]))
+    return hamiltonian_flow_check(pair.pi1, block, pair.scale * grads["H4"], matvecs(pi3, grads["H2"]).T)

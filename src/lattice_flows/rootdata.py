@@ -216,23 +216,37 @@ def null_combination(spectrum: Spectrum) -> list[np.ndarray]:
     return basis
 
 
+#: The walls of each (q, p) chain H = 1/2 |p|^2 + sum_v e^{(v, q)} beside the chain
+#: terms e^{q_i - q_{i+1}}: groups of (end, ws), a term e^{w q_end} for each w in ws,
+#: end 0 the first q and -1 the last.  H adds each group's sum in turn, dH/dq each
+#: end's, and the spectrum lists the walls in this order after the chain's vectors.
+QP_WALLS = {
+    "toda": (),
+    "sklyanin": (((0, (-2.0,)),), ((-1, (2.0,)),)),
+    "sklyanin_full": (((0, (-1.0, -2.0)), (-1, (1.0, 2.0))),),
+}
+
+
+def potential_spectrum(n: int, walls=()) -> Spectrum:
+    """The exponents v of a (q, p) chain's potential in R^n: e_1 - e_2, ...,
+    e_{n-1} - e_n, then w e_end for each wall of the groups ``walls``."""
+    chain = [tuple(float(j == i) - float(j == i + 1) for j in range(n)) for i in range(n - 1)]
+    ends = [tuple(w if j == end % n else 0.0 for j in range(n)) for group in walls for end, ws in group for w in ws]
+    return Spectrum(n, tuple(chain + ends))
+
+
 @cache
 def open_chain_spectrum(n: int) -> Spectrum:
-    """Spectrum e_1 - e_2, ..., e_{n-1} - e_n of the open Toda chain in R^n.
-    Built once per n and shared: a Spectrum is frozen and its ``gram`` read-only."""
-    rows = (tuple(float(j == i) - float(j == i + 1) for j in range(n)) for i in range(n - 1))
-    return Spectrum(n, tuple(rows))
+    """The open Toda chain's spectrum in R^n, built once per n and shared: a Spectrum is frozen."""
+    return potential_spectrum(n, QP_WALLS["toda"])
 
 
 @cache
 def sklyanin_spectrum(n: int) -> Spectrum:
-    """Spectrum of the doubly boundary-perturbed Toda chain in R^n: the open
-    chain's n-1 vectors, then -2 e_1 and 2 e_n.  Built once per n and shared."""
+    """The doubly boundary-perturbed Toda chain's spectrum in R^n, built once per n and shared."""
     if n < 2:
         raise DimensionError("sklyanin_spectrum requires n >= 2")
-    left, right = [0.0] * n, [0.0] * n
-    left[0], right[-1] = -2.0, 2.0
-    return Spectrum(n, open_chain_spectrum(n).vectors + (tuple(left), tuple(right)))
+    return potential_spectrum(n, QP_WALLS["sklyanin"])
 
 
 def spectrum_from_json(text: str) -> Spectrum:

@@ -1,4 +1,5 @@
-"""Vector fields and Hamiltonians for every lattice, in their native charts.
+"""Vector fields and Hamiltonians for every lattice, in their native charts; the
+(q, p) chains' potentials, and so their spectra, are ``rootdata.QP_WALLS``.
 
 Formulas are written with 1-based indices in comments/docstrings and 0-based
 numpy indexing in code.  Every field takes a State and raw coordinates
@@ -23,7 +24,7 @@ import functools
 import numpy as np
 
 from .errors import DimensionError, DivisionByZero, DomainError, UnsupportedDimension
-from .rootdata import Spectrum
+from .rootdata import QP_WALLS, Spectrum
 from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_sizes
 
 
@@ -233,69 +234,49 @@ def integrals_F1_F2_columns(block: State, lam) -> tuple[list[complex], list[comp
 # Hamiltonians in (q, p)
 # ---------------------------------------------------------------------------
 
-#: The boundary coefficients (alpha_1, beta_1, alpha_n, beta_n) of sklyanin_full,
-#: whose walls alpha_1 e^{-q_1} + beta_1 e^{-2 q_1} + alpha_n e^{q_n} + beta_n e^{2 q_n}
-#: face the chain term e^{q_i - q_{i+1}} as sklyanin's do; alpha_1 = alpha_n = 0 gives sklyanin.
-_SKLYANIN_FULL_ENDS = (1.0, 1.0, 1.0, 1.0)
-
-
 def hamiltonian_eval(system: str, state: State) -> complex:
     """Evaluate one of the three (q, p) Hamiltonians: toda | sklyanin | sklyanin_full."""
     return hamiltonian_column(system, state)[0]
 
 
 def hamiltonian_column(system: str, block: State) -> list[complex]:
-    """hamiltonian_eval at each state of a block of (q, p) states."""
+    """hamiltonian_eval at each state of a block of (q, p) states: the kinetic
+    and chain terms, then each group of ``rootdata.QP_WALLS[system]`` in turn."""
     block.require_chart(QP, "hamiltonian_eval")
-    _require_q(system, block.split, "Hamiltonian")
+    groups = _walls(system, block.split, "Hamiltonian")
     q, p = block.rows[:, : block.split], block.rows[:, block.split :]
-    n = q.shape[1]
-    kin = 0.5 * np.sum(p**2, axis=1)
-    chain = np.sum(np.exp(q[:, :-1] - q[:, 1:]), axis=1) if n > 1 else 0.0
-    if system == "toda":
-        return (kin + chain).tolist()
-    if system == "sklyanin":
-        return (kin + chain + np.exp(-2 * q[:, 0]) + np.exp(2 * q[:, -1])).tolist()
-    if system == "sklyanin_full":
-        a1, b1, an, bn = _SKLYANIN_FULL_ENDS
-        ends = (
-            a1 * np.exp(-q[:, 0])
-            + b1 * np.exp(-2 * q[:, 0])
-            + an * np.exp(q[:, -1])
-            + bn * np.exp(2 * q[:, -1])
-        )
-        return (kin + chain + ends).tolist()
-    raise ValueError(f"unknown Hamiltonian system {system!r}")
+    chain = np.sum(np.exp(q[:, :-1] - q[:, 1:]), axis=1) if q.shape[1] > 1 else 0.0
+    h = 0.5 * np.sum(p**2, axis=1) + chain
+    for group in groups:
+        terms = [np.exp(w * q[:, end]) for end, ws in group for w in ws]
+        h = h + sum(terms[1:], terms[0])
+    return h.tolist()
 
 
-def _require_q(system: str, n: int, what: str):
-    """Every (q, p) chain needs a q: the Sklyanin-type boundary terms act on
-    q_1 and q_n, and an empty toda chain has no coordinate to move, so its
-    trajectory and its H = 0 would certify nothing."""
+def _walls(system: str, n: int, what: str):
+    """The wall groups of a chain of n q's, which needs one: the walls act on q_1 and q_n,
+    and an empty toda chain has no coordinate to move, so its H = 0 certifies nothing."""
     if n == 0:
         raise DimensionError(f"the {system} {what} needs at least one q")
+    if system not in QP_WALLS:
+        raise ValueError(f"unknown Hamiltonian system {system!r}")
+    return QP_WALLS[system]
 
 
 def qp_field(system: str, state: State, y) -> np.ndarray:
-    """Hamilton's equations (dq, dp) = (dH/dp, -dH/dq) with analytic partials."""
+    """Hamilton's equations (dq, dp) = (dH/dp, -dH/dq): the chain's partials, then each end's walls'."""
     state.require_chart(QP, "qp_field")
     n = state.split
-    _require_q(system, n, "field")
+    groups = _walls(system, n, "field")
     q, p = y[:n], y[n:]
-    # dH/dq from the nearest-neighbour chain, shared by all three systems
     expo = np.exp(q[:-1] - q[1:])
     dh_dq = np.zeros(q.shape, dtype=complex)
     dh_dq[:-1] += expo
     dh_dq[1:] -= expo
-    if system == "toda":
-        pass
-    elif system == "sklyanin":
-        dh_dq[0] += -2 * np.exp(-2 * q[0])
-        dh_dq[-1] += 2 * np.exp(2 * q[-1])
-    elif system == "sklyanin_full":
-        a1, b1, an, bn = _SKLYANIN_FULL_ENDS
-        dh_dq[0] += -a1 * np.exp(-q[0]) - 2 * b1 * np.exp(-2 * q[0])
-        dh_dq[-1] += an * np.exp(q[-1]) + 2 * bn * np.exp(2 * q[-1])
-    else:
-        raise ValueError(f"unknown Hamiltonian system {system!r}")
+    for group in groups:
+        for end, ws in group:
+            for i, w in enumerate(ws):  # summed in a loop: a list and sum() cost more than the exps
+                term = w * np.exp(w * q[end])
+                total = term if i == 0 else total + term
+            dh_dq[end] += total
     return np.concatenate([p, -dh_dq])

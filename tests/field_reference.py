@@ -34,3 +34,29 @@ def c_field(family: str, state: State, c) -> np.ndarray:
         dc[i] -= k[j] / c[j]
         dc[j] += k[i] / c[i]
     return dc
+
+
+def qp_field(system: str, state: State, y) -> np.ndarray:
+    """Hamilton's equations for the (q, p) chains with each row's walls
+    written out, their coefficients 1.0 included: ``systems.qp_field``
+    reads the walls from ``rootdata.QP_WALLS`` and must keep these bits."""
+    n = state.split
+    if n == 0:
+        raise DimensionError(f"the {system} field needs at least one q")
+    q, p = y[:n], y[n:]
+    expo = np.exp(q[:-1] - q[1:])
+    dh_dq = np.zeros(q.shape, dtype=complex)
+    dh_dq[:-1] += expo
+    dh_dq[1:] -= expo
+    if system == "toda":
+        pass
+    elif system == "sklyanin":
+        dh_dq[0] += -2 * np.exp(-2 * q[0])
+        dh_dq[-1] += 2 * np.exp(2 * q[-1])
+    elif system == "sklyanin_full":
+        a1, b1, an, bn = 1.0, 1.0, 1.0, 1.0
+        dh_dq[0] += -a1 * np.exp(-q[0]) - 2 * b1 * np.exp(-2 * q[0])
+        dh_dq[-1] += an * np.exp(q[-1]) + 2 * bn * np.exp(2 * q[-1])
+    else:
+        raise ValueError(f"unknown Hamiltonian system {system!r}")
+    return np.concatenate([p, -dh_dq])

@@ -134,7 +134,7 @@ def test_criterion_04_bihamiltonian_suite():
             for lam in (1.0, 2.5):
                 comp = max(comp, compatibility_residual(pi1, pi3, lam, s)[0])
             cas = max(cas, hamiltonian_flow_check(pi1, s, grad_casimir_F(s))[0])
-            flow = max(flow, hamiltonian_flow_check(pi1, s, grad_h(s), vd_field(s, s.array)[None])[0])
+            flow = max(flow, hamiltonian_flow_check(pi1, s, grad_h(s), vd_field(s, s.array)[:, None])[0])
     ok = jac < 1e-6 and comp < 1e-6 and cas < 1e-10 and flow < 1e-10
     report(
         4,

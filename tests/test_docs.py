@@ -8,14 +8,14 @@ import pytest
 
 from lattice_flows.catalog import SYSTEM_KEYS, SYSTEMS
 from lattice_flows.cli import main
-from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
+from lattice_flows.rootdata import QP_WALLS, sklyanin_spectrum, spectrum_to_json
 from lattice_flows.states import CHARTS
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
 
 def _system_table() -> list[list[str]]:
-    header = "| System | Charts | Invariants | Lax pair |"
+    header = "| System | Charts | Invariants | Lax pair | Spectrum |"
     lines = README[README.index(header):].split("\n")[2:]
     rows = []
     for line in lines:
@@ -28,9 +28,18 @@ def _system_table() -> list[list[str]]:
 def test_readme_lists_every_system():
     rows = _system_table()
     assert [re.findall(r"`([^`]+)`", row[0]) for row in rows] == [[key] for key in SYSTEM_KEYS]
-    for (key, charts, _, lax_pair), system in zip(rows, SYSTEMS.values()):
+    for (key, charts, _, lax_pair, _), system in zip(rows, SYSTEMS.values()):
         assert re.findall(r"`([^`]+)`", charts) == list(system.charts), key
         assert re.findall(r"`([^`]+)`", lax_pair) == ([f"lax.{system.lax.__name__}"] if system.lax else []), key
+
+
+def test_readme_gives_each_qp_row_the_spectrum_of_its_walls():
+    # the chain's vectors, then each wall w e_end of rootdata.QP_WALLS, written as −2e₁
+    coefficient = {1.0: "", -1.0: "−", 2.0: "2", -2.0: "−2"}
+    rows = {row[0].strip("`").replace("-", "_"): row[4] for row in _system_table()}
+    for key, walls in QP_WALLS.items():
+        ends = [f"`{coefficient[w]}e{'₁' if end == 0 else 'ₙ'}`" for group in walls for end, ws in group for w in ws]
+        assert rows[key] == ", ".join(["`e_i − e_{i+1}`", *ends]), key
 
 
 def test_readme_quick_tour_runs():

@@ -382,7 +382,7 @@ def _casimir(structure, grad_c):
 
 def _flow(structure, grad_h, field):
     """|pi grad H - X| at each state, X the field evaluated once on the block's columns."""
-    return lambda block: hamiltonian_flow_check(structure, block, grad_h(block), field(block, block.columns).T)
+    return lambda block: hamiltonian_flow_check(structure, block, grad_h(block), field(block, block.columns))
 
 
 def test_casimir_residuals(rng):
@@ -744,6 +744,16 @@ def test_velocities_of_another_shape_are_rejected(rng):
     for wrong in (velocities.T, velocities[:, :2], velocities[:-1], velocities[:, 0]):
         with pytest.raises(DimensionError, match="tangent columns"):
             lax_residual(SYSTEMS["vd"].lax, block, wrong)
+
+
+def test_a_flow_of_another_shape_is_rejected(rng):
+    # X is the field's (d, N) columns, as lax_residual's velocities are, not (N, d) rows
+    block = v_state(_v_rows(rng, 7, 3))
+    field = vd_field(block, block.columns)
+    assert np.max(_flow(S["pi1-v"], _grad_h_vd, vd_field)(block)) < 1e-10
+    for wrong in (field.T, field[:, :2], field[:-1], field[:, 0]):
+        with pytest.raises(DimensionError, match="tangent columns"):
+            hamiltonian_flow_check(S["pi1-v"], block, _grad_h_vd(block), wrong)
 
 
 # ---------------------------------------------------------------------------

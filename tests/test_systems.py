@@ -21,7 +21,7 @@ from lattice_flows import (
 )
 from lattice_flows import rootdata
 from lattice_flows.catalog import SYSTEMS, get_system
-from lattice_flows.rootdata import gram_matrix, kozlov_treshchev_check, open_chain_spectrum
+from lattice_flows.rootdata import QP_WALLS, gram_matrix, kozlov_treshchev_check, open_chain_spectrum, potential_spectrum
 from lattice_flows.states import C_VARS, FLASCHKA_AB, POSITIVE_CHARTS, QP, VOLTERRA_U, VOLTERRA_V, State
 from lattice_flows.systems import (
     ab_field,
@@ -309,13 +309,11 @@ def test_hamiltonian_examples():
     assert hamiltonian_eval("sklyanin_full", qp_state([0, 0], [0, 0])) == 5
 
 
-def _sklyanin_full_spectrum(n, wall=1.0):
-    """The exponents of sklyanin_full's potential: e_i - e_{i+1}, then the
-    walls -e_1, -2 e_1, e_n and 2 e_n (each times ``wall``)."""
-    def unit(i, scale):
-        return tuple(scale * wall if j == i else 0.0 for j in range(n))
-
-    return Spectrum(n, open_chain_spectrum(n).vectors + (unit(0, -1), unit(0, -2), unit(n - 1, 1), unit(n - 1, 2)))
+def _sklyanin_full_spectrum(n, sign=1.0):
+    """The exponents of sklyanin_full's potential, from the wall table, with
+    each wall's w times ``sign``."""
+    walls = [[(end, tuple(sign * w for w in ws)) for end, ws in group] for group in QP_WALLS["sklyanin_full"]]
+    return potential_spectrum(n, walls)
 
 
 def test_sklyanin_full_potential_is_its_spectrum_sum(rng):
@@ -330,10 +328,12 @@ def test_sklyanin_full_potential_is_its_spectrum_sum(rng):
 def test_sklyanin_full_spectrum_passes_kozlov_treshchev():
     # -e_1 and -2 e_1 share a direction, so only -2 e_1 is maximal, and the
     # pair is skipped as collinear; so are e_n and 2 e_n
+    assert _sklyanin_full_spectrum(3).vectors[2:] == ((-1.0, 0.0, 0.0), (-2.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                                                      (0.0, 0.0, 2.0))
     for n in range(2, 9):
         assert kozlov_treshchev_check(_sklyanin_full_spectrum(n)).passed, n
     # walls on the other side (e_1, 2 e_1, -e_n, -2 e_n) break the condition
-    assert len(kozlov_treshchev_check(_sklyanin_full_spectrum(3, wall=-1.0)).violations) == 6
+    assert len(kozlov_treshchev_check(_sklyanin_full_spectrum(3, sign=-1.0)).violations) == 6
 
 
 def test_sklyanin_full_minus_sklyanin_is_the_first_order_walls(rng):
@@ -342,6 +342,31 @@ def test_sklyanin_full_minus_sklyanin_is_the_first_order_walls(rng):
         block = State(QP, rows, n)
         difference = np.subtract(hamiltonian_column("sklyanin_full", block), hamiltonian_column("sklyanin", block))
         np.testing.assert_allclose(difference, np.exp(-rows[:, 0]) + np.exp(rows[:, n - 1]), rtol=1e-13)
+
+
+@pytest.mark.parametrize("system", ["toda", "sklyanin", "sklyanin_full"])
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_qp_field_keeps_the_bits_of_the_reference(rng, system, n):
+    # the walls read from the table: every entry, real and imaginary parts and
+    # the signs of their zeros, has the bits of the field with each row's
+    # walls written out, on rows and on (d, N) blocks, also where a wall
+    # overflows or an integrator stage has already left the finite numbers
+    d = 2 * n
+    real = rng.uniform(-2.0, 2.0, (d, 6))
+    signed = rng.choice([0.0, -0.0], (d, 6))
+    overflowing = np.where(rng.random((d, 6)) < 0.4, rng.choice([400.0, -400.0, 800.0, -800.0, 1e300], (d, 6)), real)
+    specials = np.where(rng.random((d, 6)) < 0.4, rng.choice([np.inf, -np.inf, np.nan], (d, 6)), real)
+    blocks = [real.astype(complex), real + 1j * rng.normal(size=(d, 6)), real + 1j * signed,
+              signed + 1j * signed, signed + 1j * real, overflowing.astype(complex),
+              overflowing + 1j * rng.choice([0.0, -0.0, 1.0, np.pi], (d, 6)), specials.astype(complex),
+              np.stack([real, specials], -1).view(complex)[..., 0]]  # real + 1j * specials would make NaNs
+    template = qp_state(np.zeros(n), np.zeros(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            for y in (block, block[:, 0]):
+                got, want = qp_field(system, template, y), field_reference.qp_field(system, template, y)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (system, y)
 
 
 def test_qp_field_examples():
