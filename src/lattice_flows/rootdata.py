@@ -227,7 +227,7 @@ QP_WALLS = {
 }
 
 
-def potential_spectrum(n: int, walls=()) -> Spectrum:
+def potential_spectrum(n: int, walls) -> Spectrum:
     """The exponents v of a (q, p) chain's potential in R^n: e_1 - e_2, ...,
     e_{n-1} - e_n, then w e_end for each wall of the groups ``walls``."""
     chain = [tuple(float(j == i) - float(j == i + 1) for j in range(n)) for i in range(n - 1)]

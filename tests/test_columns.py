@@ -41,8 +41,7 @@ def _hamiltonian_ref(name, s):
         return complex(kin + chain)
     if name == "sklyanin":
         return complex(kin + chain + np.exp(-2 * q[0]) + np.exp(2 * q[-1]))
-    a1 = b1 = an = bn = 1.0  # the sklyanin_full defaults
-    ends = a1 * np.exp(-q[0]) + b1 * np.exp(-2 * q[0]) + an * np.exp(q[-1]) + bn * np.exp(2 * q[-1])
+    ends = np.exp(-q[0]) + np.exp(-2 * q[0]) + np.exp(q[-1]) + np.exp(2 * q[-1])
     return complex(kin + chain + ends)
 
 
