@@ -8,7 +8,11 @@ tables, so a new suite, selector or catalog row joins it with no edit here:
   (15, 3), (16, 7) and (25, 7), seeds 0-2, ``--states 40``;
 * ``verify spectrum --sklyanin 5``;
 * the ``simulate`` runs of ``test_properties``' table, valid and invalid
-  steps, with the spectrum file written to one fixed path.
+  steps, with the spectrum file written to one fixed path;
+* 1,000-step real-valued runs: the benchmark's ``simulate-mix`` RK4 shape
+  (``ab`` at m = 3 with its invariant columns) at seeds 0-2, and ``km``,
+  ``vd`` and ``bv-d`` at 5 and 41 coordinates, each to t = 0.5 and to t = 1,
+  where ``bv-d`` leaves its domain.
 
 Run the table against two trees, then compare the files:
 
@@ -28,10 +32,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 SIZES = ((7, 2), (9, 12), (15, 3), (16, 7), (25, 7))
@@ -51,6 +58,22 @@ def _verify_argvs(cli):
                     yield ["verify", name, *pick, *(x for flag in flags for x in (flag, sizes[flag])),
                            "--states", str(STATES), "--seed", str(seed)]
     yield ["verify", "spectrum", "--sklyanin", "5"]
+
+
+def _long_argvs():
+    """Fixed-step runs of 1,000 steps from real states: many steps, where the
+    table's other simulate runs take two."""
+    for seed in SEEDS:  # bench/workloads.py's SimulateRK4Inv, op 0
+        rng = np.random.default_rng([seed, 0])
+        state = {"a": rng.uniform(0.2, 1.0, 4).tolist(), "b": rng.uniform(-0.5, 0.5, 3).tolist()}
+        yield ["simulate", "--system", "ab", "--m", "3", "--state", json.dumps(state), "--t", "1.0", "--dt", "0.001",
+               "--invariants", "H2,H4,H6,C"]
+    for key, name, invariants in (("km", "u", "H2,H4"), ("vd", "v", "H2,F"), ("bv-d", "u", "")):
+        for d in (5, 41):
+            state = {name: [round(0.5 + 0.4 * abs(math.sin(1.7 * i)), 3) for i in range(d)]}
+            for t, dt in (("0.5", "0.0005"), ("1", "0.001")):
+                yield ["simulate", "--system", key, "--state", json.dumps(state), "--t", t, "--dt", dt,
+                       "--invariants", invariants]
 
 
 def _digest(cli, argv) -> str:
@@ -74,7 +97,7 @@ def sweep(src: Path) -> dict[str, str]:
         raise SystemExit(f"lattice_flows imported from {cli.__file__}, not {src}")
     SPECTRUM_FILE.parent.mkdir(parents=True, exist_ok=True)
     SPECTRUM_FILE.write_text(spectrum_to_json(test_properties.SPECTRUM))
-    argvs = [*_verify_argvs(cli), *test_properties._simulate_argvs(str(SPECTRUM_FILE))]
+    argvs = [*_verify_argvs(cli), *test_properties._simulate_argvs(str(SPECTRUM_FILE)), *_long_argvs()]
     table = {shlex.join(argv): argv for argv in argvs}  # a suite without --n repeats its argvs
     return {line: _digest(cli, argv) for line, argv in table.items()}
 

@@ -5,7 +5,8 @@ The table crosses every ``verify`` suite and selector with the sizes -3 and
 overflowing lambdas), and every catalog system, on each chart it accepts,
 with fixed, adaptive, zero-length and invalid step flags, on ordinary,
 complex, signed-zero, overflowing, wall-overflowing and non-finite states;
-the (q, p) chains run with 1, 2, 3 and 9 q's.  On every argv:
+the (q, p) chains run with 1, 2, 3 and 9 q's, and the polynomial chains at
+a size each side of 16 coordinates.  On every argv:
 
 * no exception escapes ``cli.main``, numpy's warnings included;
 * the exit code is 0, 1 or 2;
@@ -22,7 +23,7 @@ import warnings
 from lattice_flows.catalog import SYSTEMS, get_system
 from lattice_flows.cli import SUITES, main
 from lattice_flows.rootdata import sklyanin_spectrum, spectrum_to_json
-from lattice_flows.states import CHARTS, FLASCHKA_AB, QP, state_from_dict
+from lattice_flows.states import C_VARS, CHARTS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, state_from_dict
 
 SIZES = (-3, 0, 1, 2, 3, 4, 5, 6)
 LAMBDAS = ("inf", "-inf", "nan", "1e200")
@@ -30,12 +31,17 @@ LAMBDAS = ("inf", "-inf", "nan", "1e200")
 #: The spectrum system's file: sklyanin_spectrum(2), whose state has 3 a's and 3 b's.
 SPECTRUM = sklyanin_spectrum(2)
 
-#: Coordinates per group of the states a system is run from on a chart.
-GROUPS = {("ab", FLASCHKA_AB): (3, 2), ("toda", FLASCHKA_AB): (2, 3), ("spectrum", FLASCHKA_AB): (3, 3)}
-
 #: The numbers of q's the (q, p) chains run with: one q puts both walls on
 #: it, and 9 is past the sizes the field's terms are written for.
 QP_SIZES = (1, 2, 3, 9)
+
+#: Coordinates per group of the states a system is run from, by chart, and by
+#: system on the (a, b) chart.  The u and v charts, ab and toda also run one
+#: size each side of 16 coordinates, where a fixed step moves from Python
+#: numbers to numpy rows: 16 and 17, or 15 and 17 on the (a, b) chart.
+GROUPS = {QP: [(n, n) for n in QP_SIZES], VOLTERRA_U: [(5,), (16,), (17,)], VOLTERRA_V: [(5,), (16,), (17,)],
+          C_VARS: [(5,)], ("ab", FLASCHKA_AB): [(3, 2), (8, 7), (9, 8)],
+          ("toda", FLASCHKA_AB): [(2, 3), (7, 8), (8, 9)], ("spectrum", FLASCHKA_AB): [(3, 3)]}
 
 #: Each state kind as a function of the coordinate's index and of whether it
 #: is the last of the chart's first group (the last q on the (q, p) chart).
@@ -84,7 +90,7 @@ def _simulate_argvs(spectrum_file):
     for key, system in SYSTEMS.items():
         spectrum = ("--spectrum", spectrum_file) if key == "spectrum" else ()
         for chart in system.charts:
-            for groups in [(n, n) for n in QP_SIZES] if chart == QP else [GROUPS.get((key, chart), (5,))]:
+            for groups in GROUPS[(key, chart) if chart == FLASCHKA_AB else chart]:
 
                 def document(value):
                     return {name: [value(i, j == 0 and i == size - 1) for i in range(size)]
