@@ -50,7 +50,9 @@ class LatticeSystem:
     ``named_invariants`` maps (system, state) to {name: Column}.
     ``lax`` is the system's Lax builder (``lax.km_lax`` and the rest) or
     None: the one place that says which Lax pair belongs to a system.
-    ``spectrum`` parametrises the 'spectrum' system.  Dimension is carried by
+    ``spectrum`` parametrises the 'spectrum' system.  ``list_charts`` names
+    the charts whose field also takes one row as a list of Python complex
+    numbers (``integrate.LIST_STEP_MAX_DIM``).  Dimension is carried by
     the states themselves; every entry accepts any admissible size of its charts.
     """
 
@@ -59,6 +61,7 @@ class LatticeSystem:
     named_invariants: Callable = lambda system, state: {}
     lax: Callable | None = None
     spectrum: Spectrum | None = None
+    list_charts: tuple[str, ...] = ()
 
     @property
     def charts(self) -> tuple[str, ...]:
@@ -161,24 +164,25 @@ def _toda_invariants(system: LatticeSystem, state: State):
 # up at call time, so a wrapper on the systems module sees every evaluation.
 SYSTEMS = {system.key: system for system in (
     LatticeSystem("km", {VOLTERRA_U: lambda s, y, _: systems.km_field(s, y)},
-                  lambda km, s: _traces(km.lax, range(2, s.dim + 2, 2)), lax=lax.km_lax),
-    *(LatticeSystem(f"bv-{fam}", {VOLTERRA_U: lambda s, y, _, f=fam.upper(): systems.bv_field(f, s, y)})
+                  lambda km, s: _traces(km.lax, range(2, s.dim + 2, 2)), lax=lax.km_lax, list_charts=(VOLTERRA_U,)),
+    *(LatticeSystem(f"bv-{fam}", {VOLTERRA_U: lambda s, y, _, f=fam.upper(): systems.bv_field(f, s, y)},
+                    list_charts=(VOLTERRA_U,))
       for fam in "abcd"),
     *(LatticeSystem(f"c-{fam}", {C_VARS: lambda s, y, _, f=fam.upper(): systems.c_field(f, s, y)})
       for fam in "abcd"),
     LatticeSystem("vd", {VOLTERRA_V: lambda s, y, _: systems.vd_field(s, y)},
                   lambda vd, s: {**_traces(vd.lax, range(2, s.dim, 2), 2),
                                  "F": _closed_form(lax.casimir_F_column, gradient=lax.grad_casimir_F)},
-                  lax=lax.vd_lax),
+                  lax=lax.vd_lax, list_charts=(VOLTERRA_V,)),
     LatticeSystem("ab", {FLASCHKA_AB: lambda s, y, _: systems.ab_field(s, y)},
                   lambda ab, s: {**_traces(ab.lax, range(2, s.dim + 1, 2)),
                                  "C": _closed_form(lax.casimir_C_column, gradient=lax.grad_casimir_C)},
-                  lax=lax.ab_lax),
+                  lax=lax.ab_lax, list_charts=(FLASCHKA_AB,)),
     LatticeSystem("spectrum", {FLASCHKA_AB: lambda s, y, spectrum: systems.spectrum_field(spectrum, s, y)},
                   _null_integrals),
     LatticeSystem("toda", {QP: lambda s, y, _: systems.qp_field("toda", s, y),
                            FLASCHKA_AB: lambda s, y, _: systems.toda_ab_field(s, y)},
-                  _toda_invariants, lax=lax.toda_lax),
+                  _toda_invariants, lax=lax.toda_lax, list_charts=(FLASCHKA_AB,)),
     LatticeSystem("sklyanin", {QP: lambda s, y, _: systems.qp_field("sklyanin", s, y)}, _hamiltonian("sklyanin")),
     LatticeSystem("sklyanin-full", {QP: lambda s, y, _: systems.qp_field("sklyanin_full", s, y)},
                   _hamiltonian("sklyanin_full")),

@@ -5,9 +5,14 @@ Formulas are written with 1-based indices in comments/docstrings and 0-based
 numpy indexing in code.  Every field takes a State and raw coordinates
 ``y`` in its chart: one (d,) row, or a (d, N) block whose columns are N
 points (``State.columns``).  It returns the velocity in the same shape,
-complex when ``y`` is.  Chart, split and size checks read only the State's
-``chart``, ``split`` and ``dim``, and checks on values read ``y``, so the
-integrator builds no State per stage; the integrals take one block.
+complex when ``y`` is.  The polynomial chains (km, bv, vd, ab and toda's
+(a, b) field) also take one row as a list of Python complex numbers and
+return a list.  They use only + - x on it, with complex constants, so on a
+real-valued row each entry has the bits of the numpy row
+(``integrate.LIST_STEP_MAX_DIM``).  Chart, split and size checks read only
+the State's ``chart``, ``split`` and ``dim``, and checks on values read
+``y``, so the integrator builds no State per stage; the integrals take one
+block.
 
 A block runs each formula once on rows of N values: allocations take
 ``y.shape`` and boundary zeros are zero rows, so a (d,) row runs the
@@ -28,6 +33,12 @@ from .rootdata import QP_WALLS, Spectrum
 from .states import C_VARS, FLASCHKA_AB, QP, VOLTERRA_U, VOLTERRA_V, State, ab_sizes
 
 
+#: The factors 2 and -2 of the polynomial chains, complex as numpy makes a
+#: factor of a complex row: on a Python complex number an int or float factor
+#: skips the 0·imag terms from Python 3.14 on, and may flip a signed zero.
+_TWO, _MINUS_TWO = 2 + 0j, -2 + 0j
+
+
 # ---------------------------------------------------------------------------
 # Volterra chains in u variables
 # ---------------------------------------------------------------------------
@@ -37,6 +48,8 @@ def km_field(state: State, u) -> np.ndarray:
     state.require_chart(VOLTERRA_U, "km_field")
     if state.dim < 1:
         raise DimensionError("the km field needs n >= 1")
+    if isinstance(u, list):
+        return [x * (up - um) for x, up, um in zip(u, u[1:] + [0j], [0j] + u[:-1])]
     zero = np.zeros((1,) + u.shape[1:])
     up = np.concatenate([u[1:], zero])
     um = np.concatenate([zero, u[:-1]])
@@ -59,32 +72,32 @@ def bv_field(family: str, state: State, u) -> np.ndarray:
     n = state.dim
     if n < _BV_MINIMUM[family]:
         raise UnsupportedDimension(f"family {family} requires at least {_BV_MINIMUM[family]} variables")
-    du = np.zeros(u.shape, dtype=complex)
+    du = [0j] * n if isinstance(u, list) else np.zeros(u.shape, dtype=complex)
     if family == "A":
         # identical to the KM chain with open ends
         return km_field(state, u)
     if family == "B":
-        du[0] = u[0] * (u[0] + 2 * u[1])
-        du[1] = u[1] * (2 * u[2] - u[0])
+        du[0] = u[0] * (u[0] + _TWO * u[1])
+        du[1] = u[1] * (_TWO * u[2] - u[0])
         for i in range(2, n - 1):
-            du[i] = 2 * u[i] * (u[i + 1] - u[i - 1])
-        du[n - 1] = -2 * u[n - 2] * u[n - 1]
+            du[i] = _TWO * u[i] * (u[i + 1] - u[i - 1])
+        du[n - 1] = _MINUS_TWO * u[n - 2] * u[n - 1]
         return du
     if family == "C":
-        du[0] = 2 * u[0] * u[1]
+        du[0] = _TWO * u[0] * u[1]
         for i in range(1, n - 2):
-            du[i] = 2 * u[i] * (u[i + 1] - u[i - 1])
-        du[n - 2] = u[n - 2] * (u[n - 1] - 2 * u[n - 3])
-        du[n - 1] = -u[n - 1] * (u[n - 1] + 2 * u[n - 2])
+            du[i] = _TWO * u[i] * (u[i + 1] - u[i - 1])
+        du[n - 2] = u[n - 2] * (u[n - 1] - _TWO * u[n - 3])
+        du[n - 1] = -u[n - 1] * (u[n - 1] + _TWO * u[n - 2])
         return du
     # D family
-    du[0] = u[0] * (2 * u[1] + u[0])
-    du[1] = u[1] * (2 * u[2] - u[0])
+    du[0] = u[0] * (_TWO * u[1] + u[0])
+    du[1] = u[1] * (_TWO * u[2] - u[0])
     for i in range(2, n - 3):
-        du[i] = 2 * u[i] * (u[i + 1] - u[i - 1])
-    du[n - 3] = u[n - 3] * (u[n - 1] + u[n - 2] - 2 * u[n - 4])
-    du[n - 2] = u[n - 2] * (u[n - 1] - u[n - 2] - 2 * u[n - 3])
-    du[n - 1] = -u[n - 1] * (u[n - 1] - u[n - 2] + 2 * u[n - 3])
+        du[i] = _TWO * u[i] * (u[i + 1] - u[i - 1])
+    du[n - 3] = u[n - 3] * (u[n - 1] + u[n - 2] - _TWO * u[n - 4])
+    du[n - 2] = u[n - 2] * (u[n - 1] - u[n - 2] - _TWO * u[n - 3])
+    du[n - 1] = -u[n - 1] * (u[n - 1] - u[n - 2] + _TWO * u[n - 3])
     return du
 
 
@@ -94,7 +107,7 @@ def vd_field(state: State, v) -> np.ndarray:
     n = state.dim
     if n < 4:
         raise UnsupportedDimension("the v-variable Volterra D chain requires n >= 4")
-    dv = np.zeros(v.shape, dtype=complex)
+    dv = [0j] * n if isinstance(v, list) else np.zeros(v.shape, dtype=complex)
     dv[0] = v[0] * (v[0] + v[1])
     for k in range(1, n - 3):
         dv[k] = v[k] * (v[k + 1] - v[k - 1])
@@ -171,6 +184,9 @@ def ab_field(state: State, y) -> np.ndarray:
     if m < 1:
         raise DimensionError("ab_field needs m >= 1")
     a, b = y[:split], y[split:]
+    if isinstance(y, list):
+        return ([_TWO * a[0] * b[0]] + [x * (bp - bm) for x, bm, bp in zip(a[1:m], b, b[1:])]
+                + [_MINUS_TWO * a[m] * b[m - 1]] + [_TWO * (x * x - w * w) for x, w in zip(a[1:], a)])
     out = np.empty(y.shape, dtype=complex)
     out[0] = 2 * a[0] * b[0]
     for i in range(1, m):
@@ -190,6 +206,9 @@ def toda_ab_field(state: State, y) -> np.ndarray:
     if n < 2:
         raise DimensionError("toda_ab_field needs n >= 2")
     a, b = y[:split], y[split:]
+    if isinstance(y, list):
+        asq = [0j, *(x * x for x in a), 0j]
+        return [x * (bp - bm) for x, bm, bp in zip(a, b, b[1:])] + [_TWO * (x - w) for x, w in zip(asq[1:], asq)]
     da = a * (b[1:] - b[:-1])
     zero = np.zeros((1,) + a.shape[1:])
     asq = np.concatenate([zero, a**2, zero])

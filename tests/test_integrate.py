@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import field_reference
 from conftest import (
     FEHLBERG_A,
     FEHLBERG_B4,
@@ -14,13 +16,14 @@ from conftest import (
     run,
     state_per_stage,
 )
-from lattice_flows import DomainExit, StepFailure, ab_state, c_state, qp_state, u_state, v_state
+from lattice_flows import DomainExit, State, StepFailure, ab_state, c_state, qp_state, u_state, v_state
 from lattice_flows import integrate as integrate_module
-from lattice_flows.catalog import LatticeSystem, get_system
+from lattice_flows.catalog import SYSTEMS, LatticeSystem, get_system
 from lattice_flows.cli import main
 from lattice_flows.integrate import (
     BLOCK_ROWS,
     FEHLBERG_ROWS,
+    LIST_STEP_MAX_DIM,
     AdaptiveStep,
     FixedStep,
     _fehlberg_step,
@@ -29,7 +32,7 @@ from lattice_flows.integrate import (
     integrate,
     trajectory_csv,
 )
-from lattice_flows.states import FLASCHKA_AB, VOLTERRA_U, coordinate_names
+from lattice_flows.states import FLASCHKA_AB, VOLTERRA_U, VOLTERRA_V, coordinate_names
 from lattice_flows.systems import ab_field
 
 
@@ -394,3 +397,126 @@ def test_the_stage_stack_keeps_the_bits_of_the_generator_sums(rng, d):
                 with np.errstate(invalid="ignore", over="ignore"):
                     got, want = _fehlberg_step(field, y, dt), fehlberg_step_reference(field, y, dt)
                 assert [_bits(x) for x in got] == [_bits(x) for x in want], (d, y, dt)
+
+
+#: The rows whose field takes a Python list, each with the (split, dim) of
+#: the states it is stepped from: a small size, and the largest that a run
+#: steps on a list.
+LIST_ROWS = {
+    **{key: (VOLTERRA_U, [(None, 5), (None, LIST_STEP_MAX_DIM)]) for key in ("km", "bv-a", "bv-b", "bv-c", "bv-d")},
+    "vd": (VOLTERRA_V, [(None, 5), (None, LIST_STEP_MAX_DIM)]),
+    "ab": (FLASCHKA_AB, [(3, 5), (8, 15)]),
+    "toda": (FLASCHKA_AB, [(2, 5), (7, 15)]),
+}
+
+
+def _list_states(rng, d):
+    """Real-valued rows of d coordinates: ordinary, mixed signed zeros (in the
+    imaginary parts too), runs of equal neighbours, and one coordinate whose
+    products overflow."""
+    for _ in range(8):
+        equal = rng.uniform(0.2, 1.0, d)
+        equal[1::2] = equal[: d // 2]
+        overflowing = rng.uniform(-1.0, 1.0, d)
+        overflowing[rng.integers(d)] = rng.choice([1e155, -3e200])
+        yield from (rng.uniform(-1.5, 1.5, d) + 0j, equal + 0j, overflowing + 0j,
+                    rng.choice([0.0, -0.0, 0.5, -0.5], d) + 1j * rng.choice([0.0, -0.0], d))
+
+
+def _stepped(step, field, y):
+    """The bits of each of 30 steps of dt = 0.01 from ``y``."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(30):
+            y = step(field, y, 0.01)
+            out.append(_bits(y))
+    return out
+
+
+def test_the_catalog_marks_the_polynomial_chains_alone():
+    # c-*: numpy's complex division rounds twice; spectrum: its product sums through BLAS;
+    # the (q, p) fields: cmath.exp raises where np.exp gives the inf a wall overflow needs
+    assert {key: system.list_charts for key, system in SYSTEMS.items() if system.list_charts} == {
+        key: (chart,) for key, (chart, _) in LIST_ROWS.items()}
+
+
+@pytest.mark.parametrize("key", LIST_ROWS)
+def test_a_python_row_steps_with_the_bits_of_the_numpy_row(rng, key):
+    # signed zeros included; a NaN's sign and payload reach no output
+    system = SYSTEMS[key]
+    chart, shapes = LIST_ROWS[key]
+    reference = field_reference.ab_field if key == "ab" else lambda s, y: system.field(s, y)
+    for split, d in shapes:
+        for row in _list_states(rng, d):
+            s0 = State(chart, row, split)
+            want = _stepped(_rk4_step, lambda y: reference(s0, y), s0.array)
+            assert _stepped(_rk4_step, lambda y: system.field(s0, y), s0.array.tolist()) == want, (key, row)
+
+
+def _real_factor_step(f, y, dt):
+    """The list step with real factors: on Python floats it steps floats."""
+    k1 = f(y)
+    k2 = f([x + 0.5 * dt * k for x, k in zip(y, k1)])
+    k3 = f([x + 0.5 * dt * k for x, k in zip(y, k2)])
+    k4 = f([x + dt * k for x, k in zip(y, k3)])
+    return [x + dt / 6.0 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def test_the_bit_test_tells_a_float_step_apart(rng):
+    # vd's field has no constant, so a float row stays float: a float product
+    # keeps a -0.0 that the complex product's -0·imag term makes +0.0
+    system, differ = SYSTEMS["vd"], 0
+    for _ in range(300):
+        s0 = v_state(rng.choice([0.0, -0.0, 0.5, -0.5], 5) + 1j * rng.choice([0.0, -0.0], 5))
+        want = _stepped(_rk4_step, lambda y: system.field(s0, y), s0.array)
+        assert _stepped(_rk4_step, lambda y: system.field(s0, y), s0.array.tolist()) == want
+        differ += _stepped(_real_factor_step, lambda y: system.field(s0, y), s0.array.real.tolist()) != want
+    assert differ > 0
+
+
+def _spied(system, chart):
+    """``system`` with its field on ``chart`` recording the type of each row it is given."""
+    seen, field = set(), system.fields[chart]
+    return replace(system, fields={chart: lambda s, y, spectrum: seen.add(type(y)) or field(s, y, spectrum)}), seen
+
+
+def _outcome(system, s0, t_end, policy):
+    """The rows a run hands its sink, as bits, and the message of what it raised."""
+    blocks = []
+    try:
+        integrate(system, s0, t_end, policy, lambda *block: blocks.append(block))
+    except (DomainExit, StepFailure) as exc:
+        return [(t.tobytes(), c.tobytes()) for t, c in blocks], str(exc)
+    return [(t.tobytes(), c.tobytes()) for t, c in blocks], None
+
+
+@pytest.mark.parametrize("key", ["km", "vd", "bv-d"])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_fixed_step_run_steps_python_numbers_up_to_the_cutoff(monkeypatch, key, extra):
+    # the rows and the failure message are the numpy row's: bv-d leaves its
+    # domain before t = 1, and a coordinate of 1e200 overflows
+    system = SYSTEMS[key]
+    chart = system.list_charts[0]
+    spy, seen = _spied(system, chart)
+    row = [0.5 + 0.4 * abs(math.sin(1.7 * i)) for i in range(LIST_STEP_MAX_DIM + extra)]
+    for coords, t_end in ((row, 1.0), ([*row[:-1], 1e200], 0.01)):
+        s0 = State(chart, coords)
+        seen.clear()
+        got = _outcome(spy, s0, t_end, FixedStep(1e-3))
+        assert seen == {np.ndarray if extra else list}
+        with monkeypatch.context() as patch:
+            patch.setattr(integrate_module, "LIST_STEP_MAX_DIM", 0)
+            assert got == _outcome(system, s0, t_end, FixedStep(1e-3))
+        assert (got[1] is not None) == (t_end < 1.0 or key == "bv-d"), got[1]
+
+
+@pytest.mark.parametrize("key, s0, policy", [
+    ("ab", ab_state([1.0, 0.8, 1.2], [0.3, -0.1]), AdaptiveStep()),
+    ("ab", ab_state([1.0, 0.8, 1.2], [0.3, 0.1j]), FixedStep(1e-3)),
+    ("c-a", c_state([1.0, 0.5, 0.8]), FixedStep(1e-3)),
+    ("toda", qp_state([0.1, -0.2], [0.3, 0.0]), FixedStep(1e-3)),
+])
+def test_other_runs_step_numpy_rows(key, s0, policy):
+    spy, seen = _spied(SYSTEMS[key], s0.chart)
+    integrate(spy, s0, 0.01, policy, lambda *block: None)
+    assert seen == {np.ndarray}

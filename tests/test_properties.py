@@ -37,8 +37,9 @@ QP_SIZES = (1, 2, 3, 9)
 
 #: Coordinates per group of the states a system is run from, by chart, and by
 #: system on the (a, b) chart.  The u and v charts, ab and toda also run one
-#: size each side of 16 coordinates, where a fixed step moves from Python
-#: numbers to numpy rows: 16 and 17, or 15 and 17 on the (a, b) chart.
+#: size each side of integrate.LIST_STEP_MAX_DIM = 16 coordinates, where a
+#: fixed step moves from Python numbers to numpy rows: 16 and 17, or 15 and
+#: 17 on the (a, b) chart.
 GROUPS = {QP: [(n, n) for n in QP_SIZES], VOLTERRA_U: [(5,), (16,), (17,)], VOLTERRA_V: [(5,), (16,), (17,)],
           C_VARS: [(5,)], ("ab", FLASCHKA_AB): [(3, 2), (8, 7), (9, 8)],
           ("toda", FLASCHKA_AB): [(2, 3), (7, 8), (8, 9)], ("spectrum", FLASCHKA_AB): [(3, 3)]}
@@ -137,3 +138,11 @@ def test_every_argv_of_the_table_keeps_the_exit_contract(tmp_path, capsys):
             faults.append(f"{' '.join(argv)}: {fault}")
     assert len(argvs) > 1000
     assert not faults, "\n".join(faults)
+
+
+def test_the_polynomial_chains_run_each_side_of_the_list_step_cutoff():
+    from lattice_flows.integrate import LIST_STEP_MAX_DIM  # here: tests/sweep.py runs this table on older trees
+
+    for sizes in (GROUPS[VOLTERRA_U], GROUPS[VOLTERRA_V], GROUPS[("ab", FLASCHKA_AB)], GROUPS[("toda", FLASCHKA_AB)]):
+        dims = {sum(groups) for groups in sizes}
+        assert LIST_STEP_MAX_DIM + 1 in dims and dims & {LIST_STEP_MAX_DIM - 1, LIST_STEP_MAX_DIM}
