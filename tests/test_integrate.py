@@ -445,7 +445,7 @@ def test_a_python_row_steps_with_the_bits_of_the_numpy_row(rng, key):
     # signed zeros included; a NaN's sign and payload reach no output
     system = SYSTEMS[key]
     chart, shapes = LIST_ROWS[key]
-    reference = field_reference.ab_field if key == "ab" else lambda s, y: system.field(s, y)
+    reference = field_reference.ab_field if key == "ab" else system.field
     for split, d in shapes:
         for row in _list_states(rng, d):
             s0 = State(chart, row, split)
@@ -482,12 +482,12 @@ def _spied(system, chart):
 
 def _outcome(system, s0, t_end, policy):
     """The rows a run hands its sink, as bits, and the message of what it raised."""
-    blocks = []
+    blocks, message = [], None
     try:
         integrate(system, s0, t_end, policy, lambda *block: blocks.append(block))
     except (DomainExit, StepFailure) as exc:
-        return [(t.tobytes(), c.tobytes()) for t, c in blocks], str(exc)
-    return [(t.tobytes(), c.tobytes()) for t, c in blocks], None
+        message = str(exc)
+    return [(t.tobytes(), c.tobytes()) for t, c in blocks], message
 
 
 @pytest.mark.parametrize("key", ["km", "vd", "bv-d"])
